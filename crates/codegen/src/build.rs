@@ -1,7 +1,7 @@
 //! Loop-nest synthesis from integer sets (the Kelly–Pugh–Rosser
 //! multiple-mappings code generation interface of the paper's Appendix B).
 //!
-//! `codegen(S1..Sv | Known)` produces code that enumerates the tuples of the
+//! `codegen(S1..Sv)` produces code that enumerates the tuples of the
 //! given iteration spaces in lexicographic order, with the same tuple of
 //! different statements ordered by statement index. Each statement's space
 //! is first made *disjoint* (so no instance executes twice), reduced to
@@ -27,9 +27,6 @@ pub struct Mapping {
 /// Options controlling code generation.
 #[derive(Clone, Debug)]
 pub struct CodegenOptions {
-    /// Constraints guaranteed by the enclosing scope; guards implied by
-    /// them are not emitted (the paper's `Known` parameter).
-    pub known: Option<Set>,
     /// How many loop levels guards may be hoisted out of (the paper lifts
     /// one level by default).
     pub lift_levels: u32,
@@ -45,7 +42,6 @@ pub struct CodegenOptions {
 impl Default for CodegenOptions {
     fn default() -> Self {
         CodegenOptions {
-            known: None,
             lift_levels: 1,
             sequential_pieces: false,
         }
@@ -103,7 +99,7 @@ pub fn codegen_set(
 }
 
 /// Generates code enumerating every mapping's space in lexicographic order
-/// (the paper's `Codegen(S1...Sv | Known)`).
+/// (the paper's `Codegen(S1...Sv | Known)`, without the `Known` argument).
 ///
 /// `names[d]` is the loop variable name for level `d`; parameter names come
 /// from the sets themselves.
@@ -126,16 +122,6 @@ pub fn codegen(
     if mappings.iter().any(|m| m.space.arity() != arity) || names.len() < arity as usize {
         return Err(CodegenError::ArityMismatch);
     }
-    let known_conj = opts.known.as_ref().and_then(|k| {
-        if k.as_relation().conjuncts().len() == 1 {
-            Some((
-                k.as_relation().conjuncts()[0].clone(),
-                k.as_relation().params().to_vec(),
-            ))
-        } else {
-            None
-        }
-    });
     let mut pieces: Vec<Piece> = Vec::new();
     for (seq, m) in mappings.iter().enumerate() {
         let ctx = m.space.context().cloned();
@@ -212,9 +198,6 @@ pub fn codegen(
                 p.pending.push(Cond::Geq(namer.expr(e, 1), Expr::Const(0)));
             }
         }
-        if let Some((kc, _)) = &known_conj {
-            p.prune_pending(kc);
-        }
     }
     let code = if opts.sequential_pieces {
         let mut seq = Vec::new();
@@ -239,17 +222,6 @@ struct Piece {
     params: Vec<String>,
     pending: Vec<Cond>,
     ctx: Option<Context>,
-}
-
-impl Piece {
-    /// Drops pending guards implied by the known-context conjunct.
-    fn prune_pending(&mut self, _known: &Conjunct) {
-        // Guard pruning against Known is handled structurally: constraints
-        // identical to a Known constraint were already removed by gist-like
-        // simplification inside Set::simplify. Further semantic pruning
-        // would need a Cond -> LinExpr back-translation; the lifting pass
-        // keeps any residual guards cheap (evaluated once per scope).
-    }
 }
 
 /// Deepest input-variable level mentioned by the expression, if any.
@@ -596,23 +568,13 @@ fn gen_level(
             if info.lowers.is_empty() {
                 match lo {
                     Some(e) => info.lowers.push(e),
-                    None => {
-                        if std::env::var("DHPF_CODEGEN_DEBUG").is_ok() {
-                            eprintln!("unbounded LOW level {d}: {:?}", piece.conj);
-                        }
-                        return Err(CodegenError::Unbounded { level: d });
-                    }
+                    None => return Err(CodegenError::Unbounded { level: d }),
                 }
             }
             if info.uppers.is_empty() {
                 match hi {
                     Some(e) => info.uppers.push(e),
-                    None => {
-                        if std::env::var("DHPF_CODEGEN_DEBUG").is_ok() {
-                            eprintln!("unbounded HIGH level {d}: {:?}", piece.conj);
-                        }
-                        return Err(CodegenError::Unbounded { level: d });
-                    }
+                    None => return Err(CodegenError::Unbounded { level: d }),
                 }
             }
         }

@@ -2,7 +2,7 @@
 //!
 //! The multiple-mappings code-generation substrate of the dHPF reproduction
 //! (Kelly, Pugh & Rosser's `Codegen(S1..Sv | Known)` interface from the
-//! paper's Appendix B): given one iteration space per statement, produce a
+//! paper's Appendix B, without its `Known` argument): given one iteration space per statement, produce a
 //! single loop nest that enumerates all tuples in lexicographic order, with
 //! identical tuples of different statements ordered by statement index.
 //!

@@ -437,11 +437,14 @@ impl Conjunct {
     /// [`Context`]: the result is memoized per distinct conjunct structure,
     /// and the eliminations performed along the way share the context's
     /// projection cache.
+    ///
+    /// This is the form for *analysis* callers, where "satisfiable" is the
+    /// sound conservative answer: once the governor refuses an operation
+    /// the degraded `true` never lets the compiler skip communication or
+    /// drop a piece. Code generation must use
+    /// [`try_is_satisfiable_in`](Self::try_is_satisfiable_in) instead.
     pub fn is_satisfiable_in(&self, ctx: Option<&crate::Context>) -> bool {
-        match ctx {
-            Some(cx) => cx.cached_sat(self, || self.sat_uncached(ctx)),
-            None => self.sat_uncached(None),
-        }
+        self.try_is_satisfiable_in(ctx).unwrap_or(true)
     }
 
     /// Exact-or-fail form of [`is_satisfiable_in`](Self::is_satisfiable_in):
@@ -454,21 +457,40 @@ impl Conjunct {
     /// # Errors
     ///
     /// Returns the budget/cancellation error when the context's governor
-    /// refuses the operation.
+    /// refuses the operation or any operation inside the decision.
     pub fn try_is_satisfiable_in(&self, ctx: Option<&crate::Context>) -> Result<bool, OmegaError> {
         match ctx {
             Some(cx) => cx.cached_sat_strict(self, || self.sat_uncached(ctx)),
-            None => Ok(self.sat_uncached(None)),
+            None => self.sat_uncached(None),
         }
     }
 
-    fn sat_uncached(&self, ctx: Option<&crate::Context>) -> bool {
+    /// The Omega test as a *decision*: equalities are substituted away,
+    /// variables bounded on one side only are dropped, exact
+    /// Fourier–Motzkin steps project, and an inexact step asks its dark
+    /// and real shadows first and splinters only when they disagree.
+    ///
+    /// `Err` is a governor refusal (budget, cancellation, injected fault)
+    /// somewhere inside the decision: no verdict was reached, and the
+    /// caller must not memoize one. Coefficient overflow and the fuel cap
+    /// are properties of the conjunct and answer a conservative
+    /// `Ok(true)` (sound for emptiness tests, which only trust `false`).
+    fn sat_uncached(&self, ctx: Option<&crate::Context>) -> Result<bool, OmegaError> {
+        match self.decide_sat(ctx) {
+            Err(OmegaError::Overflow(_)) => Ok(true),
+            verdict => verdict,
+        }
+    }
+
+    /// The work-list loop behind [`sat_uncached`](Self::sat_uncached);
+    /// every error, overflow included, propagates.
+    fn decide_sat(&self, ctx: Option<&crate::Context>) -> Result<bool, OmegaError> {
         let mut work = vec![self.clone()];
         let mut fuel: u64 = 200_000;
         while let Some(mut c) = work.pop() {
             if fuel == 0 {
                 // Fuel exhaustion is conservative: report satisfiable.
-                return true;
+                return Ok(true);
             }
             fuel = fuel.saturating_sub(1);
             if c.normalize() == Normalized::False {
@@ -478,7 +500,7 @@ impl Conjunct {
                 SatStep::Done => {
                     // No variables left; normalize() already validated the
                     // constant constraints.
-                    return true;
+                    return Ok(true);
                 }
                 SatStep::SubstituteUnit(idx, v) => {
                     if c.substitute_from_eq(idx, v) {
@@ -489,16 +511,28 @@ impl Conjunct {
                     c.modhat_reduce(idx, v);
                     work.push(c);
                 }
-                SatStep::Fme(v) => match c.try_eliminate_exact_in(v, ctx) {
-                    Ok(parts) => work.extend(parts),
-                    // Overflow is conservative like fuel exhaustion: report
-                    // satisfiable rather than abort (sound for emptiness
-                    // tests, which only trust `false`).
-                    Err(_) => return true,
-                },
+                SatStep::DropOneSided(v) => {
+                    c.drop_one_sided(v, ctx)?;
+                    work.push(c);
+                }
+                SatStep::Project(v) => work.extend(c.try_eliminate_exact_in(v, ctx)?),
+                SatStep::Shadows(v) => {
+                    let (bounds, real, dark) = c.shadows_on(v, ctx)?;
+                    // A point of the dark shadow extends to an integer
+                    // `v`; no point of the real shadow extends to any.
+                    // Only between the two do the splinters decide, and
+                    // they keep their pin equality: the equality steps
+                    // above dispose of it without a projection.
+                    if dark.try_is_satisfiable_in(ctx)? {
+                        return Ok(true);
+                    }
+                    if real.try_is_satisfiable_in(ctx)? {
+                        work.extend(bounds.splinters()?);
+                    }
+                }
             }
         }
-        false
+        Ok(false)
     }
 
     /// Chooses the next satisfiability-preserving reduction step.
@@ -519,15 +553,55 @@ impl Conjunct {
             }
         }
         // Then the inequality variable with the cheapest FME cost.
-        let vars = self.all_vars();
-        match vars.into_iter().min_by_key(|&v| {
+        let cost = |v: Var| {
             let lowers = self.geqs.iter().filter(|e| e.coeff(v) > 0).count();
             let uppers = self.geqs.iter().filter(|e| e.coeff(v) < 0).count();
             lowers * uppers
-        }) {
-            Some(v) => SatStep::Fme(v),
-            None => SatStep::Done,
+        };
+        let Some(v) = self.all_vars().into_iter().min_by_key(|&v| cost(v)) else {
+            return SatStep::Done;
+        };
+        if cost(v) == 0 {
+            SatStep::DropOneSided(v)
+        } else if self.geqs.iter().any(|e| e.coeff(v) > 1)
+            && self.geqs.iter().any(|e| e.coeff(v) < -1)
+        {
+            SatStep::Shadows(v)
+        } else {
+            SatStep::Project(v)
         }
+    }
+
+    /// Drops `v`, which no equality mentions and which is bounded on one
+    /// side only: projecting it away deletes its inequalities and forms no
+    /// combination, so nothing is interned or memoized — the step is only
+    /// charged and sampled.
+    fn drop_one_sided(&mut self, v: Var, ctx: Option<&crate::Context>) -> Result<(), OmegaError> {
+        let _op = match ctx {
+            Some(cx) => cx.one_sided_drop(self)?,
+            None => None,
+        };
+        self.norm = false; // removal can orphan the trailing-exist trim
+        self.geqs.retain(|e| e.coeff(v) == 0);
+        Ok(())
+    }
+
+    /// The inexact Fourier–Motzkin step of the satisfiability loop: the
+    /// bounds on `v` with their real and dark shadows, counted by the
+    /// context as one projection.
+    fn shadows_on(
+        self,
+        v: Var,
+        ctx: Option<&crate::Context>,
+    ) -> Result<(BoundsOn, Conjunct, Conjunct), OmegaError> {
+        let _op = match ctx {
+            Some(cx) => cx.shadow_step(&self)?,
+            None => None,
+        };
+        let bounds = self.split_bounds(v);
+        let real = bounds.shadow(false)?;
+        let dark = bounds.shadow(true)?;
+        Ok((bounds, real, dark))
     }
 
     /// Substitutes `v` away using equality `eqs[idx]` where `v` has a unit
@@ -715,12 +789,38 @@ impl Conjunct {
     /// Eliminates `v` (appearing only in inequalities) exactly:
     /// dark shadow plus splinters.
     fn eliminate_via_fme(
-        mut self,
+        self,
         v: Var,
         ctx: Option<&crate::Context>,
     ) -> Result<Vec<Conjunct>, OmegaError> {
-        let mut lowers = Vec::new(); // (a, L): a*v + L >= 0 with a > 0
-        let mut uppers = Vec::new(); // (b, U): -b*v + U >= 0 with b > 0
+        let bounds = self.split_bounds(v);
+        if bounds.lowers.is_empty() || bounds.uppers.is_empty() {
+            // v is unbounded on one side: projection drops its constraints.
+            let mut out = bounds.base;
+            if out.normalize() == Normalized::False {
+                return Ok(Vec::new());
+            }
+            return Ok(vec![out]);
+        }
+        let mut results = Vec::new();
+        let mut dark = bounds.shadow(true)?;
+        if dark.normalize() != Normalized::False {
+            results.push(dark);
+        }
+        if !bounds.is_exact() {
+            for s in bounds.splinters()? {
+                // Recurse: the pinned equality eliminates v exactly.
+                results.extend(s.try_eliminate_exact_in(v, ctx)?);
+            }
+        }
+        Ok(results)
+    }
+
+    /// Splits the inequalities on `v`, which no equality mentions, into
+    /// its lower bounds, its upper bounds and the rest.
+    fn split_bounds(mut self, v: Var) -> BoundsOn {
+        let mut lowers = Vec::new();
+        let mut uppers = Vec::new();
         let mut others = Vec::new();
         for e in self.geqs.drain(..) {
             let cv = e.coeff(v);
@@ -734,81 +834,14 @@ impl Conjunct {
                 others.push(rest);
             }
         }
-        let base = {
-            let mut c = Conjunct::new();
-            c.n_exist = self.n_exist;
-            c.eqs = self.eqs.clone();
-            c.geqs = others;
-            c
-        };
-        if lowers.is_empty() || uppers.is_empty() {
-            // v is unbounded on one side: projection drops its constraints.
-            let mut out = base;
-            if out.normalize() == Normalized::False {
-                return Ok(Vec::new());
-            }
-            return Ok(vec![out]);
+        self.geqs = others;
+        self.norm = false;
+        BoundsOn {
+            v,
+            lowers,
+            uppers,
+            base: self,
         }
-        let mut exact = true;
-        let mut dark = base.clone();
-        for (a, l) in &lowers {
-            for (b, u) in &uppers {
-                // a*v >= -L and b*v <= U  =>  a*U + b*L >= 0 (real shadow)
-                let mut comb = u.try_scaled(*a)?;
-                comb.try_add_scaled(l, *b)?;
-                if *a > 1 && *b > 1 {
-                    exact = false;
-                    // dark shadow: a*U + b*L >= (a-1)(b-1)
-                    let mut d = comb.clone();
-                    d.try_add_constant(try_sub(0, try_mul(*a - 1, *b - 1)?)?)?;
-                    dark.add_geq(d);
-                } else {
-                    dark.add_geq(comb);
-                }
-            }
-        }
-        if exact {
-            let mut out = dark;
-            if out.normalize() == Normalized::False {
-                return Ok(Vec::new());
-            }
-            return Ok(vec![out]);
-        }
-        let mut results = Vec::new();
-        if dark.normalize() != Normalized::False {
-            results.push(dark);
-        }
-        // Splinters: any solution outside the dark shadow satisfies
-        // a*v = -L + i for some lower bound (a, L) with a > 1 and
-        // 0 <= i <= (a*bmax - a - bmax) / bmax.
-        let bmax = uppers.iter().map(|&(b, _)| b).max().unwrap();
-        for (a, l) in &lowers {
-            if *a <= 1 {
-                continue;
-            }
-            let imax = floor_div(try_sub(try_sub(try_mul(*a, bmax)?, *a)?, bmax)?, bmax);
-            for i in 0..=imax {
-                // Rebuild the original conjunct and pin a*v + L - i = 0.
-                let mut s = base.clone();
-                for (a2, l2) in &lowers {
-                    let mut e = l2.clone();
-                    e.add_term(v, *a2);
-                    s.add_geq(e);
-                }
-                for (b2, u2) in &uppers {
-                    let mut e = u2.clone();
-                    e.add_term(v, -*b2);
-                    s.add_geq(e);
-                }
-                let mut pin = l.clone();
-                pin.add_term(v, *a);
-                pin.try_add_constant(try_sub(0, i)?)?;
-                s.add_eq(pin);
-                // Recurse: the pinned equality eliminates v exactly.
-                results.extend(s.try_eliminate_exact_in(v, ctx)?);
-            }
-        }
-        Ok(results)
     }
 
     /// Returns `true` if this conjunct, conjoined with `context`, is
@@ -868,10 +901,19 @@ impl Conjunct {
 
     /// [`remove_redundant`](Self::remove_redundant) threading an optional
     /// shared [`Context`] through the implied-constraint tests.
+    ///
+    /// The conjunct is taken to be satisfiable, as every conjunct
+    /// [`Relation::simplify`](crate::Relation::simplify) keeps is: that is
+    /// what lets a sole bound skip its test. (On an empty conjunct the
+    /// result is still equivalent; it may only keep more constraints.)
     pub fn remove_redundant_in(&mut self, ctx: Option<&crate::Context>) {
         self.norm = false; // removal can orphan the trailing-exist trim
         let mut i = 0;
         while i < self.geqs.len() {
+            if self.is_sole_bound(i) {
+                i += 1;
+                continue;
+            }
             // geqs[i] is redundant iff (rest ∧ geqs[i] <= -1) is unsat.
             let mut test = self.clone();
             let e = test.geqs.remove(i);
@@ -884,6 +926,23 @@ impl Conjunct {
                 i += 1;
             }
         }
+    }
+
+    /// Whether `geqs[i]` is the only bound, in its direction, on some
+    /// variable that no equality mentions. Negating it leaves that variable
+    /// bounded on one side only, so `rest ∧ ¬geqs[i]` is as satisfiable as
+    /// the constraints that do not mention the variable — all of which the
+    /// (satisfiable) conjunct itself implies. Such a bound is never
+    /// redundant and needs no decision.
+    fn is_sole_bound(&self, i: usize) -> bool {
+        self.geqs[i].terms().any(|(v, c)| {
+            !self.eqs.iter().any(|e| e.coeff(v) != 0)
+                && !self
+                    .geqs
+                    .iter()
+                    .enumerate()
+                    .any(|(j, g)| j != i && g.coeff(v).signum() == c.signum())
+        })
     }
 
     /// Evaluates membership of a full assignment of the *free* variables:
@@ -901,6 +960,86 @@ impl Conjunct {
     ) -> bool {
         let bound = self.bind(|v| if v.is_exist() { None } else { lookup(v) });
         bound.is_satisfiable_in(ctx)
+    }
+}
+
+/// The inequalities of a conjunct split on one variable that occurs in no
+/// equality: what Fourier–Motzkin combines, and what it leaves alone.
+struct BoundsOn {
+    v: Var,
+    /// `(a, L)` for each `a*v + L >= 0` with `a > 0`.
+    lowers: Vec<(i64, LinExpr)>,
+    /// `(b, U)` for each `-b*v + U >= 0` with `b > 0`.
+    uppers: Vec<(i64, LinExpr)>,
+    /// Every constraint that does not mention `v`.
+    base: Conjunct,
+}
+
+impl BoundsOn {
+    /// Whether the real shadow is already the exact projection: no pair
+    /// of bounds has both coefficients above 1.
+    fn is_exact(&self) -> bool {
+        !(self.lowers.iter().any(|&(a, _)| a > 1) && self.uppers.iter().any(|&(b, _)| b > 1))
+    }
+
+    /// `base` plus one combination per pair of bounds: `a*U + b*L >= 0`
+    /// for the real shadow, `a*U + b*L >= (a-1)(b-1)` for the dark one
+    /// (the two agree on every pair with a unit coefficient).
+    fn shadow(&self, dark: bool) -> Result<Conjunct, OmegaError> {
+        let mut out = self.base.clone();
+        for (a, l) in &self.lowers {
+            for (b, u) in &self.uppers {
+                // a*v >= -L and b*v <= U  =>  a*U + b*L >= 0
+                let mut comb = u.try_scaled(*a)?;
+                comb.try_add_scaled(l, *b)?;
+                if dark && *a > 1 && *b > 1 {
+                    comb.try_add_constant(try_sub(0, try_mul(*a - 1, *b - 1)?)?)?;
+                }
+                out.add_geq(comb);
+            }
+        }
+        Ok(out)
+    }
+
+    /// The splinters, un-eliminated: any solution outside the dark shadow
+    /// satisfies `a*v = -L + i` for some lower bound `(a, L)` with `a > 1`
+    /// and `0 <= i <= (a*bmax - a - bmax) / bmax`, so each splinter is the
+    /// original conjunct with one such equality pinned.
+    fn splinters(&self) -> Result<Vec<Conjunct>, OmegaError> {
+        let v = self.v;
+        let mut whole = self.base.clone();
+        for (a, l) in &self.lowers {
+            let mut e = l.clone();
+            e.add_term(v, *a);
+            whole.add_geq(e);
+        }
+        for (b, u) in &self.uppers {
+            let mut e = u.clone();
+            e.add_term(v, -*b);
+            whole.add_geq(e);
+        }
+        let bmax = self
+            .uppers
+            .iter()
+            .map(|&(b, _)| b)
+            .max()
+            .expect("an inexact step has an upper bound");
+        let mut out = Vec::new();
+        for (a, l) in &self.lowers {
+            if *a <= 1 {
+                continue;
+            }
+            let imax = floor_div(try_sub(try_sub(try_mul(*a, bmax)?, *a)?, bmax)?, bmax);
+            for i in 0..=imax {
+                let mut s = whole.clone();
+                let mut pin = l.clone();
+                pin.add_term(v, *a);
+                pin.try_add_constant(try_sub(0, i)?)?;
+                s.add_eq(pin);
+                out.push(s);
+            }
+        }
+        Ok(out)
     }
 }
 
@@ -938,8 +1077,15 @@ enum SatStep {
     /// Reduce the given equality's coefficients with a symmetric-modulus
     /// substitution of the given variable.
     ModhatReduce(usize, Var),
-    /// Fourier–Motzkin-eliminate the given inequality-only variable.
-    Fme(Var),
+    /// Delete the inequalities of the given inequality-only variable,
+    /// which is bounded on one side only.
+    DropOneSided(Var),
+    /// Project the given inequality-only variable away: every pair of its
+    /// bounds has a unit coefficient, so the real shadow is exact.
+    Project(Var),
+    /// Decide by the real and dark shadows of the given inequality-only
+    /// variable, and by its splinters when they disagree.
+    Shadows(Var),
 }
 
 /// Symmetric modulus: `modhat(a, m) ≡ a (mod m)` with result in

@@ -431,6 +431,10 @@ struct Inner {
     /// Total memo-entry capacity per operation table (divided evenly
     /// across shards). See [`Context::set_cache_capacity`].
     cache_capacity: AtomicUsize,
+    /// Shadow steps of the satisfiability loop ([`Context::shadow_step`]):
+    /// projections that are counted but not memoized, so they belong to no
+    /// shard. Reported as `eliminate` misses.
+    shadow_steps: AtomicU64,
     shards: [Mutex<Shard>; SHARDS],
 }
 
@@ -439,7 +443,7 @@ struct Inner {
 /// open span. Declared *first* in each memoized operation so it drops
 /// *last* — after any shard `MutexGuard` — keeping the collector's lock
 /// disjoint from the shard locks.
-struct OpTrace {
+pub(crate) struct OpTrace {
     obs: Collector,
     op: &'static str,
     size: u64,
@@ -547,6 +551,7 @@ impl Context {
                 inject_armed: AtomicBool::new(false),
                 inject: Mutex::new(InjectState::default()),
                 cache_capacity: AtomicUsize::new(capacity),
+                shadow_steps: AtomicU64::new(0),
                 shards: std::array::from_fn(|_| Mutex::new(Shard::default())),
             }),
         }
@@ -694,6 +699,7 @@ impl Context {
         for shard in &self.inner.shards {
             out.merge(&shard.lock().unwrap().stats());
         }
+        out.eliminate.misses += self.inner.shadow_steps.load(Ordering::Relaxed);
         out
     }
 
@@ -702,6 +708,7 @@ impl Context {
         for shard in &self.inner.shards {
             shard.lock().unwrap().counts = ShardCounts::default();
         }
+        self.inner.shadow_steps.store(0, Ordering::Relaxed);
     }
 
     // ------------------------------------------------------------------
@@ -1145,29 +1152,22 @@ impl Context {
     // compilations never duplicate work; concurrent ones at worst compute
     // an entry twice.
 
-    /// `cached_sat` for *analysis* callers, where "satisfiable" is the
-    /// sound conservative answer: once the budget trips, the degraded
-    /// `true` never lets the compiler skip communication or drop a
-    /// splinter. Code generation must NOT use this — an emptiness test
-    /// that prunes pieces before emitting loop bounds needs the exact
-    /// answer or a typed failure ([`cached_sat_strict`](Self::cached_sat_strict)):
-    /// a spurious "satisfiable" there widens hull bounds and emits
-    /// phantom iterations, breaking send/recv duality.
-    pub(crate) fn cached_sat(&self, c: &Conjunct, compute: impl FnOnce() -> bool) -> bool {
-        self.cached_sat_strict(c, compute).unwrap_or(true)
-    }
-
-    /// Exact-or-fail satisfiability: the budget charge error propagates
-    /// instead of degrading to `true`. Degraded answers are never cached.
+    /// Memoized satisfiability, exact or failed: the governor's refusal
+    /// propagates — from the charge here or, as `compute`'s `Err`, from any
+    /// operation inside the decision — and is never cached. A verdict
+    /// reached after a refusal is not a property of the conjunct, and a
+    /// long-lived context would keep answering it after the budget that
+    /// caused it is gone. (`compute`'s conservative `Ok(true)` on overflow
+    /// or its fuel cap *is* such a property and is cached.)
     pub(crate) fn cached_sat_strict(
         &self,
         c: &Conjunct,
-        compute: impl FnOnce() -> bool,
+        compute: impl FnOnce() -> Result<bool, OmegaError>,
     ) -> Result<bool, OmegaError> {
         let _t = self.op_trace("satisfiability", conjunct_size(c));
         self.charge("sat")?;
         if !self.is_enabled() || self.memo_bypassed() {
-            return Ok(compute());
+            return compute();
         }
         let (s, id) = {
             // Borrow `c` as its own canonical key when already
@@ -1189,13 +1189,36 @@ impl Context {
             (s, id)
         };
         let t0 = Instant::now();
-        let v = compute();
+        let v = compute()?;
         let cost_us = elapsed_us(t0);
         let cap = self.shard_cap();
         let mut shard = self.inner.shards[s].lock().unwrap();
         let sh = &mut *shard;
         sh.sat.insert(id, v, cost_us, cap, &mut sh.counts.sat);
         Ok(v)
+    }
+
+    /// Governs and samples the satisfiability loop's deletion of a
+    /// variable bounded on one side only. No combination is formed, so
+    /// nothing is counted; the charge keeps op fuel, deadlines,
+    /// cancellation and the `eliminate` injection site live inside long
+    /// decisions. The sample closes when the returned guard drops.
+    pub(crate) fn one_sided_drop(&self, c: &Conjunct) -> Result<Option<OpTrace>, OmegaError> {
+        let t = self.op_trace("fme projection", conjunct_size(c));
+        self.charge("eliminate")?;
+        Ok(t)
+    }
+
+    /// Governs, samples and counts the satisfiability loop's shadow step:
+    /// a Fourier–Motzkin projection like any other — one `eliminate` miss
+    /// — except that its result (the real and dark shadows) is consumed on
+    /// the spot and not memoized; the sub-questions it raises are.
+    pub(crate) fn shadow_step(&self, c: &Conjunct) -> Result<Option<OpTrace>, OmegaError> {
+        let t = self.one_sided_drop(c)?;
+        if self.is_enabled() && !self.memo_bypassed() {
+            self.inner.shadow_steps.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(t)
     }
 
     pub(crate) fn cached_eliminate(

@@ -21,12 +21,14 @@
 //! smoke iteration count on every push.
 
 use crate::conjunct::Conjunct;
+use crate::linexpr::LinExpr;
 use crate::ops::negate_conjunct_in;
 use crate::relation::Relation;
 use crate::set::Set;
 use crate::testing::Rng;
+use crate::var::Var;
 use crate::{Context, OmegaError};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -481,6 +483,7 @@ pub const LAWS: &[&str] = &[
     "display-roundtrip",
     "normalize-idempotent",
     "canonical-agree",
+    "sat-agrees-with-projection",
 ];
 
 /// One generated test case: a law plus the generated inputs it ran on.
@@ -1084,8 +1087,90 @@ fn check_inner(case: &Case, cfg: &OracleConfig) -> Result<Verdict, String> {
             }
             Ok(Verdict::Pass)
         }
+        "sat-agrees-with-projection" => {
+            // The decision procedure (shadows first, splinters on demand)
+            // against the exact projection path it no longer runs through.
+            let sa = inputs[0].to_set()?;
+            let conjs = sa.as_relation().conjuncts();
+            let mut subjects = conjs.to_vec();
+            for (i, a) in conjs.iter().enumerate() {
+                for b in &conjs[i + 1..] {
+                    let mut both = a.clone();
+                    both.merge(b);
+                    subjects.push(both);
+                }
+            }
+            // Thin slabs `0 <= e <= 1` around non-unit inequalities: where
+            // the real shadow has points and the integers may have none.
+            for c in conjs {
+                for e in c.geqs() {
+                    if e.terms().any(|(_, k)| k.abs() > 1) {
+                        let mut slab = c.clone();
+                        slab.add_geq(LinExpr::constant(1) - e.clone());
+                        subjects.push(slab);
+                    }
+                }
+            }
+            let ctx = Context::new();
+            let mut decided = false;
+            for c in &subjects {
+                let expect = match nonempty_by_projection(c) {
+                    Ok(Some(nonempty)) => nonempty,
+                    Ok(None) | Err(OmegaError::Overflow(_)) => continue,
+                    Err(e) => return Err(format!("projection failed: {e}")),
+                };
+                decided = true;
+                for (how, got) in [
+                    ("uncached", c.is_satisfiable()),
+                    ("cached", c.is_satisfiable_in(Some(&ctx))),
+                ] {
+                    if got != expect {
+                        return Err(format!(
+                            "{how} is_satisfiable says {got}, exact projection says {expect}: {c:?}"
+                        ));
+                    }
+                }
+            }
+            Ok(if decided {
+                Verdict::Pass
+            } else {
+                Verdict::Skip("projection left a congruence residue")
+            })
+        }
         other => Err(format!("unknown law `{other}`")),
     }
+}
+
+/// Non-emptiness of `c` by projection alone: exactly eliminates every
+/// variable with [`Conjunct::try_eliminate_exact`] until only constant
+/// constraints are left (which normalization decides). `None` when a piece
+/// keeps variables that elimination cannot remove — an equality all of
+/// whose variables have non-unit coefficients stays behind as its own
+/// congruence witness.
+fn nonempty_by_projection(c: &Conjunct) -> Result<Option<bool>, OmegaError> {
+    let mut pieces = vec![c.clone()];
+    for _round in 0..4 {
+        let vars: BTreeSet<Var> = pieces.iter().flat_map(Conjunct::all_vars).collect();
+        if vars.is_empty() {
+            break;
+        }
+        for v in vars {
+            let mut next = Vec::new();
+            for p in &pieces {
+                next.extend(p.try_eliminate_exact(v)?);
+            }
+            pieces = next;
+        }
+    }
+    // A variable-free piece normalizes to the universe (a false one was
+    // dropped along the way); anything else still carries a residue.
+    Ok(if pieces.iter().any(Conjunct::is_universe) {
+        Some(true)
+    } else if pieces.is_empty() {
+        Some(false)
+    } else {
+        None
+    })
 }
 
 /// `(A - B) ∪ (B - A)` through the fallible subtraction path.

@@ -1,0 +1,276 @@
+//! Hand-made cases for each branch of the satisfiability decision
+//! procedure (dark shadow first, real shadow second, splinters on demand,
+//! one-sided variables dropped in place), for the sole-bound quick test of
+//! `remove_redundant`, and for the rule that a verdict reached after a
+//! governor refusal is never memoized.
+//!
+//! Verdicts are checked against brute-force enumeration; the branch taken
+//! is pinned through the context's counters, where a shadow step shows as
+//! one `eliminate` miss and each shadow's sub-question as one `sat` lookup.
+
+use dhpf_omega::{Budget, Conjunct, Context, LinExpr, Var};
+
+const X: Var = Var::In(0);
+const Y: Var = Var::In(1);
+
+fn e(terms: &[(Var, i64)], c: i64) -> LinExpr {
+    LinExpr::from_terms(terms.iter().copied(), c)
+}
+
+fn conjunct(eqs: &[LinExpr], geqs: &[LinExpr]) -> Conjunct {
+    let mut c = Conjunct::new();
+    for q in eqs {
+        c.add_eq(q.clone());
+    }
+    for g in geqs {
+        c.add_geq(g.clone());
+    }
+    c
+}
+
+/// Whether some `(x, y)` in `[-12, 12]²` is a member of `c`.
+fn brute_force(c: &Conjunct) -> bool {
+    (-12..=12i64).any(|x| {
+        (-12..=12i64).any(|y| {
+            c.contains(|v| match v {
+                Var::In(0) => Some(x),
+                Var::In(1) => Some(y),
+                _ => None,
+            })
+        })
+    })
+}
+
+/// Asserts the verdict three ways — brute force, no context, fresh
+/// context — and returns that context's `(sat lookups, eliminate misses)`.
+fn decide(c: &Conjunct, expect: bool) -> (u64, u64) {
+    assert_eq!(brute_force(c), expect, "brute force on {c:?}");
+    assert_eq!(c.is_satisfiable(), expect, "uncached on {c:?}");
+    let ctx = Context::new();
+    assert_eq!(c.is_satisfiable_in(Some(&ctx)), expect, "cached on {c:?}");
+    let stats = ctx.stats();
+    assert_eq!(c.try_is_satisfiable_in(Some(&ctx)), Ok(expect));
+    (stats.sat.hits + stats.sat.misses, stats.eliminate.misses)
+}
+
+/// `2y+4 <= 5x <= 2y+6` with `y` in `[0, 1]`, 25 apart in `x`.
+fn slab(lo: i64, hi: i64) -> Conjunct {
+    conjunct(
+        &[],
+        &[
+            e(&[(X, 5), (Y, -2)], -lo), // 5x >= 2y + lo
+            e(&[(X, -5), (Y, 2)], hi),  // 5x <= 2y + hi
+            e(&[(Y, 1)], 0),            // y >= 0
+            e(&[(Y, -1)], 1),           // y <= 1
+        ],
+    )
+}
+
+#[test]
+fn dark_shadow_empty_but_a_splinter_is_satisfiable() {
+    // Eliminating x: the real shadow is `10 >= 0`, the dark shadow
+    // `10 >= 16`. The point (1, 0) lies on the splinter `5x = 2y + 4 + 1`.
+    // The shadow step and the real shadow's projection of y are the only
+    // counted projections: the splinters' pins are substituted away.
+    assert_eq!(decide(&slab(4, 6), true), (3, 2));
+}
+
+#[test]
+fn real_shadow_satisfiable_with_no_integer_point() {
+    // 5x in [2y+1, 2y+2]: [1, 2] for y = 0 and [3, 4] for y = 1. The real
+    // shadow (`5 >= 0`) holds for both, no multiple of 5 is in either.
+    assert_eq!(decide(&slab(1, 2), false), (3, 2));
+}
+
+#[test]
+fn real_shadow_empty_stops_the_branch() {
+    // 2y+3 <= 5x <= 3y+1 needs y >= 2; y is in [0, 1]. Both shadows are
+    // empty (the same canonical false, so the second is a memo hit), and
+    // the decision is the shadow step and its two sub-questions.
+    let c = conjunct(
+        &[],
+        &[
+            e(&[(X, 5), (Y, -2)], -3),
+            e(&[(X, -5), (Y, 3)], 1),
+            e(&[(Y, 1)], 0),
+            e(&[(Y, -1)], 1),
+        ],
+    );
+    assert_eq!(decide(&c, false), (3, 1));
+}
+
+#[test]
+fn an_exact_step_asks_no_sub_question() {
+    // Unit coefficients on x: one memoized projection, then y one-sided.
+    let c = conjunct(
+        &[],
+        &[
+            e(&[(X, 1), (Y, -2)], 0),
+            e(&[(X, -1), (Y, 3)], 4),
+            e(&[(Y, 1)], 0),
+        ],
+    );
+    assert_eq!(decide(&c, true), (1, 1));
+}
+
+#[test]
+fn one_sided_sweep_respects_stride_existentials() {
+    // x >= 5 bounds x on one side only, but x also occurs in the stride
+    // equality: it must be substituted, not dropped.
+    let mut odd_and_even = conjunct(&[], &[e(&[(X, 1)], -5)]);
+    odd_and_even.add_stride(LinExpr::var(X), 2);
+    odd_and_even.add_stride(e(&[(X, 1)], -1), 2);
+    assert_eq!(decide(&odd_and_even, false), (1, 0));
+
+    let mut one_mod_three = conjunct(&[], &[e(&[(X, 1)], -5)]);
+    one_mod_three.add_stride(e(&[(X, 1)], -1), 3);
+    // After the substitution only the witness is left, one-sided: dropped
+    // without a counted operation.
+    assert_eq!(decide(&one_mod_three, true), (1, 0));
+
+    // 2x = 3y + 1 with x >= 0 and y <= -1: each variable is one-sided in
+    // the inequalities, yet the equality forces x <= -1.
+    let tied = conjunct(
+        &[e(&[(X, 2), (Y, -3)], -1)],
+        &[e(&[(X, 1)], 0), e(&[(Y, -1)], -1)],
+    );
+    decide(&tied, false);
+}
+
+#[test]
+fn sole_bound_in_an_equality_still_gets_its_decision() {
+    // x >= 0 is the only lower bound on x, but x = y and y >= 3 imply it.
+    let mut tied = conjunct(
+        &[e(&[(X, 1), (Y, -1)], 0)],
+        &[e(&[(X, 1)], 0), e(&[(Y, 1)], -3)],
+    );
+    tied.remove_redundant();
+    assert_eq!(tied.geqs(), &[e(&[(Y, 1)], -3)]);
+
+    // Without the equality both are sole bounds, and no decision runs.
+    let mut free = conjunct(&[], &[e(&[(X, 1)], 0), e(&[(Y, 1)], -3)]);
+    let ctx = Context::new();
+    free.remove_redundant_in(Some(&ctx));
+    assert_eq!(free.geqs().len(), 2);
+    assert_eq!(ctx.stats().sat.misses + ctx.stats().sat.hits, 0);
+}
+
+/// The parent commit's `remove_redundant`: one full decision per
+/// inequality, no quick test.
+fn remove_redundant_reference(c: &Conjunct) -> Vec<LinExpr> {
+    let mut geqs = c.geqs().to_vec();
+    let mut i = 0;
+    while i < geqs.len() {
+        let mut rest = geqs.clone();
+        let mut neg = rest.remove(i).negated();
+        neg.add_constant(-1);
+        rest.push(neg);
+        if conjunct(c.eqs(), &rest).is_satisfiable() {
+            i += 1;
+        } else {
+            geqs.remove(i);
+        }
+    }
+    geqs
+}
+
+#[test]
+fn remove_redundant_matches_the_parent_constraint_for_constraint() {
+    // The satisfiable conjuncts of `normalize_regressions.rs`, plus two
+    // shapes the compiler produces (a block distribution with a loose
+    // bound, a triangular nest with an implied one).
+    let p = Var::Exist(0);
+    let mut corpus = vec![
+        conjunct(
+            &[e(&[(X, 3), (Y, -3)], 0)],
+            &[e(&[(X, 2)], -10), e(&[(X, -4)], 28)],
+        ),
+        conjunct(
+            &[e(&[(X, 1), (Y, -1)], 0)],
+            &[e(&[(X, 1)], -5), e(&[(X, -1)], 7)],
+        ),
+        conjunct(&[], &[e(&[(X, -1)], 9), e(&[(X, 1)], -1), e(&[(X, 1)], -1)]),
+        conjunct(&[e(&[(X, -5), (Y, 10)], 0)], &[e(&[(X, 6), (Y, -4)], 3)]),
+        conjunct(&[], &[e(&[(X, 2)], -5), e(&[(X, -2)], 11)]),
+        conjunct(&[e(&[(X, 4), (Y, 6)], 2)], &[e(&[(Y, 3)], 7)]),
+        conjunct(&[], &[e(&[(X, 1)], -5), e(&[(X, -1)], 5)]),
+        conjunct(&[], &[e(&[(X, 2)], -4), e(&[(X, -2)], 5)]),
+        conjunct(&[], &[e(&[(X, 1)], 0), e(&[(X, 1)], -5), e(&[(X, 1)], -2)]),
+        conjunct(&[], &[e(&[(X, -1)], 9), e(&[(X, -1)], 4)]),
+        conjunct(&[], &[e(&[(X, 3)], -6), e(&[(X, -3)], 30)]),
+        conjunct(
+            &[],
+            &[
+                e(&[(X, 1), (p, -25)], 0),
+                e(&[(X, -1), (p, 25)], 24),
+                e(&[(p, 1)], 0),
+                e(&[(p, -1)], 3),
+                e(&[(X, 1)], 10),
+                e(&[(X, -1)], 99),
+            ],
+        ),
+        conjunct(
+            &[],
+            &[
+                e(&[(X, 1)], -1),
+                e(&[(Y, 1), (X, -1)], 0),
+                e(&[(Y, -1), (Var::Param(0), 1)], 0),
+                e(&[(X, -1), (Var::Param(0), 1)], 0),
+                e(&[(Y, 1)], 0),
+            ],
+        ),
+    ];
+    let mut with_stride = conjunct(&[], &[e(&[(X, 1)], 4), e(&[(X, -1)], 17)]);
+    with_stride.add_stride(e(&[(X, 1)], -1), 3);
+    corpus.push(with_stride);
+
+    let mut dropped = 0;
+    for (i, case) in corpus.iter().enumerate() {
+        assert!(case.is_satisfiable(), "case {i} must be satisfiable");
+        for normalized in [false, true] {
+            let mut c = case.clone();
+            if normalized {
+                c.normalize();
+            }
+            let expect = remove_redundant_reference(&c);
+            dropped += c.geqs().len() - expect.len();
+            let ctx = Context::new();
+            let mut cached = c.clone();
+            cached.remove_redundant_in(Some(&ctx));
+            c.remove_redundant();
+            assert_eq!(c.geqs(), expect, "case {i}, normalized {normalized}");
+            assert_eq!(cached.geqs(), expect, "case {i} through a context");
+        }
+    }
+    assert!(dropped >= 6, "the corpus must exercise removal: {dropped}");
+}
+
+/// Beside `budget_errors_are_never_memoized` in `context.rs`: a budget
+/// that trips *inside* a satisfiability decision used to leave the
+/// conservative "satisfiable" in the memo table for good.
+#[test]
+fn governor_refusal_inside_a_decision_never_poisons_the_sat_memo() {
+    for fuel in [0, 1, 2] {
+        let ctx = Context::new();
+        let s = ctx
+            .parse_set("{[i,j,k] : i+j+k >= 10 && 0 <= i <= 3 && 0 <= j <= 3 && 0 <= k <= 3}")
+            .unwrap();
+        ctx.set_budget(&Budget::new().op_fuel(fuel));
+        assert!(
+            !s.is_empty(),
+            "fuel {fuel}: a refusal degrades to non-empty"
+        );
+        assert!(
+            ctx.budget_tripped(),
+            "fuel {fuel} must run out mid-decision"
+        );
+        let c = &s.as_relation().conjuncts()[0];
+        assert!(c.try_is_satisfiable_in(Some(&ctx)).is_err());
+        ctx.clear_budget();
+        assert!(
+            s.is_empty(),
+            "fuel {fuel}: the exact verdict after re-arming"
+        );
+        assert_eq!(c.try_is_satisfiable_in(Some(&ctx)), Ok(false));
+    }
+}

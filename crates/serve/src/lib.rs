@@ -47,7 +47,7 @@ use dhpf_omega::{Context, ErrorCode};
 use metrics::ServeMetrics;
 use proto::{render_error, render_response, CompileJob, Request, ServeMeta};
 use std::collections::{HashMap, HashSet};
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -267,12 +267,22 @@ impl Server {
     }
 }
 
+/// Writes `line` and its terminating newline as one `write`. Sent apart,
+/// the newline of a line that overflows a buffered writer becomes a TCP
+/// segment of its own, which Nagle's algorithm holds back until the peer's
+/// delayed ACK of the first — some 40 ms on every large reply.
+fn write_line(w: &mut impl Write, mut line: String) -> std::io::Result<()> {
+    line.push('\n');
+    w.write_all(line.as_bytes())?;
+    w.flush()
+}
+
 fn handle_connection(stream: TcpStream, state: &Arc<State>) {
     let reader = match stream.try_clone() {
         Ok(s) => BufReader::new(s),
         Err(_) => return,
     };
-    let mut writer = BufWriter::new(stream);
+    let mut writer = stream;
     for line in reader.lines() {
         let line = match line {
             Ok(l) => l,
@@ -282,18 +292,13 @@ fn handle_connection(stream: TcpStream, state: &Arc<State>) {
             continue;
         }
         let (reply, stop) = dispatch(&line, state);
-        if writer
-            .write_all(reply.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .and_then(|()| writer.flush())
-            .is_err()
-        {
+        if write_line(&mut writer, reply).is_err() {
             break;
         }
         if stop {
             state.shutdown.store(true, Ordering::SeqCst);
             // Wake the acceptor (see ShutdownHandle::shutdown).
-            if let Ok(addr) = writer.get_ref().local_addr() {
+            if let Ok(addr) = writer.local_addr() {
                 let _ = TcpStream::connect(addr);
             }
             break;
@@ -525,12 +530,10 @@ fn log_compile_access(
 pub fn send_lines(addr: impl ToSocketAddrs, requests: &[String]) -> std::io::Result<Vec<String>> {
     let stream = TcpStream::connect(addr)?;
     let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
+    let mut writer = stream;
     let mut replies = Vec::with_capacity(requests.len());
     for req in requests {
-        writer.write_all(req.as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
+        write_line(&mut writer, req.clone())?;
         let mut line = String::new();
         if reader.read_line(&mut line)? == 0 {
             break;
@@ -538,4 +541,38 @@ pub fn send_lines(addr: impl ToSocketAddrs, requests: &[String]) -> std::io::Res
         replies.push(line.trim_end().to_string());
     }
     Ok(replies)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Accepts every byte offered and counts the `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_large_reply_and_its_newline_are_one_write() {
+        let reply = "x".repeat(20 * 1024);
+        let mut w = CountingWriter::default();
+        write_line(&mut w, reply.clone()).unwrap();
+        assert_eq!(w.writes, 1);
+        assert_eq!(w.bytes.len(), reply.len() + 1);
+        assert_eq!(w.bytes.last(), Some(&b'\n'));
+    }
 }
