@@ -9,19 +9,15 @@ use std::collections::HashMap;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let use_cache = !args.iter().any(|a| a == "--no-cache");
     let trace = dhpf_bench::traceopt::from_args_env(&args);
     let inputs: HashMap<String, i64> = [("niter".to_string(), 3i64)].into_iter().collect();
     println!("Ablation: Figure-4 loop splitting (TOMCATV 257x257)");
-    if !use_cache {
-        println!("(omega context cache disabled via --no-cache)");
-    }
     println!();
     println!("  P    t(no split)   t(split)    gain");
     for p in [2i64, 4, 8, 16] {
         let mut times = Vec::new();
         for split in [false, true] {
-            let mut opts = CompileOptions::new().loop_splitting(split).cache(use_cache);
+            let mut opts = CompileOptions::new().loop_splitting(split);
             if let Some(t) = &trace {
                 opts = opts.trace(t.collector.clone());
             }

@@ -21,7 +21,7 @@
 //! is shorthand for a single-point `--threads-list N`, `--deadline-ms`
 //! adds a wall-clock budget to every campaign compilation (composing with
 //! the injected faults), and `--trace-out` records the campaign's compile
-//! spans. Writes a machine-readable `BENCH_robustness.json` snapshot.
+//! spans. `--json-out PATH` writes a machine-readable snapshot.
 
 use dhpf_bench::args::{self, value as flag_value};
 use dhpf_core::{compile, CompileOptions};
@@ -61,8 +61,7 @@ fn main() {
                 (1..=8).collect()
             }
         });
-    let json_out =
-        flag_value(&argv, "--json-out").unwrap_or_else(|| "BENCH_robustness.json".to_string());
+    let json_out = flag_value(&argv, "--json-out");
 
     // ---- Experiment 1: injected campaign across thread counts --------
     let campaign_src =
@@ -132,16 +131,18 @@ fn main() {
     }
     println!("\nworst-case governor overhead: {worst:+.2}% (budget: <= 2%)");
 
-    let json = format!(
-        "{{\n  \"benchmark\": \"chaos-campaign-and-governor-overhead\",\n  \
-         \"campaign_source\": \"JACOBI 16x16, 9 injection plans per thread count\",\n  \
-         \"trials\": {trials},\n  \"campaign\": [\n{}\n  ],\n  \
-         \"governor_overhead\": [\n{}\n  ],\n  \
-         \"worst_overhead_pct\": {worst:.3}\n}}\n",
-        campaign_rows.join(",\n"),
-        overhead_rows.join(",\n"),
-    );
-    std::fs::write(&json_out, json).expect("write snapshot");
-    println!("snapshot written to {json_out}");
+    if let Some(path) = json_out {
+        let json = format!(
+            "{{\n  \"benchmark\": \"chaos-campaign-and-governor-overhead\",\n  \
+             \"campaign_source\": \"JACOBI 16x16, 9 injection plans per thread count\",\n  \
+             \"trials\": {trials},\n  \"campaign\": [\n{}\n  ],\n  \
+             \"governor_overhead\": [\n{}\n  ],\n  \
+             \"worst_overhead_pct\": {worst:.3}\n}}\n",
+            campaign_rows.join(",\n"),
+            overhead_rows.join(",\n"),
+        );
+        std::fs::write(&path, json).expect("write snapshot");
+        println!("snapshot written to {path}");
+    }
     common.finish_trace(false);
 }

@@ -1,4 +1,4 @@
-//! Set-operation-layer microbenchmarks (`BENCH_omega_ops.json`).
+//! Set-operation-layer microbenchmarks.
 //!
 //! Measures the substrate operations the oracle campaign identified as
 //! hot (ROADMAP item 3): conjunct negation, `semantic_subsume` via
@@ -11,9 +11,8 @@
 //! - `--iters N`    passes over the corpus per benchmark (default 120)
 //! - `--corpus N`   generated forms (default 48)
 //! - `--seed S`     corpus PRNG seed (default 3735928559)
-//! - `--json-out P` snapshot path (default `BENCH_omega_ops.json`)
+//! - `--json-out P` also write the results to a snapshot at `P`
 //! - `--smoke`      reduced iteration count for CI
-//! - `--no-json`    print results without writing a snapshot
 
 use dhpf_bench::args;
 use dhpf_obs::json::{Arr, Obj};
@@ -84,9 +83,7 @@ fn main() {
     let n_forms =
         args::u64_value(&argv, "--corpus").unwrap_or(if smoke { 16 } else { 48 }) as usize;
     let seed = args::u64_value(&argv, "--seed").unwrap_or(0xDEAD_BEEF);
-    let json_out =
-        args::value(&argv, "--json-out").unwrap_or_else(|| "BENCH_omega_ops.json".to_string());
-    let no_json = args::present(&argv, "--no-json");
+    let json_out = args::value(&argv, "--json-out");
 
     let (conjuncts, relations) = build_corpus(seed, n_forms);
     println!(
@@ -179,9 +176,9 @@ fn main() {
             .count()
     }));
 
-    if no_json {
+    let Some(json_out) = json_out else {
         return;
-    }
+    };
     let mut arr = Arr::new();
     for s in &samples {
         arr = arr.obj(

@@ -1,7 +1,7 @@
 //! Warm-vs-cold serving benchmark: quantifies what `dhpf-serve`'s
 //! persistent context buys over one-shot compiler invocations.
 //!
-//! Two experiments, one snapshot (`BENCH_serve.json`):
+//! Three experiments, one snapshot (written when `--json-out` is given):
 //!
 //! 1. **Warm vs cold** — each workload is compiled on a fresh context
 //!    (the cold path every batch invocation pays) and on a long-lived
@@ -68,8 +68,7 @@ fn main() {
     let common = args::common(&argv);
     let trials: usize = args::u64_value(&argv, "--trials").map_or(5, |n| n as usize);
     let clients: usize = args::u64_value(&argv, "--clients").map_or(8, |n| n as usize);
-    let json_out =
-        flag_value(&argv, "--json-out").unwrap_or_else(|| "BENCH_serve.json".to_string());
+    let json_out = flag_value(&argv, "--json-out");
     common.banner();
     let opts = common.apply(CompileOptions::new());
 
@@ -237,18 +236,20 @@ fn main() {
         fanin_secs * 1e3
     );
 
-    let json = format!(
-        "{{\n  \"benchmark\": \"serve-warm-vs-cold\",\n  \"trials\": {trials},\n  \
-         \"workloads\": [\n{}\n  ],\n  \"worst_warm_over_cold\": {worst_ratio:.4},\n  \
-         \"metrics_overhead\": {{\"warm_plain_ms\": {plain_ms:.3}, \
-         \"warm_metered_ms\": {metered_ms:.3}, \"overhead_frac\": {overhead_frac:.4}, \
-         \"budget_frac\": 0.02}},\n  \
-         \"fan_in\": {{\"clients\": {clients}, \"coalesced\": {coalesced}, \
-         \"metrics_followers\": {followers}, \"wall_ms\": {:.3}}}\n}}\n",
-        rows.join(",\n"),
-        fanin_secs * 1e3
-    );
-    std::fs::write(&json_out, json).expect("write snapshot");
-    println!("snapshot written to {json_out}");
+    if let Some(json_out) = json_out {
+        let json = format!(
+            "{{\n  \"benchmark\": \"serve-warm-vs-cold\",\n  \"trials\": {trials},\n  \
+             \"workloads\": [\n{}\n  ],\n  \"worst_warm_over_cold\": {worst_ratio:.4},\n  \
+             \"metrics_overhead\": {{\"warm_plain_ms\": {plain_ms:.3}, \
+             \"warm_metered_ms\": {metered_ms:.3}, \"overhead_frac\": {overhead_frac:.4}, \
+             \"budget_frac\": 0.02}},\n  \
+             \"fan_in\": {{\"clients\": {clients}, \"coalesced\": {coalesced}, \
+             \"metrics_followers\": {followers}, \"wall_ms\": {:.3}}}\n}}\n",
+            rows.join(",\n"),
+            fanin_secs * 1e3
+        );
+        std::fs::write(&json_out, json).expect("write snapshot");
+        println!("snapshot written to {json_out}");
+    }
     common.finish_trace(false);
 }

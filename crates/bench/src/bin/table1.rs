@@ -1,34 +1,18 @@
 //! Prints the Table 1 reproduction.
 //!
 //! Accepts the shared harness flags (`--threads N`, `--deadline-ms N`,
-//! `--trace-out PATH`; see `dhpf_bench::args`) plus `--no-cache` to
-//! disable the shared Omega context (hash-consing + memoized
-//! simplification) and reproduce the uncached compile times. When the
-//! deadline trips, affected nests degrade to conservative (but correct)
-//! communication instead of crashing, and the table gains a "graceful
-//! degradations" section listing what was given up and why.
+//! `--trace-out PATH`; see `dhpf_bench::args`). When the deadline trips,
+//! affected nests degrade to conservative (but correct) communication
+//! instead of crashing, and the table gains a "graceful degradations"
+//! section listing what was given up and why.
 
 use dhpf_bench::args;
 
 fn main() {
     let argv: Vec<String> = std::env::args().collect();
     let common = args::common(&argv);
-    let use_cache = !args::present(&argv, "--no-cache");
-    if !use_cache {
-        println!("(omega context cache disabled via --no-cache)\n");
-    }
     common.banner();
-    // The traced run without a deadline keeps the multi-trial timing path
-    // (`run_traced_threads` records one trial per variant).
-    let table = match (&common.trace, common.deadline_ms) {
-        (Some(t), None) => {
-            dhpf_bench::table1::run_traced_threads(use_cache, &t.collector, common.threads)
-        }
-        _ => {
-            let opts = common.apply(dhpf_core::CompileOptions::new().cache(use_cache));
-            dhpf_bench::table1::run_opts(&opts)
-        }
-    };
-    println!("{table}");
+    let opts = common.apply(dhpf_core::CompileOptions::new());
+    println!("{}", dhpf_bench::table1::run_opts(&opts));
     common.finish_trace(true);
 }

@@ -35,48 +35,11 @@ fn grid_for(bench: &str, p: i64) -> Vec<i64> {
     }
 }
 
-/// Runs one curve. `size` rewrites the source's `parameter` line so the
-/// array extents match the problem size.
-///
-/// # Panics
-///
-/// Panics if compilation or simulation fails (harness inputs are fixed).
-pub fn curve(
-    bench: &str,
-    src: &str,
-    size_label: &str,
-    size: Option<(&str, &str)>,
-    inputs: &[(&str, i64)],
-    procs: &[i64],
-) -> Curve {
-    curve_with(bench, src, size_label, size, inputs, procs, None, 1)
-}
-
-/// [`curve`] with an optional trace collector: the compilation and every
-/// simulated configuration record spans (with message/byte counters) on
-/// it, grouped under one `"<bench> (<size>)"` span.
-///
-/// # Panics
-///
-/// Panics if compilation or simulation fails (harness inputs are fixed).
-#[allow(clippy::too_many_arguments)]
-pub fn curve_with(
-    bench: &str,
-    src: &str,
-    size_label: &str,
-    size: Option<(&str, &str)>,
-    inputs: &[(&str, i64)],
-    procs: &[i64],
-    trace: Option<&Collector>,
-    threads: usize,
-) -> Curve {
-    let base = CompileOptions::new().threads(threads);
-    curve_opts(bench, src, size_label, size, inputs, procs, trace, &base)
-}
-
-/// [`curve_with`] with fully explicit base [`CompileOptions`] (threads,
-/// deadline, …); the trace collector is still attached here so compile
-/// and simulate spans share one collector.
+/// Runs one curve under the base [`CompileOptions`] (threads, deadline,
+/// …). `size` rewrites the source's `parameter` line so the array extents
+/// match the problem size. With a trace collector, the compilation and
+/// every simulated configuration record spans (with message/byte counters)
+/// on it, grouped under one `"<bench> (<size>)"` span.
 ///
 /// # Panics
 ///
@@ -138,29 +101,14 @@ pub fn curve_opts(
     }
 }
 
-/// All Figure 7 curves at harness scale.
+/// All Figure 7 curves at harness scale, compiled under `base` — e.g. a
+/// compile deadline (`--deadline-ms`), whose trips degrade the compilation
+/// gracefully without changing the simulated curves' shape — with an
+/// optional trace collector threaded through every compilation and
+/// simulation.
 ///
 /// Simulated sizes are scaled down from the paper's (which ran minutes on a
 /// real SP-2); the *shape* of each curve is the reproduction target.
-pub fn run(procs: &[i64]) -> Vec<Curve> {
-    run_traced(procs, None)
-}
-
-/// [`run`] with an optional trace collector threaded through every
-/// compilation and simulation.
-pub fn run_traced(procs: &[i64], trace: Option<&Collector>) -> Vec<Curve> {
-    run_traced_threads(procs, trace, 1)
-}
-
-/// [`run_traced`] compiling on the parallel driver (`--threads N`);
-/// `threads = 1` is the serial pipeline. Simulation is unaffected.
-pub fn run_traced_threads(procs: &[i64], trace: Option<&Collector>, threads: usize) -> Vec<Curve> {
-    run_opts(procs, trace, &CompileOptions::new().threads(threads))
-}
-
-/// [`run_traced_threads`] with fully explicit base [`CompileOptions`] —
-/// e.g. a compile deadline (`--deadline-ms`), whose trips degrade the
-/// compilation gracefully without changing the simulated curves' shape.
 pub fn run_opts(procs: &[i64], trace: Option<&Collector>, base: &CompileOptions) -> Vec<Curve> {
     vec![
         curve_opts(

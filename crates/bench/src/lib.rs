@@ -16,18 +16,6 @@ pub mod table1;
 pub mod timing;
 pub mod traceopt;
 
-/// Parses `--threads N` from CLI args (compilation driver thread count).
-/// Absent, malformed, or zero values fall back to 1 (the serial pipeline).
-#[deprecated(note = "use args::common / args::u64_value")]
-#[must_use]
-pub fn threads_from_args(args: &[String]) -> usize {
-    args.iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .map_or(1, |n| n.max(1))
-}
-
 /// The benchmark HPF sources, embedded so the harness runs anywhere.
 pub mod sources {
     /// JACOBI: 4-point stencil, (BLOCK, BLOCK) on a 2 x (P/2) grid.

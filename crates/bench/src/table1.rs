@@ -7,7 +7,6 @@
 //! multiple-mappings code generation (the integer-set framework's cost).
 
 use dhpf_core::{compile, CompileOptions, Compiled, PhaseRow};
-use dhpf_obs::Collector;
 use std::time::Duration;
 
 /// One column of Table 1.
@@ -28,68 +27,25 @@ pub struct Column {
 
 /// Compiles one variant and captures its phase breakdown.
 ///
-/// # Panics
-///
-/// Panics if the variant fails to compile (the harness inputs are fixed).
-pub fn column(name: &str, src: &str) -> Column {
-    column_with(name, src, true)
-}
-
-/// [`column`] with explicit control over the shared Omega context cache
-/// (`use_cache = false` reproduces the uncached, pre-`Context` behaviour).
-///
-/// Each variant is compiled twice and the faster trial is reported: each
-/// compilation builds its own `Context`, so trials are independent (no
-/// warm cache crosses trials) and the minimum suppresses scheduler noise.
-///
-/// # Panics
-///
-/// Panics if the variant fails to compile (the harness inputs are fixed).
-pub fn column_with(name: &str, src: &str, use_cache: bool) -> Column {
-    column_opts(name, src, &CompileOptions::new().cache(use_cache))
-}
-
-/// [`column_with`] with fully explicit [`CompileOptions`] (thread count,
-/// cache, loop splitting): two trials, the faster one reported.
+/// Untraced, the variant is compiled twice and the faster trial is
+/// reported: each compilation builds its own `Context`, so trials are
+/// independent (no warm cache crosses trials) and the minimum suppresses
+/// scheduler noise. With a trace collector in `opts` it is compiled once,
+/// so the exported trace reconciles 1:1 with the printed rows (a discarded
+/// trial would leave orphan spans).
 ///
 /// # Panics
 ///
 /// Panics if the variant fails to compile (the harness inputs are fixed).
 pub fn column_opts(name: &str, src: &str, opts: &CompileOptions) -> Column {
-    let mut compiled =
-        compile(src, opts).unwrap_or_else(|e| panic!("{name} failed to compile: {e}"));
-    let second = compile(src, opts).unwrap_or_else(|e| panic!("{name} failed to compile: {e}"));
-    if second.report.timers.total() < compiled.report.timers.total() {
-        compiled = second;
+    let trial = || compile(src, opts).unwrap_or_else(|e| panic!("{name} failed to compile: {e}"));
+    let mut compiled = trial();
+    if opts.trace.is_none() {
+        let second = trial();
+        if second.report.timers.total() < compiled.report.timers.total() {
+            compiled = second;
+        }
     }
-    finish_column(name, compiled)
-}
-
-/// [`column_with`] recording the compilation on `trace`. Tracing runs one
-/// trial only, so the exported trace reconciles 1:1 with the printed rows
-/// (the min-of-two-trials noise suppression would leave orphan spans from
-/// the discarded trial).
-///
-/// # Panics
-///
-/// Panics if the variant fails to compile (the harness inputs are fixed).
-pub fn column_traced(name: &str, src: &str, use_cache: bool, trace: &Collector) -> Column {
-    let opts = CompileOptions::new().cache(use_cache).trace(trace.clone());
-    column_traced_opts(name, src, &opts)
-}
-
-/// [`column_traced`] with fully explicit [`CompileOptions`]: one trial,
-/// recorded on whatever collector the options carry.
-///
-/// # Panics
-///
-/// Panics if the variant fails to compile (the harness inputs are fixed).
-pub fn column_traced_opts(name: &str, src: &str, opts: &CompileOptions) -> Column {
-    let compiled = compile(src, opts).unwrap_or_else(|e| panic!("{name} failed to compile: {e}"));
-    finish_column(name, compiled)
-}
-
-fn finish_column(name: &str, compiled: Compiled) -> Column {
     Column {
         name: name.to_string(),
         total: compiled.report.timers.total(),
@@ -113,55 +69,16 @@ pub const PHASES: &[&str] = &[
     "mult mappings code generation",
 ];
 
-/// Runs the full Table 1 and renders it as text.
-pub fn run() -> String {
-    run_with(true)
-}
-
-/// Runs Table 1 with the Omega context cache on or off (`--no-cache`).
-pub fn run_with(use_cache: bool) -> String {
-    run_threads(use_cache, 1)
-}
-
-/// Runs Table 1 on the parallel driver (`--threads N`); `threads = 1` is
-/// the serial pipeline.
-pub fn run_threads(use_cache: bool, threads: usize) -> String {
-    run_opts(&CompileOptions::new().cache(use_cache).threads(threads))
-}
-
-/// Runs Table 1 with fully explicit [`CompileOptions`] — e.g. a compile
-/// deadline (`--deadline-ms`), whose trip shows up as degradations in the
-/// rendered stats instead of a crash.
+/// Runs Table 1 under `opts` — threads (`--threads N`), a compile
+/// deadline (`--deadline-ms`, whose trip shows up as degradations in the
+/// rendered stats instead of a crash), a trace collector — and renders it
+/// as text.
 pub fn run_opts(opts: &CompileOptions) -> String {
-    let sp4 = column_opts("SP-4", dhpf_bench_sources_sp(), opts);
+    let sp4 = column_opts("SP-4", crate::sources::SP, opts);
     let spsym_src = crate::sources::sp_symbolic();
     let spsym = column_opts("SP-sym", &spsym_src, opts);
     let tsym = column_opts("T-sym", crate::sources::TOMCATV, opts);
     render(&[sp4, spsym, tsym])
-}
-
-/// Runs Table 1 recording every compilation on `trace` (one trial per
-/// variant, see [`column_traced`]).
-pub fn run_traced(use_cache: bool, trace: &Collector) -> String {
-    run_traced_threads(use_cache, trace, 1)
-}
-
-/// [`run_traced`] compiling on the parallel driver (`--threads N`);
-/// `threads = 1` is the serial pipeline.
-pub fn run_traced_threads(use_cache: bool, trace: &Collector, threads: usize) -> String {
-    let opts = CompileOptions::new()
-        .cache(use_cache)
-        .trace(trace.clone())
-        .threads(threads);
-    let sp4 = column_traced_opts("SP-4", dhpf_bench_sources_sp(), &opts);
-    let spsym_src = crate::sources::sp_symbolic();
-    let spsym = column_traced_opts("SP-sym", &spsym_src, &opts);
-    let tsym = column_traced_opts("T-sym", crate::sources::TOMCATV, &opts);
-    render(&[sp4, spsym, tsym])
-}
-
-fn dhpf_bench_sources_sp() -> &'static str {
-    crate::sources::SP
 }
 
 /// Renders columns into the paper's table shape.
@@ -215,14 +132,13 @@ pub fn render(cols: &[Column]) -> String {
     for c in cols {
         let cache = &c.compiled.report.cache;
         out.push_str(&format!(
-            "  {:<8} hits {:>6}, misses {:>6}, hit rate {:>5.1}%, evictions {:>2}, interned {:>5} conjuncts / {:>5} exprs\n",
+            "  {:<8} hits {:>6}, misses {:>6}, hit rate {:>5.1}%, evictions {:>2}, interned {:>5} conjuncts\n",
             c.name,
             cache.total_hits(),
             cache.total_misses(),
             100.0 * cache.hit_rate(),
             cache.total_evictions(),
             cache.interned_conjuncts,
-            cache.interned_exprs,
         ));
         for (op, counts) in cache.rows() {
             if counts.hits + counts.misses > 0 {

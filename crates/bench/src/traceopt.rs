@@ -73,7 +73,7 @@ mod tests {
         let t = from_args_env(&argv(&["table1", "--trace-out=t.jsonl"])).unwrap();
         assert_eq!(t.path, Path::new("t.jsonl"));
         assert!(
-            from_args_env(&argv(&["table1", "--no-cache"])).is_none()
+            from_args_env(&argv(&["table1", "--threads", "2"])).is_none()
                 || std::env::var("DHPF_TRACE").is_ok()
         );
     }

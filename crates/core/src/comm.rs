@@ -300,7 +300,8 @@ end
         let a = analyze(&prog.units[0]).unwrap();
         let ctx = dhpf_omega::Context::new();
         let layouts = crate::layout::build_layouts_in(&a, Some(&ctx));
-        ctx.set_budget(&dhpf_omega::Budget::new().op_fuel(0));
+        let budget = dhpf_omega::Budget::new().op_fuel(0);
+        let armed = dhpf_omega::RequestGovernor::new(&budget, None).arm_on_thread();
         // Trip the governor, then demand the fallback: it must still be
         // exact (grace scope), not merely non-panicking.
         let probe = ctx.parse_set("{[i] : 1 <= i <= 2}").unwrap();
@@ -308,9 +309,9 @@ end
         assert!(ctx.budget_tripped());
         let sets = conservative_comm_sets(&layouts["b"]);
         // Membership checks go through governed satisfiability, which
-        // degrades to "maybe" while tripped — clear the budget so the
+        // degrades to "maybe" while tripped — drop the governor so the
         // assertions below are exact.
-        ctx.clear_budget();
+        drop(armed);
         let m0 = [("m1", 0i64)];
         assert!(sets.send_map.contains_pair(&[1], &[25], &m0));
         assert!(!sets.send_map.contains_pair(&[1], &[26], &m0));

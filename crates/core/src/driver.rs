@@ -31,17 +31,13 @@ use std::time::Instant;
 ///
 /// ```
 /// use dhpf_core::CompileOptions;
-/// let opts = CompileOptions::new().threads(4).cache(true);
+/// let opts = CompileOptions::new().threads(4).loop_splitting(false);
 /// ```
 #[derive(Clone, Debug)]
 #[non_exhaustive]
 pub struct CompileOptions {
     /// SPMD synthesis options.
     pub spmd: SpmdOptions,
-    /// Share one Omega [`Context`] (hash-consing + memoization) across the
-    /// whole compilation. Disabling it reproduces the uncached behaviour
-    /// (the `--no-cache` ablation of the benchmarks).
-    pub use_cache: bool,
     /// Structured trace collector. When set, the compilation records a
     /// span tree (one `"compile"` root, one span per phase) with per-span
     /// Omega set-operation samples; export it with `dhpf_obs::export`.
@@ -75,7 +71,6 @@ impl Default for CompileOptions {
     fn default() -> Self {
         CompileOptions {
             spmd: SpmdOptions::default(),
-            use_cache: true,
             trace: None,
             threads: 1,
             budget: Budget::default(),
@@ -86,7 +81,7 @@ impl Default for CompileOptions {
 }
 
 impl CompileOptions {
-    /// Default options: serial, cached, untraced, loop splitting on.
+    /// Default options: serial, untraced, loop splitting on.
     pub fn new() -> Self {
         Self::default()
     }
@@ -94,12 +89,6 @@ impl CompileOptions {
     /// Sets the worker-thread count (clamped to at least 1).
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = n.max(1);
-        self
-    }
-
-    /// Enables or disables the shared Omega memoization context.
-    pub fn cache(mut self, on: bool) -> Self {
-        self.use_cache = on;
         self
     }
 
@@ -168,12 +157,12 @@ pub struct CompileReport {
     pub stats: SpmdStats,
     /// Number of program units compiled.
     pub units: usize,
-    /// Omega-context cache counters for the whole compilation (all zeros
-    /// when [`CompileOptions::use_cache`] is false).
+    /// Omega-context cache counters: *cumulative* over the life of the
+    /// context the request compiled on.
     pub cache: CacheStats,
-    /// Governor counters: ops charged against the budget, ops answered
-    /// conservatively after a trip, and the trip reason (if any). With
-    /// [`compile_with`] these accumulate across calls, like `cache`.
+    /// This compilation's governor counters: ops charged against the
+    /// budget, ops answered conservatively after a trip, and the trip
+    /// reason (if any). Zeros when the request armed no governor.
     pub governor: GovernorStats,
     /// How many times the armed fault-injection plan fired (0 without a
     /// plan). `degradations()` is non-empty exactly when injected or
@@ -212,7 +201,7 @@ pub struct Artifacts {
 }
 
 /// One compilation request: the unit of work of the `dhpf-serve` protocol
-/// and the value [`compile`] / [`compile_with`] are thin wrappers over.
+/// and the value [`compile`] is a thin wrapper over.
 ///
 /// ```
 /// use dhpf_core::{process_request, CompileRequest};
@@ -329,10 +318,13 @@ pub struct CompileResponse {
     pub trace: Option<String>,
 }
 
-/// Compiles one [`CompileRequest`] on a shared context, returning the full
-/// [`Compiled`] value (program + analysis + report). This is the typed
-/// core the thin wrappers delegate to; use [`process_request`] for the
-/// wire-shaped response.
+/// Compiles one [`CompileRequest`] on a caller-provided context, returning
+/// the full [`Compiled`] value (program + analysis + report). This is the
+/// one context-taking entry point: a long-lived sharded context (and its
+/// warm memo tables) can serve many compilations — e.g. a compile server
+/// handling concurrent requests — and [`CompileReport::cache`] reports the
+/// context's *cumulative* totals. [`compile`] wraps it with a fresh
+/// context; [`process_request`] flattens its result for the wire.
 ///
 /// # Errors
 ///
@@ -351,24 +343,12 @@ pub fn process_request(ctx: &Context, req: &CompileRequest) -> CompileResponse {
     // Trace capture: reuse the caller's collector when one is attached
     // (coalesced followers then share the leader's spans); otherwise
     // attach a fresh per-request collector for the duration of the call.
-    let mut collector = None;
-    let result = if req.artifacts.trace {
-        match &req.options.trace {
-            Some(c) => {
-                collector = Some(c.clone());
-                compile_request(ctx, req)
-            }
-            None => {
-                let c = Collector::new();
-                collector = Some(c.clone());
-                let mut opts = req.options.clone();
-                opts.trace = Some(c);
-                compile_impl(ctx, &req.source, &opts)
-            }
-        }
-    } else {
-        compile_request(ctx, req)
-    };
+    let mut opts = req.options.clone();
+    if req.artifacts.trace {
+        opts.trace.get_or_insert_with(Collector::new);
+    }
+    let collector = opts.trace.clone().filter(|_| req.artifacts.trace);
+    let result = compile_impl(ctx, &req.source, &opts);
     let compile_ms = u64::try_from(t0.elapsed().as_millis()).unwrap_or(u64::MAX);
     let cache = ctx.stats();
     let cache_hits_delta = cache.total_hits().saturating_sub(before_hits);
@@ -428,47 +408,20 @@ pub fn process_request(ctx: &Context, req: &CompileRequest) -> CompileResponse {
 pub fn compile(src: &str, opts: &CompileOptions) -> Result<Compiled, CompileError> {
     // One shared hash-consing/memoization arena per compilation: attached
     // to the layout relations, it propagates to every derived set.
-    let ctx = if opts.use_cache {
-        Context::new()
-    } else {
-        Context::disabled()
-    };
-    compile_request(&ctx, &CompileRequest::new(src).options(opts.clone()))
-}
-
-/// Compiles with a caller-provided Omega [`Context`], so one long-lived
-/// sharded context (and its warm memo tables) can serve many compilations
-/// — e.g. a compile server handling concurrent requests. The context's own
-/// enabled/disabled state governs caching; [`CompileOptions::use_cache`]
-/// is ignored on this path. Cache counters accumulate across calls:
-/// [`CompileReport::cache`] reports the context's *cumulative* totals.
-///
-/// # Errors
-///
-/// Returns [`CompileError`] for frontend, semantic, or synthesis failures.
-pub fn compile_with(
-    ctx: &Context,
-    src: &str,
-    opts: &CompileOptions,
-) -> Result<Compiled, CompileError> {
-    compile_request(ctx, &CompileRequest::new(src).options(opts.clone()))
+    compile_impl(&Context::new(), src, opts)
 }
 
 fn compile_impl(ctx: &Context, src: &str, opts: &CompileOptions) -> Result<Compiled, CompileError> {
     ctx.set_collector(opts.trace.clone());
-    // Budget and cancellation are enforced by a *request-scoped* governor
-    // armed on this thread (and re-armed on every worker thread), not by
-    // arming the shared context: a long-lived serving context compiles
-    // many concurrent requests, and a context-global deadline would let
-    // one slow client trip every in-flight compilation. Fault injection
-    // stays context-global — chaos harnesses own their context.
+    // Budget, cancellation and limits are enforced by a *request-scoped*
+    // governor armed on this thread (and re-armed on every worker thread):
+    // a long-lived serving context compiles many concurrent requests, and
+    // none of them may trip another. An injection plan arms one too, so an
+    // injected exhaustion has a budget to trip. The plan itself is
+    // context state — chaos harnesses own their context.
     let governed =
         opts.budget != Budget::default() || opts.cancel.is_some() || opts.inject.is_some();
-    let scoped = if opts.budget != Budget::default() || opts.cancel.is_some() {
-        Some(RequestGovernor::new(&opts.budget, opts.cancel.clone()))
-    } else {
-        None
-    };
+    let scoped = governed.then(|| RequestGovernor::new(&opts.budget, opts.cancel.clone()));
     let _armed = scoped.as_ref().map(RequestGovernor::arm_on_thread);
     if opts.inject.is_some() {
         ctx.set_inject(opts.inject.clone());
@@ -488,18 +441,10 @@ fn compile_impl(ctx: &Context, src: &str, opts: &CompileOptions) -> Result<Compi
     // independent compiler bug. Some infallible set-algebra entry points
     // (`domain`, `then`, projection) surface a governed abort by panicking
     // — the contained panic is translated back to its typed error here.
-    let aborted = if governed {
-        if opts
-            .cancel
-            .as_ref()
-            .is_some_and(dhpf_omega::CancelToken::is_cancelled)
-        {
-            Some(CompileError::Cancelled)
-        } else {
-            ctx.governor_stats().tripped.map(CompileError::Budget)
-        }
+    let aborted = if opts.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
+        Some(CompileError::Cancelled)
     } else {
-        None
+        ctx.governor_stats().tripped.map(CompileError::Budget)
     };
     // Disarm: the scoped governor dies with its guard; injection is the
     // one context-global knob this function arms.
@@ -866,10 +811,11 @@ end
     }
 
     #[test]
-    fn compile_with_reuses_one_context() {
+    fn compile_request_reuses_one_context() {
         let ctx = Context::new();
-        let a = compile_with(&ctx, JACOBI, &CompileOptions::new()).unwrap();
-        let b = compile_with(&ctx, JACOBI, &CompileOptions::new()).unwrap();
+        let req = CompileRequest::new(JACOBI);
+        let a = compile_request(&ctx, &req).unwrap();
+        let b = compile_request(&ctx, &req).unwrap();
         assert_eq!(format!("{:?}", a.program), format!("{:?}", b.program));
         // The second compilation hits the warm memo tables.
         assert!(b.report.cache.total_hits() > a.report.cache.total_hits());

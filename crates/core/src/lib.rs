@@ -48,8 +48,8 @@ pub use comm::{comm_sets, conservative_comm_sets, CommRef, CommSets};
 pub use cp::{cp_map, cp_map_at_level, myid_set};
 pub use dependence::{carried_level, carried_level_in, placement_level, placement_level_in};
 pub use driver::{
-    compile, compile_request, compile_with, process_request, Artifacts, CompileOptions,
-    CompileReport, CompileRequest, CompileResponse, Compiled, WireError,
+    compile, compile_request, process_request, Artifacts, CompileOptions, CompileReport,
+    CompileRequest, CompileResponse, Compiled, WireError,
 };
 pub use inplace::{contiguity, Contiguity, RuntimeCheck};
 pub use ir::{collect_statements, ArrayRef, LoopContext, ReduceOp, Reduction, StmtInfo};
@@ -76,8 +76,8 @@ pub use vp::{active_vp_sets, ActiveVpSets};
 /// ```
 pub mod prelude {
     pub use crate::driver::{
-        compile, compile_request, compile_with, process_request, Artifacts, CompileOptions,
-        CompileReport, CompileRequest, CompileResponse, Compiled, WireError,
+        compile, compile_request, process_request, Artifacts, CompileOptions, CompileReport,
+        CompileRequest, CompileResponse, Compiled, WireError,
     };
     pub use crate::render::render_program;
     pub use crate::spmd::{CompileError, Degradation, SpmdProgram, SpmdStats};

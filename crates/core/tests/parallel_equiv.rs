@@ -7,8 +7,8 @@
 
 use dhpf_core::probes;
 use dhpf_core::{
-    build_layouts_in, collect_statements, comm_sets, compile, compile_with, cp_map, myid_set,
-    split_sets, CommRef, CompileOptions,
+    build_layouts_in, collect_statements, comm_sets, compile, compile_request, cp_map, myid_set,
+    split_sets, CommRef, CompileOptions, CompileRequest,
 };
 use dhpf_hpf::{analyze, parse};
 use dhpf_omega::Context;
@@ -134,12 +134,16 @@ fn merged_reports_reconcile_with_serial() {
 
 /// The paper-level invariants of Figures 3–4 hold when the analysis runs
 /// against a shared `Context` whose shards were concurrently warmed by
-/// parallel compilations (`compile_with` on the same context).
+/// parallel compilations (`compile_request` on the same context).
 #[test]
 fn probes_hold_on_context_shared_with_parallel_driver() {
     let ctx = Context::new();
     // Warm the sharded context from four worker threads.
-    let warm = compile_with(&ctx, MULTI, &CompileOptions::new().threads(4)).unwrap();
+    let warm = compile_request(
+        &ctx,
+        &CompileRequest::new(MULTI).options(CompileOptions::new().threads(4)),
+    )
+    .unwrap();
     assert!(warm.report.cache.total_misses() > 0);
 
     let (n, p, off) = (12i64, 3i64, 1i64);

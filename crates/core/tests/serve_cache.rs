@@ -2,7 +2,7 @@
 //! compilations strictly cheaper, and bounding it with cost-aware
 //! eviction never changes what the compiler produces.
 
-use dhpf_core::{compile_with, process_request, CompileOptions, CompileRequest};
+use dhpf_core::{compile_request, process_request, CompileOptions, CompileRequest};
 use dhpf_omega::Context;
 
 const JACOBI: &str = "
@@ -29,12 +29,12 @@ fn warm_repeat_strictly_improves_cumulative_counters() {
     let ctx = Context::new();
     let opts = CompileOptions::default();
 
-    let cold = compile_with(&ctx, JACOBI, &opts).unwrap();
+    let cold = compile_request(&ctx, &CompileRequest::new(JACOBI).options(opts.clone())).unwrap();
     let after_cold = ctx.stats();
     let cold_hits = after_cold.total_hits();
     let cold_misses = after_cold.total_misses();
 
-    let warm = compile_with(&ctx, JACOBI, &opts).unwrap();
+    let warm = compile_request(&ctx, &CompileRequest::new(JACOBI).options(opts.clone())).unwrap();
     let after_warm = ctx.stats();
 
     // Same program either way…
@@ -89,8 +89,8 @@ fn tight_capacity_eviction_preserves_output() {
     assert_eq!(tight.cache_capacity(), 64);
     let opts = CompileOptions::default();
 
-    let a = compile_with(&roomy, JACOBI, &opts).unwrap();
-    let b = compile_with(&tight, JACOBI, &opts).unwrap();
+    let a = compile_request(&roomy, &CompileRequest::new(JACOBI).options(opts.clone())).unwrap();
+    let b = compile_request(&tight, &CompileRequest::new(JACOBI).options(opts.clone())).unwrap();
     assert_eq!(
         format!("{:?}", a.program),
         format!("{:?}", b.program),
@@ -120,7 +120,7 @@ fn tight_capacity_eviction_preserves_output() {
 #[test]
 fn capacity_knob_is_dynamic() {
     let ctx = Context::new();
-    compile_with(&ctx, JACOBI, &CompileOptions::default()).unwrap();
+    compile_request(&ctx, &CompileRequest::new(JACOBI)).unwrap();
     let before = ctx.memo_entries();
     assert!(before > 0);
     ctx.set_cache_capacity(16);
@@ -129,7 +129,7 @@ fn capacity_knob_is_dynamic() {
     // different extents produces fresh integer sets (a new RHS constant
     // would not — the set algebra never sees it) and so fresh memo keys.
     let variant = JACOBI.replace("64", "48").replace("63", "47");
-    compile_with(&ctx, &variant, &CompileOptions::default()).unwrap();
+    compile_request(&ctx, &CompileRequest::new(variant)).unwrap();
     assert!(
         ctx.stats().total_evictions() > 0,
         "tightened capacity never evicted"

@@ -33,28 +33,19 @@ enddo
 end
 ";
 
-/// The compiled program is bit-identical with tracing on and off, with
-/// the cache both enabled and disabled.
+/// The compiled program is bit-identical with tracing on and off.
 #[test]
 fn traced_compile_is_equivalent() {
-    for use_cache in [true, false] {
-        let plain = compile(STENCIL, &CompileOptions::new().cache(use_cache)).unwrap();
-        let collector = Collector::new();
-        let traced = compile(
-            STENCIL,
-            &CompileOptions::new()
-                .cache(use_cache)
-                .trace(collector.clone()),
-        )
-        .unwrap();
-        assert_eq!(
-            format!("{:?}", plain.program),
-            format!("{:?}", traced.program),
-            "tracing changed the compiled program (use_cache = {use_cache})"
-        );
-        assert_eq!(plain.report.stats, traced.report.stats);
-        assert!(!collector.is_empty(), "collector captured no spans");
-    }
+    let plain = compile(STENCIL, &CompileOptions::new()).unwrap();
+    let collector = Collector::new();
+    let traced = compile(STENCIL, &CompileOptions::new().trace(collector.clone())).unwrap();
+    assert_eq!(
+        format!("{:?}", plain.program),
+        format!("{:?}", traced.program),
+        "tracing changed the compiled program"
+    );
+    assert_eq!(plain.report.stats, traced.report.stats);
+    assert!(!collector.is_empty(), "collector captured no spans");
 }
 
 /// The span tree reconciles with the PhaseTimers rows it instrumented:

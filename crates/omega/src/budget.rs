@@ -3,10 +3,13 @@
 //! A [`Budget`] bounds what one compilation may spend inside the Omega
 //! substrate — wall-clock time, a fuel count of memoized set operations,
 //! and the piece/fuel limits that keep exact negation and FME from
-//! exploding combinatorially. Arm it on a [`Context`](crate::Context) with
-//! [`Context::set_budget`](crate::Context::set_budget); every memoized
-//! operation then checks the budget at entry. A [`CancelToken`] is the
-//! sharper tool: tripping it makes the next fallible operation return
+//! exploding combinatorially. A [`RequestGovernor`] carries it, together
+//! with an optional [`CancelToken`], and is armed on the threads working
+//! for one request; every memoized operation of every
+//! [`Context`](crate::Context) those threads touch then checks it at
+//! entry. It is the only budget, cancellation and limits carrier: a
+//! context holds none of this state. A [`CancelToken`] is the sharper
+//! tool: tripping it makes the next fallible operation return
 //! [`OmegaError::Cancelled`](crate::OmegaError::Cancelled) so the whole
 //! compilation aborts with a typed error.
 //!
@@ -17,7 +20,7 @@
 
 use crate::OmegaError;
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -33,8 +36,8 @@ use std::time::{Duration, Instant};
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Budget {
-    /// Wall-clock deadline in milliseconds, measured from the moment the
-    /// budget is armed on a context. `None` = no deadline.
+    /// Wall-clock deadline in milliseconds, measured from the moment a
+    /// [`RequestGovernor`] is built from the budget. `None` = no deadline.
     pub deadline_ms: Option<u64>,
     /// Total memoized Omega operations (sat, FME, negation, gist,
     /// simplify) the compilation may charge. `None` = unlimited.
@@ -102,12 +105,6 @@ impl Budget {
         self.stride_fuel = fuel;
         self
     }
-
-    /// True if neither a deadline nor op fuel is set (only the exactness
-    /// limits apply, which cost nothing to enforce).
-    pub fn is_unlimited(&self) -> bool {
-        self.deadline_ms.is_none() && self.op_fuel.is_none()
-    }
 }
 
 /// A shared cancellation flag. Clones observe the same flag, so the token
@@ -136,83 +133,38 @@ impl CancelToken {
     }
 }
 
-/// Process-wide monotonic anchor for deadline arithmetic: deadlines are
-/// stored as microseconds-since-anchor in one `AtomicU64`, so the per-op
-/// check is a clock read and a compare — no lock, no `Instant` in shared
-/// state.
-pub(crate) fn anchor() -> Instant {
-    static ANCHOR: OnceLock<Instant> = OnceLock::new();
-    *ANCHOR.get_or_init(Instant::now)
-}
-
-/// Microseconds elapsed since [`anchor`], saturating.
-pub(crate) fn now_us() -> u64 {
-    u64::try_from(anchor().elapsed().as_micros()).unwrap_or(u64::MAX)
-}
-
-/// Trip-reason codes (0 = not tripped), shared with the context governor.
-pub(crate) const TRIP_DEADLINE: u8 = 1;
-pub(crate) const TRIP_FUEL: u8 = 2;
-pub(crate) const TRIP_INJECTED: u8 = 3;
-
-pub(crate) fn trip_reason(code: u8) -> Option<&'static str> {
-    match code {
-        TRIP_DEADLINE => Some("deadline"),
-        TRIP_FUEL => Some("op fuel"),
-        TRIP_INJECTED => Some("injected"),
-        _ => None,
-    }
-}
-
+#[derive(Debug)]
 struct GovernorInner {
     /// Remaining op fuel; `u64::MAX` = unlimited. Shared atomically so the
     /// parallel driver's worker threads spend from one pool.
     fuel: AtomicU64,
-    /// Deadline in microseconds since [`anchor`]; `u64::MAX` = none.
-    deadline_us: u64,
+    deadline: Option<Instant>,
     cancel: Option<CancelToken>,
-    tripped: AtomicBool,
-    trip_code: AtomicU8,
+    /// Why the budget tripped, once it has. Sticky: the first tripper wins
+    /// the reason.
+    tripped: OnceLock<&'static str>,
     charged: AtomicU64,
     degraded: AtomicU64,
-    /// Exactness limits carried by the request's [`Budget`].
-    max_negation_pieces: usize,
-    subsume_negation_pieces: usize,
-    stride_fuel: u32,
-    /// True when the exactness limits differ from [`Budget::default`]:
-    /// memoized results then bypass the shared cache entirely, because an
-    /// entry computed under tighter (or looser) limits is not
-    /// interchangeable with one computed under the defaults.
-    non_default_limits: bool,
+    /// The request's [`Budget`], read for its exactness limits.
+    budget: Budget,
 }
 
-/// A **per-request** governor: the same deadline/fuel/cancellation
-/// enforcement as [`Context::set_budget`](crate::Context::set_budget), but
-/// scoped to the requesting thread (and any worker threads that re-arm it)
-/// instead of the whole shared context.
+/// The governor: deadline, op fuel, cancellation and exactness limits for
+/// one request, scoped to the requesting thread (and any worker threads
+/// that re-arm it) rather than to a context.
 ///
 /// This is what lets a long-lived serving context compile many concurrent
-/// requests, each under its *own* budget: arming a budget context-wide
+/// requests, each under its *own* budget: a budget held by the context
 /// would let one slow client's deadline trip every in-flight compilation.
 /// The governor is `Arc`-shared — clone it into worker tasks and call
 /// [`arm_on_thread`](Self::arm_on_thread) there so every thread working on
 /// the request spends from one fuel pool and observes one deadline.
 ///
-/// The `dhpf-core` driver arms one automatically whenever
-/// `CompileOptions` carries a budget or cancel token; context-global
-/// arming via `set_budget` remains available for callers that own their
-/// context exclusively.
-#[derive(Clone)]
+/// The `dhpf-core` driver arms one whenever `CompileOptions` carries a
+/// budget, a cancel token or a fault-injection plan.
+#[derive(Clone, Debug)]
 pub struct RequestGovernor {
     inner: Arc<GovernorInner>,
-}
-
-impl std::fmt::Debug for RequestGovernor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RequestGovernor")
-            .field("stats", &self.stats())
-            .finish()
-    }
 }
 
 thread_local! {
@@ -228,39 +180,22 @@ pub(crate) fn request_governor_armed() -> bool {
     REQ_GOV_ARMED.with(Cell::get)
 }
 
-/// The request governor armed on the current thread, if any.
-pub(crate) fn current_request_governor() -> Option<RequestGovernor> {
-    if !request_governor_armed() {
-        return None;
-    }
-    REQ_GOV.with(|g| g.borrow().clone())
-}
-
 impl RequestGovernor {
     /// A governor enforcing `budget` (deadline measured from now) and, if
     /// given, `cancel`.
     pub fn new(budget: &Budget, cancel: Option<CancelToken>) -> Self {
-        let d = Budget::default();
-        let non_default_limits = budget.max_negation_pieces != d.max_negation_pieces
-            || budget.subsume_negation_pieces != d.subsume_negation_pieces
-            || budget.stride_fuel != d.stride_fuel;
-        let deadline_us = budget.deadline_ms.map_or(u64::MAX, |ms| {
-            let at = anchor().elapsed() + Duration::from_millis(ms);
-            u64::try_from(at.as_micros()).unwrap_or(u64::MAX)
-        });
+        let deadline = budget
+            .deadline_ms
+            .and_then(|ms| Instant::now().checked_add(Duration::from_millis(ms)));
         RequestGovernor {
             inner: Arc::new(GovernorInner {
                 fuel: AtomicU64::new(budget.op_fuel.unwrap_or(u64::MAX)),
-                deadline_us,
+                deadline,
                 cancel,
-                tripped: AtomicBool::new(false),
-                trip_code: AtomicU8::new(0),
+                tripped: OnceLock::new(),
                 charged: AtomicU64::new(0),
                 degraded: AtomicU64::new(0),
-                max_negation_pieces: budget.max_negation_pieces,
-                subsume_negation_pieces: budget.subsume_negation_pieces,
-                stride_fuel: budget.stride_fuel,
-                non_default_limits,
+                budget: budget.clone(),
             }),
         }
     }
@@ -270,7 +205,10 @@ impl RequestGovernor {
     /// [`arm_on_thread`](Self::arm_on_thread)) on each pool thread, so
     /// every task of a request runs under that request's budget.
     pub fn current() -> Option<RequestGovernor> {
-        current_request_governor()
+        if !request_governor_armed() {
+            return None;
+        }
+        REQ_GOV.with(|g| g.borrow().clone())
     }
 
     /// Arms this governor on the current thread until the guard drops.
@@ -284,58 +222,62 @@ impl RequestGovernor {
         RequestGovernorGuard { prev }
     }
 
-    /// Charges one governed operation. Mirrors the context-global
-    /// governor: cancellation always aborts; a grace scope (see
-    /// [`governor_grace`](crate::governor_grace)) suspends budget
-    /// enforcement; otherwise fuel is spent and the deadline checked, and
-    /// once tripped every further charge is refused with the trip reason.
-    pub(crate) fn charge(&self, in_grace: bool) -> Result<(), OmegaError> {
+    /// Charges one governed operation: spends fuel and checks the
+    /// deadline, and once tripped refuses every further charge with the
+    /// trip reason. The caller has already handled cancellation and the
+    /// grace scope (see [`governor_grace`](crate::governor_grace)).
+    pub(crate) fn charge(&self) -> Result<(), OmegaError> {
         let i = &self.inner;
-        if i.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-            return Err(OmegaError::Cancelled);
-        }
-        if in_grace {
-            return Ok(());
-        }
         i.charged.fetch_add(1, Ordering::Relaxed);
-        if !i.tripped.load(Ordering::Relaxed) {
+        if !self.tripped() {
             let fuel = i.fuel.load(Ordering::Relaxed);
             if fuel != u64::MAX {
                 let spent = i
                     .fuel
                     .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |f| f.checked_sub(1));
                 if spent.is_err() {
-                    self.trip(TRIP_FUEL);
+                    self.trip("op fuel");
                 }
             }
-            if i.deadline_us != u64::MAX && now_us() > i.deadline_us {
-                self.trip(TRIP_DEADLINE);
+            if i.deadline.is_some_and(|d| Instant::now() > d) {
+                self.trip("deadline");
             }
         }
-        if i.tripped.load(Ordering::Relaxed) {
-            i.degraded.fetch_add(1, Ordering::Relaxed);
-            let reason = trip_reason(i.trip_code.load(Ordering::Relaxed)).unwrap_or("budget");
-            return Err(OmegaError::BudgetExceeded(reason));
+        if self.tripped() {
+            return Err(self.refuse());
         }
         Ok(())
     }
 
-    fn trip(&self, code: u8) {
-        let _ =
-            self.inner
-                .trip_code
-                .compare_exchange(0, code, Ordering::Relaxed, Ordering::Relaxed);
-        self.inner.tripped.store(true, Ordering::Relaxed);
+    /// Trips the budget on behalf of an injected `ExhaustBudget` fault and
+    /// returns the refusal for the operation that hit it.
+    pub(crate) fn exhaust_injected(&self) -> OmegaError {
+        self.trip("injected");
+        self.refuse()
     }
 
-    /// The armed cancel token, if any.
-    pub fn cancel_token(&self) -> Option<&CancelToken> {
-        self.inner.cancel.as_ref()
+    fn trip(&self, reason: &'static str) {
+        let _ = self.inner.tripped.set(reason);
     }
 
-    /// True once the deadline passed or the fuel ran out.
+    /// Counts one refused operation and names the trip reason.
+    fn refuse(&self) -> OmegaError {
+        self.inner.degraded.fetch_add(1, Ordering::Relaxed);
+        OmegaError::BudgetExceeded(self.inner.tripped.get().copied().unwrap_or("budget"))
+    }
+
+    /// `Err(Cancelled)` once the armed token, if any, has been tripped.
+    pub(crate) fn check_cancelled(&self) -> Result<(), OmegaError> {
+        match &self.inner.cancel {
+            Some(t) if t.is_cancelled() => Err(OmegaError::Cancelled),
+            _ => Ok(()),
+        }
+    }
+
+    /// True once the deadline passed, the fuel ran out, or an injected
+    /// exhaustion fired.
     pub fn tripped(&self) -> bool {
-        self.inner.tripped.load(Ordering::Relaxed)
+        self.inner.tripped.get().is_some()
     }
 
     /// This governor's counters and trip reason.
@@ -343,24 +285,24 @@ impl RequestGovernor {
         GovernorStats {
             ops_charged: self.inner.charged.load(Ordering::Relaxed),
             ops_degraded: self.inner.degraded.load(Ordering::Relaxed),
-            tripped: trip_reason(self.inner.trip_code.load(Ordering::Relaxed)),
+            tripped: self.inner.tripped.get().copied(),
         }
     }
 
-    pub(crate) fn max_negation_pieces(&self) -> usize {
-        self.inner.max_negation_pieces
+    /// The budget this governor enforces (read for its exactness limits).
+    pub(crate) fn budget(&self) -> &Budget {
+        &self.inner.budget
     }
 
-    pub(crate) fn subsume_negation_pieces(&self) -> usize {
-        self.inner.subsume_negation_pieces
-    }
-
-    pub(crate) fn stride_fuel(&self) -> u32 {
-        self.inner.stride_fuel
-    }
-
+    /// True when the exactness limits differ from [`Budget::default`]:
+    /// memoized results then bypass the shared cache entirely, because an
+    /// entry computed under tighter (or looser) limits is not
+    /// interchangeable with one computed under the defaults.
     pub(crate) fn non_default_limits(&self) -> bool {
-        self.inner.non_default_limits
+        let (b, d) = (&self.inner.budget, Budget::default());
+        b.max_negation_pieces != d.max_negation_pieces
+            || b.subsume_negation_pieces != d.subsume_negation_pieces
+            || b.stride_fuel != d.stride_fuel
     }
 }
 
@@ -409,8 +351,6 @@ mod tests {
         assert_eq!(b.max_negation_pieces, 9);
         assert_eq!(b.subsume_negation_pieces, 3);
         assert_eq!(b.stride_fuel, 7);
-        assert!(!b.is_unlimited());
-        assert!(Budget::default().is_unlimited());
     }
 
     #[test]

@@ -456,7 +456,7 @@ impl Conjunct {
     ///
     /// # Errors
     ///
-    /// Returns the budget/cancellation error when the context's governor
+    /// Returns the budget/cancellation error when the thread's governor
     /// refuses the operation or any operation inside the decision.
     pub fn try_is_satisfiable_in(&self, ctx: Option<&crate::Context>) -> Result<bool, OmegaError> {
         match ctx {

@@ -6,10 +6,16 @@
 //! per-conjunct operations — integer satisfiability, Fourier–Motzkin
 //! projection, exact negation, gist — are recomputed many times over
 //! structurally identical inputs. A `Context` hash-conses [`Conjunct`]s
-//! (and [`LinExpr`]s) into interned ids and memoizes those operations in
-//! per-operation caches keyed by the interned ids, with hit/miss/eviction
-//! counters that the compiler driver surfaces next to its Table-1 phase
-//! timers.
+//! into interned ids and memoizes those operations in per-operation caches
+//! keyed by the interned ids, with hit/miss/eviction counters that the
+//! compiler driver surfaces next to its Table-1 phase timers.
+//!
+//! "Memoized" is a relation with a context: a set or relation that carries
+//! none computes every operation afresh, and that context-less path is the
+//! reference the equivalence suites compare against. Budgets, cancellation
+//! and exactness limits are not context state either; they belong to the
+//! [`RequestGovernor`](crate::RequestGovernor) armed on the calling
+//! thread, which every operation here charges.
 //!
 //! A `Context` is an `Arc`-shared handle: cloning it is cheap and all
 //! clones share one arena. Attach it to root relations (layouts, parsed
@@ -39,26 +45,23 @@
 //! # Ok::<(), dhpf_omega::OmegaError>(())
 //! ```
 
-use crate::budget::{
-    anchor, current_request_governor, now_us, request_governor_armed, trip_reason, Budget,
-    CancelToken, GovernorStats, TRIP_DEADLINE, TRIP_FUEL, TRIP_INJECTED,
-};
+use crate::budget::{request_governor_armed, Budget, GovernorStats, RequestGovernor};
 use crate::builder::{RelationBuilder, SetBuilder};
 use crate::conjunct::Conjunct;
 use crate::inject::{FaultAction, InjectPlan};
-use crate::linexpr::LinExpr;
 use crate::relation::Relation;
 use crate::set::Set;
 use crate::var::Var;
 use crate::OmegaError;
 use dhpf_obs::Collector;
+use std::borrow::Cow;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Default maximum total entries per memo table (summed across shards).
 /// Keeps long compilations bounded; one compilation of the paper's
@@ -84,8 +87,8 @@ const EVICT_SAMPLE: usize = 8;
 /// entry cannot pin itself forever.
 const COST_CREDIT_CAP_US: u32 = 8_192;
 
-/// Interned id of a hash-consed conjunct (or expression). The low
-/// `log2(SHARDS)` bits identify the owning shard.
+/// Interned id of a hash-consed conjunct. The low `log2(SHARDS)` bits
+/// identify the owning shard.
 type Id = u32;
 
 /// Hit/miss/eviction counters for one memoized operation.
@@ -124,8 +127,6 @@ pub struct CacheStats {
     pub simplify: OpCounts,
     /// Distinct conjuncts hash-consed into the arena.
     pub interned_conjuncts: u64,
-    /// Distinct linear expressions hash-consed into the arena.
-    pub interned_exprs: u64,
 }
 
 impl CacheStats {
@@ -172,7 +173,6 @@ impl CacheStats {
         self.gist.add(&other.gist);
         self.simplify.add(&other.simplify);
         self.interned_conjuncts += other.interned_conjuncts;
-        self.interned_exprs += other.interned_exprs;
     }
 
     /// `(name, counts)` rows in a stable order, for table rendering.
@@ -216,16 +216,18 @@ struct MemoEntry<V> {
 /// plus a credit proportional to how expensive it was to compute, so under
 /// pressure the cache sheds cheap, cold entries first and keeps the
 /// expensive projections/negations that fleet-level reuse is for.
+/// Eviction is incremental (one victim per over-capacity insert, chosen as
+/// the lowest-scored of a small sample), so a warm serving cache degrades
+/// smoothly at its capacity bound.
 ///
-/// Replaces the previous wholesale shard flush: eviction is now
-/// incremental (one victim per over-capacity insert, chosen as the
-/// lowest-scored of a small sample), so a warm serving cache degrades
-/// smoothly at its capacity bound instead of periodically dumping
-/// everything it learned.
+/// A table carries its operation's hit/miss/eviction counters: plain
+/// integers mutated under the shard lock, cheaper than shared atomics (no
+/// cross-shard cache-line ping-pong), merged into a [`CacheStats`] on read.
 struct MemoTable<K, V> {
     map: HashMap<K, MemoEntry<V>>,
     /// Monotonic access counter; stamps entries for recency scoring.
     tick: u64,
+    counts: OpCounts,
 }
 
 impl<K, V> Default for MemoTable<K, V> {
@@ -233,23 +235,25 @@ impl<K, V> Default for MemoTable<K, V> {
         MemoTable {
             map: HashMap::new(),
             tick: 0,
+            counts: OpCounts::default(),
         }
     }
 }
 
 impl<K: Eq + Hash + Clone, V: Clone> MemoTable<K, V> {
-    /// Cache probe: a hit refreshes the entry's recency stamp.
-    fn get(&mut self, k: &K, counts: &mut OpCounts) -> Option<V> {
+    /// Cache probe, counted as a hit or a miss: a hit refreshes the
+    /// entry's recency stamp.
+    fn get(&mut self, k: &K) -> Option<V> {
         self.tick += 1;
         let tick = self.tick;
         match self.map.get_mut(k) {
             Some(e) => {
                 e.stamp = tick;
-                counts.hits += 1;
+                self.counts.hits += 1;
                 Some(e.v.clone())
             }
             None => {
-                counts.misses += 1;
+                self.counts.misses += 1;
                 None
             }
         }
@@ -258,7 +262,7 @@ impl<K: Eq + Hash + Clone, V: Clone> MemoTable<K, V> {
     /// Inserts a computed result, evicting lowest-scored entries while the
     /// table is at its capacity bound. `cost_us` is the measured compute
     /// time of the inserted result.
-    fn insert(&mut self, k: K, v: V, cost_us: u32, cap: usize, counts: &mut OpCounts) {
+    fn insert(&mut self, k: K, v: V, cost_us: u32, cap: usize) {
         while self.map.len() >= cap.max(1) {
             let victim = self
                 .map
@@ -272,7 +276,7 @@ impl<K: Eq + Hash + Clone, V: Clone> MemoTable<K, V> {
             match victim {
                 Some(k) => {
                     self.map.remove(&k);
-                    counts.evictions += 1;
+                    self.counts.evictions += 1;
                 }
                 None => break,
             }
@@ -291,26 +295,9 @@ impl<K: Eq + Hash + Clone, V: Clone> MemoTable<K, V> {
     fn len(&self) -> usize {
         self.map.len()
     }
-
-    fn clear(&mut self) {
-        self.map.clear();
-    }
 }
 
-/// Per-shard hit/miss/eviction counters, one [`OpCounts`] per memoized
-/// operation. Plain integers mutated under the shard lock: cheaper than
-/// shared atomics (no cross-shard cache-line ping-pong) and merged into a
-/// [`CacheStats`] on read.
-#[derive(Default)]
-struct ShardCounts {
-    sat: OpCounts,
-    eliminate: OpCounts,
-    negate: OpCounts,
-    gist: OpCounts,
-    simplify: OpCounts,
-}
-
-/// One lock stripe of the arena: interner slices plus one memo table per
+/// One lock stripe of the arena: an interner slice plus one memo table per
 /// operation. A conjunct's per-conjunct memo entries (sat / eliminate /
 /// negate) live in the same shard as the conjunct itself, so the hot path
 /// interns and probes under a single lock acquisition.
@@ -320,9 +307,7 @@ struct Shard {
     /// The id is the key of every per-conjunct memo table, so a conjunct
     /// is hashed in full at most once per distinct structure.
     conjuncts: HashMap<Conjunct, Id>,
-    /// Hash-consed linear expressions (used by the builder API).
-    exprs: HashMap<LinExpr, Id>,
-    sat: MemoTable<Id, bool>,
+    sat: MemoTable<Id, Result<bool, OmegaError>>,
     eliminate: MemoTable<(Id, Var), Result<Vec<Conjunct>, OmegaError>>,
     negate: MemoTable<Id, Result<Vec<Conjunct>, OmegaError>>,
     /// Keyed `(a, b)`; stored in the shard of `a`.
@@ -330,19 +315,17 @@ struct Shard {
     /// Keyed by the interned conjunct list; stored in the shard selected
     /// by the hash of that id list.
     simplify: MemoTable<Vec<Id>, Vec<Conjunct>>,
-    counts: ShardCounts,
 }
 
 impl Shard {
     fn stats(&self) -> CacheStats {
         CacheStats {
-            sat: self.counts.sat,
-            eliminate: self.counts.eliminate,
-            negate: self.counts.negate,
-            gist: self.counts.gist,
-            simplify: self.counts.simplify,
+            sat: self.sat.counts,
+            eliminate: self.eliminate.counts,
+            negate: self.negate.counts,
+            gist: self.gist.counts,
+            simplify: self.simplify.counts,
             interned_conjuncts: self.conjuncts.len() as u64,
-            interned_exprs: self.exprs.len() as u64,
         }
     }
 }
@@ -350,6 +333,10 @@ impl Shard {
 thread_local! {
     /// Nesting depth of [`governor_grace`] scopes on the current thread.
     static GRACE_DEPTH: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+    /// Operations refused on the current thread so far, by the governor or
+    /// by an injected fault: what [`Context::memo`] compares around a
+    /// computation to learn whether anything nested inside it was refused.
+    static REFUSALS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// Suspends budget enforcement and fault injection on the *current thread*
@@ -384,11 +371,14 @@ fn in_grace() -> bool {
     GRACE_DEPTH.with(std::cell::Cell::get) > 0
 }
 
+fn refusals_on_thread() -> u64 {
+    REFUSALS.with(std::cell::Cell::get)
+}
+
 /// Mutable fault-injection bookkeeping, behind one mutex that is only
-/// touched when a plan is armed (the `governed` gate keeps it off the
-/// ungoverned hot path). Per-site hit counters make decisions a pure
-/// function of `(seed, site, count)` regardless of thread interleaving
-/// *per site*.
+/// touched when a plan is armed (the `inject_armed` gate keeps it off the
+/// hot path). Per-site hit counters make decisions a pure function of
+/// `(seed, site, count)` regardless of thread interleaving *per site*.
 #[derive(Default)]
 struct InjectState {
     plan: Option<InjectPlan>,
@@ -397,34 +387,11 @@ struct InjectState {
 }
 
 struct Inner {
-    enabled: AtomicBool,
     /// Fast gate for the trace hook: `true` iff `obs` holds a collector.
     /// Kept separate so the untraced hot path pays one relaxed load.
     traced: AtomicBool,
     /// The attached trace collector (see [`Context::set_collector`]).
     obs: Mutex<Option<Collector>>,
-    /// Fast gate for the resource governor: `true` iff a deadline, op
-    /// fuel, a cancel token, or an injection plan is armed (or the budget
-    /// already tripped). When `false`, `charge` is one relaxed load.
-    governed: AtomicBool,
-    /// Sticky once the budget trips; `trip_code` says why.
-    tripped: AtomicBool,
-    trip_code: AtomicU8,
-    /// Remaining op fuel; `u64::MAX` = unlimited.
-    fuel: AtomicU64,
-    /// Deadline in microseconds since [`anchor`]; `u64::MAX` = none.
-    deadline_us: AtomicU64,
-    /// Fast gate for the cancel check (avoids the mutex when unarmed).
-    cancel_armed: AtomicBool,
-    cancel: Mutex<Option<CancelToken>>,
-    /// Configurable exactness limits (satellite of PR 7: the former
-    /// hard-coded constants in `ops.rs` / `relation.rs`).
-    max_negation_pieces: AtomicUsize,
-    subsume_negation_pieces: AtomicUsize,
-    stride_fuel: AtomicU32,
-    /// Governor counters ([`GovernorStats`]).
-    charged: AtomicU64,
-    degraded: AtomicU64,
     /// Fast gate + state for fault injection.
     inject_armed: AtomicBool,
     inject: Mutex<InjectState>,
@@ -485,11 +452,11 @@ fn shard_of_id(id: Id) -> usize {
 /// A shared hash-consing + memoization context for Omega operations.
 ///
 /// See the [module documentation](self) for the design; in short: create
-/// one per compilation (or one long-lived one via
-/// `dhpf_core::compile_with`), attach it to root sets/relations, and every
-/// derived operation reuses previously computed satisfiability tests,
-/// projections, negations, gists and simplifications. The context is
-/// `Send + Sync`: the parallel driver shares one across worker threads.
+/// one per compilation (or one long-lived one, handed to every
+/// `dhpf_core::compile_request`), attach it to root sets/relations, and
+/// every derived operation reuses previously computed satisfiability
+/// tests, projections, negations, gists and simplifications. The context
+/// is `Send + Sync`: the parallel driver shares one across worker threads.
 #[derive(Clone)]
 pub struct Context {
     inner: Arc<Inner>,
@@ -512,15 +479,14 @@ impl Default for Context {
 impl fmt::Debug for Context {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Context")
-            .field("enabled", &self.is_enabled())
             .field("stats", &self.stats())
             .finish()
     }
 }
 
 impl Context {
-    /// A fresh context with caching enabled and the default cache
-    /// capacity ([`DEFAULT_CACHE_CAP`]).
+    /// A fresh context with the default cache capacity
+    /// ([`DEFAULT_CACHE_CAP`]).
     pub fn new() -> Self {
         Context::with_capacity(DEFAULT_CACHE_CAP)
     }
@@ -531,23 +497,8 @@ impl Context {
     pub fn with_capacity(capacity: usize) -> Self {
         Context {
             inner: Arc::new(Inner {
-                enabled: AtomicBool::new(true),
                 traced: AtomicBool::new(false),
                 obs: Mutex::new(None),
-                governed: AtomicBool::new(false),
-                tripped: AtomicBool::new(false),
-                trip_code: AtomicU8::new(0),
-                fuel: AtomicU64::new(u64::MAX),
-                deadline_us: AtomicU64::new(u64::MAX),
-                cancel_armed: AtomicBool::new(false),
-                cancel: Mutex::new(None),
-                max_negation_pieces: AtomicUsize::new(Budget::default().max_negation_pieces),
-                subsume_negation_pieces: AtomicUsize::new(
-                    Budget::default().subsume_negation_pieces,
-                ),
-                stride_fuel: AtomicU32::new(Budget::default().stride_fuel),
-                charged: AtomicU64::new(0),
-                degraded: AtomicU64::new(0),
                 inject_armed: AtomicBool::new(false),
                 inject: Mutex::new(InjectState::default()),
                 cache_capacity: AtomicUsize::new(capacity),
@@ -578,32 +529,11 @@ impl Context {
         (self.inner.cache_capacity.load(Ordering::Relaxed) / SHARDS).max(1)
     }
 
-    /// True when the thread's armed [`RequestGovernor`] carries
-    /// non-default exactness limits: a result computed under those limits
-    /// is not interchangeable with a default-limit entry (a negation that
-    /// is inexact under a tight piece cap may be exact under the default),
-    /// so both memo lookup and insert are skipped for such requests. The
-    /// context-global `set_budget` path instead flushes the tables when
-    /// its limits change — that stays correct because only one global
-    /// budget exists at a time.
-    fn memo_bypassed(&self) -> bool {
-        current_request_governor().is_some_and(|g| g.non_default_limits())
-    }
-
     /// Total memoized entries currently resident, summed over the five
     /// operation tables and all shards — the quantity
     /// [`set_cache_capacity`](Self::set_cache_capacity) bounds per table.
     pub fn memo_entries(&self) -> u64 {
-        let mut n = 0u64;
-        for shard in &self.inner.shards {
-            let s = shard.lock().unwrap();
-            n += (s.sat.len()
-                + s.eliminate.len()
-                + s.negate.len()
-                + s.gist.len()
-                + s.simplify.len()) as u64;
-        }
-        n
+        self.memo_occupancy().iter().map(|&(_, n)| n).sum()
     }
 
     /// Per-table resident memo entries, as `(operation name, entries)`
@@ -630,37 +560,12 @@ impl Context {
         out
     }
 
-    /// A context with caching disabled: operations behave exactly as with
-    /// no context at all. Used by the `--no-cache` ablation.
-    pub fn disabled() -> Self {
-        let ctx = Context::new();
-        ctx.set_enabled(false);
-        ctx
-    }
-
-    /// Enables or disables memoization at runtime (existing entries are
-    /// kept but not consulted while disabled).
-    pub fn set_enabled(&self, on: bool) {
-        self.inner.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// True if lookups consult the memo tables.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.enabled.load(Ordering::Relaxed)
-    }
-
-    /// True if `self` and `other` share one arena.
-    pub fn same_as(&self, other: &Context) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
-    }
-
     /// Attaches (or with `None`, detaches) a trace collector. While
     /// attached, every memoizable set operation — satisfiability, FME
     /// projection, negation, gist, simplify; cache hit or miss alike —
     /// records a count/duration/size sample on the collector's innermost
-    /// open span. Works with memoization disabled too, so `--no-cache`
-    /// ablations still report their set-operation mix. With no collector
-    /// the hook costs one relaxed atomic load per operation.
+    /// open span. With no collector the hook costs one relaxed atomic load
+    /// per operation.
     pub fn set_collector(&self, c: Option<Collector>) {
         let mut obs = self.inner.obs.lock().unwrap();
         self.inner.traced.store(c.is_some(), Ordering::Release);
@@ -678,10 +583,7 @@ impl Context {
     /// Starts an RAII op sample if a collector is attached (the untraced
     /// fast path is one relaxed load and no allocation).
     fn op_trace(&self, op: &'static str, size: u64) -> Option<OpTrace> {
-        if !self.inner.traced.load(Ordering::Relaxed) {
-            return None;
-        }
-        let obs = self.inner.obs.lock().unwrap().clone()?;
+        let obs = self.collector()?;
         Some(OpTrace {
             obs,
             op,
@@ -703,94 +605,13 @@ impl Context {
         out
     }
 
-    /// Resets the hit/miss/eviction counters (the interned arena is kept).
-    pub fn reset_stats(&self) {
-        for shard in &self.inner.shards {
-            shard.lock().unwrap().counts = ShardCounts::default();
-        }
-        self.inner.shadow_steps.store(0, Ordering::Relaxed);
-    }
-
     // ------------------------------------------------------------------
-    // Resource governor
+    // The calling thread's governor, and fault injection
     // ------------------------------------------------------------------
-
-    /// Recomputes the `governed` fast gate from the armed state. Called
-    /// after every arm/disarm mutation.
-    fn update_governed(&self) {
-        let i = &self.inner;
-        let on = i.fuel.load(Ordering::Relaxed) != u64::MAX
-            || i.deadline_us.load(Ordering::Relaxed) != u64::MAX
-            || i.cancel_armed.load(Ordering::Relaxed)
-            || i.inject_armed.load(Ordering::Relaxed)
-            || i.tripped.load(Ordering::Relaxed);
-        i.governed.store(on, Ordering::Release);
-    }
-
-    /// Arms a compile [`Budget`] on this context. The deadline clock
-    /// starts now; op fuel is set to the budget's quota; the exactness
-    /// limits (negation pieces, subsumption pieces, stride fuel) replace
-    /// the previous values. Any earlier trip is cleared.
-    pub fn set_budget(&self, b: &Budget) {
-        let i = &self.inner;
-        i.tripped.store(false, Ordering::Relaxed);
-        i.trip_code.store(0, Ordering::Relaxed);
-        i.fuel
-            .store(b.op_fuel.unwrap_or(u64::MAX), Ordering::Relaxed);
-        let deadline = b.deadline_ms.map_or(u64::MAX, |ms| {
-            let at = anchor().elapsed() + Duration::from_millis(ms);
-            u64::try_from(at.as_micros()).unwrap_or(u64::MAX)
-        });
-        i.deadline_us.store(deadline, Ordering::Relaxed);
-        // Memoized negation/elimination results depend on the exactness
-        // limits (a negation that is inexact under a tight piece cap may
-        // be exact under the default), so changing any limit flushes the
-        // memo tables — otherwise a stale `InexactNegation` could outlive
-        // the budget that caused it.
-        let limits_changed = i
-            .max_negation_pieces
-            .swap(b.max_negation_pieces, Ordering::Relaxed)
-            != b.max_negation_pieces
-            || i.subsume_negation_pieces
-                .swap(b.subsume_negation_pieces, Ordering::Relaxed)
-                != b.subsume_negation_pieces
-            || i.stride_fuel.swap(b.stride_fuel, Ordering::Relaxed) != b.stride_fuel;
-        if limits_changed {
-            self.flush_memo_tables();
-        }
-        self.update_governed();
-    }
-
-    /// Drops every memoized result (the interned arena and the counters
-    /// are kept). Used when the exactness limits change.
-    fn flush_memo_tables(&self) {
-        for shard in &self.inner.shards {
-            let mut s = shard.lock().unwrap();
-            s.sat.clear();
-            s.eliminate.clear();
-            s.negate.clear();
-            s.gist.clear();
-            s.simplify.clear();
-        }
-    }
-
-    /// Disarms the budget: unlimited fuel, no deadline, default limits,
-    /// trip state cleared. Cancel token and injection plan are unaffected.
-    pub fn clear_budget(&self) {
-        self.set_budget(&Budget::default());
-    }
-
-    /// Arms (or with `None`, disarms) a cancellation token. Once the token
-    /// is [cancelled](CancelToken::cancel), fallible governed operations
-    /// return [`OmegaError::Cancelled`] and [`Context::check_cancelled`]
-    /// fails at the driver's checkpoints.
-    pub fn set_cancel_token(&self, t: Option<CancelToken>) {
-        let i = &self.inner;
-        let armed = t.is_some();
-        *i.cancel.lock().unwrap() = t;
-        i.cancel_armed.store(armed, Ordering::Release);
-        self.update_governed();
-    }
+    //
+    // The accessors below read the `RequestGovernor` armed on the calling
+    // thread; with none armed they report an unlimited, untripped budget
+    // with the default limits.
 
     /// Arms (or with `None`, disarms) a deterministic fault-injection
     /// plan. Per-site hit counters are reset on every call.
@@ -804,46 +625,19 @@ impl Context {
             st.fired = 0;
         }
         i.inject_armed.store(armed, Ordering::Release);
-        self.update_governed();
     }
 
-    /// True once the budget has tripped (deadline passed, fuel spent, or
-    /// an injected exhaustion). Sticky until the next [`Context::set_budget`].
-    ///
-    /// Reports the *merged* view: the context-global governor or, when a
-    /// [`RequestGovernor`] is armed on the calling thread, that request's
-    /// governor — so degradation sites keep working unchanged under
-    /// per-request governance.
+    /// True once the calling thread's governor has tripped (deadline
+    /// passed, fuel spent, or an injected exhaustion). Sticky for the life
+    /// of that governor.
     pub fn budget_tripped(&self) -> bool {
-        if current_request_governor().is_some_and(|g| g.tripped()) {
-            return true;
-        }
-        self.inner.tripped.load(Ordering::Relaxed)
+        RequestGovernor::current().is_some_and(|g| g.tripped())
     }
 
-    /// Governor counters: ops charged, ops answered conservatively after a
-    /// trip, and the trip reason if any.
-    ///
-    /// Like [`budget_tripped`](Self::budget_tripped) this merges the
-    /// context-global counters with the thread's armed [`RequestGovernor`]
-    /// (scoped counters are summed in; a scoped trip reason wins).
+    /// The calling thread's governor counters: ops charged, ops refused
+    /// after a trip, and the trip reason if any.
     pub fn governor_stats(&self) -> GovernorStats {
-        let global = GovernorStats {
-            ops_charged: self.inner.charged.load(Ordering::Relaxed),
-            ops_degraded: self.inner.degraded.load(Ordering::Relaxed),
-            tripped: trip_reason(self.inner.trip_code.load(Ordering::Relaxed)),
-        };
-        match current_request_governor() {
-            Some(gov) => {
-                let scoped = gov.stats();
-                GovernorStats {
-                    ops_charged: global.ops_charged + scoped.ops_charged,
-                    ops_degraded: global.ops_degraded + scoped.ops_degraded,
-                    tripped: scoped.tripped.or(global.tripped),
-                }
-            }
-            None => global,
-        }
+        RequestGovernor::current().map_or_else(GovernorStats::default, |g| g.stats())
     }
 
     /// How many times the armed injection plan has fired.
@@ -854,137 +648,61 @@ impl Context {
         self.inner.inject.lock().unwrap().fired
     }
 
-    /// Current exact-negation piece cap (see [`Budget::max_negation_pieces`]).
-    /// A thread-armed [`RequestGovernor`] overrides the context-global value.
-    pub fn max_negation_pieces(&self) -> usize {
-        match current_request_governor() {
-            Some(gov) => gov.max_negation_pieces(),
-            None => self.inner.max_negation_pieces.load(Ordering::Relaxed),
-        }
+    /// The budget of the calling thread's governor, read for the exactness
+    /// limits in force ([`Budget::max_negation_pieces`],
+    /// [`Budget::subsume_negation_pieces`], [`Budget::stride_fuel`]).
+    pub fn limits(&self) -> Budget {
+        RequestGovernor::current().map_or_else(Budget::default, |g| g.budget().clone())
     }
 
-    /// Current subsumption piece cap (see [`Budget::subsume_negation_pieces`]).
-    /// A thread-armed [`RequestGovernor`] overrides the context-global value.
-    pub fn subsume_negation_pieces(&self) -> usize {
-        match current_request_governor() {
-            Some(gov) => gov.subsume_negation_pieces(),
-            None => self.inner.subsume_negation_pieces.load(Ordering::Relaxed),
-        }
+    /// True when the thread's armed governor carries non-default exactness
+    /// limits: a result computed under those limits is not interchangeable
+    /// with a default-limit entry (a negation that is inexact under a
+    /// tight piece cap may be exact under the default), so both memo
+    /// lookup and insert are skipped for such requests.
+    fn memo_bypassed(&self) -> bool {
+        RequestGovernor::current().is_some_and(|g| g.non_default_limits())
     }
 
-    /// Current stride-form rewrite fuel (see [`Budget::stride_fuel`]).
-    /// A thread-armed [`RequestGovernor`] overrides the context-global value.
-    pub fn stride_fuel(&self) -> u32 {
-        match current_request_governor() {
-            Some(gov) => gov.stride_fuel(),
-            None => self.inner.stride_fuel.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Explicit cancellation checkpoint: `Err(Cancelled)` once the armed
-    /// token has tripped. The driver calls this between phases and at nest
-    /// entry so cancellation is prompt even when the set operations in
-    /// flight are the infallible ones (sat/gist/simplify) that cannot
-    /// propagate an error.
+    /// Explicit cancellation checkpoint: `Err(Cancelled)` once the calling
+    /// thread's cancel token has tripped. The driver calls this between
+    /// phases and at nest entry so cancellation is prompt even when the
+    /// set operations in flight are the infallible ones (sat/gist/simplify)
+    /// that cannot propagate an error.
     pub fn check_cancelled(&self) -> Result<(), OmegaError> {
-        if current_request_governor()
-            .is_some_and(|g| g.cancel_token().is_some_and(CancelToken::is_cancelled))
-        {
-            return Err(OmegaError::Cancelled);
-        }
-        if !self.inner.cancel_armed.load(Ordering::Relaxed) {
-            return Ok(());
-        }
-        let cancelled = self
-            .inner
-            .cancel
-            .lock()
-            .unwrap()
-            .as_ref()
-            .is_some_and(CancelToken::is_cancelled);
-        if cancelled {
-            Err(OmegaError::Cancelled)
-        } else {
-            Ok(())
-        }
+        RequestGovernor::current().map_or(Ok(()), |g| g.check_cancelled())
     }
 
-    /// Trips the budget with the given reason code (sticky).
-    fn trip(&self, code: u8) {
-        let i = &self.inner;
-        // First tripper wins the reason; later trips keep it.
-        let _ = i
-            .trip_code
-            .compare_exchange(0, code, Ordering::Relaxed, Ordering::Relaxed);
-        i.tripped.store(true, Ordering::Relaxed);
-        i.governed.store(true, Ordering::Release);
-    }
-
-    /// Charges one governed operation against the budget. `Ok(())` means
-    /// proceed; `Err` means the op must not run: the fallible memoized
-    /// operations propagate the error (uncached — budget errors must never
-    /// be memoized), the infallible ones substitute a sound conservative
-    /// answer. The ungoverned fast path is a single relaxed load.
+    /// Charges one governed operation against the thread's governor.
+    /// `Ok(())` means proceed; `Err` means the op must not run: the
+    /// fallible memoized operations propagate the error, the infallible
+    /// ones substitute a sound conservative answer. With no governor and no
+    /// injection plan armed this is a thread-local read and a relaxed load.
     pub(crate) fn charge(&self, op: &'static str) -> Result<(), OmegaError> {
-        if !self.inner.governed.load(Ordering::Relaxed) && !request_governor_armed() {
+        if !request_governor_armed() && !self.inner.inject_armed.load(Ordering::Relaxed) {
             return Ok(());
         }
         self.charge_slow(op)
     }
 
+    /// Cancellation always aborts; a grace scope suspends injection and
+    /// the budget; an injected fault pre-empts the charge it interrupts.
+    /// Every refusal is noted for [`memo`](Self::memo).
     #[cold]
     fn charge_slow(&self, op: &'static str) -> Result<(), OmegaError> {
-        // A thread-armed request governor takes over budget enforcement;
-        // context-global fault injection (and a global trip it causes)
-        // still applies so chaos plans compose with per-request budgets.
-        if let Some(gov) = current_request_governor() {
-            let grace = in_grace();
-            self.check_cancelled()?;
-            if !grace {
-                if self.inner.inject_armed.load(Ordering::Relaxed) {
-                    self.inject_fire(op)?;
-                }
-                if self.inner.tripped.load(Ordering::Relaxed) {
-                    self.inner.degraded.fetch_add(1, Ordering::Relaxed);
-                    let code = self.inner.trip_code.load(Ordering::Relaxed);
-                    return Err(OmegaError::BudgetExceeded(
-                        trip_reason(code).unwrap_or("budget"),
-                    ));
-                }
-            }
-            return gov.charge(grace);
+        let gov = RequestGovernor::current();
+        let admitted = gov
+            .as_ref()
+            .map_or(Ok(()), |g| g.check_cancelled())
+            .and_then(|()| self.inject_check(op))
+            .and_then(|()| match &gov {
+                Some(g) if !in_grace() => g.charge(),
+                _ => Ok(()),
+            });
+        if admitted.is_err() {
+            REFUSALS.with(|n| n.set(n.get() + 1));
         }
-        let i = &self.inner;
-        self.check_cancelled()?;
-        if in_grace() {
-            return Ok(());
-        }
-        if i.inject_armed.load(Ordering::Relaxed) {
-            self.inject_fire(op)?;
-        }
-        i.charged.fetch_add(1, Ordering::Relaxed);
-        if !i.tripped.load(Ordering::Relaxed) {
-            // Spend fuel (u64::MAX = unlimited; fetch_update avoids wrap).
-            let fuel = i.fuel.load(Ordering::Relaxed);
-            if fuel != u64::MAX {
-                let spent = i
-                    .fuel
-                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |f| f.checked_sub(1));
-                if spent.is_err() {
-                    self.trip(TRIP_FUEL);
-                }
-            }
-            let deadline = i.deadline_us.load(Ordering::Relaxed);
-            if deadline != u64::MAX && now_us() > deadline {
-                self.trip(TRIP_DEADLINE);
-            }
-        }
-        if i.tripped.load(Ordering::Relaxed) {
-            i.degraded.fetch_add(1, Ordering::Relaxed);
-            let reason = trip_reason(i.trip_code.load(Ordering::Relaxed)).unwrap_or("budget");
-            return Err(OmegaError::BudgetExceeded(reason));
-        }
-        Ok(())
+        admitted
     }
 
     /// Fault-injection checkpoint for a named site. Suspended inside a
@@ -998,10 +716,6 @@ impl Context {
         if !self.inner.inject_armed.load(Ordering::Relaxed) || in_grace() {
             return Ok(());
         }
-        self.inject_fire(site)
-    }
-
-    fn inject_fire(&self, site: &'static str) -> Result<(), OmegaError> {
         let action = {
             let mut st = self.inner.inject.lock().unwrap();
             let Some(plan) = st.plan.clone() else {
@@ -1020,11 +734,12 @@ impl Context {
         match action {
             FaultAction::Error => Err(OmegaError::InexactNegation),
             FaultAction::Panic => panic!("injected panic at site {site}"),
-            FaultAction::ExhaustBudget => {
-                self.trip(TRIP_INJECTED);
-                self.inner.degraded.fetch_add(1, Ordering::Relaxed);
-                Err(OmegaError::BudgetExceeded("injected"))
-            }
+            // Trips the thread's governor, so the exhaustion is sticky for
+            // the request exactly like a spent budget.
+            FaultAction::ExhaustBudget => Err(RequestGovernor::current()
+                .map_or(OmegaError::BudgetExceeded("injected"), |g| {
+                    g.exhaust_injected()
+                })),
         }
     }
 
@@ -1051,26 +766,6 @@ impl Context {
         Ok(Set::from_relation(rel))
     }
 
-    /// The universe set of the given arity, attached to this context.
-    pub fn universe_set(&self, arity: u32) -> Set {
-        Set::from_relation(Relation::universe(arity, 0).with_context(self))
-    }
-
-    /// The empty set of the given arity, attached to this context.
-    pub fn empty_set(&self, arity: u32) -> Set {
-        Set::from_relation(Relation::empty(arity, 0).with_context(self))
-    }
-
-    /// The universe relation, attached to this context.
-    pub fn universe_relation(&self, n_in: u32, n_out: u32) -> Relation {
-        Relation::universe(n_in, n_out).with_context(self)
-    }
-
-    /// The empty relation, attached to this context.
-    pub fn empty_relation(&self, n_in: u32, n_out: u32) -> Relation {
-        Relation::empty(n_in, n_out).with_context(self)
-    }
-
     /// Starts a fluent [`SetBuilder`] for a set of the given arity.
     pub fn set(&self, arity: u32) -> SetBuilder {
         SetBuilder::new(self.clone(), arity)
@@ -1081,18 +776,6 @@ impl Context {
         RelationBuilder::new(self.clone(), n_in, n_out)
     }
 
-    /// Exact negation of a conjunct, memoized (the `Context`-threaded form
-    /// of the deprecated free function `ops::negate_conjunct`).
-    pub fn negate_conjunct(&self, c: &Conjunct) -> Result<Vec<Conjunct>, OmegaError> {
-        crate::ops::negate_conjunct_in(c, Some(self))
-    }
-
-    /// Stride-form rewrite of a conjunct (the `Context`-threaded form of
-    /// the deprecated free function `ops::to_stride_form`).
-    pub fn to_stride_form(&self, c: Conjunct) -> Result<Vec<Conjunct>, OmegaError> {
-        crate::ops::to_stride_form_in(c, Some(self))
-    }
-
     // ------------------------------------------------------------------
     // Interning
     // ------------------------------------------------------------------
@@ -1100,39 +783,18 @@ impl Context {
     /// Hash-conses a conjunct, returning its interned id. Conjuncts with
     /// the same [`Conjunct::canonical`] form — same constraints up to
     /// order, repetition, scaling, and slack constants — share one id.
+    /// Locks exactly one shard.
     pub fn intern_conjunct(&self, c: &Conjunct) -> u32 {
-        self.intern_conjunct_key(c)
-    }
-
-    /// Interns the canonical form of `c`, borrowing `c` directly when it
-    /// is already normalized (the common case on probe paths: producers
-    /// normalize once at construction) instead of cloning per probe.
-    fn intern_conjunct_key(&self, c: &Conjunct) -> Id {
-        if c.is_normalized() {
-            self.intern_canonical(c)
-        } else {
-            self.intern_canonical(&c.canonical())
-        }
-    }
-
-    /// Interns an already-canonical conjunct (locks exactly one shard).
-    fn intern_canonical(&self, cc: &Conjunct) -> Id {
-        let s = shard_of(cc);
+        let cc = canonical_of(c);
+        let s = shard_of(&*cc);
         let mut shard = self.inner.shards[s].lock().unwrap();
-        Self::intern_in(&mut shard.conjuncts, cc, s)
+        Self::intern_in(&mut shard.conjuncts, &cc, s)
     }
 
-    /// Hash-conses a linear expression, returning its interned id.
-    pub fn intern_expr(&self, e: &LinExpr) -> u32 {
-        let s = shard_of(e);
-        let mut shard = self.inner.shards[s].lock().unwrap();
-        Self::intern_in(&mut shard.exprs, e, s)
-    }
-
-    /// Interns `k` into one shard's slice of an interner. The id encodes
+    /// Interns `k` into one shard's slice of the interner. The id encodes
     /// the shard in its low bits (`id = local * SHARDS + shard`), so ids
     /// are globally unique and `id % SHARDS` recovers the owner.
-    fn intern_in<K: Clone + Eq + Hash>(map: &mut HashMap<K, Id>, k: &K, shard: usize) -> Id {
+    fn intern_in(map: &mut HashMap<Conjunct, Id>, k: &Conjunct, shard: usize) -> Id {
         if let Some(&id) = map.get(k) {
             return id;
         }
@@ -1144,58 +806,94 @@ impl Context {
     // ------------------------------------------------------------------
     // Memoized operations
     // ------------------------------------------------------------------
-    //
-    // Lock discipline: at most one shard lock is held at a time, and no
-    // lock is held across `compute`: intern + probe under the key's shard
-    // lock, drop it, run the real computation (which may itself recurse
-    // into the cache), then re-lock that shard to insert. Single-threaded
-    // compilations never duplicate work; concurrent ones at worst compute
-    // an entry twice.
 
-    /// Memoized satisfiability, exact or failed: the governor's refusal
-    /// propagates — from the charge here or, as `compute`'s `Err`, from any
-    /// operation inside the decision — and is never cached. A verdict
-    /// reached after a refusal is not a property of the conjunct, and a
-    /// long-lived context would keep answering it after the budget that
-    /// caused it is gone. (`compute`'s conservative `Ok(true)` on overflow
-    /// or its fuel cap *is* such a property and is cached.)
+    /// The gate in front of every memoized operation: charges the
+    /// governor (a refusal propagates before anything is interned) and
+    /// says whether the memo tables may be consulted.
+    fn admit(&self, site: &'static str) -> Result<bool, OmegaError> {
+        self.charge(site)?;
+        Ok(!self.memo_bypassed())
+    }
+
+    /// The one memo routine: build the key and probe `table` in shard `s`
+    /// under a single lock acquisition, and on a miss drop the lock, run
+    /// `compute` (which may itself recurse into the cache), then re-lock
+    /// that shard to insert. At most one shard lock is held at a time and
+    /// none across `compute`, so single-threaded compilations never
+    /// duplicate work and concurrent ones at worst compute an entry twice.
+    ///
+    /// One rule, stated once: a result computed while any operation nested
+    /// inside `compute` was refused — by the governor (`BudgetExceeded`,
+    /// `Cancelled`) or by an injected fault — is returned and never
+    /// inserted, whether the refusal came back as `compute`'s `Err` or was
+    /// absorbed into a conservative answer on the way (an emptiness test
+    /// that degraded to "non-empty", a simplification that gave up). Such a
+    /// result says nothing about the key, and a long-lived context would
+    /// keep answering it after the request that caused it is gone. Every
+    /// other result is a property of the key and is memoized, an `Err`
+    /// included (`InexactNegation`, `Overflow`), so a retried operation
+    /// stays cheap.
+    fn memo<K: Eq + Hash + Clone, V: Clone>(
+        &self,
+        s: usize,
+        key: impl FnOnce(&mut Shard) -> K,
+        table: fn(&mut Shard) -> &mut MemoTable<K, V>,
+        compute: impl FnOnce() -> V,
+    ) -> V {
+        let key = {
+            let mut shard = self.inner.shards[s].lock().unwrap();
+            let key = key(&mut shard);
+            if let Some(r) = table(&mut shard).get(&key) {
+                return r;
+            }
+            key
+        };
+        let refusals = refusals_on_thread();
+        let t0 = Instant::now();
+        let r = compute();
+        if refusals_on_thread() != refusals {
+            return r;
+        }
+        let cost_us = elapsed_us(t0);
+        let cap = self.shard_cap();
+        let mut shard = self.inner.shards[s].lock().unwrap();
+        table(&mut shard).insert(key, r.clone(), cost_us, cap);
+        r
+    }
+
+    /// A fallible per-conjunct operation, sampled as `label` and charged
+    /// at `site`: a refused charge propagates. Its table lives in the
+    /// shard that owns the conjunct, so interning and the probe share one
+    /// lock acquisition.
+    fn memo_conjunct<K: Eq + Hash + Clone, T: Clone>(
+        &self,
+        (label, site): (&'static str, &'static str),
+        c: &Conjunct,
+        key: impl FnOnce(Id) -> K,
+        table: fn(&mut Shard) -> &mut MemoTable<K, Result<T, OmegaError>>,
+        compute: impl FnOnce() -> Result<T, OmegaError>,
+    ) -> Result<T, OmegaError> {
+        let _t = self.op_trace(label, conjunct_size(c));
+        if !self.admit(site)? {
+            return compute();
+        }
+        let cc = canonical_of(c);
+        let s = shard_of(&*cc);
+        let id = |sh: &mut Shard| key(Self::intern_in(&mut sh.conjuncts, &cc, s));
+        self.memo(s, id, table, compute)
+    }
+
+    /// Memoized satisfiability, exact or failed: `compute`'s conservative
+    /// `Ok(true)` on overflow or its fuel cap is a property of the
+    /// conjunct and is cached; its `Err` is a governor refusal somewhere
+    /// inside the decision, and no verdict was reached.
     pub(crate) fn cached_sat_strict(
         &self,
         c: &Conjunct,
         compute: impl FnOnce() -> Result<bool, OmegaError>,
     ) -> Result<bool, OmegaError> {
-        let _t = self.op_trace("satisfiability", conjunct_size(c));
-        self.charge("sat")?;
-        if !self.is_enabled() || self.memo_bypassed() {
-            return compute();
-        }
-        let (s, id) = {
-            // Borrow `c` as its own canonical key when already
-            // normalized; only un-normalized probes pay for a copy.
-            let tmp;
-            let cc: &Conjunct = if c.is_normalized() {
-                c
-            } else {
-                tmp = c.canonical();
-                &tmp
-            };
-            let s = shard_of(cc);
-            let mut shard = self.inner.shards[s].lock().unwrap();
-            let sh = &mut *shard;
-            let id = Self::intern_in(&mut sh.conjuncts, cc, s);
-            if let Some(v) = sh.sat.get(&id, &mut sh.counts.sat) {
-                return Ok(v);
-            }
-            (s, id)
-        };
-        let t0 = Instant::now();
-        let v = compute()?;
-        let cost_us = elapsed_us(t0);
-        let cap = self.shard_cap();
-        let mut shard = self.inner.shards[s].lock().unwrap();
-        let sh = &mut *shard;
-        sh.sat.insert(id, v, cost_us, cap, &mut sh.counts.sat);
-        Ok(v)
+        let op = ("satisfiability", "sat");
+        self.memo_conjunct(op, c, |id| id, |sh| &mut sh.sat, compute)
     }
 
     /// Governs and samples the satisfiability loop's deletion of a
@@ -1215,7 +913,7 @@ impl Context {
     /// the spot and not memoized; the sub-questions it raises are.
     pub(crate) fn shadow_step(&self, c: &Conjunct) -> Result<Option<OpTrace>, OmegaError> {
         let t = self.one_sided_drop(c)?;
-        if self.is_enabled() && !self.memo_bypassed() {
+        if !self.memo_bypassed() {
             self.inner.shadow_steps.fetch_add(1, Ordering::Relaxed);
         }
         Ok(t)
@@ -1227,40 +925,8 @@ impl Context {
         v: Var,
         compute: impl FnOnce() -> Result<Vec<Conjunct>, OmegaError>,
     ) -> Result<Vec<Conjunct>, OmegaError> {
-        let _t = self.op_trace("fme projection", conjunct_size(c));
-        // Budget/cancel errors propagate *uncached*: memoizing one would
-        // poison a long-lived context past the end of the budgeted
-        // compilation.
-        self.charge("eliminate")?;
-        if !self.is_enabled() || self.memo_bypassed() {
-            return compute();
-        }
-        let (s, id) = {
-            let tmp;
-            let cc: &Conjunct = if c.is_normalized() {
-                c
-            } else {
-                tmp = c.canonical();
-                &tmp
-            };
-            let s = shard_of(cc);
-            let mut shard = self.inner.shards[s].lock().unwrap();
-            let sh = &mut *shard;
-            let id = Self::intern_in(&mut sh.conjuncts, cc, s);
-            if let Some(r) = sh.eliminate.get(&(id, v), &mut sh.counts.eliminate) {
-                return r;
-            }
-            (s, id)
-        };
-        let t0 = Instant::now();
-        let r = compute();
-        let cost_us = elapsed_us(t0);
-        let cap = self.shard_cap();
-        let mut shard = self.inner.shards[s].lock().unwrap();
-        let sh = &mut *shard;
-        sh.eliminate
-            .insert((id, v), r.clone(), cost_us, cap, &mut sh.counts.eliminate);
-        r
+        let op = ("fme projection", "eliminate");
+        self.memo_conjunct(op, c, |id| (id, v), |sh| &mut sh.eliminate, compute)
     }
 
     pub(crate) fn cached_negate(
@@ -1268,39 +934,12 @@ impl Context {
         c: &Conjunct,
         compute: impl FnOnce() -> Result<Vec<Conjunct>, OmegaError>,
     ) -> Result<Vec<Conjunct>, OmegaError> {
-        let _t = self.op_trace("negation", conjunct_size(c));
-        self.charge("negate")?;
-        if !self.is_enabled() || self.memo_bypassed() {
-            return compute();
-        }
-        let (s, id) = {
-            let tmp;
-            let cc: &Conjunct = if c.is_normalized() {
-                c
-            } else {
-                tmp = c.canonical();
-                &tmp
-            };
-            let s = shard_of(cc);
-            let mut shard = self.inner.shards[s].lock().unwrap();
-            let sh = &mut *shard;
-            let id = Self::intern_in(&mut sh.conjuncts, cc, s);
-            if let Some(r) = sh.negate.get(&id, &mut sh.counts.negate) {
-                return r;
-            }
-            (s, id)
-        };
-        let t0 = Instant::now();
-        let r = compute();
-        let cost_us = elapsed_us(t0);
-        let cap = self.shard_cap();
-        let mut shard = self.inner.shards[s].lock().unwrap();
-        let sh = &mut *shard;
-        sh.negate
-            .insert(id, r.clone(), cost_us, cap, &mut sh.counts.negate);
-        r
+        let op = ("negation", "negate");
+        self.memo_conjunct(op, c, |id| id, |sh| &mut sh.negate, compute)
     }
 
+    /// Gist is a pure simplification: returning the input unchanged is
+    /// always sound, so a refused charge degrades to the identity.
     pub(crate) fn cached_gist(
         &self,
         c: &Conjunct,
@@ -1308,74 +947,46 @@ impl Context {
         compute: impl FnOnce() -> Conjunct,
     ) -> Conjunct {
         let _t = self.op_trace("gist", conjunct_size(c) + conjunct_size(given));
-        // Gist is a pure simplification: returning the input unchanged is
-        // always sound, so a tripped budget degrades to the identity.
-        if self.charge("gist").is_err() {
-            return c.clone();
-        }
-        if !self.is_enabled() || self.memo_bypassed() {
-            return compute();
-        }
-        // The two operands may live in different shards: intern each under
-        // its own lock (sequentially — never nested), then probe the memo
-        // table in the shard of `a`.
-        let (gs, key) = {
-            let a = self.intern_conjunct_key(c);
-            let b = self.intern_conjunct_key(given);
-            let gs = shard_of_id(a);
-            let mut shard = self.inner.shards[gs].lock().unwrap();
-            let sh = &mut *shard;
-            if let Some(r) = sh.gist.get(&(a, b), &mut sh.counts.gist) {
-                return r;
+        match self.admit("gist") {
+            Err(_) => c.clone(),
+            Ok(false) => compute(),
+            Ok(true) => {
+                // The operands may live in different shards: intern each
+                // under its own lock, then probe in the shard of `a`.
+                let a = self.intern_conjunct(c);
+                let b = self.intern_conjunct(given);
+                self.memo(shard_of_id(a), |_| (a, b), |sh| &mut sh.gist, compute)
             }
-            (gs, (a, b))
-        };
-        let t0 = Instant::now();
-        let r = compute();
-        let cost_us = elapsed_us(t0);
-        let cap = self.shard_cap();
-        let mut shard = self.inner.shards[gs].lock().unwrap();
-        let sh = &mut *shard;
-        sh.gist
-            .insert(key, r.clone(), cost_us, cap, &mut sh.counts.gist);
-        r
+        }
     }
 
+    /// Like gist: identity is sound, so a refused charge degrades to the
+    /// input list.
     pub(crate) fn cached_simplify(
         &self,
         conjuncts: &[Conjunct],
         compute: impl FnOnce() -> Vec<Conjunct>,
     ) -> Vec<Conjunct> {
         let _t = self.op_trace("simplify", conjuncts.iter().map(conjunct_size).sum());
-        // Like gist: identity is sound, so degrade to the input list.
-        if self.charge("simplify").is_err() {
-            return conjuncts.to_vec();
-        }
-        if !self.is_enabled() || self.memo_bypassed() {
-            return compute();
-        }
-        let (ss, key) = {
-            let key: Vec<Id> = conjuncts
-                .iter()
-                .map(|c| self.intern_conjunct_key(c))
-                .collect();
-            let ss = shard_of(&key);
-            let mut shard = self.inner.shards[ss].lock().unwrap();
-            let sh = &mut *shard;
-            if let Some(r) = sh.simplify.get(&key, &mut sh.counts.simplify) {
-                return r;
+        match self.admit("simplify") {
+            Err(_) => conjuncts.to_vec(),
+            Ok(false) => compute(),
+            Ok(true) => {
+                let key: Vec<Id> = conjuncts.iter().map(|c| self.intern_conjunct(c)).collect();
+                self.memo(shard_of(&key), |_| key, |sh| &mut sh.simplify, compute)
             }
-            (ss, key)
-        };
-        let t0 = Instant::now();
-        let r = compute();
-        let cost_us = elapsed_us(t0);
-        let cap = self.shard_cap();
-        let mut shard = self.inner.shards[ss].lock().unwrap();
-        let sh = &mut *shard;
-        sh.simplify
-            .insert(key, r.clone(), cost_us, cap, &mut sh.counts.simplify);
-        r
+        }
+    }
+}
+
+/// `c` as its own canonical key when already normalized (the common case
+/// on probe paths: producers normalize once at construction); only
+/// un-normalized probes pay for a copy.
+fn canonical_of(c: &Conjunct) -> Cow<'_, Conjunct> {
+    if c.is_normalized() {
+        Cow::Borrowed(c)
+    } else {
+        Cow::Owned(c.canonical())
     }
 }
 
@@ -1388,6 +999,9 @@ pub(crate) fn join(a: Option<&Context>, b: Option<&Context>) -> Option<Context> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::{CancelToken, RequestGovernor};
+    use crate::linexpr::LinExpr;
+    use std::time::Duration;
 
     #[test]
     fn interning_is_stable() {
@@ -1427,17 +1041,6 @@ mod tests {
             after.sat.hits > before.sat.hits,
             "second emptiness test must hit"
         );
-    }
-
-    #[test]
-    fn disabled_context_never_hits() {
-        let ctx = Context::disabled();
-        let s = ctx.parse_set("{[i] : 1 <= i <= 10}").unwrap();
-        assert!(!s.is_empty());
-        assert!(!s.is_empty());
-        let stats = ctx.stats();
-        assert_eq!(stats.total_hits(), 0);
-        assert_eq!(stats.total_misses(), 0);
     }
 
     #[test]
@@ -1497,18 +1100,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_cache_still_records_set_ops() {
-        let obs = Collector::new();
-        let ctx = Context::disabled();
-        ctx.set_collector(Some(obs.clone()));
-        let s = ctx.parse_set("{[i] : 1 <= i <= 10}").unwrap();
-        assert!(!s.is_empty());
-        let ops = obs.trace().total_ops();
-        assert!(ops.get("satisfiability").map_or(0, |o| o.calls) > 0);
-        assert_eq!(ctx.stats().total_misses(), 0, "cache untouched");
-    }
-
-    #[test]
     fn stats_display_is_humane() {
         let ctx = Context::new();
         let txt = ctx.stats().to_string();
@@ -1526,7 +1117,7 @@ mod tests {
     #[test]
     fn op_fuel_trips_and_degrades_soundly() {
         let ctx = Context::new();
-        ctx.set_budget(&Budget::new().op_fuel(1));
+        let armed = RequestGovernor::new(&Budget::new().op_fuel(1), None).arm_on_thread();
         let s = ctx.parse_set("{[i] : 1 <= i <= 10}").unwrap();
         let t = ctx.parse_set("{[i] : 3 <= i <= 30}").unwrap();
         // Burn far more than one op; everything must still terminate and
@@ -1540,8 +1131,8 @@ mod tests {
         // Fallible ops now surface the typed error.
         let err = s.try_subtract(&t).unwrap_err();
         assert!(matches!(err, OmegaError::BudgetExceeded("op fuel")));
-        // Re-arming clears the trip.
-        ctx.clear_budget();
+        // The trip dies with the governor that took it.
+        drop(armed);
         assert!(!ctx.budget_tripped());
         assert!(s.try_subtract(&t).is_ok());
     }
@@ -1549,7 +1140,7 @@ mod tests {
     #[test]
     fn expired_deadline_trips() {
         let ctx = Context::new();
-        ctx.set_budget(&Budget::new().deadline_ms(0));
+        let _armed = RequestGovernor::new(&Budget::new().deadline_ms(0), None).arm_on_thread();
         std::thread::sleep(Duration::from_millis(2));
         let s = ctx.parse_set("{[i] : 1 <= i <= 10}").unwrap();
         assert!(!s.is_empty()); // degraded-but-sound
@@ -1563,9 +1154,9 @@ mod tests {
         let ctx = Context::new();
         let s = ctx.parse_set("{[i] : 1 <= i <= 10}").unwrap();
         let t = ctx.parse_set("{[i] : 3 <= i <= 30}").unwrap();
-        ctx.set_budget(&Budget::new().op_fuel(0));
+        let armed = RequestGovernor::new(&Budget::new().op_fuel(0), None).arm_on_thread();
         assert!(s.try_subtract(&t).is_err());
-        ctx.clear_budget();
+        drop(armed);
         // The same structural query must now succeed from a clean slate.
         let d = s.try_subtract(&t).unwrap();
         assert!(d.contains(&[2], &[]));
@@ -1577,7 +1168,8 @@ mod tests {
         let ctx = Context::new();
         let s = ctx.parse_set("{[i] : 1 <= i <= 10}").unwrap();
         let t = ctx.parse_set("{[i] : 3 <= i <= 30}").unwrap();
-        ctx.set_budget(&Budget::new().op_fuel(0));
+        let budget = Budget::new().op_fuel(0);
+        let _armed = RequestGovernor::new(&budget, None).arm_on_thread();
         assert!(s.try_subtract(&t).is_err());
         assert!(ctx.budget_tripped());
         {
@@ -1588,10 +1180,9 @@ mod tests {
             assert!(d.contains(&[2], &[]));
             // ...but cancellation still aborts.
             let token = CancelToken::new();
-            ctx.set_cancel_token(Some(token.clone()));
+            let _nested = RequestGovernor::new(&budget, Some(token.clone())).arm_on_thread();
             token.cancel();
             assert!(matches!(s.try_subtract(&t), Err(OmegaError::Cancelled)));
-            ctx.set_cancel_token(None);
         }
         // Enforcement resumes once the guard drops.
         assert!(matches!(
@@ -1604,7 +1195,7 @@ mod tests {
     fn cancel_token_aborts_fallible_ops() {
         let ctx = Context::new();
         let token = CancelToken::new();
-        ctx.set_cancel_token(Some(token.clone()));
+        let armed = RequestGovernor::new(&Budget::new(), Some(token.clone())).arm_on_thread();
         let s = ctx.parse_set("{[i] : 1 <= i <= 10}").unwrap();
         let t = ctx.parse_set("{[i] : 3 <= i <= 30}").unwrap();
         assert!(s.try_subtract(&t).is_ok());
@@ -1612,25 +1203,26 @@ mod tests {
         token.cancel();
         assert_eq!(ctx.check_cancelled(), Err(OmegaError::Cancelled));
         assert!(matches!(s.try_subtract(&t), Err(OmegaError::Cancelled)));
-        ctx.set_cancel_token(None);
+        drop(armed);
         assert!(s.try_subtract(&t).is_ok());
     }
 
     #[test]
     fn configurable_limits_reach_the_ops() {
         let ctx = Context::new();
-        assert_eq!(ctx.max_negation_pieces(), 10_000);
-        assert_eq!(ctx.subsume_negation_pieces(), 64);
-        assert_eq!(ctx.stride_fuel(), 500);
+        assert_eq!(ctx.limits().max_negation_pieces, 10_000);
+        assert_eq!(ctx.limits().subsume_negation_pieces, 64);
+        assert_eq!(ctx.limits().stride_fuel, 500);
         // A piece cap of zero makes any non-trivial negation inexact.
-        ctx.set_budget(&Budget::new().max_negation_pieces(0));
+        let armed =
+            RequestGovernor::new(&Budget::new().max_negation_pieces(0), None).arm_on_thread();
         let s = ctx.parse_set("{[i] : 1 <= i <= 10}").unwrap();
         let t = ctx.parse_set("{[i] : 3 <= i <= 5}").unwrap();
         assert!(matches!(
             s.try_subtract(&t),
             Err(OmegaError::InexactNegation)
         ));
-        ctx.clear_budget();
+        drop(armed);
         assert!(s.try_subtract(&t).is_ok());
     }
 
@@ -1655,6 +1247,7 @@ mod tests {
     fn injected_budget_exhaustion_trips_governor() {
         use crate::inject::{FaultAction, InjectPlan};
         let ctx = Context::new();
+        let _armed = RequestGovernor::new(&Budget::new(), None).arm_on_thread();
         ctx.set_inject(Some(
             InjectPlan::new(7, 1, FaultAction::ExhaustBudget).at_site("eliminate"),
         ));

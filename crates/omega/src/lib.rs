@@ -60,8 +60,6 @@ pub use conjunct::{Conjunct, Normalized};
 pub use context::{governor_grace, CacheStats, Context, GraceGuard, OpCounts, DEFAULT_CACHE_CAP};
 pub use inject::{FaultAction, InjectPlan};
 pub use linexpr::LinExpr;
-#[allow(deprecated)]
-pub use ops::{negate_conjunct, to_stride_form};
 pub use ops::{negate_conjunct_in, to_stride_form_in};
 pub use parse::ParseError;
 pub use relation::Relation;
@@ -93,11 +91,11 @@ pub enum OmegaError {
     /// contiguity tests) was applied to a set of a different arity; the
     /// payload names the operation.
     Arity(&'static str),
-    /// The compile [`Budget`] armed on the context was exhausted (deadline
-    /// passed or op fuel spent); the payload names the exhausted resource.
+    /// The compile [`Budget`] of the armed [`RequestGovernor`] was exhausted
+    /// (deadline passed or op fuel spent); the payload names the resource.
     /// The driver treats this like inexactness: degrade, don't die.
     BudgetExceeded(&'static str),
-    /// The [`CancelToken`] armed on the context was tripped. Unlike budget
+    /// The [`CancelToken`] of the armed governor was tripped. Unlike budget
     /// exhaustion this is never degraded — the compilation aborts.
     Cancelled,
 }

@@ -21,18 +21,9 @@ use std::collections::BTreeMap;
 ///
 /// Returns [`OmegaError::InexactNegation`] if the existential structure
 /// cannot be reduced to congruences.
-#[deprecated(note = "use `negate_conjunct_in(c, None)` or `Context::negate_conjunct`")]
-pub fn negate_conjunct(c: &Conjunct) -> Result<Vec<Conjunct>, OmegaError> {
-    negate_conjunct_in(c, None)
-}
-
-/// [`negate_conjunct`] threading an optional shared [`Context`](crate::Context)
-/// that memoizes the negation per distinct conjunct structure.
 ///
-/// # Errors
-///
-/// Returns [`OmegaError::InexactNegation`] if the existential structure
-/// cannot be reduced to congruences.
+/// An optional shared [`Context`](crate::Context) memoizes the negation
+/// per distinct conjunct structure.
 pub fn negate_conjunct_in(
     c: &Conjunct,
     ctx: Option<&crate::Context>,
@@ -67,16 +58,13 @@ fn negate_uncached(
     // pieces with ~17 negation atoms each yield up to 17^k conjuncts), so
     // the accumulator carries a hard budget; blowing it means the exact
     // complement is too large to represent and the negation is inexact.
-    // The cap is per-context configurable via `Budget::max_negation_pieces`
+    // The cap is per-request configurable via `Budget::max_negation_pieces`
     // (default 10 000, the historical constant).
-    let max_negation_pieces = ctx.map_or_else(
-        || crate::Budget::default().max_negation_pieces,
-        crate::Context::max_negation_pieces,
-    );
+    let limits = ctx.map_or_else(crate::Budget::default, crate::Context::limits);
     let mut acc: Vec<Conjunct> = vec![Conjunct::new()];
     for p in &stride_form {
         let negs = negate_stride_conjunct(p);
-        if acc.len().saturating_mul(negs.len()) > max_negation_pieces {
+        if acc.len().saturating_mul(negs.len()) > limits.max_negation_pieces {
             return Err(OmegaError::InexactNegation);
         }
         let mut next = Vec::new();
@@ -107,29 +95,19 @@ fn negate_uncached(
 /// Returns [`OmegaError::InexactNegation`] if the reduction does not
 /// converge within its fuel budget (does not happen for the constraint
 /// class produced by affine loop nests and HPF layouts).
-#[deprecated(note = "use `to_stride_form_in(c, None)` or `Context::to_stride_form`")]
-pub fn to_stride_form(c: Conjunct) -> Result<Vec<Conjunct>, OmegaError> {
-    to_stride_form_in(c, None)
-}
-
-/// [`to_stride_form`] threading an optional shared [`Context`](crate::Context)
-/// so the exact eliminations share the context's projection cache.
 ///
-/// # Errors
-///
-/// Returns [`OmegaError::InexactNegation`] if the reduction does not
-/// converge within its fuel budget.
+/// With a shared [`Context`](crate::Context) the exact eliminations go
+/// through the context's projection cache.
 pub fn to_stride_form_in(
     c: Conjunct,
     ctx: Option<&crate::Context>,
 ) -> Result<Vec<Conjunct>, OmegaError> {
     let mut done = Vec::new();
     let mut work = vec![c];
-    // Per-context configurable via `Budget::stride_fuel` (default 500).
-    let mut fuel = ctx.map_or_else(
-        || crate::Budget::default().stride_fuel,
-        crate::Context::stride_fuel,
-    );
+    // Per-request configurable via `Budget::stride_fuel` (default 500).
+    let mut fuel = ctx
+        .map_or_else(crate::Budget::default, crate::Context::limits)
+        .stride_fuel;
     while let Some(mut c) = work.pop() {
         if fuel == 0 {
             return Err(OmegaError::InexactNegation);

@@ -27,7 +27,7 @@ use crate::relation::Relation;
 use crate::set::Set;
 use crate::testing::Rng;
 use crate::var::Var;
-use crate::{Context, OmegaError};
+use crate::{Budget, Context, OmegaError, RequestGovernor};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -484,6 +484,7 @@ pub const LAWS: &[&str] = &[
     "normalize-idempotent",
     "canonical-agree",
     "sat-agrees-with-projection",
+    "refusal-leaves-no-trace",
 ];
 
 /// One generated test case: a law plus the generated inputs it ran on.
@@ -556,7 +557,7 @@ pub fn gen_case(rng: &mut Rng, cfg: &OracleConfig) -> Case {
     };
     let cfg = if matches!(
         law,
-        "subtract" | "cached-equiv" | "rel-compose" | "rel-apply"
+        "subtract" | "cached-equiv" | "refusal-leaves-no-trace" | "rel-compose" | "rel-apply"
     ) {
         &small
     } else {
@@ -564,7 +565,12 @@ pub fn gen_case(rng: &mut Rng, cfg: &OracleConfig) -> Case {
     };
     let params = gen_params(rng, cfg);
     let inputs = match law {
-        "union" | "intersect" | "subtract" | "gist" | "cached-equiv" => {
+        "union"
+        | "intersect"
+        | "subtract"
+        | "gist"
+        | "cached-equiv"
+        | "refusal-leaves-no-trace" => {
             let arity = gen_arity(rng, cfg);
             vec![
                 gen_form(rng, cfg, arity, 0, &params, false),
@@ -1136,6 +1142,71 @@ fn check_inner(case: &Case, cfg: &OracleConfig) -> Result<Verdict, String> {
             } else {
                 Verdict::Skip("projection left a congruence residue")
             })
+        }
+        "refusal-leaves-no-trace" => {
+            // No verdict reached after a governor refusal is observable
+            // later. The pipeline — symmetric difference, then the last
+            // dimension projected out of every piece — runs on a context
+            // under a governor that lets `fuel` operations through, the
+            // governor goes away, and the same context must then answer
+            // the same pipeline exactly as a context that never saw a
+            // budget. Sweeping `fuel` walks the refusal through every
+            // operation, the ones nested inside another's computation
+            // included.
+            let (a, b) = (&inputs[0], &inputs[1]);
+            let binds = a.bindings();
+            let last = Var::In(a.dims() as u32 - 1);
+            let pipeline = |ctx: &Context| -> Result<_, String> {
+                let sa = ctx.parse_set(&a.source()).map_err(|e| e.to_string())?;
+                let sb = ctx.parse_set(&b.source()).map_err(|e| e.to_string())?;
+                Ok(symmetric_difference(&sa, &sb).and_then(|d| {
+                    let mut projected = Vec::new();
+                    for c in d.as_relation().conjuncts() {
+                        projected.extend(c.try_eliminate_exact_in(last, Some(ctx))?);
+                    }
+                    Ok((d, projected))
+                }))
+            };
+            let counted = RequestGovernor::new(&Budget::new(), None);
+            let fresh = {
+                let _armed = counted.arm_on_thread();
+                pipeline(&Context::new())?
+            };
+            let (fresh, fresh_projected) = match fresh {
+                Err(OmegaError::InexactNegation) => return Ok(Verdict::Skip("inexact negation")),
+                Err(OmegaError::Overflow(_)) => return Ok(Verdict::Skip("overflow")),
+                Err(e) => return Err(format!("ungoverned pipeline failed: {e}")),
+                Ok(r) => r,
+            };
+            let ops = counted.stats().ops_charged;
+            for fuel in (0..ops).step_by((ops / 16).max(1) as usize) {
+                let ctx = Context::new();
+                {
+                    let governor = RequestGovernor::new(&Budget::new().op_fuel(fuel), None);
+                    let _armed = governor.arm_on_thread();
+                    // Refused or degraded: either way it is not compared.
+                    let _ = pipeline(&ctx)?;
+                }
+                let (after, after_projected) = pipeline(&ctx)?
+                    .map_err(|e| format!("fuel {fuel}: the rerun after the refusal failed: {e}"))?;
+                if after_projected != fresh_projected {
+                    return Err(format!(
+                        "fuel {fuel}: projection after a refusal {after_projected:?}, \
+                         on a fresh context {fresh_projected:?}"
+                    ));
+                }
+                for w in window_points(wlo, whi, a.dims()) {
+                    let expect = a.eval(&w) != b.eval(&w);
+                    let f = fresh.contains(&w, &binds);
+                    let r = after.contains(&w, &binds);
+                    if f != expect || r != expect {
+                        return Err(format!(
+                            "fuel {fuel}: at {w:?} expected {expect}, fresh {f}, after a refusal {r}"
+                        ));
+                    }
+                }
+            }
+            Ok(Verdict::Pass)
         }
         other => Err(format!("unknown law `{other}`")),
     }

@@ -254,7 +254,7 @@ impl Relation {
     ///
     /// Panics if the arities differ, or if a conjunct of `other` contains an
     /// existential system that cannot be negated exactly (see
-    /// [`negate_conjunct`]); the constraint classes produced by the dHPF
+    /// [`negate_conjunct_in`]); the constraint classes produced by the dHPF
     /// analyses never trigger this.
     pub fn subtract(&self, other: &Relation) -> Relation {
         self.try_subtract(other)
@@ -646,12 +646,11 @@ impl Relation {
         // shatters into too many pieces (stride-heavy conjuncts can
         // produce thousands), checking them all costs far more than
         // keeping the extra conjunct. Skip those pairs. The cap is
-        // per-context configurable via
+        // per-request configurable via
         // `Budget::subsume_negation_pieces` (default 64).
-        let max_neg_pieces = cx.map_or_else(
-            || crate::Budget::default().subsume_negation_pieces,
-            crate::Context::subsume_negation_pieces,
-        );
+        let max_neg_pieces = cx
+            .map_or_else(crate::Budget::default, crate::Context::limits)
+            .subsume_negation_pieces;
         for i in 0..self.conjuncts.len() {
             if !keep[i] {
                 continue;

@@ -166,16 +166,3 @@ fn shared_context_across_pipelines_matches_uncached() {
         "shared context never hit its caches: {stats:?}"
     );
 }
-
-#[test]
-fn disabled_context_matches_enabled() {
-    let on = Context::new();
-    let off = Context::disabled();
-    for seed in 0..CASES / 2 {
-        let a = run_pipeline(seed, Some(&on));
-        let b = run_pipeline(seed, Some(&off));
-        assert_eq!(a, b, "seed {seed}");
-    }
-    assert_eq!(off.stats().total_hits(), 0);
-    assert_eq!(off.stats().total_misses(), 0);
-}

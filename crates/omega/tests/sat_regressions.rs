@@ -8,7 +8,7 @@
 //! is pinned through the context's counters, where a shadow step shows as
 //! one `eliminate` miss and each shadow's sub-question as one `sat` lookup.
 
-use dhpf_omega::{Budget, Conjunct, Context, LinExpr, Var};
+use dhpf_omega::{negate_conjunct_in, Budget, Conjunct, Context, LinExpr, RequestGovernor, Var};
 
 const X: Var = Var::In(0);
 const Y: Var = Var::In(1);
@@ -255,7 +255,7 @@ fn governor_refusal_inside_a_decision_never_poisons_the_sat_memo() {
         let s = ctx
             .parse_set("{[i,j,k] : i+j+k >= 10 && 0 <= i <= 3 && 0 <= j <= 3 && 0 <= k <= 3}")
             .unwrap();
-        ctx.set_budget(&Budget::new().op_fuel(fuel));
+        let armed = RequestGovernor::new(&Budget::new().op_fuel(fuel), None).arm_on_thread();
         assert!(
             !s.is_empty(),
             "fuel {fuel}: a refusal degrades to non-empty"
@@ -266,11 +266,64 @@ fn governor_refusal_inside_a_decision_never_poisons_the_sat_memo() {
         );
         let c = &s.as_relation().conjuncts()[0];
         assert!(c.try_is_satisfiable_in(Some(&ctx)).is_err());
-        ctx.clear_budget();
+        drop(armed);
         assert!(
             s.is_empty(),
             "fuel {fuel}: the exact verdict after re-arming"
         );
         assert_eq!(c.try_is_satisfiable_in(Some(&ctx)), Ok(false));
     }
+}
+
+/// The same rule for the two tables that memoize errors: a refusal raised
+/// by an operation nested inside `compute` — the splinter eliminations of
+/// an inexact projection, the stride-form eliminations of a negation — is
+/// not a result of the outer key, and must be gone once the governor is.
+#[test]
+fn governor_refusal_inside_compute_never_poisons_eliminate_or_negate() {
+    // exists a : 2a <= x <= 3a - 1, 0 <= a <= 4: both bounds on `a` have a
+    // non-unit coefficient, so projecting it splinters.
+    let a = Var::Exist(0);
+    let c = conjunct(
+        &[],
+        &[
+            e(&[(X, 1), (a, -2)], 0),
+            e(&[(a, 3), (X, -1)], -1),
+            e(&[(a, 1)], 0),
+            e(&[(a, -1)], 4),
+        ],
+    );
+    let fresh = Context::new();
+    let eliminated = c.try_eliminate_exact_in(a, Some(&fresh)).unwrap();
+    let negated = negate_conjunct_in(&c, Some(&fresh)).unwrap();
+    let (mut inside_eliminate, mut inside_negate) = (0, 0);
+    for fuel in 0..12 {
+        let ctx = Context::new();
+        let armed = RequestGovernor::new(&Budget::new().op_fuel(fuel), None).arm_on_thread();
+        let refused = c.try_eliminate_exact_in(a, Some(&ctx)).is_err();
+        // Fuel 0 refuses the outer charge; anything later is nested.
+        inside_eliminate += u32::from(refused && fuel > 0);
+        drop(armed);
+        assert_eq!(
+            c.try_eliminate_exact_in(a, Some(&ctx)).as_ref(),
+            Ok(&eliminated),
+            "eliminate after a refusal at fuel {fuel}"
+        );
+
+        let ctx = Context::new();
+        let armed = RequestGovernor::new(&Budget::new().op_fuel(fuel), None).arm_on_thread();
+        let refused = negate_conjunct_in(&c, Some(&ctx)).is_err();
+        inside_negate += u32::from(refused && fuel > 0);
+        drop(armed);
+        assert_eq!(
+            negate_conjunct_in(&c, Some(&ctx)).as_ref(),
+            Ok(&negated),
+            "negate after a refusal at fuel {fuel}"
+        );
+    }
+    assert!(
+        inside_eliminate > 0,
+        "no fuel value tripped inside eliminate"
+    );
+    assert!(inside_negate > 0, "no fuel value tripped inside negate");
 }

@@ -79,8 +79,8 @@ fn main() {
     );
 
     // --- 3. Compile to an SPMD program ---------------------------------
-    // The driver creates its own shared context (CompileOptions::use_cache,
-    // on by default) and reports the cache counters.
+    // `compile` creates a fresh shared context for the compilation and
+    // reports its cache counters.
     let compiled = compile(SRC, &CompileOptions::default()).expect("compile");
     let cache = &compiled.report.cache;
     println!(
