@@ -1,26 +1,29 @@
-//! End-to-end compilation driver with phase instrumentation (Table 1),
-//! in serial or parallel (`CompileOptions::threads`) form.
+//! End-to-end compilation driver with phase instrumentation (Table 1).
 //!
-//! The parallel pipeline keeps the serial path byte-identical at
-//! `threads <= 1` and is gated by bit-identical output above it: program
-//! units are analyzed concurrently, interprocedural layout collection runs
-//! first (serially, sharing the Omega [`Context`]), and then a dependency
-//! DAG of per-nest synthesis tasks — with one assembly task per unit
-//! depending on that unit's nests — executes on a scoped worker pool.
-//! Communication-event ids are renumbered during assembly to reproduce the
-//! serial single-counter numbering exactly (see `spmd::assemble_spmd`).
+//! One pipeline at every thread count: program units are analyzed
+//! (`parallel::ordered_map`), interprocedural layout collection and nest
+//! planning run in unit order on the calling thread (sharing the Omega
+//! [`Context`]), and then a dependency DAG of per-nest synthesis tasks —
+//! with one assembly task per unit depending on that unit's nests — is
+//! drained by `parallel::run_dag`. [`CompileOptions::threads`] only sets
+//! how many workers drain it: with one, the tasks run on the calling
+//! thread in task order (a single-unit program executes layout → nests in
+//! source order → assembly). Communication-event ids are local to a nest
+//! and renumbered in source order during assembly (`spmd::assemble_spmd`),
+//! so the compiled program does not depend on the schedule.
 
-use crate::layout::build_layouts_in;
+use crate::layout::{build_layouts_in, Layout};
 use crate::phases::PhaseTimers;
 use crate::spmd::{
-    assemble_spmd, build_nest_standalone, build_spmd, plan_items, CompileError, NestOut,
-    SpmdOptions, SpmdProgram, SpmdStats, UnitPlan,
+    assemble_spmd, build_nest, plan_items, CompileError, NestOut, SpmdOptions, SpmdProgram,
+    SpmdStats, UnitPlan,
 };
 use dhpf_hpf::{analyze, parse, Analysis};
 use dhpf_obs::Collector;
 use dhpf_omega::{
     Budget, CacheStats, CancelToken, Context, ErrorCode, GovernorStats, InjectPlan, RequestGovernor,
 };
+use std::collections::BTreeMap;
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -44,10 +47,11 @@ pub struct CompileOptions {
     /// Tracing observes the compilation without perturbing it: the
     /// produced [`SpmdProgram`] is identical with or without a collector.
     pub trace: Option<Collector>,
-    /// Worker threads for the parallel pipeline. `1` (the default) runs
-    /// the serial driver unchanged; larger values analyze units and
-    /// synthesize independent loop nests concurrently on a scoped pool.
-    /// The compiled program is bit-identical at every thread count.
+    /// Worker threads draining the pipeline's task DAG — a pure scheduling
+    /// parameter. `1` (the default) runs every task on the calling thread,
+    /// in source order; larger values analyze units and synthesize
+    /// independent loop nests concurrently on a scoped pool. The compiled
+    /// program is bit-identical at every thread count.
     pub threads: usize,
     /// Resource budget for the compilation: wall-clock deadline, Omega-op
     /// fuel, and set-algebra piece caps. When a deadline or fuel limit
@@ -81,7 +85,7 @@ impl Default for CompileOptions {
 }
 
 impl CompileOptions {
-    /// Default options: serial, untraced, loop splitting on.
+    /// Default options: one thread, untraced, loop splitting on.
     pub fn new() -> Self {
         Self::default()
     }
@@ -428,10 +432,9 @@ fn compile_impl(ctx: &Context, src: &str, opts: &CompileOptions) -> Result<Compi
     }
     // The isolation boundary: a panic anywhere in the pipeline (organic or
     // injected) becomes a typed `CompileError::Internal` instead of
-    // unwinding into the caller. Parallel nest tasks are additionally
+    // unwinding into the caller. Nest and assembly tasks are additionally
     // caught per-task inside `run_dag`, so one bad nest cannot take down
-    // siblings; this outer catch covers the serial path and the
-    // orchestration code itself.
+    // siblings; this outer catch covers the orchestration code itself.
     let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         compile_inner(ctx, src, opts)
     }));
@@ -482,7 +485,6 @@ fn compile_inner(
     if let Some(c) = &opts.trace {
         timers.attach_collector(c.clone());
     }
-    let threads = opts.threads.max(1);
     // Cancellation checkpoints between phases keep aborts prompt even when
     // the set operations in flight are the infallible ones; the per-nest
     // checkpoint in synthesis covers the long tail.
@@ -493,51 +495,16 @@ fn compile_inner(
     }
     // "Interprocedural analysis": analyze every unit; directives of the
     // main unit drive synthesis (dHPF propagates layouts across calls).
-    // Units are independent here, so the parallel path fans them out.
     let analyses = timers.time("interprocedural analysis", |_| {
-        if threads <= 1 {
-            prog.units
-                .iter()
-                .map(analyze)
-                .collect::<Result<Vec<_>, _>>()
-        } else {
-            crate::parallel::ordered_map(threads, prog.units.len(), |i| analyze(&prog.units[i]))
-                .into_iter()
-                .collect::<Result<Vec<_>, _>>()
-        }
+        crate::parallel::ordered_map(opts.threads, prog.units.len(), |i| analyze(&prog.units[i]))
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()
     })?;
     let units = analyses.len();
     ctx.check_cancelled()?;
     let main_idx = prog.units.iter().position(|u| u.is_program).unwrap_or(0);
-    let mut compiled: Option<(SpmdProgram, SpmdStats)> = None;
-    timers.time("module compilation", |t| -> Result<(), CompileError> {
-        if threads <= 1 {
-            // Every unit goes through layout construction and (for units
-            // with executable bodies) SPMD synthesis; only the main unit's
-            // program is retained, matching how the paper reports
-            // whole-module times.
-            for (k, analysis) in analyses.iter().enumerate() {
-                let layouts = t.time("layout construction", |_| {
-                    build_layouts_in(analysis, Some(ctx))
-                });
-                let result = build_spmd(analysis, &layouts, &opts.spmd, Some(t));
-                match result {
-                    Ok(ps) => {
-                        if k == main_idx {
-                            compiled = Some(ps);
-                        }
-                    }
-                    Err(e) if k == main_idx => return Err(e),
-                    Err(_) => {} // non-main unit with unsupported constructs
-                }
-            }
-            Ok(())
-        } else {
-            compile_units_parallel(ctx, &analyses, main_idx, opts, threads, t, &mut compiled)
-        }
-    })?;
-    let (program, stats) = compiled.ok_or_else(|| {
-        CompileError::Unsupported("no compilable main unit in the program".to_string())
+    let (program, stats) = timers.time("module compilation", |t| {
+        compile_units(ctx, &analyses, main_idx, opts, t)
     })?;
     timers.time("opt of generated code", |_| {
         // Generated code is simplified during synthesis; this phase is kept
@@ -545,7 +512,6 @@ fn compile_inner(
     });
     timers.finish();
     let cache = ctx.stats();
-    timers.set_cache_stats(cache.clone());
     // Read while still armed: `compile_impl` disarms after we return.
     let governor = ctx.governor_stats();
     let injected_faults = ctx.inject_fired();
@@ -572,168 +538,163 @@ fn compile_inner(
     })
 }
 
-/// The parallel "module compilation" phase: serial layout collection and
-/// nest planning per unit (sharing the open phase structure and `ctx`),
-/// then a task DAG — nest-synthesis tasks plus one assembly task per unit,
-/// each assembly depending on its unit's nests — on a scoped pool. Results
-/// land in per-task slots; per-nest timers are merged into `t` in serial
-/// traversal order afterwards, so phase rows reconcile deterministically.
-#[allow(clippy::too_many_arguments)]
-fn compile_units_parallel(
+/// A unit whose body planned: what its nest and assembly tasks work from.
+struct PlannedUnit<'a> {
+    /// Index into the program's unit list.
+    index: usize,
+    analysis: &'a Analysis,
+    layouts: BTreeMap<String, Layout>,
+    plan: UnitPlan,
+    /// Task ids of this unit's nests (one per `plan.nests`, in order).
+    nest_tasks: std::ops::Range<usize>,
+}
+
+/// The "module compilation" phase. Every unit goes through layout
+/// construction and planning, in unit order on the calling thread; units
+/// that plan (no unsupported construct) then contribute one synthesis task
+/// per nest plus one assembly task depending on them, and `run_dag` drains
+/// the DAG on `opts.threads` workers. Results land in per-task slots and
+/// are reconciled in unit order afterwards, so the outcome — program,
+/// statistics, phase rows, which error wins — does not depend on the
+/// schedule. Only the main unit's program is retained, matching how the
+/// paper reports whole-module times.
+fn compile_units(
     ctx: &Context,
     analyses: &[Analysis],
     main_idx: usize,
     opts: &CompileOptions,
-    threads: usize,
     t: &mut PhaseTimers,
-    compiled: &mut Option<(SpmdProgram, SpmdStats)>,
-) -> Result<(), CompileError> {
-    // Interprocedural layout collection first: serial, in unit order.
-    let mut unit_layouts = Vec::with_capacity(analyses.len());
-    let mut unit_plans: Vec<Result<UnitPlan, CompileError>> = Vec::with_capacity(analyses.len());
-    for (k, analysis) in analyses.iter().enumerate() {
+) -> Result<(SpmdProgram, SpmdStats), CompileError> {
+    // Task ids: nests first (in (unit, nest) order), then one assembly
+    // task per planned unit.
+    let mut planned: Vec<PlannedUnit> = Vec::new();
+    let mut n_nests = 0;
+    for (index, analysis) in analyses.iter().enumerate() {
         let layouts = t.time("layout construction", |_| {
             build_layouts_in(analysis, Some(ctx))
         });
-        let plan = plan_items(analysis, &layouts, &analysis.unit.body);
-        if k == main_idx {
-            if let Err(e) = &plan {
-                return Err(e.clone());
+        match plan_items(analysis, &layouts) {
+            Ok(plan) => {
+                let nest_tasks = n_nests..n_nests + plan.nests.len();
+                n_nests = nest_tasks.end;
+                planned.push(PlannedUnit {
+                    index,
+                    analysis,
+                    layouts,
+                    plan,
+                    nest_tasks,
+                });
             }
-        }
-        unit_layouts.push(layouts);
-        unit_plans.push(plan);
-    }
-    // Task ids: nests first (global, in (unit, nest) order), then one
-    // assembly task per plannable unit.
-    let mut nest_tasks: Vec<(usize, usize)> = Vec::new(); // (unit, nest)
-    let mut unit_nest_tasks: Vec<Vec<usize>> = vec![Vec::new(); analyses.len()];
-    for (k, plan) in unit_plans.iter().enumerate() {
-        if let Ok(p) = plan {
-            for j in 0..p.nests.len() {
-                unit_nest_tasks[k].push(nest_tasks.len());
-                nest_tasks.push((k, j));
-            }
+            Err(e) if index == main_idx => return Err(e),
+            Err(_) => {} // non-main unit with unsupported constructs
         }
     }
-    let planned: Vec<usize> = unit_plans
+    let nest_tasks: Vec<(&PlannedUnit, usize)> = planned
         .iter()
-        .enumerate()
-        .filter(|(_, p)| p.is_ok())
-        .map(|(k, _)| k)
+        .flat_map(|u| (0..u.plan.nests.len()).map(move |nest| (u, nest)))
         .collect();
-    let n_nests = nest_tasks.len();
     let mut deps: Vec<Vec<usize>> = vec![Vec::new(); n_nests];
-    for &k in &planned {
-        deps.push(unit_nest_tasks[k].clone());
-    }
-    // Stitch worker spans under the open "module compilation" phase span.
+    deps.extend(planned.iter().map(|u| u.nest_tasks.clone().collect()));
+    // Stitch nest spans under the open "module compilation" phase span.
     let anchor = t.collector().cloned().zip(t.current_span());
-    // Capture the caller's request governor so each pool task re-arms it:
+    // Capture the caller's request governor so each task re-arms it:
     // worker threads then spend from the same fuel pool and observe the
     // same deadline/cancellation as the submitting thread.
     let governor = RequestGovernor::current();
-    type UnitResult = Result<(SpmdProgram, SpmdStats), CompileError>;
+    type UnitResult = Result<(SpmdProgram, SpmdStats, PhaseTimers), CompileError>;
+    // A slot is locked only to move one value in or out, and every task
+    // body runs under `run_dag`'s `catch_unwind`: no lock is held across
+    // code that can panic, so the `lock()`s below cannot observe poison.
+    const SLOT: &str = "slot mutex is never held across a panic";
     let nest_slots: Vec<Mutex<Option<Result<NestOut, CompileError>>>> =
         (0..n_nests).map(|_| Mutex::new(None)).collect();
     let unit_slots: Vec<Mutex<Option<UnitResult>>> =
         planned.iter().map(|_| Mutex::new(None)).collect();
-    let unit_timers: Vec<Mutex<Vec<PhaseTimers>>> =
-        planned.iter().map(|_| Mutex::new(Vec::new())).collect();
-    let panics = crate::parallel::run_dag(threads, &deps, |task| {
+    let panics = crate::parallel::run_dag(opts.threads, &deps, |task| {
         let _gov = governor.as_ref().map(RequestGovernor::arm_on_thread);
-        if task < n_nests {
-            let (unit, nest) = nest_tasks[task];
-            let plan = unit_plans[unit].as_ref().expect("nest tasks are planned");
-            let out = build_nest_standalone(
-                &analyses[unit],
-                &unit_layouts[unit],
+        if let Some(&(unit, nest)) = nest_tasks.get(task) {
+            let out = build_nest(
+                unit.analysis,
+                &unit.layouts,
                 &opts.spmd,
-                &plan.nests[nest],
-                &format!("nest {unit}.{nest}"),
+                &unit.plan.nests[nest],
+                &format!("nest {}.{nest}", unit.index),
                 anchor.clone(),
             );
-            *nest_slots[task].lock().unwrap() = Some(out);
+            *nest_slots[task].lock().expect(SLOT) = Some(out);
         } else {
-            let pi = task - n_nests;
-            let k = planned[pi];
-            let plan = unit_plans[k].as_ref().expect("assembly is planned");
-            let mut outs: Vec<NestOut> = Vec::new();
-            let mut err: Option<CompileError> = None;
-            let mut worker_timers: Vec<PhaseTimers> = Vec::new();
-            for &ti in &unit_nest_tasks[k] {
-                let slot = nest_slots[ti].lock().unwrap().take();
-                match slot {
-                    Some(Ok(out)) if err.is_none() => {
-                        worker_timers.push(out.timers.clone());
-                        outs.push(out);
-                    }
-                    Some(Ok(_)) => {}
-                    // Lowest nest index wins: the error the serial pass
-                    // would have hit first.
-                    Some(Err(e)) if err.is_none() => err = Some(e),
-                    Some(Err(_)) => {}
-                    // The nest task panicked: `run_dag` contained it and
-                    // released us anyway, leaving the slot empty. The
-                    // placeholder is replaced with the captured panic
-                    // message during reconciliation.
-                    None if err.is_none() => {
-                        err = Some(CompileError::Internal(
+            let unit = &planned[task - n_nests];
+            // Assembly's own set algebra (owned-set enumeration) belongs to
+            // the compile tree on whichever thread it runs.
+            let span = anchor.as_ref().map(|(c, a)| {
+                let name = format!("unit {} assembly", unit.index);
+                (c, c.begin_child_of(*a, &name, "phase"))
+            });
+            // Collecting stops at the first error — the lowest nest
+            // index, the one a source-order pass would hit first. An empty
+            // slot means the nest task panicked: `run_dag` contained it and
+            // released us anyway; the placeholder is replaced with the
+            // captured panic message during reconciliation.
+            let outs: Result<Vec<NestOut>, CompileError> = nest_slots[unit.nest_tasks.clone()]
+                .iter()
+                .map(|slot| {
+                    slot.lock().expect(SLOT).take().unwrap_or_else(|| {
+                        Err(CompileError::Internal(
                             "nest synthesis panicked".to_string(),
-                        ));
-                    }
-                    None => {}
-                }
+                        ))
+                    })
+                })
+                .collect();
+            let res = outs.and_then(|outs| {
+                assemble_spmd(unit.analysis, &unit.layouts, &unit.plan.skel, outs)
+            });
+            if let Some((c, id)) = span {
+                c.end(id);
             }
-            *unit_timers[pi].lock().unwrap() = worker_timers;
-            let res = match err {
-                Some(e) => Err(e),
-                None => assemble_spmd(&analyses[k], &unit_layouts[k], &plan.skel, outs),
-            };
-            *unit_slots[pi].lock().unwrap() = Some(res);
+            *unit_slots[task - n_nests].lock().expect(SLOT) = Some(res);
         }
     });
-    // Deterministic reconciliation: merge nest timers and pick results in
-    // serial unit order. Panicking tasks left their slots empty; their
-    // captured messages become typed `Internal` errors here (lowest nest
-    // index wins, matching the serial pass's first-failure semantics).
-    for (pi, &k) in planned.iter().enumerate() {
-        for wt in unit_timers[pi].lock().unwrap().iter() {
-            t.merge(wt);
-        }
-        let res = unit_slots[pi].lock().unwrap().take();
-        let res = match res {
-            Some(r) => r,
-            // The assembly task itself panicked.
-            None => Err(CompileError::Internal(
-                panics
-                    .get(n_nests + pi)
-                    .and_then(Clone::clone)
-                    .unwrap_or_else(|| "unit assembly panicked".to_string()),
-            )),
-        };
-        // Substitute the precise per-nest panic message for the assembly
-        // task's placeholder.
-        let res = match res {
-            Err(CompileError::Internal(placeholder)) => Err(CompileError::Internal(
-                unit_nest_tasks[k]
-                    .iter()
-                    .find_map(|&ti| panics[ti].clone())
-                    .unwrap_or(placeholder),
-            )),
-            r => r,
-        };
+    // Deterministic reconciliation in unit order. Panicking tasks left
+    // their slots empty; their captured messages become typed `Internal`
+    // errors here.
+    let mut compiled = None;
+    for (pi, unit) in planned.iter().enumerate() {
+        let res = unit_slots[pi]
+            .lock()
+            .expect(SLOT)
+            .take()
+            .unwrap_or_else(|| {
+                // The assembly task itself panicked.
+                Err(CompileError::Internal(
+                    panics[n_nests + pi]
+                        .clone()
+                        .unwrap_or_else(|| "unit assembly panicked".to_string()),
+                ))
+            });
         match res {
-            Ok(ps) => {
-                if k == main_idx {
-                    *compiled = Some(ps);
+            Ok((program, stats, nest_timers)) => {
+                t.merge(&nest_timers);
+                if unit.index == main_idx {
+                    compiled = Some((program, stats));
                 }
             }
-            Err(e) if k == main_idx => return Err(e),
-            Err(_) => {} // non-main unit with unsupported constructs
+            Err(_) if unit.index != main_idx => {} // only the main unit must synthesize
+            // Substitute the precise per-nest panic message for the
+            // assembly task's placeholder.
+            Err(CompileError::Internal(placeholder)) => {
+                return Err(CompileError::Internal(
+                    panics[unit.nest_tasks.clone()]
+                        .iter()
+                        .find_map(Clone::clone)
+                        .unwrap_or(placeholder),
+                ));
+            }
+            Err(e) => return Err(e),
         }
     }
-    Ok(())
+    compiled.ok_or_else(|| {
+        CompileError::Unsupported("no compilable main unit in the program".to_string())
+    })
 }
 
 #[cfg(test)]

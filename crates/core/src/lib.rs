@@ -59,7 +59,7 @@ pub use render::render_program;
 pub use split::{split_sets, SplitSets};
 // The stable slice of `spmd`: the error type, the degradation record, and
 // the compiled-program value callers hold. Synthesis internals (the item
-// tree, nest ops, `build_spmd`) live behind `dhpf_core::spmd::` — they are
+// tree, nest ops) live behind `dhpf_core::spmd::` — they are
 // interpreter/test surface, not serving surface.
 pub use spmd::{CompileError, Degradation, SpmdOptions, SpmdProgram, SpmdStats};
 pub use vp::{active_vp_sets, ActiveVpSets};

@@ -1,11 +1,13 @@
-//! Minimal scoped-thread execution primitives for the parallel driver.
+//! Minimal scoped-thread execution primitives for the driver.
 //!
 //! Zero dependencies: a work-stealing-free ordered parallel map (atomic
 //! work index over a fixed task list) and a dependency-DAG executor
 //! (indegree counting with a mutex-guarded ready queue). Both run on
 //! `std::thread::scope`, so tasks may borrow from the caller's stack, and
 //! both preserve *determinism of results*: outputs land in slots indexed
-//! by task id, independent of which worker ran what when.
+//! by task id, independent of which worker ran what when. With one thread
+//! (or one task) both run on the calling thread, in task order, with no
+//! spawn: the thread count is a scheduling parameter, not a code path.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -31,13 +33,22 @@ where
                     break;
                 }
                 let out = f(i);
-                *slots[i].lock().unwrap() = Some(out);
+                // Locked only to move the value in; `f` ran outside it.
+                *slots[i]
+                    .lock()
+                    .expect("slot mutex is never held across a panic") = Some(out);
             });
         }
     });
+    // The scope joined every worker (re-raising any panic of `f`), and
+    // the shared index hands each of `0..n` to exactly one of them.
     slots
         .into_iter()
-        .map(|m| m.into_inner().unwrap().expect("worker filled its slot"))
+        .map(|m| {
+            m.into_inner()
+                .expect("slot mutex is never held across a panic")
+                .expect("worker filled its slot")
+        })
         .collect()
 }
 
@@ -66,6 +77,8 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// Ready tasks are dispatched in ascending task id (the queue is kept
 /// sorted), so a single-threaded run visits tasks in topological id order
 /// — the same order a serial loop over a topologically-sorted list would.
+/// With one thread or one task the worker loop runs on the calling thread
+/// (no spawn), with the same dispatch order and per-task isolation.
 /// Tasks only signal completion; results should be written into
 /// caller-owned per-task slots (e.g. a `Vec<Mutex<Option<T>>>`).
 ///
@@ -101,44 +114,54 @@ where
     });
     let wake = Condvar::new();
     let panics: Vec<Mutex<Option<String>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..threads.max(1).min(n) {
-            s.spawn(|| loop {
-                let task = {
-                    let mut st = state.lock().unwrap();
-                    loop {
-                        if st.remaining == 0 {
-                            return;
-                        }
-                        if let Some(t) = st.ready.pop() {
-                            break t;
-                        }
-                        st = wake.wait(st).unwrap();
-                    }
-                };
-                let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(task)));
-                if let Err(payload) = r {
-                    *panics[task].lock().unwrap() = Some(panic_message(payload));
+    // Task bodies run under `catch_unwind` and outside every lock, so no
+    // mutex here is ever held across a panic: the `lock()`s cannot observe
+    // poison.
+    const LOCK: &str = "scheduler mutex is never held across a panic";
+    let worker = || loop {
+        let task = {
+            let mut st = state.lock().expect(LOCK);
+            loop {
+                if st.remaining == 0 {
+                    return;
                 }
-                let mut st = state.lock().unwrap();
-                st.remaining -= 1;
-                for &d in &dependents[task] {
-                    st.indegree[d] -= 1;
-                    if st.indegree[d] == 0 {
-                        st.ready.push(d);
-                        st.ready.sort_unstable_by(|a, b| b.cmp(a));
-                    }
+                if let Some(t) = st.ready.pop() {
+                    break t;
                 }
-                drop(st);
-                wake.notify_all();
-            });
+                st = wake.wait(st).expect(LOCK);
+            }
+        };
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(task)));
+        if let Err(payload) = r {
+            *panics[task].lock().expect(LOCK) = Some(panic_message(payload));
         }
-    });
-    let st = state.into_inner().unwrap();
+        let mut st = state.lock().expect(LOCK);
+        st.remaining -= 1;
+        for &d in &dependents[task] {
+            st.indegree[d] -= 1;
+            if st.indegree[d] == 0 {
+                st.ready.push(d);
+                st.ready.sort_unstable_by(|a, b| b.cmp(a));
+            }
+        }
+        drop(st);
+        wake.notify_all();
+    };
+    let workers = threads.clamp(1, n);
+    if workers == 1 {
+        worker();
+    } else {
+        std::thread::scope(|s| {
+            for _ in 0..workers {
+                s.spawn(worker);
+            }
+        });
+    }
+    let st = state.into_inner().expect(LOCK);
     assert_eq!(st.remaining, 0, "dependency cycle: tasks left unrunnable");
     panics
         .into_iter()
-        .map(|m| m.into_inner().unwrap())
+        .map(|m| m.into_inner().expect(LOCK))
         .collect()
 }
 

@@ -1,5 +1,4 @@
-//! Compilation phase timing (the instrumentation behind Table 1), plus the
-//! Omega-cache effectiveness counters reported alongside the wall-clock rows.
+//! Compilation phase timing (the instrumentation behind Table 1).
 //!
 //! Phases form a tree: `time`/`open`/`close` maintain an explicit stack, so
 //! every phase knows its parent and the accounting distinguishes
@@ -14,7 +13,6 @@
 //! `Context` during a phase are attributed to that phase's span.
 
 use dhpf_obs::{Collector, SpanId};
-use dhpf_omega::CacheStats;
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
@@ -52,7 +50,6 @@ pub struct PhaseTimers {
     stack: Vec<String>,
     start: Option<Instant>,
     overall: Duration,
-    cache: Option<CacheStats>,
     /// Attached trace collector and the span ids of the open phases
     /// (parallel to `stack`).
     obs: Option<Collector>,
@@ -122,24 +119,6 @@ impl PhaseTimers {
         out
     }
 
-    /// Adds an externally measured duration to the phase `name`, nested
-    /// under the innermost open phase.
-    pub fn add(&mut self, name: &str, dt: Duration) {
-        if !self.totals.contains_key(name) {
-            self.order.push(name.to_string());
-            self.totals.insert(name.to_string(), Duration::ZERO);
-            self.parent
-                .insert(name.to_string(), self.stack.last().cloned());
-        }
-        *self.totals.entry(name.to_string()).or_default() += dt;
-        if let Some(p) = self.stack.last() {
-            *self.child_time.entry(p.clone()).or_default() += dt;
-        }
-        if let Some(c) = &self.obs {
-            c.record_span(name, "phase", dt);
-        }
-    }
-
     /// Stops the overall clock.
     pub fn finish(&mut self) {
         if let Some(t0) = self.start.take() {
@@ -181,20 +160,21 @@ impl PhaseTimers {
     }
 
     /// The span id of the innermost open phase in the attached collector's
-    /// tree, if a collector is attached and a phase is open. The parallel
-    /// driver passes this to `Collector::begin_child_of` so worker-thread
-    /// spans stitch under the phase that spawned them.
+    /// tree, if a collector is attached and a phase is open. The driver
+    /// passes this to `Collector::begin_child_of` so each nest's spans
+    /// stitch under the phase that scheduled it, on any thread.
     pub fn current_span(&self) -> Option<SpanId> {
         self.spans.last().copied()
     }
 
-    /// Merges another timer set (a worker's per-nest measurements) into
-    /// this one, deterministically: `other`'s top-level phases are adopted
-    /// as children of this timer's innermost open phase (the *anchor*),
-    /// crediting the anchor's child-time so self-time accounting matches
-    /// the serial pipeline; nested parents carry over unchanged. Phase
-    /// first-use order appends `other`'s new names in their own order, so
-    /// merging workers in nest order reproduces the serial row order.
+    /// Merges another timer set (a nest's own measurements) into this
+    /// one, deterministically: `other`'s top-level phases are adopted as
+    /// children of this timer's innermost open phase (the *anchor*, or the
+    /// top level when none is open), crediting the anchor's child-time so
+    /// its self time excludes them; nested parents carry over unchanged.
+    /// Phase first-use order appends `other`'s new names in their own
+    /// order, so merging nests in source order gives the same row order
+    /// whatever order they were built in.
     pub fn merge(&mut self, other: &PhaseTimers) {
         let anchor = self.stack.last().cloned();
         for name in &other.order {
@@ -220,18 +200,6 @@ impl PhaseTimers {
         for (name, dt) in &other.child_time {
             *self.child_time.entry(name.clone()).or_default() += *dt;
         }
-    }
-
-    /// Records the Omega-context cache counters of the compilation these
-    /// timers instrumented, so Table-1 renderers can report cache
-    /// effectiveness next to the wall-clock rows.
-    pub fn set_cache_stats(&mut self, stats: CacheStats) {
-        self.cache = Some(stats);
-    }
-
-    /// The recorded Omega-context cache counters, if any.
-    pub fn cache_stats(&self) -> Option<&CacheStats> {
-        self.cache.as_ref()
     }
 
     /// `(phase, cumulative time, percent-of-total)` rows in first-use
@@ -323,7 +291,8 @@ mod tests {
     fn add_nests_under_open_phase() {
         let mut t = PhaseTimers::new();
         t.open("outer");
-        t.add("measured", Duration::from_millis(2));
+        t.open("measured");
+        t.close("measured", Duration::from_millis(2));
         t.close("outer", Duration::from_millis(3));
         t.finish();
         assert_eq!(t.parent_of("measured"), Some("outer"));
@@ -338,8 +307,10 @@ mod tests {
         // self-time only once.
         let mut t = PhaseTimers::new();
         t.open("p");
-        t.add("c", Duration::from_millis(2));
-        t.add("c", Duration::from_millis(2));
+        for _ in 0..2 {
+            t.open("c");
+            t.close("c", Duration::from_millis(2));
+        }
         t.close("p", Duration::from_millis(5));
         t.finish();
         assert_eq!(t.phase("c"), Duration::from_millis(4));
@@ -351,7 +322,8 @@ mod tests {
     fn merge_adopts_top_level_phases_under_anchor() {
         let mut worker = PhaseTimers::new();
         worker.open("placement");
-        worker.add("cp", Duration::from_millis(2));
+        worker.open("cp");
+        worker.close("cp", Duration::from_millis(2));
         worker.close("placement", Duration::from_millis(3));
         worker.finish();
 
@@ -380,7 +352,8 @@ mod tests {
         t.attach_collector(c.clone());
         t.time("outer", |t| {
             t.time("inner", |_| ());
-            t.add("measured", Duration::from_micros(10));
+            t.open("measured");
+            t.close("measured", Duration::from_micros(10));
         });
         t.finish();
         let trace = c.trace();

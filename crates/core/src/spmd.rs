@@ -1,6 +1,13 @@
 //! SPMD program synthesis: partitioned loop nests, communication events,
 //! loop splitting, and reductions, assembled into an executable per-rank
 //! program (interpreted by `dhpf-sim`).
+//!
+//! One route leads from an analyzed unit to its [`SpmdProgram`]:
+//! `plan_items` (the unit's item skeleton, nest bodies factored out) →
+//! `build_nest` per nest (standalone; the exact path is `plan_events` →
+//! `materialize_events` → `schedule_nest`, Figures 2–4, inside the
+//! degradation ladder) → `assemble_spmd`. The driver schedules the nests;
+//! nothing here depends on the order they are built in.
 
 use crate::comm::{comm_sets, CommRef};
 use crate::cp::{cp_map_at_level, myid_set, proc_rank_of, slice_context};
@@ -8,7 +15,8 @@ use crate::dependence::placement_level_in;
 use crate::inplace::{contiguity, Contiguity};
 use crate::ir::{collect_in, ArrayRef, Reduction, StmtInfo};
 use crate::layout::{Layout, ProcCoord};
-use crate::split::split_sets;
+use crate::phases::PhaseTimers;
+use crate::split::{split_sets, SplitSets};
 use dhpf_codegen::{codegen, Code, CodegenOptions, Mapping, StmtId};
 use dhpf_hpf::{Affine, Analysis, Expr, Stmt, StmtKind, TypeName};
 use dhpf_omega::{Relation, Set, Var};
@@ -291,34 +299,45 @@ impl Default for SpmdOptions {
     }
 }
 
-/// Context shared across synthesis.
-pub(crate) struct Synth<'a> {
+/// Context of one nest's synthesis. A `Synth` is always per nest: it owns
+/// the nest's communication events (ids local, counted from 0), its
+/// statistics and its phase timers, so nests can be synthesized in any
+/// order on any thread and reconciled afterwards.
+struct Synth<'a> {
     analysis: &'a Analysis,
     layouts: &'a BTreeMap<String, Layout>,
     opts: &'a SpmdOptions,
     events: Vec<CommEvent>,
     stats: SpmdStats,
-    timers: Option<&'a mut crate::phases::PhaseTimers>,
+    timers: PhaseTimers,
     /// The Omega context the layouts carry (if any): attached to every
     /// root set built during synthesis so all derived operations share it.
     octx: Option<dhpf_omega::Context>,
 }
 
 impl Synth<'_> {
+    /// Times `f` under the phase `name`. The phase is closed by a drop
+    /// guard, so a closure that unwinds (a budget panic contained by
+    /// [`build_nest`]) still has its elapsed time counted and its
+    /// collector span ended: the phase stack is what it was on entry.
     fn time<T>(&mut self, name: &str, f: impl FnOnce(&mut Self) -> T) -> T {
-        // PhaseTimers::time needs &mut PhaseTimers; emulate with open/close
-        // so we can keep borrowing self while nested phases still link to
-        // their parent (no double-counted self time).
-        if let Some(t) = self.timers.as_mut() {
-            t.open(name);
+        struct OpenPhase<'s, 'a> {
+            synth: &'s mut Synth<'a>,
+            name: &'s str,
+            t0: std::time::Instant,
         }
-        let t0 = std::time::Instant::now();
-        let out = f(self);
-        let dt = t0.elapsed();
-        if let Some(t) = self.timers.as_mut() {
-            t.close(name, dt);
+        impl Drop for OpenPhase<'_, '_> {
+            fn drop(&mut self) {
+                self.synth.timers.close(self.name, self.t0.elapsed());
+            }
         }
-        out
+        self.timers.open(name);
+        let phase = OpenPhase {
+            synth: self,
+            name,
+            t0: std::time::Instant::now(),
+        };
+        f(&mut *phase.synth)
     }
 
     /// Records one graceful degradation.
@@ -338,37 +357,8 @@ impl Synth<'_> {
     }
 }
 
-/// Synthesizes the SPMD program for one analyzed unit.
-///
-/// # Errors
-///
-/// Returns [`CompileError::Unsupported`] for constructs outside the SPMD
-/// subset (e.g. subroutine calls) and [`CompileError::Codegen`] if loop
-/// synthesis fails.
-pub fn build_spmd(
-    analysis: &Analysis,
-    layouts: &BTreeMap<String, Layout>,
-    opts: &SpmdOptions,
-    timers: Option<&mut crate::phases::PhaseTimers>,
-) -> Result<(SpmdProgram, SpmdStats), CompileError> {
-    let octx = layouts.values().find_map(|l| l.rel.context().cloned());
-    let mut synth = Synth {
-        analysis,
-        layouts,
-        opts,
-        events: Vec::new(),
-        stats: SpmdStats::default(),
-        timers,
-        octx,
-    };
-    let items = build_items(&mut synth, &analysis.unit.body)?;
-    let program = finish_program(analysis, layouts, items, synth.events)?;
-    Ok((program, synth.stats))
-}
-
 /// Assembles the unit-level program around already-built items: processor
 /// grid, array allocations (with owned-set enumeration code), inputs.
-/// Shared by the serial path and the parallel assembly.
 fn finish_program(
     analysis: &Analysis,
     layouts: &BTreeMap<String, Layout>,
@@ -477,111 +467,19 @@ fn collect_inputs(body: &[Stmt], out: &mut Vec<String>) {
 }
 
 // ---------------------------------------------------------------------------
-// Item structure
-// ---------------------------------------------------------------------------
-
-fn build_items(synth: &mut Synth, body: &[Stmt]) -> Result<Vec<SpmdItem>, CompileError> {
-    let mut items = Vec::new();
-    let mut pending: Vec<Stmt> = Vec::new(); // consecutive nest-able stmts
-    for s in body {
-        match &s.kind {
-            StmtKind::Read { .. } | StmtKind::Print { .. } => {
-                flush_nest(synth, &mut pending, &mut items)?;
-                items.push(SpmdItem::Serial(s.clone()));
-            }
-            StmtKind::Call { name, .. } => {
-                return Err(CompileError::Unsupported(format!(
-                    "call to '{name}' (inline subroutines before SPMD synthesis)"
-                )));
-            }
-            StmtKind::Assign { name, rhs, .. } => {
-                if !synth.analysis.is_array(name)
-                    && !reads_distributed_array(synth.analysis, synth.layouts, rhs)
-                {
-                    // Pure scalar statement: replicated.
-                    flush_nest(synth, &mut pending, &mut items)?;
-                    items.push(SpmdItem::Serial(s.clone()));
-                } else {
-                    pending.push(s.clone());
-                }
-            }
-            StmtKind::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                if is_pure_scalar_block(synth.analysis, synth.layouts, then_body)
-                    && is_pure_scalar_block(synth.analysis, synth.layouts, else_body)
-                {
-                    flush_nest(synth, &mut pending, &mut items)?;
-                    items.push(SpmdItem::Serial(s.clone()));
-                } else {
-                    // An IF with array assignments forms its own nest; do
-                    // not fuse with neighbouring statements.
-                    flush_nest(synth, &mut pending, &mut items)?;
-                    let nest = build_nest(synth, std::slice::from_ref(s))?;
-                    items.push(SpmdItem::Nest(nest));
-                }
-            }
-            StmtKind::Do {
-                var,
-                lo,
-                hi,
-                body: do_body,
-                ..
-            } => {
-                if is_serial_loop(synth.analysis, synth.layouts, var, do_body) {
-                    flush_nest(synth, &mut pending, &mut items)?;
-                    let inner = build_items(synth, do_body)?;
-                    items.push(SpmdItem::SerialLoop {
-                        var: var.clone(),
-                        lo: lo.clone(),
-                        hi: hi.clone(),
-                        body: inner,
-                    });
-                } else {
-                    // Each parallel DO nest stands alone: fusing separate
-                    // source loops could violate dependences.
-                    flush_nest(synth, &mut pending, &mut items)?;
-                    let nest = build_nest(synth, std::slice::from_ref(s))?;
-                    items.push(SpmdItem::Nest(nest));
-                }
-            }
-        }
-    }
-    flush_nest(synth, &mut pending, &mut items)?;
-    Ok(items)
-}
-
-fn flush_nest(
-    synth: &mut Synth,
-    pending: &mut Vec<Stmt>,
-    items: &mut Vec<SpmdItem>,
-) -> Result<(), CompileError> {
-    if pending.is_empty() {
-        return Ok(());
-    }
-    let body = std::mem::take(pending);
-    let nest = build_nest(synth, &body)?;
-    items.push(SpmdItem::Nest(nest));
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// Parallel nest synthesis: plan → build standalone → assemble
+// Unit synthesis: plan → build each nest standalone → assemble
 // ---------------------------------------------------------------------------
 //
-// The serial `build_items` interleaves item structuring with nest synthesis,
-// assigning communication-event ids from one global counter as it goes. The
-// parallel driver instead (1) *plans* the item skeleton up front (a pure
-// structural pass over the AST — `plan_items` mirrors `build_items`'
-// control flow exactly, flushing pending statements at the same points),
-// (2) builds each extracted nest *standalone* on a worker thread with local
-// event ids counted from 0, and (3) *assembles*: walking the skeleton in
-// order, offsetting each nest's event ids by the running total so the final
-// numbering is identical to what the serial single-counter pass produces.
-// Synthesis statistics are per-nest and additive, so summing them in any
-// order reconciles with the serial accumulation.
+// One route leads from an analyzed unit to its `SpmdProgram`, at every
+// thread count: (1) *plan* the item skeleton up front (`plan_items`, a
+// pure structural pass over the AST that holds the only unit-body
+// dispatch), (2) build each extracted nest *standalone* (`build_nest`)
+// with local event ids counted from 0, and (3) *assemble*
+// (`assemble_spmd`): walk the skeleton in order, offsetting each nest's
+// event ids by the running total, so the numbering follows source order
+// whatever order the nests were built in. Synthesis statistics are per
+// nest and additive. The driver schedules (2) and (3) as a task DAG;
+// `threads` only decides how many workers drain it.
 
 /// Skeleton of a unit's item list with nest bodies factored out by index.
 pub(crate) enum ItemSkel {
@@ -607,20 +505,24 @@ pub(crate) enum ItemSkel {
 pub(crate) struct UnitPlan {
     /// Item structure, with nests by index.
     pub skel: Vec<ItemSkel>,
-    /// Nest bodies, in serial traversal order.
+    /// Nest bodies, in source traversal order.
     pub nests: Vec<Vec<Stmt>>,
 }
 
-/// Plans a unit's items without doing any set algebra. Mirrors
-/// [`build_items`]' dispatch exactly, so `skel` reproduces the serial item
-/// structure and `nests` lists nest bodies in serial traversal order.
+/// Plans a unit's items without doing any set algebra: replicated
+/// statements stay in the skeleton, consecutive nest-able statements and
+/// each parallel `DO`/array `IF` become one nest body.
+///
+/// # Errors
+///
+/// Returns [`CompileError::Unsupported`] for constructs outside the SPMD
+/// subset (subroutine calls), before any nest of the unit is built.
 pub(crate) fn plan_items(
     analysis: &Analysis,
     layouts: &BTreeMap<String, Layout>,
-    body: &[Stmt],
 ) -> Result<UnitPlan, CompileError> {
     let mut nests = Vec::new();
-    let skel = plan_body(analysis, layouts, body, &mut nests)?;
+    let skel = plan_body(analysis, layouts, &analysis.unit.body, &mut nests)?;
     Ok(UnitPlan { skel, nests })
 }
 
@@ -637,7 +539,7 @@ fn plan_body(
         }
     }
     let mut items = Vec::new();
-    let mut pending: Vec<Stmt> = Vec::new();
+    let mut pending: Vec<Stmt> = Vec::new(); // consecutive nest-able stmts
     for s in body {
         match &s.kind {
             StmtKind::Read { .. } | StmtKind::Print { .. } => {
@@ -651,6 +553,7 @@ fn plan_body(
             }
             StmtKind::Assign { name, rhs, .. } => {
                 if !analysis.is_array(name) && !reads_distributed_array(analysis, layouts, rhs) {
+                    // Pure scalar statement: replicated.
                     flush(&mut pending, &mut items, nests);
                     items.push(ItemSkel::Serial(s.clone()));
                 } else {
@@ -668,6 +571,8 @@ fn plan_body(
                 {
                     items.push(ItemSkel::Serial(s.clone()));
                 } else {
+                    // An IF with array assignments forms its own nest; do
+                    // not fuse with neighbouring statements.
                     items.push(ItemSkel::Nest(nests.len()));
                     nests.push(vec![s.clone()]);
                 }
@@ -689,6 +594,8 @@ fn plan_body(
                         body: inner,
                     });
                 } else {
+                    // Each parallel DO nest stands alone: fusing separate
+                    // source loops could violate dependences.
                     items.push(ItemSkel::Nest(nests.len()));
                     nests.push(vec![s.clone()]);
                 }
@@ -699,9 +606,9 @@ fn plan_body(
     Ok(items)
 }
 
-/// Output of one standalone nest synthesis: the nest item with event ids
-/// local to the nest (counted from 0), the events themselves, and the
-/// statistics and phase timings the nest accumulated.
+/// Output of one nest's synthesis: the nest item with event ids local to
+/// the nest (counted from 0), the events themselves, and the statistics
+/// and phase timings the nest accumulated.
 pub(crate) struct NestOut {
     /// The synthesized nest.
     pub item: NestItem,
@@ -709,16 +616,28 @@ pub(crate) struct NestOut {
     pub events: Vec<CommEvent>,
     /// Synthesis statistics for this nest alone.
     pub stats: SpmdStats,
-    /// Phase timings for this nest alone (merge into the unit's timers
-    /// with `PhaseTimers::merge`).
-    pub timers: crate::phases::PhaseTimers,
+    /// Phase timings for this nest alone.
+    pub timers: PhaseTimers,
 }
 
 /// Synthesizes one planned nest in isolation (safe to run on a worker
-/// thread: the layouts' shared `Context` is `Sync`). If `obs` is given,
-/// the nest's phase spans are stitched under the anchor span via
+/// thread: the layouts' shared `Context` is `Sync`), with the degradation
+/// ladder of DESIGN.md §12 wrapped around the exact path:
+///
+/// - rung 0 (in [`schedule_nest`]): Figure-4 loop splitting fails → keep
+///   the exact events, emit the unsplit schedule;
+/// - rung 1 (in [`materialize_events`]): a level-0 read event's Figure-3
+///   equations fail → substitute the conservative full exchange for that
+///   event only;
+/// - rung 2 (here): anything else degradable fails → drop whatever the
+///   exact attempt accumulated and rebuild the nest *replicated*, with
+///   conservative pre-refresh events.
+///
+/// Cancellation is checked at entry (nests are the driver's unit of
+/// progress) and is never absorbed by the ladder. If `obs` is given, the
+/// nest's phase spans are stitched under the anchor span via
 /// [`dhpf_obs::Collector::begin_child_of`].
-pub(crate) fn build_nest_standalone(
+pub(crate) fn build_nest(
     analysis: &Analysis,
     layouts: &BTreeMap<String, Layout>,
     opts: &SpmdOptions,
@@ -726,55 +645,97 @@ pub(crate) fn build_nest_standalone(
     label: &str,
     obs: Option<(dhpf_obs::Collector, dhpf_obs::SpanId)>,
 ) -> Result<NestOut, CompileError> {
-    let octx = layouts.values().find_map(|l| l.rel.context().cloned());
-    let mut timers = crate::phases::PhaseTimers::new();
+    let mut timers = PhaseTimers::new();
     let wrapper = obs.map(|(c, anchor)| {
         let id = c.begin_child_of(anchor, label, "phase");
         timers.attach_collector(c.clone());
         (c, id)
     });
-    let item = {
-        let mut synth = Synth {
-            analysis,
-            layouts,
-            opts,
-            events: Vec::new(),
-            stats: SpmdStats::default(),
-            timers: Some(&mut timers),
-            octx,
-        };
-        let item = build_nest(&mut synth, body);
-        let events = synth.events;
-        let stats = synth.stats;
-        item.map(|item| (item, events, stats))
+    let mut synth = Synth {
+        analysis,
+        layouts,
+        opts,
+        events: Vec::new(),
+        stats: SpmdStats::default(),
+        timers,
+        octx: layouts.values().find_map(|l| l.rel.context().cloned()),
     };
+    let item = nest_ladder(&mut synth, body);
     if let Some((c, id)) = wrapper {
         c.end(id);
     }
-    timers.finish();
-    let (item, events, stats) = item?;
+    synth.timers.finish();
     Ok(NestOut {
-        item,
-        events,
-        stats,
-        timers,
+        item: item?,
+        events: synth.events,
+        stats: synth.stats,
+        timers: synth.timers,
     })
 }
 
-/// Assembles standalone nest outputs back into a unit program with event
-/// numbering identical to the serial pass: each nest's local event ids are
-/// shifted by the number of events in all earlier nests (serial traversal
-/// order), and the `CommSend`/`CommRecv` op references inside the nest are
-/// rewritten to match. Returns the program plus the summed statistics.
+fn nest_ladder(synth: &mut Synth, body: &[Stmt]) -> Result<NestItem, CompileError> {
+    let gate = match &synth.octx {
+        Some(cx) => cx.check_cancelled().and_then(|()| cx.inject_check("nest")),
+        None => Ok(()),
+    };
+    let attempt = match gate {
+        // Cancellation aborts (it is not degradable); an injected nest
+        // fault counts as the exact attempt failing.
+        Err(e) => Err(CompileError::from(e)),
+        // Infallible set-algebra entry points (`then`, `domain`,
+        // projection) surface a governed abort by *panicking*; when the
+        // budget has tripped, catch the unwind and degrade like any other
+        // budget error. Panics with an untripped budget are genuine bugs
+        // (or injected panics probing unwind isolation) and are re-raised
+        // to the driver's per-task isolation boundary.
+        Ok(()) => std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            build_nest_exact(synth, body)
+        }))
+        .unwrap_or_else(|payload| {
+            let tripped = synth
+                .octx
+                .as_ref()
+                .and_then(|cx| cx.governor_stats().tripped);
+            match tripped {
+                Some(what) => Err(CompileError::Budget(what)),
+                None => std::panic::resume_unwind(payload),
+            }
+        }),
+    };
+    match attempt {
+        Err(e) if degradable(&e) => {
+            // Drop everything the failed exact attempt accumulated
+            // (half-built events, stats — including rung-0/1 records of
+            // abandoned work) so the replicated rebuild starts clean.
+            synth.events.clear();
+            synth.stats = SpmdStats::default();
+            synth.degrade(
+                "nest",
+                None,
+                &e,
+                "replicated nest with conservative refresh",
+            );
+            build_nest_replicated(synth, body)
+        }
+        r => r,
+    }
+}
+
+/// Assembles standalone nest outputs (in plan order) back into a unit
+/// program: each nest's local event ids are shifted by the number of
+/// events in all earlier nests, and the `CommSend`/`CommRecv` op references
+/// inside the nest are rewritten to match. Returns the program, the summed
+/// statistics, and the nests' phase timers merged in plan order.
 pub(crate) fn assemble_spmd(
     analysis: &Analysis,
     layouts: &BTreeMap<String, Layout>,
     skel: &[ItemSkel],
     nest_outs: Vec<NestOut>,
-) -> Result<(SpmdProgram, SpmdStats), CompileError> {
+) -> Result<(SpmdProgram, SpmdStats, PhaseTimers), CompileError> {
     let mut events: Vec<CommEvent> = Vec::new();
     let mut stats = SpmdStats::default();
-    let mut items_by_nest: Vec<Option<NestItem>> = Vec::with_capacity(nest_outs.len());
+    let mut timers = PhaseTimers::default();
+    let mut nest_items: Vec<Option<NestItem>> = Vec::with_capacity(nest_outs.len());
     for out in nest_outs {
         let offset = events.len();
         let mut item = out.item;
@@ -793,10 +754,11 @@ pub(crate) fn assemble_spmd(
         stats.contiguous_events += out.stats.contiguous_events;
         stats.split_nests += out.stats.split_nests;
         stats.coalesced_groups += out.stats.coalesced_groups;
-        // Degradations concatenate in serial traversal order, so the list
-        // (and thus the whole stats value) reconciles with the serial pass.
+        // Degradations concatenate in plan order, so the list (and thus
+        // the whole stats value) is independent of the build schedule.
         stats.degradations.extend(out.stats.degradations);
-        items_by_nest.push(Some(item));
+        timers.merge(&out.timers);
+        nest_items.push(Some(item));
     }
     fn realize(skel: &[ItemSkel], nests: &mut [Option<NestItem>]) -> Vec<SpmdItem> {
         skel.iter()
@@ -808,15 +770,17 @@ pub(crate) fn assemble_spmd(
                     hi: hi.clone(),
                     body: realize(body, nests),
                 },
+                // Cannot fire: `plan_body` hands out each nest index once,
+                // and the caller passes one output per planned nest.
                 ItemSkel::Nest(i) => {
                     SpmdItem::Nest(nests[*i].take().expect("each nest realized once"))
                 }
             })
             .collect()
     }
-    let items = realize(skel, &mut items_by_nest);
+    let items = realize(skel, &mut nest_items);
     let program = finish_program(analysis, layouts, items, events)?;
-    Ok((program, stats))
+    Ok((program, stats, timers))
 }
 
 fn reads_distributed_array(
@@ -938,78 +902,53 @@ fn var_in_distributed_subscript(
 // Nest synthesis
 // ---------------------------------------------------------------------------
 
-/// Synthesizes one nest with the degradation ladder wrapped around the
-/// exact path (the failure model in DESIGN.md §12):
-///
-/// - rung 0 (inside [`build_nest_exact`]): Figure-4 loop splitting fails →
-///   keep the exact events, emit the unsplit schedule;
-/// - rung 1 (inside [`build_nest_exact`]): a level-0 read event's Figure-3
-///   equations fail → substitute the conservative full exchange for that
-///   event only;
-/// - rung 2 (here): anything else degradable fails → roll back whatever
-///   the exact attempt accumulated and rebuild the nest *replicated*, with
-///   conservative pre-refresh events.
-///
-/// Cancellation is checked at entry (nests are the driver's unit of
-/// progress) and is never absorbed by the ladder.
-fn build_nest(synth: &mut Synth, body: &[Stmt]) -> Result<NestItem, CompileError> {
-    if let Some(cx) = synth.octx.clone() {
-        cx.check_cancelled()?;
-        if let Err(e) = cx.inject_check("nest") {
-            let e = CompileError::from(e);
-            if !degradable(&e) {
-                return Err(e);
-            }
-            synth.degrade(
-                "nest",
-                None,
-                &e,
-                "replicated nest with conservative refresh",
-            );
-            return build_nest_replicated(synth, body);
+/// Statement groups: consecutive statements with identical loop nests, as
+/// indices into `stmts`. One `codegen` call per group keeps statement
+/// order.
+fn statement_groups(stmts: &[StmtInfo]) -> Vec<Vec<usize>> {
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for (k, s) in stmts.iter().enumerate() {
+        match groups.last_mut() {
+            Some(g) if stmts[g[0]].ctx.vars == s.ctx.vars => g.push(k),
+            _ => groups.push(vec![k]),
         }
     }
-    let events_mark = synth.events.len();
-    let stats_mark = synth.stats.clone();
-    // Infallible set-algebra entry points (`then`, `domain`, projection)
-    // surface a governed abort by *panicking*; when the budget has
-    // tripped, catch the unwind and degrade like any other budget error.
-    // Panics with an untripped budget are genuine bugs (or injected
-    // panics probing unwind isolation) and are re-raised to the driver's
-    // isolation boundary.
-    let tripped_panic = |synth: &Synth| {
-        synth
-            .octx
-            .as_ref()
-            .and_then(|cx| cx.governor_stats().tripped)
-    };
-    let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        build_nest_exact(synth, body)
-    }));
-    let attempt = match attempt {
-        Ok(r) => r,
-        Err(payload) => match tripped_panic(synth) {
-            Some(what) => Err(CompileError::Budget(what)),
-            None => std::panic::resume_unwind(payload),
-        },
-    };
-    match attempt {
-        Ok(item) => Ok(item),
-        Err(e) if degradable(&e) => {
-            // Roll back everything the failed exact attempt accumulated
-            // (half-built events, stats — including rung-0/1 records of
-            // abandoned work) so the replicated rebuild starts clean.
-            synth.events.truncate(events_mark);
-            synth.stats = stats_mark;
-            synth.degrade(
-                "nest",
-                None,
-                &e,
-                "replicated nest with conservative refresh",
-            );
-            build_nest_replicated(synth, body)
+    groups
+}
+
+/// The operation table and code chunks of a nest under construction.
+#[derive(Default)]
+struct NestCode {
+    ops: Vec<NestOp>,
+    chunks: Vec<Code>,
+}
+
+impl NestCode {
+    /// Registers `op`, returning the id a `Code::Stmt` refers to it by.
+    fn op(&mut self, op: NestOp) -> StmtId {
+        self.ops.push(op);
+        StmtId(self.ops.len() - 1)
+    }
+
+    /// Registers `op` and emits it at the current position.
+    fn emit(&mut self, op: NestOp) {
+        let id = self.op(op);
+        self.chunks.push(Code::Stmt(id));
+    }
+
+    /// Emits the send of `event` immediately followed by its receive.
+    fn exchange(&mut self, event: usize) {
+        self.emit(NestOp::CommSend(event));
+        self.emit(NestOp::CommRecv(event));
+    }
+
+    fn finish(self, reductions: Vec<Reduction>, split: bool) -> NestItem {
+        NestItem {
+            code: Code::Seq(self.chunks),
+            ops: self.ops,
+            reductions,
+            split,
         }
-        Err(e) => Err(e),
     }
 }
 
@@ -1030,127 +969,171 @@ fn build_nest_replicated(synth: &mut Synth, body: &[Stmt]) -> Result<NestItem, C
     // stays live inside the scope.
     let _grace = dhpf_omega::governor_grace();
     let stmts = collect_in(synth.analysis, body);
-    if stmts.is_empty() {
-        return Ok(NestItem {
-            code: Code::empty(),
-            ops: Vec::new(),
-            reductions: Vec::new(),
-            split: false,
-        });
-    }
+    let layouts = synth.layouts;
+    let mut out = NestCode::default();
     // Refresh every distributed array the nest references, in sorted
     // order for determinism.
-    let mut arrays: std::collections::BTreeSet<&str> = std::collections::BTreeSet::new();
-    for s in &stmts {
-        for r in &s.reads {
-            if synth.layouts.get(&r.array).is_some_and(|l| !l.replicated) {
-                arrays.insert(&r.array);
-            }
-        }
-        if let Some(l) = &s.lhs {
-            if synth.layouts.get(&l.array).is_some_and(|ly| !ly.replicated) {
-                arrays.insert(&l.array);
-            }
-        }
-    }
-    let mut ops: Vec<NestOp> = Vec::new();
-    let mut chunks: Vec<Code> = Vec::new();
+    let arrays: std::collections::BTreeSet<&str> = stmts
+        .iter()
+        .flat_map(|s| s.reads.iter().chain(&s.lhs))
+        .filter(|r| layouts.get(&r.array).is_some_and(|l| !l.replicated))
+        .map(|r| r.array.as_str())
+        .collect();
     for array in arrays {
-        let array = array.to_string();
-        let sets = crate::comm::conservative_comm_sets(&synth.layouts[&array]);
+        let sets = crate::comm::conservative_comm_sets(&layouts[array]);
         if sets.recv_map.is_empty() {
             continue; // single-rank grid: nothing to refresh
         }
-        let id = push_event(synth, &array, &sets.send_map, &sets.recv_map, 0)?;
-        let op = ops.len();
-        ops.push(NestOp::CommSend(id));
-        chunks.push(Code::Stmt(StmtId(op)));
-        let op = ops.len();
-        ops.push(NestOp::CommRecv(id));
-        chunks.push(Code::Stmt(StmtId(op)));
+        let id = push_event(synth, array, &sets.send_map, &sets.recv_map, 0)?;
+        out.exchange(id);
     }
-    // Full-iteration code, group by group, mirroring the exact path's
-    // grouping so statement order is preserved.
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    for (k, s) in stmts.iter().enumerate() {
-        match groups.last_mut() {
-            Some(g) if stmts[g[0]].ctx.vars == s.ctx.vars => g.push(k),
-            _ => groups.push(vec![k]),
-        }
-    }
-    for g in &groups {
+    // Full-iteration code, group by group as on the exact path.
+    for g in statement_groups(&stmts) {
         let names: Vec<&str> = stmts[g[0]].ctx.vars.iter().map(String::as_str).collect();
-        let mut mappings = Vec::new();
-        for &k in g {
-            let s = &stmts[k];
-            let mut space = s.ctx.iteration_set();
-            space.set_context(synth.octx.as_ref());
-            let op = ops.len();
-            ops.push(NestOp::Assign(compile_stmt(s)));
-            mappings.push(Mapping {
-                stmt: StmtId(op),
-                space,
-            });
-        }
+        let mappings: Vec<Mapping> = g
+            .iter()
+            .map(|&k| {
+                let mut space = stmts[k].ctx.iteration_set();
+                space.set_context(synth.octx.as_ref());
+                Mapping {
+                    stmt: out.op(NestOp::Assign(compile_stmt(&stmts[k]))),
+                    space,
+                }
+            })
+            .collect();
         let code = synth.time("mult mappings code generation", |_| {
             codegen(&mappings, &names, &CodegenOptions::default())
         })?;
-        chunks.push(code);
+        out.chunks.push(code);
     }
-    Ok(NestItem {
-        code: Code::Seq(chunks),
-        ops,
-        reductions: Vec::new(),
-        split: false,
-    })
+    Ok(out.finish(Vec::new(), false))
+}
+
+/// What the three steps of the exact path share about one nest, computed
+/// once.
+struct NestPlan {
+    stmts: Vec<StmtInfo>,
+    /// Statement groups (see [`statement_groups`]) …
+    groups: Vec<Vec<usize>>,
+    /// … and the group each statement belongs to.
+    group_of: Vec<usize>,
+    /// All array writes in the nest, by statement index (for
+    /// dependence-based placement).
+    writes: Vec<(usize, ArrayRef)>,
+    /// Each statement's `CPMap` over its full loop nest (§3.1) …
+    cp0: Vec<Relation>,
+    /// … and the iterations `myid` executes under it, `CPMap({myid})`.
+    mine: Vec<Set>,
+}
+
+impl NestPlan {
+    fn new(synth: &mut Synth, body: &[Stmt]) -> NestPlan {
+        let stmts = collect_in(synth.analysis, body);
+        let groups = statement_groups(&stmts);
+        let mut group_of = vec![0; stmts.len()];
+        for (gi, g) in groups.iter().enumerate() {
+            for &k in g {
+                group_of[k] = gi;
+            }
+        }
+        let writes = stmts
+            .iter()
+            .enumerate()
+            .filter_map(|(k, s)| s.lhs.clone().map(|l| (k, l)))
+            .collect();
+        let (cp0, mine): (Vec<Relation>, Vec<Set>) = synth.time("partitioning computation", |sy| {
+            stmts
+                .iter()
+                .map(|s| {
+                    let (cp, _) = cp_map_at_level(s, sy.layouts, 0);
+                    let mine = cp.apply(&myid_set(proc_rank_of(s, sy.layouts)));
+                    (cp, mine)
+                })
+                .unzip()
+        });
+        NestPlan {
+            stmts,
+            groups,
+            group_of,
+            writes,
+            cp0,
+            mine,
+        }
+    }
+
+    /// Statement `k`'s `CPMap` at `level`: outer loop variables symbolic
+    /// (Figure 3, equation 1). Level 0 is the map held in the plan.
+    fn cp_at(&self, synth: &mut Synth, k: usize, level: u32) -> Relation {
+        if level == 0 {
+            return self.cp0[k].clone();
+        }
+        synth.time("partitioning computation", |sy| {
+            cp_map_at_level(&self.stmts[k], sy.layouts, level).0
+        })
+    }
+}
+
+/// One planned communication event: the coalesced references to one array
+/// at one placement level.
+struct EventPlan {
+    array: String,
+    /// Non-local *writes*, sent to their owners after the nest; otherwise
+    /// potentially non-local reads.
+    is_write: bool,
+    /// Placement level (0 = vectorized out of the whole nest).
+    level: u32,
+    /// Statement group of the first reference.
+    group: usize,
+    refs: Vec<CommRef>,
+    /// The `(statement, read)` behind each of `refs` (reads only).
+    sources: Vec<(usize, usize)>,
+}
+
+/// A materialized event and where the schedule places it.
+struct BuiltEvent {
+    event: usize,
+    level: u32,
+    group: usize,
+    is_write: bool,
 }
 
 fn build_nest_exact(synth: &mut Synth, body: &[Stmt]) -> Result<NestItem, CompileError> {
-    let stmts = collect_in(synth.analysis, body);
-    if stmts.is_empty() {
-        return Ok(NestItem {
-            code: Code::empty(),
-            ops: Vec::new(),
-            reductions: Vec::new(),
-            split: false,
-        });
-    }
-    // All writes in the nest (for dependence-based placement).
-    let writes: Vec<(usize, ArrayRef)> = stmts
-        .iter()
-        .enumerate()
-        .filter_map(|(k, s)| s.lhs.clone().map(|l| (k, l)))
-        .collect();
+    let np = NestPlan::new(synth, body);
+    let plans = plan_events(synth, &np);
+    let built = materialize_events(synth, &np, &plans)?;
+    schedule_nest(synth, &np, &built)
+}
 
-    // Plan communication events: group potentially non-local reads by
-    // (array, placement level, statement-group) for coalescing.
-    #[derive(Default)]
-    struct EventPlan {
-        refs: Vec<CommRef>,
-        /// (statement index, read index) pairs behind `refs`.
-        sources: Vec<(usize, usize)>,
+/// §3.1 / Figure 2: finds the potentially non-local references, the loop
+/// level each one's communication can be placed at, and its `CPMap` at
+/// that level; references to one array at one level coalesce into one
+/// plan (level-0 plans across statement groups, pipelined ones within
+/// their group's loop). Plans come back in coalescing-key order.
+fn plan_events(synth: &mut Synth, np: &NestPlan) -> Vec<EventPlan> {
+    type Plans = BTreeMap<(String, bool, u32, usize), EventPlan>;
+    fn plan_for<'p>(
+        plans: &'p mut Plans,
+        array: &str,
+        is_write: bool,
         level: u32,
-        array: String,
-        group_of_stmt: usize,
+        group: usize,
+    ) -> &'p mut EventPlan {
+        let key_group = if level > 0 { group } else { usize::MAX };
+        plans
+            .entry((array.to_string(), is_write, level, key_group))
+            .or_insert_with(|| EventPlan {
+                array: array.to_string(),
+                is_write,
+                level,
+                group,
+                refs: Vec::new(),
+                sources: Vec::new(),
+            })
     }
-    let mut plans: BTreeMap<(String, u32, usize), EventPlan> = BTreeMap::new();
-
-    // Statement groups: consecutive statements with identical loop nests.
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    for (k, s) in stmts.iter().enumerate() {
-        match groups.last_mut() {
-            Some(g) if stmts[g[0]].ctx.vars == s.ctx.vars => g.push(k),
-            _ => groups.push(vec![k]),
-        }
-    }
-    let group_of = |k: usize| groups.iter().position(|g| g.contains(&k)).unwrap();
-
-    for (k, s) in stmts.iter().enumerate() {
+    let mut plans = Plans::new();
+    for (k, s) in np.stmts.iter().enumerate() {
         for (ri, r) in s.reads.iter().enumerate() {
-            let Some(layout) = synth.layouts.get(&r.array) else {
-                continue;
-            };
-            if layout.replicated {
+            if synth.layouts.get(&r.array).is_none_or(|l| l.replicated) {
                 continue;
             }
             // Owner-computes self-reference: a read identical to the sole
@@ -1160,9 +1143,12 @@ fn build_nest_exact(synth: &mut Synth, body: &[Stmt]) -> Result<NestItem, Compil
             {
                 continue;
             }
-            let same_ctx_writes: Vec<&ArrayRef> = writes
+            let same_array = |w: &(usize, ArrayRef)| w.1.array == r.array;
+            let same_ctx = |w: &(usize, ArrayRef)| np.stmts[w.0].ctx.vars == s.ctx.vars;
+            let same_ctx_writes: Vec<&ArrayRef> = np
+                .writes
                 .iter()
-                .filter(|(wk, w)| stmts[*wk].ctx.vars == s.ctx.vars && w.array == r.array)
+                .filter(|w| same_array(w) && same_ctx(w))
                 .map(|(_, w)| w)
                 .collect();
             let mut level = synth.time("communication placement", |sy| {
@@ -1170,76 +1156,48 @@ fn build_nest_exact(synth: &mut Synth, body: &[Stmt]) -> Result<NestItem, Compil
             });
             // Cross-context writes to the same array force conservative
             // placement inside the whole nest for safety.
-            let cross = writes
-                .iter()
-                .any(|(wk, w)| w.array == r.array && stmts[*wk].ctx.vars != s.ctx.vars);
-            if cross {
+            if np.writes.iter().any(|w| same_array(w) && !same_ctx(w)) {
                 level = s.ctx.depth();
             }
-            let (cp, _) = synth.time("partitioning computation", |sy| {
-                cp_map_at_level(s, sy.layouts, level)
-            });
-            let rm = r.ref_map(&slice_context(&s.ctx, level));
-            let key = (
-                r.array.clone(),
-                level,
-                if level > 0 { group_of(k) } else { usize::MAX },
-            );
-            let plan = plans.entry(key.clone()).or_insert_with(|| EventPlan {
-                refs: Vec::new(),
-                sources: Vec::new(),
-                level,
-                array: r.array.clone(),
-                group_of_stmt: group_of(k),
-            });
+            let plan = plan_for(&mut plans, &r.array, false, level, np.group_of[k]);
             plan.refs.push(CommRef {
-                cp_map: cp,
-                ref_map: rm,
+                cp_map: np.cp_at(synth, k, level),
+                ref_map: r.ref_map(&slice_context(&s.ctx, level)),
             });
             plan.sources.push((k, ri));
         }
         // Non-local writes (CP differs from owner of the LHS).
         if let Some(l) = &s.lhs {
-            let layout = &synth.layouts[&l.array];
-            if !layout.replicated && !s.on_home.is_empty() {
-                let owner_differs = s
-                    .on_home
-                    .iter()
-                    .any(|oh| oh.array != l.array || oh.subs != l.subs);
-                if owner_differs {
-                    let (cp, _) = cp_map_at_level(s, synth.layouts, 0);
-                    let rm = l.ref_map(&s.ctx);
-                    let key = (format!("{}!w", l.array), 0, usize::MAX);
-                    let plan = plans.entry(key).or_insert_with(|| EventPlan {
-                        refs: Vec::new(),
-                        sources: Vec::new(),
-                        level: 0,
-                        array: l.array.clone(),
-                        group_of_stmt: group_of(k),
+            let owner_differs = s
+                .on_home
+                .iter()
+                .any(|oh| oh.array != l.array || oh.subs != l.subs);
+            if !synth.layouts[&l.array].replicated && owner_differs {
+                plan_for(&mut plans, &l.array, true, 0, np.group_of[k])
+                    .refs
+                    .push(CommRef {
+                        cp_map: np.cp0[k].clone(),
+                        ref_map: l.ref_map(&s.ctx),
                     });
-                    plan.refs.push(CommRef {
-                        cp_map: cp,
-                        ref_map: rm,
-                    });
-                }
             }
         }
     }
+    plans.into_values().collect()
+}
 
-    // Materialize events.
-    struct BuiltEvent {
-        event: usize,
-        level: u32,
-        group: usize,
-        is_write: bool,
-    }
+/// Figure 3: evaluates `comm_sets` for every plan and registers the events
+/// that move data — one event before (reads) or after (writes) the nest
+/// for a level-0 plan, a pre-nest + in-loop pair for a pipelined one.
+fn materialize_events(
+    synth: &mut Synth,
+    np: &NestPlan,
+    plans: &[EventPlan],
+) -> Result<Vec<BuiltEvent>, CompileError> {
     let mut built: Vec<BuiltEvent> = Vec::new();
-    let plan_list: Vec<((String, u32, usize), EventPlan)> = plans.into_iter().collect();
-    for ((key_arr, _, _), plan) in plan_list {
-        let is_write = key_arr.ends_with("!w");
+    for plan in plans {
         let layout = &synth.layouts[&plan.array];
         let sets = match synth.time("communication generation", |_| {
-            if is_write {
+            if plan.is_write {
                 comm_sets(&[], &plan.refs, layout)
             } else {
                 comm_sets(&plan.refs, &[], layout)
@@ -1253,10 +1211,10 @@ fn build_nest_exact(synth: &mut Synth, body: &[Stmt]) -> Result<NestItem, Compil
             // placements have no such event-local fallback (a full
             // exchange would push stale copies over owner data or break
             // the send/recv pairing inside the loop), so they escalate
-            // to the nest-level rung in `build_nest`. Cancellation is
+            // to the nest-level rung in `nest_ladder`. Cancellation is
             // never absorbed.
             Err(e)
-                if !is_write
+                if !plan.is_write
                     && plan.level == 0
                     && !matches!(e, dhpf_omega::OmegaError::Cancelled) =>
             {
@@ -1275,7 +1233,7 @@ fn build_nest_exact(synth: &mut Synth, body: &[Stmt]) -> Result<NestItem, Compil
         // be spuriously non-empty (fictitious VPs overlap every real one),
         // so emptiness is judged on the non-local data sets: `m` is
         // symbolic, so emptiness here means "empty for every processor".
-        let needed = if is_write {
+        let needed = if plan.is_write {
             !sets.nl_write_data.is_empty()
         } else {
             !sets.nl_read_data.is_empty()
@@ -1286,222 +1244,195 @@ fn build_nest_exact(synth: &mut Synth, body: &[Stmt]) -> Result<NestItem, Compil
         if plan.refs.len() > 1 {
             synth.stats.coalesced_groups += 1;
         }
-        if plan.level == 0 {
-            // Vectorized out of the whole nest: one pre-/post-nest event.
-            let id = push_event(synth, &plan.array, &sets.send_map, &sets.recv_map, 0)?;
-            if !is_write {
-                synth.stats.fully_vectorized += 1;
-            }
-            built.push(BuiltEvent {
-                event: id,
-                level: 0,
-                group: plan.group_of_stmt,
-                is_write,
-            });
+        if plan.level > 0 {
+            pipelined_events(synth, np, plan, &sets, &mut built)?;
             continue;
         }
-        // Pipelined placement inside loop `level`. The *receive* happens at
-        // the consumer's iteration (the level-l maps are parameterized by
-        // the outer loop variables), but the matching *send* must be driven
-        // by the PRODUCER's own iteration: a processor sends boundary data
-        // right after producing it. Data never written inside the nest is
-        // exchanged once, before the nest.
-        let consumer_stmt_idx = groups[plan.group_of_stmt][0];
-        let ctx = &stmts[consumer_stmt_idx].ctx;
-        // All data of this array written anywhere in the nest.
-        let mut written = Set::empty(layout.rel.n_out());
-        written.set_context(layout.rel.context());
-        for (wk, w) in &writes {
-            if w.array == plan.array {
-                written = written.union(
-                    &w.ref_map(&stmts[*wk].ctx)
-                        .apply(&stmts[*wk].ctx.iteration_set()),
-                );
-            }
+        // Vectorized out of the whole nest: one pre-/post-nest event.
+        let event = push_event(synth, &plan.array, &sets.send_map, &sets.recv_map, 0)?;
+        if !plan.is_write {
+            synth.stats.fully_vectorized += 1;
         }
-        written.simplify();
-        let mut all_indices = array_index_set(synth.analysis, &plan.array);
-        all_indices.set_context(layout.rel.context());
-        let unwritten = all_indices.try_subtract(&written)?;
-        // Fully-vectorized maps for this plan's own references (no
-        // consumer-iteration parameters): they drive the producer-side
-        // send schedule.
-        let refs0: Vec<CommRef> = plan
-            .sources
-            .iter()
-            .map(|&(k, ri)| {
-                let s = &stmts[k];
-                let (cp, _) = cp_map_at_level(s, synth.layouts, 0);
-                CommRef {
-                    cp_map: cp,
-                    ref_map: s.reads[ri].ref_map(&s.ctx),
-                }
+        built.push(BuiltEvent {
+            event,
+            level: 0,
+            group: plan.group,
+            is_write: plan.is_write,
+        });
+    }
+    Ok(built)
+}
+
+/// Pipelined placement inside loop `plan.level`. The *receive* happens at
+/// the consumer's iteration (`sets`, the level-l maps, are parameterized
+/// by the outer loop variables), but the matching *send* must be driven by
+/// the PRODUCER's own iteration: a processor sends boundary data right
+/// after producing it. Data never written inside the nest is exchanged
+/// once, before the nest.
+fn pipelined_events(
+    synth: &mut Synth,
+    np: &NestPlan,
+    plan: &EventPlan,
+    sets: &crate::comm::CommSets,
+    built: &mut Vec<BuiltEvent>,
+) -> Result<(), CompileError> {
+    let layout = &synth.layouts[&plan.array];
+    let ctx = &np.stmts[np.groups[plan.group][0]].ctx;
+    let array_writes = || np.writes.iter().filter(|(_, w)| w.array == plan.array);
+    let mut push = |synth: &mut Synth, send: &Relation, recv: &Relation, level: u32| {
+        if !recv.is_empty() {
+            built.push(BuiltEvent {
+                event: push_event(synth, &plan.array, send, recv, level)?,
+                level,
+                group: plan.group,
+                is_write: false,
+            });
+        }
+        Ok::<(), CompileError>(())
+    };
+    // All data of this array written anywhere in the nest.
+    let mut written = Set::empty(layout.rel.n_out());
+    written.set_context(layout.rel.context());
+    for (wk, w) in array_writes() {
+        let wctx = &np.stmts[*wk].ctx;
+        written = written.union(&w.ref_map(wctx).apply(&wctx.iteration_set()));
+    }
+    written.simplify();
+    let mut all_indices = array_index_set(synth.analysis, &plan.array);
+    all_indices.set_context(layout.rel.context());
+    let unwritten = all_indices.try_subtract(&written)?;
+    // Fully-vectorized maps for this plan's own references (no
+    // consumer-iteration parameters): they drive the producer-side send
+    // schedule.
+    let refs0: Vec<CommRef> = plan
+        .sources
+        .iter()
+        .map(|&(k, ri)| CommRef {
+            cp_map: np.cp0[k].clone(),
+            ref_map: np.stmts[k].reads[ri].ref_map(&np.stmts[k].ctx),
+        })
+        .collect();
+    let sets0 = synth.time("communication generation", |_| {
+        comm_sets(&refs0, &[], layout)
+    })?;
+    // Pre-nest exchange of never-written data.
+    let pre_send = sets0.send_map.restrict_range(&unwritten);
+    let pre_recv = sets0.recv_map.restrict_range(&unwritten);
+    push(synth, &pre_send, &pre_recv, 0)?;
+    // In-loop event: receive what this iteration consumes (written data
+    // only); send what this iteration just produced and someone else
+    // will consume.
+    let mut w_cur = Set::empty(layout.rel.n_out());
+    w_cur.set_context(layout.rel.context());
+    for (wk, w) in array_writes().filter(|(wk, _)| np.stmts[*wk].ctx.vars == ctx.vars) {
+        let my_inner = np
+            .cp_at(synth, *wk, plan.level)
+            .apply(&myid_set(layout.proc_rank()));
+        let rm = w.ref_map(&slice_context(&np.stmts[*wk].ctx, plan.level));
+        w_cur = w_cur.union(&rm.apply(&my_inner));
+    }
+    w_cur.simplify();
+    let in_send = sets0.send_map.restrict_range(&w_cur);
+    let in_recv = sets.recv_map.restrict_range(&written);
+    push(synth, &in_send, &in_recv, plan.level)
+}
+
+/// Figure 4 requires "no dependences that prevent iteration reordering":
+/// no write in the nest is loop-carried into a read of the same array in
+/// the same loop context.
+fn reorder_safe(np: &NestPlan, octx: Option<&dhpf_omega::Context>) -> bool {
+    np.stmts.iter().all(|s| {
+        s.reads.iter().all(|r| {
+            np.writes.iter().all(|(wk, w)| {
+                w.array != r.array
+                    || np.stmts[*wk].ctx.vars != s.ctx.vars
+                    || crate::dependence::carried_level_in(w, r, &s.ctx, octx).is_none()
             })
-            .collect();
-        let sets0 = synth.time("communication generation", |_| {
-            comm_sets(&refs0, &[], layout)
-        })?;
-        // Pre-nest exchange of never-written data.
-        let pre_send = sets0.send_map.restrict_range(&unwritten);
-        let pre_recv = sets0.recv_map.restrict_range(&unwritten);
-        if !pre_recv.is_empty() {
-            let id = push_event(synth, &plan.array, &pre_send, &pre_recv, 0)?;
-            built.push(BuiltEvent {
-                event: id,
-                level: 0,
-                group: plan.group_of_stmt,
-                is_write: false,
-            });
-        }
-        // In-loop event: receive what this iteration consumes (written
-        // data only); send what this iteration just produced and someone
-        // else will consume.
-        let mut w_cur = Set::empty(layout.rel.n_out());
-        w_cur.set_context(layout.rel.context());
-        for (wk, w) in &writes {
-            if w.array != plan.array || stmts[*wk].ctx.vars != ctx.vars {
-                continue;
-            }
-            let (wcp, _) = cp_map_at_level(&stmts[*wk], synth.layouts, plan.level);
-            let my_inner = wcp.apply(&crate::cp::myid_set(layout.proc_rank()));
-            let rm = w.ref_map(&slice_context(&stmts[*wk].ctx, plan.level));
-            w_cur = w_cur.union(&rm.apply(&my_inner));
-        }
-        w_cur.simplify();
-        let in_send = sets0.send_map.restrict_range(&w_cur);
-        let in_recv = sets.recv_map.restrict_range(&written);
-        if !in_recv.is_empty() {
-            let id = push_event(synth, &plan.array, &in_send, &in_recv, plan.level)?;
-            built.push(BuiltEvent {
-                event: id,
-                level: plan.level,
-                group: plan.group_of_stmt,
-                is_write: false,
-            });
+        })
+    })
+}
+
+/// The Figure-4 sections of a single-group nest, or `None` when its
+/// statements do not share one partition (the sections are computed once
+/// for the whole group).
+fn split_sections(synth: &mut Synth, np: &NestPlan) -> Result<Option<SplitSets>, CompileError> {
+    for mine in &np.mine[1..] {
+        if !mine.try_equal(&np.mine[0])? {
+            return Ok(None);
         }
     }
+    // Sections intersected across every statement's references.
+    let layouts = synth.layouts;
+    let reads: Vec<(CommRef, &Layout)> = np
+        .stmts
+        .iter()
+        .flat_map(|s| s.reads.iter().map(move |r| (s, r)))
+        .filter(|(_, r)| !layouts[&r.array].replicated)
+        .map(|(s, r)| {
+            let cref = CommRef {
+                cp_map: np.cp0[0].clone(),
+                ref_map: r.ref_map(&s.ctx),
+            };
+            (cref, &layouts[&r.array])
+        })
+        .collect();
+    let read_pairs: Vec<(&CommRef, &Layout)> = reads.iter().map(|(c, l)| (c, *l)).collect();
+    let sections = synth.time("loop splitting", |_| {
+        split_sets(&np.mine[0], &read_pairs, &[])
+    })?;
+    Ok(Some(sections))
+}
 
-    // Generate the partitioned code, group by group.
-    let mut ops: Vec<NestOp> = Vec::new();
-    let mut chunks: Vec<Code> = Vec::new();
-    // Pre-nest receives/sends for level-0 read events are emitted before
-    // the first group unless loop splitting moves the receive.
-    let mut split_used = false;
+/// Figure 4: orders the nest's code and events. A nest that qualifies is
+/// *split* — send, compute the local section, receive, compute the
+/// non-local sections; any other gets the plain schedule — level-0 read
+/// exchanges, the partitioned groups with pipelined events injected at
+/// their loop level, then the write exchanges.
+fn schedule_nest(
+    synth: &mut Synth,
+    np: &NestPlan,
+    built: &[BuiltEvent],
+) -> Result<NestItem, CompileError> {
     let level0_reads: Vec<usize> = built
         .iter()
         .filter(|b| b.level == 0 && !b.is_write)
         .map(|b| b.event)
         .collect();
-
-    // Decide on loop splitting: single group, single statement, all
-    // communication vectorized out of the nest, and no loop-carried
-    // dependence (splitting reorders iterations, Figure 4 requires
-    // "no dependences that prevent iteration reordering").
-    let reorder_safe = || {
-        stmts.iter().all(|s| {
-            s.reads.iter().all(|r| {
-                writes.iter().all(|(wk, w)| {
-                    w.array != r.array
-                        || stmts[*wk].ctx.vars != s.ctx.vars
-                        || crate::dependence::carried_level_in(w, r, &s.ctx, synth.octx.as_ref())
-                            .is_none()
-                })
-            })
-        })
-    };
-    // All statements must share one loop nest and one partition for the
-    // sections of Figure 4 to be computed once for the whole group.
-    let shared_partition = || -> Result<Option<Set>, CompileError> {
-        let s0 = &stmts[groups[0][0]];
-        let (cp0, _) = cp_map_at_level(s0, synth.layouts, 0);
-        let mine0 = cp0.apply(&myid_set(proc_rank_of(s0, synth.layouts)));
-        for &k in &groups[0][1..] {
-            let (cp, _) = cp_map_at_level(&stmts[k], synth.layouts, 0);
-            let mine = cp.apply(&myid_set(proc_rank_of(&stmts[k], synth.layouts)));
-            if !mine.try_equal(&mine0)? {
-                return Ok(None);
-            }
-        }
-        Ok(Some(mine0))
-    };
+    // Splitting needs a single statement group, no communication but
+    // level-0 reads (the split schedule places nothing else), no
+    // reduction, and freedom to reorder iterations.
     let try_split = synth.opts.loop_splitting
-        && groups.len() == 1
+        && np.groups.len() == 1
         && !level0_reads.is_empty()
-        && built.iter().all(|b| b.level == 0)
-        && stmts.iter().all(|s| s.reduction.is_none())
-        && reorder_safe();
-
+        && level0_reads.len() == built.len()
+        && np.stmts.iter().all(|s| s.reduction.is_none())
+        && reorder_safe(np, synth.octx.as_ref());
     // Rung 0: a degradable failure anywhere in the Figure-4 analysis
     // abandons splitting for this nest (the exact events stay; only the
     // schedule overlap is lost) instead of failing the nest.
-    let mine = if try_split {
-        match shared_partition() {
-            Ok(m) => m,
-            Err(e) if degradable(&e) => {
-                synth.degrade("split", None, &e, "unsplit schedule");
-                None
-            }
-            Err(e) => return Err(e),
+    let sections = match try_split.then(|| split_sections(synth, np)) {
+        None => None,
+        Some(Ok(sections)) => sections,
+        Some(Err(e)) if degradable(&e) => {
+            synth.degrade("split", None, &e, "unsplit schedule");
+            None
         }
-    } else {
-        None
+        Some(Err(e)) => return Err(e),
     };
-    let sections = if let Some(mine) = &mine {
-        let s0 = &stmts[groups[0][0]];
-        let (cp, _) = cp_map_at_level(s0, synth.layouts, 0);
-        // Sections intersected across every statement's references.
-        let reads_l: Vec<(CommRef, &Layout)> = stmts
+    let mut out = NestCode::default();
+    if let Some(sections) = &sections {
+        // Figure 4(b) without non-local writes.
+        let names: Vec<&str> = np.stmts[0].ctx.vars.iter().map(String::as_str).collect();
+        let stmt_ops: Vec<StmtId> = np
+            .stmts
             .iter()
-            .flat_map(|s| {
-                s.reads
-                    .iter()
-                    .filter(|r| !synth.layouts[&r.array].replicated)
-                    .map(|r| {
-                        (
-                            CommRef {
-                                cp_map: cp.clone(),
-                                ref_map: r.ref_map(&s.ctx),
-                            },
-                            &synth.layouts[&r.array],
-                        )
-                    })
-                    .collect::<Vec<_>>()
-            })
+            .map(|s| out.op(NestOp::Assign(compile_stmt(s))))
             .collect();
-        let read_pairs: Vec<(&CommRef, &Layout)> = reads_l.iter().map(|(c, l)| (c, *l)).collect();
-        match synth.time("loop splitting", |_| split_sets(mine, &read_pairs, &[])) {
-            Ok(s) => Some(s),
-            Err(e) => {
-                let e = CompileError::from(e);
-                if degradable(&e) {
-                    synth.degrade("split", None, &e, "unsplit schedule");
-                    None
-                } else {
-                    return Err(e);
-                }
-            }
-        }
-    } else {
-        None
-    };
-    if let Some(sections) = sections {
-        let s0 = &stmts[groups[0][0]];
-        // SEND; compute local; RECV; compute non-local (Figure 4(b) without
-        // non-local writes).
-        let names: Vec<&str> = s0.ctx.vars.iter().map(String::as_str).collect();
-        let stmt_ops: Vec<StmtId> = stmts
-            .iter()
-            .map(|s| {
-                let op = ops.len();
-                ops.push(NestOp::Assign(compile_stmt(s)));
-                StmtId(op)
-            })
-            .collect();
-        let gen = |space: &Set| -> Result<Code, dhpf_codegen::CodegenError> {
+        let mut gen = |space: &Set| {
             let mappings: Vec<Mapping> = stmt_ops
                 .iter()
-                .map(|&id| Mapping {
-                    stmt: id,
+                .map(|&stmt| Mapping {
+                    stmt,
                     space: space.clone(),
                 })
                 .collect();
@@ -1512,97 +1443,66 @@ fn build_nest_exact(synth: &mut Synth, body: &[Stmt]) -> Result<NestItem, Compil
                 sequential_pieces: true,
                 ..CodegenOptions::default()
             };
-            codegen(&mappings, &names, &opts)
+            synth.time("mult mappings code generation", |_| {
+                codegen(&mappings, &names, &opts)
+            })
         };
-        let local_code = synth.time("mult mappings code generation", |_| gen(&sections.local))?;
-        let nl = sections.nl_ro.union(&sections.nl_wo).union(&sections.nl_rw);
-        let nl_code = synth.time("mult mappings code generation", |_| gen(&nl))?;
+        let local_code = gen(&sections.local)?;
+        let nl_code = gen(&sections.nl_ro.union(&sections.nl_wo).union(&sections.nl_rw))?;
         for &ev in &level0_reads {
-            let op = ops.len();
-            ops.push(NestOp::CommSend(ev));
-            chunks.push(Code::Stmt(StmtId(op)));
+            out.emit(NestOp::CommSend(ev));
         }
-        chunks.push(local_code);
+        out.chunks.push(local_code);
         for &ev in &level0_reads {
-            let op = ops.len();
-            ops.push(NestOp::CommRecv(ev));
-            chunks.push(Code::Stmt(StmtId(op)));
+            out.emit(NestOp::CommRecv(ev));
         }
-        chunks.push(nl_code);
-        split_used = true;
+        out.chunks.push(nl_code);
         synth.stats.split_nests += 1;
     } else {
-        // Plain schedule: send+recv all level-0 read events up front.
-        for b in built.iter().filter(|b| b.level == 0 && !b.is_write) {
-            let op = ops.len();
-            ops.push(NestOp::CommSend(b.event));
-            chunks.push(Code::Stmt(StmtId(op)));
-            let op = ops.len();
-            ops.push(NestOp::CommRecv(b.event));
-            chunks.push(Code::Stmt(StmtId(op)));
+        for &ev in &level0_reads {
+            out.exchange(ev);
         }
-        for (gidx, g) in groups.iter().enumerate() {
-            let names: Vec<&str> = stmts[g[0]].ctx.vars.iter().map(String::as_str).collect();
-            let mut mappings = Vec::new();
-            for &k in g {
-                let s = &stmts[k];
-                let (cp, _) = synth.time("partitioning computation", |sy| {
-                    cp_map_at_level(s, sy.layouts, 0)
-                });
-                let mut mine = cp.apply(&myid_set(proc_rank_of(s, synth.layouts)));
-                synth.time("loop bounds reduction", |_| mine.simplify_deep());
-                let op = ops.len();
-                ops.push(NestOp::Assign(compile_stmt(s)));
-                mappings.push(Mapping {
-                    stmt: StmtId(op),
-                    space: mine,
-                });
-            }
+        for (gidx, g) in np.groups.iter().enumerate() {
+            let names: Vec<&str> = np.stmts[g[0]].ctx.vars.iter().map(String::as_str).collect();
+            let mappings: Vec<Mapping> = g
+                .iter()
+                .map(|&k| {
+                    let mut space = np.mine[k].clone();
+                    synth.time("loop bounds reduction", |_| space.simplify_deep());
+                    Mapping {
+                        stmt: out.op(NestOp::Assign(compile_stmt(&np.stmts[k]))),
+                        space,
+                    }
+                })
+                .collect();
             let mut code = synth.time("mult mappings code generation", |_| {
                 codegen(&mappings, &names, &CodegenOptions::default())
             })?;
             // Inject inner-level communication (pipelines) into this group.
             for b in built.iter().filter(|b| b.level > 0 && b.group == gidx) {
-                let send = ops.len();
-                ops.push(NestOp::CommSend(b.event));
-                let recv = ops.len();
-                ops.push(NestOp::CommRecv(b.event));
+                let send = out.op(NestOp::CommSend(b.event));
+                let recv = out.op(NestOp::CommRecv(b.event));
                 code = inject_at_level(
                     code,
                     b.level,
-                    vec![Code::Stmt(StmtId(recv))],
-                    vec![Code::Stmt(StmtId(send))],
+                    vec![Code::Stmt(recv)],
+                    vec![Code::Stmt(send)],
                 );
             }
-            chunks.push(code);
+            out.chunks.push(code);
         }
         // Post-nest write events (send our non-local writes to owners).
         for b in built.iter().filter(|b| b.is_write) {
-            let op = ops.len();
-            ops.push(NestOp::CommSend(b.event));
-            chunks.push(Code::Stmt(StmtId(op)));
-            let op = ops.len();
-            ops.push(NestOp::CommRecv(b.event));
-            chunks.push(Code::Stmt(StmtId(op)));
+            out.exchange(b.event);
         }
     }
-    let reductions: Vec<Reduction> = {
-        let mut rs: Vec<Reduction> = Vec::new();
-        for s in &stmts {
-            if let Some(r) = &s.reduction {
-                if !rs.contains(r) {
-                    rs.push(r.clone());
-                }
-            }
+    let mut reductions: Vec<Reduction> = Vec::new();
+    for r in np.stmts.iter().filter_map(|s| s.reduction.as_ref()) {
+        if !reductions.contains(r) {
+            reductions.push(r.clone());
         }
-        rs
-    };
-    Ok(NestItem {
-        code: Code::Seq(chunks),
-        ops,
-        reductions,
-        split: split_used,
-    })
+    }
+    Ok(out.finish(reductions, sections.is_some()))
 }
 
 /// Builds a [`CommEvent`] from send/recv maps and registers it.
@@ -1635,8 +1535,8 @@ fn push_event_inner(
         synth.stats.contiguous_events += 1;
     }
     let id = synth.events.len();
-    let send_code = synth.time("loops over comm partners", |sy| comm_code(sy, send_map))?;
-    let recv_code = synth.time("loops over comm partners", |sy| comm_code(sy, recv_map))?;
+    let send_code = synth.time("loops over comm partners", |_| comm_code(send_map))?;
+    let recv_code = synth.time("loops over comm partners", |_| comm_code(recv_map))?;
     synth.events.push(CommEvent {
         id,
         array: array.to_string(),
@@ -1696,14 +1596,13 @@ fn array_index_set(analysis: &Analysis, array: &str) -> Set {
 }
 
 /// Generates enumeration code for a comm map `[q1..qr] -> [d1..dk]`.
-fn comm_code(synth: &mut Synth, map: &Relation) -> Result<Code, CompileError> {
+fn comm_code(map: &Relation) -> Result<Code, CompileError> {
     let r = map.n_in();
     let k = map.n_out();
     let set = rel_to_set(map);
     let mut names: Vec<String> = (0..r).map(|d| format!("q{}", d + 1)).collect();
     names.extend((0..k).map(|d| format!("d{}", d + 1)));
     let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-    let _ = synth;
     Ok(dhpf_codegen::codegen_set(
         &set,
         StmtId(0),

@@ -9,9 +9,11 @@
 //! *what* is computed.
 //!
 //! Also pins the reporting contract: `degradations()` is non-empty exactly
-//! when a fault fired, and a clean compile reports neither.
+//! when a fault fired, a clean compile reports neither, and a degraded
+//! compile's phase rows and span tree are as well-formed as an exact one's.
 
 use dhpf_core::{compile, CompileOptions, Compiled};
+use dhpf_obs::Collector;
 use dhpf_omega::{FaultAction, InjectPlan};
 use dhpf_sim::{simulate, MachineModel, SimResult};
 use std::collections::HashMap;
@@ -194,6 +196,65 @@ fn degradations_fire_exactly_when_faults_do() {
                 c.report.degradations()
             ),
             Err(e) => panic!("seed {seed}: comm_sets faults must degrade, got {e}"),
+        }
+    }
+}
+
+/// A budget panic contained by the nest ladder unwinds through open phases.
+/// Each must still be closed — time counted, span ended — so the report of
+/// a degraded compile has the shape of an exact one: `module compilation`
+/// and `opt of generated code` at the top level, nest phases beneath the
+/// former and within its time, one `compile` root, no span left open.
+#[test]
+fn contained_budget_panics_leave_phase_rows_and_spans_closed() {
+    for fuel in [4000, 500, 100, 20] {
+        for threads in [1u32, 2] {
+            let what = format!("op_fuel {fuel}, threads {threads}");
+            let collector = Collector::new();
+            let opts = CompileOptions::new()
+                .op_fuel(fuel)
+                .threads(threads as usize)
+                .trace(collector.clone());
+            let c = compile(JACOBI, &opts).unwrap_or_else(|e| panic!("{what}: {e}"));
+            assert!(
+                !c.report.degradations().is_empty(),
+                "{what}: the budget was meant to trip"
+            );
+
+            let rows = c.report.timers.rows_nested();
+            let row = |name: &str| {
+                rows.iter()
+                    .find(|r| r.name == name)
+                    .unwrap_or_else(|| panic!("{what}: no {name:?} row in {rows:?}"))
+            };
+            let module = row("module compilation");
+            assert_eq!(module.depth, 0, "{what}: {rows:?}");
+            assert!(!module.cumulative.is_zero(), "{what}: {rows:?}");
+            assert_eq!(row("opt of generated code").depth, 0, "{what}: {rows:?}");
+            // Nest rows are busy time summed over the workers, so the
+            // enclosing wall-clock phase bounds them times the thread count.
+            for r in rows.iter().filter(|r| r.depth == 1) {
+                assert!(
+                    module.cumulative * threads >= r.cumulative,
+                    "{what}: {} exceeds module compilation: {rows:?}",
+                    r.name
+                );
+            }
+
+            let trace = collector.trace();
+            let open: Vec<&str> = trace
+                .nodes
+                .iter()
+                .filter(|n| n.open)
+                .map(|n| n.name.as_str())
+                .collect();
+            assert!(open.is_empty(), "{what}: spans left open: {open:?}");
+            let roots: Vec<&str> = trace
+                .roots()
+                .iter()
+                .map(|&r| trace.nodes[r].name.as_str())
+                .collect();
+            assert_eq!(roots, ["compile"], "{what}: one compile root");
         }
     }
 }

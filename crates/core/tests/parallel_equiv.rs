@@ -1,9 +1,13 @@
-//! The parallel driver must be an implementation detail: `threads = N`
-//! must produce bit-identical output to the serial pipeline, merged
-//! reports must reconcile with the serial ones, and the paper-level
-//! pipeline invariants (checked by `dhpf_core::probes`) must keep holding
-//! when the analyses run on a shared sharded `Context` that the parallel
-//! driver is exercising concurrently.
+//! `threads` is a scheduling parameter, not a code path: one pipeline
+//! (plan → build each nest → assemble) runs at every thread count, and
+//! this suite checks that the schedule cannot be observed. `threads = N`
+//! must produce output bit-identical to `threads = 1` (where the task DAG
+//! drains on the calling thread in source order), for single- and
+//! multi-unit files in any unit order; merged reports must reconcile;
+//! and the paper-level pipeline invariants (checked by
+//! `dhpf_core::probes`) must keep holding when the analyses run on a
+//! shared sharded `Context` that worker threads are exercising
+//! concurrently.
 
 use dhpf_core::probes;
 use dhpf_core::{
@@ -57,9 +61,9 @@ enddo
 end
 ";
 
-/// `threads = 1..=8` all produce the serial program, bit for bit
-/// (`Debug` covers every field of the `SpmdProgram`, including
-/// communication event ids, nest ops, and guards).
+/// `threads = 1..=8` all produce the same program, bit for bit (`Debug`
+/// covers every field of the `SpmdProgram`, including communication event
+/// ids, nest ops, and guards).
 #[test]
 fn threads_1_to_8_produce_bit_identical_programs() {
     let serial = compile(MULTI, &CompileOptions::new()).unwrap();
@@ -130,6 +134,100 @@ fn merged_reports_reconcile_with_serial() {
     let cache = &par.report.cache;
     assert!(cache.total_hits() + cache.total_misses() > 0);
     assert!(cache.interned_conjuncts > 0);
+}
+
+/// Three units for the unit-level DAG: the main program, a subroutine that
+/// synthesizes, and one that cannot (its nest is followed by a `call`, so
+/// planning rejects it). Each unit's nest asks different set questions
+/// (extent, stencil shift), so work done for one is not a memo hit for
+/// another. `@NEST@` is the unplannable unit's nest.
+const MAIN_UNIT: &str = "
+program main
+real a(32), b(32)
+!HPF$ processors p(4)
+!HPF$ template t(32)
+!HPF$ align a(i) with t(i)
+!HPF$ align b(i) with t(i)
+!HPF$ distribute t(block) onto p
+do i = 2, 31
+  a(i) = b(i-1) + b(i+1)
+enddo
+end
+";
+const SMOOTH_UNIT: &str = "
+subroutine smooth
+real c(48,48), d(48,48)
+!HPF$ processors p(4)
+!HPF$ template t(48,48)
+!HPF$ align c(i,j) with t(i,j)
+!HPF$ align d(i,j) with t(i,j)
+!HPF$ distribute t(block,*) onto p
+do i = 2, 47
+  do j = 1, 48
+    c(i,j) = 0.5 * (d(i-1,j) + d(i+1,j))
+  enddo
+enddo
+end
+";
+const CALLER_UNIT: &str = "
+subroutine caller
+real e(40), f(40)
+!HPF$ processors p(4)
+!HPF$ template t(40)
+!HPF$ align e(i) with t(i)
+!HPF$ align f(i) with t(i)
+!HPF$ distribute t(block) onto p
+@NEST@
+call smooth
+end
+";
+const CALLER_NEST: &str = "do i = 4, 40
+  e(i) = f(i-3)
+enddo";
+
+/// Multi-unit files go through the same DAG: nest tasks of every planned
+/// unit, one assembly task per unit. Whatever the unit order and thread
+/// count, the main program and its statistics are the same, and a unit
+/// that cannot be planned is rejected *before* any of its set algebra
+/// runs — at one thread too, where the task DAG drains on the calling
+/// thread.
+#[test]
+fn multi_unit_files_compile_identically_in_any_order_and_schedule() {
+    let file = |units: [&str; 3], nest: &str| units.concat().replace("@NEST@", nest);
+    let orders = [
+        [MAIN_UNIT, SMOOTH_UNIT, CALLER_UNIT],
+        [CALLER_UNIT, MAIN_UNIT, SMOOTH_UNIT],
+        [SMOOTH_UNIT, CALLER_UNIT, MAIN_UNIT],
+    ];
+    let reference = compile(&file(orders[0], CALLER_NEST), &CompileOptions::new()).unwrap();
+    let golden = format!("{:?}", reference.program);
+    assert_eq!(reference.program.name, "main");
+    assert!(reference.report.stats.comm_events > 0, "needs real comm");
+    for order in orders {
+        let src = file(order, CALLER_NEST);
+        for threads in 1..=8 {
+            let c = compile(&src, &CompileOptions::new().threads(threads)).unwrap();
+            assert_eq!(c.report.units, 3);
+            assert_eq!(
+                golden,
+                format!("{:?}", c.program),
+                "threads = {threads} changed the main program"
+            );
+            assert_eq!(
+                reference.report.stats, c.report.stats,
+                "threads = {threads} changed the synthesis statistics"
+            );
+        }
+        // The unplannable unit's nest costs nothing: same memo misses as
+        // the file without it (declarations and the `call` kept).
+        let with_nest = compile(&src, &CompileOptions::new()).unwrap();
+        let without = compile(&file(order, ""), &CompileOptions::new()).unwrap();
+        assert_eq!(
+            with_nest.report.cache.total_misses(),
+            without.report.cache.total_misses(),
+            "set algebra was done for a unit that cannot be planned"
+        );
+    }
 }
 
 /// The paper-level invariants of Figures 3–4 hold when the analysis runs

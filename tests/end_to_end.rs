@@ -233,6 +233,37 @@ end
     );
 }
 
+/// A non-local write beside a vectorized non-local read: the nest must
+/// keep its post-nest write exchange (the Figure-4(b) split schedule has
+/// no place for one, so such a nest is not split).
+#[test]
+fn non_owner_write_with_nonlocal_read() {
+    check(
+        "
+program wsplit
+real a(32), b(32), c(32)
+!HPF$ processors p(4)
+!HPF$ template t(32)
+!HPF$ align a(i) with t(i)
+!HPF$ align b(i) with t(i)
+!HPF$ align c(i) with t(i)
+!HPF$ distribute t(block) onto p
+do i = 1, 32
+  b(i) = 0.5 * i
+  c(i) = 0.25 * i
+  a(i) = 0.0
+enddo
+do i = 2, 31
+!HPF$ on_home c(i+1)
+  a(i) = b(i-1) + c(i+1)
+enddo
+end
+",
+        &[&[4]],
+        &[],
+    );
+}
+
 /// Guarded (IF) statements inside a parallel nest.
 #[test]
 fn guarded_statements() {
