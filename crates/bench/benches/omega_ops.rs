@@ -28,27 +28,27 @@ fn main() {
     {
         let layout = block_layout();
         bench("compose refmap with block layout", 200, || {
-            black_box(refmap.then(&layout.inverse()))
+            black_box(refmap.then(&layout.inverse()).unwrap())
         });
     }
 
     {
         let layout = block_layout();
-        let cp = layout.restrict_range(&refmap.restrict_domain(&iter).range());
+        let cp = layout.restrict_range(&refmap.restrict_domain(&iter).range().unwrap());
         bench("apply + subtract (nl data set, fixed P)", 100, || {
-            let accessed = cp.apply(&me);
-            let owned = layout.apply(&me);
-            black_box(accessed.subtract(&owned))
+            let accessed = cp.apply(&me).unwrap();
+            let owned = layout.apply(&me).unwrap();
+            black_box(accessed.subtract(&owned).unwrap())
         });
     }
 
     {
         let layout = vp_layout();
-        let cp = layout.restrict_range(&refmap.restrict_domain(&iter).range());
+        let cp = layout.restrict_range(&refmap.restrict_domain(&iter).range().unwrap());
         bench("apply + subtract (nl data set, symbolic P)", 100, || {
-            let accessed = cp.apply(&me);
-            let owned = layout.apply(&me);
-            black_box(accessed.subtract(&owned))
+            let accessed = cp.apply(&me).unwrap();
+            let owned = layout.apply(&me).unwrap();
+            black_box(accessed.subtract(&owned).unwrap())
         });
     }
 
@@ -67,7 +67,7 @@ fn main() {
             .unwrap();
         let bs: Set = "{[i] : 1 <= i <= n}".parse().unwrap();
         bench("emptiness of aligned difference", 200, || {
-            black_box(a.subtract(&bs).is_empty())
+            black_box(a.subtract(&bs).unwrap().is_empty())
         });
     }
 }

@@ -119,7 +119,10 @@ fn main() {
         let mut n = 0usize;
         for c in &conjuncts {
             if c.mentions(Var::In(0)) {
-                n += c.eliminate_exact(Var::In(0)).len();
+                n += c
+                    .eliminate_exact(Var::In(0))
+                    .expect("bench conjuncts project without overflow")
+                    .len();
             }
         }
         n

@@ -126,7 +126,7 @@ pub fn codegen(
     for (seq, m) in mappings.iter().enumerate() {
         let ctx = m.space.context().cloned();
         let mut space = m.space.clone();
-        space.simplify_deep();
+        space.simplify();
         // Disjoint disjunctive form. Every multi-piece producer in the set
         // algebra may return *overlapping* pieces — the conjuncts of the
         // input set itself, stride-form splitting, and the dark-shadow ∨
@@ -154,7 +154,7 @@ pub fn codegen(
                 }
                 cur.add_conjunct(sf.clone());
                 let diff = Set::from_relation(cur)
-                    .try_subtract(&Set::from_relation(emitted.clone()))
+                    .subtract(&Set::from_relation(emitted.clone()))
                     .map_err(|_| CodegenError::Inexact)?;
                 disjoint.extend(diff.as_relation().conjuncts().iter().cloned());
                 emitted.add_conjunct(sf);
@@ -330,7 +330,7 @@ fn recovered_bounds(
             // A failed projection (overflow, budget) means no bound can
             // be recovered; the caller turns that into `Unbounded`, which
             // the driver's degradation ladder handles.
-            match c.try_eliminate_exact_in(Var::In(deeper), cx) {
+            match c.eliminate_exact_in(Var::In(deeper), cx) {
                 Ok(parts) => next.extend(parts),
                 Err(_) => return (None, None),
             }

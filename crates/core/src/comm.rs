@@ -50,9 +50,10 @@ impl CommSets {
 ///
 /// # Errors
 ///
-/// Returns the underlying [`OmegaError`] when a set difference hits an
-/// exactness limit (inexact negation or coefficient overflow); callers
-/// surface it as a compile diagnostic instead of aborting.
+/// Returns the underlying [`OmegaError`] when a composition or set
+/// difference hits an exactness limit (inexact negation or coefficient
+/// overflow) or is refused by the governor; callers surface it as a
+/// compile diagnostic or degrade the event.
 ///
 /// # Panics
 ///
@@ -69,28 +70,28 @@ pub fn comm_sets(
     let proc_rank = layout.proc_rank();
     let mut me = myid_set(proc_rank);
     me.set_context(layout.rel.context());
-    let owned_by_m = layout.rel.apply(&me);
-    let others = Set::universe(proc_rank).try_subtract(&me)?;
+    let owned_by_m = layout.rel.apply(&me)?;
+    let others = Set::universe(proc_rank).subtract(&me)?;
 
     // Step 2: DataAccessed_t = ∪_r CPMap_r ∘ RefMap_r  (proc -> data).
-    let accessed = |refs: &[CommRef]| -> Option<Relation> {
+    let accessed = |refs: &[CommRef]| -> Result<Option<Relation>, OmegaError> {
         let mut acc: Option<Relation> = None;
         for r in refs {
-            let term = r.cp_map.then(&r.ref_map);
+            let term = r.cp_map.then(&r.ref_map)?;
             acc = Some(match acc {
                 None => term,
                 Some(a) => a.union(&term),
             });
         }
-        acc
+        Ok(acc)
     };
-    let data_read = accessed(reads);
-    let data_write = accessed(writes);
+    let data_read = accessed(reads)?;
+    let data_write = accessed(writes)?;
 
     // Step 3 (per §5): nlDataSet_t(m) = DataAccessed_t({m}) - Layout({m}).
     let nl_of = |d: &Option<Relation>| -> Result<Set, OmegaError> {
         match d {
-            Some(rel) => rel.apply(&me).try_subtract(&owned_by_m),
+            Some(rel) => rel.apply(&me)?.subtract(&owned_by_m),
             None => Ok(Set::empty(layout.rel.n_out())),
         }
     };
@@ -131,7 +132,7 @@ pub fn comm_sets(
 /// after the compile budget has tripped. The pieces (coordinates agree
 /// below dimension `d`, differ at `d`) are pairwise disjoint, which keeps
 /// the disjoint-form pass in code generation from having to subtract them.
-fn others_set(proc_rank: u32, layout: &Layout) -> Set {
+fn others_set(proc_rank: u32, layout: &Layout) -> Result<Set, OmegaError> {
     let mut rel =
         Relation::empty(proc_rank, 0).with_in_names((0..proc_rank).map(|d| format!("p{}", d + 1)));
     rel.set_context(layout.rel.context());
@@ -153,7 +154,7 @@ fn others_set(proc_rank: u32, layout: &Layout) -> Set {
             rel.add_conjunct(c);
         }
     }
-    Set::from_relation(rel).intersection(&layout.rel.domain())
+    Ok(Set::from_relation(rel).intersection(&layout.rel.domain()?))
 }
 
 /// A sound, always-available over-approximation of [`comm_sets`]: the full
@@ -162,13 +163,18 @@ fn others_set(proc_rank: u32, layout: &Layout) -> Set {
 /// processor's owned section, making each rank's copy owner-current.
 ///
 /// Unlike the exact Figure 3 equations this needs no set difference (the
-/// complement of `myid` is built syntactically), so it cannot fail with an
-/// exactness or budget error — it is the event the driver degrades to when
-/// the exact analysis gives up. `nl_write_data` is empty: the conservative
-/// event only *refreshes* reads from owners; non-local writes degrade at
-/// the nest level, where ownership of the written data is re-established
-/// by replicating the computation.
-pub fn conservative_comm_sets(layout: &Layout) -> CommSets {
+/// complement of `myid` is built syntactically) and runs in a grace scope,
+/// so it cannot fail with an exactness or budget error — it is the event
+/// the driver degrades to when the exact analysis gives up.
+/// `nl_write_data` is empty: the conservative event only *refreshes* reads
+/// from owners; non-local writes degrade at the nest level, where ownership
+/// of the written data is re-established by replicating the computation.
+///
+/// # Errors
+///
+/// [`OmegaError::Cancelled`] — the one refusal a grace scope never
+/// suspends.
+pub fn conservative_comm_sets(layout: &Layout) -> Result<CommSets, OmegaError> {
     // Self-contained grace scope: the compositions below go through the
     // governed memoized operations, and this function is called precisely
     // when the budget has already tripped.
@@ -177,8 +183,8 @@ pub fn conservative_comm_sets(layout: &Layout) -> CommSets {
     let data_rank = layout.rel.n_out();
     let mut me = myid_set(proc_rank);
     me.set_context(layout.rel.context());
-    let owned_by_m = layout.rel.apply(&me);
-    let others = others_set(proc_rank, layout);
+    let owned_by_m = layout.rel.apply(&me)?;
+    let others = others_set(proc_rank, layout)?;
 
     // Send: to each partner p != m, everything m owns. Receive: from each
     // partner p != m, everything p owns (the layout restricted to p) — the
@@ -191,12 +197,12 @@ pub fn conservative_comm_sets(layout: &Layout) -> CommSets {
     let mut recv_map = layout.rel.restrict_domain(&others);
     send_map.simplify();
     recv_map.simplify();
-    CommSets {
-        nl_read_data: recv_map.range(),
+    Ok(CommSets {
+        nl_read_data: recv_map.range()?,
         nl_write_data: Set::empty(data_rank),
         send_map,
         recv_map,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -230,7 +236,7 @@ end
         let a = analyze(&prog.units[0]).unwrap();
         let layouts = build_layouts(&a);
         let stmts = collect_statements(&a);
-        let cp = cp_map(&stmts[0], &layouts);
+        let cp = cp_map(&stmts[0], &layouts).unwrap();
         let rm = stmts[0].reads[0].ref_map(&stmts[0].ctx);
         let sets = comm_sets(
             &[CommRef {
@@ -275,7 +281,7 @@ end
         let prog = parse(SHIFT).unwrap();
         let a = analyze(&prog.units[0]).unwrap();
         let layouts = build_layouts(&a);
-        let sets = conservative_comm_sets(&layouts["b"]);
+        let sets = conservative_comm_sets(&layouts["b"]).unwrap();
         let m0 = [("m1", 0i64)];
         // m=0 owns b[1..25]: it sends exactly that section to every other
         // rank in the grid, and never to itself or outside the grid.
@@ -305,9 +311,9 @@ end
         // Trip the governor, then demand the fallback: it must still be
         // exact (grace scope), not merely non-panicking.
         let probe = ctx.parse_set("{[i] : 1 <= i <= 2}").unwrap();
-        assert!(probe.try_subtract(&probe).is_err());
+        assert!(probe.subtract(&probe).is_err());
         assert!(ctx.budget_tripped());
-        let sets = conservative_comm_sets(&layouts["b"]);
+        let sets = conservative_comm_sets(&layouts["b"]).unwrap();
         // Membership checks go through governed satisfiability, which
         // degrades to "maybe" while tripped — drop the governor so the
         // assertions below are exact.
@@ -338,7 +344,7 @@ end
         let a = analyze(&prog.units[0]).unwrap();
         let layouts = build_layouts(&a);
         let stmts = collect_statements(&a);
-        let cp = cp_map(&stmts[0], &layouts);
+        let cp = cp_map(&stmts[0], &layouts).unwrap();
         let rm = stmts[0].reads[0].ref_map(&stmts[0].ctx);
         let sets = comm_sets(
             &[CommRef {
@@ -372,7 +378,7 @@ end
         let a = analyze(&prog.units[0]).unwrap();
         let layouts = build_layouts(&a);
         let stmts = collect_statements(&a);
-        let cp = cp_map(&stmts[0], &layouts);
+        let cp = cp_map(&stmts[0], &layouts).unwrap();
         let refs: Vec<CommRef> = stmts[0]
             .reads
             .iter()
@@ -411,7 +417,7 @@ end
         let a = analyze(&prog.units[0]).unwrap();
         let layouts = build_layouts(&a);
         let stmts = collect_statements(&a);
-        let cp = cp_map(&stmts[0], &layouts);
+        let cp = cp_map(&stmts[0], &layouts).unwrap();
         let wref = CommRef {
             cp_map: cp,
             ref_map: stmts[0].lhs.as_ref().unwrap().ref_map(&stmts[0].ctx),
@@ -451,7 +457,7 @@ end
         let layouts = build_layouts(&a);
         let stmts = collect_statements(&a);
         // Vectorize only out of the j loop (level 1): i stays symbolic.
-        let (cp, inner) = cp_map_at_level(&stmts[0], &layouts, 1);
+        let (cp, inner) = cp_map_at_level(&stmts[0], &layouts, 1).unwrap();
         let rm = ref_map_in(&stmts[0].reads[0], &slice_context(&stmts[0].ctx, 1));
         let sets = comm_sets(
             &[CommRef {

@@ -5,7 +5,7 @@
 
 use crate::ir::{ArrayRef, LoopContext, StmtInfo};
 use crate::layout::Layout;
-use dhpf_omega::{LinExpr, Relation, Set, Var};
+use dhpf_omega::{LinExpr, OmegaError, Relation, Set, Var};
 use std::collections::BTreeMap;
 
 /// The singleton processor set `{ [p1..pr] : p_d = m_d }` for the
@@ -31,11 +31,15 @@ pub fn myid_set(proc_rank: u32) -> Set {
 /// equation 1).
 ///
 /// Returns the CPMap and the inner [`LoopContext`] it ranges over.
+///
+/// # Errors
+///
+/// Returns the [`OmegaError`] of a refused or overflowing composition.
 pub fn cp_map_at_level(
     stmt: &StmtInfo,
     layouts: &BTreeMap<String, Layout>,
     level: u32,
-) -> (Relation, LoopContext) {
+) -> Result<(Relation, LoopContext), OmegaError> {
     let inner = slice_context(&stmt.ctx, level);
     let loop_set = inner.iteration_set();
     let proc_rank = proc_rank_of(stmt, layouts);
@@ -47,7 +51,7 @@ pub fn cp_map_at_level(
         }
         let refmap = ref_map_in(&oh, &inner);
         // Layout: proc -> data; RefMap⁻¹: data -> loop.
-        let term = layout.rel.then(&refmap.inverse());
+        let term = layout.rel.then(&refmap.inverse())?;
         acc = Some(match acc {
             None => term,
             Some(a) => a.union(&term),
@@ -60,12 +64,16 @@ pub fn cp_map_at_level(
             Relation::universe(proc_rank, inner.depth()).restrict_range(&loop_set)
         }
     };
-    (cp, inner)
+    Ok((cp, inner))
 }
 
 /// The statement's `CPMap: proc -> loop` over its full loop nest.
-pub fn cp_map(stmt: &StmtInfo, layouts: &BTreeMap<String, Layout>) -> Relation {
-    cp_map_at_level(stmt, layouts, 0).0
+///
+/// # Errors
+///
+/// See [`cp_map_at_level`].
+pub fn cp_map(stmt: &StmtInfo, layouts: &BTreeMap<String, Layout>) -> Result<Relation, OmegaError> {
+    Ok(cp_map_at_level(stmt, layouts, 0)?.0)
 }
 
 /// ON_HOME terms actually used for partitioning: the declared terms, or the
@@ -164,7 +172,7 @@ end
         let a = analyze(&prog.units[0]).unwrap();
         let layouts = build_layouts(&a);
         let stmts = collect_statements(&a);
-        let cp = cp_map(&stmts[0], &layouts);
+        let cp = cp_map(&stmts[0], &layouts).unwrap();
         let n = [("n", 60i64)];
         // p=0 executes j in [2, 26]
         assert!(cp.contains_pair(&[0], &[1, 2], &n));
@@ -188,8 +196,8 @@ end
         let a = analyze(&prog.units[0]).unwrap();
         let layouts = build_layouts(&a);
         let stmts = collect_statements(&a);
-        let cp = cp_map(&stmts[0], &layouts);
-        let mine = cp.apply(&myid_set(1));
+        let cp = cp_map(&stmts[0], &layouts).unwrap();
+        let mine = cp.apply(&myid_set(1)).unwrap();
         // With m1 = 1, n = 60: iterations i in [1,60], j in [27,51].
         let params = [("m1", 1i64), ("n", 60)];
         assert!(mine.contains(&[1, 27], &params));
@@ -204,7 +212,7 @@ end
         let a = analyze(&prog.units[0]).unwrap();
         let layouts = build_layouts(&a);
         let stmts = collect_statements(&a);
-        let (cp, inner) = cp_map_at_level(&stmts[0], &layouts, 1);
+        let (cp, inner) = cp_map_at_level(&stmts[0], &layouts, 1).unwrap();
         assert_eq!(inner.vars, vec!["j".to_string()]);
         // Outer loop i becomes a parameter; it does not affect ownership here.
         let params = [("n", 60i64), ("i", 3)];

@@ -2,7 +2,7 @@
 //! legal communication placement levels (message vectorization).
 
 use crate::ir::{ArrayRef, LoopContext};
-use dhpf_omega::{LinExpr, Relation, Set, Var};
+use dhpf_omega::{LinExpr, OmegaError, Relation, Var};
 
 /// The deepest loop level that carries a true dependence from `write` to
 /// `read` within `ctx`, or `None` if no loop-carried dependence exists.
@@ -10,27 +10,28 @@ use dhpf_omega::{LinExpr, Relation, Set, Var};
 /// A dependence is carried at level `d` when some write instance `iw` and
 /// read instance `ir` touch the same element with `iw` and `ir` equal in
 /// dimensions `0..d` and `iw[d] < ir[d]`.
-pub fn carried_level(write: &ArrayRef, read: &ArrayRef, ctx: &LoopContext) -> Option<u32> {
-    carried_level_in(write, read, ctx, None)
-}
-
-/// [`carried_level`] threading a shared Omega
-/// [`Context`](dhpf_omega::Context) through the satisfiability tests, so
-/// repeated dependence queries over the same nest reuse cached projections.
-pub fn carried_level_in(
+///
+/// A shared Omega [`Context`](dhpf_omega::Context), when given, is threaded
+/// through the satisfiability tests, so repeated dependence queries over
+/// the same nest reuse cached projections.
+///
+/// # Errors
+///
+/// Returns the [`OmegaError`] of a refused or overflowing composition.
+pub fn carried_level(
     write: &ArrayRef,
     read: &ArrayRef,
     ctx: &LoopContext,
     omega: Option<&dhpf_omega::Context>,
-) -> Option<u32> {
+) -> Result<Option<u32>, OmegaError> {
     if write.array != read.array {
-        return None;
+        return Ok(None);
     }
     let depth = ctx.depth();
     let w = write.ref_map(ctx);
     let r = read.ref_map(ctx);
     // Same-element relation: { [iw] -> [ir] : write(iw) = read(ir) }.
-    let same = w.then(&r.inverse());
+    let same = w.then(&r.inverse())?;
     // Restrict both sides to the iteration space.
     let mut iters = ctx.iteration_set();
     iters.set_context(omega);
@@ -43,7 +44,7 @@ pub fn carried_level_in(
             break;
         }
     }
-    deepest
+    Ok(deepest)
 }
 
 /// The relation `{ [iw] -> [ir] : iw[0..d] = ir[0..d] && iw[d] < ir[d] }`.
@@ -65,36 +66,34 @@ fn lex_before_at(depth: u32, d: u32) -> Relation {
 ///
 /// Returns a level in `0..=depth`: `0` hoists out of the whole nest; level
 /// `l` places communication just inside loop `l-1`.
-pub fn placement_level(read: &ArrayRef, writes: &[&ArrayRef], ctx: &LoopContext) -> u32 {
-    placement_level_in(read, writes, ctx, None)
-}
-
-/// [`placement_level`] threading a shared Omega
-/// [`Context`](dhpf_omega::Context) through the dependence tests.
-pub fn placement_level_in(
+///
+/// # Errors
+///
+/// See [`carried_level`].
+pub fn placement_level(
     read: &ArrayRef,
     writes: &[&ArrayRef],
     ctx: &LoopContext,
     omega: Option<&dhpf_omega::Context>,
-) -> u32 {
+) -> Result<u32, OmegaError> {
     let mut level = 0;
     for w in writes {
         if w.array != read.array {
             continue;
         }
-        if let Some(d) = carried_level_in(w, read, ctx, omega) {
+        if let Some(d) = carried_level(w, read, ctx, omega)? {
             level = level.max(d + 1);
         } else {
             // A loop-independent dependence (same iteration) still forbids
             // hoisting if the write can produce what the read consumes;
             // check same-iteration overlap.
-            let same_iter = same_iteration_overlap(w, read, ctx, omega);
+            let same_iter = same_iteration_overlap(w, read, ctx, omega)?;
             if same_iter {
                 level = level.max(ctx.depth());
             }
         }
     }
-    level
+    Ok(level)
 }
 
 fn same_iteration_overlap(
@@ -102,10 +101,10 @@ fn same_iteration_overlap(
     read: &ArrayRef,
     ctx: &LoopContext,
     omega: Option<&dhpf_omega::Context>,
-) -> bool {
+) -> Result<bool, OmegaError> {
     let w = write.ref_map(ctx);
     let r = read.ref_map(ctx);
-    let same = w.then(&r.inverse());
+    let same = w.then(&r.inverse())?;
     let mut iters = ctx.iteration_set();
     iters.set_context(omega);
     let same = same.restrict_domain(&iters).restrict_range(&iters);
@@ -118,18 +117,7 @@ fn same_iteration_overlap(
     }
     rel.conjuncts_mut().clear();
     rel.add_conjunct(c);
-    same.intersection(&rel).is_satisfiable()
-}
-
-/// True if the iterations of the nest can be reordered freely with respect
-/// to this (write, read) pair — used to validate loop splitting.
-pub fn permits_reordering(write: &ArrayRef, read: &ArrayRef, ctx: &LoopContext) -> bool {
-    carried_level(write, read, ctx).is_none()
-}
-
-/// Convenience: the full iteration set of a context as a [`Set`].
-pub fn iteration_set(ctx: &LoopContext) -> Set {
-    ctx.iteration_set()
+    Ok(same.intersection(&rel).is_satisfiable())
 }
 
 #[cfg(test)]
@@ -160,8 +148,8 @@ end
         );
         let w = s[0].lhs.as_ref().unwrap();
         for r in &s[0].reads {
-            assert_eq!(carried_level(w, r, &s[0].ctx), None);
-            assert_eq!(placement_level(r, &[w], &s[0].ctx), 0);
+            assert_eq!(carried_level(w, r, &s[0].ctx, None).unwrap(), None);
+            assert_eq!(placement_level(r, &[w], &s[0].ctx, None).unwrap(), 0);
         }
     }
 
@@ -181,9 +169,9 @@ end
         );
         let w = s[0].lhs.as_ref().unwrap();
         let r = &s[0].reads[0];
-        assert_eq!(carried_level(w, r, &s[0].ctx), Some(0));
+        assert_eq!(carried_level(w, r, &s[0].ctx, None).unwrap(), Some(0));
         // Communication must stay inside the i loop: level 1.
-        assert_eq!(placement_level(r, &[w], &s[0].ctx), 1);
+        assert_eq!(placement_level(r, &[w], &s[0].ctx, None).unwrap(), 1);
     }
 
     #[test]
@@ -202,8 +190,8 @@ end
         );
         let w = s[0].lhs.as_ref().unwrap();
         let r = &s[0].reads[0];
-        assert_eq!(carried_level(w, r, &s[0].ctx), Some(1));
-        assert_eq!(placement_level(r, &[w], &s[0].ctx), 2);
+        assert_eq!(carried_level(w, r, &s[0].ctx, None).unwrap(), Some(1));
+        assert_eq!(placement_level(r, &[w], &s[0].ctx, None).unwrap(), 2);
     }
 
     #[test]
@@ -220,10 +208,10 @@ end
         );
         let w = s[0].lhs.as_ref().unwrap();
         let r = &s[0].reads[0];
-        assert_eq!(carried_level(w, r, &s[0].ctx), None);
+        assert_eq!(carried_level(w, r, &s[0].ctx, None).unwrap(), None);
         // Same-iteration overlap forbids hoisting entirely... but the data
         // is local under owner-computes, so no communication results anyway.
-        assert_eq!(placement_level(r, &[w], &s[0].ctx), 1);
+        assert_eq!(placement_level(r, &[w], &s[0].ctx, None).unwrap(), 1);
     }
 
     #[test]
@@ -242,6 +230,6 @@ end
         );
         let w = s[0].lhs.as_ref().unwrap();
         let r = &s[0].reads[0];
-        assert_eq!(carried_level(w, r, &s[0].ctx), None);
+        assert_eq!(carried_level(w, r, &s[0].ctx, None).unwrap(), None);
     }
 }

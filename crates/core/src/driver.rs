@@ -438,34 +438,17 @@ fn compile_impl(ctx: &Context, src: &str, opts: &CompileOptions) -> Result<Compi
     let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         compile_inner(ctx, src, opts)
     }));
-    // Read the governed abort state while the scoped governor is still
-    // armed: a failure that unwound while cancellation was requested or
-    // the budget was tripped is downstream of that abort, not an
-    // independent compiler bug. Some infallible set-algebra entry points
-    // (`domain`, `then`, projection) surface a governed abort by panicking
-    // — the contained panic is translated back to its typed error here.
-    let aborted = if opts.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-        Some(CompileError::Cancelled)
-    } else {
-        ctx.governor_stats().tripped.map(CompileError::Budget)
-    };
     // Disarm: the scoped governor dies with its guard; injection is the
     // one context-global knob this function arms.
     if opts.inject.is_some() {
         ctx.set_inject(None);
     }
     ctx.set_collector(None);
-    match out {
-        Ok(Err(CompileError::Internal(m))) => Err(match aborted {
-            Some(e) => e,
-            None => CompileError::Internal(m),
-        }),
-        Ok(r) => r,
-        Err(payload) => Err(match aborted {
-            Some(e) => e,
-            None => CompileError::Internal(crate::parallel::panic_message(payload)),
-        }),
-    }
+    out.unwrap_or_else(|payload| {
+        Err(CompileError::Internal(crate::parallel::panic_message(
+            payload,
+        )))
+    })
 }
 
 fn compile_inner(
@@ -616,6 +599,7 @@ fn compile_units(
             let out = build_nest(
                 unit.analysis,
                 &unit.layouts,
+                ctx,
                 &opts.spmd,
                 &unit.plan.nests[nest],
                 &format!("nest {}.{nest}", unit.index),

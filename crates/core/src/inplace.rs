@@ -60,16 +60,17 @@ pub fn contiguity(comm: &Set, local: &Set) -> Contiguity {
     // singletons.
     let mut k = n;
     for d in 0..n {
-        let cd = comm.project_onto(&[d]);
-        let ad = local.project_onto(&[d]);
-        match cd.try_equal(&ad) {
+        let spans_dim = comm
+            .project_onto(&[d])
+            .and_then(|cd| cd.equal(&local.project_onto(&[d])?));
+        match spans_dim {
             Ok(true) => {}
             Ok(false) => {
                 k = d;
                 break;
             }
-            // Comparison hit an exactness limit: undecidable at compile
-            // time, so defer to a runtime scan rather than panic.
+            // Comparison hit an exactness limit or a governor refusal:
+            // undecided at compile time, so defer to a runtime scan.
             Err(e) => {
                 return Contiguity::Runtime(RuntimeCheck {
                     description: format!("dimension {d} span comparison inexact: {e}"),
@@ -82,8 +83,7 @@ pub fn contiguity(comm: &Set, local: &Set) -> Contiguity {
         // Spans the whole array: contiguous.
         return Contiguity::Contiguous;
     }
-    let ck = comm.project_onto(&[k]);
-    match ck.try_is_convex_1d() {
+    match comm.project_onto(&[k]).and_then(|ck| ck.is_convex_1d()) {
         Ok(true) => {}
         Ok(false) => {
             // A hole is *provable* (the hole formula is satisfiable); it may
@@ -107,8 +107,7 @@ pub fn contiguity(comm: &Set, local: &Set) -> Contiguity {
         }
     }
     for d in (k + 1)..n {
-        let cd = comm.project_onto(&[d]);
-        match cd.try_is_singleton_1d() {
+        match comm.project_onto(&[d]).and_then(|cd| cd.is_singleton_1d()) {
             Ok(true) => {}
             Ok(false) => {
                 if comm.as_relation().params().is_empty() {

@@ -46,7 +46,7 @@ pub mod vp;
 
 pub use comm::{comm_sets, conservative_comm_sets, CommRef, CommSets};
 pub use cp::{cp_map, cp_map_at_level, myid_set};
-pub use dependence::{carried_level, carried_level_in, placement_level, placement_level_in};
+pub use dependence::{carried_level, placement_level};
 pub use driver::{
     compile, compile_request, process_request, Artifacts, CompileOptions, CompileReport,
     CompileRequest, CompileResponse, Compiled, WireError,

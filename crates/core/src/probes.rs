@@ -8,7 +8,7 @@
 
 use crate::comm::CommSets;
 use crate::split::SplitSets;
-use dhpf_omega::{OmegaError, Relation, Set};
+use dhpf_omega::{Relation, Set};
 
 /// Checks that a computation-partitioning map assigns every iteration of
 /// `iter_space` to exactly one of the `n_procs` processors (the ON_HOME
@@ -119,18 +119,15 @@ pub fn split_partition(splits: &SplitSets, mine: &Set, m: i64) -> Result<(), Str
 /// # Errors
 ///
 /// Returns a human-readable description of the first component that
-/// differs, or the underlying [`OmegaError`] rendered as a string if the
+/// differs, or the underlying [`dhpf_omega::OmegaError`] rendered as a string if the
 /// comparison itself is inexact.
 pub fn comm_equiv(a: &CommSets, b: &CommSets) -> Result<(), String> {
-    let eq_set = |x: &Set, y: &Set| -> Result<bool, OmegaError> {
-        Ok(x.try_subtract(y)?.is_empty() && y.try_subtract(x)?.is_empty())
-    };
     let pairs = [
         ("nl_read_data", &a.nl_read_data, &b.nl_read_data),
         ("nl_write_data", &a.nl_write_data, &b.nl_write_data),
     ];
     for (name, x, y) in pairs {
-        match eq_set(x, y) {
+        match x.equal(y) {
             Ok(true) => {}
             Ok(false) => return Err(format!("comm_equiv: {name} differs:\n  {x}\n  {y}")),
             Err(e) => return Err(format!("comm_equiv: {name} comparison inexact: {e}")),
@@ -141,7 +138,7 @@ pub fn comm_equiv(a: &CommSets, b: &CommSets) -> Result<(), String> {
         ("recv_map", &a.recv_map, &b.recv_map),
     ];
     for (name, x, y) in map_pairs {
-        match x.try_equal(y) {
+        match x.equal(y) {
             Ok(true) => {}
             Ok(false) => return Err(format!("comm_equiv: {name} differs:\n  {x}\n  {y}")),
             Err(e) => return Err(format!("comm_equiv: {name} comparison inexact: {e}")),

@@ -46,8 +46,9 @@ impl SplitSets {
 ///
 /// # Errors
 ///
-/// Returns the underlying [`OmegaError`] when a set difference hits an
-/// exactness limit (inexact negation or coefficient overflow).
+/// Returns the underlying [`OmegaError`] when an image or set difference
+/// hits an exactness limit (inexact negation or coefficient overflow) or
+/// is refused by the governor.
 ///
 /// # Panics
 ///
@@ -63,26 +64,26 @@ pub fn split_sets(
         let mut acc = cp_iter_set.clone();
         for (r, layout) in refs {
             let me = myid_set(layout.proc_rank());
-            let owned = layout.rel.apply(&me);
-            let data_accessed = r.ref_map.apply(cp_iter_set);
+            let owned = layout.rel.apply(&me)?;
+            let data_accessed = r.ref_map.apply(cp_iter_set)?;
             let local_data = data_accessed.intersection(&owned);
-            let mut li = r.ref_map.apply_inverse(&local_data);
+            let mut li = r.ref_map.apply_inverse(&local_data)?;
             // Restrict to iterations whose *own* access is local:
             // iterations whose referenced element is non-local must go.
-            let nl_data = data_accessed.try_subtract(&owned)?;
-            let nl_iters = r.ref_map.apply_inverse(&nl_data);
-            li = li.try_subtract(&nl_iters)?;
+            let nl_data = data_accessed.subtract(&owned)?;
+            let nl_iters = r.ref_map.apply_inverse(&nl_data)?;
+            li = li.subtract(&nl_iters)?;
             acc = acc.intersection(&li);
         }
         Ok(acc.intersection(cp_iter_set))
     };
     let local_read = local_iters(reads)?;
     let local_write = local_iters(writes)?;
-    let nl_read = cp_iter_set.try_subtract(&local_read)?;
-    let nl_write = cp_iter_set.try_subtract(&local_write)?;
+    let nl_read = cp_iter_set.subtract(&local_read)?;
+    let nl_write = cp_iter_set.subtract(&local_write)?;
     let nl_rw = nl_read.intersection(&nl_write);
-    let nl_ro = nl_read.try_subtract(&nl_write)?;
-    let nl_wo = nl_write.try_subtract(&nl_read)?;
+    let nl_ro = nl_read.subtract(&nl_write)?;
+    let nl_wo = nl_write.subtract(&nl_read)?;
     let mut local = local_read.intersection(&local_write);
     local.simplify();
     Ok(SplitSets {
@@ -122,8 +123,8 @@ end
         let a = analyze(&prog.units[0]).unwrap();
         let layouts = build_layouts(&a);
         let stmts = collect_statements(&a);
-        let cp = cp_map(&stmts[0], &layouts);
-        let mine = cp.apply(&myid_set(1));
+        let cp = cp_map(&stmts[0], &layouts).unwrap();
+        let mine = cp.apply(&myid_set(1)).unwrap();
         let rref = CommRef {
             cp_map: cp.clone(),
             ref_map: stmts[0].reads[0].ref_map(&stmts[0].ctx),
@@ -156,8 +157,8 @@ end
         let a = analyze(&prog.units[0]).unwrap();
         let layouts = build_layouts(&a);
         let stmts = collect_statements(&a);
-        let cp = cp_map(&stmts[0], &layouts);
-        let mine = cp.apply(&myid_set(1));
+        let cp = cp_map(&stmts[0], &layouts).unwrap();
+        let mine = cp.apply(&myid_set(1)).unwrap();
         let rref = CommRef {
             cp_map: cp.clone(),
             ref_map: stmts[0].reads[0].ref_map(&stmts[0].ctx),
@@ -165,7 +166,7 @@ end
         let s = split_sets(&mine, &[(&rref, &layouts["b"])], &[]).unwrap();
         // local ∪ nl_ro ∪ nl_wo ∪ nl_rw == cpIterSet, pairwise disjoint.
         let u = s.local.union(&s.nl_ro).union(&s.nl_wo).union(&s.nl_rw);
-        assert!(u.equal(&mine));
+        assert!(u.equal(&mine).unwrap());
         assert!(s.local.intersection(&s.nl_ro).as_relation().is_empty());
         assert!(s.local.intersection(&s.nl_rw).as_relation().is_empty());
         assert!(s.nl_ro.intersection(&s.nl_wo).as_relation().is_empty());

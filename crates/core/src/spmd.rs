@@ -11,7 +11,7 @@
 
 use crate::comm::{comm_sets, CommRef};
 use crate::cp::{cp_map_at_level, myid_set, proc_rank_of, slice_context};
-use crate::dependence::placement_level_in;
+use crate::dependence::{carried_level, placement_level};
 use crate::inplace::{contiguity, Contiguity};
 use crate::ir::{collect_in, ArrayRef, Reduction, StmtInfo};
 use crate::layout::{Layout, ProcCoord};
@@ -310,34 +310,19 @@ struct Synth<'a> {
     events: Vec<CommEvent>,
     stats: SpmdStats,
     timers: PhaseTimers,
-    /// The Omega context the layouts carry (if any): attached to every
-    /// root set built during synthesis so all derived operations share it.
-    octx: Option<dhpf_omega::Context>,
+    /// The Omega context the layouts were built on: attached to every root
+    /// set built during synthesis so all derived operations share it.
+    octx: &'a dhpf_omega::Context,
 }
 
 impl Synth<'_> {
-    /// Times `f` under the phase `name`. The phase is closed by a drop
-    /// guard, so a closure that unwinds (a budget panic contained by
-    /// [`build_nest`]) still has its elapsed time counted and its
-    /// collector span ended: the phase stack is what it was on entry.
+    /// Times `f` under the phase `name`.
     fn time<T>(&mut self, name: &str, f: impl FnOnce(&mut Self) -> T) -> T {
-        struct OpenPhase<'s, 'a> {
-            synth: &'s mut Synth<'a>,
-            name: &'s str,
-            t0: std::time::Instant,
-        }
-        impl Drop for OpenPhase<'_, '_> {
-            fn drop(&mut self) {
-                self.synth.timers.close(self.name, self.t0.elapsed());
-            }
-        }
         self.timers.open(name);
-        let phase = OpenPhase {
-            synth: self,
-            name,
-            t0: std::time::Instant::now(),
-        };
-        f(&mut *phase.synth)
+        let t0 = std::time::Instant::now();
+        let out = f(self);
+        self.timers.close(name, t0.elapsed());
+        out
     }
 
     /// Records one graceful degradation.
@@ -382,7 +367,7 @@ fn finish_program(
         let owned_code = if layout.replicated {
             None
         } else {
-            let owned = layout.rel.apply(&myid_set(layout.proc_rank()));
+            let owned = layout.rel.apply(&myid_set(layout.proc_rank()))?;
             let names: Vec<String> = (0..info.dims.len())
                 .map(|d| format!("d{}", d + 1))
                 .collect();
@@ -640,6 +625,7 @@ pub(crate) struct NestOut {
 pub(crate) fn build_nest(
     analysis: &Analysis,
     layouts: &BTreeMap<String, Layout>,
+    octx: &dhpf_omega::Context,
     opts: &SpmdOptions,
     body: &[Stmt],
     label: &str,
@@ -658,7 +644,7 @@ pub(crate) fn build_nest(
         events: Vec::new(),
         stats: SpmdStats::default(),
         timers,
-        octx: layouts.values().find_map(|l| l.rel.context().cloned()),
+        octx,
     };
     let item = nest_ladder(&mut synth, body);
     if let Some((c, id)) = wrapper {
@@ -674,33 +660,13 @@ pub(crate) fn build_nest(
 }
 
 fn nest_ladder(synth: &mut Synth, body: &[Stmt]) -> Result<NestItem, CompileError> {
-    let gate = match &synth.octx {
-        Some(cx) => cx.check_cancelled().and_then(|()| cx.inject_check("nest")),
-        None => Ok(()),
-    };
+    // Cancellation aborts (it is not degradable); an injected nest fault
+    // counts as the exact attempt failing.
+    let cx = synth.octx;
+    let gate = cx.check_cancelled().and_then(|()| cx.inject_check("nest"));
     let attempt = match gate {
-        // Cancellation aborts (it is not degradable); an injected nest
-        // fault counts as the exact attempt failing.
-        Err(e) => Err(CompileError::from(e)),
-        // Infallible set-algebra entry points (`then`, `domain`,
-        // projection) surface a governed abort by *panicking*; when the
-        // budget has tripped, catch the unwind and degrade like any other
-        // budget error. Panics with an untripped budget are genuine bugs
-        // (or injected panics probing unwind isolation) and are re-raised
-        // to the driver's per-task isolation boundary.
-        Ok(()) => std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            build_nest_exact(synth, body)
-        }))
-        .unwrap_or_else(|payload| {
-            let tripped = synth
-                .octx
-                .as_ref()
-                .and_then(|cx| cx.governor_stats().tripped);
-            match tripped {
-                Some(what) => Err(CompileError::Budget(what)),
-                None => std::panic::resume_unwind(payload),
-            }
-        }),
+        Ok(()) => build_nest_exact(synth, body),
+        Err(e) => Err(e.into()),
     };
     match attempt {
         Err(e) if degradable(&e) => {
@@ -980,7 +946,7 @@ fn build_nest_replicated(synth: &mut Synth, body: &[Stmt]) -> Result<NestItem, C
         .map(|r| r.array.as_str())
         .collect();
     for array in arrays {
-        let sets = crate::comm::conservative_comm_sets(&layouts[array]);
+        let sets = crate::comm::conservative_comm_sets(&layouts[array])?;
         if sets.recv_map.is_empty() {
             continue; // single-rank grid: nothing to refresh
         }
@@ -994,7 +960,7 @@ fn build_nest_replicated(synth: &mut Synth, body: &[Stmt]) -> Result<NestItem, C
             .iter()
             .map(|&k| {
                 let mut space = stmts[k].ctx.iteration_set();
-                space.set_context(synth.octx.as_ref());
+                space.set_context(Some(synth.octx));
                 Mapping {
                     stmt: out.op(NestOp::Assign(compile_stmt(&stmts[k]))),
                     space,
@@ -1027,7 +993,7 @@ struct NestPlan {
 }
 
 impl NestPlan {
-    fn new(synth: &mut Synth, body: &[Stmt]) -> NestPlan {
+    fn new(synth: &mut Synth, body: &[Stmt]) -> Result<NestPlan, CompileError> {
         let stmts = collect_in(synth.analysis, body);
         let groups = statement_groups(&stmts);
         let mut group_of = vec![0; stmts.len()];
@@ -1041,35 +1007,39 @@ impl NestPlan {
             .enumerate()
             .filter_map(|(k, s)| s.lhs.clone().map(|l| (k, l)))
             .collect();
-        let (cp0, mine): (Vec<Relation>, Vec<Set>) = synth.time("partitioning computation", |sy| {
-            stmts
-                .iter()
-                .map(|s| {
-                    let (cp, _) = cp_map_at_level(s, sy.layouts, 0);
-                    let mine = cp.apply(&myid_set(proc_rank_of(s, sy.layouts)));
-                    (cp, mine)
-                })
-                .unzip()
-        });
-        NestPlan {
+        let (cp0, mine) = synth
+            .time("partitioning computation", |sy| {
+                stmts
+                    .iter()
+                    .map(|s| {
+                        let (cp, _) = cp_map_at_level(s, sy.layouts, 0)?;
+                        let mine = cp.apply(&myid_set(proc_rank_of(s, sy.layouts)))?;
+                        Ok((cp, mine))
+                    })
+                    .collect::<Result<Vec<_>, dhpf_omega::OmegaError>>()
+            })?
+            .into_iter()
+            .unzip();
+        Ok(NestPlan {
             stmts,
             groups,
             group_of,
             writes,
             cp0,
             mine,
-        }
+        })
     }
 
     /// Statement `k`'s `CPMap` at `level`: outer loop variables symbolic
     /// (Figure 3, equation 1). Level 0 is the map held in the plan.
-    fn cp_at(&self, synth: &mut Synth, k: usize, level: u32) -> Relation {
+    fn cp_at(&self, synth: &mut Synth, k: usize, level: u32) -> Result<Relation, CompileError> {
         if level == 0 {
-            return self.cp0[k].clone();
+            return Ok(self.cp0[k].clone());
         }
-        synth.time("partitioning computation", |sy| {
-            cp_map_at_level(&self.stmts[k], sy.layouts, level).0
-        })
+        let (cp, _) = synth.time("partitioning computation", |sy| {
+            cp_map_at_level(&self.stmts[k], sy.layouts, level)
+        })?;
+        Ok(cp)
     }
 }
 
@@ -1098,8 +1068,8 @@ struct BuiltEvent {
 }
 
 fn build_nest_exact(synth: &mut Synth, body: &[Stmt]) -> Result<NestItem, CompileError> {
-    let np = NestPlan::new(synth, body);
-    let plans = plan_events(synth, &np);
+    let np = NestPlan::new(synth, body)?;
+    let plans = plan_events(synth, &np)?;
     let built = materialize_events(synth, &np, &plans)?;
     schedule_nest(synth, &np, &built)
 }
@@ -1109,7 +1079,7 @@ fn build_nest_exact(synth: &mut Synth, body: &[Stmt]) -> Result<NestItem, Compil
 /// that level; references to one array at one level coalesce into one
 /// plan (level-0 plans across statement groups, pipelined ones within
 /// their group's loop). Plans come back in coalescing-key order.
-fn plan_events(synth: &mut Synth, np: &NestPlan) -> Vec<EventPlan> {
+fn plan_events(synth: &mut Synth, np: &NestPlan) -> Result<Vec<EventPlan>, CompileError> {
     type Plans = BTreeMap<(String, bool, u32, usize), EventPlan>;
     fn plan_for<'p>(
         plans: &'p mut Plans,
@@ -1152,16 +1122,17 @@ fn plan_events(synth: &mut Synth, np: &NestPlan) -> Vec<EventPlan> {
                 .map(|(_, w)| w)
                 .collect();
             let mut level = synth.time("communication placement", |sy| {
-                placement_level_in(r, &same_ctx_writes, &s.ctx, sy.octx.as_ref())
-            });
+                placement_level(r, &same_ctx_writes, &s.ctx, Some(sy.octx))
+            })?;
             // Cross-context writes to the same array force conservative
             // placement inside the whole nest for safety.
             if np.writes.iter().any(|w| same_array(w) && !same_ctx(w)) {
                 level = s.ctx.depth();
             }
+            let cp_map = np.cp_at(synth, k, level)?;
             let plan = plan_for(&mut plans, &r.array, false, level, np.group_of[k]);
             plan.refs.push(CommRef {
-                cp_map: np.cp_at(synth, k, level),
+                cp_map,
                 ref_map: r.ref_map(&slice_context(&s.ctx, level)),
             });
             plan.sources.push((k, ri));
@@ -1182,7 +1153,7 @@ fn plan_events(synth: &mut Synth, np: &NestPlan) -> Vec<EventPlan> {
             }
         }
     }
-    plans.into_values().collect()
+    Ok(plans.into_values().collect())
 }
 
 /// Figure 3: evaluates `comm_sets` for every plan and registers the events
@@ -1224,7 +1195,7 @@ fn materialize_events(
                     &e,
                     "conservative full exchange",
                 );
-                crate::comm::conservative_comm_sets(layout)
+                crate::comm::conservative_comm_sets(layout)?
             }
             Err(e) => return Err(e.into()),
         };
@@ -1295,12 +1266,12 @@ fn pipelined_events(
     written.set_context(layout.rel.context());
     for (wk, w) in array_writes() {
         let wctx = &np.stmts[*wk].ctx;
-        written = written.union(&w.ref_map(wctx).apply(&wctx.iteration_set()));
+        written = written.union(&w.ref_map(wctx).apply(&wctx.iteration_set())?);
     }
     written.simplify();
     let mut all_indices = array_index_set(synth.analysis, &plan.array);
     all_indices.set_context(layout.rel.context());
-    let unwritten = all_indices.try_subtract(&written)?;
+    let unwritten = all_indices.subtract(&written)?;
     // Fully-vectorized maps for this plan's own references (no
     // consumer-iteration parameters): they drive the producer-side send
     // schedule.
@@ -1326,10 +1297,10 @@ fn pipelined_events(
     w_cur.set_context(layout.rel.context());
     for (wk, w) in array_writes().filter(|(wk, _)| np.stmts[*wk].ctx.vars == ctx.vars) {
         let my_inner = np
-            .cp_at(synth, *wk, plan.level)
-            .apply(&myid_set(layout.proc_rank()));
+            .cp_at(synth, *wk, plan.level)?
+            .apply(&myid_set(layout.proc_rank()))?;
         let rm = w.ref_map(&slice_context(&np.stmts[*wk].ctx, plan.level));
-        w_cur = w_cur.union(&rm.apply(&my_inner));
+        w_cur = w_cur.union(&rm.apply(&my_inner)?);
     }
     w_cur.simplify();
     let in_send = sets0.send_map.restrict_range(&w_cur);
@@ -1340,24 +1311,31 @@ fn pipelined_events(
 /// Figure 4 requires "no dependences that prevent iteration reordering":
 /// no write in the nest is loop-carried into a read of the same array in
 /// the same loop context.
-fn reorder_safe(np: &NestPlan, octx: Option<&dhpf_omega::Context>) -> bool {
-    np.stmts.iter().all(|s| {
-        s.reads.iter().all(|r| {
-            np.writes.iter().all(|(wk, w)| {
-                w.array != r.array
-                    || np.stmts[*wk].ctx.vars != s.ctx.vars
-                    || crate::dependence::carried_level_in(w, r, &s.ctx, octx).is_none()
-            })
-        })
-    })
+fn reorder_safe(np: &NestPlan, octx: &dhpf_omega::Context) -> Result<bool, CompileError> {
+    for s in &np.stmts {
+        for r in &s.reads {
+            for (wk, w) in &np.writes {
+                if w.array == r.array
+                    && np.stmts[*wk].ctx.vars == s.ctx.vars
+                    && carried_level(w, r, &s.ctx, Some(octx))?.is_some()
+                {
+                    return Ok(false);
+                }
+            }
+        }
+    }
+    Ok(true)
 }
 
-/// The Figure-4 sections of a single-group nest, or `None` when its
-/// statements do not share one partition (the sections are computed once
-/// for the whole group).
+/// The Figure-4 sections of a single-group nest, or `None` when a
+/// dependence forbids reordering or its statements do not share one
+/// partition (the sections are computed once for the whole group).
 fn split_sections(synth: &mut Synth, np: &NestPlan) -> Result<Option<SplitSets>, CompileError> {
+    if !reorder_safe(np, synth.octx)? {
+        return Ok(None);
+    }
     for mine in &np.mine[1..] {
-        if !mine.try_equal(&np.mine[0])? {
+        if !mine.equal(&np.mine[0])? {
             return Ok(None);
         }
     }
@@ -1400,13 +1378,13 @@ fn schedule_nest(
         .collect();
     // Splitting needs a single statement group, no communication but
     // level-0 reads (the split schedule places nothing else), no
-    // reduction, and freedom to reorder iterations.
+    // reduction, and freedom to reorder iterations (`split_sections`
+    // checks the last).
     let try_split = synth.opts.loop_splitting
         && np.groups.len() == 1
         && !level0_reads.is_empty()
         && level0_reads.len() == built.len()
-        && np.stmts.iter().all(|s| s.reduction.is_none())
-        && reorder_safe(np, synth.octx.as_ref());
+        && np.stmts.iter().all(|s| s.reduction.is_none());
     // Rung 0: a degradable failure anywhere in the Figure-4 analysis
     // abandons splitting for this nest (the exact events stay; only the
     // schedule overlap is lost) instead of failing the nest.
@@ -1468,7 +1446,7 @@ fn schedule_nest(
                 .iter()
                 .map(|&k| {
                     let mut space = np.mine[k].clone();
-                    synth.time("loop bounds reduction", |_| space.simplify_deep());
+                    synth.time("loop bounds reduction", |_| space.simplify());
                     Mapping {
                         stmt: out.op(NestOp::Assign(compile_stmt(&np.stmts[k]))),
                         space,
@@ -1527,7 +1505,7 @@ fn push_event_inner(
 ) -> Result<usize, CompileError> {
     let layout = &synth.layouts[array];
     let local = array_index_set(synth.analysis, array);
-    let recv_data = recv_map.range();
+    let recv_data = recv_map.range()?;
     let contiguous = synth.time("check if msg is contiguous", |_| {
         matches!(contiguity(&recv_data, &local), Contiguity::Contiguous)
     });

@@ -28,8 +28,9 @@ pub struct ActiveVpSets {
 ///
 /// # Errors
 ///
-/// Returns [`dhpf_omega::OmegaError`] when the non-local-data subtraction
-/// hits an exactness limit (inexact negation of an existential system).
+/// Returns [`dhpf_omega::OmegaError`] when a composition, projection or the
+/// non-local-data subtraction hits an exactness limit (inexact negation of
+/// an existential system) or is refused by the governor.
 pub fn active_vp_sets(
     reads: &[CommRef],
     writes: &[CommRef],
@@ -39,7 +40,7 @@ pub fn active_vp_sets(
     // busyVPSet = ∪ Domain(CPMap_r).
     let mut busy = Set::empty(proc_rank);
     for r in reads.iter().chain(writes) {
-        busy = busy.union(&r.cp_map.domain());
+        busy = busy.union(&r.cp_map.domain()?);
     }
     busy.simplify();
 
@@ -47,24 +48,24 @@ pub fn active_vp_sets(
     let nl_map = |refs: &[CommRef]| -> Result<Relation, dhpf_omega::OmegaError> {
         let mut acc = Relation::empty(proc_rank, layout.rel.n_out());
         for r in refs {
-            acc = acc.union(&r.cp_map.then(&r.ref_map));
+            acc = acc.union(&r.cp_map.then(&r.ref_map)?);
         }
-        acc.try_subtract(&layout.rel)
+        acc.subtract(&layout.rel)
     };
     let nl_read = nl_map(reads)?;
     let nl_write = nl_map(writes)?;
 
-    let vps_involved = |nl: &Relation| -> (Set, Set) {
+    let vps_involved = |nl: &Relation| -> Result<(Set, Set), dhpf_omega::OmegaError> {
         // allNLDataSet = NLDataAccessed(busyVPSet)
-        let all_nl = nl.apply(&busy);
+        let all_nl = nl.apply(&busy)?;
         // vpsThatOwnNLData = Layout⁻¹(allNLDataSet)
-        let own = layout.rel.apply_inverse(&all_nl);
+        let own = layout.rel.apply_inverse(&all_nl)?;
         // vpsThatAccessNLData = Domain(NLDataAccessed)
-        let access = nl.domain();
-        (own, access)
+        let access = nl.domain()?;
+        Ok((own, access))
     };
-    let (own_r, access_r) = vps_involved(&nl_read);
-    let (own_w, access_w) = vps_involved(&nl_write);
+    let (own_r, access_r) = vps_involved(&nl_read)?;
+    let (own_w, access_w) = vps_involved(&nl_write)?;
     let mut active_send = own_r.union(&access_w);
     let mut active_recv = access_r.union(&own_w);
     active_send.simplify();
@@ -118,7 +119,7 @@ end
         let layouts = build_layouts(&a);
         let stmts = collect_statements(&a);
         let stmt = &stmts[0];
-        let cp = cp_map(stmt, &layouts);
+        let cp = cp_map(stmt, &layouts).unwrap();
         // The potentially non-local read is A(pivot, j).
         let pivot_read = stmt
             .reads
@@ -162,6 +163,6 @@ end
         assert!(s.active_recv.contains(&[100, 42], &p));
         assert!(!s.active_recv.contains(&[40, 41], &p));
         // activeRecvVPSet = busyVPSet for this example.
-        assert!(s.active_recv.equal(&s.busy));
+        assert!(s.active_recv.equal(&s.busy).unwrap());
     }
 }

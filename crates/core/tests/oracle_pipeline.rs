@@ -75,7 +75,7 @@ fn check_case(case: &Case, seed: u64) {
     let layouts = build_layouts(&a);
     let stmts = collect_statements(&a);
     let stmt = &stmts[0];
-    let cp = cp_map(stmt, &layouts);
+    let cp = cp_map(stmt, &layouts).unwrap();
 
     // Invariant 1: the CP map partitions the loop range across processors.
     let iter_space = stmt.ctx.iteration_set();
@@ -98,7 +98,7 @@ fn check_case(case: &Case, seed: u64) {
 
     // Invariant 3: the Figure 4 sections partition each processor's
     // iterations.
-    let mine = cp.apply(&myid_set(1));
+    let mine = cp.apply(&myid_set(1)).unwrap();
     let read_pairs: Vec<_> = refs.iter().map(|r| (r, &layouts["b"])).collect();
     let wref = CommRef {
         cp_map: cp.clone(),
@@ -115,7 +115,7 @@ fn check_case(case: &Case, seed: u64) {
     // Invariant 4: a shared memoizing Context changes nothing.
     let ctx = Context::new();
     let layouts_c = build_layouts_in(&a, Some(&ctx));
-    let cp_c = cp_map(stmt, &layouts_c);
+    let cp_c = cp_map(stmt, &layouts_c).unwrap();
     let refs_c: Vec<CommRef> = stmt
         .reads
         .iter()

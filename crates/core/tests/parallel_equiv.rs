@@ -272,7 +272,7 @@ end
     let stmts = collect_statements(&a);
     let stmt = &stmts[0];
 
-    let cp = cp_map(stmt, &layouts);
+    let cp = cp_map(stmt, &layouts).unwrap();
     probes::cp_partition(&cp, &stmt.ctx.iteration_set(), p).unwrap();
 
     let refs: Vec<CommRef> = stmt
@@ -287,7 +287,7 @@ end
     let data: Vec<Vec<i64>> = (1..=n).map(|v| vec![v]).collect();
     probes::comm_duality(&sets, p, &data).unwrap();
 
-    let mine = cp.apply(&myid_set(1));
+    let mine = cp.apply(&myid_set(1)).unwrap();
     let read_pairs: Vec<_> = refs.iter().map(|r| (r, &layouts["b"])).collect();
     let wref = CommRef {
         cp_map: cp.clone(),
@@ -299,7 +299,7 @@ end
         probes::split_partition(&splits, &mine, m).unwrap();
     }
 
-    let cp_f = cp_map(stmt, &layouts_fresh);
+    let cp_f = cp_map(stmt, &layouts_fresh).unwrap();
     let refs_f: Vec<CommRef> = stmt
         .reads
         .iter()

@@ -255,7 +255,7 @@ mod tests {
             })
             .build();
         let parsed = ctx.parse_set("{[i] : 1 <= i <= 100 && i <= N}").unwrap();
-        assert!(built.as_relation().equal(parsed.as_relation()));
+        assert!(built.as_relation().equal(parsed.as_relation()).unwrap());
         assert!(built.context().is_some());
     }
 
@@ -276,7 +276,7 @@ mod tests {
         let parsed = ctx
             .parse_relation("{[p] -> [a] : 25p <= a <= 25p + 24 && 0 <= p <= 3}")
             .unwrap();
-        assert!(layout.equal(&parsed));
+        assert!(layout.equal(&parsed).unwrap());
     }
 
     #[test]

@@ -515,7 +515,7 @@ impl Conjunct {
                     c.drop_one_sided(v, ctx)?;
                     work.push(c);
                 }
-                SatStep::Project(v) => work.extend(c.try_eliminate_exact_in(v, ctx)?),
+                SatStep::Project(v) => work.extend(c.eliminate_exact_in(v, ctx)?),
                 SatStep::Shadows(v) => {
                     let (bounds, real, dark) = c.shadows_on(v, ctx)?;
                     // A point of the dark shadow extends to an integer
@@ -644,41 +644,25 @@ impl Conjunct {
     /// integer solutions project precisely onto the solutions of `self`
     /// with `v` removed. Tuple/parameter variables eliminated through
     /// congruences are replaced by fresh existentials.
-    pub fn eliminate_exact(&self, v: Var) -> Vec<Conjunct> {
+    ///
+    /// # Errors
+    ///
+    /// See [`eliminate_exact_in`](Self::eliminate_exact_in).
+    pub fn eliminate_exact(&self, v: Var) -> Result<Vec<Conjunct>, OmegaError> {
         self.eliminate_exact_in(v, None)
     }
 
     /// [`eliminate_exact`](Self::eliminate_exact) with an optional shared
     /// [`Context`] memoizing the projection per `(conjunct, var)` pair.
     ///
-    /// # Panics
-    ///
-    /// Panics if coefficient arithmetic overflows `i64`; prefer
-    /// [`try_eliminate_exact_in`](Self::try_eliminate_exact_in) where the
-    /// overflow can be handled.
-    pub fn eliminate_exact_in(&self, v: Var, ctx: Option<&crate::Context>) -> Vec<Conjunct> {
-        self.try_eliminate_exact_in(v, ctx)
-            .expect("coefficient overflow during exact elimination")
-    }
-
-    /// Fallible form of [`eliminate_exact`](Self::eliminate_exact).
-    ///
     /// # Errors
     ///
     /// Returns [`OmegaError::Overflow`] if a Fourier–Motzkin combination,
-    /// dark-shadow gap, or splinter bound overflows `i64`.
-    pub fn try_eliminate_exact(&self, v: Var) -> Result<Vec<Conjunct>, OmegaError> {
-        self.try_eliminate_exact_in(v, None)
-    }
-
-    /// Fallible form of [`eliminate_exact_in`](Self::eliminate_exact_in).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OmegaError::Overflow`] if a Fourier–Motzkin combination,
-    /// dark-shadow gap, or splinter bound overflows `i64`. Errors are
-    /// memoized like successes, so a retried elimination stays cheap.
-    pub fn try_eliminate_exact_in(
+    /// dark-shadow gap, or splinter bound overflows `i64` (memoized like a
+    /// success, so a retried elimination stays cheap), and the
+    /// budget/cancellation error when the thread's governor refuses the
+    /// operation: a projection has no conservative answer to fall back on.
+    pub fn eliminate_exact_in(
         &self,
         v: Var,
         ctx: Option<&crate::Context>,
@@ -810,7 +794,7 @@ impl Conjunct {
         if !bounds.is_exact() {
             for s in bounds.splinters()? {
                 // Recurse: the pinned equality eliminates v exactly.
-                results.extend(s.try_eliminate_exact_in(v, ctx)?);
+                results.extend(s.eliminate_exact_in(v, ctx)?);
             }
         }
         Ok(results)
@@ -1217,7 +1201,7 @@ mod tests {
         c.add_geq(e(&[(a, 1), (p, -25)], 0)); // a - 25p >= 0
         c.add_geq(e(&[(a, -1), (p, 25)], 24)); // 25p + 24 - a >= 0
         c.add_bounds(p, 0, 3);
-        let pieces = c.eliminate_exact(p);
+        let pieces = c.eliminate_exact(p).unwrap();
         assert!(!pieces.is_empty());
         for aval in -10..=110i64 {
             let member = pieces

@@ -39,7 +39,7 @@
 //! let ctx = Context::new();
 //! let layout = ctx.parse_relation("{[p] -> [a] : 25p+1 <= a <= 25p+25 && 0 <= p <= 3}")?;
 //! let iters = ctx.parse_set("{[i] : 1 <= i <= N}")?;
-//! let owned = layout.apply(&iters); // cached ops record hits/misses
+//! let owned = layout.apply(&iters)?; // cached ops record hits/misses
 //! assert!(!owned.is_empty());
 //! assert!(ctx.stats().total_misses() > 0);
 //! # Ok::<(), dhpf_omega::OmegaError>(())
@@ -1129,12 +1129,12 @@ mod tests {
         assert_eq!(g.tripped, Some("op fuel"));
         assert!(g.ops_degraded > 0);
         // Fallible ops now surface the typed error.
-        let err = s.try_subtract(&t).unwrap_err();
+        let err = s.subtract(&t).unwrap_err();
         assert!(matches!(err, OmegaError::BudgetExceeded("op fuel")));
         // The trip dies with the governor that took it.
         drop(armed);
         assert!(!ctx.budget_tripped());
-        assert!(s.try_subtract(&t).is_ok());
+        assert!(s.subtract(&t).is_ok());
     }
 
     #[test]
@@ -1155,10 +1155,10 @@ mod tests {
         let s = ctx.parse_set("{[i] : 1 <= i <= 10}").unwrap();
         let t = ctx.parse_set("{[i] : 3 <= i <= 30}").unwrap();
         let armed = RequestGovernor::new(&Budget::new().op_fuel(0), None).arm_on_thread();
-        assert!(s.try_subtract(&t).is_err());
+        assert!(s.subtract(&t).is_err());
         drop(armed);
         // The same structural query must now succeed from a clean slate.
-        let d = s.try_subtract(&t).unwrap();
+        let d = s.subtract(&t).unwrap();
         assert!(d.contains(&[2], &[]));
         assert!(!d.contains(&[3], &[]));
     }
@@ -1170,25 +1170,22 @@ mod tests {
         let t = ctx.parse_set("{[i] : 3 <= i <= 30}").unwrap();
         let budget = Budget::new().op_fuel(0);
         let _armed = RequestGovernor::new(&budget, None).arm_on_thread();
-        assert!(s.try_subtract(&t).is_err());
+        assert!(s.subtract(&t).is_err());
         assert!(ctx.budget_tripped());
         {
             let _grace = governor_grace();
             // Inside the grace scope the tripped budget no longer blocks
             // the set algebra the degraded rebuild needs...
-            let d = s.try_subtract(&t).unwrap();
+            let d = s.subtract(&t).unwrap();
             assert!(d.contains(&[2], &[]));
             // ...but cancellation still aborts.
             let token = CancelToken::new();
             let _nested = RequestGovernor::new(&budget, Some(token.clone())).arm_on_thread();
             token.cancel();
-            assert!(matches!(s.try_subtract(&t), Err(OmegaError::Cancelled)));
+            assert!(matches!(s.subtract(&t), Err(OmegaError::Cancelled)));
         }
         // Enforcement resumes once the guard drops.
-        assert!(matches!(
-            s.try_subtract(&t),
-            Err(OmegaError::BudgetExceeded(_))
-        ));
+        assert!(matches!(s.subtract(&t), Err(OmegaError::BudgetExceeded(_))));
     }
 
     #[test]
@@ -1198,13 +1195,13 @@ mod tests {
         let armed = RequestGovernor::new(&Budget::new(), Some(token.clone())).arm_on_thread();
         let s = ctx.parse_set("{[i] : 1 <= i <= 10}").unwrap();
         let t = ctx.parse_set("{[i] : 3 <= i <= 30}").unwrap();
-        assert!(s.try_subtract(&t).is_ok());
+        assert!(s.subtract(&t).is_ok());
         assert!(ctx.check_cancelled().is_ok());
         token.cancel();
         assert_eq!(ctx.check_cancelled(), Err(OmegaError::Cancelled));
-        assert!(matches!(s.try_subtract(&t), Err(OmegaError::Cancelled)));
+        assert!(matches!(s.subtract(&t), Err(OmegaError::Cancelled)));
         drop(armed);
-        assert!(s.try_subtract(&t).is_ok());
+        assert!(s.subtract(&t).is_ok());
     }
 
     #[test]
@@ -1218,12 +1215,9 @@ mod tests {
             RequestGovernor::new(&Budget::new().max_negation_pieces(0), None).arm_on_thread();
         let s = ctx.parse_set("{[i] : 1 <= i <= 10}").unwrap();
         let t = ctx.parse_set("{[i] : 3 <= i <= 5}").unwrap();
-        assert!(matches!(
-            s.try_subtract(&t),
-            Err(OmegaError::InexactNegation)
-        ));
+        assert!(matches!(s.subtract(&t), Err(OmegaError::InexactNegation)));
         drop(armed);
-        assert!(s.try_subtract(&t).is_ok());
+        assert!(s.subtract(&t).is_ok());
     }
 
     #[test]
@@ -1234,7 +1228,7 @@ mod tests {
             ctx.set_inject(Some(InjectPlan::new(seed, 3, FaultAction::Error)));
             let s = ctx.parse_set("{[i] : 1 <= i <= 10}").unwrap();
             let t = ctx.parse_set("{[i] : 3 <= i <= 30}").unwrap();
-            let r = s.try_subtract(&t).is_ok();
+            let r = s.subtract(&t).is_ok();
             (r, ctx.inject_fired())
         };
         let (a_ok, a_fired) = run(42);
@@ -1255,7 +1249,7 @@ mod tests {
             .parse_set("{[i] : exists(a : i = 2a) && 0 <= i <= 10}")
             .unwrap();
         let t = ctx.parse_set("{[i] : 3 <= i <= 30}").unwrap();
-        let _ = s.try_subtract(&t);
+        let _ = s.subtract(&t);
         assert!(ctx.budget_tripped());
         assert_eq!(ctx.governor_stats().tripped, Some("injected"));
     }

@@ -171,7 +171,7 @@ mod tests {
                 panic!("reparse of {printed:?} failed: {e}");
             });
             assert!(
-                r.equal(&back),
+                r.equal(&back).unwrap(),
                 "display/parse roundtrip changed meaning: {src} -> {printed}"
             );
         }

@@ -24,16 +24,16 @@
 //! let refmap: Relation = "{[i] -> [a] : a = i + 1 && 1 <= i <= N}".parse()?;
 //!
 //! // Which processor executes which iteration under owner-computes?
-//! let cpmap = refmap.then(&layout.inverse());
+//! let cpmap = refmap.then(&layout.inverse())?;
 //! assert!(cpmap.contains_pair(&[30], &[1], &[("N", 90)]));
 //!
 //! // Sets support exact difference, emptiness, and membership.
 //! let s: Set = "{[i] : 1 <= i <= N}".parse()?;
 //! let t: Set = "{[i] : 5 <= i}".parse()?;
-//! let d = s.subtract(&t);
+//! let d = s.subtract(&t)?;
 //! assert!(d.contains(&[4], &[("N", 10)]));
 //! assert!(!d.contains(&[5], &[("N", 10)]));
-//! # Ok::<(), dhpf_omega::ParseError>(())
+//! # Ok::<(), dhpf_omega::OmegaError>(())
 //! ```
 
 #![warn(missing_docs)]

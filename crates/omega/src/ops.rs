@@ -118,7 +118,7 @@ pub fn to_stride_form_in(
         }
         match first_complex_exist(&c) {
             None => done.push(c),
-            Some(v) => work.extend(c.try_eliminate_exact_in(v, ctx)?),
+            Some(v) => work.extend(c.eliminate_exact_in(v, ctx)?),
         }
     }
     Ok(done)

@@ -647,11 +647,6 @@ fn conjunct_member(rel: &Relation, c: &Conjunct, point: &[i64], params: &[(&str,
     r.contains_pair(inp, outp, params)
 }
 
-/// Symbolic set equality through the fallible subtraction path.
-fn try_equal_sets(a: &Set, b: &Set) -> Result<bool, OmegaError> {
-    Ok(a.try_subtract(b)?.is_empty() && b.try_subtract(a)?.is_empty())
-}
-
 /// Checks one case against the reference semantics.
 ///
 /// This is deliberately a big dispatch on the law name so regression tests
@@ -740,7 +735,7 @@ fn check_inner(case: &Case, cfg: &OracleConfig) -> Result<Verdict, String> {
             let (a, b) = (&inputs[0], &inputs[1]);
             let (sa, sb) = (a.to_set()?, b.to_set()?);
             let binds = a.bindings();
-            let d = match sa.try_subtract(&sb) {
+            let d = match sa.subtract(&sb) {
                 Err(OmegaError::InexactNegation) => return Ok(Verdict::Skip("inexact negation")),
                 Err(e) => return Err(format!("subtract failed: {e}")),
                 Ok(d) => d,
@@ -760,7 +755,7 @@ fn check_inner(case: &Case, cfg: &OracleConfig) -> Result<Verdict, String> {
             {
                 return Ok(Verdict::Pass);
             }
-            match try_equal_sets(&rebuilt, &sa) {
+            match rebuilt.equal(&sa) {
                 Err(OmegaError::InexactNegation) => Ok(Verdict::Skip("inexact negation")),
                 Err(e) => Err(format!("equality test failed: {e}")),
                 Ok(true) => Ok(Verdict::Pass),
@@ -800,7 +795,7 @@ fn check_inner(case: &Case, cfg: &OracleConfig) -> Result<Verdict, String> {
             // Deterministic interesting choice: keep all dims but the last,
             // in reverse order (exercises both elimination and reordering).
             let dims: Vec<u32> = (0..a.dims() as u32 - 1).rev().collect();
-            let proj = sa.project_onto(&dims);
+            let proj = sa.project_onto(&dims).map_err(|e| e.to_string())?;
             let full = window_points(wlo, whi, a.dims());
             for w in window_points(wlo, whi, dims.len()) {
                 let expect = full.iter().any(|f| {
@@ -837,9 +832,9 @@ fn check_inner(case: &Case, cfg: &OracleConfig) -> Result<Verdict, String> {
         "convex-1d" => {
             let a = &inputs[0];
             let sa = a.to_set()?;
-            let claim = match sa.try_is_convex_1d() {
+            let claim = match sa.is_convex_1d() {
                 Err(OmegaError::InexactNegation) => return Ok(Verdict::Skip("inexact negation")),
-                Err(e) => return Err(format!("try_is_convex_1d failed: {e}")),
+                Err(e) => return Err(format!("is_convex_1d failed: {e}")),
                 Ok(v) => v,
             };
             let members: Vec<i64> = (wlo..=whi).filter(|&x| a.eval(&[x])).collect();
@@ -855,7 +850,7 @@ fn check_inner(case: &Case, cfg: &OracleConfig) -> Result<Verdict, String> {
         "singleton-1d" => {
             let a = &inputs[0];
             let sa = a.to_set()?;
-            let claim = sa.try_is_singleton_1d().map_err(|e| e.to_string())?;
+            let claim = sa.is_singleton_1d().map_err(|e| e.to_string())?;
             let count = (wlo..=whi).filter(|&x| a.eval(&[x])).count();
             if claim != (count <= 1) {
                 return Err(format!(
@@ -884,7 +879,7 @@ fn check_inner(case: &Case, cfg: &OracleConfig) -> Result<Verdict, String> {
         "rel-compose" => {
             let (r, s) = (&inputs[0], &inputs[1]);
             let (rr, rs) = (r.to_relation()?, s.to_relation()?);
-            let t = rr.then(&rs);
+            let t = rr.then(&rs).map_err(|e| e.to_string())?;
             let binds = r.bindings();
             for i in wlo..=whi {
                 for k in wlo..=whi {
@@ -904,7 +899,7 @@ fn check_inner(case: &Case, cfg: &OracleConfig) -> Result<Verdict, String> {
             let rr = r.to_relation()?;
             let sx = x.to_set()?;
             let binds = r.bindings();
-            let img = rr.apply(&sx);
+            let img = rr.apply(&sx).map_err(|e| e.to_string())?;
             for j in wlo..=whi {
                 let expect = (wlo..=whi).any(|i| x.eval(&[i]) && r.eval(&[i, j]));
                 let got = img.contains(&[j], &binds);
@@ -914,8 +909,8 @@ fn check_inner(case: &Case, cfg: &OracleConfig) -> Result<Verdict, String> {
                     ));
                 }
             }
-            let dom = rr.domain();
-            let rng_set = rr.range();
+            let dom = rr.domain().map_err(|e| e.to_string())?;
+            let rng_set = rr.range().map_err(|e| e.to_string())?;
             for i in wlo..=whi {
                 let expect_d = (wlo..=whi).any(|j| r.eval(&[i, j]));
                 if dom.contains(&[i], &binds) != expect_d {
@@ -972,7 +967,7 @@ fn check_inner(case: &Case, cfg: &OracleConfig) -> Result<Verdict, String> {
             let sa = a.to_set()?;
             let binds = a.bindings();
             let mut sb = sa.clone();
-            sb.simplify_deep();
+            sb.simplify();
             for w in window_points(wlo, whi, a.dims()) {
                 let expect = a.eval(&w);
                 let got = sb.contains(&w, &binds);
@@ -989,7 +984,7 @@ fn check_inner(case: &Case, cfg: &OracleConfig) -> Result<Verdict, String> {
             let sa = a.to_set()?;
             let binds = a.bindings();
             for d in 0..a.dims() {
-                let (lo, hi) = sa.dim_bounds(d as u32, &binds);
+                let (lo, hi) = sa.dim_bounds(d as u32, &binds).map_err(|e| e.to_string())?;
                 for w in window_points(wlo, whi, a.dims()) {
                     if !a.eval(&w) {
                         continue;
@@ -1162,7 +1157,7 @@ fn check_inner(case: &Case, cfg: &OracleConfig) -> Result<Verdict, String> {
                 Ok(symmetric_difference(&sa, &sb).and_then(|d| {
                     let mut projected = Vec::new();
                     for c in d.as_relation().conjuncts() {
-                        projected.extend(c.try_eliminate_exact_in(last, Some(ctx))?);
+                        projected.extend(c.eliminate_exact_in(last, Some(ctx))?);
                     }
                     Ok((d, projected))
                 }))
@@ -1213,7 +1208,7 @@ fn check_inner(case: &Case, cfg: &OracleConfig) -> Result<Verdict, String> {
 }
 
 /// Non-emptiness of `c` by projection alone: exactly eliminates every
-/// variable with [`Conjunct::try_eliminate_exact`] until only constant
+/// variable with [`Conjunct::eliminate_exact`] until only constant
 /// constraints are left (which normalization decides). `None` when a piece
 /// keeps variables that elimination cannot remove — an equality all of
 /// whose variables have non-unit coefficients stays behind as its own
@@ -1228,7 +1223,7 @@ fn nonempty_by_projection(c: &Conjunct) -> Result<Option<bool>, OmegaError> {
         for v in vars {
             let mut next = Vec::new();
             for p in &pieces {
-                next.extend(p.try_eliminate_exact(v)?);
+                next.extend(p.eliminate_exact(v)?);
             }
             pieces = next;
         }
@@ -1246,7 +1241,7 @@ fn nonempty_by_projection(c: &Conjunct) -> Result<Option<bool>, OmegaError> {
 
 /// `(A - B) ∪ (B - A)` through the fallible subtraction path.
 fn symmetric_difference(a: &Set, b: &Set) -> Result<Set, OmegaError> {
-    Ok(a.try_subtract(b)?.union(&b.try_subtract(a)?))
+    Ok(a.subtract(b)?.union(&b.subtract(a)?))
 }
 
 // ---------------------------------------------------------------------

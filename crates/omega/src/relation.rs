@@ -5,6 +5,7 @@ use crate::context::{join, Context};
 use crate::linexpr::LinExpr;
 use crate::ops::negate_conjunct_in;
 use crate::var::Var;
+use crate::OmegaError;
 
 /// A symbolic integer tuple relation `{ [i..] -> [j..] : formula }`.
 ///
@@ -250,26 +251,19 @@ impl Relation {
 
     /// Set difference `self - other` (exact).
     ///
-    /// # Panics
-    ///
-    /// Panics if the arities differ, or if a conjunct of `other` contains an
-    /// existential system that cannot be negated exactly (see
-    /// [`negate_conjunct_in`]); the constraint classes produced by the dHPF
-    /// analyses never trigger this.
-    pub fn subtract(&self, other: &Relation) -> Relation {
-        self.try_subtract(other)
-            .expect("subtract: inexact negation of existential system")
-    }
-
-    /// Set difference `self - other`, or an error if a conjunct of `other`
-    /// cannot be negated exactly.
-    ///
     /// # Errors
     ///
-    /// Returns [`crate::OmegaError::InexactNegation`] when a conjunct of
-    /// `other` has an existential that cannot be eliminated or expressed as a
-    /// stride.
-    pub fn try_subtract(&self, other: &Relation) -> Result<Relation, crate::OmegaError> {
+    /// Returns [`OmegaError::InexactNegation`] when a conjunct of `other`
+    /// has an existential that cannot be eliminated or expressed as a
+    /// stride (see [`negate_conjunct_in`]; the constraint classes produced
+    /// by the dHPF analyses never trigger this), and the
+    /// budget/cancellation error when the thread's governor refuses a
+    /// negation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the arities differ.
+    pub fn subtract(&self, other: &Relation) -> Result<Relation, OmegaError> {
         self.check_same_arity(other, "subtract");
         let (a, b) = Relation::unify_params(self.clone(), other.clone());
         let ctx = join(a.ctx.as_ref(), b.ctx.as_ref());
@@ -310,10 +304,16 @@ impl Relation {
     ///
     /// This is the paper's `other ∘ self` (Appendix A).
     ///
+    /// # Errors
+    ///
+    /// Eliminating the mid tuple is a projection, which has no conservative
+    /// answer: returns what [`Conjunct::eliminate_exact_in`] returns — a
+    /// governor refusal (budget, cancellation) or a coefficient overflow.
+    ///
     /// # Panics
     ///
     /// Panics if `self.n_out() != other.n_in()`.
-    pub fn then(&self, other: &Relation) -> Relation {
+    pub fn then(&self, other: &Relation) -> Result<Relation, OmegaError> {
         assert_eq!(
             self.n_out, other.n_in,
             "then: mid arity mismatch ({} vs {})",
@@ -356,7 +356,7 @@ impl Relation {
                 for j in 0..mid {
                     let mut next = Vec::new();
                     for c in work {
-                        next.extend(c.eliminate_exact_in(Var::Exist(j), cx));
+                        next.extend(c.eliminate_exact_in(Var::Exist(j), cx)?);
                     }
                     work = next;
                 }
@@ -364,15 +364,19 @@ impl Relation {
             }
         }
         out.simplify();
-        out
+        Ok(out)
     }
 
     /// Mathematical composition `self ∘ other`: apply `other` first.
     ///
+    /// # Errors
+    ///
+    /// See [`Relation::then`].
+    ///
     /// # Panics
     ///
     /// Panics if `other.n_out() != self.n_in()`.
-    pub fn compose(&self, other: &Relation) -> Relation {
+    pub fn compose(&self, other: &Relation) -> Result<Relation, OmegaError> {
         other.then(self)
     }
 
@@ -396,29 +400,38 @@ impl Relation {
 
     /// Eliminates a tuple variable exactly from every conjunct, keeping the
     /// arity bookkeeping to the caller. Internal building block.
-    fn eliminate_var(&mut self, v: Var) {
+    fn eliminate_var(&mut self, v: Var) -> Result<(), OmegaError> {
         let ctx = self.ctx.clone();
         let mut out = Vec::new();
         for c in &self.conjuncts {
-            out.extend(c.eliminate_exact_in(v, ctx.as_ref()));
+            out.extend(c.eliminate_exact_in(v, ctx.as_ref())?);
         }
         self.conjuncts = out;
+        Ok(())
     }
 
     /// The domain of the relation, as a set over the input tuple.
-    pub fn domain(&self) -> crate::Set {
+    ///
+    /// # Errors
+    ///
+    /// Projects the output tuple away; fails as [`Relation::then`] does.
+    pub fn domain(&self) -> Result<crate::Set, OmegaError> {
         let mut r = self.clone();
         for j in 0..self.n_out {
-            r.eliminate_var(Var::Out(j));
+            r.eliminate_var(Var::Out(j))?;
         }
         r.n_out = 0;
         r.out_names.clear();
         r.simplify();
-        crate::Set::from_relation(r)
+        Ok(crate::Set::from_relation(r))
     }
 
     /// The range of the relation, as a set over the output tuple.
-    pub fn range(&self) -> crate::Set {
+    ///
+    /// # Errors
+    ///
+    /// Projects the input tuple away; fails as [`Relation::then`] does.
+    pub fn range(&self) -> Result<crate::Set, OmegaError> {
         self.inverse().domain()
     }
 
@@ -480,15 +493,23 @@ impl Relation {
 
     /// Applies the relation to a set: `R(S) = { j : exists i in S, (i,j) in R }`.
     ///
+    /// # Errors
+    ///
+    /// See [`Relation::range`].
+    ///
     /// # Panics
     ///
     /// Panics if `set.arity() != self.n_in()`.
-    pub fn apply(&self, set: &crate::Set) -> crate::Set {
+    pub fn apply(&self, set: &crate::Set) -> Result<crate::Set, OmegaError> {
         self.restrict_domain(set).range()
     }
 
     /// Applies the inverse relation to a set.
-    pub fn apply_inverse(&self, set: &crate::Set) -> crate::Set {
+    ///
+    /// # Errors
+    ///
+    /// See [`Relation::domain`].
+    pub fn apply_inverse(&self, set: &crate::Set) -> Result<crate::Set, OmegaError> {
         self.restrict_range(set).domain()
     }
 
@@ -533,48 +554,21 @@ impl Relation {
 
     /// True if `self ⊆ other` for all parameter values.
     ///
-    /// Thin delegate over [`Relation::try_is_subset_of`].
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Relation::subtract`].
-    pub fn is_subset_of(&self, other: &Relation) -> bool {
-        self.try_is_subset_of(other)
-            .expect("is_subset_of: inexact negation of existential system")
-    }
-
-    /// True if `self ⊆ other` for all parameter values, or an error if the
-    /// difference cannot be formed exactly.
-    ///
     /// # Errors
     ///
-    /// Returns the same errors as [`Relation::try_subtract`].
-    pub fn try_is_subset_of(&self, other: &Relation) -> Result<bool, crate::OmegaError> {
-        Ok(self.try_subtract(other)?.is_empty())
+    /// Returns the same errors as [`Relation::subtract`].
+    pub fn is_subset_of(&self, other: &Relation) -> Result<bool, OmegaError> {
+        Ok(self.subtract(other)?.is_empty())
     }
 
     /// True if the relations contain exactly the same tuples for all
     /// parameter values.
     ///
-    /// Thin delegate over [`Relation::try_equal`].
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Relation::subtract`].
-    pub fn equal(&self, other: &Relation) -> bool {
-        self.try_equal(other)
-            .expect("equal: inexact negation of existential system")
-    }
-
-    /// True if the relations contain exactly the same tuples for all
-    /// parameter values, or an error if a difference cannot be formed
-    /// exactly.
-    ///
     /// # Errors
     ///
-    /// Returns the same errors as [`Relation::try_subtract`].
-    pub fn try_equal(&self, other: &Relation) -> Result<bool, crate::OmegaError> {
-        Ok(self.try_is_subset_of(other)? && other.try_is_subset_of(self)?)
+    /// Returns the same errors as [`Relation::subtract`].
+    pub fn equal(&self, other: &Relation) -> Result<bool, OmegaError> {
+        Ok(self.is_subset_of(other)? && other.is_subset_of(self)?)
     }
 
     /// Cheap cleanup: normalize conjuncts, drop trivially-false ones.
@@ -592,9 +586,11 @@ impl Relation {
     /// test), removes syntactically and semantically subsumed conjuncts,
     /// and eliminates redundant constraints within each conjunct.
     ///
-    /// All passes run on every call: keeping intermediate sets minimal
-    /// proved cheaper end-to-end than deferring any pass (see
-    /// [`Relation::simplify_deep`]).
+    /// All passes run on every call. Measured on the Table-1 workloads:
+    /// deferring either redundancy elimination or semantic subsumption to
+    /// a "deep-only" variant for code generation made overall compilation
+    /// ~3x slower — smaller intermediate sets pay for the per-operation
+    /// cost everywhere.
     pub fn simplify(&mut self) {
         match self.ctx.clone() {
             Some(cx) => {
@@ -619,17 +615,6 @@ impl Relation {
         }
         self.simplify_cheap();
         self.semantic_subsume();
-    }
-
-    /// Alias of [`Relation::simplify`], kept for call sites that want to
-    /// state explicitly that constraint quality matters (code generation).
-    pub fn simplify_deep(&mut self) {
-        // Measured on the Table-1 workloads: deferring either redundancy
-        // elimination or semantic subsumption to "deep-only" call sites
-        // made overall compilation ~3x slower — smaller intermediate sets
-        // pay for the per-operation cost everywhere. Both variants
-        // therefore run the full pipeline.
-        self.simplify();
     }
 
     /// Removes conjuncts subsumed by another conjunct (exact test via
@@ -814,7 +799,7 @@ mod tests {
     fn subtract_creates_union() {
         let a = set("{[i] : 1 <= i <= 10}");
         let b = set("{[i] : 4 <= i <= 6}");
-        let d = a.subtract(&b);
+        let d = a.subtract(&b).unwrap();
         for i in 0..=12i64 {
             let want = (1..=3).contains(&i) || (7..=10).contains(&i);
             assert_eq!(d.contains(&[i], &[]), want, "i = {i}");
@@ -826,19 +811,19 @@ mod tests {
         let shift = rel("{[i] -> [j] : j = i + 1}");
         let double = rel("{[i] -> [j] : j = 2i}");
         // then: first shift, then double: j = 2(i+1)
-        let t = shift.then(&double);
+        let t = shift.then(&double).unwrap();
         assert!(t.contains_pair(&[3], &[8], &[]));
         assert!(!t.contains_pair(&[3], &[7], &[]));
         // compose: double ∘ shift is the same thing
-        let c = double.compose(&shift);
+        let c = double.compose(&shift).unwrap();
         assert!(c.contains_pair(&[3], &[8], &[]));
     }
 
     #[test]
     fn domain_range_inverse() {
         let r = rel("{[i] -> [j] : j = i + 1 && 1 <= i <= 5}");
-        let d = r.domain();
-        let g = r.range();
+        let d = r.domain().unwrap();
+        let g = r.range().unwrap();
         for i in -2..=8i64 {
             assert_eq!(d.contains(&[i], &[]), (1..=5).contains(&i));
             assert_eq!(g.contains(&[i], &[]), (2..=6).contains(&i));
@@ -851,7 +836,7 @@ mod tests {
     fn apply_and_restrict() {
         let r = rel("{[i] -> [j] : j = i + 2}");
         let s = set("{[i] : 1 <= i <= 3}");
-        let img = r.apply(&s);
+        let img = r.apply(&s).unwrap();
         for j in 0..=8i64 {
             assert_eq!(img.contains(&[j], &[]), (3..=5).contains(&j));
         }
@@ -886,10 +871,10 @@ mod tests {
     fn subset_and_equality() {
         let a = set("{[i] : 2 <= i <= 5}");
         let b = set("{[i] : 1 <= i <= 10}");
-        assert!(a.as_relation().is_subset_of(b.as_relation()));
-        assert!(!b.as_relation().is_subset_of(a.as_relation()));
+        assert!(a.as_relation().is_subset_of(b.as_relation()).unwrap());
+        assert!(!b.as_relation().is_subset_of(a.as_relation()).unwrap());
         let c = set("{[i] : 1 <= i <= 10 && 1 <= i}");
-        assert!(b.as_relation().equal(c.as_relation()));
+        assert!(b.as_relation().equal(c.as_relation()).unwrap());
     }
 
     #[test]
@@ -919,12 +904,15 @@ mod tests {
     fn block_layout_roundtrip() {
         // Layout for block(25) over 4 procs: {[p] -> [a] : 25p <= a <= 25p+24, 0<=p<=3}
         let layout = rel("{[p] -> [a] : 25p <= a <= 25p + 24 && 0 <= p <= 3}");
-        let owned = layout.apply(&set("{[p] : p = 2}"));
+        let owned = layout.apply(&set("{[p] : p = 2}")).unwrap();
         for a in 0..=120i64 {
             assert_eq!(owned.contains(&[a], &[]), (50..=74).contains(&a));
         }
         // Domain covers every processor that owns something in [0,99].
-        let who = layout.restrict_range(&set("{[a] : 0 <= a <= 99}")).domain();
+        let who = layout
+            .restrict_range(&set("{[a] : 0 <= a <= 99}"))
+            .domain()
+            .unwrap();
         for p in -1..=5i64 {
             assert_eq!(who.contains(&[p], &[]), (0..=3).contains(&p));
         }

@@ -107,23 +107,12 @@ impl Set {
 
     /// Set difference (exact).
     ///
-    /// # Panics
-    ///
-    /// See [`Relation::subtract`].
-    pub fn subtract(&self, other: &Set) -> Set {
-        Set {
-            rel: self.rel.subtract(&other.rel),
-        }
-    }
-
-    /// Set difference, reporting inexact negation as an error.
-    ///
     /// # Errors
     ///
-    /// See [`Relation::try_subtract`].
-    pub fn try_subtract(&self, other: &Set) -> Result<Set, OmegaError> {
+    /// See [`Relation::subtract`].
+    pub fn subtract(&self, other: &Set) -> Result<Set, OmegaError> {
         Ok(Set {
-            rel: self.rel.try_subtract(&other.rel)?,
+            rel: self.rel.subtract(&other.rel)?,
         })
     }
 
@@ -134,48 +123,25 @@ impl Set {
 
     /// True if `self ⊆ other` for all parameter values.
     ///
-    /// # Panics
-    ///
-    /// See [`Relation::is_subset_of`]; prefer [`Set::try_is_subset_of`].
-    pub fn is_subset_of(&self, other: &Set) -> bool {
-        self.rel.is_subset_of(&other.rel)
-    }
-
-    /// Fallible form of [`Set::is_subset_of`].
-    ///
     /// # Errors
     ///
-    /// See [`Relation::try_is_subset_of`].
-    pub fn try_is_subset_of(&self, other: &Set) -> Result<bool, OmegaError> {
-        self.rel.try_is_subset_of(&other.rel)
+    /// See [`Relation::is_subset_of`].
+    pub fn is_subset_of(&self, other: &Set) -> Result<bool, OmegaError> {
+        self.rel.is_subset_of(&other.rel)
     }
 
     /// True if the sets are equal for all parameter values.
     ///
-    /// # Panics
-    ///
-    /// See [`Relation::equal`]; prefer [`Set::try_equal`].
-    pub fn equal(&self, other: &Set) -> bool {
-        self.rel.equal(&other.rel)
-    }
-
-    /// Fallible form of [`Set::equal`].
-    ///
     /// # Errors
     ///
-    /// See [`Relation::try_equal`].
-    pub fn try_equal(&self, other: &Set) -> Result<bool, OmegaError> {
-        self.rel.try_equal(&other.rel)
+    /// See [`Relation::equal`].
+    pub fn equal(&self, other: &Set) -> Result<bool, OmegaError> {
+        self.rel.equal(&other.rel)
     }
 
     /// Simplifies the representation in place (see [`Relation::simplify`]).
     pub fn simplify(&mut self) {
         self.rel.simplify();
-    }
-
-    /// Deep simplification (see [`Relation::simplify_deep`]).
-    pub fn simplify_deep(&mut self) {
-        self.rel.simplify_deep();
     }
 
     /// Exact membership test under parameter bindings.
@@ -190,10 +156,14 @@ impl Set {
 
     /// Projects the set onto the given dimensions (in the given order).
     ///
+    /// # Errors
+    ///
+    /// Eliminates the dropped dimensions; fails as [`Relation::then`] does.
+    ///
     /// # Panics
     ///
     /// Panics if a dimension index is out of range.
-    pub fn project_onto(&self, dims: &[u32]) -> Set {
+    pub fn project_onto(&self, dims: &[u32]) -> Result<Set, OmegaError> {
         let arity = self.arity();
         for &d in dims {
             assert!(d < arity, "project_onto: dim {d} out of range");
@@ -223,7 +193,7 @@ impl Set {
             if pos_of(i).is_none() {
                 let mut out = Vec::new();
                 for c in a.conjuncts() {
-                    out.extend(c.eliminate_exact_in(Var::In(i), cx));
+                    out.extend(c.eliminate_exact_in(Var::In(i), cx)?);
                 }
                 *a.conjuncts_mut() = out;
             }
@@ -248,17 +218,25 @@ impl Set {
         }
         *tmp.conjuncts_mut() = conjs;
         tmp.simplify();
-        Set { rel: tmp }
+        Ok(Set { rel: tmp })
     }
 
     /// Constant bounds `[lo, hi]` of dimension `dim` after binding the given
     /// parameters, or `None` on the unbounded side(s).
-    pub fn dim_bounds(&self, dim: u32, params: &[(&str, i64)]) -> (Option<i64>, Option<i64>) {
+    ///
+    /// # Errors
+    ///
+    /// See [`Set::project_onto`].
+    pub fn dim_bounds(
+        &self,
+        dim: u32,
+        params: &[(&str, i64)],
+    ) -> Result<(Option<i64>, Option<i64>), OmegaError> {
         let mut rel = self.rel.clone();
         for &(name, val) in params {
             rel = rel.specialize_param(name, val);
         }
-        let proj = Set { rel }.project_onto(&[dim]);
+        let proj = Set { rel }.project_onto(&[dim])?;
         let mut lo: Option<i64> = None;
         let mut hi: Option<i64> = None;
         let mut any = false;
@@ -301,9 +279,9 @@ impl Set {
         }
         if !any {
             // Empty set: report an empty interval.
-            return (Some(0), Some(-1));
+            return Ok((Some(0), Some(-1)));
         }
-        (lo, hi)
+        Ok((lo, hi))
     }
 
     /// Enumerates all members under the given parameter bindings.
@@ -311,7 +289,8 @@ impl Set {
     /// # Errors
     ///
     /// Returns [`OmegaError::Unbounded`] if some dimension has no constant
-    /// lower or upper bound after binding the parameters.
+    /// lower or upper bound after binding the parameters, and the errors of
+    /// [`Set::dim_bounds`].
     pub fn enumerate(&self, params: &[(&str, i64)]) -> Result<Vec<Vec<i64>>, OmegaError> {
         let arity = self.arity() as usize;
         if arity == 0 {
@@ -327,7 +306,7 @@ impl Set {
         }
         let mut boxes = Vec::with_capacity(arity);
         for d in 0..arity {
-            match self.dim_bounds(d as u32, params) {
+            match self.dim_bounds(d as u32, params)? {
                 (Some(lo), Some(hi)) => boxes.push(lo..=hi),
                 _ => return Err(OmegaError::Unbounded),
             }
@@ -343,24 +322,13 @@ impl Set {
     ///
     /// This is the compile-time `IsConvex` test of the paper's §3.3.
     ///
-    /// # Panics
-    ///
-    /// Panics if the arity is not 1, or if negation is inexact. Prefer
-    /// [`Set::try_is_convex_1d`], which reports both conditions as errors.
-    pub fn is_convex_1d(&self) -> bool {
-        self.try_is_convex_1d()
-            .expect("is_convex_1d on a non-1-D or inexactly-negatable set")
-    }
-
-    /// Fallible form of [`Set::is_convex_1d`].
-    ///
     /// # Errors
     ///
-    /// Returns [`OmegaError::Arity`] if the arity is not 1 and
-    /// [`OmegaError::InexactNegation`] if the complement needed by the hole
-    /// test cannot be formed exactly; callers (e.g. the in-place
-    /// communication analysis) fall back to the paper's §3.3 runtime check.
-    pub fn try_is_convex_1d(&self) -> Result<bool, OmegaError> {
+    /// Returns [`OmegaError::Arity`] if the arity is not 1 and the errors of
+    /// [`Set::subtract`] if the complement needed by the hole test cannot
+    /// be formed; callers (e.g. the in-place communication analysis) fall
+    /// back to the paper's §3.3 runtime check.
+    pub fn is_convex_1d(&self) -> Result<bool, OmegaError> {
         if self.arity() != 1 {
             return Err(OmegaError::Arity("is_convex_1d"));
         }
@@ -368,7 +336,7 @@ impl Set {
         let sx = self.embed(3, 0);
         let sz = self.embed(3, 2);
         let sy = self.embed(3, 1);
-        let not_y = Set::universe(3).try_subtract(&sy)?;
+        let not_y = Set::universe(3).subtract(&sy)?;
         let order: Set = "{[x,y,z] : x <= y - 1 && y <= z - 1}".parse().unwrap();
         let holes = sx
             .intersection(&sz)
@@ -380,20 +348,10 @@ impl Set {
     /// True for a 1-D set that provably contains at most one element for any
     /// parameter values (the paper's `IsSingleton`).
     ///
-    /// # Panics
-    ///
-    /// Panics if the arity is not 1. Prefer [`Set::try_is_singleton_1d`].
-    pub fn is_singleton_1d(&self) -> bool {
-        self.try_is_singleton_1d()
-            .expect("is_singleton_1d on a non-1-D set")
-    }
-
-    /// Fallible form of [`Set::is_singleton_1d`].
-    ///
     /// # Errors
     ///
     /// Returns [`OmegaError::Arity`] if the arity is not 1.
-    pub fn try_is_singleton_1d(&self) -> Result<bool, OmegaError> {
+    pub fn is_singleton_1d(&self) -> Result<bool, OmegaError> {
         if self.arity() != 1 {
             return Err(OmegaError::Arity("is_singleton_1d"));
         }
@@ -520,10 +478,10 @@ mod tests {
     #[test]
     fn project_onto_swaps_and_drops() {
         let s = set("{[i,j] : 1 <= i <= 3 && j = i + 10}");
-        let pj = s.project_onto(&[1]);
+        let pj = s.project_onto(&[1]).unwrap();
         let pts = pj.enumerate(&[]).unwrap();
         assert_eq!(pts, vec![vec![11], vec![12], vec![13]]);
-        let swapped = s.project_onto(&[1, 0]);
+        let swapped = s.project_onto(&[1, 0]).unwrap();
         assert!(swapped.contains(&[12, 2], &[]));
         assert!(!swapped.contains(&[2, 12], &[]));
     }
@@ -533,46 +491,48 @@ mod tests {
         let a = set("{[i] : 1 <= i <= 3}");
         let b = set("{[i] : 7 <= i <= 9}");
         let u = a.union(&b);
-        assert_eq!(u.dim_bounds(0, &[]), (Some(1), Some(9)));
+        assert_eq!(u.dim_bounds(0, &[]).unwrap(), (Some(1), Some(9)));
     }
 
     #[test]
     fn dim_bounds_empty_set() {
         let s = Set::empty(1);
-        let (lo, hi) = s.dim_bounds(0, &[]);
+        let (lo, hi) = s.dim_bounds(0, &[]).unwrap();
         assert!(lo.unwrap() > hi.unwrap());
     }
 
     #[test]
     fn convexity_tests() {
-        assert!(set("{[i] : 2 <= i <= 9}").is_convex_1d());
+        assert!(set("{[i] : 2 <= i <= 9}").is_convex_1d().unwrap());
         let gap = set("{[i] : 1 <= i <= 3}").union(&set("{[i] : 5 <= i <= 8}"));
-        assert!(!gap.is_convex_1d());
+        assert!(!gap.is_convex_1d().unwrap());
         // Adjacent intervals are convex even as a union.
         let touch = set("{[i] : 1 <= i <= 4}").union(&set("{[i] : 5 <= i <= 8}"));
-        assert!(touch.is_convex_1d());
+        assert!(touch.is_convex_1d().unwrap());
         // A stride set with a gap is not convex.
-        assert!(!set("{[i] : 0 <= i <= 6 && exists(a : i = 2a)}").is_convex_1d());
+        assert!(!set("{[i] : 0 <= i <= 6 && exists(a : i = 2a)}")
+            .is_convex_1d()
+            .unwrap());
     }
 
     #[test]
     fn convexity_symbolic() {
         // {i : 1 <= i <= N} is convex for every N.
-        assert!(set("{[i] : 1 <= i <= N}").is_convex_1d());
+        assert!(set("{[i] : 1 <= i <= N}").is_convex_1d().unwrap());
         // {i : 1 <= i <= N || 2N + 2 <= i <= 3N} has a hole for N >= 1.
         let u = set("{[i] : 1 <= i <= N}").union(&set("{[i] : 2N + 2 <= i <= 3N}"));
-        assert!(!u.is_convex_1d());
+        assert!(!u.is_convex_1d().unwrap());
     }
 
     #[test]
     fn singleton_tests() {
-        assert!(set("{[i] : i = 5}").is_singleton_1d());
-        assert!(set("{[i] : 5 <= i <= 5}").is_singleton_1d());
-        assert!(!set("{[i] : 5 <= i <= 6}").is_singleton_1d());
-        assert!(Set::empty(1).is_singleton_1d());
+        assert!(set("{[i] : i = 5}").is_singleton_1d().unwrap());
+        assert!(set("{[i] : 5 <= i <= 5}").is_singleton_1d().unwrap());
+        assert!(!set("{[i] : 5 <= i <= 6}").is_singleton_1d().unwrap());
+        assert!(Set::empty(1).is_singleton_1d().unwrap());
         // Symbolic: {i : i = N} is a singleton for every N.
-        assert!(set("{[i] : i = N}").is_singleton_1d());
+        assert!(set("{[i] : i = N}").is_singleton_1d().unwrap());
         // {i : N <= i <= N+1} never is.
-        assert!(!set("{[i] : N <= i <= N + 1}").is_singleton_1d());
+        assert!(!set("{[i] : N <= i <= N + 1}").is_singleton_1d().unwrap());
     }
 }

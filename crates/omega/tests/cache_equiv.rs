@@ -79,7 +79,7 @@ fn step(rng: &mut Rng, acc: Set, other: &Set) -> Set {
     match rng.index(4) {
         0 => acc.union(other),
         1 => acc.intersection(other),
-        2 => acc.subtract(other),
+        2 => acc.subtract(other).unwrap(),
         _ => {
             // gist: simplify `acc` under the assumption `other`; the result
             // must agree with `acc` on every point of `other`.
@@ -135,7 +135,7 @@ fn run_pipeline(seed: u64, ctx: Option<&Context>) -> (Vec<Vec<bool>>, Vec<bool>)
             acc = next;
         }
     }
-    let pj = acc.project_onto(&[0]);
+    let pj = acc.project_onto(&[0]).unwrap();
     let proj: Vec<bool> = (LO - 1..=HI + 1).map(|x| pj.contains(&[x], &[])).collect();
     (maps, proj)
 }

@@ -2,7 +2,7 @@
 //! parameter unification, restriction properties, gist laws, and the
 //! specific set shapes produced by HPF distributions.
 
-use dhpf_omega::{Relation, Set};
+use dhpf_omega::{Budget, CancelToken, Context, OmegaError, Relation, RequestGovernor, Set};
 
 fn rel(s: &str) -> Relation {
     s.parse().unwrap()
@@ -50,13 +50,13 @@ fn gist_identity_law() {
     let g = a.gist(&b);
     let left = g.intersection(&b);
     let right = a.intersection(&b);
-    assert!(left.equal(&right));
+    assert!(left.equal(&right).unwrap());
 }
 
 #[test]
 fn inverse_is_involutive() {
     let r = rel("{[i,j] -> [k] : k = i + j && 1 <= i <= 3 && 1 <= j <= 3}");
-    assert!(r.inverse().inverse().equal(&r));
+    assert!(r.inverse().inverse().equal(&r).unwrap());
 }
 
 #[test]
@@ -64,8 +64,8 @@ fn then_associativity_on_samples() {
     let f = rel("{[i] -> [j] : j = i + 1}");
     let g = rel("{[i] -> [j] : j = 2i}");
     let h = rel("{[i] -> [j] : j = i - 3}");
-    let ab_c = f.then(&g).then(&h);
-    let a_bc = f.then(&g.then(&h));
+    let ab_c = f.then(&g).unwrap().then(&h).unwrap();
+    let a_bc = f.then(&g.then(&h).unwrap()).unwrap();
     for x in -5..=5i64 {
         let y = 2 * (x + 1) - 3;
         assert!(ab_c.contains_pair(&[x], &[y], &[]));
@@ -79,12 +79,12 @@ fn then_associativity_on_samples() {
 fn domain_range_of_composition() {
     let f = rel("{[i] -> [j] : j = i + 1 && 1 <= i <= 5}");
     let g = rel("{[i] -> [j] : j = 3i && 2 <= i <= 4}");
-    let fg = f.then(&g); // domain: i with i+1 in [2,4] => i in [1,3]
-    let dom = fg.domain();
+    let fg = f.then(&g).unwrap(); // domain: i with i+1 in [2,4] => i in [1,3]
+    let dom = fg.domain().unwrap();
     for i in 0..=6i64 {
         assert_eq!(dom.contains(&[i], &[]), (1..=3).contains(&i), "i={i}");
     }
-    let rng = fg.range(); // 3*(i+1) for i in [1,3]: {6, 9, 12}
+    let rng = fg.range().unwrap(); // 3*(i+1) for i in [1,3]: {6, 9, 12}
     for j in 0..=15i64 {
         assert_eq!(rng.contains(&[j], &[]), [6, 9, 12].contains(&j), "j={j}");
     }
@@ -96,14 +96,14 @@ fn cyclic_distribution_set_algebra() {
     // complement, partition the template exactly.
     let p0 = set("{[t] : 1 <= t <= 18 && exists(a : t - 1 = 6a) || 1 <= t <= 18 && exists(a : t - 2 = 6a) || 1 <= t <= 18 && exists(a : t - 3 = 6a)}");
     let all = set("{[t] : 1 <= t <= 18}");
-    let p1 = all.subtract(&p0);
+    let p1 = all.subtract(&p0).unwrap();
     for t in 1..=18i64 {
         let blk = (t - 1) / 3;
         let mine = blk % 2 == 0;
         assert_eq!(p0.contains(&[t], &[]), mine, "t={t}");
         assert_eq!(p1.contains(&[t], &[]), !mine, "t={t}");
     }
-    assert!(p0.union(&p1).equal(&all));
+    assert!(p0.union(&p1).equal(&all).unwrap());
     assert!(p0.intersection(&p1).as_relation().is_empty());
 }
 
@@ -131,12 +131,12 @@ fn block_overlap_regions() {
 fn empty_relation_ops_are_safe() {
     let e = Relation::empty(1, 1);
     assert!(e.is_empty());
-    assert!(e.domain().is_empty());
-    assert!(e.range().is_empty());
+    assert!(e.domain().unwrap().is_empty());
+    assert!(e.range().unwrap().is_empty());
     let u = Relation::universe(1, 1);
-    assert!(e.union(&u).equal(&u));
+    assert!(e.union(&u).equal(&u).unwrap());
     assert!(e.intersection(&u).is_empty());
-    assert!(u.subtract(&e).equal(&u));
+    assert!(u.subtract(&e).unwrap().equal(&u).unwrap());
 }
 
 #[test]
@@ -144,8 +144,90 @@ fn symbolic_subset_depends_on_all_params() {
     // {i : 1 <= i <= N} ⊆ {i : 1 <= i <= M} does NOT hold for all N, M.
     let a = set("{[i] : 1 <= i <= N}");
     let b = set("{[i] : 1 <= i <= M}");
-    assert!(!a.is_subset_of(&b));
+    assert!(!a.is_subset_of(&b).unwrap());
     // But it does hold with the constraint N <= M folded in.
     let a2 = set("{[i] : 1 <= i <= N && N <= M}");
-    assert!(a2.is_subset_of(&b));
+    assert!(a2.is_subset_of(&b).unwrap());
+}
+
+/// The refusal rule: while the thread's governor refuses — its op fuel
+/// already spent, or its token cancelled — every operation that reaches a
+/// projection or a negation returns the refusal as `Err`, and every
+/// operation with a sound fallback absorbs it into its conservative answer.
+#[test]
+fn a_refused_operation_is_an_err_or_a_conservative_answer() {
+    let ctx = Context::new();
+    let r = ctx
+        .parse_relation("{[i] -> [j] : 2j <= i <= 2j + 1 && 0 <= i <= N}")
+        .unwrap();
+    let s = ctx.parse_set("{[i] : 3 <= i <= 9}").unwrap();
+    let t = ctx.parse_set("{[i] : 5 <= i <= N}").unwrap();
+    let pairs = ctx.parse_set("{[i,j] : 0 <= i <= j && j <= 5}").unwrap();
+    type Op<'a> = (&'a str, Box<dyn Fn() -> Result<(), OmegaError> + 'a>);
+    let fallible: Vec<Op> = vec![
+        ("then", Box::new(|| r.then(&r.inverse()).map(drop))),
+        ("domain", Box::new(|| r.domain().map(drop))),
+        ("range", Box::new(|| r.range().map(drop))),
+        ("apply", Box::new(|| r.apply(&s).map(drop))),
+        ("apply_inverse", Box::new(|| r.apply_inverse(&s).map(drop))),
+        (
+            "project_onto",
+            Box::new(|| pairs.project_onto(&[1]).map(drop)),
+        ),
+        ("subtract", Box::new(|| s.subtract(&t).map(drop))),
+        ("equal", Box::new(|| s.equal(&t).map(drop))),
+        ("is_subset_of", Box::new(|| s.is_subset_of(&t).map(drop))),
+        // `is_convex_1d`/`is_singleton_1d` re-embed their operand in a
+        // fresh context-less universe, so they run ungoverned: not here.
+    ];
+    // Operands for the absorbing operations, each with an exact answer the
+    // conservative one visibly differs from.
+    let even_and_odd = ctx
+        .parse_set("{[i] : exists(a : i = 2a) && exists(b : i = 2b + 1)}")
+        .unwrap();
+    let nested = ctx
+        .parse_set("{[i] : 1 <= i <= 10 || 2 <= i <= 5}")
+        .unwrap();
+    let bounded = ctx.parse_set("{[i] : 1 <= i <= 10 && i <= N}").unwrap();
+    let known = ctx.parse_set("{[i] : 1 <= i <= 10}").unwrap();
+    let constraints = |rel: &Relation| -> usize {
+        let count = |c: &dhpf_omega::Conjunct| c.eqs().len() + c.geqs().len();
+        rel.conjuncts().iter().map(count).sum()
+    };
+    let simplified = |set: &Set| {
+        let mut set = set.clone();
+        set.simplify();
+        set.as_relation().conjuncts().len()
+    };
+    let gist = |a: &Set, b: &Set| constraints(&a.as_relation().gist(b.as_relation()));
+    assert!(even_and_odd.is_empty());
+    assert_eq!(simplified(&nested), 1);
+    assert_eq!(gist(&bounded, &known), 1);
+
+    let cancelled = CancelToken::new();
+    cancelled.cancel();
+    let refusing = [
+        RequestGovernor::new(&Budget::new().op_fuel(0), None),
+        RequestGovernor::new(&Budget::new(), Some(cancelled)),
+    ];
+    for (governor, is_budget) in refusing.iter().zip([true, false]) {
+        let _armed = governor.arm_on_thread();
+        for (name, op) in &fallible {
+            let err = op().expect_err(name);
+            match is_budget {
+                true => assert!(
+                    matches!(err, OmegaError::BudgetExceeded(_)),
+                    "{name}: {err}"
+                ),
+                false => assert_eq!(err, OmegaError::Cancelled, "{name}"),
+            }
+        }
+        assert!(!even_and_odd.is_empty(), "emptiness degrades to maybe");
+        assert_eq!(simplified(&nested), 2, "simplify degrades to identity");
+        assert_eq!(
+            gist(&bounded, &known),
+            constraints(bounded.as_relation()),
+            "gist degrades to identity"
+        );
+    }
 }

@@ -294,18 +294,18 @@ fn governor_refusal_inside_compute_never_poisons_eliminate_or_negate() {
         ],
     );
     let fresh = Context::new();
-    let eliminated = c.try_eliminate_exact_in(a, Some(&fresh)).unwrap();
+    let eliminated = c.eliminate_exact_in(a, Some(&fresh)).unwrap();
     let negated = negate_conjunct_in(&c, Some(&fresh)).unwrap();
     let (mut inside_eliminate, mut inside_negate) = (0, 0);
     for fuel in 0..12 {
         let ctx = Context::new();
         let armed = RequestGovernor::new(&Budget::new().op_fuel(fuel), None).arm_on_thread();
-        let refused = c.try_eliminate_exact_in(a, Some(&ctx)).is_err();
+        let refused = c.eliminate_exact_in(a, Some(&ctx)).is_err();
         // Fuel 0 refuses the outer charge; anything later is nested.
         inside_eliminate += u32::from(refused && fuel > 0);
         drop(armed);
         assert_eq!(
-            c.try_eliminate_exact_in(a, Some(&ctx)).as_ref(),
+            c.eliminate_exact_in(a, Some(&ctx)).as_ref(),
             Ok(&eliminated),
             "eliminate after a refusal at fuel {fuel}"
         );

@@ -27,7 +27,7 @@ enddo
 end
 ";
 
-fn main() {
+fn main() -> Result<(), dhpf::omega::OmegaError> {
     let prog = parse(SRC).expect("parse");
     let analysis = analyze(&prog.units[0]).expect("analyze");
     // One shared Omega context: every set built from these layouts reuses
@@ -80,7 +80,7 @@ fn main() {
     // CPMap = Layout_B ∘ RefMap⁻¹ ∩range loop; the paper's result:
     //   {[p] -> [l1,l2] : 1 <= l1 <= min(N,100) &&
     //                     max(2, 25p+2) <= l2 <= min(N+1, 101, 25p+26)}
-    let cp = cp_map(s, &layouts);
+    let cp = cp_map(s, &layouts)?;
     println!("CPMap = {cp}\n");
     let n = [("n", 60i64)];
     assert!(cp.contains_pair(&[0], &[1, 2], &n));
@@ -98,4 +98,5 @@ fn main() {
         stats.total_misses(),
         stats.interned_conjuncts
     );
+    Ok(())
 }

@@ -27,13 +27,13 @@ enddo
 end
 ";
 
-fn main() {
+fn main() -> Result<(), dhpf::omega::OmegaError> {
     let prog = parse(SRC).expect("parse");
     let analysis = analyze(&prog.units[0]).expect("analyze");
     let layouts = build_layouts(&analysis);
     let stmts = collect_statements(&analysis);
     let s = &stmts[0];
-    let cp = cp_map(s, &layouts);
+    let cp = cp_map(s, &layouts)?;
 
     // The potentially non-local read is A(PIVOT, j).
     let pivot_read = s
@@ -61,9 +61,10 @@ fn main() {
     assert!(!sets.busy.contains(&[40, 41], &p));
     assert!(sets.active_send.contains(&[40, 41], &p));
     assert!(!sets.active_send.contains(&[41, 41], &p));
-    assert!(sets.active_recv.equal(&sets.busy));
+    assert!(sets.active_recv.equal(&sets.busy)?);
     println!("All Figure 5 membership checks passed:");
     println!("  - only VPs in the lower-right submatrix are busy;");
     println!("  - only VPs owning the pivot row send;");
     println!("  - every busy VP receives.");
+    Ok(())
 }

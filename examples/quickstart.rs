@@ -30,7 +30,7 @@ enddo
 end
 ";
 
-fn main() {
+fn main() -> Result<(), dhpf::omega::OmegaError> {
     // --- 1. Frontend: parse + analyze ---------------------------------
     let prog = parse(SRC).expect("parse");
     let analysis = analyze(&prog.units[0]).expect("analyze");
@@ -60,9 +60,9 @@ fn main() {
     );
     let stmts = collect_statements(&analysis);
     let shift = &stmts[1]; // a(i) = b(i+1) + b(i)
-    let cp = cp_map(shift, &layouts);
+    let cp = cp_map(shift, &layouts)?;
     println!("CPMap (owner-computes on a(i)):\n  {cp}\n");
-    let mine = cp.apply(&myid_set(1));
+    let mine = cp.apply(&myid_set(1))?;
     println!("Iterations of the representative processor m:\n  {mine}\n");
     let refs: Vec<CommRef> = shift
         .reads
@@ -114,6 +114,7 @@ fn main() {
         );
     }
     println!("\nAll results match the serial oracle.");
+    Ok(())
 }
 
 /// A small display helper for the example.
