@@ -2,7 +2,9 @@
 //!
 //! - **Trace** (default): compiles an HPF source with tracing enabled,
 //!   writes the trace in the format the extension implies, re-reads the
-//!   file, and validates it against the schema.
+//!   file, and validates it against the schema; then compiles it again at
+//!   `threads = 4` into a second collector and validates that stitched
+//!   parallel trace's Chrome export too.
 //! - **Metrics** (`--metrics FILE`): validates a Prometheus text
 //!   exposition (as scraped from `dhpf-serve`'s `metrics` op) — TYPE
 //!   declarations, counter non-negativity, bucket monotonicity — and
@@ -19,15 +21,17 @@
 //! Defaults to `benchmarks/jacobi.hpf` (falling back to the embedded copy
 //! when run outside the repo) and a `trace_lint.json` file in the system
 //! temp directory. Exits nonzero on any schema violation, on a trace with
-//! no satisfiability samples, or when the span totals fail to reconcile
-//! with the compiler's own Table-1 rows.
+//! no satisfiability samples, on a trace that is not one tree under its
+//! `compile` root, or when a Table-1 row differs from the spans it is
+//! read from — by as much as a nanosecond, at either thread count.
 
 use dhpf_bench::traceopt::TraceOut;
-use dhpf_core::{compile, CompileOptions};
+use dhpf_core::{compile, CompileOptions, Compiled};
 use dhpf_obs::export::{
-    parse_series_key, validate_access_log, validate_chrome_trace, validate_json_lines,
-    validate_metrics_text,
+    parse_series_key, to_chrome_trace, validate_access_log, validate_chrome_trace,
+    validate_json_lines, validate_metrics_text,
 };
+use dhpf_obs::{Collector, Trace};
 use dhpf_omega::ErrorCode;
 
 fn fail(msg: &str) -> ! {
@@ -105,6 +109,32 @@ fn lint_access_log(path: &str) -> ! {
     std::process::exit(0);
 }
 
+/// Checks one compile's trace against its Table-1 rows, which are read
+/// off the span tree, so they agree exactly: the trace is one tree under
+/// its `compile` root, whose duration is the total, and each row's
+/// cumulative time is the sum of the spans of its name.
+fn reconcile(what: &str, trace: &Trace, compiled: &Compiled) {
+    let ops = trace.total_ops();
+    if ops.get("satisfiability").is_none_or(|o| o.calls == 0) {
+        fail(&format!("{what}: no satisfiability calls recorded"));
+    }
+    if !matches!(trace.roots()[..], [r] if trace.nodes[r].name == "compile") {
+        fail(&format!("{what}: not one tree under a compile root"));
+    }
+    let timers = &compiled.report.timers;
+    let rows = timers.rows().into_iter().map(|(name, d, _)| (name, d));
+    for (name, d) in std::iter::once(("compile".to_string(), timers.total())).chain(rows) {
+        let spans = trace.nodes.iter().filter(|n| n.name == name);
+        let ns: u64 = spans.map(|n| n.dur_ns).sum();
+        if u128::from(ns) != d.as_nanos() {
+            fail(&format!(
+                "{what}: Table 1 has {name:?} at {} ns, its spans at {ns} ns",
+                d.as_nanos()
+            ));
+        }
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     if let Some(path) = flag_value(&args, "--metrics") {
@@ -143,40 +173,27 @@ fn main() {
     if summary.events == 0 {
         fail("trace has no events");
     }
-    let sat = summary.op_calls;
-    if sat == 0 {
+    if summary.op_calls == 0 {
         fail("trace has no set-operation samples (satisfiability etc.)");
     }
-    let trace = out.collector.trace();
-    let ops = trace.total_ops();
-    if ops.get("satisfiability").map_or(0, |o| o.calls) == 0 {
-        fail("no satisfiability calls recorded");
-    }
+    reconcile("threads 1", &out.collector.trace(), &compiled);
 
-    // Reconcile: the root compile span's cumulative time must bracket the
-    // compiler's own total within 5% (they time the same interval from the
-    // same thread; divergence means spans are being mis-closed).
-    let roots = trace.roots();
-    let compile_root = roots
-        .iter()
-        .copied()
-        .find(|&i| trace.nodes[i].name == "compile")
-        .unwrap_or_else(|| fail("no compile root span"));
-    let span_s = trace.nodes[compile_root].dur_ns as f64 / 1e9;
-    let rows_s = compiled.report.timers.total().as_secs_f64();
-    let rel = (span_s - rows_s).abs() / rows_s.max(1e-9);
-    if rel > 0.05 {
-        fail(&format!(
-            "compile span ({span_s:.6}s) and Table-1 total ({rows_s:.6}s) diverge by {:.1}%",
-            100.0 * rel
-        ));
-    }
+    // The same source on four workers: nest and assembly tasks are spans
+    // stitched under `module compilation` from worker threads.
+    let par = Collector::new();
+    let compiled = compile(&src, &CompileOptions::new().threads(4).trace(par.clone()))
+        .unwrap_or_else(|e| fail(&format!("compile at threads 4: {e}")));
+    let par_trace = par.trace();
+    let par_summary = validate_chrome_trace(&to_chrome_trace(&par_trace))
+        .unwrap_or_else(|e| fail(&format!("threads 4 schema: {e}")));
+    reconcile("threads 4", &par_trace, &compiled);
 
     println!(
-        "trace_lint: OK: {} events, {} op samples, compile span within {:.2}% of timer total ({})",
+        "trace_lint: OK: {} events, {} op samples ({}); {} events at threads 4; \
+         Table-1 rows equal their spans at both",
         summary.events,
-        sat,
-        100.0 * rel,
-        out.path.display()
+        summary.op_calls,
+        out.path.display(),
+        par_summary.events,
     );
 }

@@ -6,22 +6,14 @@
 //! analysis/code-generation phase, including the share spent in
 //! multiple-mappings code generation (the integer-set framework's cost).
 
-use dhpf_core::{compile, CompileOptions, Compiled, PhaseRow};
-use std::time::Duration;
+use dhpf_core::{compile, CompileOptions, Compiled};
 
-/// One column of Table 1.
+/// One column of Table 1: the rows are `compiled.report.timers`.
 #[derive(Debug)]
 pub struct Column {
     /// Application variant name (e.g. "SP-4").
     pub name: String,
-    /// Total compilation wall-clock time.
-    pub total: Duration,
-    /// `(phase, time, percent-of-total)` rows.
-    pub rows: Vec<(String, Duration, f64)>,
-    /// The same rows with nesting depth and self time (child rows are the
-    /// ones rendered indented, as in the paper's table).
-    pub nested: Vec<PhaseRow>,
-    /// The compiled artifact (for stats).
+    /// The compiled artifact (phase rows and stats).
     pub compiled: Compiled,
 }
 
@@ -48,9 +40,6 @@ pub fn column_opts(name: &str, src: &str, opts: &CompileOptions) -> Column {
     }
     Column {
         name: name.to_string(),
-        total: compiled.report.timers.total(),
-        rows: compiled.report.timers.rows(),
-        nested: compiled.report.timers.rows_nested(),
         compiled,
     }
 }
@@ -92,7 +81,8 @@ pub fn render(cols: &[Column]) -> String {
     out.push('\n');
     out.push_str(&format!("{:<34}", "total compilation wall-clock time"));
     for c in cols {
-        out.push_str(&format!("{:>11.2}s", c.total.as_secs_f64()));
+        let total = c.compiled.report.timers.total();
+        out.push_str(&format!("{:>11.2}s", total.as_secs_f64()));
     }
     out.push('\n');
     for phase in PHASES {
@@ -100,7 +90,7 @@ pub fn render(cols: &[Column]) -> String {
         // indented, mirroring the paper's sub-rows of "module compilation".
         let depth = cols
             .iter()
-            .flat_map(|c| c.nested.iter())
+            .flat_map(|c| c.compiled.report.timers.rows_nested())
             .filter(|r| r.name == *phase)
             .map(|r| r.depth)
             .max()
@@ -108,12 +98,11 @@ pub fn render(cols: &[Column]) -> String {
         let label = format!("{}{}", "  ".repeat(depth), phase);
         out.push_str(&format!("{label:<34}"));
         for c in cols {
-            let pct = c
-                .rows
+            let rows = c.compiled.report.timers.rows_nested();
+            let pct = rows
                 .iter()
-                .find(|(n, _, _)| n == phase)
-                .map(|(_, _, p)| *p)
-                .unwrap_or(0.0);
+                .find(|r| r.name == *phase)
+                .map_or(0.0, |r| r.percent);
             out.push_str(&format!("{:>11.1}%", pct));
         }
         out.push('\n');

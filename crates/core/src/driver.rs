@@ -19,7 +19,7 @@ use crate::spmd::{
     SpmdStats, UnitPlan,
 };
 use dhpf_hpf::{analyze, parse, Analysis};
-use dhpf_obs::Collector;
+use dhpf_obs::{Collector, SpanId};
 use dhpf_omega::{
     Budget, CacheStats, CancelToken, Context, ErrorCode, GovernorStats, InjectPlan, RequestGovernor,
 };
@@ -155,7 +155,7 @@ pub struct Compiled {
 /// Compilation statistics: timing rows and synthesis counts.
 #[derive(Debug)]
 pub struct CompileReport {
-    /// Phase timers (rows of Table 1).
+    /// The rows of Table 1, read off this compile's span subtree.
     pub timers: PhaseTimers,
     /// Synthesis statistics.
     pub stats: SpmdStats,
@@ -416,7 +416,9 @@ pub fn compile(src: &str, opts: &CompileOptions) -> Result<Compiled, CompileErro
 }
 
 fn compile_impl(ctx: &Context, src: &str, opts: &CompileOptions) -> Result<Compiled, CompileError> {
-    ctx.set_collector(opts.trace.clone());
+    // Set-op samples go to the collector armed on this thread (and re-armed
+    // on workers): a traced request records its own, on any context.
+    let _sampling = opts.trace.as_ref().map(Collector::arm_on_thread);
     // Budget, cancellation and limits are enforced by a *request-scoped*
     // governor armed on this thread (and re-armed on every worker thread):
     // a long-lived serving context compiles many concurrent requests, and
@@ -443,7 +445,6 @@ fn compile_impl(ctx: &Context, src: &str, opts: &CompileOptions) -> Result<Compi
     if opts.inject.is_some() {
         ctx.set_inject(None);
     }
-    ctx.set_collector(None);
     out.unwrap_or_else(|payload| {
         Err(CompileError::Internal(crate::parallel::panic_message(
             payload,
@@ -456,29 +457,22 @@ fn compile_inner(
     src: &str,
     opts: &CompileOptions,
 ) -> Result<Compiled, CompileError> {
-    let mut timers = PhaseTimers::new();
-    // One "compile" root span per compilation; phase spans opened by the
-    // timers and the Omega op samples recorded by the context both nest
-    // under it (ops land on whichever phase span is innermost when they
-    // run, giving the per-phase set-op breakdown).
-    let root = opts
-        .trace
-        .as_ref()
-        .map(|c| (c.clone(), c.begin("compile", "compile")));
-    if let Some(c) = &opts.trace {
-        timers.attach_collector(c.clone());
-    }
+    // Every phase is recorded once, as a span under one "compile" root in
+    // the caller's collector or a private one; Table 1 is read off that
+    // subtree, and set-op samples land on the innermost phase span.
+    let obs = opts.trace.clone().unwrap_or_default();
+    let root = obs.guard("compile", "compile");
     // Cancellation checkpoints between phases keep aborts prompt even when
     // the set operations in flight are the infallible ones; the per-nest
     // checkpoint in synthesis covers the long tail.
     ctx.check_cancelled()?;
-    let prog = timers.time("parsing", |_| parse(src))?;
+    let prog = obs.span("parsing", "phase", || parse(src))?;
     if prog.units.is_empty() {
         return Err(CompileError::Unsupported("no program units".to_string()));
     }
     // "Interprocedural analysis": analyze every unit; directives of the
     // main unit drive synthesis (dHPF propagates layouts across calls).
-    let analyses = timers.time("interprocedural analysis", |_| {
+    let analyses = obs.span("interprocedural analysis", "phase", || {
         crate::parallel::ordered_map(opts.threads, prog.units.len(), |i| analyze(&prog.units[i]))
             .into_iter()
             .collect::<Result<Vec<_>, _>>()
@@ -486,24 +480,23 @@ fn compile_inner(
     let units = analyses.len();
     ctx.check_cancelled()?;
     let main_idx = prog.units.iter().position(|u| u.is_program).unwrap_or(0);
-    let (program, stats) = timers.time("module compilation", |t| {
-        compile_units(ctx, &analyses, main_idx, opts, t)
-    })?;
-    timers.time("opt of generated code", |_| {
-        // Generated code is simplified during synthesis; this phase is kept
-        // as a named row for Table 1 parity.
-    });
-    timers.finish();
+    let (program, stats) = {
+        let phase = obs.guard("module compilation", "phase");
+        compile_units(ctx, &analyses, main_idx, opts, &obs, phase.id())
+    }?;
+    // Generated code is simplified during synthesis; this phase is kept as
+    // a named row for Table 1 parity.
+    obs.span("opt of generated code", "phase", || {});
     let cache = ctx.stats();
     // Read while still armed: `compile_impl` disarms after we return.
     let governor = ctx.governor_stats();
     let injected_faults = ctx.inject_fired();
-    if let Some((c, id)) = root {
-        c.counter_on(id, "units", units as i64);
-        c.counter_on(id, "comm events", stats.comm_events as i64);
-        c.counter_on(id, "degradations", stats.degradations.len() as i64);
-        c.end(id);
-    }
+    let id = root.id();
+    obs.counter_on(id, "units", units as i64);
+    obs.counter_on(id, "comm events", stats.comm_events as i64);
+    obs.counter_on(id, "degradations", stats.degradations.len() as i64);
+    drop(root);
+    let timers = PhaseTimers::from_trace(&obs.subtree(id));
     Ok(Compiled {
         program,
         analysis: analyses
@@ -538,7 +531,8 @@ struct PlannedUnit<'a> {
 /// per nest plus one assembly task depending on them, and `run_dag` drains
 /// the DAG on `opts.threads` workers. Results land in per-task slots and
 /// are reconciled in unit order afterwards, so the outcome — program,
-/// statistics, phase rows, which error wins — does not depend on the
+/// statistics, Table 1 (each task is a `"task"` span under `module`
+/// carrying its task id), which error wins — does not depend on the
 /// schedule. Only the main unit's program is retained, matching how the
 /// paper reports whole-module times.
 fn compile_units(
@@ -546,14 +540,15 @@ fn compile_units(
     analyses: &[Analysis],
     main_idx: usize,
     opts: &CompileOptions,
-    t: &mut PhaseTimers,
+    obs: &Collector,
+    module: SpanId,
 ) -> Result<(SpmdProgram, SpmdStats), CompileError> {
     // Task ids: nests first (in (unit, nest) order), then one assembly
     // task per planned unit.
     let mut planned: Vec<PlannedUnit> = Vec::new();
     let mut n_nests = 0;
     for (index, analysis) in analyses.iter().enumerate() {
-        let layouts = t.time("layout construction", |_| {
+        let layouts = obs.span("layout construction", "phase", || {
             build_layouts_in(analysis, Some(ctx))
         });
         match plan_items(analysis, &layouts) {
@@ -578,13 +573,12 @@ fn compile_units(
         .collect();
     let mut deps: Vec<Vec<usize>> = vec![Vec::new(); n_nests];
     deps.extend(planned.iter().map(|u| u.nest_tasks.clone().collect()));
-    // Stitch nest spans under the open "module compilation" phase span.
-    let anchor = t.collector().cloned().zip(t.current_span());
-    // Capture the caller's request governor so each task re-arms it:
-    // worker threads then spend from the same fuel pool and observe the
-    // same deadline/cancellation as the submitting thread.
+    // Capture the caller's request governor and sampling collector so each
+    // task re-arms them: workers spend from the same fuel pool, observe the
+    // same deadline/cancellation and sample into the same trace.
     let governor = RequestGovernor::current();
-    type UnitResult = Result<(SpmdProgram, SpmdStats, PhaseTimers), CompileError>;
+    let sampling = Collector::current();
+    type UnitResult = Result<(SpmdProgram, SpmdStats), CompileError>;
     // A slot is locked only to move one value in or out, and every task
     // body runs under `run_dag`'s `catch_unwind`: no lock is held across
     // code that can panic, so the `lock()`s below cannot observe poison.
@@ -595,6 +589,13 @@ fn compile_units(
         planned.iter().map(|_| Mutex::new(None)).collect();
     let panics = crate::parallel::run_dag(opts.threads, &deps, |task| {
         let _gov = governor.as_ref().map(RequestGovernor::arm_on_thread);
+        let _sampling = sampling.as_ref().map(Collector::arm_on_thread);
+        let name = match nest_tasks.get(task) {
+            Some((unit, nest)) => format!("nest {}.{nest}", unit.index),
+            None => format!("unit {} assembly", planned[task - n_nests].index),
+        };
+        let span = obs.guard_child_of(module, &name, "task");
+        obs.counter_on(span.id(), "task", task as i64);
         if let Some(&(unit, nest)) = nest_tasks.get(task) {
             let out = build_nest(
                 unit.analysis,
@@ -602,18 +603,11 @@ fn compile_units(
                 ctx,
                 &opts.spmd,
                 &unit.plan.nests[nest],
-                &format!("nest {}.{nest}", unit.index),
-                anchor.clone(),
+                obs,
             );
             *nest_slots[task].lock().expect(SLOT) = Some(out);
         } else {
             let unit = &planned[task - n_nests];
-            // Assembly's own set algebra (owned-set enumeration) belongs to
-            // the compile tree on whichever thread it runs.
-            let span = anchor.as_ref().map(|(c, a)| {
-                let name = format!("unit {} assembly", unit.index);
-                (c, c.begin_child_of(*a, &name, "phase"))
-            });
             // Collecting stops at the first error — the lowest nest
             // index, the one a source-order pass would hit first. An empty
             // slot means the nest task panicked: `run_dag` contained it and
@@ -632,9 +626,6 @@ fn compile_units(
             let res = outs.and_then(|outs| {
                 assemble_spmd(unit.analysis, &unit.layouts, &unit.plan.skel, outs)
             });
-            if let Some((c, id)) = span {
-                c.end(id);
-            }
             *unit_slots[task - n_nests].lock().expect(SLOT) = Some(res);
         }
     });
@@ -656,8 +647,7 @@ fn compile_units(
                 ))
             });
         match res {
-            Ok((program, stats, nest_timers)) => {
-                t.merge(&nest_timers);
+            Ok((program, stats)) => {
                 if unit.index == main_idx {
                     compiled = Some((program, stats));
                 }

@@ -15,10 +15,10 @@ use crate::dependence::{carried_level, placement_level};
 use crate::inplace::{contiguity, Contiguity};
 use crate::ir::{collect_in, ArrayRef, Reduction, StmtInfo};
 use crate::layout::{Layout, ProcCoord};
-use crate::phases::PhaseTimers;
 use crate::split::{split_sets, SplitSets};
 use dhpf_codegen::{codegen, Code, CodegenOptions, Mapping, StmtId};
 use dhpf_hpf::{Affine, Analysis, Expr, Stmt, StmtKind, TypeName};
+use dhpf_obs::Collector;
 use dhpf_omega::{Relation, Set, Var};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -300,29 +300,27 @@ impl Default for SpmdOptions {
 }
 
 /// Context of one nest's synthesis. A `Synth` is always per nest: it owns
-/// the nest's communication events (ids local, counted from 0), its
-/// statistics and its phase timers, so nests can be synthesized in any
-/// order on any thread and reconciled afterwards.
+/// the nest's communication events (ids local, counted from 0) and its
+/// statistics, so nests can be synthesized in any order on any thread and
+/// reconciled afterwards.
 struct Synth<'a> {
     analysis: &'a Analysis,
     layouts: &'a BTreeMap<String, Layout>,
     opts: &'a SpmdOptions,
     events: Vec<CommEvent>,
     stats: SpmdStats,
-    timers: PhaseTimers,
     /// The Omega context the layouts were built on: attached to every root
     /// set built during synthesis so all derived operations share it.
     octx: &'a dhpf_omega::Context,
+    /// The compilation's span tree, which Table 1 is read from.
+    obs: &'a Collector,
 }
 
 impl Synth<'_> {
-    /// Times `f` under the phase `name`.
+    /// Runs `f` inside the phase span `name`.
     fn time<T>(&mut self, name: &str, f: impl FnOnce(&mut Self) -> T) -> T {
-        self.timers.open(name);
-        let t0 = std::time::Instant::now();
-        let out = f(self);
-        self.timers.close(name, t0.elapsed());
-        out
+        let _phase = self.obs.guard(name, "phase");
+        f(self)
     }
 
     /// Records one graceful degradation.
@@ -593,7 +591,7 @@ fn plan_body(
 
 /// Output of one nest's synthesis: the nest item with event ids local to
 /// the nest (counted from 0), the events themselves, and the statistics
-/// and phase timings the nest accumulated.
+/// the nest accumulated.
 pub(crate) struct NestOut {
     /// The synthesized nest.
     pub item: NestItem,
@@ -601,8 +599,6 @@ pub(crate) struct NestOut {
     pub events: Vec<CommEvent>,
     /// Synthesis statistics for this nest alone.
     pub stats: SpmdStats,
-    /// Phase timings for this nest alone.
-    pub timers: PhaseTimers,
 }
 
 /// Synthesizes one planned nest in isolation (safe to run on a worker
@@ -619,43 +615,31 @@ pub(crate) struct NestOut {
 ///   conservative pre-refresh events.
 ///
 /// Cancellation is checked at entry (nests are the driver's unit of
-/// progress) and is never absorbed by the ladder. If `obs` is given, the
-/// nest's phase spans are stitched under the anchor span via
-/// [`dhpf_obs::Collector::begin_child_of`].
+/// progress) and is never absorbed by the ladder. The nest's phases are
+/// spans in `obs`, under whatever span the calling thread has open (the
+/// driver's task span for this nest).
 pub(crate) fn build_nest(
     analysis: &Analysis,
     layouts: &BTreeMap<String, Layout>,
     octx: &dhpf_omega::Context,
     opts: &SpmdOptions,
     body: &[Stmt],
-    label: &str,
-    obs: Option<(dhpf_obs::Collector, dhpf_obs::SpanId)>,
+    obs: &Collector,
 ) -> Result<NestOut, CompileError> {
-    let mut timers = PhaseTimers::new();
-    let wrapper = obs.map(|(c, anchor)| {
-        let id = c.begin_child_of(anchor, label, "phase");
-        timers.attach_collector(c.clone());
-        (c, id)
-    });
     let mut synth = Synth {
         analysis,
         layouts,
         opts,
         events: Vec::new(),
         stats: SpmdStats::default(),
-        timers,
         octx,
+        obs,
     };
-    let item = nest_ladder(&mut synth, body);
-    if let Some((c, id)) = wrapper {
-        c.end(id);
-    }
-    synth.timers.finish();
+    let item = nest_ladder(&mut synth, body)?;
     Ok(NestOut {
-        item: item?,
+        item,
         events: synth.events,
         stats: synth.stats,
-        timers: synth.timers,
     })
 }
 
@@ -690,17 +674,16 @@ fn nest_ladder(synth: &mut Synth, body: &[Stmt]) -> Result<NestItem, CompileErro
 /// Assembles standalone nest outputs (in plan order) back into a unit
 /// program: each nest's local event ids are shifted by the number of
 /// events in all earlier nests, and the `CommSend`/`CommRecv` op references
-/// inside the nest are rewritten to match. Returns the program, the summed
-/// statistics, and the nests' phase timers merged in plan order.
+/// inside the nest are rewritten to match. Returns the program and the
+/// summed statistics.
 pub(crate) fn assemble_spmd(
     analysis: &Analysis,
     layouts: &BTreeMap<String, Layout>,
     skel: &[ItemSkel],
     nest_outs: Vec<NestOut>,
-) -> Result<(SpmdProgram, SpmdStats, PhaseTimers), CompileError> {
+) -> Result<(SpmdProgram, SpmdStats), CompileError> {
     let mut events: Vec<CommEvent> = Vec::new();
     let mut stats = SpmdStats::default();
-    let mut timers = PhaseTimers::default();
     let mut nest_items: Vec<Option<NestItem>> = Vec::with_capacity(nest_outs.len());
     for out in nest_outs {
         let offset = events.len();
@@ -723,7 +706,6 @@ pub(crate) fn assemble_spmd(
         // Degradations concatenate in plan order, so the list (and thus
         // the whole stats value) is independent of the build schedule.
         stats.degradations.extend(out.stats.degradations);
-        timers.merge(&out.timers);
         nest_items.push(Some(item));
     }
     fn realize(skel: &[ItemSkel], nests: &mut [Option<NestItem>]) -> Vec<SpmdItem> {
@@ -746,7 +728,7 @@ pub(crate) fn assemble_spmd(
     }
     let items = realize(skel, &mut nest_items);
     let program = finish_program(analysis, layouts, items, events)?;
-    Ok((program, stats, timers))
+    Ok((program, stats))
 }
 
 fn reads_distributed_array(

@@ -83,10 +83,9 @@ fn threads_1_to_8_produce_bit_identical_programs() {
     }
 }
 
-/// The merged per-worker reports reconcile with the serial ones: every
-/// serial phase row is present (workers re-parent their phases under the
-/// driver's anchor), percentages stay sane, and the merged cache counters
-/// account for real traffic.
+/// Reports reconcile with the serial ones: every serial phase row is
+/// present, percentages stay sane, the rows have the same shape at every
+/// thread count, and the merged cache counters account for real traffic.
 #[test]
 fn merged_reports_reconcile_with_serial() {
     let serial = compile(MULTI, &CompileOptions::new()).unwrap();
@@ -122,13 +121,25 @@ fn merged_reports_reconcile_with_serial() {
             "merged phase {name} has {pct}% of total"
         );
     }
-    // Worker phases re-anchor under "module compilation", preserving the
-    // serial nesting (Table 1's indented sub-rows).
-    let nested = par.report.timers.rows_nested();
-    let depth_of = |n: &str| nested.iter().find(|r| r.name == n).map(|r| r.depth);
+    // Nest phases sit under "module compilation" (Table 1's indented
+    // sub-rows), and the rows do not depend on the schedule: the same
+    // names at the same depths in the same order at every thread count.
+    let shape = |threads: usize| -> Vec<(String, usize)> {
+        let c = compile(MULTI, &CompileOptions::new().threads(threads)).unwrap();
+        let rows = c.report.timers.rows_nested();
+        rows.into_iter().map(|r| (r.name, r.depth)).collect()
+    };
+    let serial_shape = shape(1);
+    let depth_of = |n: &str| serial_shape.iter().find(|r| r.0 == n).map(|r| r.1);
     assert_eq!(depth_of("module compilation"), Some(0));
-    let comm = depth_of("communication generation").expect("comm phase present");
-    assert!(comm >= 1, "worker phase not nested under the driver anchor");
+    assert_eq!(depth_of("communication generation"), Some(1));
+    for threads in [2, 4] {
+        assert_eq!(
+            shape(threads),
+            serial_shape,
+            "threads = {threads} changed the Table-1 rows"
+        );
+    }
 
     // Merged shard counters saw the compilation's set algebra.
     let cache = &par.report.cache;

@@ -2,12 +2,19 @@
 //!
 //! Mirrors `cache_equiv.rs` one layer up: `compile()` with a trace
 //! collector attached must produce an identical `SpmdProgram` to the
-//! untraced run, the recorded span tree must reconcile with the Table-1
-//! timer rows it feeds, and set-operation samples must land on the
-//! analysis phases that issued them.
+//! untraced run, the Table-1 rows must be exactly the recorded span tree
+//! (one clock), and set-operation samples must land on the analysis
+//! phases of the request that issued them — also on a `Context` that
+//! other requests are using at the same time.
 
-use dhpf_core::{compile, CompileOptions};
-use dhpf_obs::Collector;
+use dhpf_core::{compile, compile_request, CompileOptions, CompileRequest};
+use dhpf_obs::{Collector, Trace};
+use dhpf_omega::Context;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Barrier;
+
+const JACOBI: &str = include_str!("../../../benchmarks/jacobi.hpf");
+const SP: &str = include_str!("../../../benchmarks/sp.hpf");
 
 const STENCIL: &str = "
 program stencil
@@ -48,9 +55,9 @@ fn traced_compile_is_equivalent() {
     assert!(!collector.is_empty(), "collector captured no spans");
 }
 
-/// The span tree reconciles with the PhaseTimers rows it instrumented:
-/// one compile root, one span subtree per phase, with cumulative span
-/// times close to the timer totals (same thread, same intervals).
+/// Table 1 is read off the span tree, so the two agree exactly: one
+/// compile root whose duration is the total, and every row's cumulative
+/// time is the sum of the spans of that name.
 #[test]
 fn trace_reconciles_with_table1_rows() {
     let collector = Collector::new();
@@ -64,84 +71,146 @@ fn trace_reconciles_with_table1_rows() {
     assert_eq!(trace.nodes[root].name, "compile");
     assert_eq!(trace.nodes[root].counters.get("units"), Some(&1));
 
-    // Root span duration vs overall timer: same interval, same thread —
-    // generous 25% bound only to absorb scheduler noise on loaded CI.
-    let total_s = compiled.report.timers.total().as_secs_f64();
-    let root_s = trace.nodes[root].dur_ns as f64 / 1e9;
-    assert!(
-        (root_s - total_s).abs() / total_s.max(1e-9) < 0.25,
-        "compile span {root_s}s vs timer total {total_s}s"
+    assert_eq!(
+        compiled.report.timers.total().as_nanos(),
+        u128::from(trace.nodes[root].dur_ns),
+        "Table-1 total is not the compile span"
     );
-
-    // Every Table-1 phase row has a matching span set whose summed
-    // duration equals the row's cumulative time within 5% — plus a small
-    // absolute slack per span, since the timers and the collector take
-    // separate clock readings and sub-microsecond phases are dominated by
-    // the collector's own begin/end bookkeeping.
     for row in compiled.report.timers.rows_nested() {
         let spans: Vec<&dhpf_obs::SpanNode> =
             trace.nodes.iter().filter(|n| n.name == row.name).collect();
         assert!(!spans.is_empty(), "phase {} has no span", row.name);
         let span_ns: u64 = spans.iter().map(|n| n.dur_ns).sum();
-        let row_ns = row.cumulative.as_nanos() as f64;
-        let diff = (span_ns as f64 - row_ns).abs();
-        let slack = 20_000.0 * spans.len() as f64; // 20us per span
-        assert!(
-            diff / row_ns.max(1.0) < 0.05 || diff < slack,
-            "phase {}: spans {}ns vs rows {}ns (diff {}ns over {} spans)",
+        assert_eq!(
+            row.cumulative.as_nanos(),
+            u128::from(span_ns),
+            "phase {}: row and its {} spans differ",
             row.name,
-            span_ns,
-            row_ns,
-            diff,
             spans.len()
         );
     }
 }
 
 /// Omega set-operation samples are attributed to the analysis phases that
-/// issued them, not to the root.
+/// issued them, not to the root — on worker threads too, which re-arm the
+/// request's collector.
 #[test]
 fn set_ops_attributed_to_phases() {
-    let collector = Collector::new();
-    let _ = compile(STENCIL, &CompileOptions::new().trace(collector.clone())).unwrap();
-    let trace = collector.trace();
+    for threads in [1, 4] {
+        let collector = Collector::new();
+        let opts = CompileOptions::new().threads(threads);
+        let _ = compile(STENCIL, &opts.trace(collector.clone())).unwrap();
+        let trace = collector.trace();
 
-    let totals = trace.total_ops();
-    let sat = totals.get("satisfiability").map_or(0, |o| o.calls);
-    assert!(sat > 0, "no satisfiability samples recorded");
-    assert!(
-        totals.get("fme projection").map_or(0, |o| o.calls) > 0,
-        "no projection samples recorded"
-    );
+        let totals = trace.total_ops();
+        let sat = totals.get("satisfiability").map_or(0, |o| o.calls);
+        assert!(sat > 0, "no satisfiability samples recorded");
+        assert!(
+            totals.get("fme projection").map_or(0, |o| o.calls) > 0,
+            "no projection samples recorded"
+        );
 
-    // The bulk of the work happens inside analysis phases (spans with
-    // cat "phase"), not on the compile root.
-    let phase_sat: u64 = trace
-        .nodes
-        .iter()
-        .filter(|n| n.cat == "phase")
-        .filter_map(|n| n.ops.get("satisfiability"))
-        .map(|o| o.calls)
-        .sum();
-    assert!(
-        phase_sat * 10 >= sat * 9,
-        "only {phase_sat}/{sat} sat calls landed on phase spans"
-    );
-    let comm = trace
-        .find("communication generation")
-        .expect("communication generation span");
-    let subtree_ops = {
-        // Ops on the span or any descendant.
-        let mut total = 0u64;
-        let mut stack = vec![comm];
-        while let Some(i) = stack.pop() {
-            total += trace.nodes[i].ops.values().map(|o| o.calls).sum::<u64>();
-            stack.extend(trace.nodes[i].children.iter().copied());
+        // The bulk of the work happens inside analysis phases and the nest
+        // tasks that run them (spans with cat "phase" or "task"), not on
+        // the compile root.
+        let phase_sat: u64 = trace
+            .nodes
+            .iter()
+            .filter(|n| n.cat == "phase" || n.cat == "task")
+            .filter_map(|n| n.ops.get("satisfiability"))
+            .map(|o| o.calls)
+            .sum();
+        assert!(
+            phase_sat * 10 >= sat * 9,
+            "threads {threads}: only {phase_sat}/{sat} sat calls landed on phase spans"
+        );
+        assert!(
+            sat_under(&trace, "communication generation") > 0,
+            "threads {threads}: communication generation recorded no set ops"
+        );
+    }
+}
+
+/// Satisfiability samples in the subtrees of every span named `name`.
+fn sat_under(trace: &Trace, name: &str) -> u64 {
+    let mut total = 0;
+    let mut stack: Vec<usize> = (0..trace.nodes.len())
+        .filter(|&i| trace.nodes[i].name == name)
+        .collect();
+    while let Some(i) = stack.pop() {
+        let n = &trace.nodes[i];
+        total += n.ops.get("satisfiability").map_or(0, |o| o.calls);
+        stack.extend(n.children.iter().copied());
+    }
+    total
+}
+
+/// Every span carrying op samples descends from a `"compile"` root.
+fn ops_under_own_compile_roots(trace: &Trace) -> Result<(), String> {
+    for (i, n) in trace.nodes.iter().enumerate() {
+        if n.ops.is_empty() {
+            continue;
         }
-        total
-    };
+        let mut top = i;
+        while let Some(p) = trace.nodes[top].parent {
+            top = p;
+        }
+        let root = &trace.nodes[top];
+        if (root.name.as_str(), root.cat) != ("compile", "compile") {
+            return Err(format!(
+                "ops on {:?} sit under root {:?}",
+                n.name, root.name
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Op samples follow the request, not the shared `Context`: while thread
+/// A compiles SP traced, thread B compiles JACOBI on the same context,
+/// alternating untraced compiles and traced ones into its own collector.
+/// Neither may detach or capture the other's samples.
+#[test]
+fn concurrent_requests_on_one_context_keep_their_own_samples() {
+    let ctx = Context::new();
+    let (a, b) = (Collector::new(), Collector::new());
+    let started = Barrier::new(2);
+    let a_done = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let mut round = 0;
+            while round < 2 || !a_done.load(Ordering::SeqCst) {
+                let mut opts = CompileOptions::new();
+                if round % 2 == 1 {
+                    opts = opts.trace(b.clone());
+                }
+                let req = CompileRequest::new(JACOBI).options(opts);
+                compile_request(&ctx, &req).unwrap();
+                if round == 0 {
+                    started.wait();
+                }
+                round += 1;
+            }
+        });
+        started.wait();
+        let req = CompileRequest::new(SP).options(CompileOptions::new().trace(a.clone()));
+        compile_request(&ctx, &req).unwrap();
+        a_done.store(true, Ordering::SeqCst);
+    });
+    let (ta, tb) = (a.trace(), b.trace());
     assert!(
-        subtree_ops > 0,
-        "communication generation recorded no set ops"
+        sat_under(&ta, "communication generation") > 0,
+        "A's communication generation spans lost their satisfiability samples"
+    );
+    for (who, t) in [("A", &ta), ("B", &tb)] {
+        assert!(
+            t.find("(unattributed)").is_none(),
+            "{who}: unattributed ops"
+        );
+        ops_under_own_compile_roots(t).unwrap_or_else(|e| panic!("{who}: {e}"));
+    }
+    assert!(
+        sat_under(&tb, "compile") > 0,
+        "B's traced compiles recorded nothing"
     );
 }

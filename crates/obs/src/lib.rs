@@ -27,9 +27,10 @@
 //! - **Observation equivalence**: recording never feeds back into any
 //!   computation; a compile with a collector attached must produce output
 //!   bit-identical to one without.
-//! - **Disabled-path cost**: producers gate on `Option<&Collector>` (or an
-//!   atomic flag), so a pipeline without tracing pays at most one relaxed
-//!   atomic load per candidate event.
+//! - **Disabled-path cost**: producers gate on `Option<&Collector>` (or on
+//!   the collector armed on their thread, [`Collector::current`]), so a
+//!   pipeline without tracing pays at most one thread-local read per
+//!   candidate event.
 //! - **Self-time vs cumulative time**: a span's duration includes its
 //!   children (like the paper's Table 1, where indented rows refine their
 //!   parents); [`Trace::self_ns`] subtracts the children explicitly so no
@@ -59,6 +60,7 @@ pub mod export;
 pub mod json;
 pub mod metrics;
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -130,7 +132,7 @@ impl OpStat {
 }
 
 /// One node of the span tree.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct SpanNode {
     /// Span name (phase name, benchmark label, ...).
     pub name: String,
@@ -156,6 +158,15 @@ pub struct SpanNode {
     /// their own thread's stack; the parallel driver stitches worker spans
     /// under the compile tree with [`Collector::begin_child_of`].
     pub thread: u64,
+}
+
+impl SpanNode {
+    /// A snapshot taken at `now` reports an open span's time so far.
+    fn elapse_open(&mut self, now: u64) {
+        if self.open {
+            self.dur_ns = now.saturating_sub(self.start_ns);
+        }
+    }
 }
 
 /// A snapshot of a collector's span tree.
@@ -207,17 +218,6 @@ impl Trace {
         }
         out
     }
-
-    /// Counters aggregated over the whole trace.
-    pub fn total_counters(&self) -> BTreeMap<String, i64> {
-        let mut out: BTreeMap<String, i64> = BTreeMap::new();
-        for n in &self.nodes {
-            for (k, v) in &n.counters {
-                *out.entry(k.clone()).or_default() += v;
-            }
-        }
-        out
-    }
 }
 
 /// Identifier of an open span, returned by [`Collector::begin`].
@@ -246,11 +246,27 @@ impl State {
     fn top(&self, tid: ThreadId) -> Option<usize> {
         self.stacks.get(&tid).and_then(|s| s.last().copied())
     }
+
+    /// Appends `node` as the last child of its parent; returns its index.
+    fn push(&mut self, node: SpanNode) -> usize {
+        let idx = self.nodes.len();
+        if let Some(p) = node.parent {
+            self.nodes[p].children.push(idx);
+        }
+        self.nodes.push(node);
+        idx
+    }
 }
 
 struct Inner {
     epoch: Instant,
     state: Mutex<State>,
+}
+
+thread_local! {
+    /// The collector armed on the current thread (see
+    /// [`Collector::arm_on_thread`]).
+    static ARMED: RefCell<Option<Collector>> = const { RefCell::new(None) };
 }
 
 /// A shared handle to one span tree; clone freely (all clones record into
@@ -297,6 +313,24 @@ impl Collector {
         Arc::ptr_eq(&self.inner, &other.inner)
     }
 
+    /// Arms this collector on the calling thread until the guard drops.
+    /// Producers that are not handed a collector (the Omega set
+    /// operations) record into [`Collector::current`], so their samples
+    /// follow the request running on the thread. Nested arming restores
+    /// the previous collector on drop.
+    #[must_use = "the collector is disarmed when the guard drops"]
+    pub fn arm_on_thread(&self) -> ArmedGuard {
+        ArmedGuard {
+            prev: ARMED.with(|a| a.borrow_mut().replace(self.clone())),
+        }
+    }
+
+    /// The collector armed on the calling thread, if any: one
+    /// thread-local read when none is.
+    pub fn current() -> Option<Collector> {
+        ARMED.with(|a| a.borrow().clone())
+    }
+
     /// Opens a span as a child of the calling thread's innermost open span
     /// (or as a new root). Close it with [`Collector::end`]. Each thread
     /// keeps its own open-span stack, so concurrent producers nest
@@ -321,26 +355,19 @@ impl Collector {
         let tid = std::thread::current().id();
         let mut st = self.inner.state.lock().unwrap();
         let thread = st.thread_tag(tid);
-        let idx = st.nodes.len();
         let parent = match parent_override {
             Some(p) => st.nodes.get(p.0).map(|_| p.0),
             None => st.top(tid),
         };
-        st.nodes.push(SpanNode {
+        let idx = st.push(SpanNode {
             name: name.to_string(),
             cat,
             parent,
             start_ns: now,
-            dur_ns: 0,
-            children: Vec::new(),
-            ops: BTreeMap::new(),
-            counters: BTreeMap::new(),
             open: true,
             thread,
+            ..SpanNode::default()
         });
-        if let Some(p) = parent {
-            st.nodes[p].children.push(idx);
-        }
         st.stacks.entry(tid).or_default().push(idx);
         SpanId(idx)
     }
@@ -387,41 +414,39 @@ impl Collector {
         }
     }
 
+    /// [`Collector::begin_child_of`] as an RAII guard.
+    pub fn guard_child_of(&self, parent: SpanId, name: &str, cat: &'static str) -> SpanGuard {
+        SpanGuard {
+            collector: self.clone(),
+            id: self.begin_child_of(parent, name, cat),
+        }
+    }
+
     /// Runs `f` inside a span.
     pub fn span<T>(&self, name: &str, cat: &'static str, f: impl FnOnce() -> T) -> T {
-        let id = self.begin(name, cat);
-        let out = f();
-        self.end(id);
-        out
+        let _span = self.guard(name, cat);
+        f()
     }
 
     /// Records an already-measured interval as a *closed* child of the
-    /// calling thread's innermost open span, ending now. Used by producers
-    /// that time work themselves (e.g. `PhaseTimers::add`).
+    /// calling thread's innermost open span, ending now. For producers
+    /// that time work themselves.
     pub fn record_span(&self, name: &str, cat: &'static str, dur: Duration) -> SpanId {
         let now = self.now_ns();
         let dur_ns = dur.as_nanos() as u64;
         let tid = std::thread::current().id();
         let mut st = self.inner.state.lock().unwrap();
         let thread = st.thread_tag(tid);
-        let idx = st.nodes.len();
         let parent = st.top(tid);
-        st.nodes.push(SpanNode {
+        SpanId(st.push(SpanNode {
             name: name.to_string(),
             cat,
             parent,
             start_ns: now.saturating_sub(dur_ns),
             dur_ns,
-            children: Vec::new(),
-            ops: BTreeMap::new(),
-            counters: BTreeMap::new(),
-            open: false,
             thread,
-        });
-        if let Some(p) = parent {
-            st.nodes[p].children.push(idx);
-        }
-        SpanId(idx)
+            ..SpanNode::default()
+        }))
     }
 
     /// Records one call of operation `op` (duration `dur`, operand size
@@ -467,20 +492,12 @@ impl Collector {
             return i;
         }
         let thread = st.thread_tag(tid);
-        let idx = st.nodes.len();
-        st.nodes.push(SpanNode {
+        st.push(SpanNode {
             name: "(unattributed)".to_string(),
             cat: "misc",
-            parent: None,
-            start_ns: 0,
-            dur_ns: 0,
-            children: Vec::new(),
-            ops: BTreeMap::new(),
-            counters: BTreeMap::new(),
-            open: false,
             thread,
-        });
-        idx
+            ..SpanNode::default()
+        })
     }
 
     /// Snapshots the tree. Spans still open report the time elapsed so far
@@ -490,10 +507,41 @@ impl Collector {
         let st = self.inner.state.lock().unwrap();
         let mut nodes = st.nodes.clone();
         for n in &mut nodes {
-            if n.open {
-                n.dur_ns = now.saturating_sub(n.start_ns);
-            }
+            n.elapse_open(now);
         }
+        Trace { nodes }
+    }
+
+    /// Snapshots the subtree rooted at `root`: that span and its
+    /// descendants, renumbered from 0 in creation order, so the root is
+    /// node 0 and has no parent. Only the subtree is copied, so a
+    /// long-lived collector holding many compilations is never cloned
+    /// whole. Empty for an id this collector did not hand out.
+    pub fn subtree(&self, root: SpanId) -> Trace {
+        let now = self.now_ns();
+        let st = self.inner.state.lock().unwrap();
+        let mut keep: Vec<usize> = st.nodes.get(root.0).map(|_| root.0).into_iter().collect();
+        let mut i = 0;
+        while let Some(&k) = keep.get(i) {
+            keep.extend_from_slice(&st.nodes[k].children);
+            i += 1;
+        }
+        // Index order is creation order; a kept index's rank is its number.
+        keep.sort_unstable();
+        let renumber = |old: usize| keep.binary_search(&old).ok();
+        let nodes = keep
+            .iter()
+            .map(|&old| {
+                let n = &st.nodes[old];
+                let mut copy = SpanNode {
+                    parent: n.parent.and_then(renumber),
+                    children: n.children.iter().filter_map(|&c| renumber(c)).collect(),
+                    ..n.clone()
+                };
+                copy.elapse_open(now);
+                copy
+            })
+            .collect();
         Trace { nodes }
     }
 
@@ -524,6 +572,18 @@ impl SpanGuard {
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         self.collector.end(self.id);
+    }
+}
+
+/// RAII scope of [`Collector::arm_on_thread`]: restores the previously
+/// armed collector (or none) on drop.
+pub struct ArmedGuard {
+    prev: Option<Collector>,
+}
+
+impl Drop for ArmedGuard {
+    fn drop(&mut self) {
+        ARMED.with(|a| *a.borrow_mut() = self.prev.take());
     }
 }
 

@@ -103,3 +103,47 @@ fn multiple_roots() {
     let t = c.trace();
     assert_eq!(t.roots().len(), 2);
 }
+
+/// `subtree` copies one branch, renumbered from its root, with open spans
+/// reporting their time so far.
+#[test]
+fn subtree_renumbers_one_branch() {
+    let c = Collector::new();
+    c.span("before", "phase", || {});
+    let root = c.begin("compile", "compile");
+    c.span("a", "phase", || {
+        c.record_op("gist", Duration::from_nanos(5), 1);
+    });
+    let open = c.begin("b", "phase");
+    let t = c.subtree(root);
+    assert_eq!(t.roots(), vec![0]);
+    assert_eq!(t.nodes.len(), 3);
+    assert_eq!(
+        (t.nodes[1].name.as_str(), t.nodes[1].parent),
+        ("a", Some(0))
+    );
+    assert_eq!(t.nodes[0].children, vec![1, 2]);
+    assert_eq!(t.nodes[1].ops["gist"].calls, 1);
+    assert!(t.nodes[2].open);
+    c.end(open);
+    c.end(root);
+}
+
+/// An armed collector is per thread, and nested arming restores the
+/// previous one.
+#[test]
+fn armed_collector_is_per_thread_and_nests() {
+    assert!(Collector::current().is_none());
+    let (a, b) = (Collector::new(), Collector::new());
+    let outer = a.arm_on_thread();
+    {
+        let _inner = b.arm_on_thread();
+        assert!(Collector::current().is_some_and(|c| c.same_as(&b)));
+        std::thread::scope(|s| {
+            s.spawn(|| assert!(Collector::current().is_none()));
+        });
+    }
+    assert!(Collector::current().is_some_and(|c| c.same_as(&a)));
+    drop(outer);
+    assert!(Collector::current().is_none());
+}

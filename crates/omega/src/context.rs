@@ -75,18 +75,6 @@ pub const DEFAULT_CACHE_CAP: usize = 1 << 19;
 /// interned id is `id % SHARDS` (the id encodes its shard in the low bits).
 pub const SHARDS: usize = 16;
 
-/// Entries inspected per eviction round. Sampled eviction (à la Redis)
-/// keeps insertion O(sample) instead of O(table): the victim is the
-/// lowest-scored of a small sample, which for a power-law access pattern
-/// is within noise of true LRU.
-const EVICT_SAMPLE: usize = 8;
-
-/// Cap on the recency credit an expensive entry earns (see
-/// [`MemoTable::insert`]): one microsecond of saved recomputation counts
-/// as one tick of recency, up to this bound, so a pathological multi-second
-/// entry cannot pin itself forever.
-const COST_CREDIT_CAP_US: u32 = 8_192;
-
 /// Interned id of a hash-consed conjunct. The low `log2(SHARDS)` bits
 /// identify the owning shard.
 type Id = u32;
@@ -201,32 +189,16 @@ impl fmt::Display for CacheStats {
     }
 }
 
-/// One memoized result plus the bookkeeping the eviction policy needs.
-struct MemoEntry<V> {
-    v: V,
-    /// Table tick at the entry's last hit (or its insertion).
-    stamp: u64,
-    /// Microseconds the original computation took — the recomputation
-    /// cost this entry saves on every hit.
-    cost_us: u32,
-}
-
-/// A size-bounded memo table with **cost-aware sampled eviction**
-/// (GDSF-flavored): each entry's retention score is its recency stamp
-/// plus a credit proportional to how expensive it was to compute, so under
-/// pressure the cache sheds cheap, cold entries first and keeps the
-/// expensive projections/negations that fleet-level reuse is for.
-/// Eviction is incremental (one victim per over-capacity insert, chosen as
-/// the lowest-scored of a small sample), so a warm serving cache degrades
-/// smoothly at its capacity bound.
+/// A size-bounded memo table: an insert into a full table first evicts
+/// an arbitrary resident entry. No scoring policy: no perf-ledger
+/// workload ever evicts (`omega.evictions` is 0 on all four), so a policy
+/// could not show what it buys; the bound caps a long-lived context.
 ///
 /// A table carries its operation's hit/miss/eviction counters: plain
 /// integers mutated under the shard lock, cheaper than shared atomics (no
 /// cross-shard cache-line ping-pong), merged into a [`CacheStats`] on read.
 struct MemoTable<K, V> {
-    map: HashMap<K, MemoEntry<V>>,
-    /// Monotonic access counter; stamps entries for recency scoring.
-    tick: u64,
+    map: HashMap<K, V>,
     counts: OpCounts,
 }
 
@@ -234,62 +206,33 @@ impl<K, V> Default for MemoTable<K, V> {
     fn default() -> Self {
         MemoTable {
             map: HashMap::new(),
-            tick: 0,
             counts: OpCounts::default(),
         }
     }
 }
 
 impl<K: Eq + Hash + Clone, V: Clone> MemoTable<K, V> {
-    /// Cache probe, counted as a hit or a miss: a hit refreshes the
-    /// entry's recency stamp.
+    /// Cache probe, counted as a hit or a miss.
     fn get(&mut self, k: &K) -> Option<V> {
-        self.tick += 1;
-        let tick = self.tick;
-        match self.map.get_mut(k) {
-            Some(e) => {
-                e.stamp = tick;
-                self.counts.hits += 1;
-                Some(e.v.clone())
-            }
-            None => {
-                self.counts.misses += 1;
-                None
-            }
+        let hit = self.map.get(k).cloned();
+        match hit {
+            Some(_) => self.counts.hits += 1,
+            None => self.counts.misses += 1,
         }
+        hit
     }
 
-    /// Inserts a computed result, evicting lowest-scored entries while the
-    /// table is at its capacity bound. `cost_us` is the measured compute
-    /// time of the inserted result.
-    fn insert(&mut self, k: K, v: V, cost_us: u32, cap: usize) {
+    /// Inserts a computed result, first evicting resident entries until
+    /// the table is under its capacity bound.
+    fn insert(&mut self, k: K, v: V, cap: usize) {
         while self.map.len() >= cap.max(1) {
-            let victim = self
-                .map
-                .iter()
-                .take(EVICT_SAMPLE)
-                .min_by_key(|(_, e)| {
-                    e.stamp
-                        .saturating_add(u64::from(e.cost_us.min(COST_CREDIT_CAP_US)))
-                })
-                .map(|(k, _)| k.clone());
-            match victim {
-                Some(k) => {
-                    self.map.remove(&k);
-                    self.counts.evictions += 1;
-                }
-                None => break,
-            }
+            let Some(victim) = self.map.keys().next().cloned() else {
+                break;
+            };
+            self.map.remove(&victim);
+            self.counts.evictions += 1;
         }
-        self.tick += 1;
-        self.map.insert(
-            k,
-            MemoEntry {
-                v,
-                stamp: self.tick,
-                cost_us,
-            },
-        );
+        self.map.insert(k, v);
     }
 
     fn len(&self) -> usize {
@@ -387,11 +330,6 @@ struct InjectState {
 }
 
 struct Inner {
-    /// Fast gate for the trace hook: `true` iff `obs` holds a collector.
-    /// Kept separate so the untraced hot path pays one relaxed load.
-    traced: AtomicBool,
-    /// The attached trace collector (see [`Context::set_collector`]).
-    obs: Mutex<Option<Collector>>,
     /// Fast gate + state for fault injection.
     inject_armed: AtomicBool,
     inject: Mutex<InjectState>,
@@ -406,10 +344,10 @@ struct Inner {
 }
 
 /// RAII sample of one set operation: on drop, records the call (count,
-/// duration, input-size histogram) on the attached collector's innermost
-/// open span. Declared *first* in each memoized operation so it drops
-/// *last* — after any shard `MutexGuard` — keeping the collector's lock
-/// disjoint from the shard locks.
+/// duration, input-size histogram) on the innermost open span of the
+/// collector armed on the calling thread. Declared *first* in each
+/// memoized operation so it drops *last* — after any shard `MutexGuard` —
+/// keeping the collector's lock disjoint from the shard locks.
 pub(crate) struct OpTrace {
     obs: Collector,
     op: &'static str,
@@ -428,16 +366,9 @@ fn conjunct_size(c: &Conjunct) -> u64 {
     (c.eqs().len() + c.geqs().len()) as u64
 }
 
-/// Measured compute cost of a memo miss, for the eviction policy.
-/// Saturates at `u32::MAX` (~71 minutes — effectively never).
-fn elapsed_us(t0: Instant) -> u32 {
-    u32::try_from(t0.elapsed().as_micros()).unwrap_or(u32::MAX)
-}
-
 /// Deterministic shard index for a hashable key. `DefaultHasher::new()`
 /// uses fixed keys, so the mapping is stable across runs and threads —
-/// interned ids (and therefore eviction behaviour) never depend on
-/// scheduling.
+/// interned ids never depend on scheduling.
 fn shard_of<K: Hash>(k: &K) -> usize {
     let mut h = DefaultHasher::new();
     k.hash(&mut h);
@@ -497,8 +428,6 @@ impl Context {
     pub fn with_capacity(capacity: usize) -> Self {
         Context {
             inner: Arc::new(Inner {
-                traced: AtomicBool::new(false),
-                obs: Mutex::new(None),
                 inject_armed: AtomicBool::new(false),
                 inject: Mutex::new(InjectState::default()),
                 cache_capacity: AtomicUsize::new(capacity),
@@ -510,10 +439,9 @@ impl Context {
 
     /// Bounds every memo table at `capacity` total entries (per operation,
     /// summed across shards). When a table is full, inserting a new result
-    /// evicts the entry with the lowest recency + compute-cost score from
-    /// a small sample, so cheap cold entries leave first. Takes effect on
-    /// subsequent inserts; existing entries are not flushed. A capacity of
-    /// `0` is clamped to one entry per shard.
+    /// evicts an arbitrary resident entry. Takes effect on subsequent
+    /// inserts; existing entries are not flushed. A capacity of `0` is
+    /// clamped to one entry per shard.
     pub fn set_cache_capacity(&self, capacity: usize) {
         self.inner.cache_capacity.store(capacity, Ordering::Relaxed);
     }
@@ -560,30 +488,12 @@ impl Context {
         out
     }
 
-    /// Attaches (or with `None`, detaches) a trace collector. While
-    /// attached, every memoizable set operation — satisfiability, FME
-    /// projection, negation, gist, simplify; cache hit or miss alike —
-    /// records a count/duration/size sample on the collector's innermost
-    /// open span. With no collector the hook costs one relaxed atomic load
-    /// per operation.
-    pub fn set_collector(&self, c: Option<Collector>) {
-        let mut obs = self.inner.obs.lock().unwrap();
-        self.inner.traced.store(c.is_some(), Ordering::Release);
-        *obs = c;
-    }
-
-    /// The attached trace collector, if any.
-    pub fn collector(&self) -> Option<Collector> {
-        if !self.inner.traced.load(Ordering::Relaxed) {
-            return None;
-        }
-        self.inner.obs.lock().unwrap().clone()
-    }
-
-    /// Starts an RAII op sample if a collector is attached (the untraced
-    /// fast path is one relaxed load and no allocation).
+    /// Starts an RAII op sample if a collector is armed on the calling
+    /// thread (the request's, not the shared context's). Every memoizable
+    /// set operation, hit or miss, is sampled; untraced, this is one
+    /// thread-local read and no allocation.
     fn op_trace(&self, op: &'static str, size: u64) -> Option<OpTrace> {
-        let obs = self.collector()?;
+        let obs = Collector::current()?;
         Some(OpTrace {
             obs,
             op,
@@ -849,15 +759,13 @@ impl Context {
             key
         };
         let refusals = refusals_on_thread();
-        let t0 = Instant::now();
         let r = compute();
         if refusals_on_thread() != refusals {
             return r;
         }
-        let cost_us = elapsed_us(t0);
         let cap = self.shard_cap();
         let mut shard = self.inner.shards[s].lock().unwrap();
-        table(&mut shard).insert(key, r.clone(), cost_us, cap);
+        table(&mut shard).insert(key, r.clone(), cap);
         r
     }
 
@@ -1080,23 +988,26 @@ mod tests {
     fn collector_records_set_ops_on_open_span() {
         let obs = Collector::new();
         let ctx = Context::new();
-        ctx.set_collector(Some(obs.clone()));
+        let armed = obs.arm_on_thread();
         let span = obs.begin("analysis", "phase");
         let s = ctx.parse_set("{[i] : 1 <= i <= 10}").unwrap();
         assert!(!s.is_empty());
-        assert!(!s.is_empty()); // cache hit still counts as a call
+        // A cache hit still counts as a call; another thread on the same
+        // context records nothing here.
+        assert!(!s.is_empty());
+        std::thread::scope(|sc| {
+            sc.spawn(|| assert!(!s.is_empty()));
+        });
         obs.end(span);
+        let calls = |t: &dhpf_obs::Trace| t.total_ops()["satisfiability"].calls;
         let t = obs.trace();
-        let i = t.find("analysis").unwrap();
-        let sat = t.nodes[i].ops.get("satisfiability").expect("sat recorded");
-        assert!(sat.calls >= 2);
-        assert!(sat.sizes.count() == sat.calls);
-
-        // Detaching stops recording.
-        ctx.set_collector(None);
-        let before = obs.len();
+        let sat = &t.nodes[t.find("analysis").unwrap()].ops["satisfiability"];
+        assert_eq!(sat.calls, calls(&t));
+        assert!(sat.calls >= 2 && sat.sizes.count() == sat.calls);
+        // Disarming stops recording.
+        drop(armed);
         let _ = s.is_empty();
-        assert_eq!(obs.len(), before);
+        assert_eq!(calls(&obs.trace()), sat.calls);
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! (satisfiability, projection, gist) is repaid on every run. This crate
 //! keeps one process alive instead: a thread-per-connection TCP daemon
 //! holding a single sharded [`Context`] whose hash-consing arena and memo
-//! tables persist across requests, bounded by cost-aware eviction so a
-//! week of traffic cannot grow it without limit.
+//! tables persist across requests, each table bounded at a capacity (an
+//! insert into a full table evicts an entry) so a week of traffic cannot
+//! grow it without limit.
 //!
 //! The serving tier adds three things the batch driver does not have:
 //!
@@ -58,7 +59,7 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 /// [`Server::bind_with`]).
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Memo entries per table before cost-aware eviction kicks in.
+    /// Memo entries per table; an insert beyond it evicts one.
     pub cache_cap: usize,
     /// Append one structured JSON line per request to this file
     /// (schema: `dhpf_obs::export::validate_access_log`).
