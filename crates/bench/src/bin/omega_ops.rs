@@ -1,11 +1,12 @@
 //! Set-operation-layer microbenchmarks.
 //!
 //! Measures the substrate operations the oracle campaign identified as
-//! hot (ROADMAP item 3): conjunct negation, `semantic_subsume` via
-//! `Relation::simplify`, exact FME elimination, gist, satisfiability,
-//! and the cached-probe path that pays for canonicalization on every
-//! memo lookup. The workload is a deterministic corpus of
-//! oracle-generated forms so numbers are comparable PR-over-PR.
+//! hot: conjunct negation, `semantic_subsume` via `Relation::simplify`,
+//! exact FME elimination, gist, and satisfiability on a cold and on a warm
+//! context. Every pass but the warm one runs on a freshly armed context,
+//! so it measures the computation rather than memo hits. The workload is a
+//! deterministic corpus of oracle-generated forms so numbers are
+//! comparable run over run.
 //!
 //! Flags:
 //! - `--iters N`    passes over the corpus per benchmark (default 120)
@@ -102,20 +103,18 @@ fn main() {
     let mut samples = Vec::new();
 
     samples.push(measure("negate", iters, || {
+        let _cold = Context::new().arm_on_thread();
         let mut n = 0usize;
         for c in &conjuncts {
-            if let Ok(pieces) = ops::negate_conjunct_in(c, None) {
+            if let Ok(pieces) = ops::negate_conjunct(c) {
                 n += pieces.len();
             }
         }
         n
     }));
 
-    samples.push(measure("sat", iters, || {
-        conjuncts.iter().filter(|c| c.is_satisfiable()).count()
-    }));
-
     samples.push(measure("fme_eliminate", iters, || {
+        let _cold = Context::new().arm_on_thread();
         let mut n = 0usize;
         for c in &conjuncts {
             if c.mentions(Var::In(0)) {
@@ -129,6 +128,7 @@ fn main() {
     }));
 
     samples.push(measure("gist", iters, || {
+        let _cold = Context::new().arm_on_thread();
         let mut n = 0usize;
         for pair in conjuncts.chunks_exact(2) {
             let g = pair[0].gist_given(&pair[1]);
@@ -138,6 +138,7 @@ fn main() {
     }));
 
     samples.push(measure("semantic_subsume", iters, || {
+        let _cold = Context::new().arm_on_thread();
         let mut n = 0usize;
         for u in &unions {
             let mut r = u.clone();
@@ -157,26 +158,19 @@ fn main() {
         n
     }));
 
-    // Cached-probe paths: cold pays canonicalize+intern+compute per
-    // conjunct, warm pays canonicalize+lookup only. Both are dominated
-    // by the per-probe canonical key cost this PR targets.
+    // Satisfiability: cold pays canonicalize+intern+compute per conjunct,
+    // warm pays canonicalize+lookup only.
     samples.push(measure("sat_cached_cold", iters, || {
-        let ctx = Context::new();
-        conjuncts
-            .iter()
-            .filter(|c| c.is_satisfiable_in(Some(&ctx)))
-            .count()
+        let _cold = Context::new().arm_on_thread();
+        conjuncts.iter().filter(|c| c.is_satisfiable()).count()
     }));
 
-    let warm = Context::new();
+    let _warm = Context::new().arm_on_thread();
     for c in &conjuncts {
-        c.is_satisfiable_in(Some(&warm));
+        c.is_satisfiable();
     }
     samples.push(measure("sat_cached_warm", iters, || {
-        conjuncts
-            .iter()
-            .filter(|c| c.is_satisfiable_in(Some(&warm)))
-            .count()
+        conjuncts.iter().filter(|c| c.is_satisfiable()).count()
     }));
 
     let Some(json_out) = json_out else {

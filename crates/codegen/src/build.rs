@@ -12,7 +12,7 @@
 
 use crate::ast::{Code, StmtId};
 use crate::expr::{Cond, Expr};
-use dhpf_omega::{to_stride_form_in, Conjunct, Context, LinExpr, Set, Var};
+use dhpf_omega::{to_stride_form, Conjunct, LinExpr, Set, Var};
 use std::fmt;
 
 /// One statement and its iteration space.
@@ -124,7 +124,6 @@ pub fn codegen(
     }
     let mut pieces: Vec<Piece> = Vec::new();
     for (seq, m) in mappings.iter().enumerate() {
-        let ctx = m.space.context().cloned();
         let mut space = m.space.clone();
         space.simplify();
         // Disjoint disjunctive form. Every multi-piece producer in the set
@@ -141,14 +140,12 @@ pub fn codegen(
         let conjs = rel.conjuncts().to_vec();
         let mut disjoint: Vec<Conjunct> = Vec::new();
         let mut emitted = Set::empty(arity).into_relation();
-        emitted.set_context(ctx.as_ref());
         for name in &params {
             emitted.ensure_param(name);
         }
         for c in conjs {
-            for sf in to_stride_form_in(c, ctx.as_ref()).map_err(|_| CodegenError::Inexact)? {
+            for sf in to_stride_form(c).map_err(|_| CodegenError::Inexact)? {
                 let mut cur = Set::empty(arity).into_relation();
-                cur.set_context(ctx.as_ref());
                 for name in &params {
                     cur.ensure_param(name);
                 }
@@ -167,7 +164,6 @@ pub fn codegen(
                 conj,
                 params: params.clone(),
                 pending: Vec::new(),
-                ctx: ctx.clone(),
             });
         }
     }
@@ -221,7 +217,6 @@ struct Piece {
     conj: Conjunct,
     params: Vec<String>,
     pending: Vec<Cond>,
-    ctx: Option<Context>,
 }
 
 /// Deepest input-variable level mentioned by the expression, if any.
@@ -322,7 +317,6 @@ fn recovered_bounds(
         names,
         params: &piece.params,
     };
-    let cx = piece.ctx.as_ref();
     let mut work = vec![piece.conj.clone()];
     for deeper in (d + 1)..arity {
         let mut next = Vec::new();
@@ -330,7 +324,7 @@ fn recovered_bounds(
             // A failed projection (overflow, budget) means no bound can
             // be recovered; the caller turns that into `Unbounded`, which
             // the driver's degradation ladder handles.
-            match c.eliminate_exact_in(Var::In(deeper), cx) {
+            match c.eliminate_exact(Var::In(deeper)) {
                 Ok(parts) => next.extend(parts),
                 Err(_) => return (None, None),
             }
@@ -342,7 +336,7 @@ fn recovered_bounds(
     // either would otherwise veto bound recovery.
     let mut normalized = Vec::new();
     for c in work {
-        match to_stride_form_in(c, cx) {
+        match to_stride_form(c) {
             Ok(parts) => normalized.extend(parts),
             Err(_) => return (None, None),
         }
@@ -354,7 +348,7 @@ fn recovered_bounds(
     // a conservatively-dropped piece would lose real iterations.
     let mut pruned = Vec::with_capacity(work.len());
     for c in work {
-        match c.try_is_satisfiable_in(cx) {
+        match c.try_is_satisfiable() {
             Ok(true) => pruned.push(c),
             Ok(false) => {}
             Err(_) => return (None, None),

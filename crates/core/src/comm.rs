@@ -11,7 +11,7 @@
 
 use crate::cp::myid_set;
 use crate::layout::Layout;
-use dhpf_omega::{Conjunct, LinExpr, OmegaError, Relation, Set, Var};
+use dhpf_omega::{Conjunct, Context, LinExpr, OmegaError, Relation, Set, Var};
 
 /// One reference participating in a communication event: its `CPMap`
 /// (proc → loop) and `RefMap` (loop → data), both at the event's level.
@@ -64,12 +64,9 @@ pub fn comm_sets(
     writes: &[CommRef],
     layout: &Layout,
 ) -> Result<CommSets, OmegaError> {
-    if let Some(cx) = layout.rel.context() {
-        cx.inject_check("comm_sets")?;
-    }
+    Context::current().inject_check("comm_sets")?;
     let proc_rank = layout.proc_rank();
-    let mut me = myid_set(proc_rank);
-    me.set_context(layout.rel.context());
+    let me = myid_set(proc_rank);
     let owned_by_m = layout.rel.apply(&me)?;
     let others = Set::universe(proc_rank).subtract(&me)?;
 
@@ -135,7 +132,6 @@ pub fn comm_sets(
 fn others_set(proc_rank: u32, layout: &Layout) -> Result<Set, OmegaError> {
     let mut rel =
         Relation::empty(proc_rank, 0).with_in_names((0..proc_rank).map(|d| format!("p{}", d + 1)));
-    rel.set_context(layout.rel.context());
     let params: Vec<u32> = (0..proc_rank)
         .map(|d| rel.ensure_param(&format!("m{}", d + 1)))
         .collect();
@@ -181,8 +177,7 @@ pub fn conservative_comm_sets(layout: &Layout) -> Result<CommSets, OmegaError> {
     let _grace = dhpf_omega::governor_grace();
     let proc_rank = layout.proc_rank();
     let data_rank = layout.rel.n_out();
-    let mut me = myid_set(proc_rank);
-    me.set_context(layout.rel.context());
+    let me = myid_set(proc_rank);
     let owned_by_m = layout.rel.apply(&me)?;
     let others = others_set(proc_rank, layout)?;
 
@@ -190,9 +185,8 @@ pub fn conservative_comm_sets(layout: &Layout) -> Result<CommSets, OmegaError> {
     // partner p != m, everything p owns (the layout restricted to p) — the
     // exact dual of the send side, as the rank-expanded message pairing
     // requires.
-    let mut all = Relation::universe(proc_rank, data_rank)
+    let all = Relation::universe(proc_rank, data_rank)
         .with_in_names((0..proc_rank).map(|d| format!("p{}", d + 1)));
-    all.set_context(layout.rel.context());
     let mut send_map = all.restrict_domain(&others).restrict_range(&owned_by_m);
     let mut recv_map = layout.rel.restrict_domain(&others);
     send_map.simplify();
@@ -304,13 +298,13 @@ end
     fn conservative_sets_survive_a_tripped_budget() {
         let prog = parse(SHIFT).unwrap();
         let a = analyze(&prog.units[0]).unwrap();
-        let ctx = dhpf_omega::Context::new();
-        let layouts = crate::layout::build_layouts_in(&a, Some(&ctx));
+        let ctx = Context::new();
+        let layouts = build_layouts(&a);
         let budget = dhpf_omega::Budget::new().op_fuel(0);
         let armed = dhpf_omega::RequestGovernor::new(&budget, None).arm_on_thread();
         // Trip the governor, then demand the fallback: it must still be
         // exact (grace scope), not merely non-panicking.
-        let probe = ctx.parse_set("{[i] : 1 <= i <= 2}").unwrap();
+        let probe: Set = "{[i] : 1 <= i <= 2}".parse().unwrap();
         assert!(probe.subtract(&probe).is_err());
         assert!(ctx.budget_tripped());
         let sets = conservative_comm_sets(&layouts["b"]).unwrap();

@@ -11,10 +11,6 @@ use dhpf_omega::{LinExpr, OmegaError, Relation, Var};
 /// read instance `ir` touch the same element with `iw` and `ir` equal in
 /// dimensions `0..d` and `iw[d] < ir[d]`.
 ///
-/// A shared Omega [`Context`](dhpf_omega::Context), when given, is threaded
-/// through the satisfiability tests, so repeated dependence queries over
-/// the same nest reuse cached projections.
-///
 /// # Errors
 ///
 /// Returns the [`OmegaError`] of a refused or overflowing composition.
@@ -22,7 +18,6 @@ pub fn carried_level(
     write: &ArrayRef,
     read: &ArrayRef,
     ctx: &LoopContext,
-    omega: Option<&dhpf_omega::Context>,
 ) -> Result<Option<u32>, OmegaError> {
     if write.array != read.array {
         return Ok(None);
@@ -33,8 +28,7 @@ pub fn carried_level(
     // Same-element relation: { [iw] -> [ir] : write(iw) = read(ir) }.
     let same = w.then(&r.inverse())?;
     // Restrict both sides to the iteration space.
-    let mut iters = ctx.iteration_set();
-    iters.set_context(omega);
+    let iters = ctx.iteration_set();
     let same = same.restrict_domain(&iters).restrict_range(&iters);
     let mut deepest = None;
     for d in (0..depth).rev() {
@@ -74,20 +68,19 @@ pub fn placement_level(
     read: &ArrayRef,
     writes: &[&ArrayRef],
     ctx: &LoopContext,
-    omega: Option<&dhpf_omega::Context>,
 ) -> Result<u32, OmegaError> {
     let mut level = 0;
     for w in writes {
         if w.array != read.array {
             continue;
         }
-        if let Some(d) = carried_level(w, read, ctx, omega)? {
+        if let Some(d) = carried_level(w, read, ctx)? {
             level = level.max(d + 1);
         } else {
             // A loop-independent dependence (same iteration) still forbids
             // hoisting if the write can produce what the read consumes;
             // check same-iteration overlap.
-            let same_iter = same_iteration_overlap(w, read, ctx, omega)?;
+            let same_iter = same_iteration_overlap(w, read, ctx)?;
             if same_iter {
                 level = level.max(ctx.depth());
             }
@@ -100,13 +93,11 @@ fn same_iteration_overlap(
     write: &ArrayRef,
     read: &ArrayRef,
     ctx: &LoopContext,
-    omega: Option<&dhpf_omega::Context>,
 ) -> Result<bool, OmegaError> {
     let w = write.ref_map(ctx);
     let r = read.ref_map(ctx);
     let same = w.then(&r.inverse())?;
-    let mut iters = ctx.iteration_set();
-    iters.set_context(omega);
+    let iters = ctx.iteration_set();
     let same = same.restrict_domain(&iters).restrict_range(&iters);
     // identity on all dims
     let depth = ctx.depth();
@@ -148,8 +139,8 @@ end
         );
         let w = s[0].lhs.as_ref().unwrap();
         for r in &s[0].reads {
-            assert_eq!(carried_level(w, r, &s[0].ctx, None).unwrap(), None);
-            assert_eq!(placement_level(r, &[w], &s[0].ctx, None).unwrap(), 0);
+            assert_eq!(carried_level(w, r, &s[0].ctx).unwrap(), None);
+            assert_eq!(placement_level(r, &[w], &s[0].ctx).unwrap(), 0);
         }
     }
 
@@ -169,9 +160,9 @@ end
         );
         let w = s[0].lhs.as_ref().unwrap();
         let r = &s[0].reads[0];
-        assert_eq!(carried_level(w, r, &s[0].ctx, None).unwrap(), Some(0));
+        assert_eq!(carried_level(w, r, &s[0].ctx).unwrap(), Some(0));
         // Communication must stay inside the i loop: level 1.
-        assert_eq!(placement_level(r, &[w], &s[0].ctx, None).unwrap(), 1);
+        assert_eq!(placement_level(r, &[w], &s[0].ctx).unwrap(), 1);
     }
 
     #[test]
@@ -190,8 +181,8 @@ end
         );
         let w = s[0].lhs.as_ref().unwrap();
         let r = &s[0].reads[0];
-        assert_eq!(carried_level(w, r, &s[0].ctx, None).unwrap(), Some(1));
-        assert_eq!(placement_level(r, &[w], &s[0].ctx, None).unwrap(), 2);
+        assert_eq!(carried_level(w, r, &s[0].ctx).unwrap(), Some(1));
+        assert_eq!(placement_level(r, &[w], &s[0].ctx).unwrap(), 2);
     }
 
     #[test]
@@ -208,10 +199,10 @@ end
         );
         let w = s[0].lhs.as_ref().unwrap();
         let r = &s[0].reads[0];
-        assert_eq!(carried_level(w, r, &s[0].ctx, None).unwrap(), None);
+        assert_eq!(carried_level(w, r, &s[0].ctx).unwrap(), None);
         // Same-iteration overlap forbids hoisting entirely... but the data
         // is local under owner-computes, so no communication results anyway.
-        assert_eq!(placement_level(r, &[w], &s[0].ctx, None).unwrap(), 1);
+        assert_eq!(placement_level(r, &[w], &s[0].ctx).unwrap(), 1);
     }
 
     #[test]
@@ -230,6 +221,6 @@ end
         );
         let w = s[0].lhs.as_ref().unwrap();
         let r = &s[0].reads[0];
-        assert_eq!(carried_level(w, r, &s[0].ctx, None).unwrap(), None);
+        assert_eq!(carried_level(w, r, &s[0].ctx).unwrap(), None);
     }
 }

@@ -2,17 +2,17 @@
 //!
 //! One pipeline at every thread count: program units are analyzed
 //! (`parallel::ordered_map`), interprocedural layout collection and nest
-//! planning run in unit order on the calling thread (sharing the Omega
-//! [`Context`]), and then a dependency DAG of per-nest synthesis tasks —
-//! with one assembly task per unit depending on that unit's nests — is
-//! drained by `parallel::run_dag`. [`CompileOptions::threads`] only sets
+//! planning run in unit order on the calling thread (with the request's
+//! Omega [`Context`] armed), and then a dependency DAG of per-nest
+//! synthesis tasks — with one assembly task per unit depending on that
+//! unit's nests — is drained by `parallel::run_dag`. [`CompileOptions::threads`] only sets
 //! how many workers drain it: with one, the tasks run on the calling
 //! thread in task order (a single-unit program executes layout → nests in
 //! source order → assembly). Communication-event ids are local to a nest
 //! and renumbered in source order during assembly (`spmd::assemble_spmd`),
 //! so the compiled program does not depend on the schedule.
 
-use crate::layout::{build_layouts_in, Layout};
+use crate::layout::{build_layouts, Layout};
 use crate::phases::PhaseTimers;
 use crate::spmd::{
     assemble_spmd, build_nest, plan_items, CompileError, NestOut, SpmdOptions, SpmdProgram,
@@ -410,12 +410,15 @@ pub fn process_request(ctx: &Context, req: &CompileRequest) -> CompileResponse {
 ///
 /// Returns [`CompileError`] for frontend, semantic, or synthesis failures.
 pub fn compile(src: &str, opts: &CompileOptions) -> Result<Compiled, CompileError> {
-    // One shared hash-consing/memoization arena per compilation: attached
-    // to the layout relations, it propagates to every derived set.
+    // One hash-consing/memoization arena per compilation.
     compile_impl(&Context::new(), src, opts)
 }
 
 fn compile_impl(ctx: &Context, src: &str, opts: &CompileOptions) -> Result<Compiled, CompileError> {
+    // Every set operation of the request runs in its context, armed on
+    // this thread (and re-armed on workers) like the governor and the
+    // collector below.
+    let _context = ctx.arm_on_thread();
     // Set-op samples go to the collector armed on this thread (and re-armed
     // on workers): a traced request records its own, on any context.
     let _sampling = opts.trace.as_ref().map(Collector::arm_on_thread);
@@ -548,9 +551,7 @@ fn compile_units(
     let mut planned: Vec<PlannedUnit> = Vec::new();
     let mut n_nests = 0;
     for (index, analysis) in analyses.iter().enumerate() {
-        let layouts = obs.span("layout construction", "phase", || {
-            build_layouts_in(analysis, Some(ctx))
-        });
+        let layouts = obs.span("layout construction", "phase", || build_layouts(analysis));
         match plan_items(analysis, &layouts) {
             Ok(plan) => {
                 let nest_tasks = n_nests..n_nests + plan.nests.len();
@@ -574,8 +575,9 @@ fn compile_units(
     let mut deps: Vec<Vec<usize>> = vec![Vec::new(); n_nests];
     deps.extend(planned.iter().map(|u| u.nest_tasks.clone().collect()));
     // Capture the caller's request governor and sampling collector so each
-    // task re-arms them: workers spend from the same fuel pool, observe the
-    // same deadline/cancellation and sample into the same trace.
+    // task re-arms them with the request's context: workers memoize into
+    // the same arena, spend from the same fuel pool, observe the same
+    // deadline/cancellation and sample into the same trace.
     let governor = RequestGovernor::current();
     let sampling = Collector::current();
     type UnitResult = Result<(SpmdProgram, SpmdStats), CompileError>;
@@ -588,6 +590,7 @@ fn compile_units(
     let unit_slots: Vec<Mutex<Option<UnitResult>>> =
         planned.iter().map(|_| Mutex::new(None)).collect();
     let panics = crate::parallel::run_dag(opts.threads, &deps, |task| {
+        let _context = ctx.arm_on_thread();
         let _gov = governor.as_ref().map(RequestGovernor::arm_on_thread);
         let _sampling = sampling.as_ref().map(Collector::arm_on_thread);
         let name = match nest_tasks.get(task) {
@@ -600,7 +603,6 @@ fn compile_units(
             let out = build_nest(
                 unit.analysis,
                 &unit.layouts,
-                ctx,
                 &opts.spmd,
                 &unit.plan.nests[nest],
                 obs,

@@ -74,24 +74,10 @@ impl Layout {
 /// parameter names (`np<d>` for symbolic counts, `bs_<template><d>` for
 /// symbolic block sizes) so that layouts compose in one space.
 pub fn build_layouts(a: &Analysis) -> std::collections::BTreeMap<String, Layout> {
-    build_layouts_in(a, None)
-}
-
-/// [`build_layouts`] attaching a shared Omega [`Context`](dhpf_omega::Context)
-/// to every layout relation, so all set operations derived from the layouts
-/// (CP maps, communication sets, split sets, active-VP sets, code
-/// generation) share one memoization arena for the whole compilation.
-pub fn build_layouts_in(
-    a: &Analysis,
-    ctx: Option<&dhpf_omega::Context>,
-) -> std::collections::BTreeMap<String, Layout> {
-    let mut out = std::collections::BTreeMap::new();
-    for (name, info) in &a.arrays {
-        let mut layout = build_layout(a, name, info);
-        layout.rel.set_context(ctx);
-        out.insert(name.clone(), layout);
-    }
-    out
+    a.arrays
+        .iter()
+        .map(|(name, info)| (name.clone(), build_layout(a, name, info)))
+        .collect()
 }
 
 fn replicated_layout(a: &Analysis, info: &dhpf_hpf::ArrayInfo, proc_rank: u32) -> Layout {

@@ -53,7 +53,7 @@ pub use driver::{
 };
 pub use inplace::{contiguity, Contiguity, RuntimeCheck};
 pub use ir::{collect_statements, ArrayRef, LoopContext, ReduceOp, Reduction, StmtInfo};
-pub use layout::{build_layouts, build_layouts_in, Layout, ProcCoord};
+pub use layout::{build_layouts, Layout, ProcCoord};
 pub use phases::{PhaseRow, PhaseTimers};
 pub use render::render_program;
 pub use split::{split_sets, SplitSets};

@@ -112,9 +112,9 @@ pub fn split_partition(splits: &SplitSets, mine: &Set, m: i64) -> Result<(), Str
     Ok(())
 }
 
-/// Checks that two [`CommSets`] computed by different routes (e.g. with and
-/// without a shared memoizing [`Context`](dhpf_omega::Context)) denote the
-/// same communication.
+/// Checks that two [`CommSets`] computed by different routes (e.g. on a
+/// fresh and on a warm [`Context`](dhpf_omega::Context)) denote the same
+/// communication.
 ///
 /// # Errors
 ///

@@ -309,9 +309,6 @@ struct Synth<'a> {
     opts: &'a SpmdOptions,
     events: Vec<CommEvent>,
     stats: SpmdStats,
-    /// The Omega context the layouts were built on: attached to every root
-    /// set built during synthesis so all derived operations share it.
-    octx: &'a dhpf_omega::Context,
     /// The compilation's span tree, which Table 1 is read from.
     obs: &'a Collector,
 }
@@ -602,7 +599,7 @@ pub(crate) struct NestOut {
 }
 
 /// Synthesizes one planned nest in isolation (safe to run on a worker
-/// thread: the layouts' shared `Context` is `Sync`), with the degradation
+/// thread that has the request's `Context` armed), with the degradation
 /// ladder of DESIGN.md §12 wrapped around the exact path:
 ///
 /// - rung 0 (in [`schedule_nest`]): Figure-4 loop splitting fails → keep
@@ -621,7 +618,6 @@ pub(crate) struct NestOut {
 pub(crate) fn build_nest(
     analysis: &Analysis,
     layouts: &BTreeMap<String, Layout>,
-    octx: &dhpf_omega::Context,
     opts: &SpmdOptions,
     body: &[Stmt],
     obs: &Collector,
@@ -632,7 +628,6 @@ pub(crate) fn build_nest(
         opts,
         events: Vec::new(),
         stats: SpmdStats::default(),
-        octx,
         obs,
     };
     let item = nest_ladder(&mut synth, body)?;
@@ -646,7 +641,7 @@ pub(crate) fn build_nest(
 fn nest_ladder(synth: &mut Synth, body: &[Stmt]) -> Result<NestItem, CompileError> {
     // Cancellation aborts (it is not degradable); an injected nest fault
     // counts as the exact attempt failing.
-    let cx = synth.octx;
+    let cx = dhpf_omega::Context::current();
     let gate = cx.check_cancelled().and_then(|()| cx.inject_check("nest"));
     let attempt = match gate {
         Ok(()) => build_nest_exact(synth, body),
@@ -940,13 +935,9 @@ fn build_nest_replicated(synth: &mut Synth, body: &[Stmt]) -> Result<NestItem, C
         let names: Vec<&str> = stmts[g[0]].ctx.vars.iter().map(String::as_str).collect();
         let mappings: Vec<Mapping> = g
             .iter()
-            .map(|&k| {
-                let mut space = stmts[k].ctx.iteration_set();
-                space.set_context(Some(synth.octx));
-                Mapping {
-                    stmt: out.op(NestOp::Assign(compile_stmt(&stmts[k]))),
-                    space,
-                }
+            .map(|&k| Mapping {
+                stmt: out.op(NestOp::Assign(compile_stmt(&stmts[k]))),
+                space: stmts[k].ctx.iteration_set(),
             })
             .collect();
         let code = synth.time("mult mappings code generation", |_| {
@@ -1103,8 +1094,8 @@ fn plan_events(synth: &mut Synth, np: &NestPlan) -> Result<Vec<EventPlan>, Compi
                 .filter(|w| same_array(w) && same_ctx(w))
                 .map(|(_, w)| w)
                 .collect();
-            let mut level = synth.time("communication placement", |sy| {
-                placement_level(r, &same_ctx_writes, &s.ctx, Some(sy.octx))
+            let mut level = synth.time("communication placement", |_| {
+                placement_level(r, &same_ctx_writes, &s.ctx)
             })?;
             // Cross-context writes to the same array force conservative
             // placement inside the whole nest for safety.
@@ -1245,15 +1236,12 @@ fn pipelined_events(
     };
     // All data of this array written anywhere in the nest.
     let mut written = Set::empty(layout.rel.n_out());
-    written.set_context(layout.rel.context());
     for (wk, w) in array_writes() {
         let wctx = &np.stmts[*wk].ctx;
         written = written.union(&w.ref_map(wctx).apply(&wctx.iteration_set())?);
     }
     written.simplify();
-    let mut all_indices = array_index_set(synth.analysis, &plan.array);
-    all_indices.set_context(layout.rel.context());
-    let unwritten = all_indices.subtract(&written)?;
+    let unwritten = array_index_set(synth.analysis, &plan.array).subtract(&written)?;
     // Fully-vectorized maps for this plan's own references (no
     // consumer-iteration parameters): they drive the producer-side send
     // schedule.
@@ -1276,7 +1264,6 @@ fn pipelined_events(
     // only); send what this iteration just produced and someone else
     // will consume.
     let mut w_cur = Set::empty(layout.rel.n_out());
-    w_cur.set_context(layout.rel.context());
     for (wk, w) in array_writes().filter(|(wk, _)| np.stmts[*wk].ctx.vars == ctx.vars) {
         let my_inner = np
             .cp_at(synth, *wk, plan.level)?
@@ -1293,13 +1280,13 @@ fn pipelined_events(
 /// Figure 4 requires "no dependences that prevent iteration reordering":
 /// no write in the nest is loop-carried into a read of the same array in
 /// the same loop context.
-fn reorder_safe(np: &NestPlan, octx: &dhpf_omega::Context) -> Result<bool, CompileError> {
+fn reorder_safe(np: &NestPlan) -> Result<bool, CompileError> {
     for s in &np.stmts {
         for r in &s.reads {
             for (wk, w) in &np.writes {
                 if w.array == r.array
                     && np.stmts[*wk].ctx.vars == s.ctx.vars
-                    && carried_level(w, r, &s.ctx, Some(octx))?.is_some()
+                    && carried_level(w, r, &s.ctx)?.is_some()
                 {
                     return Ok(false);
                 }
@@ -1313,7 +1300,7 @@ fn reorder_safe(np: &NestPlan, octx: &dhpf_omega::Context) -> Result<bool, Compi
 /// dependence forbids reordering or its statements do not share one
 /// partition (the sections are computed once for the whole group).
 fn split_sections(synth: &mut Synth, np: &NestPlan) -> Result<Option<SplitSets>, CompileError> {
-    if !reorder_safe(np, synth.octx)? {
+    if !reorder_safe(np)? {
         return Ok(None);
     }
     for mine in &np.mine[1..] {
@@ -1576,7 +1563,6 @@ pub fn rel_to_set(rel: &Relation) -> Set {
     let n_in = rel.n_in();
     let n_out = rel.n_out();
     let mut out = Relation::universe(n_in + n_out, 0);
-    out.set_context(rel.context());
     for p in rel.params() {
         out.ensure_param(p);
     }

@@ -11,7 +11,7 @@
 
 use dhpf_core::probes;
 use dhpf_core::{
-    build_layouts_in, collect_statements, comm_sets, compile, compile_request, cp_map, myid_set,
+    build_layouts, collect_statements, comm_sets, compile, compile_request, cp_map, myid_set,
     split_sets, CommRef, CompileOptions, CompileRequest,
 };
 use dhpf_hpf::{analyze, parse};
@@ -276,12 +276,12 @@ end
     let a = analyze(&prog.units[0]).unwrap();
 
     // Route one pipeline through the warmed shared context and one
-    // through a fresh uncached route; both must satisfy the probes and
-    // agree with each other.
-    let layouts = build_layouts_in(&a, Some(&ctx));
-    let layouts_fresh = build_layouts_in(&a, None);
+    // through a fresh context; both must satisfy the probes and agree
+    // with each other.
+    let layouts = build_layouts(&a);
     let stmts = collect_statements(&a);
     let stmt = &stmts[0];
+    let warmed = ctx.arm_on_thread();
 
     let cp = cp_map(stmt, &layouts).unwrap();
     probes::cp_partition(&cp, &stmt.ctx.iteration_set(), p).unwrap();
@@ -309,8 +309,10 @@ end
     for m in 0..p {
         probes::split_partition(&splits, &mine, m).unwrap();
     }
+    drop(warmed);
 
-    let cp_f = cp_map(stmt, &layouts_fresh).unwrap();
+    let _fresh = Context::new().arm_on_thread();
+    let cp_f = cp_map(stmt, &layouts).unwrap();
     let refs_f: Vec<CommRef> = stmt
         .reads
         .iter()
@@ -319,6 +321,6 @@ end
             ref_map: r.ref_map(&stmt.ctx),
         })
         .collect();
-    let sets_f = comm_sets(&refs_f, &[], &layouts_fresh["b"]).unwrap();
+    let sets_f = comm_sets(&refs_f, &[], &layouts["b"]).unwrap();
     probes::comm_equiv(&sets, &sets_f).unwrap();
 }

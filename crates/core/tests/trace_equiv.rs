@@ -9,7 +9,7 @@
 
 use dhpf_core::{compile, compile_request, CompileOptions, CompileRequest};
 use dhpf_obs::{Collector, Trace};
-use dhpf_omega::Context;
+use dhpf_omega::{Context, Set};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 
@@ -128,6 +128,34 @@ fn set_ops_attributed_to_phases() {
             sat_under(&trace, "communication generation") > 0,
             "threads {threads}: communication generation recorded no set ops"
         );
+    }
+}
+
+/// Every set operation is sampled, the §3.3 contiguity tests included:
+/// their hole and pair sets are built afresh from the communication set,
+/// and their operations land on the contiguity spans like any other.
+#[test]
+fn contiguity_tests_are_sampled() {
+    const CONTIGUITY: &str = "check if msg is contiguous";
+    let collector = Collector::new();
+    compile(SP, &CompileOptions::new().trace(collector.clone())).unwrap();
+    assert!(
+        sat_under(&collector.trace(), CONTIGUITY) > 0,
+        "SP-4's contiguity spans recorded no satisfiability samples"
+    );
+
+    // The same on a set parsed outside any compile.
+    let collector = Collector::new();
+    let _armed = collector.arm_on_thread();
+    let span = collector.begin(CONTIGUITY, "phase");
+    let column: Set = "{[i] : 3 <= i <= 7}".parse().unwrap();
+    assert!(column.is_convex_1d().unwrap());
+    assert!(!column.is_singleton_1d().unwrap());
+    collector.end(span);
+    let trace = collector.trace();
+    let ops = &trace.nodes[trace.find(CONTIGUITY).unwrap()].ops;
+    for op in ["negation", "satisfiability"] {
+        assert!(ops.get(op).is_some_and(|o| o.calls > 0), "no {op} samples");
     }
 }
 

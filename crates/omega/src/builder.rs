@@ -1,18 +1,14 @@
-//! Fluent construction of sets and relations bound to a [`Context`].
+//! Fluent construction of sets and relations.
 //!
 //! The builders replace ad-hoc string parsing for *programmatic* call sites:
 //! instead of formatting an Omega-syntax string and re-parsing it, analyses
-//! assemble constraints directly from [`LinExpr`]s. Every built value carries
-//! the originating [`Context`], so all downstream operations share its
-//! caches.
+//! assemble constraints directly from [`LinExpr`]s.
 //!
 //! ```
-//! use dhpf_omega::Context;
+//! use dhpf_omega::SetBuilder;
 //!
-//! let ctx = Context::new();
 //! // {[i, j] : 1 <= i <= N && 2 <= j <= i + 1}
-//! let s = ctx
-//!     .set(2)
+//! let s = SetBuilder::new(2)
 //!     .names(["i", "j"])
 //!     .param("N")
 //!     .constrain(|c| {
@@ -27,31 +23,28 @@
 //! ```
 
 use crate::conjunct::Conjunct;
-use crate::context::Context;
 use crate::linexpr::LinExpr;
 use crate::relation::Relation;
 use crate::set::Set;
 use crate::var::Var;
 
-/// Fluent builder for a [`Relation`] bound to a [`Context`].
+/// Fluent builder for a [`Relation`].
 ///
-/// Obtained from [`Context::relation`]. Declare parameters with
-/// [`param`](Self::param) *before* recording constraints that mention them;
-/// each [`constrain`](Self::constrain) call contributes one disjunct.
-/// A builder with no `constrain` call yields the universe relation.
+/// Declare parameters with [`param`](Self::param) *before* recording
+/// constraints that mention them; each [`constrain`](Self::constrain) call
+/// contributes one disjunct. A builder with no `constrain` call yields the
+/// universe relation.
 #[derive(Clone, Debug)]
 pub struct RelationBuilder {
-    ctx: Context,
     rel: Relation,
     any_disjunct: bool,
 }
 
 impl RelationBuilder {
     /// Starts a builder for a relation of the given arities.
-    pub fn new(ctx: Context, n_in: u32, n_out: u32) -> Self {
+    pub fn new(n_in: u32, n_out: u32) -> Self {
         RelationBuilder {
-            rel: Relation::empty(n_in, n_out).with_context(&ctx),
-            ctx,
+            rel: Relation::empty(n_in, n_out),
             any_disjunct: false,
         }
     }
@@ -100,7 +93,6 @@ impl RelationBuilder {
             self.rel
         } else {
             let mut u = Relation::universe(self.rel.n_in(), self.rel.n_out())
-                .with_context(&self.ctx)
                 .with_in_names(self.rel.in_names.clone())
                 .with_out_names(self.rel.out_names.clone());
             for p in self.rel.params() {
@@ -111,9 +103,7 @@ impl RelationBuilder {
     }
 }
 
-/// Fluent builder for a [`Set`] bound to a [`Context`].
-///
-/// Obtained from [`Context::set`]; a thin wrapper over [`RelationBuilder`]
+/// Fluent builder for a [`Set`]: a thin wrapper over [`RelationBuilder`]
 /// with output arity zero.
 #[derive(Clone, Debug)]
 pub struct SetBuilder {
@@ -122,9 +112,9 @@ pub struct SetBuilder {
 
 impl SetBuilder {
     /// Starts a builder for a set of the given arity.
-    pub fn new(ctx: Context, arity: u32) -> Self {
+    pub fn new(arity: u32) -> Self {
         SetBuilder {
-            inner: RelationBuilder::new(ctx, arity, 0),
+            inner: RelationBuilder::new(arity, 0),
         }
     }
 
@@ -192,7 +182,7 @@ impl ConjunctBuilder {
     ///
     /// Panics if `name` was not declared with `.param(name)` on the builder —
     /// a programmer error, not a data error: the builder API is not an
-    /// untrusted-input surface (that is [`Context::parse_set`]'s job).
+    /// untrusted-input surface (that is parsing's job).
     pub fn param(&self, name: &str) -> LinExpr {
         let i = self
             .params
@@ -244,9 +234,7 @@ mod tests {
 
     #[test]
     fn set_builder_matches_parsed_set() {
-        let ctx = Context::new();
-        let built = ctx
-            .set(1)
+        let built = SetBuilder::new(1)
             .names(["i"])
             .param("N")
             .constrain(|c| {
@@ -254,17 +242,14 @@ mod tests {
                 c.le(&c.dim(0), &c.param("N"));
             })
             .build();
-        let parsed = ctx.parse_set("{[i] : 1 <= i <= 100 && i <= N}").unwrap();
+        let parsed: Set = "{[i] : 1 <= i <= 100 && i <= N}".parse().unwrap();
         assert!(built.as_relation().equal(parsed.as_relation()).unwrap());
-        assert!(built.context().is_some());
     }
 
     #[test]
     fn relation_builder_block_layout() {
-        let ctx = Context::new();
         // {[p] -> [a] : 25p <= a <= 25p + 24 && 0 <= p <= 3}
-        let layout = ctx
-            .relation(1, 1)
+        let layout = RelationBuilder::new(1, 1)
             .in_names(["p"])
             .out_names(["a"])
             .constrain(|c| {
@@ -273,17 +258,15 @@ mod tests {
                 c.bounds(&c.input(0), 0, 3);
             })
             .build();
-        let parsed = ctx
-            .parse_relation("{[p] -> [a] : 25p <= a <= 25p + 24 && 0 <= p <= 3}")
+        let parsed: Relation = "{[p] -> [a] : 25p <= a <= 25p + 24 && 0 <= p <= 3}"
+            .parse()
             .unwrap();
         assert!(layout.equal(&parsed).unwrap());
     }
 
     #[test]
     fn multiple_constrain_calls_union() {
-        let ctx = Context::new();
-        let s = ctx
-            .set(1)
+        let s = SetBuilder::new(1)
             .constrain(|c| c.bounds(&c.dim(0), 1, 3))
             .constrain(|c| c.bounds(&c.dim(0), 7, 9))
             .build();
@@ -294,16 +277,13 @@ mod tests {
 
     #[test]
     fn empty_builder_is_universe() {
-        let ctx = Context::new();
-        let s = ctx.set(1).build();
+        let s = SetBuilder::new(1).build();
         assert!(s.contains(&[12345], &[]));
     }
 
     #[test]
     fn stride_constraint() {
-        let ctx = Context::new();
-        let evens = ctx
-            .set(1)
+        let evens = SetBuilder::new(1)
             .constrain(|c| {
                 c.bounds(&c.dim(0), 0, 10);
                 c.stride(c.dim(0), 2);
@@ -316,9 +296,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "not declared")]
     fn undeclared_param_panics() {
-        let ctx = Context::new();
-        let _ = ctx
-            .set(1)
+        let _ = SetBuilder::new(1)
             .constrain(|c| c.le(&c.dim(0), &c.param("N")))
             .build();
     }

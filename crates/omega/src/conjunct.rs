@@ -10,6 +10,7 @@
 //! inequality elimination via Fourier–Motzkin with the Omega test's dark
 //! shadow and splinter sets, so that projections remain exact over Z.
 
+use crate::context::Context;
 use crate::linexpr::LinExpr;
 use crate::num::{floor_div, modulo, try_mul, try_sub};
 use crate::var::Var;
@@ -428,26 +429,21 @@ impl Conjunct {
     /// variables (parameters included) as unknowns.
     ///
     /// This is the Omega test: equality elimination with coefficient
-    /// reduction, then Fourier–Motzkin with dark shadow and splinters.
-    pub fn is_satisfiable(&self) -> bool {
-        self.is_satisfiable_in(None)
-    }
-
-    /// [`is_satisfiable`](Self::is_satisfiable) with an optional shared
-    /// [`Context`]: the result is memoized per distinct conjunct structure,
-    /// and the eliminations performed along the way share the context's
-    /// projection cache.
+    /// reduction, then Fourier–Motzkin with dark shadow and splinters. The
+    /// result is memoized per distinct conjunct structure in
+    /// [`Context::current`], and the eliminations performed along the way
+    /// share its projection cache.
     ///
     /// This is the form for *analysis* callers, where "satisfiable" is the
     /// sound conservative answer: once the governor refuses an operation
     /// the degraded `true` never lets the compiler skip communication or
     /// drop a piece. Code generation must use
-    /// [`try_is_satisfiable_in`](Self::try_is_satisfiable_in) instead.
-    pub fn is_satisfiable_in(&self, ctx: Option<&crate::Context>) -> bool {
-        self.try_is_satisfiable_in(ctx).unwrap_or(true)
+    /// [`try_is_satisfiable`](Self::try_is_satisfiable) instead.
+    pub fn is_satisfiable(&self) -> bool {
+        self.try_is_satisfiable().unwrap_or(true)
     }
 
-    /// Exact-or-fail form of [`is_satisfiable_in`](Self::is_satisfiable_in):
+    /// Exact-or-fail form of [`is_satisfiable`](Self::is_satisfiable):
     /// where the governed variant degrades to a conservative `true` after
     /// a budget trip, this one surfaces the trip as an error. Use it
     /// wherever a spurious "satisfiable" is *unsound* — e.g. pruning
@@ -458,11 +454,8 @@ impl Conjunct {
     ///
     /// Returns the budget/cancellation error when the thread's governor
     /// refuses the operation or any operation inside the decision.
-    pub fn try_is_satisfiable_in(&self, ctx: Option<&crate::Context>) -> Result<bool, OmegaError> {
-        match ctx {
-            Some(cx) => cx.cached_sat_strict(self, || self.sat_uncached(ctx)),
-            None => self.sat_uncached(None),
-        }
+    pub fn try_is_satisfiable(&self) -> Result<bool, OmegaError> {
+        Context::current().cached_sat_strict(self, || self.sat_uncached())
     }
 
     /// The Omega test as a *decision*: equalities are substituted away,
@@ -475,8 +468,8 @@ impl Conjunct {
     /// caller must not memoize one. Coefficient overflow and the fuel cap
     /// are properties of the conjunct and answer a conservative
     /// `Ok(true)` (sound for emptiness tests, which only trust `false`).
-    fn sat_uncached(&self, ctx: Option<&crate::Context>) -> Result<bool, OmegaError> {
-        match self.decide_sat(ctx) {
+    fn sat_uncached(&self) -> Result<bool, OmegaError> {
+        match self.decide_sat() {
             Err(OmegaError::Overflow(_)) => Ok(true),
             verdict => verdict,
         }
@@ -484,7 +477,8 @@ impl Conjunct {
 
     /// The work-list loop behind [`sat_uncached`](Self::sat_uncached);
     /// every error, overflow included, propagates.
-    fn decide_sat(&self, ctx: Option<&crate::Context>) -> Result<bool, OmegaError> {
+    fn decide_sat(&self) -> Result<bool, OmegaError> {
+        let cx = Context::current();
         let mut work = vec![self.clone()];
         let mut fuel: u64 = 200_000;
         while let Some(mut c) = work.pop() {
@@ -512,21 +506,21 @@ impl Conjunct {
                     work.push(c);
                 }
                 SatStep::DropOneSided(v) => {
-                    c.drop_one_sided(v, ctx)?;
+                    c.drop_one_sided(v, &cx)?;
                     work.push(c);
                 }
-                SatStep::Project(v) => work.extend(c.eliminate_exact_in(v, ctx)?),
+                SatStep::Project(v) => work.extend(c.eliminate_exact(v)?),
                 SatStep::Shadows(v) => {
-                    let (bounds, real, dark) = c.shadows_on(v, ctx)?;
+                    let (bounds, real, dark) = c.shadows_on(v, &cx)?;
                     // A point of the dark shadow extends to an integer
                     // `v`; no point of the real shadow extends to any.
                     // Only between the two do the splinters decide, and
                     // they keep their pin equality: the equality steps
                     // above dispose of it without a projection.
-                    if dark.try_is_satisfiable_in(ctx)? {
+                    if dark.try_is_satisfiable()? {
                         return Ok(true);
                     }
-                    if real.try_is_satisfiable_in(ctx)? {
+                    if real.try_is_satisfiable()? {
                         work.extend(bounds.splinters()?);
                     }
                 }
@@ -576,11 +570,8 @@ impl Conjunct {
     /// side only: projecting it away deletes its inequalities and forms no
     /// combination, so nothing is interned or memoized — the step is only
     /// charged and sampled.
-    fn drop_one_sided(&mut self, v: Var, ctx: Option<&crate::Context>) -> Result<(), OmegaError> {
-        let _op = match ctx {
-            Some(cx) => cx.one_sided_drop(self)?,
-            None => None,
-        };
+    fn drop_one_sided(&mut self, v: Var, cx: &Context) -> Result<(), OmegaError> {
+        let _op = cx.one_sided_drop(self)?;
         self.norm = false; // removal can orphan the trailing-exist trim
         self.geqs.retain(|e| e.coeff(v) == 0);
         Ok(())
@@ -592,12 +583,9 @@ impl Conjunct {
     fn shadows_on(
         self,
         v: Var,
-        ctx: Option<&crate::Context>,
+        cx: &Context,
     ) -> Result<(BoundsOn, Conjunct, Conjunct), OmegaError> {
-        let _op = match ctx {
-            Some(cx) => cx.shadow_step(&self)?,
-            None => None,
-        };
+        let _op = cx.shadow_step(&self)?;
         let bounds = self.split_bounds(v);
         let real = bounds.shadow(false)?;
         let dark = bounds.shadow(true)?;
@@ -643,17 +631,8 @@ impl Conjunct {
     /// Exactly eliminates `v`, returning a disjunction of conjuncts whose
     /// integer solutions project precisely onto the solutions of `self`
     /// with `v` removed. Tuple/parameter variables eliminated through
-    /// congruences are replaced by fresh existentials.
-    ///
-    /// # Errors
-    ///
-    /// See [`eliminate_exact_in`](Self::eliminate_exact_in).
-    pub fn eliminate_exact(&self, v: Var) -> Result<Vec<Conjunct>, OmegaError> {
-        self.eliminate_exact_in(v, None)
-    }
-
-    /// [`eliminate_exact`](Self::eliminate_exact) with an optional shared
-    /// [`Context`] memoizing the projection per `(conjunct, var)` pair.
+    /// congruences are replaced by fresh existentials. The projection is
+    /// memoized per `(conjunct, var)` pair in [`Context::current`].
     ///
     /// # Errors
     ///
@@ -662,22 +641,11 @@ impl Conjunct {
     /// success, so a retried elimination stays cheap), and the
     /// budget/cancellation error when the thread's governor refuses the
     /// operation: a projection has no conservative answer to fall back on.
-    pub fn eliminate_exact_in(
-        &self,
-        v: Var,
-        ctx: Option<&crate::Context>,
-    ) -> Result<Vec<Conjunct>, OmegaError> {
-        match ctx {
-            Some(cx) => cx.cached_eliminate(self, v, || self.eliminate_uncached(v, ctx)),
-            None => self.eliminate_uncached(v, None),
-        }
+    pub fn eliminate_exact(&self, v: Var) -> Result<Vec<Conjunct>, OmegaError> {
+        Context::current().cached_eliminate(self, v, || self.eliminate_uncached(v))
     }
 
-    fn eliminate_uncached(
-        &self,
-        v: Var,
-        ctx: Option<&crate::Context>,
-    ) -> Result<Vec<Conjunct>, OmegaError> {
+    fn eliminate_uncached(&self, v: Var) -> Result<Vec<Conjunct>, OmegaError> {
         let mut c = self.clone();
         if c.normalize() == Normalized::False {
             return Ok(Vec::new());
@@ -689,7 +657,7 @@ impl Conjunct {
         if let Some(idx) = c.best_eq_for(v) {
             return c.eliminate_via_eq(idx, v);
         }
-        c.eliminate_via_fme(v, ctx)
+        c.eliminate_via_fme(v)
     }
 
     /// Index of the equality in which `v` has the smallest nonzero |coeff|.
@@ -772,11 +740,7 @@ impl Conjunct {
 
     /// Eliminates `v` (appearing only in inequalities) exactly:
     /// dark shadow plus splinters.
-    fn eliminate_via_fme(
-        self,
-        v: Var,
-        ctx: Option<&crate::Context>,
-    ) -> Result<Vec<Conjunct>, OmegaError> {
+    fn eliminate_via_fme(self, v: Var) -> Result<Vec<Conjunct>, OmegaError> {
         let bounds = self.split_bounds(v);
         if bounds.lowers.is_empty() || bounds.uppers.is_empty() {
             // v is unbounded on one side: projection drops its constraints.
@@ -794,7 +758,7 @@ impl Conjunct {
         if !bounds.is_exact() {
             for s in bounds.splinters()? {
                 // Recurse: the pinned equality eliminates v exactly.
-                results.extend(s.eliminate_exact_in(v, ctx)?);
+                results.extend(s.eliminate_exact(v)?);
             }
         }
         Ok(results)
@@ -831,45 +795,31 @@ impl Conjunct {
     /// Returns `true` if this conjunct, conjoined with `context`, is
     /// unsatisfiable.
     pub fn is_empty_given(&self, context: &Conjunct) -> bool {
-        self.is_empty_given_in(context, None)
-    }
-
-    /// [`is_empty_given`](Self::is_empty_given) threading an optional shared
-    /// [`Context`] through the satisfiability test.
-    pub fn is_empty_given_in(&self, context: &Conjunct, ctx: Option<&crate::Context>) -> bool {
         let mut c = self.clone();
         c.merge(context);
-        !c.is_satisfiable_in(ctx)
+        !c.is_satisfiable()
     }
 
     /// Removes constraints that are implied by `context` (the *gist*
     /// operation): the result, conjoined with `context`, equals
-    /// `self ∧ context`.
+    /// `self ∧ context`. Memoized per `(self, context)` pair in
+    /// [`Context::current`].
     pub fn gist_given(&self, context: &Conjunct) -> Conjunct {
-        self.gist_given_in(context, None)
+        Context::current().cached_gist(self, context, || self.gist_uncached(context))
     }
 
-    /// [`gist_given`](Self::gist_given) with an optional shared [`Context`]
-    /// memoizing the result per `(self, context)` pair.
-    pub fn gist_given_in(&self, context: &Conjunct, ctx: Option<&crate::Context>) -> Conjunct {
-        match ctx {
-            Some(cx) => cx.cached_gist(self, context, || self.gist_uncached(context, ctx)),
-            None => self.gist_uncached(context, None),
-        }
-    }
-
-    fn gist_uncached(&self, context: &Conjunct, ctx: Option<&crate::Context>) -> Conjunct {
+    fn gist_uncached(&self, context: &Conjunct) -> Conjunct {
         let mut out = Conjunct::new();
         out.n_exist = self.n_exist;
         for e in &self.eqs {
             // e = 0 implied iff both e >= 0 and -e >= 0 are implied.
-            if implied_by(context, self, e, true, ctx) {
+            if implied_by(context, e, true) {
                 continue;
             }
             out.eqs.push(e.clone());
         }
         for e in &self.geqs {
-            if implied_by(context, self, e, false, ctx) {
+            if implied_by(context, e, false) {
                 continue;
             }
             out.geqs.push(e.clone());
@@ -879,18 +829,17 @@ impl Conjunct {
 
     /// Removes inequalities implied by the *other* constraints of this
     /// conjunct (redundancy elimination).
-    pub fn remove_redundant(&mut self) {
-        self.remove_redundant_in(None)
-    }
-
-    /// [`remove_redundant`](Self::remove_redundant) threading an optional
-    /// shared [`Context`] through the implied-constraint tests.
     ///
     /// The conjunct is taken to be satisfiable, as every conjunct
-    /// [`Relation::simplify`](crate::Relation::simplify) keeps is: that is
-    /// what lets a sole bound skip its test. (On an empty conjunct the
-    /// result is still equivalent; it may only keep more constraints.)
-    pub fn remove_redundant_in(&mut self, ctx: Option<&crate::Context>) {
+    /// [`Relation::simplify`](crate::Relation::simplify) keeps is. That is
+    /// what lets a sole bound skip its test, and what lets each test see
+    /// only the constraints connected to the inequality through shared
+    /// variables: the remaining ones are satisfiable and share no variable
+    /// with the test, so they cannot change its verdict, and two conjuncts
+    /// that agree on that component ask the memo tables the same question.
+    /// (On an empty conjunct the result is still equivalent; it may only
+    /// keep more constraints.)
+    pub fn remove_redundant(&mut self) {
         self.norm = false; // removal can orphan the trailing-exist trim
         let mut i = 0;
         while i < self.geqs.len() {
@@ -898,18 +847,49 @@ impl Conjunct {
                 i += 1;
                 continue;
             }
-            // geqs[i] is redundant iff (rest ∧ geqs[i] <= -1) is unsat.
-            let mut test = self.clone();
-            let e = test.geqs.remove(i);
-            let mut neg = e.negated();
+            // geqs[i] is redundant iff (component ∧ geqs[i] <= -1) is unsat.
+            let mut test = self.component(i);
+            let mut neg = self.geqs[i].negated();
             neg.add_constant(-1);
             test.add_geq(neg);
-            if !test.is_satisfiable_in(ctx) {
+            if !test.is_satisfiable() {
                 self.geqs.remove(i);
             } else {
                 i += 1;
             }
         }
+    }
+
+    /// The constraints other than `geqs[i]` that are connected to it,
+    /// transitively, through shared variables (existentials and
+    /// parameters included).
+    fn component(&self, i: usize) -> Conjunct {
+        let mut vars: BTreeSet<Var> = self.geqs[i].vars().collect();
+        let mut in_eqs = vec![false; self.eqs.len()];
+        let mut in_geqs = vec![false; self.geqs.len()];
+        in_geqs[i] = true;
+        let mut grew = true;
+        while grew {
+            grew = false;
+            let all = (self.eqs.iter().zip(&mut in_eqs)).chain(self.geqs.iter().zip(&mut in_geqs));
+            for (e, taken) in all {
+                if !*taken && e.vars().any(|v| vars.contains(&v)) {
+                    *taken = true;
+                    vars.extend(e.vars());
+                    grew = true;
+                }
+            }
+        }
+        let mut out = Conjunct::new();
+        for (e, _) in self.eqs.iter().zip(&in_eqs).filter(|(_, &t)| t) {
+            out.add_eq(e.clone());
+        }
+        for (k, e) in self.geqs.iter().enumerate() {
+            if in_geqs[k] && k != i {
+                out.add_geq(e.clone());
+            }
+        }
+        out
     }
 
     /// Whether `geqs[i]` is the only bound, in its direction, on some
@@ -932,18 +912,8 @@ impl Conjunct {
     /// Evaluates membership of a full assignment of the *free* variables:
     /// substitutes and decides the remaining existential system exactly.
     pub fn contains<F: Fn(Var) -> Option<i64>>(&self, lookup: F) -> bool {
-        self.contains_in(lookup, None)
-    }
-
-    /// [`contains`](Self::contains) threading an optional shared [`Context`]
-    /// through the final satisfiability decision.
-    pub fn contains_in<F: Fn(Var) -> Option<i64>>(
-        &self,
-        lookup: F,
-        ctx: Option<&crate::Context>,
-    ) -> bool {
         let bound = self.bind(|v| if v.is_exist() { None } else { lookup(v) });
-        bound.is_satisfiable_in(ctx)
+        bound.is_satisfiable()
     }
 }
 
@@ -1029,20 +999,14 @@ impl BoundsOn {
 
 /// `true` if constraint `e` (eq if `as_eq`) is implied by `context` within
 /// the world of `subject`'s remaining constraints.
-fn implied_by(
-    context: &Conjunct,
-    _subject: &Conjunct,
-    e: &LinExpr,
-    as_eq: bool,
-    ctx: Option<&crate::Context>,
-) -> bool {
+fn implied_by(context: &Conjunct, e: &LinExpr, as_eq: bool) -> bool {
     // e >= 0 implied by context  iff  context ∧ (e <= -1) unsat.
     let implied_geq = |expr: &LinExpr| {
         let mut test = context.clone();
         let mut neg = expr.negated();
         neg.add_constant(-1);
         test.add_geq(neg);
-        !test.is_satisfiable_in(ctx)
+        !test.is_satisfiable()
     };
     if as_eq {
         implied_geq(e) && implied_geq(&e.negated())

@@ -10,17 +10,19 @@
 //! keyed by the interned ids, with hit/miss/eviction counters that the
 //! compiler driver surfaces next to its Table-1 phase timers.
 //!
-//! "Memoized" is a relation with a context: a set or relation that carries
-//! none computes every operation afresh, and that context-less path is the
-//! reference the equivalence suites compare against. Budgets, cancellation
-//! and exactness limits are not context state either; they belong to the
-//! [`RequestGovernor`](crate::RequestGovernor) armed on the calling
-//! thread, which every operation here charges.
+//! Sets and relations carry no context. Every set operation runs in
+//! [`Context::current`]: the context armed on the calling thread with
+//! [`Context::arm_on_thread`], or, where nothing is armed (tests,
+//! examples, doc-tests), a lazily created context private to the thread.
+//! So every operation is memoized, charged and sampled; there is no
+//! context-less path. The compiler driver arms the request's context on
+//! the thread that compiles and re-arms it on every worker task, beside
+//! the request's [`RequestGovernor`](crate::RequestGovernor) and trace
+//! collector. Budgets, cancellation and exactness limits are not context
+//! state; they belong to that governor, which every operation here charges.
 //!
 //! A `Context` is an `Arc`-shared handle: cloning it is cheap and all
-//! clones share one arena. Attach it to root relations (layouts, parsed
-//! sets, iteration spaces) with [`Relation::with_context`]; every derived
-//! relation inherits the context through the set operations.
+//! clones share one arena.
 //!
 //! # Concurrency
 //!
@@ -34,11 +36,12 @@
 //! serve a whole thread pool.
 //!
 //! ```
-//! use dhpf_omega::Context;
+//! use dhpf_omega::{Context, Relation, Set};
 //!
 //! let ctx = Context::new();
-//! let layout = ctx.parse_relation("{[p] -> [a] : 25p+1 <= a <= 25p+25 && 0 <= p <= 3}")?;
-//! let iters = ctx.parse_set("{[i] : 1 <= i <= N}")?;
+//! let _armed = ctx.arm_on_thread();
+//! let layout: Relation = "{[p] -> [a] : 25p+1 <= a <= 25p+25 && 0 <= p <= 3}".parse()?;
+//! let iters: Set = "{[i] : 1 <= i <= N}".parse()?;
 //! let owned = layout.apply(&iters)?; // cached ops record hits/misses
 //! assert!(!owned.is_empty());
 //! assert!(ctx.stats().total_misses() > 0);
@@ -46,15 +49,13 @@
 //! ```
 
 use crate::budget::{request_governor_armed, Budget, GovernorStats, RequestGovernor};
-use crate::builder::{RelationBuilder, SetBuilder};
 use crate::conjunct::Conjunct;
 use crate::inject::{FaultAction, InjectPlan};
-use crate::relation::Relation;
-use crate::set::Set;
 use crate::var::Var;
 use crate::OmegaError;
 use dhpf_obs::Collector;
 use std::borrow::Cow;
+use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::fmt;
@@ -274,6 +275,11 @@ impl Shard {
 }
 
 thread_local! {
+    /// The context armed on the current thread (see
+    /// [`Context::arm_on_thread`]).
+    static ARMED: RefCell<Option<Context>> = const { RefCell::new(None) };
+    /// What [`Context::current`] answers while nothing is armed.
+    static THREAD_DEFAULT: Context = Context::new();
     /// Nesting depth of [`governor_grace`] scopes on the current thread.
     static GRACE_DEPTH: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
     /// Operations refused on the current thread so far, by the governor or
@@ -384,10 +390,11 @@ fn shard_of_id(id: Id) -> usize {
 ///
 /// See the [module documentation](self) for the design; in short: create
 /// one per compilation (or one long-lived one, handed to every
-/// `dhpf_core::compile_request`), attach it to root sets/relations, and
-/// every derived operation reuses previously computed satisfiability
-/// tests, projections, negations, gists and simplifications. The context
-/// is `Send + Sync`: the parallel driver shares one across worker threads.
+/// `dhpf_core::compile_request`), arm it on the threads doing the work,
+/// and every set operation there reuses previously computed
+/// satisfiability tests, projections, negations, gists and
+/// simplifications. The context is `Send + Sync`: the parallel driver
+/// shares one across worker threads.
 #[derive(Clone)]
 pub struct Context {
     inner: Arc<Inner>,
@@ -435,6 +442,26 @@ impl Context {
                 shards: std::array::from_fn(|_| Mutex::new(Shard::default())),
             }),
         }
+    }
+
+    /// Arms this context on the calling thread until the guard drops:
+    /// every set operation the thread runs meanwhile is memoized, counted
+    /// and fault-injected here. Nested arming restores the previous
+    /// context on drop, so scopes compose; the same context may be armed
+    /// on many threads at once.
+    #[must_use = "the context is disarmed when the guard drops"]
+    pub fn arm_on_thread(&self) -> ContextGuard {
+        ContextGuard {
+            prev: ARMED.with(|a| a.borrow_mut().replace(self.clone())),
+        }
+    }
+
+    /// The context set operations on the calling thread run in: the one
+    /// armed there, else the thread's own, created on first use.
+    pub fn current() -> Context {
+        ARMED
+            .with(|a| a.borrow().clone())
+            .unwrap_or_else(|| THREAD_DEFAULT.with(Context::clone))
     }
 
     /// Bounds every memo table at `capacity` total entries (per operation,
@@ -654,39 +681,6 @@ impl Context {
     }
 
     // ------------------------------------------------------------------
-    // Construction entry points
-    // ------------------------------------------------------------------
-
-    /// Parses a relation in Omega syntax and attaches this context.
-    ///
-    /// This is the non-panicking replacement for the `FromStr` entry
-    /// points: every failure (syntax, arity, coefficient overflow) is an
-    /// [`OmegaError`] carrying the source offset.
-    pub fn parse_relation(&self, input: &str) -> Result<Relation, OmegaError> {
-        let rel = crate::parse::parse_relation(input)?;
-        Ok(rel.with_context(self))
-    }
-
-    /// Parses a set in Omega syntax and attaches this context.
-    pub fn parse_set(&self, input: &str) -> Result<Set, OmegaError> {
-        let rel = self.parse_relation(input)?;
-        if rel.n_out() != 0 {
-            return Err(OmegaError::Parse(crate::parse::ParseError::expected_set()));
-        }
-        Ok(Set::from_relation(rel))
-    }
-
-    /// Starts a fluent [`SetBuilder`] for a set of the given arity.
-    pub fn set(&self, arity: u32) -> SetBuilder {
-        SetBuilder::new(self.clone(), arity)
-    }
-
-    /// Starts a fluent [`RelationBuilder`] for a relation.
-    pub fn relation(&self, n_in: u32, n_out: u32) -> RelationBuilder {
-        RelationBuilder::new(self.clone(), n_in, n_out)
-    }
-
-    // ------------------------------------------------------------------
     // Interning
     // ------------------------------------------------------------------
 
@@ -898,10 +892,16 @@ fn canonical_of(c: &Conjunct) -> Cow<'_, Conjunct> {
     }
 }
 
-/// Picks the context shared by a binary operation's operands: the left
-/// operand's context wins; otherwise the right's.
-pub(crate) fn join(a: Option<&Context>, b: Option<&Context>) -> Option<Context> {
-    a.or(b).cloned()
+/// RAII scope of [`Context::arm_on_thread`]: restores the previously
+/// armed context (or none) on drop.
+pub struct ContextGuard {
+    prev: Option<Context>,
+}
+
+impl Drop for ContextGuard {
+    fn drop(&mut self) {
+        ARMED.with(|a| *a.borrow_mut() = self.prev.take());
+    }
 }
 
 #[cfg(test)]
@@ -909,7 +909,12 @@ mod tests {
     use super::*;
     use crate::budget::{CancelToken, RequestGovernor};
     use crate::linexpr::LinExpr;
+    use crate::set::Set;
     use std::time::Duration;
+
+    fn set(s: &str) -> Set {
+        s.parse().unwrap()
+    }
 
     #[test]
     fn interning_is_stable() {
@@ -938,9 +943,32 @@ mod tests {
     }
 
     #[test]
+    fn armed_context_receives_the_threads_operations() {
+        let (outer, inner) = (Context::new(), Context::new());
+        let s = set("{[i] : 1 <= i <= 10}");
+        assert!(!s.is_empty()); // the thread's own context
+        assert_eq!(outer.stats().total_misses(), 0);
+        let _outer = outer.arm_on_thread();
+        {
+            let _inner = inner.arm_on_thread();
+            assert!(!s.is_empty());
+        }
+        assert_eq!(inner.stats().sat.misses, 1);
+        // Disarming the inner scope restores the outer context.
+        assert!(!s.is_empty());
+        assert_eq!(outer.stats().sat.misses, 1);
+        // Other threads keep their own.
+        std::thread::scope(|sc| {
+            sc.spawn(|| assert!(!s.is_empty()));
+        });
+        assert_eq!(outer.stats().sat.misses + inner.stats().sat.misses, 2);
+    }
+
+    #[test]
     fn sat_cache_hits_on_repeat() {
         let ctx = Context::new();
-        let s = ctx.parse_set("{[i] : 1 <= i <= 10}").unwrap();
+        let _armed = ctx.arm_on_thread();
+        let s = set("{[i] : 1 <= i <= 10}");
         assert!(!s.is_empty());
         let before = ctx.stats();
         assert!(!s.is_empty());
@@ -960,14 +988,11 @@ mod tests {
             for t in 0..4 {
                 let ctx = ctx.clone();
                 scope.spawn(move || {
+                    let _armed = ctx.arm_on_thread();
                     for i in 0..50 {
-                        let s = ctx
-                            .parse_set(&format!("{{[i] : {} <= i <= {}}}", t, t + i))
-                            .unwrap();
+                        let s = set(&format!("{{[i] : {} <= i <= {}}}", t, t + i));
                         assert!(!s.is_empty());
-                        let e = ctx
-                            .parse_set(&format!("{{[i] : {} <= i <= {}}}", i + 1, i))
-                            .unwrap();
+                        let e = set(&format!("{{[i] : {} <= i <= {}}}", i + 1, i));
                         assert!(e.is_empty());
                     }
                 });
@@ -977,8 +1002,9 @@ mod tests {
         assert!(stats.total_misses() > 0);
         assert!(stats.interned_conjuncts > 0);
         // Re-running the same queries on the quiesced context now hits.
+        let _armed = ctx.arm_on_thread();
         let before = ctx.stats();
-        let s = ctx.parse_set("{[i] : 0 <= i <= 0}").unwrap();
+        let s = set("{[i] : 0 <= i <= 0}");
         assert!(!s.is_empty());
         let after = ctx.stats();
         assert!(after.total_hits() > before.total_hits());
@@ -987,13 +1013,12 @@ mod tests {
     #[test]
     fn collector_records_set_ops_on_open_span() {
         let obs = Collector::new();
-        let ctx = Context::new();
         let armed = obs.arm_on_thread();
         let span = obs.begin("analysis", "phase");
-        let s = ctx.parse_set("{[i] : 1 <= i <= 10}").unwrap();
+        let s = set("{[i] : 1 <= i <= 10}");
         assert!(!s.is_empty());
-        // A cache hit still counts as a call; another thread on the same
-        // context records nothing here.
+        // A cache hit still counts as a call; another thread records
+        // nothing here.
         assert!(!s.is_empty());
         std::thread::scope(|sc| {
             sc.spawn(|| assert!(!s.is_empty()));
@@ -1020,7 +1045,7 @@ mod tests {
     #[test]
     fn ungoverned_context_charges_nothing() {
         let ctx = Context::new();
-        let s = ctx.parse_set("{[i] : 1 <= i <= 10}").unwrap();
+        let s = set("{[i] : 1 <= i <= 10}");
         assert!(!s.is_empty());
         assert_eq!(ctx.governor_stats(), GovernorStats::default());
     }
@@ -1029,8 +1054,8 @@ mod tests {
     fn op_fuel_trips_and_degrades_soundly() {
         let ctx = Context::new();
         let armed = RequestGovernor::new(&Budget::new().op_fuel(1), None).arm_on_thread();
-        let s = ctx.parse_set("{[i] : 1 <= i <= 10}").unwrap();
-        let t = ctx.parse_set("{[i] : 3 <= i <= 30}").unwrap();
+        let s = set("{[i] : 1 <= i <= 10}");
+        let t = set("{[i] : 3 <= i <= 30}");
         // Burn far more than one op; everything must still terminate and
         // the conservative answers must be sound (non-empty says non-empty).
         assert!(!s.is_empty());
@@ -1053,7 +1078,7 @@ mod tests {
         let ctx = Context::new();
         let _armed = RequestGovernor::new(&Budget::new().deadline_ms(0), None).arm_on_thread();
         std::thread::sleep(Duration::from_millis(2));
-        let s = ctx.parse_set("{[i] : 1 <= i <= 10}").unwrap();
+        let s = set("{[i] : 1 <= i <= 10}");
         assert!(!s.is_empty()); // degraded-but-sound
         assert!(!s.is_empty());
         assert!(ctx.budget_tripped());
@@ -1062,9 +1087,9 @@ mod tests {
 
     #[test]
     fn budget_errors_are_never_memoized() {
-        let ctx = Context::new();
-        let s = ctx.parse_set("{[i] : 1 <= i <= 10}").unwrap();
-        let t = ctx.parse_set("{[i] : 3 <= i <= 30}").unwrap();
+        let _ctx = Context::new().arm_on_thread();
+        let s = set("{[i] : 1 <= i <= 10}");
+        let t = set("{[i] : 3 <= i <= 30}");
         let armed = RequestGovernor::new(&Budget::new().op_fuel(0), None).arm_on_thread();
         assert!(s.subtract(&t).is_err());
         drop(armed);
@@ -1077,8 +1102,8 @@ mod tests {
     #[test]
     fn grace_scope_suspends_trip_but_not_cancellation() {
         let ctx = Context::new();
-        let s = ctx.parse_set("{[i] : 1 <= i <= 10}").unwrap();
-        let t = ctx.parse_set("{[i] : 3 <= i <= 30}").unwrap();
+        let s = set("{[i] : 1 <= i <= 10}");
+        let t = set("{[i] : 3 <= i <= 30}");
         let budget = Budget::new().op_fuel(0);
         let _armed = RequestGovernor::new(&budget, None).arm_on_thread();
         assert!(s.subtract(&t).is_err());
@@ -1104,8 +1129,8 @@ mod tests {
         let ctx = Context::new();
         let token = CancelToken::new();
         let armed = RequestGovernor::new(&Budget::new(), Some(token.clone())).arm_on_thread();
-        let s = ctx.parse_set("{[i] : 1 <= i <= 10}").unwrap();
-        let t = ctx.parse_set("{[i] : 3 <= i <= 30}").unwrap();
+        let s = set("{[i] : 1 <= i <= 10}");
+        let t = set("{[i] : 3 <= i <= 30}");
         assert!(s.subtract(&t).is_ok());
         assert!(ctx.check_cancelled().is_ok());
         token.cancel();
@@ -1124,8 +1149,8 @@ mod tests {
         // A piece cap of zero makes any non-trivial negation inexact.
         let armed =
             RequestGovernor::new(&Budget::new().max_negation_pieces(0), None).arm_on_thread();
-        let s = ctx.parse_set("{[i] : 1 <= i <= 10}").unwrap();
-        let t = ctx.parse_set("{[i] : 3 <= i <= 5}").unwrap();
+        let s = set("{[i] : 1 <= i <= 10}");
+        let t = set("{[i] : 3 <= i <= 5}");
         assert!(matches!(s.subtract(&t), Err(OmegaError::InexactNegation)));
         drop(armed);
         assert!(s.subtract(&t).is_ok());
@@ -1136,9 +1161,10 @@ mod tests {
         use crate::inject::{FaultAction, InjectPlan};
         let run = |seed: u64| -> (bool, u64) {
             let ctx = Context::new();
+            let _armed = ctx.arm_on_thread();
             ctx.set_inject(Some(InjectPlan::new(seed, 3, FaultAction::Error)));
-            let s = ctx.parse_set("{[i] : 1 <= i <= 10}").unwrap();
-            let t = ctx.parse_set("{[i] : 3 <= i <= 30}").unwrap();
+            let s = set("{[i] : 1 <= i <= 10}");
+            let t = set("{[i] : 3 <= i <= 30}");
             let r = s.subtract(&t).is_ok();
             (r, ctx.inject_fired())
         };
@@ -1152,14 +1178,13 @@ mod tests {
     fn injected_budget_exhaustion_trips_governor() {
         use crate::inject::{FaultAction, InjectPlan};
         let ctx = Context::new();
+        let _cx = ctx.arm_on_thread();
         let _armed = RequestGovernor::new(&Budget::new(), None).arm_on_thread();
         ctx.set_inject(Some(
             InjectPlan::new(7, 1, FaultAction::ExhaustBudget).at_site("eliminate"),
         ));
-        let s = ctx
-            .parse_set("{[i] : exists(a : i = 2a) && 0 <= i <= 10}")
-            .unwrap();
-        let t = ctx.parse_set("{[i] : 3 <= i <= 30}").unwrap();
+        let s = set("{[i] : exists(a : i = 2a) && 0 <= i <= 10}");
+        let t = set("{[i] : 3 <= i <= 30}");
         let _ = s.subtract(&t);
         assert!(ctx.budget_tripped());
         assert_eq!(ctx.governor_stats().tripped, Some("injected"));
@@ -1169,10 +1194,11 @@ mod tests {
     fn injected_panics_unwind_cleanly() {
         use crate::inject::{FaultAction, InjectPlan};
         let ctx = Context::new();
+        let _armed = ctx.arm_on_thread();
         ctx.set_inject(Some(
             InjectPlan::new(9, 1, FaultAction::Panic).at_site("sat"),
         ));
-        let s = ctx.parse_set("{[i] : 1 <= i <= 10}").unwrap();
+        let s = set("{[i] : 1 <= i <= 10}");
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| s.is_empty()));
         assert!(r.is_err(), "period-1 sat panic plan must fire");
         // The context is not poisoned: disarm and keep using it.

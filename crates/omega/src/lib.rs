@@ -57,10 +57,12 @@ pub mod var;
 pub use budget::{Budget, CancelToken, GovernorStats, RequestGovernor, RequestGovernorGuard};
 pub use builder::{RelationBuilder, SetBuilder};
 pub use conjunct::{Conjunct, Normalized};
-pub use context::{governor_grace, CacheStats, Context, GraceGuard, OpCounts, DEFAULT_CACHE_CAP};
+pub use context::{
+    governor_grace, CacheStats, Context, ContextGuard, GraceGuard, OpCounts, DEFAULT_CACHE_CAP,
+};
 pub use inject::{FaultAction, InjectPlan};
 pub use linexpr::LinExpr;
-pub use ops::{negate_conjunct_in, to_stride_form_in};
+pub use ops::{negate_conjunct, to_stride_form};
 pub use parse::ParseError;
 pub use relation::Relation;
 pub use set::Set;

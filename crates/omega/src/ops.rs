@@ -1,6 +1,7 @@
 //! Exact negation of conjuncts — the engine behind set difference.
 
 use crate::conjunct::{Conjunct, Normalized};
+use crate::context::Context;
 use crate::linexpr::LinExpr;
 use crate::num::gcd;
 use crate::var::Var;
@@ -22,22 +23,13 @@ use std::collections::BTreeMap;
 /// Returns [`OmegaError::InexactNegation`] if the existential structure
 /// cannot be reduced to congruences.
 ///
-/// An optional shared [`Context`](crate::Context) memoizes the negation
-/// per distinct conjunct structure.
-pub fn negate_conjunct_in(
-    c: &Conjunct,
-    ctx: Option<&crate::Context>,
-) -> Result<Vec<Conjunct>, OmegaError> {
-    match ctx {
-        Some(cx) => cx.cached_negate(c, || negate_uncached(c, ctx)),
-        None => negate_uncached(c, None),
-    }
+/// The negation is memoized per distinct conjunct structure in
+/// [`Context::current`].
+pub fn negate_conjunct(c: &Conjunct) -> Result<Vec<Conjunct>, OmegaError> {
+    Context::current().cached_negate(c, || negate_uncached(c))
 }
 
-fn negate_uncached(
-    c: &Conjunct,
-    ctx: Option<&crate::Context>,
-) -> Result<Vec<Conjunct>, OmegaError> {
+fn negate_uncached(c: &Conjunct) -> Result<Vec<Conjunct>, OmegaError> {
     let mut c = c.clone();
     if c.normalize() == Normalized::False {
         // Complement of the empty conjunct is the universe. Every
@@ -51,7 +43,7 @@ fn negate_uncached(
     // Reduce to stride form: eliminate every existential that is not a pure
     // congruence witness. Elimination can introduce fresh existentials with
     // shrinking coefficients (the Omega test), so iterate with fuel.
-    let stride_form = to_stride_form_in(c, ctx)?;
+    let stride_form = to_stride_form(c)?;
     // ¬(u1 ∨ u2 ∨ ...) = ¬u1 ∧ ¬u2 ∧ ...
     //
     // The cross product over stride pieces can explode combinatorially (k
@@ -60,7 +52,7 @@ fn negate_uncached(
     // complement is too large to represent and the negation is inexact.
     // The cap is per-request configurable via `Budget::max_negation_pieces`
     // (default 10 000, the historical constant).
-    let limits = ctx.map_or_else(crate::Budget::default, crate::Context::limits);
+    let limits = Context::current().limits();
     let mut acc: Vec<Conjunct> = vec![Conjunct::new()];
     for p in &stride_form {
         let negs = negate_stride_conjunct(p);
@@ -95,19 +87,11 @@ fn negate_uncached(
 /// Returns [`OmegaError::InexactNegation`] if the reduction does not
 /// converge within its fuel budget (does not happen for the constraint
 /// class produced by affine loop nests and HPF layouts).
-///
-/// With a shared [`Context`](crate::Context) the exact eliminations go
-/// through the context's projection cache.
-pub fn to_stride_form_in(
-    c: Conjunct,
-    ctx: Option<&crate::Context>,
-) -> Result<Vec<Conjunct>, OmegaError> {
+pub fn to_stride_form(c: Conjunct) -> Result<Vec<Conjunct>, OmegaError> {
     let mut done = Vec::new();
     let mut work = vec![c];
     // Per-request configurable via `Budget::stride_fuel` (default 500).
-    let mut fuel = ctx
-        .map_or_else(crate::Budget::default, crate::Context::limits)
-        .stride_fuel;
+    let mut fuel = Context::current().limits().stride_fuel;
     while let Some(mut c) = work.pop() {
         if fuel == 0 {
             return Err(OmegaError::InexactNegation);
@@ -118,7 +102,7 @@ pub fn to_stride_form_in(
         }
         match first_complex_exist(&c) {
             None => done.push(c),
-            Some(v) => work.extend(c.eliminate_exact_in(v, ctx)?),
+            Some(v) => work.extend(c.eliminate_exact(v)?),
         }
     }
     Ok(done)
@@ -256,7 +240,7 @@ mod tests {
     fn negate_interval() {
         let mut c = Conjunct::new();
         c.add_bounds(iv(0), 3, 7);
-        let neg = negate_conjunct_in(&c, None).unwrap();
+        let neg = negate_conjunct(&c).unwrap();
         for x in -5..=15i64 {
             assert_eq!(member_of_union(&neg, x), !(3..=7).contains(&x), "x = {x}");
         }
@@ -266,7 +250,7 @@ mod tests {
     fn negate_equality() {
         let mut c = Conjunct::new();
         c.add_eq(crate::LinExpr::from_terms([(iv(0), 1)], -4)); // i = 4
-        let neg = negate_conjunct_in(&c, None).unwrap();
+        let neg = negate_conjunct(&c).unwrap();
         for x in 0..=8i64 {
             assert_eq!(member_of_union(&neg, x), x != 4);
         }
@@ -277,7 +261,7 @@ mod tests {
         // i ≡ 0 (mod 3)
         let mut c = Conjunct::new();
         c.add_stride(crate::LinExpr::var(iv(0)), 3);
-        let neg = negate_conjunct_in(&c, None).unwrap();
+        let neg = negate_conjunct(&c).unwrap();
         for x in -9..=9i64 {
             assert_eq!(member_of_union(&neg, x), x.rem_euclid(3) != 0, "x = {x}");
         }
@@ -287,7 +271,7 @@ mod tests {
     fn negate_empty_is_universe() {
         let mut c = Conjunct::new();
         c.add_geq(crate::LinExpr::constant(-1)); // false
-        let neg = negate_conjunct_in(&c, None).unwrap();
+        let neg = negate_conjunct(&c).unwrap();
         assert!(member_of_union(&neg, 42));
     }
 
@@ -300,7 +284,7 @@ mod tests {
         c.add_geq(crate::LinExpr::from_terms([(iv(0), -1), (a, 2)], 1));
         c.add_geq(crate::LinExpr::from_terms([(a, 1)], 0));
         c.add_geq(crate::LinExpr::from_terms([(a, -1)], 2));
-        let neg = negate_conjunct_in(&c, None).unwrap();
+        let neg = negate_conjunct(&c).unwrap();
         for x in -5..=10i64 {
             assert_eq!(member_of_union(&neg, x), !(0..=5).contains(&x), "x = {x}");
         }

@@ -12,8 +12,8 @@
 //! [`Set::enumerate`] as a second, library-level ground truth.
 //!
 //! Failures are minimized by a greedy [`shrink`] pass and reported as
-//! [`Counterexample`]s whose inputs are printable `parse_set` /
-//! `parse_relation` strings, ready to paste into a regression test (see
+//! [`Counterexample`]s whose inputs are printable Omega-syntax strings,
+//! ready to paste into a regression test (see
 //! `crates/omega/tests/oracle_regressions.rs`).
 //!
 //! The `oracle_fuzz` binary in `crates/bench` drives [`fuzz`] from the
@@ -22,7 +22,7 @@
 
 use crate::conjunct::Conjunct;
 use crate::linexpr::LinExpr;
-use crate::ops::negate_conjunct_in;
+use crate::ops::negate_conjunct;
 use crate::relation::Relation;
 use crate::set::Set;
 use crate::testing::Rng;
@@ -197,8 +197,8 @@ impl GenForm {
         }
     }
 
-    /// Renders the form in Omega syntax, parseable by
-    /// [`Context::parse_set`]/[`Context::parse_relation`].
+    /// Renders the form in Omega syntax, parseable as a [`Set`] or a
+    /// [`Relation`].
     pub fn source(&self) -> String {
         let mut s = String::from("{[");
         for i in 0..self.n_in {
@@ -515,7 +515,7 @@ pub struct Counterexample {
     pub law: &'static str,
     /// The per-case generator seed (replay with [`run_seed`]).
     pub seed: u64,
-    /// Minimized inputs as `parse_set`/`parse_relation` strings.
+    /// Minimized inputs as Omega-syntax strings.
     pub inputs: Vec<String>,
     /// Parameter bindings the failure was observed under.
     pub bindings: Vec<(String, i64)>,
@@ -768,7 +768,7 @@ fn check_inner(case: &Case, cfg: &OracleConfig) -> Result<Verdict, String> {
             let rel = sa.as_relation();
             let binds = a.bindings();
             for c in rel.conjuncts() {
-                let negs = match negate_conjunct_in(c, None) {
+                let negs = match negate_conjunct(c) {
                     Err(OmegaError::InexactNegation) => {
                         return Ok(Verdict::Skip("inexact negation"))
                     }
@@ -926,37 +926,32 @@ fn check_inner(case: &Case, cfg: &OracleConfig) -> Result<Verdict, String> {
         "cached-equiv" => {
             let (a, b) = (&inputs[0], &inputs[1]);
             let binds = a.bindings();
-            // Symmetric difference, computed without any context and with a
-            // shared memoizing context; the two must agree exactly.
-            let plain = {
-                let (sa, sb) = (a.to_set()?, b.to_set()?);
-                match symmetric_difference(&sa, &sb) {
+            let (sa, sb) = (a.to_set()?, b.to_set()?);
+            // Symmetric difference, once with a fresh context armed around
+            // each set operation, once in the thread's context (warm from
+            // every law checked on this thread before); both must agree
+            // with the reference.
+            let per_op = || -> Result<Set, OmegaError> {
+                let ab = cold(|| sa.subtract(&sb))?;
+                Ok(ab.union(&cold(|| sb.subtract(&sa))?))
+            };
+            let mut answers = Vec::new();
+            for d in [per_op(), symmetric_difference(&sa, &sb)] {
+                match d {
                     Err(OmegaError::InexactNegation) => {
                         return Ok(Verdict::Skip("inexact negation"))
                     }
                     Err(e) => return Err(format!("symmetric difference failed: {e}")),
-                    Ok(d) => d,
+                    Ok(d) => answers.push(d),
                 }
-            };
-            let cached = {
-                let ctx = Context::new();
-                let sa = ctx.parse_set(&a.source()).map_err(|e| e.to_string())?;
-                let sb = ctx.parse_set(&b.source()).map_err(|e| e.to_string())?;
-                match symmetric_difference(&sa, &sb) {
-                    Err(OmegaError::InexactNegation) => {
-                        return Ok(Verdict::Skip("inexact negation"))
-                    }
-                    Err(e) => return Err(format!("cached symmetric difference failed: {e}")),
-                    Ok(d) => d,
-                }
-            };
+            }
             for w in window_points(wlo, whi, a.dims()) {
                 let expect = a.eval(&w) != b.eval(&w);
-                let p = plain.contains(&w, &binds);
-                let c = cached.contains(&w, &binds);
-                if p != expect || c != expect {
+                let c = cold(|| answers[0].contains(&w, &binds));
+                let h = answers[1].contains(&w, &binds);
+                if c != expect || h != expect {
                     return Err(format!(
-                        "cached-equiv: at {w:?} expected {expect}, plain {p}, cached {c}"
+                        "cached-equiv: at {w:?} expected {expect}, fresh contexts {c}, warm {h}"
                     ));
                 }
             }
@@ -1112,7 +1107,6 @@ fn check_inner(case: &Case, cfg: &OracleConfig) -> Result<Verdict, String> {
                     }
                 }
             }
-            let ctx = Context::new();
             let mut decided = false;
             for c in &subjects {
                 let expect = match nonempty_by_projection(c) {
@@ -1122,8 +1116,8 @@ fn check_inner(case: &Case, cfg: &OracleConfig) -> Result<Verdict, String> {
                 };
                 decided = true;
                 for (how, got) in [
-                    ("uncached", c.is_satisfiable()),
-                    ("cached", c.is_satisfiable_in(Some(&ctx))),
+                    ("on a fresh context", cold(|| c.is_satisfiable())),
+                    ("on a warm context", c.is_satisfiable()),
                 ] {
                     if got != expect {
                         return Err(format!(
@@ -1151,21 +1145,26 @@ fn check_inner(case: &Case, cfg: &OracleConfig) -> Result<Verdict, String> {
             let (a, b) = (&inputs[0], &inputs[1]);
             let binds = a.bindings();
             let last = Var::In(a.dims() as u32 - 1);
-            let pipeline = |ctx: &Context| -> Result<_, String> {
-                let sa = ctx.parse_set(&a.source()).map_err(|e| e.to_string())?;
-                let sb = ctx.parse_set(&b.source()).map_err(|e| e.to_string())?;
-                Ok(symmetric_difference(&sa, &sb).and_then(|d| {
+            let (sa, sb) = (a.to_set()?, b.to_set()?);
+            let pipeline = |ctx: &Context| {
+                let _armed = ctx.arm_on_thread();
+                symmetric_difference(&sa, &sb).and_then(|d| {
                     let mut projected = Vec::new();
                     for c in d.as_relation().conjuncts() {
-                        projected.extend(c.eliminate_exact_in(last, Some(ctx))?);
+                        projected.extend(c.eliminate_exact(last)?);
                     }
                     Ok((d, projected))
-                }))
+                })
+            };
+            let member = |ctx: &Context, d: &Set, w: &[i64]| {
+                let _armed = ctx.arm_on_thread();
+                d.contains(w, &binds)
             };
             let counted = RequestGovernor::new(&Budget::new(), None);
+            let fresh_ctx = Context::new();
             let fresh = {
                 let _armed = counted.arm_on_thread();
-                pipeline(&Context::new())?
+                pipeline(&fresh_ctx)
             };
             let (fresh, fresh_projected) = match fresh {
                 Err(OmegaError::InexactNegation) => return Ok(Verdict::Skip("inexact negation")),
@@ -1180,9 +1179,9 @@ fn check_inner(case: &Case, cfg: &OracleConfig) -> Result<Verdict, String> {
                     let governor = RequestGovernor::new(&Budget::new().op_fuel(fuel), None);
                     let _armed = governor.arm_on_thread();
                     // Refused or degraded: either way it is not compared.
-                    let _ = pipeline(&ctx)?;
+                    let _ = pipeline(&ctx);
                 }
-                let (after, after_projected) = pipeline(&ctx)?
+                let (after, after_projected) = pipeline(&ctx)
                     .map_err(|e| format!("fuel {fuel}: the rerun after the refusal failed: {e}"))?;
                 if after_projected != fresh_projected {
                     return Err(format!(
@@ -1192,8 +1191,8 @@ fn check_inner(case: &Case, cfg: &OracleConfig) -> Result<Verdict, String> {
                 }
                 for w in window_points(wlo, whi, a.dims()) {
                     let expect = a.eval(&w) != b.eval(&w);
-                    let f = fresh.contains(&w, &binds);
-                    let r = after.contains(&w, &binds);
+                    let f = member(&fresh_ctx, &fresh, &w);
+                    let r = member(&ctx, &after, &w);
                     if f != expect || r != expect {
                         return Err(format!(
                             "fuel {fuel}: at {w:?} expected {expect}, fresh {f}, after a refusal {r}"
@@ -1240,6 +1239,13 @@ fn nonempty_by_projection(c: &Conjunct) -> Result<Option<bool>, OmegaError> {
 }
 
 /// `(A - B) ∪ (B - A)` through the fallible subtraction path.
+/// Runs `f` with a fresh context armed on the thread: what an operation
+/// computes with no memo entry to draw on.
+fn cold<T>(f: impl FnOnce() -> T) -> T {
+    let _armed = Context::new().arm_on_thread();
+    f()
+}
+
 fn symmetric_difference(a: &Set, b: &Set) -> Result<Set, OmegaError> {
     Ok(a.subtract(b)?.union(&b.subtract(a)?))
 }

@@ -477,7 +477,7 @@ impl FromStr for Set {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let rel = parse_relation(s)?;
         if rel.n_out() != 0 {
-            return Err(ParseError::new("expected a set, found a relation", 0));
+            return Err(ParseError::expected_set());
         }
         Ok(Set::from_relation(rel))
     }

@@ -1,9 +1,9 @@
 //! Relations: unions of [`Conjunct`]s mapping input tuples to output tuples.
 
 use crate::conjunct::{Conjunct, Normalized};
-use crate::context::{join, Context};
+use crate::context::Context;
 use crate::linexpr::LinExpr;
-use crate::ops::negate_conjunct_in;
+use crate::ops::negate_conjunct;
 use crate::var::Var;
 use crate::OmegaError;
 
@@ -30,7 +30,6 @@ pub struct Relation {
     pub(crate) in_names: Vec<String>,
     pub(crate) out_names: Vec<String>,
     conjuncts: Vec<Conjunct>,
-    pub(crate) ctx: Option<Context>,
 }
 
 impl Relation {
@@ -43,7 +42,6 @@ impl Relation {
             in_names: Vec::new(),
             out_names: Vec::new(),
             conjuncts: vec![Conjunct::new()],
-            ctx: None,
         }
     }
 
@@ -56,30 +54,7 @@ impl Relation {
             in_names: Vec::new(),
             out_names: Vec::new(),
             conjuncts: Vec::new(),
-            ctx: None,
         }
-    }
-
-    /// Attaches a shared [`Context`], returning the relation.
-    ///
-    /// Derived relations inherit the context of their operands (the left
-    /// operand wins when both carry one), so attaching a context to the
-    /// *root* relations of a computation is enough for every downstream
-    /// operation to share its caches.
-    #[must_use]
-    pub fn with_context(mut self, ctx: &Context) -> Self {
-        self.ctx = Some(ctx.clone());
-        self
-    }
-
-    /// Attaches (or clears) the shared [`Context`] in place.
-    pub fn set_context(&mut self, ctx: Option<&Context>) {
-        self.ctx = ctx.cloned();
-    }
-
-    /// The shared [`Context`] attached to this relation, if any.
-    pub fn context(&self) -> Option<&Context> {
-        self.ctx.as_ref()
     }
 
     /// Number of input tuple variables.
@@ -208,7 +183,6 @@ impl Relation {
         if a.out_names.is_empty() {
             a.out_names = b.out_names;
         }
-        a.ctx = join(a.ctx.as_ref(), b.ctx.as_ref());
         a
     }
 
@@ -235,7 +209,6 @@ impl Relation {
                 a.out_names.clone()
             },
             conjuncts: Vec::new(),
-            ctx: join(a.ctx.as_ref(), b.ctx.as_ref()),
         };
         for ca in &a.conjuncts {
             for cb in &b.conjuncts {
@@ -255,7 +228,7 @@ impl Relation {
     ///
     /// Returns [`OmegaError::InexactNegation`] when a conjunct of `other`
     /// has an existential that cannot be eliminated or expressed as a
-    /// stride (see [`negate_conjunct_in`]; the constraint classes produced
+    /// stride (see [`negate_conjunct`]; the constraint classes produced
     /// by the dHPF analyses never trigger this), and the
     /// budget/cancellation error when the thread's governor refuses a
     /// negation.
@@ -266,17 +239,15 @@ impl Relation {
     pub fn subtract(&self, other: &Relation) -> Result<Relation, OmegaError> {
         self.check_same_arity(other, "subtract");
         let (a, b) = Relation::unify_params(self.clone(), other.clone());
-        let ctx = join(a.ctx.as_ref(), b.ctx.as_ref());
-        let cx = ctx.as_ref();
         let mut pieces: Vec<Conjunct> = a.conjuncts.clone();
         for cb in &b.conjuncts {
-            let negs = negate_conjunct_in(cb, cx)?;
+            let negs = negate_conjunct(cb)?;
             let mut next = Vec::new();
             for p in &pieces {
                 for n in &negs {
                     let mut c = p.clone();
                     c.merge(n);
-                    if c.normalize() != Normalized::False && c.is_satisfiable_in(cx) {
+                    if c.normalize() != Normalized::False && c.is_satisfiable() {
                         next.push(c);
                     }
                 }
@@ -293,7 +264,6 @@ impl Relation {
             in_names: a.in_names.clone(),
             out_names: a.out_names.clone(),
             conjuncts: pieces,
-            ctx: ctx.clone(),
         };
         out.simplify();
         Ok(out)
@@ -307,7 +277,7 @@ impl Relation {
     /// # Errors
     ///
     /// Eliminating the mid tuple is a projection, which has no conservative
-    /// answer: returns what [`Conjunct::eliminate_exact_in`] returns — a
+    /// answer: returns what [`Conjunct::eliminate_exact`] returns — a
     /// governor refusal (budget, cancellation) or a coefficient overflow.
     ///
     /// # Panics
@@ -328,10 +298,7 @@ impl Relation {
             in_names: a.in_names.clone(),
             out_names: b.out_names.clone(),
             conjuncts: Vec::new(),
-            ctx: join(a.ctx.as_ref(), b.ctx.as_ref()),
         };
-        let ctx = out.ctx.clone();
-        let cx = ctx.as_ref();
         for ca in &a.conjuncts {
             for cb in &b.conjuncts {
                 // Mid variables become existentials Exist(0..mid); the two
@@ -356,7 +323,7 @@ impl Relation {
                 for j in 0..mid {
                     let mut next = Vec::new();
                     for c in work {
-                        next.extend(c.eliminate_exact_in(Var::Exist(j), cx)?);
+                        next.extend(c.eliminate_exact(Var::Exist(j))?);
                     }
                     work = next;
                 }
@@ -394,17 +361,15 @@ impl Relation {
             in_names: self.out_names.clone(),
             out_names: self.in_names.clone(),
             conjuncts: self.conjuncts.iter().map(|c| c.rename(f)).collect(),
-            ctx: self.ctx.clone(),
         }
     }
 
     /// Eliminates a tuple variable exactly from every conjunct, keeping the
     /// arity bookkeeping to the caller. Internal building block.
     fn eliminate_var(&mut self, v: Var) -> Result<(), OmegaError> {
-        let ctx = self.ctx.clone();
         let mut out = Vec::new();
         for c in &self.conjuncts {
-            out.extend(c.eliminate_exact_in(v, ctx.as_ref())?);
+            out.extend(c.eliminate_exact(v)?);
         }
         self.conjuncts = out;
         Ok(())
@@ -483,7 +448,6 @@ impl Relation {
                 .iter()
                 .map(|c| c.rename(f))
                 .collect(),
-            ctx: set.as_relation().ctx.clone(),
         };
         if lifted.out_names.is_empty() {
             lifted.out_names = self.out_names.clone();
@@ -543,8 +507,7 @@ impl Relation {
     /// True if the relation has no integer solutions for any parameter
     /// values.
     pub fn is_empty(&self) -> bool {
-        let cx = self.ctx.as_ref();
-        !self.conjuncts.iter().any(|c| c.is_satisfiable_in(cx))
+        !self.conjuncts.iter().any(Conjunct::is_satisfiable)
     }
 
     /// True if some tuple satisfies the relation for some parameter values.
@@ -592,26 +555,19 @@ impl Relation {
     /// ~3x slower — smaller intermediate sets pay for the per-operation
     /// cost everywhere.
     pub fn simplify(&mut self) {
-        match self.ctx.clone() {
-            Some(cx) => {
-                self.conjuncts = cx.cached_simplify(&self.conjuncts, || {
-                    let mut scratch = self.clone();
-                    scratch.simplify_uncached();
-                    scratch.conjuncts
-                });
-            }
-            None => self.simplify_uncached(),
-        }
+        self.conjuncts = Context::current().cached_simplify(&self.conjuncts, || {
+            let mut scratch = self.clone();
+            scratch.simplify_uncached();
+            scratch.conjuncts
+        });
     }
 
     fn simplify_uncached(&mut self) {
-        let ctx = self.ctx.clone();
-        let cx = ctx.as_ref();
         self.simplify_cheap();
-        self.conjuncts.retain(|c| c.is_satisfiable_in(cx));
+        self.conjuncts.retain(Conjunct::is_satisfiable);
         self.syntactic_subsume();
         for c in &mut self.conjuncts {
-            c.remove_redundant_in(cx);
+            c.remove_redundant();
         }
         self.simplify_cheap();
         self.semantic_subsume();
@@ -624,8 +580,6 @@ impl Relation {
         if self.conjuncts.len() < 2 {
             return;
         }
-        let ctx = self.ctx.clone();
-        let cx = ctx.as_ref();
         let mut keep = vec![true; self.conjuncts.len()];
         // Subsumption is only an optimization: when the negation
         // shatters into too many pieces (stride-heavy conjuncts can
@@ -633,9 +587,7 @@ impl Relation {
         // keeping the extra conjunct. Skip those pairs. The cap is
         // per-request configurable via
         // `Budget::subsume_negation_pieces` (default 64).
-        let max_neg_pieces = cx
-            .map_or_else(crate::Budget::default, crate::Context::limits)
-            .subsume_negation_pieces;
+        let max_neg_pieces = Context::current().limits().subsume_negation_pieces;
         for i in 0..self.conjuncts.len() {
             if !keep[i] {
                 continue;
@@ -644,7 +596,7 @@ impl Relation {
                 if i == j || !keep[j] {
                     continue;
                 }
-                if let Ok(negs) = negate_conjunct_in(&self.conjuncts[j], cx) {
+                if let Ok(negs) = negate_conjunct(&self.conjuncts[j]) {
                     if negs.len() > max_neg_pieces {
                         continue;
                     }
@@ -652,7 +604,7 @@ impl Relation {
                     let sub = negs.iter().all(|n| {
                         let mut t = ci.clone();
                         t.merge(n);
-                        t.normalize() == Normalized::False || !t.is_satisfiable_in(cx)
+                        t.normalize() == Normalized::False || !t.is_satisfiable()
                     });
                     if sub {
                         keep[i] = false;
@@ -713,13 +665,11 @@ impl Relation {
         self.check_same_arity(context, "gist");
         let (a, b) = Relation::unify_params(self.clone(), context.clone());
         let mut out = a.clone();
-        out.ctx = join(a.ctx.as_ref(), b.ctx.as_ref());
         if b.conjuncts.len() == 1 {
-            let cx = out.ctx.clone();
             out.conjuncts = a
                 .conjuncts
                 .iter()
-                .map(|c| c.gist_given_in(&b.conjuncts[0], cx.as_ref()))
+                .map(|c| c.gist_given(&b.conjuncts[0]))
                 .collect();
         }
         out.simplify_cheap();
@@ -751,8 +701,7 @@ impl Relation {
             }
             Var::Exist(_) => None,
         };
-        let cx = self.ctx.as_ref();
-        self.conjuncts.iter().any(|c| c.contains_in(lookup, cx))
+        self.conjuncts.iter().any(|c| c.contains(lookup))
     }
 
     /// A fresh [`LinExpr`] naming input variable `i`.

@@ -50,24 +50,6 @@ impl Set {
         Set { rel }
     }
 
-    /// Attaches a shared [`Context`](crate::Context), returning the set.
-    /// See [`Relation::with_context`].
-    #[must_use]
-    pub fn with_context(mut self, ctx: &crate::Context) -> Self {
-        self.rel = self.rel.with_context(ctx);
-        self
-    }
-
-    /// Attaches (or clears) the shared [`Context`](crate::Context) in place.
-    pub fn set_context(&mut self, ctx: Option<&crate::Context>) {
-        self.rel.set_context(ctx);
-    }
-
-    /// The shared [`Context`](crate::Context) attached to this set, if any.
-    pub fn context(&self) -> Option<&crate::Context> {
-        self.rel.context()
-    }
-
     /// Views the set as a relation.
     pub fn as_relation(&self) -> &Relation {
         &self.rel
@@ -185,15 +167,13 @@ impl Set {
             })
             .collect();
         *rel.conjuncts_mut() = conjs;
-        let ctx = self.rel.context().cloned();
-        let cx = ctx.as_ref();
         let tmp = Relation::universe(arity, dims.len() as u32);
         let (mut a, _) = Relation::unify_params(rel, tmp);
         for i in 0..arity {
             if pos_of(i).is_none() {
                 let mut out = Vec::new();
                 for c in a.conjuncts() {
-                    out.extend(c.eliminate_exact_in(Var::In(i), cx)?);
+                    out.extend(c.eliminate_exact(Var::In(i))?);
                 }
                 *a.conjuncts_mut() = out;
             }
@@ -210,9 +190,6 @@ impl Set {
             })
             .collect();
         let mut tmp = Relation::universe(dims.len() as u32, 0);
-        if let Some(cx) = cx {
-            tmp = tmp.with_context(cx);
-        }
         for p in a.params() {
             tmp.ensure_param(p);
         }
@@ -242,10 +219,9 @@ impl Set {
         let mut any = false;
         // Stride-form first: congruence-only existentials keep inequalities
         // witness-free, so every bound is directly readable.
-        let cx = proj.rel.context().cloned();
         let mut conjs = Vec::new();
         for c in proj.rel.conjuncts() {
-            match crate::ops::to_stride_form_in(c.clone(), cx.as_ref()) {
+            match crate::ops::to_stride_form(c.clone()) {
                 Ok(parts) => conjs.extend(parts),
                 Err(_) => conjs.push(c.clone()),
             }
@@ -257,7 +233,7 @@ impl Set {
         let mut lo_unbounded = false;
         let mut hi_unbounded = false;
         for c in &conjs {
-            if !c.is_satisfiable_in(cx.as_ref()) {
+            if !c.is_satisfiable() {
                 continue;
             }
             any = true;
@@ -324,10 +300,11 @@ impl Set {
     ///
     /// # Errors
     ///
-    /// Returns [`OmegaError::Arity`] if the arity is not 1 and the errors of
+    /// Returns [`OmegaError::Arity`] if the arity is not 1, the errors of
     /// [`Set::subtract`] if the complement needed by the hole test cannot
-    /// be formed; callers (e.g. the in-place communication analysis) fall
-    /// back to the paper's §3.3 runtime check.
+    /// be formed, and the governor's refusal of the final emptiness test;
+    /// callers (e.g. the in-place communication analysis) fall back to the
+    /// paper's §3.3 runtime check.
     pub fn is_convex_1d(&self) -> Result<bool, OmegaError> {
         if self.arity() != 1 {
             return Err(OmegaError::Arity("is_convex_1d"));
@@ -342,7 +319,7 @@ impl Set {
             .intersection(&sz)
             .intersection(&not_y)
             .intersection(&order);
-        Ok(holes.is_empty())
+        proven_empty(&holes)
     }
 
     /// True for a 1-D set that provably contains at most one element for any
@@ -350,7 +327,9 @@ impl Set {
     ///
     /// # Errors
     ///
-    /// Returns [`OmegaError::Arity`] if the arity is not 1.
+    /// Returns [`OmegaError::Arity`] if the arity is not 1, and the
+    /// budget/cancellation error when the thread's governor refuses the
+    /// emptiness test: a refused test proves nothing either way.
     pub fn is_singleton_1d(&self) -> Result<bool, OmegaError> {
         if self.arity() != 1 {
             return Err(OmegaError::Arity("is_singleton_1d"));
@@ -358,7 +337,7 @@ impl Set {
         let sx = self.embed(2, 0);
         let sy = self.embed(2, 1);
         let order: Set = "{[x,y] : x <= y - 1}".parse().unwrap();
-        Ok(sx.intersection(&sy).intersection(&order).is_empty())
+        proven_empty(&sx.intersection(&sy).intersection(&order))
     }
 
     /// Embeds a 1-D set into dimension `dim` of an `arity`-dimensional
@@ -383,6 +362,17 @@ impl Set {
         *rel.conjuncts_mut() = conjs;
         Set { rel }
     }
+}
+
+/// Exact emptiness for the §3.3 tests: a refused satisfiability test is an
+/// `Err`, not the conservative "non-empty" of [`Set::is_empty`].
+fn proven_empty(s: &Set) -> Result<bool, OmegaError> {
+    for c in s.rel.conjuncts() {
+        if c.try_is_satisfiable()? {
+            return Ok(false);
+        }
+    }
+    Ok(true)
 }
 
 /// Constant bounds of the single dimension of a 1-D conjunct, ignoring

@@ -240,22 +240,22 @@ fn trailing_unused_existentials_are_trimmed() {
 /// cached answers must be the ones the fresh computation would give.
 #[test]
 fn memo_hits_across_spellings_stay_correct() {
-    let ctx = Context::new();
+    let _armed = Context::new().arm_on_thread();
 
     let mut scaled = Conjunct::new();
     scaled.add_geq(e(&[(iv(0), 3)], -6)); // 3x >= 6
     scaled.add_geq(e(&[(iv(0), -3)], 30)); // 3x <= 30
-    assert!(scaled.is_satisfiable_in(Some(&ctx)));
+    assert!(scaled.is_satisfiable());
 
     let mut reduced = Conjunct::new();
     reduced.add_geq(e(&[(iv(0), 1)], -2)); // x >= 2
     reduced.add_geq(e(&[(iv(0), -1)], 10)); // x <= 10
-    assert!(reduced.is_satisfiable_in(Some(&ctx)));
+    assert!(reduced.is_satisfiable());
 
     // Negation through the shared cache: both spellings must agree on
     // membership of every probe point.
-    let neg_s = dhpf_omega::negate_conjunct_in(&scaled, Some(&ctx)).unwrap();
-    let neg_r = dhpf_omega::negate_conjunct_in(&reduced, Some(&ctx)).unwrap();
+    let neg_s = dhpf_omega::negate_conjunct(&scaled).unwrap();
+    let neg_r = dhpf_omega::negate_conjunct(&reduced).unwrap();
     for x in -3..=14i64 {
         let in_s = neg_s
             .iter()

@@ -1,7 +1,7 @@
 //! Minimized regressions from the differential oracle (`oracle_fuzz`).
 //!
 //! Each test replays a counterexample found by the fuzz harness and
-//! minimized by its shrinker, stated as a printable `parse_set` string plus
+//! minimized by its shrinker, stated as a printable Omega-syntax set plus
 //! the law it violated. Keep each case minimal and annotated with the law
 //! name so future refactors cannot silently reintroduce the bug.
 

@@ -2,7 +2,7 @@
 //! parameter unification, restriction properties, gist laws, and the
 //! specific set shapes produced by HPF distributions.
 
-use dhpf_omega::{Budget, CancelToken, Context, OmegaError, Relation, RequestGovernor, Set};
+use dhpf_omega::{Budget, CancelToken, OmegaError, Relation, RequestGovernor, Set};
 
 fn rel(s: &str) -> Relation {
     s.parse().unwrap()
@@ -156,13 +156,10 @@ fn symbolic_subset_depends_on_all_params() {
 /// operation with a sound fallback absorbs it into its conservative answer.
 #[test]
 fn a_refused_operation_is_an_err_or_a_conservative_answer() {
-    let ctx = Context::new();
-    let r = ctx
-        .parse_relation("{[i] -> [j] : 2j <= i <= 2j + 1 && 0 <= i <= N}")
-        .unwrap();
-    let s = ctx.parse_set("{[i] : 3 <= i <= 9}").unwrap();
-    let t = ctx.parse_set("{[i] : 5 <= i <= N}").unwrap();
-    let pairs = ctx.parse_set("{[i,j] : 0 <= i <= j && j <= 5}").unwrap();
+    let r = rel("{[i] -> [j] : 2j <= i <= 2j + 1 && 0 <= i <= N}");
+    let s = set("{[i] : 3 <= i <= 9}");
+    let t = set("{[i] : 5 <= i <= N}");
+    let pairs = set("{[i,j] : 0 <= i <= j && j <= 5}");
     type Op<'a> = (&'a str, Box<dyn Fn() -> Result<(), OmegaError> + 'a>);
     let fallible: Vec<Op> = vec![
         ("then", Box::new(|| r.then(&r.inverse()).map(drop))),
@@ -177,19 +174,18 @@ fn a_refused_operation_is_an_err_or_a_conservative_answer() {
         ("subtract", Box::new(|| s.subtract(&t).map(drop))),
         ("equal", Box::new(|| s.equal(&t).map(drop))),
         ("is_subset_of", Box::new(|| s.is_subset_of(&t).map(drop))),
-        // `is_convex_1d`/`is_singleton_1d` re-embed their operand in a
-        // fresh context-less universe, so they run ungoverned: not here.
+        ("is_convex_1d", Box::new(|| s.is_convex_1d().map(drop))),
+        (
+            "is_singleton_1d",
+            Box::new(|| s.is_singleton_1d().map(drop)),
+        ),
     ];
     // Operands for the absorbing operations, each with an exact answer the
     // conservative one visibly differs from.
-    let even_and_odd = ctx
-        .parse_set("{[i] : exists(a : i = 2a) && exists(b : i = 2b + 1)}")
-        .unwrap();
-    let nested = ctx
-        .parse_set("{[i] : 1 <= i <= 10 || 2 <= i <= 5}")
-        .unwrap();
-    let bounded = ctx.parse_set("{[i] : 1 <= i <= 10 && i <= N}").unwrap();
-    let known = ctx.parse_set("{[i] : 1 <= i <= 10}").unwrap();
+    let even_and_odd = set("{[i] : exists(a : i = 2a) && exists(b : i = 2b + 1)}");
+    let nested = set("{[i] : 1 <= i <= 10 || 2 <= i <= 5}");
+    let bounded = set("{[i] : 1 <= i <= 10 && i <= N}");
+    let known = set("{[i] : 1 <= i <= 10}");
     let constraints = |rel: &Relation| -> usize {
         let count = |c: &dhpf_omega::Conjunct| c.eqs().len() + c.geqs().len();
         rel.conjuncts().iter().map(count).sum()

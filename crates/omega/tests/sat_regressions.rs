@@ -1,14 +1,14 @@
 //! Hand-made cases for each branch of the satisfiability decision
 //! procedure (dark shadow first, real shadow second, splinters on demand,
-//! one-sided variables dropped in place), for the sole-bound quick test of
-//! `remove_redundant`, and for the rule that a verdict reached after a
-//! governor refusal is never memoized.
+//! one-sided variables dropped in place), for the sole-bound quick test and
+//! the per-component tests of `remove_redundant`, and for the rule that a
+//! verdict reached after a governor refusal is never memoized.
 //!
 //! Verdicts are checked against brute-force enumeration; the branch taken
 //! is pinned through the context's counters, where a shadow step shows as
 //! one `eliminate` miss and each shadow's sub-question as one `sat` lookup.
 
-use dhpf_omega::{negate_conjunct_in, Budget, Conjunct, Context, LinExpr, RequestGovernor, Var};
+use dhpf_omega::{negate_conjunct, Budget, Conjunct, Context, LinExpr, RequestGovernor, Set, Var};
 
 const X: Var = Var::In(0);
 const Y: Var = Var::In(1);
@@ -41,15 +41,17 @@ fn brute_force(c: &Conjunct) -> bool {
     })
 }
 
-/// Asserts the verdict three ways — brute force, no context, fresh
-/// context — and returns that context's `(sat lookups, eliminate misses)`.
+/// Asserts the verdict three ways — brute force, the thread's context, a
+/// fresh context — and returns the fresh context's `(sat lookups,
+/// eliminate misses)`.
 fn decide(c: &Conjunct, expect: bool) -> (u64, u64) {
     assert_eq!(brute_force(c), expect, "brute force on {c:?}");
-    assert_eq!(c.is_satisfiable(), expect, "uncached on {c:?}");
+    assert_eq!(c.is_satisfiable(), expect, "thread's context on {c:?}");
     let ctx = Context::new();
-    assert_eq!(c.is_satisfiable_in(Some(&ctx)), expect, "cached on {c:?}");
+    let _armed = ctx.arm_on_thread();
+    assert_eq!(c.is_satisfiable(), expect, "fresh context on {c:?}");
     let stats = ctx.stats();
-    assert_eq!(c.try_is_satisfiable_in(Some(&ctx)), Ok(expect));
+    assert_eq!(c.try_is_satisfiable(), Ok(expect));
     (stats.sat.hits + stats.sat.misses, stats.eliminate.misses)
 }
 
@@ -150,13 +152,51 @@ fn sole_bound_in_an_equality_still_gets_its_decision() {
     // Without the equality both are sole bounds, and no decision runs.
     let mut free = conjunct(&[], &[e(&[(X, 1)], 0), e(&[(Y, 1)], -3)]);
     let ctx = Context::new();
-    free.remove_redundant_in(Some(&ctx));
+    let _armed = ctx.arm_on_thread();
+    free.remove_redundant();
     assert_eq!(free.geqs().len(), 2);
     assert_eq!(ctx.stats().sat.misses + ctx.stats().sat.hits, 0);
 }
 
-/// The parent commit's `remove_redundant`: one full decision per
-/// inequality, no quick test.
+#[test]
+fn redundancy_tests_are_shared_across_unrelated_components() {
+    // The same bounds on x, each with a second lower and upper bound so
+    // that none is a sole bound; the y parts share no variable with them.
+    let x_part = [
+        e(&[(X, 1)], -1),
+        e(&[(X, 1)], -3),
+        e(&[(X, -1)], 10),
+        e(&[(X, -1)], 12),
+    ];
+    let with_y = |lo: i64, hi: i64| {
+        let mut geqs = x_part.to_vec();
+        geqs.extend([e(&[(Y, 1)], -lo), e(&[(Y, -1)], hi)]);
+        conjunct(&[], &geqs)
+    };
+    let ctx = Context::new();
+    let _armed = ctx.arm_on_thread();
+    let mut first = with_y(0, 5);
+    first.remove_redundant();
+    let before = ctx.stats();
+    let mut second = with_y(7, 9);
+    second.remove_redundant();
+    let after = ctx.stats();
+    let kept = [e(&[(X, 1)], -3), e(&[(X, -1)], 10)];
+    assert_eq!(first.geqs()[..2], kept);
+    assert_eq!(
+        second.geqs(),
+        [&kept[..], &[e(&[(Y, 1)], -7), e(&[(Y, -1)], 9)]].concat()
+    );
+    // Three x bounds are tested per conjunct (x >= 3 is the sole lower
+    // bound once x >= 1 is gone); the second conjunct's tests are the
+    // first's, answered from the memo table.
+    assert_eq!(after.sat.misses, before.sat.misses);
+    assert_eq!(after.eliminate.misses, before.eliminate.misses);
+    assert_eq!(after.sat.hits - before.sat.hits, 3);
+}
+
+/// The textbook `remove_redundant`: one full decision per inequality
+/// against every other constraint; no quick test, no components.
 fn remove_redundant_reference(c: &Conjunct) -> Vec<LinExpr> {
     let mut geqs = c.geqs().to_vec();
     let mut i = 0;
@@ -234,12 +274,14 @@ fn remove_redundant_matches_the_parent_constraint_for_constraint() {
             }
             let expect = remove_redundant_reference(&c);
             dropped += c.geqs().len() - expect.len();
-            let ctx = Context::new();
-            let mut cached = c.clone();
-            cached.remove_redundant_in(Some(&ctx));
+            let mut fresh = c.clone();
+            {
+                let _armed = Context::new().arm_on_thread();
+                fresh.remove_redundant();
+            }
             c.remove_redundant();
             assert_eq!(c.geqs(), expect, "case {i}, normalized {normalized}");
-            assert_eq!(cached.geqs(), expect, "case {i} through a context");
+            assert_eq!(fresh.geqs(), expect, "case {i} on a fresh context");
         }
     }
     assert!(dropped >= 6, "the corpus must exercise removal: {dropped}");
@@ -252,8 +294,9 @@ fn remove_redundant_matches_the_parent_constraint_for_constraint() {
 fn governor_refusal_inside_a_decision_never_poisons_the_sat_memo() {
     for fuel in [0, 1, 2] {
         let ctx = Context::new();
-        let s = ctx
-            .parse_set("{[i,j,k] : i+j+k >= 10 && 0 <= i <= 3 && 0 <= j <= 3 && 0 <= k <= 3}")
+        let _cx = ctx.arm_on_thread();
+        let s: Set = "{[i,j,k] : i+j+k >= 10 && 0 <= i <= 3 && 0 <= j <= 3 && 0 <= k <= 3}"
+            .parse()
             .unwrap();
         let armed = RequestGovernor::new(&Budget::new().op_fuel(fuel), None).arm_on_thread();
         assert!(
@@ -265,13 +308,13 @@ fn governor_refusal_inside_a_decision_never_poisons_the_sat_memo() {
             "fuel {fuel} must run out mid-decision"
         );
         let c = &s.as_relation().conjuncts()[0];
-        assert!(c.try_is_satisfiable_in(Some(&ctx)).is_err());
+        assert!(c.try_is_satisfiable().is_err());
         drop(armed);
         assert!(
             s.is_empty(),
             "fuel {fuel}: the exact verdict after re-arming"
         );
-        assert_eq!(c.try_is_satisfiable_in(Some(&ctx)), Ok(false));
+        assert_eq!(c.try_is_satisfiable(), Ok(false));
     }
 }
 
@@ -293,30 +336,31 @@ fn governor_refusal_inside_compute_never_poisons_eliminate_or_negate() {
             e(&[(a, -1)], 4),
         ],
     );
-    let fresh = Context::new();
-    let eliminated = c.eliminate_exact_in(a, Some(&fresh)).unwrap();
-    let negated = negate_conjunct_in(&c, Some(&fresh)).unwrap();
+    let (eliminated, negated) = {
+        let _fresh = Context::new().arm_on_thread();
+        (c.eliminate_exact(a).unwrap(), negate_conjunct(&c).unwrap())
+    };
     let (mut inside_eliminate, mut inside_negate) = (0, 0);
     for fuel in 0..12 {
-        let ctx = Context::new();
+        let _cx = Context::new().arm_on_thread();
         let armed = RequestGovernor::new(&Budget::new().op_fuel(fuel), None).arm_on_thread();
-        let refused = c.eliminate_exact_in(a, Some(&ctx)).is_err();
+        let refused = c.eliminate_exact(a).is_err();
         // Fuel 0 refuses the outer charge; anything later is nested.
         inside_eliminate += u32::from(refused && fuel > 0);
         drop(armed);
         assert_eq!(
-            c.eliminate_exact_in(a, Some(&ctx)).as_ref(),
+            c.eliminate_exact(a).as_ref(),
             Ok(&eliminated),
             "eliminate after a refusal at fuel {fuel}"
         );
 
-        let ctx = Context::new();
+        let _cx = Context::new().arm_on_thread();
         let armed = RequestGovernor::new(&Budget::new().op_fuel(fuel), None).arm_on_thread();
-        let refused = negate_conjunct_in(&c, Some(&ctx)).is_err();
+        let refused = negate_conjunct(&c).is_err();
         inside_negate += u32::from(refused && fuel > 0);
         drop(armed);
         assert_eq!(
-            negate_conjunct_in(&c, Some(&ctx)).as_ref(),
+            negate_conjunct(&c).as_ref(),
             Ok(&negated),
             "negate after a refusal at fuel {fuel}"
         );

@@ -4,9 +4,9 @@
 //!
 //! Run with: `cargo run --example figure2`
 
-use dhpf::core::{build_layouts_in, collect_statements, cp_map};
+use dhpf::core::{build_layouts, collect_statements, cp_map};
 use dhpf::hpf::{analyze, parse};
-use dhpf_omega::Context;
+use dhpf_omega::{Context, SetBuilder};
 
 const SRC: &str = "
 program fig2
@@ -30,18 +30,18 @@ end
 fn main() -> Result<(), dhpf::omega::OmegaError> {
     let prog = parse(SRC).expect("parse");
     let analysis = analyze(&prog.units[0]).expect("analyze");
-    // One shared Omega context: every set built from these layouts reuses
-    // its hash-consed conjuncts and memoized simplifications.
+    // One Omega context, armed on this thread: every set operation below
+    // reuses its hash-consed conjuncts and memoized simplifications.
     let ctx = Context::new();
-    let layouts = build_layouts_in(&analysis, Some(&ctx));
+    let _armed = ctx.arm_on_thread();
+    let layouts = build_layouts(&analysis);
     let stmts = collect_statements(&analysis);
     let s = &stmts[0];
 
     println!("== Figure 2: primitive sets and mappings ==\n");
 
-    // proc, built with the fluent API (equivalently: ctx.parse_set(...)).
-    let proc = ctx
-        .set(1)
+    // proc, built with the fluent API (equivalently: "{[p] : ...}".parse()).
+    let proc = SetBuilder::new(1)
         .names(["p"])
         .constrain(|c| c.bounds(&c.dim(0), 0, 3))
         .build();

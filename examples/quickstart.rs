@@ -5,12 +5,12 @@
 //! Run with: `cargo run --example quickstart`
 
 use dhpf::core::spmd::{NestOp, SpmdItem};
-use dhpf::core::{build_layouts_in, collect_statements, comm_sets, cp_map, myid_set, CommRef};
+use dhpf::core::{build_layouts, collect_statements, comm_sets, cp_map, myid_set, CommRef};
 use dhpf::core::{compile, CompileOptions};
 use dhpf::hpf::{analyze, parse};
 use dhpf::sim::{run_serial, simulate, MachineModel};
 use dhpf_codegen::emit_fortran;
-use dhpf_omega::Context;
+use dhpf_omega::{Context, Set, SetBuilder};
 use std::collections::HashMap;
 
 const SRC: &str = "
@@ -37,23 +37,24 @@ fn main() -> Result<(), dhpf::omega::OmegaError> {
     println!("arrays: {:?}\n", analysis.arrays.keys().collect::<Vec<_>>());
 
     // --- 2. The integer sets behind the analysis ----------------------
-    // All Omega operations share one Context: conjuncts are hash-consed
-    // and simplification / satisfiability results are memoized.
+    // Omega operations run in the Context armed on the thread: conjuncts
+    // are hash-consed and simplification / satisfiability results are
+    // memoized there until the guard drops.
     let ctx = Context::new();
+    let armed = ctx.arm_on_thread();
 
     // Sets can be parsed (with real errors, not panics) ...
-    let halo = ctx
-        .parse_set("{[i] : 1 <= i <= 2 || 99 <= i <= 100}")
+    let halo: Set = "{[i] : 1 <= i <= 2 || 99 <= i <= 100}"
+        .parse()
         .expect("valid set syntax");
     // ... or assembled with the fluent builder.
-    let interior = ctx
-        .set(1)
+    let interior = SetBuilder::new(1)
         .names(["i"])
         .constrain(|c| c.bounds(&c.dim(0), 3, 98))
         .build();
     assert!(halo.intersection(&interior).is_empty());
 
-    let layouts = build_layouts_in(&analysis, Some(&ctx));
+    let layouts = build_layouts(&analysis);
     println!(
         "Layout of b (virtual-processor BLOCK):\n  {}\n",
         layouts["b"].rel
@@ -77,10 +78,12 @@ fn main() -> Result<(), dhpf::omega::OmegaError> {
         "RecvCommMap(m) — coalesced for both reads of b:\n  {}\n",
         sets.recv_map
     );
+    println!("omega {}\n", ctx.stats());
+    drop(armed);
 
     // --- 3. Compile to an SPMD program ---------------------------------
-    // `compile` creates a fresh shared context for the compilation and
-    // reports its cache counters.
+    // `compile` arms a fresh context for the compilation and reports its
+    // cache counters.
     let compiled = compile(SRC, &CompileOptions::default()).expect("compile");
     let cache = &compiled.report.cache;
     println!(
