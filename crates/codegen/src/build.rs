@@ -34,8 +34,9 @@ pub struct CodegenOptions {
     /// single shared nest with membership guards. Tuples are then visited
     /// piece-by-piece, *not* in global lexicographic order — only valid
     /// when the caller knows iterations may be reordered (e.g. the
-    /// loop-splitting sections of Figure 4). Per-iteration guard cost
-    /// drops from O(pieces) to O(1).
+    /// loop-splitting sections of Figure 4, or a comm map whose payload
+    /// order the consumer fixes). Per-iteration guard cost drops from
+    /// O(pieces) to O(1).
     pub sequential_pieces: bool,
 }
 

@@ -1,5 +1,7 @@
 //! Generated loop nests must enumerate exactly the tuples of the input
 //! sets, in lexicographic order, with same-tuple statements in source order.
+//! With `sequential_pieces` each disjoint piece is its own loop nest, so
+//! only the enumerated *set* is pinned: every tuple exactly once.
 
 use dhpf_codegen::{codegen, codegen_set, CodegenOptions, Env, Mapping, StmtId};
 use dhpf_omega::testing::Rng;
@@ -28,16 +30,35 @@ fn run_named(
     out
 }
 
-fn expect_set(src: &str, params: &[(&str, i64)], names: &[&str]) {
-    let s: Set = src.parse().unwrap();
-    let code = codegen_set(&s, StmtId(0), names, &CodegenOptions::default()).unwrap();
-    let got: Vec<Vec<i64>> = run_named(&code, params, names)
-        .into_iter()
-        .map(|(_, t)| t)
-        .collect();
+/// Checks the code generated for `s` in both modes against
+/// `Set::enumerate`: the shared nest in lexicographic order, and the
+/// per-piece nests (sorted) with each tuple exactly once.
+fn expect_enumeration(s: &Set, params: &[(&str, i64)], names: &[&str], what: &str) {
     let mut want = s.enumerate(params).unwrap();
     want.sort();
-    assert_eq!(got, want, "set {src} params {params:?}");
+    for sequential_pieces in [false, true] {
+        let opts = CodegenOptions {
+            sequential_pieces,
+            ..CodegenOptions::default()
+        };
+        let code = codegen_set(s, StmtId(0), names, &opts).unwrap();
+        let mut got: Vec<Vec<i64>> = run_named(&code, params, names)
+            .into_iter()
+            .map(|(_, t)| t)
+            .collect();
+        if sequential_pieces {
+            got.sort();
+        }
+        assert_eq!(
+            got, want,
+            "{what} params {params:?} sequential_pieces={sequential_pieces}"
+        );
+    }
+}
+
+fn expect_set(src: &str, params: &[(&str, i64)], names: &[&str]) {
+    let s: Set = src.parse().unwrap();
+    expect_enumeration(&s, params, names, &format!("set {src}"));
 }
 
 #[test]
@@ -204,11 +225,7 @@ fn random_1d_unions_enumerate_exactly() {
         }
         let src = format!("{{[i] : {}}}", parts.join(" || "));
         let s: Set = src.parse().unwrap();
-        let code = codegen_set(&s, StmtId(0), &["i"], &CodegenOptions::default()).unwrap();
-        let got: Vec<Vec<i64>> = run(&code, &[]).into_iter().map(|(_, t)| t).collect();
-        let mut want = s.enumerate(&[]).unwrap();
-        want.sort();
-        assert_eq!(got, want, "seed {seed} source {src}");
+        expect_enumeration(&s, &[], &["i"], &format!("seed {seed} source {src}"));
     }
 }
 
@@ -228,12 +245,20 @@ fn random_2d_spaces_enumerate_exactly() {
         if rng.chance(1, 2) {
             src.push_str(" && i <= j");
         }
+        // A second, possibly overlapping box makes a multi-piece space.
+        if rng.chance(1, 2) {
+            let (i0, i1) = (rng.range(0, 7), rng.range(0, 7));
+            let (j0, j1) = (rng.range(0, 7), rng.range(0, 7));
+            src.push_str(&format!(
+                " || {} <= i <= {} && {} <= j <= {}",
+                i0.min(i1),
+                i0.max(i1),
+                j0.min(j1),
+                j0.max(j1)
+            ));
+        }
         src.push('}');
         let s: Set = src.parse().unwrap();
-        let code = codegen_set(&s, StmtId(0), &["i", "j"], &CodegenOptions::default()).unwrap();
-        let got: Vec<Vec<i64>> = run(&code, &[]).into_iter().map(|(_, t)| t).collect();
-        let mut want = s.enumerate(&[]).unwrap();
-        want.sort();
-        assert_eq!(got, want, "seed {seed} source {src}");
+        expect_enumeration(&s, &[], &["i", "j"], &format!("seed {seed} source {src}"));
     }
 }

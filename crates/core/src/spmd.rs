@@ -1543,6 +1543,12 @@ fn array_index_set(analysis: &Analysis, array: &str) -> Set {
 }
 
 /// Generates enumeration code for a comm map `[q1..qr] -> [d1..dk]`.
+///
+/// Each disjoint piece gets its own loop nest with tight bounds and no
+/// membership guards, so enumeration costs what the message costs. The
+/// pieces are visited one after another, not in `(q, d)` order; the
+/// executor sorts each partner's tuples, so sender and receiver agree on
+/// the payload order whatever shape either map's code has.
 fn comm_code(map: &Relation) -> Result<Code, CompileError> {
     let r = map.n_in();
     let k = map.n_out();
@@ -1550,11 +1556,15 @@ fn comm_code(map: &Relation) -> Result<Code, CompileError> {
     let mut names: Vec<String> = (0..r).map(|d| format!("q{}", d + 1)).collect();
     names.extend((0..k).map(|d| format!("d{}", d + 1)));
     let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
+    let opts = CodegenOptions {
+        sequential_pieces: true,
+        ..CodegenOptions::default()
+    };
     Ok(dhpf_codegen::codegen_set(
         &set,
         StmtId(0),
         &name_refs,
-        &CodegenOptions::default(),
+        &opts,
     )?)
 }
 

@@ -14,6 +14,9 @@
 //! lock wedging sibling threads. The injection decision is a pure function
 //! of `(seed, site, arrival count)`, so failures replay from their seed.
 
+mod common;
+
+use common::{comm_plans, RankPlan};
 use dhpf_core::{compile, CompileError, CompileOptions, Compiled};
 use dhpf_omega::{Budget, CancelToken, FaultAction, InjectPlan};
 use dhpf_sim::{simulate, MachineModel, SimResult};
@@ -116,167 +119,42 @@ fn run_one(
     }
 }
 
-/// Enumerates the per-rank, per-event, per-partner comm tuples of a
-/// compiled program directly from its send/recv code — mirroring the
-/// simulator's walker (virtual-processor loop stepping included) but with
-/// no threads and no channels, so a corrupt plan can't hang the test.
-/// Only level-0 events are covered (inner-level events see loop-dependent
-/// environments).
-/// One rank's communication plan: `(event index, is_send, partner rank)`
-/// mapped to the data tuples moved, in enumeration order.
-type RankPlan = HashMap<(usize, bool, usize), Vec<Vec<i64>>>;
-
-fn comm_plans(c: &Compiled, counts: &[i64], inputs: &HashMap<String, i64>) -> Vec<RankPlan> {
-    use dhpf_codegen::{Code, Env};
-    use dhpf_core::ProcCoord;
-
-    let nranks: usize = counts.iter().product::<i64>() as usize;
-    let mut out = Vec::with_capacity(nranks);
-    for rank in 0..nranks {
-        let mut env: Env = inputs.clone();
-        for (name, s) in &c.analysis.scalars {
-            if let dhpf_hpf::ScalarKind::Constant(v) = s.kind {
-                env.insert(name.clone(), v);
-            }
-        }
-        env.insert("number_of_processors".into(), nranks as i64);
-        let mut rem = rank as i64;
-        let mut coords = vec![0i64; counts.len()];
-        for d in (0..counts.len()).rev() {
-            coords[d] = rem % counts[d];
-            rem /= counts[d];
-        }
-        for (d, spec) in c.program.proc_dims.iter().enumerate() {
-            env.insert(format!("np{}", d + 1), counts[d]);
-            match &spec.coord {
-                ProcCoord::Physical { .. } => {
-                    env.insert(format!("m{}", d + 1), coords[d]);
-                }
-                ProcCoord::BlockVp { bsize, nproc } => {
-                    let ext = spec.extent.as_ref().expect("extent");
-                    let n = ext.terms.iter().map(|(k, c)| env[k] * c).sum::<i64>() + ext.constant;
-                    let bs = (n + counts[d] - 1) / counts[d];
-                    env.insert(bsize.clone(), bs);
-                    env.insert(nproc.clone(), counts[d]);
-                    env.insert(format!("m{}", d + 1), bs * coords[d] + 1);
-                }
-                _ => unimplemented!("cyclic grids not used in chaos programs"),
-            }
-        }
-        #[allow(clippy::too_many_arguments)]
-        fn walk(
-            code: &Code,
-            c: &Compiled,
-            counts: &[i64],
-            env: &mut Env,
-            proc_rank: u32,
-            data_rank: u32,
-            leaves: &mut Vec<(usize, Vec<i64>)>,
-        ) {
-            match code {
-                Code::Seq(cs) => {
-                    for k in cs {
-                        walk(k, c, counts, env, proc_rank, data_rank, leaves);
+/// Each tuple list in array-index order — the payload order the simulator
+/// packs and unpacks in, whatever shape the map's code has — or a
+/// description of the first list that holds a tuple twice (that element
+/// would travel twice).
+fn in_payload_order(plans: &[RankPlan]) -> Result<Vec<RankPlan>, String> {
+    plans
+        .iter()
+        .enumerate()
+        .map(|(rank, plan)| {
+            plan.iter()
+                .map(|(&key, tuples)| {
+                    let mut sorted = tuples.clone();
+                    sorted.sort_unstable();
+                    match sorted.windows(2).find(|w| w[0] == w[1]) {
+                        Some(w) => Err(format!(
+                            "rank {rank} (event, is_send, partner) = {key:?}: tuple {:?} enumerated twice",
+                            w[0]
+                        )),
+                        None => Ok((key, sorted)),
                     }
-                }
-                Code::If { cond, body } => {
-                    if cond.eval(env).expect("eval cond") {
-                        walk(body, c, counts, env, proc_rank, data_rank, leaves);
-                    }
-                }
-                Code::Loop {
-                    var,
-                    lo,
-                    hi,
-                    step,
-                    body,
-                } => {
-                    let mut lo = lo.eval(env).expect("eval lo");
-                    let hi = hi.eval(env).expect("eval hi");
-                    let mut step = *step;
-                    if let Some(d) = var.strip_prefix('q').and_then(|s| s.parse::<usize>().ok()) {
-                        if let Some(dhpf_core::ProcCoord::BlockVp { bsize, .. }) =
-                            c.program.proc_dims.get(d - 1).map(|s| &s.coord)
-                        {
-                            let bs = env[bsize.as_str()];
-                            if step == 1 && bs > 1 {
-                                lo += (1 - lo).rem_euclid(bs);
-                                step = bs;
-                            }
-                        }
-                    }
-                    let saved = env.get(var).copied();
-                    let mut x = lo;
-                    while x <= hi {
-                        env.insert(var.clone(), x);
-                        walk(body, c, counts, env, proc_rank, data_rank, leaves);
-                        x += step;
-                    }
-                    match saved {
-                        Some(v) => env.insert(var.clone(), v),
-                        None => env.remove(var),
-                    };
-                }
-                Code::Stmt(_) => {
-                    let mut partner = 0i64;
-                    for d in 0..proc_rank as usize {
-                        let q = env[&format!("q{}", d + 1)];
-                        let coord = match &c.program.proc_dims[d].coord {
-                            dhpf_core::ProcCoord::Physical { .. } => q,
-                            dhpf_core::ProcCoord::BlockVp { bsize, .. } => {
-                                let bs = env[bsize.as_str()];
-                                if (q - 1).rem_euclid(bs) != 0 {
-                                    return;
-                                }
-                                (q - 1) / bs
-                            }
-                            _ => unreachable!(),
-                        };
-                        if coord < 0 || coord >= counts[d] {
-                            return;
-                        }
-                        partner = partner * counts[d] + coord;
-                    }
-                    let idx: Vec<i64> = (0..data_rank as usize)
-                        .map(|d| env[&format!("d{}", d + 1)])
-                        .collect();
-                    leaves.push((partner as usize, idx));
-                }
-                Code::Comment(_) => {}
-            }
-        }
-        let mut plans: HashMap<(usize, bool, usize), Vec<Vec<i64>>> = HashMap::new();
-        for ev in &c.program.events {
-            if ev.level != 0 {
-                continue;
-            }
-            for (is_send, code) in [(true, &ev.send_code), (false, &ev.recv_code)] {
-                let mut leaves = Vec::new();
-                walk(
-                    code,
-                    c,
-                    counts,
-                    &mut env,
-                    ev.proc_rank,
-                    ev.data_rank,
-                    &mut leaves,
-                );
-                for (p, idx) in leaves {
-                    plans.entry((ev.id, is_send, p)).or_default().push(idx);
-                }
-            }
-        }
-        out.push(plans);
-    }
-    out
+                })
+                .collect()
+        })
+        .collect()
 }
 
 /// Asserts the send/recv duality the simulator's pairing depends on: for
 /// every (event, src rank A, dst rank B), A's send tuples to B must equal
-/// B's recv tuples from A — same tuples, same order. Returns a description
-/// of the first violation instead of panicking so callers can attach
-/// context.
+/// B's recv tuples from A, each exactly once, compared in payload order.
+/// Returns a description of the first violation instead of panicking so
+/// callers can attach context.
 fn pairing_violation(plans: &[RankPlan], events: usize) -> Option<String> {
+    let plans = match in_payload_order(plans) {
+        Ok(p) => p,
+        Err(v) => return Some(v),
+    };
     let nranks = plans.len();
     for ev in 0..events {
         for a in 0..nranks {
@@ -316,11 +194,12 @@ fn injected_faults_never_corrupt_comm_pairing() {
     let src = jacobi_small();
     let inputs: HashMap<String, i64> = [("niter".to_string(), 1)].into();
     let clean = compile(&src, &CompileOptions::new()).expect("clean");
-    let clean_plans = comm_plans(&clean, &[2, 2], &inputs);
+    let clean_plans = comm_plans(&clean, &[2, 2], &inputs).plans;
     assert!(
         pairing_violation(&clean_plans, clean.program.events.len()).is_none(),
         "clean program violates pairing"
     );
+    let clean_order = in_payload_order(&clean_plans).expect("checked by the pairing");
     for round in 0..40 {
         let plan = InjectPlan::new(202, 251, FaultAction::Error);
         let opts = CompileOptions::new().threads(2).inject(plan);
@@ -329,14 +208,14 @@ fn injected_faults_never_corrupt_comm_pairing() {
             Err(_) => continue,
         };
         let degr = c.report.degradations();
-        let plans = comm_plans(&c, &[2, 2], &inputs);
+        let plans = comm_plans(&c, &[2, 2], &inputs).plans;
         if let Some(v) = pairing_violation(&plans, c.program.events.len()) {
             panic!("round {round} (degradations = {degr:?}): pairing violation:\n{v}");
         }
         // An exact compile must also communicate identically to the clean
-        // one: same partners, same tuples, same order.
+        // one: same partners, same tuples, each once.
         assert!(
-            !degr.is_empty() || plans == clean_plans,
+            !degr.is_empty() || in_payload_order(&plans).as_ref() == Ok(&clean_order),
             "round {round}: exact compile with a comm plan that differs from the clean compile"
         );
     }

@@ -483,7 +483,10 @@ impl Rank<'_> {
         }
     }
 
-    /// Enumerates a comm map's code, returning per-partner index lists.
+    /// Enumerates a comm map's code, returning per-partner index lists in
+    /// array-index (lexicographic) order: the payload order both sides of
+    /// a message agree on, independent of how the map's code is split into
+    /// loop nests.
     ///
     /// Partner (`q*`) loops over virtual-processor dimensions are stepped
     /// so that only *real* VPs (`v = B*c + 1`) are visited — the runtime
@@ -534,6 +537,9 @@ impl Rank<'_> {
         }
         let mut out: Vec<(usize, Vec<Vec<i64>>)> = per_partner.into_iter().collect();
         out.sort_by_key(|(p, _)| *p);
+        for (_, idxs) in &mut out {
+            idxs.sort_unstable();
+        }
         Ok(out)
     }
 
