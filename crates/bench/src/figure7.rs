@@ -4,7 +4,7 @@
 
 use dhpf_core::{compile, CompileOptions, Compiled};
 use dhpf_obs::Collector;
-use dhpf_sim::{simulate_with, MachineModel, RankComm};
+use dhpf_sim::{run_serial, simulate_with, MachineModel, RankComm, SimResult, Store};
 use std::collections::HashMap;
 
 /// One speedup curve: a benchmark at one problem size.
@@ -41,9 +41,14 @@ fn grid_for(bench: &str, p: i64) -> Vec<i64> {
 /// every simulated configuration record spans (with message/byte counters)
 /// on it, grouped under one `"<bench> (<size>)"` span.
 ///
+/// Every simulated configuration is checked against the serial reference
+/// run once per curve: each array element within 1e-9, each `f64` scalar
+/// within 1e-9 relative.
+///
 /// # Panics
 ///
-/// Panics if compilation or simulation fails (harness inputs are fixed).
+/// Panics if compilation or simulation fails (harness inputs are fixed), or
+/// if a simulated run disagrees with the serial reference.
 #[allow(clippy::too_many_arguments)]
 pub fn curve_opts(
     bench: &str,
@@ -66,6 +71,8 @@ pub fn curve_opts(
     }
     let compiled: Compiled = compile(&src, &opts).unwrap_or_else(|e| panic!("{bench}: {e}"));
     let inputs: HashMap<String, i64> = inputs.iter().map(|&(k, v)| (k.to_string(), v)).collect();
+    let (serial, _) =
+        run_serial(&compiled.analysis, &inputs).unwrap_or_else(|e| panic!("{bench}: {e}"));
     let machine = MachineModel::sp2();
     let mut points = Vec::new();
     // Speedup is p0 * T(p0) / T(p): for a 1-D grid p0 = 1 (plain speedup);
@@ -80,6 +87,7 @@ pub fn curve_opts(
         let total: i64 = grid.iter().product();
         let r = simulate_with(&compiled, &grid, &inputs, &machine, trace)
             .unwrap_or_else(|e| panic!("{bench} P={p}: {e}"));
+        check(&r, &serial).unwrap_or_else(|e| panic!("{bench} ({size_label}) P={p}: {e}"));
         let t = r.time;
         let (p0, t0) = *base.get_or_insert((total, t));
         if points.last().map(|&(p, _, _)| p) != Some(total) {
@@ -99,6 +107,34 @@ pub fn curve_opts(
         bytes: last.1,
         comm,
     }
+}
+
+/// Compares a simulated run with the serial reference.
+fn check(r: &SimResult, serial: &Store) -> Result<(), String> {
+    for (name, want) in &serial.arrays {
+        let got = r
+            .arrays
+            .get(name)
+            .ok_or_else(|| format!("array {name} missing"))?;
+        if got.dims != want.dims {
+            return Err(format!(
+                "array {name} has bounds {:?}, want {:?}",
+                got.dims, want.dims
+            ));
+        }
+        for (k, (g, w)) in got.data.iter().zip(&want.data).enumerate() {
+            if (g - w).abs() >= 1e-9 {
+                return Err(format!("{name}[linear {k}] = {g}, serial reference {w}"));
+            }
+        }
+    }
+    for (name, want) in &serial.floats {
+        let got = r.floats.get(name).copied().unwrap_or(f64::NAN);
+        if (got - want).abs() > 1e-9 * want.abs().max(1.0) {
+            return Err(format!("{name} = {got}, serial reference {want}"));
+        }
+    }
+    Ok(())
 }
 
 /// All Figure 7 curves at harness scale, compiled under `base` — e.g. a

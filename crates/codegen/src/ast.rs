@@ -1,6 +1,8 @@
 //! The loop-nest AST produced by code generation.
 
 use crate::expr::{Cond, Env, Expr, UnboundVar};
+use crate::slots::{Halt, Slot};
+use std::collections::HashMap;
 use std::fmt;
 
 /// Opaque handle identifying a statement to the code-generation client.
@@ -63,8 +65,10 @@ impl Code {
         }
     }
 
-    /// Walks the code, invoking `on_stmt` for every executed statement
-    /// instance with the current environment.
+    /// Runs the code by name: lowers it (see [`Code::lower`]) and invokes
+    /// `on_stmt` for every executed statement instance with `env` holding
+    /// the parameters and the enclosing loop indices. Loop indices are
+    /// unbound (or restored) again when the run returns.
     ///
     /// # Errors
     ///
@@ -75,46 +79,41 @@ impl Code {
         env: &mut Env,
         on_stmt: &mut F,
     ) -> Result<(), UnboundVar> {
-        match self {
-            Code::Seq(cs) => {
-                for c in cs {
-                    c.execute(env, on_stmt)?;
-                }
-            }
-            Code::Loop {
-                var,
-                lo,
-                hi,
-                step,
-                body,
-            } => {
-                let lo = lo.eval(env)?;
-                let hi = hi.eval(env)?;
-                let saved = env.get(var).copied();
-                let mut x = lo;
-                while x <= hi {
-                    env.insert(var.clone(), x);
-                    body.execute(env, on_stmt)?;
-                    x += *step;
-                }
-                match saved {
+        let mut names: Vec<String> = Vec::new();
+        let mut index: HashMap<String, Slot> = HashMap::new();
+        let code = self.lower(
+            &mut |name| {
+                *index.entry(name.to_string()).or_insert_with(|| {
+                    names.push(name.to_string());
+                    names.len() - 1
+                })
+            },
+            &|_| None,
+        );
+        let mut slots: Vec<Option<i64>> = names.iter().map(|n| env.get(n).copied()).collect();
+        // Mirrors the slots into `env`, where the callback reads them.
+        let sync = |env: &mut Env, slots: &[Option<i64>]| {
+            for (name, v) in names.iter().zip(slots) {
+                match v {
                     Some(v) => {
-                        env.insert(var.clone(), v);
+                        env.insert(name.clone(), *v);
                     }
                     None => {
-                        env.remove(var);
+                        env.remove(name);
                     }
                 }
             }
-            Code::If { cond, body } => {
-                if cond.eval(env)? {
-                    body.execute(env, on_stmt)?;
-                }
-            }
-            Code::Stmt(id) => on_stmt(*id, env),
-            Code::Comment(_) => {}
-        }
-        Ok(())
+        };
+        let out = code.run(&mut slots, &mut |id, slots: &mut Vec<Option<i64>>| {
+            sync(env, slots);
+            on_stmt(id, env);
+            Ok::<(), std::convert::Infallible>(())
+        });
+        sync(env, &slots);
+        out.map_err(|h| match h {
+            Halt::Unbound(s) => UnboundVar(names[s].clone()),
+            Halt::Stmt(never) => match never {},
+        })
     }
 
     /// Simplifies bounds/conditions and drops dead branches.

@@ -70,7 +70,7 @@ impl fmt::Display for UnboundVar {
 
 impl std::error::Error for UnboundVar {}
 
-fn floor_div(a: i64, b: i64) -> i64 {
+pub(crate) fn floor_div(a: i64, b: i64) -> i64 {
     let q = a / b;
     if (a % b != 0) && ((a < 0) != (b < 0)) {
         q - 1

@@ -7,8 +7,10 @@
 //! identical tuples of different statements ordered by statement index.
 //!
 //! The generated [`Code`] can be pretty-printed as pseudo-Fortran with
-//! [`emit_fortran`] or executed directly (the SPMD simulator interprets it)
-//! via [`Code::execute`].
+//! [`emit_fortran`], or lowered onto numbered integer slots with
+//! [`Code::lower`] and run as a [`SlotCode`] (the SPMD simulator runs every
+//! generated nest and communication map that way). [`Code::execute`] is
+//! lowering plus a run, for callers that bind variables by name.
 //!
 //! ```
 //! use dhpf_codegen::{codegen_set, CodegenOptions, StmtId};
@@ -28,8 +30,10 @@ pub mod ast;
 pub mod build;
 pub mod emit;
 pub mod expr;
+pub mod slots;
 
 pub use ast::{Code, StmtId};
 pub use build::{codegen, codegen_set, CodegenError, CodegenOptions, Mapping};
 pub use emit::emit_fortran;
 pub use expr::{Cond, Env, Expr, UnboundVar};
+pub use slots::{Halt, Slot, SlotCode, Slots, Stride};

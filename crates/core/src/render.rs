@@ -113,9 +113,19 @@ fn indent(out: &mut String, depth: usize) {
 fn render_item(item: &SpmdItem, depth: usize, out: &mut String) {
     match item {
         SpmdItem::Serial(s) => out.push_str(&stmt_str(s, depth)),
-        SpmdItem::SerialLoop { var, lo, hi, body } => {
+        SpmdItem::SerialLoop {
+            var,
+            lo,
+            hi,
+            step,
+            body,
+        } => {
             indent(out, depth);
-            let _ = writeln!(out, "do {var} = {}, {}", expr_str(lo), expr_str(hi));
+            let _ = write!(out, "do {var} = {}, {}", expr_str(lo), expr_str(hi));
+            if let Some(step) = step {
+                let _ = write!(out, ", {}", expr_str(step));
+            }
+            out.push('\n');
             for b in body {
                 render_item(b, depth + 1, out);
             }
@@ -196,5 +206,15 @@ end
         assert!(text.contains("call comm_recv(0)"), "{text}");
         assert!(text.contains("a(i,j) ="), "{text}");
         assert!(text.contains("! communication events:"), "{text}");
+    }
+
+    #[test]
+    fn renders_a_serial_loop_step_only_when_given() {
+        let src = JACOBI.replace("do iter = 1, 3", "do iter = 3, 1, -1");
+        let c = compile(&src, &CompileOptions::default()).unwrap();
+        let text = render_program(&c.program);
+        assert!(text.contains("do iter = 3, 1, -1\n"), "{text}");
+        let c = compile(JACOBI, &CompileOptions::default()).unwrap();
+        assert!(render_program(&c.program).contains("do iter = 1, 3\n"));
     }
 }

@@ -191,6 +191,8 @@ pub enum SpmdItem {
         lo: Expr,
         /// Upper bound.
         hi: Expr,
+        /// Step, when the source gives one (1 otherwise; may be negative).
+        step: Option<Expr>,
         /// Body items.
         body: Vec<SpmdItem>,
     },
@@ -473,6 +475,8 @@ pub(crate) enum ItemSkel {
         lo: Expr,
         /// Upper bound.
         hi: Expr,
+        /// Step, when the source gives one.
+        step: Option<Expr>,
         /// Body skeleton.
         body: Vec<ItemSkel>,
     },
@@ -561,8 +565,8 @@ fn plan_body(
                 var,
                 lo,
                 hi,
+                step,
                 body: do_body,
-                ..
             } => {
                 flush(&mut pending, &mut items, nests);
                 if is_serial_loop(analysis, layouts, var, do_body) {
@@ -571,6 +575,7 @@ fn plan_body(
                         var: var.clone(),
                         lo: lo.clone(),
                         hi: hi.clone(),
+                        step: step.clone(),
                         body: inner,
                     });
                 } else {
@@ -707,10 +712,17 @@ pub(crate) fn assemble_spmd(
         skel.iter()
             .map(|s| match s {
                 ItemSkel::Serial(stmt) => SpmdItem::Serial(stmt.clone()),
-                ItemSkel::SerialLoop { var, lo, hi, body } => SpmdItem::SerialLoop {
+                ItemSkel::SerialLoop {
+                    var,
+                    lo,
+                    hi,
+                    step,
+                    body,
+                } => SpmdItem::SerialLoop {
                     var: var.clone(),
                     lo: lo.clone(),
                     hi: hi.clone(),
+                    step: step.clone(),
                     body: realize(body, nests),
                 },
                 // Cannot fire: `plan_body` hands out each nest index once,

@@ -6,14 +6,18 @@
 //! FIFO channels. Simulated time uses an α/β model: a receive completes at
 //! `max(t_local, t_send + α + bytes·β)`.
 
-use crate::interp::{allocate, eval_affine, eval_int, exec_stmt, SimError};
+use crate::interp::{do_range, Fault, Frame, SimError};
+use crate::lower::{
+    lower_assign, lower_f64, lower_int, lower_stmt, ArrayId, Assign, FExpr, IExpr, LStmt, Symbols,
+};
 use crate::machine::MachineModel;
-use crate::store::{Array, Store};
-use dhpf_codegen::Env;
+use crate::store::Array;
+use dhpf_codegen::{Slot, SlotCode, Slots, Stride};
 use dhpf_core::driver::Compiled;
 use dhpf_core::ir::ReduceOp;
-use dhpf_core::spmd::{CommEvent, NestOp, SpmdItem, SpmdProgram};
+use dhpf_core::spmd::{NestOp, SpmdItem, SpmdProgram};
 use dhpf_core::ProcCoord;
+use dhpf_hpf::Analysis;
 use std::collections::HashMap;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
@@ -159,6 +163,7 @@ fn simulate_inner(
         }
     }
     let nranks: usize = counts.iter().product::<i64>() as usize;
+    let plan = Arc::new(Plan::new(program, &compiled.analysis, counts, inputs)?);
     // Mailboxes: one FIFO channel per (src, dst) pair; sends[src][dst],
     // receivers[dst][src].
     let mut sends: Vec<Vec<Sender<Message>>> = (0..nranks).map(|_| Vec::new()).collect();
@@ -173,40 +178,20 @@ fn simulate_inner(
         }
     }
 
-    let program = Arc::new(program.clone());
-    let analysis = Arc::new(compiled.analysis.clone());
     let machine = *machine;
-    let inputs = Arc::new(inputs.clone());
-    let counts_v = counts.to_vec();
     let mut handles = Vec::new();
     for rank in 0..nranks {
-        let program = Arc::clone(&program);
-        let analysis = Arc::clone(&analysis);
-        let inputs = Arc::clone(&inputs);
-        let counts = counts_v.clone();
+        let plan = Arc::clone(&plan);
+        let counts = counts.to_vec();
         let to_others: Vec<Sender<Message>> = sends[rank].clone();
         let from_others: Vec<Receiver<Message>> = receivers[rank]
             .iter_mut()
             .map(|r| r.take().expect("receiver"))
             .collect();
         handles.push(std::thread::spawn(move || {
-            run_rank(
-                rank,
-                &counts,
-                &program,
-                &analysis,
-                &inputs,
-                &machine,
-                &to_others,
-                &from_others,
-            )
+            run_rank(rank, &counts, &plan, &machine, &to_others, &from_others).map_err(|e| *e)
         }));
     }
-    let mut rank_times = vec![0.0; nranks];
-    let mut comm = vec![RankComm::default(); nranks];
-    let mut floats = HashMap::new();
-    let mut ints = HashMap::new();
-    let mut arrays: HashMap<String, Array> = HashMap::new();
     // Join all ranks first: a rank failing early closes its channels and
     // makes peers fail with secondary "closed channel" errors; report the
     // most informative (non-secondary) error.
@@ -229,24 +214,24 @@ fn simulate_inner(
         });
         return Err(errs.remove(0));
     }
-    for (rank, out) in results.into_iter().map(Result::unwrap).enumerate() {
-        rank_times[rank] = out.time;
-        comm[rank] = out.comm;
-        if rank == 0 {
-            floats = out.store.floats.clone();
-            ints = out.store.ints.clone();
-            for (name, arr) in &out.store.arrays {
-                arrays.insert(name.clone(), arr.clone());
-            }
-        }
-        // Overlay each rank's owned elements into the global arrays.
-        for (name, owned) in out.owned {
-            let garr = arrays
-                .entry(name.clone())
-                .or_insert_with(|| out.store.arrays[&name].clone());
-            for (idx, v) in owned {
-                garr.set(&idx, v);
-            }
+    let mut outs: Vec<RankOut> = results.into_iter().map(Result::unwrap).collect();
+    let rank_times: Vec<f64> = outs.iter().map(|o| o.time).collect();
+    let comm: Vec<RankComm> = outs.iter().map(|o| o.comm).collect();
+    // Scalars are identical on every rank; take rank 0's, and its arrays as
+    // the global ones, then overlay every other rank's owned region.
+    let (floats, ints) = outs[0].frame.scalars();
+    let mut arrays = std::mem::take(&mut outs[0].frame.arrays);
+    for out in &mut outs[1..] {
+        for owned in &plan.owned {
+            let (src, dst) = (owned.array, &mut arrays[owned.array].data);
+            owned
+                .code
+                .run(&mut out.frame, &mut |_, f: &mut Frame| {
+                    let (off, _) = f.slot_offset(src, &owned.subs)?;
+                    dst[off] = f.arrays[src].data[off];
+                    Ok(())
+                })
+                .map_err(|h| *out.frame.halted(h))?;
         }
     }
     let time = rank_times.iter().cloned().fold(0.0, f64::max);
@@ -258,363 +243,430 @@ fn simulate_inner(
         comm,
         floats,
         ints,
-        arrays,
+        arrays: plan.base.syms.arrays.iter().cloned().zip(arrays).collect(),
     })
 }
 
-/// Elements of one distributed array owned by a rank: `(index tuple, value)`.
-type OwnedElems = Vec<(Vec<i64>, f64)>;
-
-/// Communication partners for one event: `(partner rank, data index tuples)`.
-type PartnerTuples = Vec<(usize, Vec<Vec<i64>>)>;
-
-struct RankOut {
-    time: f64,
-    comm: RankComm,
-    store: Store,
-    owned: Vec<(String, OwnedElems)>,
+/// The program every rank runs, lowered once per [`simulate`] call: names
+/// are slots, arrays are handles, and each event's maps are lowered code.
+struct Plan {
+    items: Vec<Item>,
+    events: Vec<Event>,
+    /// Owned-region enumeration of each distributed array.
+    owned: Vec<Owned>,
+    /// The frame every rank starts from: every scalar and grid parameter
+    /// bound except the rank's own position, and no arrays.
+    base: Frame,
+    /// Array bounds by handle; each rank allocates its own arrays.
+    dims: Vec<Vec<(i64, i64)>>,
+    /// Per grid dimension: the position slot (`m<d>`) and, for a
+    /// virtual-processor dimension, its block size.
+    position: Vec<(Slot, Option<i64>)>,
 }
 
-struct Rank<'a> {
-    rank: usize,
-    nranks: usize,
-    program: &'a SpmdProgram,
-    machine: &'a MachineModel,
-    to: &'a [Sender<Message>],
-    from: &'a [Receiver<Message>],
-    store: Store,
-    env: Env,
-    clock: f64,
-    comm: RankComm,
-    counts: Vec<i64>,
+enum Item {
+    /// A statement replicated on every rank.
+    Serial(LStmt),
+    /// A replicated loop.
+    SerialLoop {
+        var: Slot,
+        lo: IExpr,
+        hi: IExpr,
+        step: Option<IExpr>,
+        body: Vec<Item>,
+    },
+    Nest(Nest),
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_rank(
-    rank: usize,
-    counts: &[i64],
-    program: &SpmdProgram,
-    analysis: &dhpf_hpf::Analysis,
-    inputs: &HashMap<String, i64>,
-    machine: &MachineModel,
-    to: &[Sender<Message>],
-    from: &[Receiver<Message>],
-) -> Result<RankOut, SimError> {
-    let nranks: usize = counts.iter().product::<i64>() as usize;
-    let mut store = allocate(analysis, inputs)?;
-    store
-        .ints
-        .insert("number_of_processors".into(), nranks as i64);
-    // Bind grid parameters: coordinates (row-major, last dim fastest).
-    let mut env: Env = inputs.iter().map(|(k, v)| (k.clone(), *v)).collect();
-    // Declared `parameter` constants always win over (stale) inputs: the
-    // compiler folded them into the generated sets, so the runtime
-    // environment must agree.
-    for (name, s) in &analysis.scalars {
-        if let dhpf_hpf::ScalarKind::Constant(v) = s.kind {
-            env.insert(name.clone(), v);
-        }
-    }
-    env.insert("number_of_processors".into(), nranks as i64);
-    let mut rem = rank as i64;
-    let mut coords = vec![0i64; counts.len()];
-    for d in (0..counts.len()).rev() {
-        coords[d] = rem % counts[d];
-        rem /= counts[d];
-    }
-    for (d, spec) in program.proc_dims.iter().enumerate() {
-        env.insert(format!("np{}", d + 1), counts[d]);
-        match &spec.coord {
-            ProcCoord::Physical { .. } => {
-                env.insert(format!("m{}", d + 1), coords[d]);
-            }
-            ProcCoord::BlockVp { bsize, nproc } => {
-                let extent = spec
-                    .extent
-                    .as_ref()
-                    .ok_or_else(|| SimError::Unbound("template extent".into()))?;
-                let n = eval_affine(extent, &store)?;
-                let bs = (n + counts[d] - 1) / counts[d];
-                env.insert(bsize.clone(), bs);
-                env.insert(nproc.clone(), counts[d]);
-                env.insert(format!("m{}", d + 1), bs * coords[d] + 1);
-            }
-            _ => unreachable!("rejected before spawn"),
-        }
-    }
-    let mut r = Rank {
-        rank,
-        nranks,
-        program,
-        machine,
-        to,
-        from,
-        store,
-        env,
-        clock: 0.0,
-        comm: RankComm::default(),
-        counts: counts.to_vec(),
-    };
-    r.run_items(&program.items)?;
-    // Gather owned regions.
-    let mut owned = Vec::new();
-    for (name, spec) in &program.arrays {
-        if let Some(code) = &spec.owned_code {
-            let arr = &r.store.arrays[name];
-            let rank_v = arr.dims.len();
-            let mut items = Vec::new();
-            let mut env = r.env.clone();
-            code.execute(&mut env, &mut |_, e| {
-                let idx: Vec<i64> = (0..rank_v).map(|d| e[&format!("d{}", d + 1)]).collect();
-                items.push((idx.clone(), arr.get(&idx)));
-            })
-            .map_err(|e| SimError::Unbound(e.0))?;
-            owned.push((name.clone(), items));
-        }
-    }
-    Ok(RankOut {
-        time: r.clock,
-        comm: r.comm,
-        store: r.store,
-        owned,
-    })
+struct Nest {
+    /// `Stmt(id)` indexes `ops`.
+    code: SlotCode,
+    ops: Vec<Op>,
+    /// Accumulator slot and combining operation of each reduction.
+    reductions: Vec<(Slot, ReduceOp)>,
 }
 
-impl Rank<'_> {
-    fn run_items(&mut self, items: &[SpmdItem]) -> Result<(), SimError> {
-        for item in items {
-            match item {
-                SpmdItem::Serial(stmt) => {
-                    let mut flops = 0u64;
-                    self.sync_env_into_store();
-                    exec_stmt(stmt, &mut self.store, &mut flops)?;
-                    self.sync_store_into_env();
-                    self.clock += flops as f64 * self.machine.flop;
-                }
-                SpmdItem::SerialLoop { var, lo, hi, body } => {
-                    self.sync_env_into_store();
-                    let lo = eval_int(lo, &self.store)?;
-                    let hi = eval_int(hi, &self.store)?;
-                    for x in lo..=hi {
-                        self.env.insert(var.clone(), x);
-                        self.store.ints.insert(var.clone(), x);
-                        self.run_items(body)?;
-                    }
-                }
-                SpmdItem::Nest(nest) => {
-                    // Snapshot reduction accumulators.
-                    let snaps: Vec<(String, f64)> = nest
-                        .reductions
-                        .iter()
-                        .map(|r| {
-                            (
-                                r.scalar.clone(),
-                                self.store.floats.get(&r.scalar).copied().unwrap_or(0.0),
-                            )
-                        })
-                        .collect();
-                    let mut env = self.env.clone();
-                    // Interpret the nest code; errors inside the callback are
-                    // latched and re-raised.
-                    let mut pending_err: Option<SimError> = None;
-                    let code = nest.code.clone();
-                    let ops = nest.ops.clone();
-                    let this = &mut *self;
-                    code.execute(&mut env, &mut |id, e| {
-                        if pending_err.is_some() {
-                            return;
-                        }
-                        if let Err(err) = this.run_op(&ops[id.0], e) {
-                            pending_err = Some(err);
-                        }
-                    })
-                    .map_err(|e| SimError::Unbound(e.0))?;
-                    if let Some(err) = pending_err {
-                        return Err(err);
-                    }
-                    // Combine reductions.
-                    for (red, (name, baseline)) in nest.reductions.iter().zip(snaps) {
-                        let mine = self.store.floats.get(&name).copied().unwrap_or(0.0);
-                        let combined = self.allreduce(red.op, mine, baseline)?;
-                        self.store.floats.insert(name, combined);
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
+enum Op {
+    /// A guarded assignment instance.
+    Assign {
+        guards: Vec<FExpr>,
+        assign: Assign,
+    },
+    Send(usize),
+    Recv(usize),
+}
 
-    /// Executes one nest operation with the loop environment `e`.
-    fn run_op(&mut self, op: &NestOp, e: &Env) -> Result<(), SimError> {
-        match op {
-            NestOp::Assign(cs) => {
-                // The loop environment overlays the store; no per-instance
-                // copying.
-                for g in &cs.guards {
-                    if !crate::interp::eval_bool_in(g, &self.store, Some(e))? {
-                        return Ok(());
-                    }
-                }
-                let v = crate::interp::eval_f64_in(&cs.rhs, &self.store, Some(e))?;
-                self.clock += cs.cost as f64 * self.machine.flop;
-                if self.store.arrays.contains_key(&cs.lhs) {
-                    let idx = cs
-                        .subs
-                        .iter()
-                        .map(|s| crate::interp::eval_int_in(s, &self.store, Some(e)))
-                        .collect::<Result<Vec<_>, _>>()?;
-                    self.store
-                        .arrays
-                        .get_mut(&cs.lhs)
-                        .expect("array")
-                        .set(&idx, v);
-                } else if self.store.ints.contains_key(&cs.lhs)
-                    || (!self.store.floats.contains_key(&cs.lhs)
-                        && Store::implicitly_integer(&cs.lhs))
-                {
-                    self.store.ints.insert(cs.lhs.clone(), v as i64);
-                } else {
-                    self.store.floats.insert(cs.lhs.clone(), v);
-                }
-                Ok(())
-            }
-            NestOp::CommSend(ev) => self.comm_send(&self.program.events[*ev].clone(), e),
-            NestOp::CommRecv(ev) => self.comm_recv(&self.program.events[*ev].clone(), e),
-        }
-    }
+/// A communication event with its maps lowered over `[q1..qr, d1..dk]`.
+struct Event {
+    id: usize,
+    array: ArrayId,
+    send: SlotCode,
+    recv: SlotCode,
+    /// One entry per processor dimension of the maps.
+    partner: Vec<PartnerDim>,
+    /// The `d<k>` slots: the element's subscripts.
+    subs: Vec<Slot>,
+    contiguous: bool,
+}
 
-    /// Enumerates a comm map's code, returning per-partner index lists in
-    /// array-index (lexicographic) order: the payload order both sides of
-    /// a message agree on, independent of how the map's code is split into
-    /// loop nests.
-    ///
-    /// Partner (`q*`) loops over virtual-processor dimensions are stepped
-    /// so that only *real* VPs (`v = B*c + 1`) are visited — the runtime
-    /// loop rewrite of the paper's §4.2/Figure 6. A safety filter still
-    /// skips any fictitious VP that would slip through.
-    fn enumerate_comm(
-        &self,
-        code: &dhpf_codegen::Code,
-        proc_rank: u32,
-        data_rank: u32,
-        outer: &Env,
-    ) -> Result<PartnerTuples, SimError> {
-        let mut env = self.env.clone();
-        for (k, v) in outer {
-            env.insert(k.clone(), *v);
+/// How a `q<d>` value names a physical processor coordinate.
+struct PartnerDim {
+    q: Slot,
+    /// Block-size slot of a virtual-processor dimension: VP `v` is
+    /// processor `(v - 1) / B`, and only `v ≡ 1 (mod B)` is a real one.
+    block: Option<Slot>,
+    count: i64,
+}
+
+struct Owned {
+    array: ArrayId,
+    code: SlotCode,
+    subs: Vec<Slot>,
+}
+
+fn subscript_slots(rank: u32, syms: &mut Symbols) -> Vec<Slot> {
+    (1..=rank).map(|d| syms.slot(&format!("d{d}"))).collect()
+}
+
+impl Plan {
+    fn new(
+        program: &SpmdProgram,
+        analysis: &Analysis,
+        counts: &[i64],
+        inputs: &HashMap<String, i64>,
+    ) -> Result<Plan, SimError> {
+        let mut syms = Symbols::new(analysis);
+        for k in inputs.keys() {
+            syms.slot(k);
         }
-        let mut per_partner: HashMap<usize, Vec<Vec<i64>>> = HashMap::new();
-        {
-            let counts = &self.counts;
-            let program = self.program;
-            let base_env = &self.env;
-            let mut on_leaf = |e: &Env| {
-                let mut partner = 0i64;
-                for d in 0..proc_rank as usize {
-                    let q = e[&format!("q{}", d + 1)];
-                    let c = match &program.proc_dims[d].coord {
-                        ProcCoord::Physical { .. } => q,
-                        ProcCoord::BlockVp { bsize, .. } => {
-                            let bs = base_env[bsize.as_str()];
-                            if (q - 1).rem_euclid(bs) != 0 {
-                                return; // fictitious VP
-                            }
-                            (q - 1) / bs
-                        }
-                        _ => unreachable!(),
-                    };
-                    if c < 0 || c >= counts[d] {
-                        return; // outside the physical grid
-                    }
-                    partner = partner * counts[d] + c;
-                }
-                let idx: Vec<i64> = (0..data_rank as usize)
-                    .map(|d| e[&format!("d{}", d + 1)])
-                    .collect();
-                per_partner.entry(partner as usize).or_default().push(idx);
+        let nprocs = syms.slot("number_of_processors");
+        // Grid parameters: `np<d>`, `m<d>`, and a VP dimension's block size
+        // and processor count.
+        let mut grid = Vec::new();
+        for (d, spec) in program.proc_dims.iter().enumerate() {
+            let np = syms.slot(&format!("np{}", d + 1));
+            let m = syms.slot(&format!("m{}", d + 1));
+            let vp = match &spec.coord {
+                ProcCoord::Physical { .. } => None,
+                ProcCoord::BlockVp { bsize, nproc } => Some((syms.slot(bsize), syms.slot(nproc))),
+                _ => unreachable!("rejected before lowering"),
             };
-            self.walk_comm(code, &mut env, &mut on_leaf)?;
+            grid.push((np, m, vp));
         }
-        let mut out: Vec<(usize, Vec<Vec<i64>>)> = per_partner.into_iter().collect();
-        out.sort_by_key(|(p, _)| *p);
-        for (_, idxs) in &mut out {
-            idxs.sort_unstable();
+        let items = lower_items(&program.items, &mut syms);
+        // The §4.2/Figure 6 loop rewrite: a partner loop over a VP
+        // dimension steps by the block size from the first real VP.
+        let vp_strides: HashMap<String, Stride> = grid
+            .iter()
+            .enumerate()
+            .filter_map(|(d, &(_, _, vp))| {
+                vp.map(|(bsize, _)| {
+                    let stride = Stride {
+                        step: bsize,
+                        residue: 1,
+                    };
+                    (format!("q{}", d + 1), stride)
+                })
+            })
+            .collect();
+        let mut events = Vec::with_capacity(program.events.len());
+        for ev in &program.events {
+            let array = syms
+                .array(&ev.array)
+                .ok_or_else(|| SimError::Unbound(ev.array.clone()))?;
+            let lower = |code: &dhpf_codegen::Code, syms: &mut Symbols| {
+                code.lower(&mut |n| syms.slot(n), &|v| vp_strides.get(v).copied())
+            };
+            events.push(Event {
+                id: ev.id,
+                array,
+                send: lower(&ev.send_code, &mut syms),
+                recv: lower(&ev.recv_code, &mut syms),
+                partner: (0..ev.proc_rank as usize)
+                    .map(|d| PartnerDim {
+                        q: syms.slot(&format!("q{}", d + 1)),
+                        block: grid[d].2.map(|(bsize, _)| bsize),
+                        count: counts[d],
+                    })
+                    .collect(),
+                subs: subscript_slots(ev.data_rank, &mut syms),
+                contiguous: ev.contiguous,
+            });
         }
-        Ok(out)
+        let mut owned = Vec::new();
+        for (name, spec) in &program.arrays {
+            if let (Some(code), Some(array)) = (&spec.owned_code, syms.array(name)) {
+                owned.push(Owned {
+                    array,
+                    code: code.lower(&mut |n| syms.slot(n), &|_| None),
+                    subs: subscript_slots(spec.dims.len() as u32, &mut syms),
+                });
+            }
+        }
+        let mut base = Frame::new(Arc::new(syms), analysis, inputs);
+        let dims = base.array_dims(analysis)?;
+        base.ints[nprocs] = Some(counts.iter().product());
+        let mut position = Vec::new();
+        for (d, (spec, &(np, m, vp))) in program.proc_dims.iter().zip(&grid).enumerate() {
+            base.ints[np] = Some(counts[d]);
+            let block = match vp {
+                None => None,
+                Some((bsize, nproc)) => {
+                    let extent = spec
+                        .extent
+                        .as_ref()
+                        .ok_or_else(|| SimError::Unbound("template extent".into()))?;
+                    let n = base.affine(extent)?;
+                    let bs = (n + counts[d] - 1) / counts[d];
+                    base.ints[bsize] = Some(bs);
+                    base.ints[nproc] = Some(counts[d]);
+                    Some(bs)
+                }
+            };
+            position.push((m, block));
+        }
+        Ok(Plan {
+            items,
+            events,
+            owned,
+            base,
+            dims,
+            position,
+        })
     }
+}
 
-    /// Executes comm-map code with VP-aware partner-loop stepping.
-    fn walk_comm(
-        &self,
-        code: &dhpf_codegen::Code,
-        env: &mut Env,
-        on_leaf: &mut impl FnMut(&Env),
-    ) -> Result<(), SimError> {
-        use dhpf_codegen::Code;
-        match code {
-            Code::Seq(cs) => {
-                for c in cs {
-                    self.walk_comm(c, env, on_leaf)?;
-                }
-            }
-            Code::If { cond, body } => {
-                if cond.eval(env).map_err(|e| SimError::Unbound(e.0))? {
-                    self.walk_comm(body, env, on_leaf)?;
-                }
-            }
-            Code::Loop {
+fn lower_items(items: &[SpmdItem], syms: &mut Symbols) -> Vec<Item> {
+    items
+        .iter()
+        .map(|item| match item {
+            SpmdItem::Serial(stmt) => Item::Serial(lower_stmt(stmt, syms)),
+            SpmdItem::SerialLoop {
                 var,
                 lo,
                 hi,
                 step,
                 body,
-            } => {
-                let mut lo = lo.eval(env).map_err(|e| SimError::Unbound(e.0))?;
-                let hi = hi.eval(env).map_err(|e| SimError::Unbound(e.0))?;
-                let mut step = *step;
-                // Partner loop over a virtual-processor dimension: step by
-                // the block size, starting at the first real VP >= lo.
-                if let Some(d) = var.strip_prefix('q').and_then(|s| s.parse::<usize>().ok()) {
-                    if let Some(spec) = self.program.proc_dims.get(d - 1) {
-                        if let ProcCoord::BlockVp { bsize, .. } = &spec.coord {
-                            let bs = self.env[bsize.as_str()];
-                            if step == 1 && bs > 1 {
-                                lo += (1 - lo).rem_euclid(bs);
-                                step = bs;
-                            }
-                        }
+            } => Item::SerialLoop {
+                var: syms.slot(var),
+                lo: lower_int(lo, syms),
+                hi: lower_int(hi, syms),
+                step: step.as_ref().map(|e| lower_int(e, syms)),
+                body: lower_items(body, syms),
+            },
+            SpmdItem::Nest(nest) => Item::Nest(Nest {
+                code: nest.code.lower(&mut |n| syms.slot(n), &|_| None),
+                ops: nest
+                    .ops
+                    .iter()
+                    .map(|op| match op {
+                        NestOp::Assign(cs) => Op::Assign {
+                            guards: cs.guards.iter().map(|g| lower_f64(g, syms)).collect(),
+                            assign: lower_assign(&cs.lhs, &cs.subs, &cs.rhs, cs.cost, syms),
+                        },
+                        NestOp::CommSend(ev) => Op::Send(*ev),
+                        NestOp::CommRecv(ev) => Op::Recv(*ev),
+                    })
+                    .collect(),
+                reductions: nest
+                    .reductions
+                    .iter()
+                    .map(|r| (syms.slot(&r.scalar), r.op))
+                    .collect(),
+            }),
+        })
+        .collect()
+}
+
+struct RankOut {
+    time: f64,
+    comm: RankComm,
+    frame: Frame,
+}
+
+struct Rank<'a> {
+    rank: usize,
+    plan: &'a Plan,
+    machine: &'a MachineModel,
+    to: &'a [Sender<Message>],
+    from: &'a [Receiver<Message>],
+    frame: Frame,
+    clock: f64,
+    comm: RankComm,
+    /// Per partner rank: `(row-major key, column-major offset)` of each
+    /// element the current comm map enumerated for it.
+    buckets: Vec<Vec<(usize, usize)>>,
+}
+
+impl Slots for Rank<'_> {
+    fn slots(&self) -> &[Option<i64>] {
+        &self.frame.ints
+    }
+
+    fn slots_mut(&mut self) -> &mut [Option<i64>] {
+        &mut self.frame.ints
+    }
+}
+
+fn run_rank(
+    rank: usize,
+    counts: &[i64],
+    plan: &Plan,
+    machine: &MachineModel,
+    to: &[Sender<Message>],
+    from: &[Receiver<Message>],
+) -> Result<RankOut, Fault> {
+    let mut frame = plan.base.clone();
+    frame.arrays = plan.dims.iter().cloned().map(Array::new).collect();
+    // Coordinates are row-major, last dimension fastest.
+    let mut rem = rank as i64;
+    for d in (0..counts.len()).rev() {
+        let (m, block) = plan.position[d];
+        let c = rem % counts[d];
+        rem /= counts[d];
+        frame.ints[m] = Some(match block {
+            None => c,
+            Some(bs) => bs * c + 1,
+        });
+    }
+    let mut r = Rank {
+        rank,
+        plan,
+        machine,
+        to,
+        from,
+        frame,
+        clock: 0.0,
+        comm: RankComm::default(),
+        buckets: vec![Vec::new(); to.len()],
+    };
+    r.run_items(&plan.items)?;
+    Ok(RankOut {
+        time: r.clock,
+        comm: r.comm,
+        frame: r.frame,
+    })
+}
+
+impl<'a> Rank<'a> {
+    fn run_items(&mut self, items: &'a [Item]) -> Result<(), Fault> {
+        for item in items {
+            match item {
+                Item::Serial(stmt) => {
+                    let mut flops = 0u64;
+                    self.frame.exec(std::slice::from_ref(stmt), &mut flops)?;
+                    self.clock += flops as f64 * self.machine.flop;
+                }
+                Item::SerialLoop {
+                    var,
+                    lo,
+                    hi,
+                    step,
+                    body,
+                } => {
+                    let lo = lo.eval(&self.frame)?;
+                    let hi = hi.eval(&self.frame)?;
+                    let step = match step {
+                        Some(e) => e.eval(&self.frame)?,
+                        None => 1,
+                    };
+                    for x in do_range(lo, hi, step) {
+                        self.frame.ints[*var] = Some(x);
+                        self.run_items(body)?;
                     }
                 }
-                let saved = env.get(var).copied();
-                let mut x = lo;
-                while x <= hi {
-                    env.insert(var.clone(), x);
-                    self.walk_comm(body, env, on_leaf)?;
-                    x += step;
-                }
-                match saved {
-                    Some(v) => {
-                        env.insert(var.clone(), v);
-                    }
-                    None => {
-                        env.remove(var);
+                Item::Nest(nest) => {
+                    // Snapshot reduction accumulators.
+                    let snaps: Vec<f64> = nest
+                        .reductions
+                        .iter()
+                        .map(|&(s, _)| self.frame.floats[s].unwrap_or(0.0))
+                        .collect();
+                    nest.code
+                        .run(self, &mut |id, r: &mut Rank<'a>| r.run_op(&nest.ops[id.0]))
+                        .map_err(|h| self.frame.halted(h))?;
+                    for (&(s, op), baseline) in nest.reductions.iter().zip(snaps) {
+                        let mine = self.frame.floats[s].unwrap_or(0.0);
+                        let combined = self.allreduce(op, mine, baseline)?;
+                        self.frame.floats[s] = Some(combined);
                     }
                 }
             }
-            Code::Stmt(_) => on_leaf(env),
-            Code::Comment(_) => {}
         }
         Ok(())
     }
 
-    fn comm_send(&mut self, ev: &CommEvent, outer: &Env) -> Result<(), SimError> {
-        let plan = self.enumerate_comm(&ev.send_code, ev.proc_rank, ev.data_rank, outer)?;
-        for (partner, idxs) in plan {
-            if partner == self.rank {
+    /// Executes one nest operation at the current loop indices.
+    fn run_op(&mut self, op: &Op) -> Result<(), Fault> {
+        match op {
+            Op::Assign { guards, assign } => {
+                for g in guards {
+                    if g.eval(&self.frame)? == 0.0 {
+                        return Ok(());
+                    }
+                }
+                let v = assign.rhs.eval(&self.frame)?;
+                self.clock += assign.cost as f64 * self.machine.flop;
+                self.frame.store(&assign.target, v)
+            }
+            Op::Send(ev) => self.comm_send(&self.plan.events[*ev]),
+            Op::Recv(ev) => self.comm_recv(&self.plan.events[*ev]),
+        }
+    }
+
+    /// Runs a comm map's code, bucketing each enumerated element by
+    /// partner rank. Each bucket, sorted by key, is in array-index
+    /// (lexicographic) order: the payload order both sides of a message
+    /// agree on, independent of how the map's code is split into loop
+    /// nests.
+    ///
+    /// Partner (`q*`) loops over virtual-processor dimensions were lowered
+    /// with the block size as their stride, so only *real* VPs are
+    /// visited; a safety filter still skips any fictitious VP that would
+    /// slip through.
+    fn enumerate_comm(&mut self, ev: &'a Event, code: &'a SlotCode) -> Result<(), Fault> {
+        for b in &mut self.buckets {
+            b.clear();
+        }
+        code.run(self, &mut |_, r: &mut Rank<'a>| r.comm_leaf(ev))
+            .map_err(|h| self.frame.halted(h))
+    }
+
+    fn comm_leaf(&mut self, ev: &Event) -> Result<(), Fault> {
+        let f = &self.frame;
+        let mut partner = 0i64;
+        for p in &ev.partner {
+            let q = f.ints[p.q].ok_or_else(|| f.unbound(p.q))?;
+            let c = match p.block {
+                None => q,
+                Some(b) => {
+                    let bs = f.ints[b].ok_or_else(|| f.unbound(b))?;
+                    if (q - 1).rem_euclid(bs) != 0 {
+                        return Ok(()); // fictitious VP
+                    }
+                    (q - 1) / bs
+                }
+            };
+            if c < 0 || c >= p.count {
+                return Ok(()); // outside the physical grid
+            }
+            partner = partner * p.count + c;
+        }
+        let (off, key) = f.slot_offset(ev.array, &ev.subs)?;
+        self.buckets[partner as usize].push((key, off));
+        Ok(())
+    }
+
+    fn comm_send(&mut self, ev: &'a Event) -> Result<(), Fault> {
+        self.enumerate_comm(ev, &ev.send)?;
+        for partner in 0..self.buckets.len() {
+            if partner == self.rank || self.buckets[partner].is_empty() {
                 continue;
             }
-            let arr = &self.store.arrays[&ev.array];
-            let values: Vec<f64> = idxs.iter().map(|i| arr.get(i)).collect();
+            let bucket = &mut self.buckets[partner];
+            bucket.sort_unstable_by_key(|&(key, _)| key);
+            let data = &self.frame.arrays[ev.array].data;
+            let values: Vec<f64> = bucket.iter().map(|&(_, off)| data[off]).collect();
             let nbytes = (values.len() * 8) as u64;
             if ev.contiguous {
                 self.comm.inplace_sends += 1;
@@ -631,31 +683,33 @@ impl Rank<'_> {
                     t_send: self.clock,
                     values,
                 })
-                .map_err(|_| SimError::CommMismatch("send on closed channel".into()))?;
+                .map_err(|_| Box::new(SimError::CommMismatch("send on closed channel".into())))?;
         }
         Ok(())
     }
 
-    fn comm_recv(&mut self, ev: &CommEvent, outer: &Env) -> Result<(), SimError> {
-        let plan = self.enumerate_comm(&ev.recv_code, ev.proc_rank, ev.data_rank, outer)?;
-        for (partner, idxs) in plan {
-            if partner == self.rank {
+    fn comm_recv(&mut self, ev: &'a Event) -> Result<(), Fault> {
+        self.enumerate_comm(ev, &ev.recv)?;
+        for partner in 0..self.buckets.len() {
+            if partner == self.rank || self.buckets[partner].is_empty() {
                 continue;
             }
             let msg = self.from[partner]
                 .recv()
-                .map_err(|_| SimError::CommMismatch("recv on closed channel".into()))?;
-            if msg.tag != ev.id || msg.values.len() != idxs.len() {
-                return Err(SimError::CommMismatch(format!(
+                .map_err(|_| Box::new(SimError::CommMismatch("recv on closed channel".into())))?;
+            let bucket = &mut self.buckets[partner];
+            if msg.tag != ev.id || msg.values.len() != bucket.len() {
+                return Err(Box::new(SimError::CommMismatch(format!(
                     "rank {} expected event {} ({} elems) from {}, got event {} ({} elems)",
                     self.rank,
                     ev.id,
-                    idxs.len(),
+                    bucket.len(),
                     partner,
                     msg.tag,
                     msg.values.len()
-                )));
+                ))));
             }
+            bucket.sort_unstable_by_key(|&(key, _)| key);
             let nbytes = (msg.values.len() * 8) as u64;
             self.clock = self
                 .clock
@@ -668,21 +722,18 @@ impl Rank<'_> {
             }
             self.comm.recv_messages += 1;
             self.comm.recv_bytes += nbytes;
-            let arr = self
-                .store
-                .arrays
-                .get_mut(&ev.array)
-                .expect("comm array exists");
-            for (idx, v) in idxs.iter().zip(&msg.values) {
-                arr.set(idx, *v);
+            let data = &mut self.frame.arrays[ev.array].data;
+            for (&(_, off), v) in bucket.iter().zip(&msg.values) {
+                data[off] = *v;
             }
         }
         Ok(())
     }
 
     /// Combines a reduction across all ranks (star topology via rank 0).
-    fn allreduce(&mut self, op: ReduceOp, mine: f64, baseline: f64) -> Result<f64, SimError> {
+    fn allreduce(&mut self, op: ReduceOp, mine: f64, baseline: f64) -> Result<f64, Fault> {
         const REDUCE_TAG: usize = usize::MAX;
+        let nranks = self.to.len();
         let contribution = match op {
             ReduceOp::Add => mine - baseline,
             _ => mine,
@@ -690,10 +741,10 @@ impl Rank<'_> {
         if self.rank == 0 {
             let mut acc = contribution;
             let mut t = self.clock;
-            for p in 1..self.nranks {
+            for p in 1..nranks {
                 let m = self.from[p]
                     .recv()
-                    .map_err(|_| SimError::CommMismatch("reduce recv".into()))?;
+                    .map_err(|_| Box::new(SimError::CommMismatch("reduce recv".into())))?;
                 debug_assert_eq!(m.tag, REDUCE_TAG);
                 t = t.max(m.t_send);
                 acc = match op {
@@ -706,17 +757,17 @@ impl Rank<'_> {
                 ReduceOp::Add => baseline + acc,
                 _ => acc,
             };
-            let log_p = (self.nranks as f64).log2().ceil().max(1.0);
+            let log_p = (nranks as f64).log2().ceil().max(1.0);
             t += 2.0 * self.machine.alpha * log_p;
             self.clock = t;
-            for p in 1..self.nranks {
+            for p in 1..nranks {
                 self.to[p]
                     .send(Message {
                         tag: REDUCE_TAG,
                         t_send: t,
                         values: vec![total],
                     })
-                    .map_err(|_| SimError::CommMismatch("reduce bcast".into()))?;
+                    .map_err(|_| Box::new(SimError::CommMismatch("reduce bcast".into())))?;
             }
             Ok(total)
         } else {
@@ -726,26 +777,12 @@ impl Rank<'_> {
                     t_send: self.clock,
                     values: vec![contribution],
                 })
-                .map_err(|_| SimError::CommMismatch("reduce send".into()))?;
+                .map_err(|_| Box::new(SimError::CommMismatch("reduce send".into())))?;
             let m = self.from[0]
                 .recv()
-                .map_err(|_| SimError::CommMismatch("reduce final".into()))?;
+                .map_err(|_| Box::new(SimError::CommMismatch("reduce final".into())))?;
             self.clock = self.clock.max(m.t_send);
             Ok(m.values[0])
-        }
-    }
-
-    fn sync_env_into_store(&mut self) {
-        for (k, v) in &self.env {
-            self.store.ints.insert(k.clone(), *v);
-        }
-    }
-
-    fn sync_store_into_env(&mut self) {
-        // Integer scalars updated by serial statements must be visible as
-        // loop-bound parameters.
-        for (k, v) in &self.store.ints {
-            self.env.insert(k.clone(), *v);
         }
     }
 }

@@ -1,13 +1,18 @@
-//! Expression evaluation and the serial reference interpreter.
+//! The slot interpreter both executors share, and the serial reference.
 //!
-//! The serial interpreter executes the original (unpartitioned) program
-//! directly from its AST; the SPMD executor's results are validated against
-//! it in the integration tests.
+//! A [`Frame`] holds one program instance's state by number: integer and
+//! `f64` scalar slots and the array table. The lowered expressions and
+//! statements of [`crate::lower`] evaluate against it. [`run_serial`]
+//! executes the original (unpartitioned) program on one frame; the SPMD
+//! executor's results are validated against it in the integration tests.
 
+use crate::lower::{lower_block, ArrayId, Assign, FExpr, IExpr, Intrinsic, LStmt, Symbols, Target};
 use crate::store::{Array, Store};
-use dhpf_hpf::{Analysis, BinOp, Expr, ScalarKind, Stmt, StmtKind, TypeName, UnOp};
+use dhpf_codegen::{Halt, Slot, Slots};
+use dhpf_hpf::{Analysis, BinOp, ScalarKind, TypeName};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Runtime errors of the interpreters.
 #[derive(Clone, Debug)]
@@ -19,6 +24,13 @@ pub enum SimError {
     Unsupported(String),
     /// Communication mismatch between ranks (an internal invariant).
     CommMismatch(String),
+    /// A subscript outside an array's bounds, or of the wrong rank.
+    OutOfBounds {
+        /// The array.
+        array: String,
+        /// The subscripts, one per subscript expression.
+        index: Vec<i64>,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -27,70 +39,39 @@ impl fmt::Display for SimError {
             SimError::Unbound(n) => write!(f, "unbound variable '{n}'"),
             SimError::Unsupported(m) => write!(f, "unsupported at runtime: {m}"),
             SimError::CommMismatch(m) => write!(f, "communication mismatch: {m}"),
+            SimError::OutOfBounds { array, index } => {
+                write!(f, "index {index:?} out of bounds of array '{array}'")
+            }
         }
     }
 }
 
 impl std::error::Error for SimError {}
 
-/// Evaluates an expression to `f64` against a store, with an optional
-/// overlay of integer loop-variable bindings (checked first).
-pub fn eval_f64_in(
-    e: &Expr,
-    store: &Store,
-    env: Option<&HashMap<String, i64>>,
-) -> Result<f64, SimError> {
-    Ok(match e {
-        Expr::Int(v) => *v as f64,
-        Expr::Real(v) => *v,
-        Expr::Var(name) => {
-            if let Some(v) = env.and_then(|e| e.get(name)) {
-                *v as f64
-            } else if let Some(v) = store.floats.get(name) {
-                *v
-            } else if let Some(v) = store.ints.get(name) {
-                *v as f64
-            } else {
-                return Err(SimError::Unbound(name.clone()));
-            }
-        }
-        Expr::Ref(name, args) => {
-            if let Some(arr) = store.arrays.get(name) {
-                let idx = args
-                    .iter()
-                    .map(|a| eval_int_in(a, store, env))
-                    .collect::<Result<Vec<_>, _>>()?;
-                arr.get(&idx)
-            } else {
-                eval_intrinsic(name, args, store, env)?
-            }
-        }
-        Expr::Bin(op, a, b) => {
-            let (x, y) = (eval_f64_in(a, store, env)?, eval_f64_in(b, store, env)?);
-            match op {
-                BinOp::Add => x + y,
-                BinOp::Sub => x - y,
-                BinOp::Mul => x * y,
-                BinOp::Div => x / y,
-                BinOp::Pow => x.powf(y),
-                BinOp::Lt => bool_val(x < y),
-                BinOp::Le => bool_val(x <= y),
-                BinOp::Gt => bool_val(x > y),
-                BinOp::Ge => bool_val(x >= y),
-                BinOp::Eq => bool_val(x == y),
-                BinOp::Ne => bool_val(x != y),
-                BinOp::And => bool_val(x != 0.0 && y != 0.0),
-                BinOp::Or => bool_val(x != 0.0 || y != 0.0),
-            }
-        }
-        Expr::Un(UnOp::Neg, a) => -eval_f64_in(a, store, env)?,
-        Expr::Un(UnOp::Not, a) => bool_val(eval_f64_in(a, store, env)? == 0.0),
-    })
+/// A [`SimError`] on the evaluator's hot path, boxed so that evaluation
+/// results stay two words wide.
+pub(crate) type Fault = Box<SimError>;
+
+/// One program instance's state, by slot and handle.
+#[derive(Clone, Debug)]
+pub(crate) struct Frame {
+    pub syms: Arc<Symbols>,
+    /// Integer scalars, including generated-code variables.
+    pub ints: Vec<Option<i64>>,
+    /// `f64` scalars.
+    pub floats: Vec<Option<f64>>,
+    /// Arrays by handle.
+    pub arrays: Vec<Array>,
 }
 
-/// Evaluates an expression to `f64` against a store.
-pub fn eval_f64(e: &Expr, store: &Store) -> Result<f64, SimError> {
-    eval_f64_in(e, store, None)
+impl Slots for Frame {
+    fn slots(&self) -> &[Option<i64>] {
+        &self.ints
+    }
+
+    fn slots_mut(&mut self) -> &mut [Option<i64>] {
+        &mut self.ints
+    }
 }
 
 fn bool_val(b: bool) -> f64 {
@@ -101,148 +82,362 @@ fn bool_val(b: bool) -> f64 {
     }
 }
 
-/// Evaluates an expression to `i64`, with an optional integer overlay.
-pub fn eval_int_in(
-    e: &Expr,
-    store: &Store,
-    env: Option<&HashMap<String, i64>>,
-) -> Result<i64, SimError> {
-    Ok(match e {
-        Expr::Int(v) => *v,
-        Expr::Real(v) => *v as i64,
-        Expr::Var(name) => {
-            if let Some(v) = env.and_then(|e| e.get(name)) {
-                *v
-            } else if let Some(v) = store.ints.get(name) {
-                *v
-            } else if let Some(v) = store.floats.get(name) {
-                *v as i64
-            } else {
-                return Err(SimError::Unbound(name.clone()));
-            }
+impl Frame {
+    /// A frame with the unit's declared scalars bound and no arrays yet:
+    /// runtime inputs and `parameter` constants as integers (constants
+    /// win), declared locals as zero. Runtime inputs missing from `inputs`
+    /// stay unbound, so a missing input is a loud error at its first use.
+    pub fn new(syms: Arc<Symbols>, analysis: &Analysis, inputs: &HashMap<String, i64>) -> Frame {
+        let n = syms.scalars.len();
+        let mut f = Frame {
+            syms,
+            ints: vec![None; n],
+            floats: vec![None; n],
+            arrays: Vec::new(),
+        };
+        for (k, v) in inputs {
+            let s = f.syms.lookup(k).expect("inputs are interned");
+            f.ints[s] = Some(*v);
         }
-        Expr::Bin(op, a, b) => {
-            let (x, y) = (eval_int_in(a, store, env)?, eval_int_in(b, store, env)?);
-            match op {
-                BinOp::Add => x + y,
-                BinOp::Sub => x - y,
-                BinOp::Mul => x * y,
-                BinOp::Div => {
-                    if y == 0 {
-                        return Err(SimError::Unsupported("division by zero".into()));
+        for (name, info) in &analysis.scalars {
+            let s = f.syms.lookup(name).expect("scalars are interned");
+            match info.kind {
+                ScalarKind::Constant(v) => f.ints[s] = Some(v),
+                ScalarKind::Symbolic => {}
+                ScalarKind::Local => match info.ty {
+                    TypeName::Integer => {
+                        f.ints[s].get_or_insert(0);
                     }
-                    x / y
-                }
-                _ => return Ok(eval_f64_in(e, store, env)? as i64),
+                    TypeName::Real => {
+                        f.floats[s].get_or_insert(0.0);
+                    }
+                },
             }
         }
-        Expr::Un(UnOp::Neg, a) => -eval_int_in(a, store, env)?,
-        _ => eval_f64_in(e, store, env)? as i64,
-    })
-}
-
-/// Evaluates an expression to `i64` (used for subscripts and loop bounds).
-pub fn eval_int(e: &Expr, store: &Store) -> Result<i64, SimError> {
-    eval_int_in(e, store, None)
-}
-
-/// Evaluates a condition (nonzero = true).
-pub fn eval_bool(e: &Expr, store: &Store) -> Result<bool, SimError> {
-    Ok(eval_f64(e, store)? != 0.0)
-}
-
-/// Evaluates a condition with an integer overlay (nonzero = true).
-pub fn eval_bool_in(
-    e: &Expr,
-    store: &Store,
-    env: Option<&HashMap<String, i64>>,
-) -> Result<bool, SimError> {
-    Ok(eval_f64_in(e, store, env)? != 0.0)
-}
-
-fn eval_intrinsic(
-    name: &str,
-    args: &[Expr],
-    store: &Store,
-    env: Option<&HashMap<String, i64>>,
-) -> Result<f64, SimError> {
-    let vals: Vec<f64> = args
-        .iter()
-        .map(|a| eval_f64_in(a, store, env))
-        .collect::<Result<_, _>>()?;
-    Ok(match (name, vals.as_slice()) {
-        ("abs", [x]) => x.abs(),
-        ("sqrt", [x]) => x.sqrt(),
-        ("exp", [x]) => x.exp(),
-        ("log", [x]) => x.ln(),
-        ("max", xs) if !xs.is_empty() => xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max),
-        ("min", xs) if !xs.is_empty() => xs.iter().cloned().fold(f64::INFINITY, f64::min),
-        ("mod", [x, y]) => x - (x / y).floor() * y,
-        ("sign", [x, y]) => x.abs() * y.signum(),
-        ("float" | "dble" | "real", [x]) => *x,
-        ("int", [x]) => x.trunc(),
-        ("number_of_processors", []) => *store
-            .ints
-            .get("number_of_processors")
-            .ok_or_else(|| SimError::Unbound("number_of_processors".into()))?
-            as f64,
-        _ => {
-            return Err(SimError::Unsupported(format!(
-                "intrinsic '{name}' with {} arguments",
-                vals.len()
-            )))
-        }
-    })
-}
-
-/// Allocates the unit's declared arrays and scalars into a store.
-pub fn allocate(analysis: &Analysis, inputs: &HashMap<String, i64>) -> Result<Store, SimError> {
-    let mut store = Store::new();
-    for (k, v) in inputs {
-        store.ints.insert(k.clone(), *v);
+        f
     }
-    for (name, s) in &analysis.scalars {
-        match s.kind {
-            ScalarKind::Constant(v) => {
-                store.ints.insert(name.clone(), v);
-            }
-            // Runtime inputs must come from `inputs`; leaving them unbound
-            // makes a missing input a loud error at its first use.
-            ScalarKind::Symbolic => {}
-            ScalarKind::Local => match s.ty {
-                TypeName::Integer => {
-                    store.ints.entry(name.clone()).or_insert(0);
-                }
-                TypeName::Real => {
-                    store.floats.entry(name.clone()).or_insert(0.0);
-                }
-            },
-        }
-    }
-    for (name, info) in &analysis.arrays {
-        let dims = info
-            .dims
+
+    /// The declared bounds of every array, by handle, evaluated over the
+    /// integer slots.
+    pub fn array_dims(&self, analysis: &Analysis) -> Result<Vec<Vec<(i64, i64)>>, SimError> {
+        self.syms
+            .arrays
             .iter()
-            .map(|(lo, hi)| -> Result<(i64, i64), SimError> {
-                Ok((eval_affine(lo, &store)?, eval_affine(hi, &store)?))
+            .map(|name| {
+                analysis.arrays[name]
+                    .dims
+                    .iter()
+                    .map(|(lo, hi)| Ok((self.affine(lo)?, self.affine(hi)?)))
+                    .collect()
             })
-            .collect::<Result<Vec<_>, _>>()?;
-        store.arrays.insert(name.clone(), Array::new(dims));
+            .collect()
     }
-    Ok(store)
+
+    /// Evaluates a frontend affine expression over the integer slots.
+    pub fn affine(&self, a: &dhpf_hpf::Affine) -> Result<i64, SimError> {
+        let mut acc = a.constant;
+        for (name, c) in &a.terms {
+            let v = self
+                .syms
+                .lookup(name)
+                .and_then(|s| self.ints[s])
+                .ok_or_else(|| SimError::Unbound(name.clone()))?;
+            acc += c * v;
+        }
+        Ok(acc)
+    }
+
+    /// The bound scalars as `(f64s, integers)` by name.
+    pub fn scalars(&self) -> (HashMap<String, f64>, HashMap<String, i64>) {
+        let named = |s: Slot| self.syms.scalars[s].clone();
+        let floats = (0..self.floats.len())
+            .filter_map(|s| self.floats[s].map(|v| (named(s), v)))
+            .collect();
+        let ints = (0..self.ints.len())
+            .filter_map(|s| self.ints[s].map(|v| (named(s), v)))
+            .collect();
+        (floats, ints)
+    }
+
+    /// The frame as a name-keyed [`Store`].
+    pub fn into_store(self) -> Store {
+        let (floats, ints) = self.scalars();
+        Store {
+            arrays: self.syms.arrays.iter().cloned().zip(self.arrays).collect(),
+            ints,
+            floats,
+        }
+    }
+
+    /// The error for reading the unbound slot `s`.
+    pub fn unbound(&self, s: Slot) -> Fault {
+        Box::new(SimError::Unbound(self.syms.scalars[s].clone()))
+    }
+
+    /// Maps a stopped [`dhpf_codegen::SlotCode`] run to its error.
+    pub fn halted(&self, h: Halt<Fault>) -> Fault {
+        match h {
+            Halt::Unbound(s) => self.unbound(s),
+            Halt::Stmt(e) => e,
+        }
+    }
+
+    fn out_of_bounds(&self, h: ArrayId, index: Vec<i64>) -> Fault {
+        Box::new(SimError::OutOfBounds {
+            array: self.syms.arrays[h].clone(),
+            index,
+        })
+    }
+
+    /// Column-major offset and row-major key of the element of array `h`
+    /// at subscripts `xs`, every one of which is evaluated first; `None`
+    /// when one is out of bounds or their count is not the array's rank.
+    /// Keys order in-bounds elements lexicographically by subscript.
+    fn locate(
+        &self,
+        h: ArrayId,
+        xs: impl ExactSizeIterator<Item = Result<i64, Fault>>,
+    ) -> Result<Option<(usize, usize)>, Fault> {
+        let dims = &self.arrays[h].dims;
+        let (mut off, mut stride, mut key) = (0usize, 1usize, 0usize);
+        let mut inside = xs.len() == dims.len();
+        for (d, x) in xs.enumerate() {
+            let x = x?;
+            match dims.get(d) {
+                Some(&(lb, ub)) if (lb..=ub).contains(&x) => {
+                    let extent = (ub - lb + 1) as usize;
+                    off += (x - lb) as usize * stride;
+                    stride *= extent;
+                    key = key * extent + (x - lb) as usize;
+                }
+                _ => inside = false,
+            }
+        }
+        Ok(inside.then_some((off, key)))
+    }
+
+    /// Column-major offset of the element `subs` names in array `h`.
+    fn offset(&self, h: ArrayId, subs: &[IExpr]) -> Result<usize, Fault> {
+        match self.locate(h, subs.iter().map(|e| e.eval(self)))? {
+            Some((off, _)) => Ok(off),
+            None => {
+                let index = subs
+                    .iter()
+                    .map(|e| e.eval(self))
+                    .collect::<Result<_, _>>()?;
+                Err(self.out_of_bounds(h, index))
+            }
+        }
+    }
+
+    /// [`Frame::locate`] of the element whose subscripts are the values of
+    /// the integer slots `subs`.
+    pub fn slot_offset(&self, h: ArrayId, subs: &[Slot]) -> Result<(usize, usize), Fault> {
+        let xs = subs
+            .iter()
+            .map(|&s| self.ints[s].ok_or_else(|| self.unbound(s)));
+        self.locate(h, xs)?.ok_or_else(|| {
+            self.out_of_bounds(h, subs.iter().filter_map(|&s| self.ints[s]).collect())
+        })
+    }
+
+    /// Stores `v` into `target`.
+    pub fn store(&mut self, target: &Target, v: f64) -> Result<(), Fault> {
+        match target {
+            Target::Elem(h, subs) => {
+                let off = self.offset(*h, subs)?;
+                self.arrays[*h].data[off] = v;
+            }
+            &Target::Scalar { slot, implicit_int } => {
+                if self.ints[slot].is_some() || (self.floats[slot].is_none() && implicit_int) {
+                    self.ints[slot] = Some(v as i64);
+                } else {
+                    self.floats[slot] = Some(v);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Executes one assignment.
+    pub fn assign(&mut self, a: &Assign) -> Result<(), Fault> {
+        let v = a.rhs.eval(self)?;
+        self.store(&a.target, v)
+    }
+
+    /// Executes a block of statements, counting the flops of the
+    /// assignments it runs.
+    pub fn exec(&mut self, body: &[LStmt], flops: &mut u64) -> Result<(), Fault> {
+        for s in body {
+            match s {
+                LStmt::Assign(a) => {
+                    self.assign(a)?;
+                    *flops += a.cost;
+                }
+                LStmt::Do {
+                    var,
+                    lo,
+                    hi,
+                    step,
+                    body,
+                } => {
+                    let lo = lo.eval(self)?;
+                    let hi = hi.eval(self)?;
+                    let step = match step {
+                        Some(e) => e.eval(self)?,
+                        None => 1,
+                    };
+                    for x in do_range(lo, hi, step) {
+                        self.ints[*var] = Some(x);
+                        self.exec(body, flops)?;
+                    }
+                }
+                LStmt::If {
+                    cond,
+                    then_body,
+                    else_body,
+                } => {
+                    if cond.eval(self)? != 0.0 {
+                        self.exec(then_body, flops)?;
+                    } else {
+                        self.exec(else_body, flops)?;
+                    }
+                }
+                LStmt::Read(slots) => {
+                    for &s in slots {
+                        if self.ints[s].is_none() && self.floats[s].is_none() {
+                            return Err(Box::new(SimError::Unbound(format!(
+                                "runtime input '{}'",
+                                self.syms.scalars[s]
+                            ))));
+                        }
+                    }
+                }
+                LStmt::Print => {}
+                LStmt::Call(name) => {
+                    return Err(Box::new(SimError::Unsupported(format!("call '{name}'"))));
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
-/// Evaluates a frontend affine expression against a store's integers.
-pub fn eval_affine(a: &dhpf_hpf::Affine, store: &Store) -> Result<i64, SimError> {
-    let mut acc = a.constant;
-    for (name, c) in &a.terms {
-        let v = store
-            .ints
-            .get(name)
-            .ok_or_else(|| SimError::Unbound(name.clone()))?;
-        acc += c * v;
+/// The values a Fortran `do x = lo, hi, step` visits: none for a zero
+/// step, counting down for a negative one.
+pub(crate) fn do_range(lo: i64, hi: i64, step: i64) -> impl Iterator<Item = i64> {
+    std::iter::successors(Some(lo), move |x| Some(x + step))
+        .take_while(move |&x| (step > 0 && x <= hi) || (step < 0 && x >= hi))
+}
+
+impl FExpr {
+    /// Evaluates in `f64`. A scalar reads its `f64` slot first, then its
+    /// integer slot.
+    pub(crate) fn eval(&self, f: &Frame) -> Result<f64, Fault> {
+        Ok(match self {
+            FExpr::Const(v) => *v,
+            FExpr::Var(s) => match (f.floats[*s], f.ints[*s]) {
+                (Some(v), _) => v,
+                (None, Some(v)) => v as f64,
+                (None, None) => return Err(f.unbound(*s)),
+            },
+            FExpr::Elem(h, subs) => f.arrays[*h].data[f.offset(*h, subs)?],
+            FExpr::Bin(op, a, b) => {
+                let (x, y) = (a.eval(f)?, b.eval(f)?);
+                match op {
+                    BinOp::Add => x + y,
+                    BinOp::Sub => x - y,
+                    BinOp::Mul => x * y,
+                    BinOp::Div => x / y,
+                    BinOp::Pow => x.powf(y),
+                    BinOp::Lt => bool_val(x < y),
+                    BinOp::Le => bool_val(x <= y),
+                    BinOp::Gt => bool_val(x > y),
+                    BinOp::Ge => bool_val(x >= y),
+                    BinOp::Eq => bool_val(x == y),
+                    BinOp::Ne => bool_val(x != y),
+                    BinOp::And => bool_val(x != 0.0 && y != 0.0),
+                    BinOp::Or => bool_val(x != 0.0 || y != 0.0),
+                }
+            }
+            FExpr::Neg(a) => -a.eval(f)?,
+            FExpr::Not(a) => bool_val(a.eval(f)? == 0.0),
+            FExpr::Call(i, args) => call(i, args, f)?,
+        })
     }
-    Ok(acc)
+}
+
+fn call(i: &Intrinsic, args: &[FExpr], f: &Frame) -> Result<f64, Fault> {
+    let arg = |k: usize| args[k].eval(f);
+    Ok(match i {
+        Intrinsic::Abs => arg(0)?.abs(),
+        Intrinsic::Sqrt => arg(0)?.sqrt(),
+        Intrinsic::Exp => arg(0)?.exp(),
+        Intrinsic::Log => arg(0)?.ln(),
+        Intrinsic::Max => {
+            let mut acc = f64::NEG_INFINITY;
+            for a in args {
+                acc = acc.max(a.eval(f)?);
+            }
+            acc
+        }
+        Intrinsic::Min => {
+            let mut acc = f64::INFINITY;
+            for a in args {
+                acc = acc.min(a.eval(f)?);
+            }
+            acc
+        }
+        Intrinsic::Mod => {
+            let (x, y) = (arg(0)?, arg(1)?);
+            x - (x / y).floor() * y
+        }
+        Intrinsic::Sign => {
+            let (x, y) = (arg(0)?, arg(1)?);
+            x.abs() * y.signum()
+        }
+        Intrinsic::Same => arg(0)?,
+        Intrinsic::Int => arg(0)?.trunc(),
+        Intrinsic::NumProcs(s) => {
+            f.ints[*s].ok_or_else(|| SimError::Unbound("number_of_processors".into()))? as f64
+        }
+        Intrinsic::Unknown(name) => {
+            for a in args {
+                a.eval(f)?;
+            }
+            return Err(Box::new(SimError::Unsupported(format!(
+                "intrinsic '{name}' with {} arguments",
+                args.len()
+            ))));
+        }
+    })
+}
+
+impl IExpr {
+    /// Evaluates in `i64`. A scalar reads its integer slot first, then its
+    /// `f64` slot (truncated).
+    pub(crate) fn eval(&self, f: &Frame) -> Result<i64, Fault> {
+        Ok(match self {
+            IExpr::Const(v) => *v,
+            IExpr::Offset(s, c) => match (f.ints[*s], f.floats[*s]) {
+                (Some(v), _) => v + c,
+                (None, Some(v)) => v as i64 + c,
+                (None, None) => return Err(f.unbound(*s)),
+            },
+            IExpr::Add(a, b) => a.eval(f)? + b.eval(f)?,
+            IExpr::Sub(a, b) => a.eval(f)? - b.eval(f)?,
+            IExpr::Mul(a, b) => a.eval(f)? * b.eval(f)?,
+            IExpr::Div(a, b) => {
+                let (x, y) = (a.eval(f)?, b.eval(f)?);
+                if y == 0 {
+                    return Err(Box::new(SimError::Unsupported("division by zero".into())));
+                }
+                x / y
+            }
+            IExpr::Neg(a) => -a.eval(f)?,
+            IExpr::Real(e) => e.eval(f)? as i64,
+        })
+    }
 }
 
 /// Runs the original program serially (the validation oracle), returning
@@ -250,105 +445,26 @@ pub fn eval_affine(a: &dhpf_hpf::Affine, store: &Store) -> Result<i64, SimError>
 ///
 /// # Errors
 ///
-/// Returns [`SimError`] for unbound inputs or unsupported constructs.
+/// Returns [`SimError`] for unbound inputs, out-of-bounds subscripts or
+/// unsupported constructs.
 pub fn run_serial(
     analysis: &Analysis,
     inputs: &HashMap<String, i64>,
 ) -> Result<(Store, u64), SimError> {
-    let mut store = allocate(analysis, inputs)?;
+    let mut syms = Symbols::new(analysis);
+    for k in inputs.keys() {
+        syms.slot(k);
+    }
+    let body = lower_block(&analysis.unit.body, &mut syms);
+    let mut frame = Frame::new(Arc::new(syms), analysis, inputs);
+    frame.arrays = frame
+        .array_dims(analysis)?
+        .into_iter()
+        .map(Array::new)
+        .collect();
     let mut flops = 0u64;
-    exec_block(&analysis.unit.body, &mut store, &mut flops)?;
-    Ok((store, flops))
-}
-
-fn exec_block(body: &[Stmt], store: &mut Store, flops: &mut u64) -> Result<(), SimError> {
-    for s in body {
-        exec_stmt(s, store, flops)?;
-    }
-    Ok(())
-}
-
-/// Executes one statement against a store (used by both interpreters for
-/// replicated statements).
-pub fn exec_stmt(s: &Stmt, store: &mut Store, flops: &mut u64) -> Result<(), SimError> {
-    match &s.kind {
-        StmtKind::Assign {
-            name, subs, rhs, ..
-        } => {
-            let v = eval_f64(rhs, store)?;
-            *flops += cost_of(rhs);
-            if store.arrays.contains_key(name) {
-                let idx = subs
-                    .iter()
-                    .map(|e| eval_int(e, store))
-                    .collect::<Result<Vec<_>, _>>()?;
-                store
-                    .arrays
-                    .get_mut(name)
-                    .expect("checked above")
-                    .set(&idx, v);
-            } else if store.ints.contains_key(name)
-                || (!store.floats.contains_key(name) && Store::implicitly_integer(name))
-            {
-                store.ints.insert(name.clone(), v as i64);
-            } else {
-                store.floats.insert(name.clone(), v);
-            }
-        }
-        StmtKind::Do {
-            var,
-            lo,
-            hi,
-            step,
-            body,
-        } => {
-            let lo = eval_int(lo, store)?;
-            let hi = eval_int(hi, store)?;
-            let step = match step {
-                Some(e) => eval_int(e, store)?,
-                None => 1,
-            };
-            let mut x = lo;
-            while (step > 0 && x <= hi) || (step < 0 && x >= hi) {
-                store.ints.insert(var.clone(), x);
-                exec_block(body, store, flops)?;
-                x += step;
-            }
-        }
-        StmtKind::If {
-            cond,
-            then_body,
-            else_body,
-        } => {
-            if eval_bool(cond, store)? {
-                exec_block(then_body, store, flops)?;
-            } else {
-                exec_block(else_body, store, flops)?;
-            }
-        }
-        StmtKind::Read { vars } => {
-            for v in vars {
-                if !store.ints.contains_key(v) && !store.floats.contains_key(v) {
-                    return Err(SimError::Unbound(format!("runtime input '{v}'")));
-                }
-            }
-        }
-        StmtKind::Print { .. } => {}
-        StmtKind::Call { name, .. } => {
-            return Err(SimError::Unsupported(format!("call '{name}'")));
-        }
-    }
-    Ok(())
-}
-
-/// Floating-point operation count of an expression (the cost model).
-pub fn cost_of(e: &Expr) -> u64 {
-    match e {
-        Expr::Bin(_, a, b) => 1 + cost_of(a) + cost_of(b),
-        Expr::Un(_, a) => cost_of(a),
-        Expr::Ref(_, args) => args.iter().map(cost_of).sum::<u64>() + 1,
-        _ => 0,
-    }
+    frame.exec(&body, &mut flops).map_err(|e| *e)?;
+    Ok((frame.into_store(), flops))
 }
 
 #[cfg(test)]
@@ -430,5 +546,13 @@ end
         assert_eq!(store.arrays["a"].get(&[8]), 0.0);
         // Missing input is a positioned runtime error.
         assert!(run_serial(&analysis, &HashMap::new()).is_err());
+    }
+
+    #[test]
+    fn do_range_counts_both_ways() {
+        assert_eq!(do_range(1, 10, 3).collect::<Vec<_>>(), [1, 4, 7, 10]);
+        assert_eq!(do_range(4, 1, -1).collect::<Vec<_>>(), [4, 3, 2, 1]);
+        assert_eq!(do_range(1, 3, 0).count(), 0);
+        assert_eq!(do_range(3, 1, 1).count(), 0);
     }
 }

@@ -13,6 +13,7 @@
 
 pub mod exec;
 pub mod interp;
+mod lower;
 pub mod machine;
 pub mod store;
 

@@ -3,10 +3,10 @@
 //! serial reference interpreter, for every processor count.
 
 use dhpf::core::{compile, CompileOptions};
-use dhpf::sim::{run_serial, simulate, MachineModel};
+use dhpf::sim::{run_serial, simulate, MachineModel, Store};
 use std::collections::HashMap;
 
-fn check(src: &str, grids: &[&[i64]], inputs: &[(&str, i64)]) {
+fn check(src: &str, grids: &[&[i64]], inputs: &[(&str, i64)]) -> Store {
     let inputs: HashMap<String, i64> = inputs.iter().map(|&(k, v)| (k.to_string(), v)).collect();
     let compiled = compile(src, &CompileOptions::default()).unwrap_or_else(|e| {
         panic!("compile failed: {e}");
@@ -33,6 +33,7 @@ fn check(src: &str, grids: &[&[i64]], inputs: &[(&str, i64)]) {
             );
         }
     }
+    serial
 }
 
 /// 1-D shift with BLOCK distribution and a fixed processor count.
@@ -345,4 +346,42 @@ end
         &[&[4]],
         &[],
     );
+}
+
+/// A replicated time loop over `header` around a BLOCK-distributed update.
+fn stepped_time_loop(header: &str) -> String {
+    format!(
+        "
+program steps
+real a(16), b(16)
+!HPF$ processors p(2)
+!HPF$ template t(16)
+!HPF$ align a(i) with t(i)
+!HPF$ align b(i) with t(i)
+!HPF$ distribute t(block) onto p
+{header}
+  do i = 1, 16
+    b(i) = 1.0
+  enddo
+  do i = 1, 16
+    a(i) = a(i) + b(i)
+  enddo
+enddo
+end
+"
+    )
+}
+
+/// A time loop with a step visits `lo, lo + step, ...`, not `lo..=hi`.
+#[test]
+fn serial_loop_with_positive_step() {
+    let serial = check(&stepped_time_loop("do iter = 1, 10, 3"), &[&[2]], &[]);
+    assert_eq!(serial.arrays["a"].get(&[6]), 4.0);
+}
+
+/// A negative step counts down; the loop still runs.
+#[test]
+fn serial_loop_with_negative_step() {
+    let serial = check(&stepped_time_loop("do iter = 4, 1, -1"), &[&[2]], &[]);
+    assert_eq!(serial.arrays["a"].get(&[6]), 4.0);
 }
