@@ -5,7 +5,8 @@
 //! set spans the full array range in dimensions `1..k`, is convex in
 //! dimension `k`, and is a singleton in dimensions `k+1..n`. Each test
 //! reduces to a satisfiability question; whatever cannot be proven at
-//! compile time is synthesized as a runtime predicate.
+//! compile time is synthesized as a runtime predicate. Nothing evaluates
+//! that predicate yet, so such a message is sent buffered.
 
 use dhpf_codegen::{Cond, Expr};
 use dhpf_omega::Set;
@@ -18,8 +19,9 @@ pub enum Contiguity {
     Contiguous,
     /// Proven non-contiguous for all parameter values.
     NotContiguous,
-    /// Undetermined at compile time: evaluate the synthesized predicate at
-    /// runtime (the paper's combined compile-time/run-time scan).
+    /// Undetermined at compile time. The paper scans such a message at
+    /// runtime; here nothing evaluates the synthesized predicate, and the
+    /// compiler treats the event as not contiguous (a buffered send).
     Runtime(RuntimeCheck),
 }
 
@@ -28,8 +30,9 @@ pub enum Contiguity {
 pub struct RuntimeCheck {
     /// Human-readable description of what must hold.
     pub description: String,
-    /// A conservative runtime condition (true ⇒ contiguous); the simulator
-    /// evaluates it against actual message extents.
+    /// A conservative runtime condition (true ⇒ contiguous) over the
+    /// message extents. It is recorded, not evaluated: no executor reads
+    /// it, so a runtime verdict always means a buffered send.
     pub cond: Cond,
 }
 

@@ -930,10 +930,26 @@ struct BoundsOn {
 }
 
 impl BoundsOn {
-    /// Whether the real shadow is already the exact projection: no pair
-    /// of bounds has both coefficients above 1.
+    /// Whether the dark shadow is already the exact projection: every pair
+    /// of bounds either has a unit coefficient, or combines to a constant
+    /// `a*U + b*L >= (a-1)(b-1)`, so its dark row holds wherever its real
+    /// row does (`17p+1 <= x <= 17p+17` pins `17p` to a window of 17
+    /// consecutive integers, one of which is a multiple of 17). Overflow
+    /// counts as inexact.
     fn is_exact(&self) -> bool {
-        !(self.lowers.iter().any(|&(a, _)| a > 1) && self.uppers.iter().any(|&(b, _)| b > 1))
+        let pair_exact = |a: i64, l: &LinExpr, b: i64, u: &LinExpr| -> Result<bool, OmegaError> {
+            if a == 1 || b == 1 {
+                return Ok(true);
+            }
+            let mut comb = u.try_scaled(a)?;
+            comb.try_add_scaled(l, b)?;
+            Ok(comb.is_constant() && comb.constant_term() >= try_mul(a - 1, b - 1)?)
+        };
+        self.lowers.iter().all(|(a, l)| {
+            self.uppers
+                .iter()
+                .all(|(b, u)| pair_exact(*a, l, *b, u).unwrap_or(false))
+        })
     }
 
     /// `base` plus one combination per pair of bounds: `a*U + b*L >= 0`

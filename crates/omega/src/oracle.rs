@@ -355,7 +355,11 @@ fn gen_coeff(rng: &mut Rng, cfg: &OracleConfig) -> i64 {
     }
 }
 
-fn gen_atom(rng: &mut Rng, cfg: &OracleConfig, dims: usize, n_params: usize) -> GenAtom {
+/// One atom shape: a single constraint, or a BLOCK pair of two.
+fn gen_atom(rng: &mut Rng, cfg: &OracleConfig, dims: usize, n_params: usize) -> Vec<GenAtom> {
+    if dims >= 2 && rng.chance(1, 5) {
+        return gen_block_pair(rng, cfg, dims, n_params);
+    }
     loop {
         let coeffs: Vec<i64> = (0..dims).map(|_| gen_coeff(rng, cfg)).collect();
         let pcoeffs: Vec<i64> = (0..n_params).map(|_| gen_coeff(rng, cfg)).collect();
@@ -363,7 +367,7 @@ fn gen_atom(rng: &mut Rng, cfg: &OracleConfig, dims: usize, n_params: usize) -> 
             continue; // a pure parameter/constant constraint is uninteresting
         }
         let k = rng.range(-cfg.const_max, cfg.const_max);
-        return if rng.chance(1, 4) {
+        return vec![if rng.chance(1, 4) {
             GenAtom::Stride {
                 coeffs,
                 pcoeffs,
@@ -377,8 +381,34 @@ fn gen_atom(rng: &mut Rng, cfg: &OracleConfig, dims: usize, n_params: usize) -> 
                 pcoeffs,
                 k,
             }
-        };
+        }];
     }
+}
+
+/// `c·v + k <= x <= c·v + k + w`, the shape BLOCK ownership gives a
+/// partner variable `v`. `v` is the last dimension, the one the `project`
+/// law eliminates. That elimination is exact without splinters when
+/// `w >= c-1` (every window of `c` consecutive integers holds a multiple
+/// of `c`); `w = c-2` leaves residue holes.
+fn gen_block_pair(rng: &mut Rng, cfg: &OracleConfig, dims: usize, n_params: usize) -> Vec<GenAtom> {
+    let v = dims - 1;
+    let x = rng.index(dims - 1);
+    let c = rng.range(2, 5);
+    let w = c - rng.range(0, 2);
+    let k = rng.range(-cfg.const_max, cfg.const_max);
+    let side = |sign: i64, k: i64| {
+        let mut coeffs = vec![0; dims];
+        coeffs[x] = sign;
+        coeffs[v] = -sign * c;
+        GenAtom::Cmp {
+            eq: false,
+            coeffs,
+            pcoeffs: vec![0; n_params],
+            k,
+        }
+    };
+    // x - c·v - k >= 0  and  c·v + k + w - x >= 0
+    vec![side(1, -k), side(-1, k + w)]
 }
 
 fn gen_conj(
@@ -400,7 +430,7 @@ fn gen_conj(
     }
     let n_atoms = rng.index(cfg.max_atoms + 1);
     let atoms = (0..n_atoms)
-        .map(|_| gen_atom(rng, cfg, dims, n_params))
+        .flat_map(|_| gen_atom(rng, cfg, dims, n_params))
         .collect();
     GenConj { lo, hi, atoms }
 }

@@ -1,8 +1,9 @@
 //! Hand-made cases for each branch of the satisfiability decision
 //! procedure (dark shadow first, real shadow second, splinters on demand,
 //! one-sided variables dropped in place), for the sole-bound quick test and
-//! the per-component tests of `remove_redundant`, and for the rule that a
-//! verdict reached after a governor refusal is never memoized.
+//! the per-component tests of `remove_redundant`, for the block-pair rule
+//! of exact projection, and for the rule that a verdict reached after a
+//! governor refusal is never memoized.
 //!
 //! Verdicts are checked against brute-force enumeration; the branch taken
 //! is pinned through the context's counters, where a shadow step shows as
@@ -113,6 +114,51 @@ fn an_exact_step_asks_no_sub_question() {
         ],
     );
     assert_eq!(decide(&c, true), (1, 1));
+}
+
+/// Projects the 2-D set `src` onto its second dimension, checks the
+/// enumerated result against membership of the source over
+/// `[-20, 20] × [-10, 45]`, and returns the exact elimination of the first
+/// dimension from its one conjunct.
+fn project_partner(src: &str) -> (Set, Vec<Conjunct>) {
+    let s: Set = src.parse().unwrap();
+    let [c] = s.as_relation().conjuncts() else {
+        panic!("{src} is one conjunct")
+    };
+    let pieces = c.eliminate_exact(X).unwrap();
+    let proj = s.project_onto(&[1]).unwrap();
+    let expect: Vec<Vec<i64>> = (-10..=45i64)
+        .filter(|&a| (-20..=20i64).any(|p| s.contains(&[p, a], &[])))
+        .map(|a| vec![a])
+        .collect();
+    let mut got = proj.enumerate(&[]).unwrap();
+    got.sort();
+    assert_eq!(got, expect, "projection of {src}");
+    (proj, pieces)
+}
+
+#[test]
+fn a_block_pair_whose_dark_shadow_is_its_real_shadow_does_not_splinter() {
+    // 17p+1 <= a <= 17p+17: 17p lies in a window of 17 consecutive
+    // integers, one of them a multiple of 17. The pair combines to the
+    // constant 272 >= 16*16, so the dark shadow is exact on its own.
+    let (proj, pieces) = project_partner("{[p,a] : 17p+1 <= a <= 17p+17 && 1 <= a <= 34}");
+    assert_eq!(pieces.len(), 1, "{pieces:?}");
+    assert_eq!(pieces[0].n_exist(), 0, "{pieces:?}");
+    let [c] = proj.as_relation().conjuncts() else {
+        panic!("{proj} is one conjunct")
+    };
+    assert_eq!(c.n_exist(), 0, "{proj}");
+}
+
+#[test]
+fn a_block_pair_with_gaps_still_splinters() {
+    // 3p <= a <= 3p+1 misses every a = 2 (mod 3): the pair combines to
+    // 3 < 2*2, the dark shadow is empty, and the two splinters keep the
+    // residues 0 and 1.
+    let (proj, pieces) = project_partner("{[p,a] : 3p <= a <= 3p+1 && 0 <= a <= 20}");
+    assert_eq!(pieces.len(), 2, "{pieces:?}");
+    assert!(proj.contains(&[19], &[]) && !proj.contains(&[17], &[]));
 }
 
 #[test]
