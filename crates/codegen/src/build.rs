@@ -9,6 +9,11 @@
 //! loop nest per level is emitted whose bounds are the union hull; piece
 //! membership is enforced by guards, which a lifting pass hoists out of
 //! loops they do not depend on.
+//!
+//! `codegen_cover` is the cheaper contract for consumers that treat the
+//! visited tuples as a set (communication maps): one nest per stride-form
+//! piece of an already-simplified set, with no disjointness pass, so a
+//! tuple may be visited more than once.
 
 use crate::ast::{Code, StmtId};
 use crate::expr::{Cond, Expr};
@@ -33,10 +38,9 @@ pub struct CodegenOptions {
     /// Emit one independent loop nest per disjoint piece instead of a
     /// single shared nest with membership guards. Tuples are then visited
     /// piece-by-piece, *not* in global lexicographic order — only valid
-    /// when the caller knows iterations may be reordered (e.g. the
-    /// loop-splitting sections of Figure 4, or a comm map whose payload
-    /// order the consumer fixes). Per-iteration guard cost drops from
-    /// O(pieces) to O(1).
+    /// when the caller knows iterations may be reordered (the
+    /// loop-splitting sections of Figure 4). Per-iteration guard cost
+    /// drops from O(pieces) to O(1).
     pub sequential_pieces: bool,
 }
 
@@ -139,7 +143,6 @@ pub fn codegen(
         let rel = space.as_relation();
         let params = rel.params().to_vec();
         let conjs = rel.conjuncts().to_vec();
-        let mut disjoint: Vec<Conjunct> = Vec::new();
         let mut emitted = Set::empty(arity).into_relation();
         for name in &params {
             emitted.ensure_param(name);
@@ -154,63 +157,68 @@ pub fn codegen(
                 let diff = Set::from_relation(cur)
                     .subtract(&Set::from_relation(emitted.clone()))
                     .map_err(|_| CodegenError::Inexact)?;
-                disjoint.extend(diff.as_relation().conjuncts().iter().cloned());
-                emitted.add_conjunct(sf);
-            }
-        }
-        for conj in disjoint {
-            pieces.push(Piece {
-                stmt: m.stmt,
-                seq,
-                conj,
-                params: params.clone(),
-                pending: Vec::new(),
-            });
-        }
-    }
-    // Pre-pass: parameter-only constraints become pending guards.
-    for p in &mut pieces {
-        let namer = Namer {
-            names,
-            params: &p.params,
-        };
-        for e in p.conj.eqs() {
-            if deepest_level(e).is_none() && !has_exist(e) {
-                p.pending.push(Cond::Eq(namer.expr(e, 1), Expr::Const(0)));
-            }
-            if deepest_level(e).is_none() && has_exist(e) {
-                if let Some((g, f)) = congruence_parts(e) {
-                    if g > 1 {
-                        p.pending.push(Cond::Stride {
-                            expr: namer.expr(&f, 1),
-                            modulus: g,
-                            residue: 0,
-                        });
-                    }
+                for conj in diff.as_relation().conjuncts() {
+                    pieces.push(Piece::new(m.stmt, seq, conj.clone(), &params, names));
                 }
-            }
-        }
-        for e in p.conj.geqs() {
-            if deepest_level(e).is_none() {
-                p.pending.push(Cond::Geq(namer.expr(e, 1), Expr::Const(0)));
+                emitted.add_conjunct(sf);
             }
         }
     }
     let code = if opts.sequential_pieces {
-        let mut seq = Vec::new();
-        for p in &pieces {
-            let mut single = vec![p.clone()];
-            seq.push(gen_level(&mut single, 0, arity, names)?);
-        }
-        Code::Seq(seq)
+        one_nest_per_piece(pieces, arity, names)?
     } else {
         gen_level(&mut pieces, 0, arity, names)?
     };
     Ok(code.simplified().lift_guards(opts.lift_levels + arity))
 }
 
-/// A statement piece: one disjoint stride-form conjunct plus accumulated
-/// guards that will be emitted at its leaf.
+/// Generates code that visits every tuple of `space` *at least* once,
+/// executing `stmt` per visit: one loop nest per stride-form piece of each
+/// of `space`'s conjuncts, run one after another.
+///
+/// Unlike [`codegen_set`] this runs no `simplify` and no subtraction, so
+/// a tuple that lies in two overlapping conjuncts is visited twice, and
+/// tuples are not visited in lexicographic order. The caller must pass a
+/// simplified set (a raw conjunct may lack a loop bound and fail with
+/// [`CodegenError::Unbounded`]) and must treat the visits as a set.
+///
+/// # Errors
+///
+/// As [`codegen`].
+pub fn codegen_cover(space: &Set, stmt: StmtId, names: &[&str]) -> Result<Code, CodegenError> {
+    let arity = space.arity();
+    if names.len() < arity as usize {
+        return Err(CodegenError::ArityMismatch);
+    }
+    let rel = space.as_relation();
+    let params = rel.params();
+    let mut pieces = Vec::new();
+    for c in rel.conjuncts() {
+        for sf in to_stride_form(c.clone()).map_err(|_| CodegenError::Inexact)? {
+            pieces.push(Piece::new(stmt, 0, sf, params, names));
+        }
+    }
+    let code = one_nest_per_piece(pieces, arity, names)?;
+    let lift_levels = CodegenOptions::default().lift_levels;
+    Ok(code.simplified().lift_guards(lift_levels + arity))
+}
+
+/// One independent loop nest per piece, in piece order.
+fn one_nest_per_piece(
+    pieces: Vec<Piece>,
+    arity: u32,
+    names: &[&str],
+) -> Result<Code, CodegenError> {
+    let mut seq = Vec::with_capacity(pieces.len());
+    for p in pieces {
+        seq.push(gen_level(&mut vec![p], 0, arity, names)?);
+    }
+    Ok(Code::Seq(seq))
+}
+
+/// A statement piece: one stride-form conjunct (disjoint from the other
+/// pieces, except under [`codegen_cover`]) plus accumulated guards that
+/// will be emitted at its leaf.
 #[derive(Clone, Debug)]
 struct Piece {
     stmt: StmtId,
@@ -218,6 +226,44 @@ struct Piece {
     conj: Conjunct,
     params: Vec<String>,
     pending: Vec<Cond>,
+}
+
+impl Piece {
+    /// A piece whose parameter-only constraints are already pending
+    /// guards: they constrain no loop level, so they are tested at the
+    /// leaf (and hoisted from there by `lift_guards`).
+    fn new(stmt: StmtId, seq: usize, conj: Conjunct, params: &[String], names: &[&str]) -> Piece {
+        let namer = Namer { names, params };
+        let mut pending = Vec::new();
+        for e in conj.eqs() {
+            if deepest_level(e).is_some() {
+                continue;
+            }
+            if !has_exist(e) {
+                pending.push(Cond::Eq(namer.expr(e, 1), Expr::Const(0)));
+            } else if let Some((g, f)) = congruence_parts(e) {
+                if g > 1 {
+                    pending.push(Cond::Stride {
+                        expr: namer.expr(&f, 1),
+                        modulus: g,
+                        residue: 0,
+                    });
+                }
+            }
+        }
+        for e in conj.geqs() {
+            if deepest_level(e).is_none() {
+                pending.push(Cond::Geq(namer.expr(e, 1), Expr::Const(0)));
+            }
+        }
+        Piece {
+            stmt,
+            seq,
+            conj,
+            params: params.to_vec(),
+            pending,
+        }
+    }
 }
 
 /// Deepest input-variable level mentioned by the expression, if any.

@@ -33,7 +33,7 @@ pub mod expr;
 pub mod slots;
 
 pub use ast::{Code, StmtId};
-pub use build::{codegen, codegen_set, CodegenError, CodegenOptions, Mapping};
+pub use build::{codegen, codegen_cover, codegen_set, CodegenError, CodegenOptions, Mapping};
 pub use emit::emit_fortran;
 pub use expr::{Cond, Env, Expr, UnboundVar};
 pub use slots::{Halt, Slot, SlotCode, Slots, Stride};

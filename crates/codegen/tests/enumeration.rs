@@ -2,8 +2,10 @@
 //! sets, in lexicographic order, with same-tuple statements in source order.
 //! With `sequential_pieces` each disjoint piece is its own loop nest, so
 //! only the enumerated *set* is pinned: every tuple exactly once.
+//! `codegen_cover` pins less again: every tuple at least once, and every
+//! visit a member of the set.
 
-use dhpf_codegen::{codegen, codegen_set, CodegenOptions, Env, Mapping, StmtId};
+use dhpf_codegen::{codegen, codegen_cover, codegen_set, CodegenOptions, Env, Mapping, StmtId};
 use dhpf_omega::testing::Rng;
 use dhpf_omega::Set;
 
@@ -54,6 +56,27 @@ fn expect_enumeration(s: &Set, params: &[(&str, i64)], names: &[&str], what: &st
             "{what} params {params:?} sequential_pieces={sequential_pieces}"
         );
     }
+}
+
+/// Checks `codegen_cover` on `s` (simplified first, as the contract asks)
+/// against `Set::enumerate`: every visit is a member, and the visits,
+/// sorted and deduplicated, are the whole set.
+fn expect_cover(s: &Set, params: &[(&str, i64)], names: &[&str], what: &str) {
+    let mut want = s.enumerate(params).unwrap();
+    want.sort();
+    let mut simplified = s.clone();
+    simplified.simplify();
+    let code = codegen_cover(&simplified, StmtId(0), names).unwrap();
+    let mut got: Vec<Vec<i64>> = run_named(&code, params, names)
+        .into_iter()
+        .map(|(_, t)| t)
+        .collect();
+    for t in &got {
+        assert!(s.contains(t, params), "{what}: visited non-member {t:?}");
+    }
+    got.sort();
+    got.dedup();
+    assert_eq!(got, want, "{what} params {params:?} cover");
 }
 
 fn expect_set(src: &str, params: &[(&str, i64)], names: &[&str]) {
@@ -107,6 +130,44 @@ fn cyclic_distribution_space() {
         &[("p", 3)],
         &["i"],
     );
+}
+
+#[test]
+fn cover_of_overlapping_union() {
+    let s: Set = "{[i] : 1 <= i <= 6 || 4 <= i <= 9}".parse().unwrap();
+    expect_cover(&s, &[], &["i"], "overlapping union");
+    // No disjointness pass: 4..=6 lies in both conjuncts and is visited
+    // twice.
+    let code = codegen_cover(&s, StmtId(0), &["i"]).unwrap();
+    assert_eq!(run(&code, &[]).len(), 12);
+}
+
+#[test]
+fn cover_of_stencil_shift_union() {
+    // A comm-map shape: partner q's block [4q, 4q+3] extended by one
+    // element to the right in one conjunct and to the left in the other,
+    // clipped to the array [0, N]. The two overlap on the whole block.
+    let s: Set = "{[q,d] : 0 <= q <= 3 && 4q <= d <= 4q + 4 && d <= N \
+                  || 0 <= q <= 3 && 4q - 1 <= d <= 4q + 3 && 0 <= d}"
+        .parse()
+        .unwrap();
+    for n in [0, 7, 14, 20] {
+        expect_cover(&s, &[("N", n)], &["q", "d"], "stencil shift");
+    }
+}
+
+#[test]
+fn cover_of_stride_set() {
+    let s: Set = "{[i] : 1 <= i <= 20 && exists(a : i = 3a + 2) || 5 <= i <= 8}"
+        .parse()
+        .unwrap();
+    expect_cover(&s, &[], &["i"], "stride set");
+}
+
+#[test]
+fn cover_of_empty_set_visits_nothing() {
+    let s: Set = "{[i] : 1 <= i && i <= 0}".parse().unwrap();
+    expect_cover(&s, &[], &["i"], "empty set");
 }
 
 #[test]
@@ -226,6 +287,7 @@ fn random_1d_unions_enumerate_exactly() {
         let src = format!("{{[i] : {}}}", parts.join(" || "));
         let s: Set = src.parse().unwrap();
         expect_enumeration(&s, &[], &["i"], &format!("seed {seed} source {src}"));
+        expect_cover(&s, &[], &["i"], &format!("seed {seed} source {src}"));
     }
 }
 
@@ -260,5 +322,6 @@ fn random_2d_spaces_enumerate_exactly() {
         src.push('}');
         let s: Set = src.parse().unwrap();
         expect_enumeration(&s, &[], &["i", "j"], &format!("seed {seed} source {src}"));
+        expect_cover(&s, &[], &["i", "j"], &format!("seed {seed} source {src}"));
     }
 }

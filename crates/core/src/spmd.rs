@@ -1235,10 +1235,16 @@ fn pipelined_events(
     let layout = &synth.layouts[&plan.array];
     let ctx = &np.stmts[np.groups[plan.group][0]].ctx;
     let array_writes = || np.writes.iter().filter(|(_, w)| w.array == plan.array);
-    let mut push = |synth: &mut Synth, send: &Relation, recv: &Relation, level: u32| {
+    // `comm_code` wants simplified maps, and a `restrict_range` result is
+    // not: its raw conjuncts can leave a loop level unbounded.
+    let mut push = |synth: &mut Synth, mut send: Relation, mut recv: Relation, level: u32| {
+        synth.time("communication generation", |_| {
+            send.simplify();
+            recv.simplify();
+        });
         if !recv.is_empty() {
             built.push(BuiltEvent {
-                event: push_event(synth, &plan.array, send, recv, level)?,
+                event: push_event(synth, &plan.array, &send, &recv, level)?,
                 level,
                 group: plan.group,
                 is_write: false,
@@ -1271,7 +1277,7 @@ fn pipelined_events(
     // Pre-nest exchange of never-written data.
     let pre_send = sets0.send_map.restrict_range(&unwritten);
     let pre_recv = sets0.recv_map.restrict_range(&unwritten);
-    push(synth, &pre_send, &pre_recv, 0)?;
+    push(synth, pre_send, pre_recv, 0)?;
     // In-loop event: receive what this iteration consumes (written data
     // only); send what this iteration just produced and someone else
     // will consume.
@@ -1286,7 +1292,7 @@ fn pipelined_events(
     w_cur.simplify();
     let in_send = sets0.send_map.restrict_range(&w_cur);
     let in_recv = sets.recv_map.restrict_range(&written);
-    push(synth, &in_send, &in_recv, plan.level)
+    push(synth, in_send, in_recv, plan.level)
 }
 
 /// Figure 4 requires "no dependences that prevent iteration reordering":
@@ -1562,27 +1568,23 @@ fn array_index_set(analysis: &Analysis, array: &str) -> Set {
 
 /// Generates enumeration code for a comm map `[q1..qr] -> [d1..dk]`.
 ///
-/// Each disjoint piece gets its own loop nest with tight bounds and no
-/// membership guards, so enumeration costs what the message costs. The
-/// pieces are visited one after another, not in `(q, d)` order; the
-/// executor sorts each partner's tuples, so sender and receiver agree on
-/// the payload order whatever shape either map's code has.
+/// `map` must already be simplified: each of its conjuncts becomes its
+/// own loop nest (a cover, [`dhpf_codegen::codegen_cover`]) with tight
+/// bounds and no membership guards, so enumeration costs what the message
+/// costs. Overlapping conjuncts visit a tuple more than once, and the
+/// nests run one after another, not in `(q, d)` order; the executor sorts
+/// and deduplicates each partner's tuples, so sender and receiver agree on
+/// the payload whatever shape either map's code has.
 fn comm_code(map: &Relation) -> Result<Code, CompileError> {
     let r = map.n_in();
     let k = map.n_out();
-    let set = rel_to_set(map);
     let mut names: Vec<String> = (0..r).map(|d| format!("q{}", d + 1)).collect();
     names.extend((0..k).map(|d| format!("d{}", d + 1)));
     let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-    let opts = CodegenOptions {
-        sequential_pieces: true,
-        ..CodegenOptions::default()
-    };
-    Ok(dhpf_codegen::codegen_set(
-        &set,
+    Ok(dhpf_codegen::codegen_cover(
+        &rel_to_set(map),
         StmtId(0),
         &name_refs,
-        &opts,
     )?)
 }
 

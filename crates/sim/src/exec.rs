@@ -615,10 +615,12 @@ impl<'a> Rank<'a> {
     }
 
     /// Runs a comm map's code, bucketing each enumerated element by
-    /// partner rank. Each bucket, sorted by key, is in array-index
-    /// (lexicographic) order: the payload order both sides of a message
-    /// agree on, independent of how the map's code is split into loop
-    /// nests.
+    /// partner rank. The map's code is a cover: it may visit an element
+    /// more than once (once per overlapping piece). [`into_element_set`]
+    /// turns a bucket into the sorted, deduplicated set of elements, in
+    /// array-index (lexicographic) order: the payload both sides of a
+    /// message agree on, independent of how the map's code is split into
+    /// loop nests.
     ///
     /// Partner (`q*`) loops over virtual-processor dimensions were lowered
     /// with the block size as their stride, so only *real* VPs are
@@ -664,7 +666,7 @@ impl<'a> Rank<'a> {
                 continue;
             }
             let bucket = &mut self.buckets[partner];
-            bucket.sort_unstable_by_key(|&(key, _)| key);
+            into_element_set(bucket);
             let data = &self.frame.arrays[ev.array].data;
             let values: Vec<f64> = bucket.iter().map(|&(_, off)| data[off]).collect();
             let nbytes = (values.len() * 8) as u64;
@@ -698,6 +700,7 @@ impl<'a> Rank<'a> {
                 .recv()
                 .map_err(|_| Box::new(SimError::CommMismatch("recv on closed channel".into())))?;
             let bucket = &mut self.buckets[partner];
+            into_element_set(bucket);
             if msg.tag != ev.id || msg.values.len() != bucket.len() {
                 return Err(Box::new(SimError::CommMismatch(format!(
                     "rank {} expected event {} ({} elems) from {}, got event {} ({} elems)",
@@ -709,7 +712,6 @@ impl<'a> Rank<'a> {
                     msg.values.len()
                 ))));
             }
-            bucket.sort_unstable_by_key(|&(key, _)| key);
             let nbytes = (msg.values.len() * 8) as u64;
             self.clock = self
                 .clock
@@ -785,4 +787,11 @@ impl<'a> Rank<'a> {
             Ok(m.values[0])
         }
     }
+}
+
+/// Sorts a partner's `(key, offset)` bucket by key and drops repeated
+/// elements, leaving the message payload as a set in array-index order.
+fn into_element_set(bucket: &mut Vec<(usize, usize)>) {
+    bucket.sort_unstable_by_key(|&(key, _)| key);
+    bucket.dedup_by_key(|&mut (key, _)| key);
 }
