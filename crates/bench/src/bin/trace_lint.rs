@@ -178,8 +178,9 @@ fn main() {
     }
     reconcile("threads 1", &out.collector.trace(), &compiled);
 
-    // The same source on four workers: nest and assembly tasks are spans
-    // stitched under `module compilation` from worker threads.
+    // The same source on four workers: nest tasks are spans stitched
+    // under `module compilation` from worker threads, assembly tasks from
+    // the calling thread.
     let par = Collector::new();
     let compiled = compile(&src, &CompileOptions::new().threads(4).trace(par.clone()))
         .unwrap_or_else(|e| fail(&format!("compile at threads 4: {e}")));

@@ -13,7 +13,6 @@
 pub mod args;
 pub mod figure7;
 pub mod table1;
-pub mod timing;
 pub mod traceopt;
 
 /// The benchmark HPF sources, embedded so the harness runs anywhere.

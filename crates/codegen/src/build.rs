@@ -29,12 +29,12 @@ pub struct Mapping {
     pub space: Set,
 }
 
+/// How many loop levels guards may be hoisted out of (the paper lifts one).
+const LIFT_LEVELS: u32 = 1;
+
 /// Options controlling code generation.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct CodegenOptions {
-    /// How many loop levels guards may be hoisted out of (the paper lifts
-    /// one level by default).
-    pub lift_levels: u32,
     /// Emit one independent loop nest per disjoint piece instead of a
     /// single shared nest with membership guards. Tuples are then visited
     /// piece-by-piece, *not* in global lexicographic order — only valid
@@ -42,15 +42,6 @@ pub struct CodegenOptions {
     /// loop-splitting sections of Figure 4). Per-iteration guard cost
     /// drops from O(pieces) to O(1).
     pub sequential_pieces: bool,
-}
-
-impl Default for CodegenOptions {
-    fn default() -> Self {
-        CodegenOptions {
-            lift_levels: 1,
-            sequential_pieces: false,
-        }
-    }
 }
 
 /// Errors reported by loop synthesis.
@@ -169,7 +160,7 @@ pub fn codegen(
     } else {
         gen_level(&mut pieces, 0, arity, names)?
     };
-    Ok(code.simplified().lift_guards(opts.lift_levels + arity))
+    Ok(code.simplified().lift_guards(LIFT_LEVELS + arity))
 }
 
 /// Generates code that visits every tuple of `space` *at least* once,
@@ -199,8 +190,7 @@ pub fn codegen_cover(space: &Set, stmt: StmtId, names: &[&str]) -> Result<Code, 
         }
     }
     let code = one_nest_per_piece(pieces, arity, names)?;
-    let lift_levels = CodegenOptions::default().lift_levels;
-    Ok(code.simplified().lift_guards(lift_levels + arity))
+    Ok(code.simplified().lift_guards(LIFT_LEVELS + arity))
 }
 
 /// One independent loop nest per piece, in piece order.

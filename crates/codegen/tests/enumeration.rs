@@ -39,10 +39,7 @@ fn expect_enumeration(s: &Set, params: &[(&str, i64)], names: &[&str], what: &st
     let mut want = s.enumerate(params).unwrap();
     want.sort();
     for sequential_pieces in [false, true] {
-        let opts = CodegenOptions {
-            sequential_pieces,
-            ..CodegenOptions::default()
-        };
+        let opts = CodegenOptions { sequential_pieces };
         let code = codegen_set(s, StmtId(0), names, &opts).unwrap();
         let mut got: Vec<Vec<i64>> = run_named(&code, params, names)
             .into_iter()

@@ -1,18 +1,20 @@
 //! End-to-end compilation driver with phase instrumentation (Table 1).
 //!
-//! One pipeline at every thread count: program units are analyzed
-//! (`parallel::ordered_map`), interprocedural layout collection and nest
-//! planning run in unit order on the calling thread (with the request's
-//! Omega [`Context`] armed), and then a dependency DAG of per-nest
-//! synthesis tasks — with one assembly task per unit depending on that
-//! unit's nests — is drained by `parallel::run_dag`. [`CompileOptions::threads`] only sets
-//! how many workers drain it: with one, the tasks run on the calling
-//! thread in task order (a single-unit program executes layout → nests in
-//! source order → assembly). Communication-event ids are local to a nest
-//! and renumbered in source order during assembly (`spmd::assemble_spmd`),
-//! so the compiled program does not depend on the schedule.
+//! One pipeline at every thread count, on one parallel primitive
+//! (`parallel::ordered_map`): program units are analyzed in parallel,
+//! interprocedural layout collection and nest planning run in unit order
+//! on the calling thread (with the request's Omega [`Context`] armed), the
+//! per-nest synthesis tasks of every unit run in parallel, and each unit
+//! is then assembled from its nests in unit order on the calling thread.
+//! [`CompileOptions::threads`] only sets how many workers run the maps:
+//! with one, everything runs on the calling thread in task order (a
+//! single-unit program executes layout → nests in source order →
+//! assembly). Communication-event ids are local to a nest and renumbered
+//! in source order during assembly (`spmd::assemble_spmd`), so the
+//! compiled program does not depend on the schedule.
 
 use crate::layout::{build_layouts, Layout};
+use crate::parallel::{ordered_map, panic_message};
 use crate::phases::PhaseTimers;
 use crate::spmd::{
     assemble_spmd, build_nest, plan_items, CompileError, NestOut, SpmdOptions, SpmdProgram,
@@ -24,7 +26,6 @@ use dhpf_omega::{
     Budget, CacheStats, CancelToken, Context, ErrorCode, GovernorStats, InjectPlan, RequestGovernor,
 };
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// Options controlling compilation.
@@ -47,11 +48,11 @@ pub struct CompileOptions {
     /// Tracing observes the compilation without perturbing it: the
     /// produced [`SpmdProgram`] is identical with or without a collector.
     pub trace: Option<Collector>,
-    /// Worker threads draining the pipeline's task DAG — a pure scheduling
+    /// Worker threads for the pipeline's tasks — a pure scheduling
     /// parameter. `1` (the default) runs every task on the calling thread,
-    /// in source order; larger values analyze units and synthesize
-    /// independent loop nests concurrently on a scoped pool. The compiled
-    /// program is bit-identical at every thread count.
+    /// in source order; larger values analyze units and synthesize loop
+    /// nests concurrently on a scoped pool. The compiled program is
+    /// bit-identical at every thread count.
     pub threads: usize,
     /// Resource budget for the compilation: wall-clock deadline, Omega-op
     /// fuel, and set-algebra piece caps. When a deadline or fuel limit
@@ -438,7 +439,7 @@ fn compile_impl(ctx: &Context, src: &str, opts: &CompileOptions) -> Result<Compi
     // The isolation boundary: a panic anywhere in the pipeline (organic or
     // injected) becomes a typed `CompileError::Internal` instead of
     // unwinding into the caller. Nest and assembly tasks are additionally
-    // caught per-task inside `run_dag`, so one bad nest cannot take down
+    // caught one by one (`Tasks::run`), so one bad nest cannot take down
     // siblings; this outer catch covers the orchestration code itself.
     let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         compile_inner(ctx, src, opts)
@@ -448,11 +449,7 @@ fn compile_impl(ctx: &Context, src: &str, opts: &CompileOptions) -> Result<Compi
     if opts.inject.is_some() {
         ctx.set_inject(None);
     }
-    out.unwrap_or_else(|payload| {
-        Err(CompileError::Internal(crate::parallel::panic_message(
-            payload,
-        )))
-    })
+    out.unwrap_or_else(|payload| Err(CompileError::Internal(panic_message(payload))))
 }
 
 fn compile_inner(
@@ -476,7 +473,7 @@ fn compile_inner(
     // "Interprocedural analysis": analyze every unit; directives of the
     // main unit drive synthesis (dHPF propagates layouts across calls).
     let analyses = obs.span("interprocedural analysis", "phase", || {
-        crate::parallel::ordered_map(opts.threads, prog.units.len(), |i| analyze(&prog.units[i]))
+        ordered_map(opts.threads, prog.units.len(), |i| analyze(&prog.units[i]))
             .into_iter()
             .collect::<Result<Vec<_>, _>>()
     })?;
@@ -524,20 +521,51 @@ struct PlannedUnit<'a> {
     analysis: &'a Analysis,
     layouts: BTreeMap<String, Layout>,
     plan: UnitPlan,
-    /// Task ids of this unit's nests (one per `plan.nests`, in order).
-    nest_tasks: std::ops::Range<usize>,
+}
+
+/// What every task of the "module compilation" phase runs under.
+struct Tasks<'a> {
+    ctx: &'a Context,
+    /// The caller's request governor and sampling collector, re-armed with
+    /// the request's context on whichever thread runs a task: workers
+    /// memoize into the same arena, spend from the same fuel pool, observe
+    /// the same deadline/cancellation and sample into the same trace.
+    governor: Option<RequestGovernor>,
+    sampling: Option<Collector>,
+    obs: &'a Collector,
+    module: SpanId,
+}
+
+impl Tasks<'_> {
+    /// Runs task `id` as a `"task"` span named `name` under the module
+    /// phase, carrying its id. A panic in `body` is contained here and
+    /// becomes the task's [`CompileError::Internal`].
+    fn run<T>(
+        &self,
+        id: usize,
+        name: &str,
+        body: impl FnOnce() -> Result<T, CompileError>,
+    ) -> Result<T, CompileError> {
+        let _context = self.ctx.arm_on_thread();
+        let _gov = self.governor.as_ref().map(RequestGovernor::arm_on_thread);
+        let _sampling = self.sampling.as_ref().map(Collector::arm_on_thread);
+        let span = self.obs.guard_child_of(self.module, name, "task");
+        self.obs.counter_on(span.id(), "task", id as i64);
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(body))
+            .unwrap_or_else(|payload| Err(CompileError::Internal(panic_message(payload))))
+    }
 }
 
 /// The "module compilation" phase. Every unit goes through layout
-/// construction and planning, in unit order on the calling thread; units
-/// that plan (no unsupported construct) then contribute one synthesis task
-/// per nest plus one assembly task depending on them, and `run_dag` drains
-/// the DAG on `opts.threads` workers. Results land in per-task slots and
-/// are reconciled in unit order afterwards, so the outcome — program,
-/// statistics, Table 1 (each task is a `"task"` span under `module`
-/// carrying its task id), which error wins — does not depend on the
-/// schedule. Only the main unit's program is retained, matching how the
-/// paper reports whole-module times.
+/// construction and planning, in unit order on the calling thread. The
+/// nests of the units that plan (no unsupported construct) then run as
+/// tasks `0..n` on `opts.threads` workers (`ordered_map`), and each
+/// planned unit is assembled from its nests' results in unit order on the
+/// calling thread, as task `n + i`. Every task is a `"task"` span under
+/// `module` carrying its task id, so the outcome — program, statistics,
+/// Table 1, which error wins (the first in nest order) — does not depend
+/// on the schedule. Only the main unit's program is retained, matching
+/// how the paper reports whole-module times.
 fn compile_units(
     ctx: &Context,
     analyses: &[Analysis],
@@ -546,130 +574,63 @@ fn compile_units(
     obs: &Collector,
     module: SpanId,
 ) -> Result<(SpmdProgram, SpmdStats), CompileError> {
-    // Task ids: nests first (in (unit, nest) order), then one assembly
-    // task per planned unit.
     let mut planned: Vec<PlannedUnit> = Vec::new();
-    let mut n_nests = 0;
     for (index, analysis) in analyses.iter().enumerate() {
         let layouts = obs.span("layout construction", "phase", || build_layouts(analysis));
         match plan_items(analysis, &layouts) {
-            Ok(plan) => {
-                let nest_tasks = n_nests..n_nests + plan.nests.len();
-                n_nests = nest_tasks.end;
-                planned.push(PlannedUnit {
-                    index,
-                    analysis,
-                    layouts,
-                    plan,
-                    nest_tasks,
-                });
-            }
+            Ok(plan) => planned.push(PlannedUnit {
+                index,
+                analysis,
+                layouts,
+                plan,
+            }),
             Err(e) if index == main_idx => return Err(e),
             Err(_) => {} // non-main unit with unsupported constructs
         }
     }
-    let nest_tasks: Vec<(&PlannedUnit, usize)> = planned
+    let nests: Vec<(&PlannedUnit, usize)> = planned
         .iter()
         .flat_map(|u| (0..u.plan.nests.len()).map(move |nest| (u, nest)))
         .collect();
-    let mut deps: Vec<Vec<usize>> = vec![Vec::new(); n_nests];
-    deps.extend(planned.iter().map(|u| u.nest_tasks.clone().collect()));
-    // Capture the caller's request governor and sampling collector so each
-    // task re-arms them with the request's context: workers memoize into
-    // the same arena, spend from the same fuel pool, observe the same
-    // deadline/cancellation and sample into the same trace.
-    let governor = RequestGovernor::current();
-    let sampling = Collector::current();
-    type UnitResult = Result<(SpmdProgram, SpmdStats), CompileError>;
-    // A slot is locked only to move one value in or out, and every task
-    // body runs under `run_dag`'s `catch_unwind`: no lock is held across
-    // code that can panic, so the `lock()`s below cannot observe poison.
-    const SLOT: &str = "slot mutex is never held across a panic";
-    let nest_slots: Vec<Mutex<Option<Result<NestOut, CompileError>>>> =
-        (0..n_nests).map(|_| Mutex::new(None)).collect();
-    let unit_slots: Vec<Mutex<Option<UnitResult>>> =
-        planned.iter().map(|_| Mutex::new(None)).collect();
-    let panics = crate::parallel::run_dag(opts.threads, &deps, |task| {
-        let _context = ctx.arm_on_thread();
-        let _gov = governor.as_ref().map(RequestGovernor::arm_on_thread);
-        let _sampling = sampling.as_ref().map(Collector::arm_on_thread);
-        let name = match nest_tasks.get(task) {
-            Some((unit, nest)) => format!("nest {}.{nest}", unit.index),
-            None => format!("unit {} assembly", planned[task - n_nests].index),
-        };
-        let span = obs.guard_child_of(module, &name, "task");
-        obs.counter_on(span.id(), "task", task as i64);
-        if let Some(&(unit, nest)) = nest_tasks.get(task) {
-            let out = build_nest(
+    let tasks = Tasks {
+        ctx,
+        governor: RequestGovernor::current(),
+        sampling: Collector::current(),
+        obs,
+        module,
+    };
+    let mut outs = ordered_map(opts.threads, nests.len(), |task| {
+        let (unit, nest) = nests[task];
+        tasks.run(task, &format!("nest {}.{nest}", unit.index), || {
+            build_nest(
                 unit.analysis,
                 &unit.layouts,
                 &opts.spmd,
                 &unit.plan.nests[nest],
                 obs,
-            );
-            *nest_slots[task].lock().expect(SLOT) = Some(out);
-        } else {
-            let unit = &planned[task - n_nests];
-            // Collecting stops at the first error — the lowest nest
-            // index, the one a source-order pass would hit first. An empty
-            // slot means the nest task panicked: `run_dag` contained it and
-            // released us anyway; the placeholder is replaced with the
-            // captured panic message during reconciliation.
-            let outs: Result<Vec<NestOut>, CompileError> = nest_slots[unit.nest_tasks.clone()]
-                .iter()
-                .map(|slot| {
-                    slot.lock().expect(SLOT).take().unwrap_or_else(|| {
-                        Err(CompileError::Internal(
-                            "nest synthesis panicked".to_string(),
-                        ))
-                    })
-                })
-                .collect();
-            let res = outs.and_then(|outs| {
-                assemble_spmd(unit.analysis, &unit.layouts, &unit.plan.skel, outs)
-            });
-            *unit_slots[task - n_nests].lock().expect(SLOT) = Some(res);
-        }
-    });
-    // Deterministic reconciliation in unit order. Panicking tasks left
-    // their slots empty; their captured messages become typed `Internal`
-    // errors here.
-    let mut compiled = None;
-    for (pi, unit) in planned.iter().enumerate() {
-        let res = unit_slots[pi]
-            .lock()
-            .expect(SLOT)
-            .take()
-            .unwrap_or_else(|| {
-                // The assembly task itself panicked.
-                Err(CompileError::Internal(
-                    panics[n_nests + pi]
-                        .clone()
-                        .unwrap_or_else(|| "unit assembly panicked".to_string()),
-                ))
-            });
-        match res {
-            Ok((program, stats)) => {
-                if unit.index == main_idx {
-                    compiled = Some((program, stats));
-                }
-            }
-            Err(_) if unit.index != main_idx => {} // only the main unit must synthesize
-            // Substitute the precise per-nest panic message for the
-            // assembly task's placeholder.
-            Err(CompileError::Internal(placeholder)) => {
-                return Err(CompileError::Internal(
-                    panics[unit.nest_tasks.clone()]
-                        .iter()
-                        .find_map(Clone::clone)
-                        .unwrap_or(placeholder),
-                ));
-            }
-            Err(e) => return Err(e),
+            )
+        })
+    })
+    .into_iter();
+    let mut main = None;
+    for (i, unit) in planned.iter().enumerate() {
+        let unit_outs: Vec<_> = outs.by_ref().take(unit.plan.nests.len()).collect();
+        let name = format!("unit {} assembly", unit.index);
+        let res = tasks.run(nests.len() + i, &name, || {
+            // Collecting stops at the first error: the lowest nest index,
+            // the one a source-order pass would hit first.
+            let unit_outs = unit_outs.into_iter().collect::<Result<Vec<NestOut>, _>>()?;
+            assemble_spmd(unit.analysis, &unit.layouts, &unit.plan.skel, unit_outs)
+        });
+        // Only the main unit must synthesize.
+        if unit.index == main_idx {
+            main = Some(res);
         }
     }
-    compiled.ok_or_else(|| {
-        CompileError::Unsupported("no compilable main unit in the program".to_string())
+    main.unwrap_or_else(|| {
+        Err(CompileError::Unsupported(
+            "no compilable main unit in the program".to_string(),
+        ))
     })
 }
 

@@ -5,10 +5,9 @@
 //! set spans the full array range in dimensions `1..k`, is convex in
 //! dimension `k`, and is a singleton in dimensions `k+1..n`. Each test
 //! reduces to a satisfiability question; whatever cannot be proven at
-//! compile time is synthesized as a runtime predicate. Nothing evaluates
-//! that predicate yet, so such a message is sent buffered.
+//! compile time gets a runtime verdict with its reason. The paper scans
+//! such a message at runtime; here nothing does, so it is sent buffered.
 
-use dhpf_codegen::{Cond, Expr};
 use dhpf_omega::Set;
 
 /// Verdict of the contiguity analysis.
@@ -19,21 +18,10 @@ pub enum Contiguity {
     Contiguous,
     /// Proven non-contiguous for all parameter values.
     NotContiguous,
-    /// Undetermined at compile time. The paper scans such a message at
-    /// runtime; here nothing evaluates the synthesized predicate, and the
-    /// compiler treats the event as not contiguous (a buffered send).
-    Runtime(RuntimeCheck),
-}
-
-/// A runtime contiguity check: at most `n + 2` predicates, per the paper.
-#[derive(Clone, Debug, PartialEq)]
-pub struct RuntimeCheck {
-    /// Human-readable description of what must hold.
-    pub description: String,
-    /// A conservative runtime condition (true ⇒ contiguous) over the
-    /// message extents. It is recorded, not evaluated: no executor reads
-    /// it, so a runtime verdict always means a buffered send.
-    pub cond: Cond,
+    /// Undetermined at compile time, for the stated reason. The paper
+    /// scans such a message at runtime; here the compiler treats the event
+    /// as not contiguous (a buffered send).
+    Runtime(String),
 }
 
 /// Decides whether `comm` (a set over array index space) is a contiguous
@@ -53,10 +41,7 @@ pub fn contiguity(comm: &Set, local: &Set) -> Contiguity {
         return Contiguity::Contiguous;
     }
     if comm.as_relation().conjuncts().len() > 1 {
-        return Contiguity::Runtime(RuntimeCheck {
-            description: "multi-conjunct communication set".to_string(),
-            cond: Cond::Bool(false),
-        });
+        return Contiguity::Runtime("multi-conjunct communication set".to_string());
     }
     // Single scan, leftmost dimension first: find the first dimension k
     // where C<k> != A<k>; then C<k> must be convex and all later dimensions
@@ -75,10 +60,7 @@ pub fn contiguity(comm: &Set, local: &Set) -> Contiguity {
             // Comparison hit an exactness limit or a governor refusal:
             // undecided at compile time, so defer to a runtime scan.
             Err(e) => {
-                return Contiguity::Runtime(RuntimeCheck {
-                    description: format!("dimension {d} span comparison inexact: {e}"),
-                    cond: Cond::Bool(false),
-                })
+                return Contiguity::Runtime(format!("dimension {d} span comparison inexact: {e}"))
             }
         }
     }
@@ -95,18 +77,14 @@ pub fn contiguity(comm: &Set, local: &Set) -> Contiguity {
             if comm.as_relation().params().is_empty() {
                 return Contiguity::NotContiguous;
             }
-            return Contiguity::Runtime(RuntimeCheck {
-                description: format!("dimension {k} convexity depends on parameters"),
-                cond: Cond::Bool(false),
-            });
+            return Contiguity::Runtime(format!("dimension {k} convexity depends on parameters"));
         }
         // The compile-time test hit an exactness limit (inexact negation):
         // the paper's §3.3 runtime scan decides instead of aborting.
         Err(e) => {
-            return Contiguity::Runtime(RuntimeCheck {
-                description: format!("dimension {k} convexity undecidable at compile time: {e}"),
-                cond: Cond::Bool(false),
-            });
+            return Contiguity::Runtime(format!(
+                "dimension {k} convexity undecidable at compile time: {e}"
+            ));
         }
     }
     for d in (k + 1)..n {
@@ -116,27 +94,18 @@ pub fn contiguity(comm: &Set, local: &Set) -> Contiguity {
                 if comm.as_relation().params().is_empty() {
                     return Contiguity::NotContiguous;
                 }
-                return Contiguity::Runtime(RuntimeCheck {
-                    description: format!("dimension {d} singleton test depends on parameters"),
-                    cond: runtime_singleton_cond(d),
-                });
+                return Contiguity::Runtime(format!(
+                    "dimension {d} singleton test depends on parameters"
+                ));
             }
             Err(e) => {
-                return Contiguity::Runtime(RuntimeCheck {
-                    description: format!(
-                        "dimension {d} singleton test undecidable at compile time: {e}"
-                    ),
-                    cond: runtime_singleton_cond(d),
-                });
+                return Contiguity::Runtime(format!(
+                    "dimension {d} singleton test undecidable at compile time: {e}"
+                ));
             }
         }
     }
     Contiguity::Contiguous
-}
-
-/// Runtime predicate: the extent of dimension `d` must be 1.
-fn runtime_singleton_cond(d: u32) -> Cond {
-    Cond::Eq(Expr::Var(format!("extent{}", d + 1)), Expr::Const(1))
 }
 
 #[cfg(test)]

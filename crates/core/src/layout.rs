@@ -39,13 +39,6 @@ pub enum ProcCoord {
     },
 }
 
-impl ProcCoord {
-    /// True if this dimension uses the virtual-processor model.
-    pub fn is_virtual(&self) -> bool {
-        !matches!(self, ProcCoord::Physical { .. })
-    }
-}
-
 /// The layout of one array: which (possibly virtual) processor owns which
 /// elements.
 #[derive(Clone, Debug)]

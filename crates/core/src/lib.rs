@@ -51,7 +51,7 @@ pub use driver::{
     compile, compile_request, process_request, Artifacts, CompileOptions, CompileReport,
     CompileRequest, CompileResponse, Compiled, WireError,
 };
-pub use inplace::{contiguity, Contiguity, RuntimeCheck};
+pub use inplace::{contiguity, Contiguity};
 pub use ir::{collect_statements, ArrayRef, LoopContext, ReduceOp, Reduction, StmtInfo};
 pub use layout::{build_layouts, Layout, ProcCoord};
 pub use phases::{PhaseRow, PhaseTimers};

@@ -460,8 +460,9 @@ fn collect_inputs(body: &[Stmt], out: &mut Vec<String>) {
 // (`assemble_spmd`): walk the skeleton in order, offsetting each nest's
 // event ids by the running total, so the numbering follows source order
 // whatever order the nests were built in. Synthesis statistics are per
-// nest and additive. The driver schedules (2) and (3) as a task DAG;
-// `threads` only decides how many workers drain it.
+// nest and additive. The driver runs every (2) on one ordered parallel
+// map, then (3) per unit on the calling thread; `threads` only decides
+// how many workers run the map.
 
 /// Skeleton of a unit's item list with nest bodies factored out by index.
 pub(crate) enum ItemSkel {
@@ -1406,7 +1407,6 @@ fn schedule_nest(
             // loop nests (no per-iteration membership guards).
             let opts = CodegenOptions {
                 sequential_pieces: true,
-                ..CodegenOptions::default()
             };
             synth.time("mult mappings code generation", |_| {
                 codegen(&mappings, &names, &opts)

@@ -327,6 +327,24 @@ fn injection_is_deterministic_per_seed() {
 }
 
 #[test]
+fn a_panicking_nest_reports_its_own_message() {
+    // Every arrival at the "nest" site panics: the first nest in source
+    // order fails, and its panic message — not a placeholder — is the
+    // compile's error at every thread count.
+    let src = jacobi_small();
+    for threads in [1, 2, 4] {
+        let plan = InjectPlan::new(7, 1, FaultAction::Panic).at_site("nest");
+        let opts = CompileOptions::new().threads(threads).inject(plan);
+        match compile(&src, &opts) {
+            Err(CompileError::Internal(msg)) => {
+                assert_eq!(msg, "injected panic at site nest", "threads={threads}")
+            }
+            other => panic!("threads={threads}: expected Internal, got {other:?}"),
+        }
+    }
+}
+
+#[test]
 fn zero_deadline_terminates_with_typed_outcome() {
     // An already-expired deadline: the compile may degrade everything or
     // give up with a Budget error, but it must return promptly — the

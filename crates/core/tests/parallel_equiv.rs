@@ -1,8 +1,8 @@
 //! `threads` is a scheduling parameter, not a code path: one pipeline
 //! (plan → build each nest → assemble) runs at every thread count, and
 //! this suite checks that the schedule cannot be observed. `threads = N`
-//! must produce output bit-identical to `threads = 1` (where the task DAG
-//! drains on the calling thread in source order), for single- and
+//! must produce output bit-identical to `threads = 1` (where every task
+//! runs on the calling thread in source order), for single- and
 //! multi-unit files in any unit order; merged reports must reconcile;
 //! and the paper-level pipeline invariants (checked by
 //! `dhpf_core::probes`) must keep holding when the analyses run on a
@@ -18,8 +18,8 @@ use dhpf_hpf::{analyze, parse};
 use dhpf_omega::Context;
 
 /// Several independent top-level nests plus a serial time loop with two
-/// nests inside — enough parallel structure for the nest/assembly DAG to
-/// schedule out of order if it is ever going to.
+/// nests inside — enough parallel structure for the nest tasks to run out
+/// of order if they are ever going to.
 const MULTI: &str = "
 program multi
 real a(64,64), b(64,64), c(64,64), d(64,64)
@@ -147,7 +147,7 @@ fn merged_reports_reconcile_with_serial() {
     assert!(cache.interned_conjuncts > 0);
 }
 
-/// Three units for the unit-level DAG: the main program, a subroutine that
+/// Three units for the multi-unit test: the main program, a subroutine that
 /// synthesizes, and one that cannot (its nest is followed by a `call`, so
 /// planning rejects it). Each unit's nest asks different set questions
 /// (extent, stencil shift), so work done for one is not a memo hit for
@@ -196,11 +196,11 @@ const CALLER_NEST: &str = "do i = 4, 40
   e(i) = f(i-3)
 enddo";
 
-/// Multi-unit files go through the same DAG: nest tasks of every planned
-/// unit, one assembly task per unit. Whatever the unit order and thread
-/// count, the main program and its statistics are the same, and a unit
-/// that cannot be planned is rejected *before* any of its set algebra
-/// runs — at one thread too, where the task DAG drains on the calling
+/// Multi-unit files go through the same tasks: nest tasks of every
+/// planned unit, one assembly task per unit. Whatever the unit order and
+/// thread count, the main program and its statistics are the same, and a
+/// unit that cannot be planned is rejected *before* any of its set
+/// algebra runs — at one thread too, where every task runs on the calling
 /// thread.
 #[test]
 fn multi_unit_files_compile_identically_in_any_order_and_schedule() {

@@ -91,6 +91,59 @@ fn trace_reconciles_with_table1_rows() {
     }
 }
 
+/// A subroutine with one nest, appended to [`STENCIL`] (two nests).
+const SUB: &str = "
+subroutine fill
+real c(32)
+!HPF$ processors p(4)
+!HPF$ template t(32)
+!HPF$ align c(i) with t(i)
+!HPF$ distribute t(block) onto p
+do i = 1, 32
+  c(i) = 1.0
+enddo
+end
+";
+
+/// Module compilation records one `"nest u.n"` task span per planned nest
+/// and one `"unit u assembly"` span per unit, directly under its phase
+/// span, and their `task` counters number them `0..n` once each (nests
+/// first): Table 1 and the profile read these spans.
+#[test]
+fn module_compilation_has_one_task_span_per_nest_and_unit() {
+    let src = format!("{STENCIL}{SUB}");
+    let want = [
+        "nest 0.0",
+        "nest 0.1",
+        "nest 1.0",
+        "unit 0 assembly",
+        "unit 1 assembly",
+    ];
+    for threads in [1, 4] {
+        let collector = Collector::new();
+        let opts = CompileOptions::new().threads(threads);
+        compile(&src, &opts.trace(collector.clone())).unwrap();
+        let trace = collector.trace();
+        let module = trace.find("module compilation").expect("module phase span");
+        let mut tasks: Vec<(i64, &str)> = trace.nodes[module]
+            .children
+            .iter()
+            .map(|&c| &trace.nodes[c])
+            .filter(|n| n.cat == "task")
+            .map(|n| (n.counters["task"], n.name.as_str()))
+            .collect();
+        tasks.sort();
+        let ids: Vec<i64> = tasks.iter().map(|&(id, _)| id).collect();
+        let names: Vec<&str> = tasks.iter().map(|&(_, name)| name).collect();
+        assert_eq!(
+            ids,
+            (0..want.len() as i64).collect::<Vec<_>>(),
+            "threads {threads}"
+        );
+        assert_eq!(names, want, "threads {threads}");
+    }
+}
+
 /// Omega set-operation samples are attributed to the analysis phases that
 /// issued them, not to the root — on worker threads too, which re-arm the
 /// request's collector.

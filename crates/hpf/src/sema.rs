@@ -68,23 +68,6 @@ impl Affine {
     }
 }
 
-/// Intrinsic function names recognized in expressions.
-pub const INTRINSICS: &[&str] = &[
-    "abs",
-    "max",
-    "min",
-    "sqrt",
-    "mod",
-    "float",
-    "dble",
-    "real",
-    "int",
-    "number_of_processors",
-    "exp",
-    "log",
-    "sign",
-];
-
 /// Information about a declared array.
 #[derive(Clone, Debug)]
 pub struct ArrayInfo {

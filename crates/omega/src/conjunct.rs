@@ -202,14 +202,6 @@ impl Conjunct {
         }
     }
 
-    /// All non-existential variables mentioned by the constraints.
-    pub fn free_vars(&self) -> BTreeSet<Var> {
-        self.all_vars()
-            .into_iter()
-            .filter(|v| !v.is_exist())
-            .collect()
-    }
-
     /// All variables (including existentials) mentioned by the constraints.
     pub fn all_vars(&self) -> BTreeSet<Var> {
         let mut s = BTreeSet::new();
@@ -790,14 +782,6 @@ impl Conjunct {
             uppers,
             base: self,
         }
-    }
-
-    /// Returns `true` if this conjunct, conjoined with `context`, is
-    /// unsatisfiable.
-    pub fn is_empty_given(&self, context: &Conjunct) -> bool {
-        let mut c = self.clone();
-        c.merge(context);
-        !c.is_satisfiable()
     }
 
     /// Removes constraints that are implied by `context` (the *gist*

@@ -704,16 +704,6 @@ impl Relation {
         self.conjuncts.iter().any(|c| c.contains(lookup))
     }
 
-    /// A fresh [`LinExpr`] naming input variable `i`.
-    pub fn in_var(i: u32) -> LinExpr {
-        LinExpr::var(Var::In(i))
-    }
-
-    /// A fresh [`LinExpr`] naming output variable `j`.
-    pub fn out_var(j: u32) -> LinExpr {
-        LinExpr::var(Var::Out(j))
-    }
-
     /// A [`LinExpr`] naming parameter `name` (registering it if needed).
     pub fn param_var(&mut self, name: &str) -> LinExpr {
         LinExpr::var(Var::Param(self.ensure_param(name)))
