@@ -6,8 +6,18 @@
 //!
 //! - `DataAccessed_t` — all data accessed by each processor,
 //! - `nlDataSet_t(m)` — the off-processor data `m` references,
-//! - `NLCommMap_t(m)` / `LocalCommMap_t(m)`,
-//! - `SendCommMap(m)` and `RecvCommMap(m)`.
+//! - `NLCommMap_read(m)` / `LocalCommMap_write(m)`,
+//! - `RecvCommMap(m)` and `SendCommMap(m)`.
+//!
+//! Figure 3 states the two maps as separate equations, but they are one
+//! relation read from its two ends: what `m` sends to `p` is what `p`
+//! receives from `m`. So only `RecvCommMap` is built and simplified, and
+//! `SendCommMap(m) = RecvCommMap(p)[p := m]` — the partner input and the
+//! `myid` parameter exchanged by a rename, with no set operation. The
+//! send/recv pairing the simulator checks then holds by construction, for
+//! any layout: the two-sided `LocalCommMap_read ∪ NLCommMap_write` agrees
+//! with the rename only where each element has one owner, and on a
+//! replicated (`*`-aligned) layout it also sends data the partner owns.
 
 use crate::cp::myid_set;
 use crate::layout::Layout;
@@ -47,6 +57,16 @@ impl CommSets {
 ///
 /// `reads`/`writes` are the potentially non-local references (their unions
 /// implement message coalescing); `layout` is the referenced array's layout.
+///
+/// The equations build `recv_map = NLCommMap_read ∪ LocalCommMap_write`;
+/// `send_map` is `recv_map` with each partner coordinate `p_d` and `m_d`
+/// exchanged, so `send_map` at `m = a`, partner `b` is exactly `recv_map`
+/// at `m = b`, partner `a`. No argument about ownership is needed for that
+/// pairing: where an element has several owners (a `*` alignment, or the
+/// overlapping virtual processors of a symbolic BLOCK layout) each receiver
+/// names the partners it reads from, and exactly those partners send.
+/// Loop variables left symbolic above the event's level are the
+/// receiver's iteration on both sides.
 ///
 /// # Errors
 ///
@@ -96,32 +116,56 @@ pub fn comm_sets(
     let nl_write_data = nl_of(&data_write)?;
 
     // Steps 4-5. NLCommMap_t(m) = Layout ∩range nlDataSet_t(m):
-    // the owner q of each non-local element m touches.
-    let nl_comm = |nl: &Set| -> Relation { layout.rel.restrict_range(nl).restrict_domain(&others) };
+    // the owner q of each non-local element m reads.
+    let nl_read = layout
+        .rel
+        .restrict_range(&nl_read_data)
+        .restrict_domain(&others);
     // LocalCommMap_t(m) = DataAccessed_t ∩range Layout({m}): the data owned
-    // by m that each other processor p touches.
-    let local_comm = |d: &Option<Relation>| -> Relation {
-        match d {
-            Some(rel) => rel.restrict_range(&owned_by_m).restrict_domain(&others),
-            None => Relation::empty(proc_rank, layout.rel.n_out()),
-        }
+    // by m that each other processor p writes.
+    let local_write = match &data_write {
+        Some(rel) => rel.restrict_range(&owned_by_m).restrict_domain(&others),
+        None => Relation::empty(proc_rank, layout.rel.n_out()),
     };
-    let nl_read = nl_comm(&nl_read_data);
-    let nl_write = nl_comm(&nl_write_data);
-    let local_read = local_comm(&data_read);
-    let local_write = local_comm(&data_write);
 
-    // Steps 6-7.
-    let mut send_map = local_read.union(&nl_write);
+    // Step 7, then step 6 as its rename: SendCommMap(m) = RecvCommMap(p)[p := m].
     let mut recv_map = nl_read.union(&local_write);
-    send_map.simplify();
     recv_map.simplify();
+    let send_map = swap_partner_and_myid(&recv_map);
     Ok(CommSets {
         nl_read_data,
         nl_write_data,
         send_map,
         recv_map,
     })
+}
+
+/// `rel` with each partner input `In(d)` exchanged for the parameter
+/// `m{d+1}` — the way [`Relation::inverse`] exchanges inputs and outputs.
+/// A rename, not a set operation: the result denotes the same tuples seen
+/// from the other end of each pair, and a cheap cleanup is all it needs.
+fn swap_partner_and_myid(rel: &Relation) -> Relation {
+    let mut out = rel.clone();
+    let names: Vec<String> = (0..rel.n_in()).map(|d| format!("m{}", d + 1)).collect();
+    for name in &names {
+        out.ensure_param(name);
+    }
+    // Indices are read after every insertion: registering a parameter
+    // shifts the ones sorted after it.
+    let m: Vec<u32> = names.iter().map(|n| out.ensure_param(n)).collect();
+    let swap = |v: Var| match v {
+        Var::In(d) => Var::Param(m[d as usize]),
+        Var::Param(i) => m
+            .iter()
+            .position(|&x| x == i)
+            .map_or(v, |d| Var::In(d as u32)),
+        v => v,
+    };
+    for c in out.conjuncts_mut() {
+        *c = c.rename(swap);
+    }
+    out.simplify_cheap();
+    out
 }
 
 /// The complement of [`myid_set`] within the layout's processor domain,

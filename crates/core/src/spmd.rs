@@ -1186,10 +1186,13 @@ fn materialize_events(
             Err(e) => return Err(e.into()),
         };
         // An event is needed only if some processor touches *non-local*
-        // data. With the virtual-processor layouts the send-side maps can
-        // be spuriously non-empty (fictitious VPs overlap every real one),
-        // so emptiness is judged on the non-local data sets: `m` is
-        // symbolic, so emptiness here means "empty for every processor".
+        // data. With the virtual-processor layouts a write event's maps
+        // can be spuriously non-empty: fictitious VPs overlap every real
+        // one, so a real VP writing its own data writes a fictitious VP's
+        // data too (`LocalCommMap_write`), and the send map, the recv map
+        // renamed, follows. So emptiness is judged on the non-local data
+        // sets: `m` is symbolic, so emptiness here means "empty for every
+        // processor".
         let needed = if plan.is_write {
             !sets.nl_write_data.is_empty()
         } else {

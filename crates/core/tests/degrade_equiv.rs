@@ -246,10 +246,18 @@ impl Drop for PanicCounter {
 /// exact one — `module compilation` and `opt of generated code` at the top
 /// level, nest phases beneath the former and within its time, one
 /// `compile` root, no span left open.
+///
+/// The fuel sweep is derived from what an exact compile spends: every
+/// memo miss is a charged operation, so half the misses is too little
+/// fuel however fast the compiler gets, and each smaller rung trips
+/// earlier in the pipeline.
 #[test]
 fn degraded_compiles_do_not_panic_and_report_like_exact_ones() {
+    let exact = compile(JACOBI, &CompileOptions::new()).expect("exact JACOBI");
+    let misses = exact.report.cache.total_misses();
+    assert!(misses >= 1 << 8, "too few ops to sweep: {misses}");
     let panics = PanicCounter::install();
-    for fuel in [4000, 500, 100, 20] {
+    for fuel in [1, 3, 5, 7].map(|halvings| misses >> halvings) {
         for threads in [1u32, 2] {
             let what = format!("op_fuel {fuel}, threads {threads}");
             let collector = Collector::new();

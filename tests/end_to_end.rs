@@ -323,6 +323,64 @@ end
     );
 }
 
+/// A vector aligned with `*` in the second template dimension: each
+/// element of `b` has two owners, one per processor column. `body` is the
+/// second nest.
+fn star_aligned(body: &str) -> String {
+    format!(
+        "
+program star
+real a(16,16), b(16)
+!HPF$ processors p(2,2)
+!HPF$ template t(16,16)
+!HPF$ align a(i,j) with t(i,j)
+!HPF$ align b(i) with t(i,*)
+!HPF$ distribute t(block,block) onto p
+do i = 1, 16
+  b(i) = i * 1.0
+  do j = 1, 16
+    a(i,j) = i * 100 + j
+  enddo
+enddo
+{body}
+end
+"
+    )
+}
+
+/// Reading a multi-owner element off-processor: each reader receives it
+/// from the partners it names, and exactly those partners send it. A send
+/// map built apart from the receive map also sends elements the partner
+/// already owns, and the unmatched message fails the simulation.
+#[test]
+fn star_aligned_read() {
+    check(
+        &star_aligned(
+            "do i = 1, 15
+  do j = 1, 16
+    a(i,j) = b(i+1) + j
+  enddo
+enddo",
+        ),
+        &[&[2, 2]],
+        &[],
+    );
+}
+
+/// Writing multi-owner elements from an off-processor value.
+#[test]
+fn star_aligned_write() {
+    check(
+        &star_aligned(
+            "do i = 1, 15
+  b(i+1) = a(i,1)
+enddo",
+        ),
+        &[&[2, 2]],
+        &[],
+    );
+}
+
 /// Cyclic distribution with a fixed processor count.
 #[test]
 fn cyclic_fixed() {
