@@ -5,11 +5,21 @@
 //! both reading-and-writing non-local data (`nl_ro`, `nl_wo`, `nl_rw`),
 //! enabling communication–computation overlap and check-free local buffer
 //! access (paper §3.4).
+//!
+//! A reference's local iterations are the paper's
+//! `RefMap⁻¹(localDataAccessed)`, which is one inverse image:
+//! `CPIters ∩ RefMap_r⁻¹(Layout({m}))`. The identity rests on `RefMap_r`
+//! being single-valued at its statement's full loop context — one
+//! iteration touches one element — so an iteration whose element `m` owns
+//! touches no element `m` does not own, and nothing is left to subtract.
+//! Ownership need not be single-valued: on an array aligned with `*`,
+//! `Layout({m})` holds every element of which `m` owns a copy, so "local"
+//! means "`m` owns a copy", matching `NLDataAccessed` in `comm_sets`
+//! (`DataAccessed({m}) − Layout({m})`).
 
-use crate::comm::CommRef;
 use crate::cp::myid_set;
 use crate::layout::Layout;
-use dhpf_omega::{OmegaError, Set};
+use dhpf_omega::{OmegaError, Relation, Set};
 
 /// The four iteration sections of Figure 4(a), over the loop tuple, with
 /// `m1..mr` (myid) as symbolic parameters.
@@ -25,24 +35,14 @@ pub struct SplitSets {
     pub nl_rw: Set,
 }
 
-impl SplitSets {
-    /// The scheduling order of Figure 4(b): sections in the order they
-    /// should execute to overlap read latency with local computation.
-    pub fn schedule(&self) -> [(&'static str, &Set); 4] {
-        [
-            ("NLWOIters", &self.nl_wo),
-            ("LocalIters", &self.local),
-            ("NLROIters", &self.nl_ro),
-            ("NLRWIters", &self.nl_rw),
-        ]
-    }
-}
-
 /// Computes the Figure 4(a) iteration sections for one statement group.
 ///
-/// Each entry of `reads`/`writes` pairs a reference with its array's
-/// layout; `cp_iter_set` is `CPMap({m})`, the group's partitioned
-/// iteration set.
+/// Each entry of `reads`/`writes` pairs a reference map (`loop -> data`,
+/// at the statement's full loop context) with its array's layout;
+/// `cp_iter_set` is `CPMap({m})`, the group's partitioned iteration set.
+/// The iterations local to one reference are
+/// `RefMap_r⁻¹(Layout({m}))`, intersected across the references into an
+/// accumulator that starts at `cp_iter_set`.
 ///
 /// # Errors
 ///
@@ -55,27 +55,18 @@ impl SplitSets {
 /// Panics if set arities are inconsistent (a compiler-internal error).
 pub fn split_sets(
     cp_iter_set: &Set,
-    reads: &[(&CommRef, &Layout)],
-    writes: &[(&CommRef, &Layout)],
+    reads: &[(&Relation, &Layout)],
+    writes: &[(&Relation, &Layout)],
 ) -> Result<SplitSets, OmegaError> {
-    // localIters_r = RefMap_r⁻¹(localDataAccessed_r); we intersect across
+    // localIters_r = RefMap_r⁻¹(Layout_r({m})); we intersect across
     // references first (the paper's reformulation to limit disjunctions).
-    let local_iters = |refs: &[(&CommRef, &Layout)]| -> Result<Set, OmegaError> {
+    let local_iters = |refs: &[(&Relation, &Layout)]| -> Result<Set, OmegaError> {
         let mut acc = cp_iter_set.clone();
-        for (r, layout) in refs {
-            let me = myid_set(layout.proc_rank());
-            let owned = layout.rel.apply(&me)?;
-            let data_accessed = r.ref_map.apply(cp_iter_set)?;
-            let local_data = data_accessed.intersection(&owned);
-            let mut li = r.ref_map.apply_inverse(&local_data)?;
-            // Restrict to iterations whose *own* access is local:
-            // iterations whose referenced element is non-local must go.
-            let nl_data = data_accessed.subtract(&owned)?;
-            let nl_iters = r.ref_map.apply_inverse(&nl_data)?;
-            li = li.subtract(&nl_iters)?;
-            acc = acc.intersection(&li);
+        for (ref_map, layout) in refs {
+            let owned = layout.rel.apply(&myid_set(layout.proc_rank()))?;
+            acc = acc.intersection(&ref_map.apply_inverse(&owned)?);
         }
-        Ok(acc.intersection(cp_iter_set))
+        Ok(acc)
     };
     let local_read = local_iters(reads)?;
     let local_write = local_iters(writes)?;
@@ -133,7 +124,12 @@ end
             cp_map: cp.clone(),
             ref_map: stmts[0].lhs.as_ref().unwrap().ref_map(&stmts[0].ctx),
         };
-        let s = split_sets(&mine, &[(&rref, &layouts["b"])], &[(&wref, &layouts["a"])]).unwrap();
+        let s = split_sets(
+            &mine,
+            &[(&rref.ref_map, &layouts["b"])],
+            &[(&wref.ref_map, &layouts["a"])],
+        )
+        .unwrap();
         // m=0 computes i in [1,25]; i=25 reads b[26] (non-local, read-only);
         // writes a(i) always local.
         let m0 = [("m1", 0i64)];
@@ -163,7 +159,7 @@ end
             cp_map: cp.clone(),
             ref_map: stmts[0].reads[0].ref_map(&stmts[0].ctx),
         };
-        let s = split_sets(&mine, &[(&rref, &layouts["b"])], &[]).unwrap();
+        let s = split_sets(&mine, &[(&rref.ref_map, &layouts["b"])], &[]).unwrap();
         // local ∪ nl_ro ∪ nl_wo ∪ nl_rw == cpIterSet, pairwise disjoint.
         let u = s.local.union(&s.nl_ro).union(&s.nl_wo).union(&s.nl_rw);
         assert!(u.equal(&mine).unwrap());

@@ -1332,20 +1332,14 @@ fn split_sections(synth: &mut Synth, np: &NestPlan) -> Result<Option<SplitSets>,
     }
     // Sections intersected across every statement's references.
     let layouts = synth.layouts;
-    let reads: Vec<(CommRef, &Layout)> = np
+    let reads: Vec<(Relation, &Layout)> = np
         .stmts
         .iter()
         .flat_map(|s| s.reads.iter().map(move |r| (s, r)))
         .filter(|(_, r)| !layouts[&r.array].replicated)
-        .map(|(s, r)| {
-            let cref = CommRef {
-                cp_map: np.cp0[0].clone(),
-                ref_map: r.ref_map(&s.ctx),
-            };
-            (cref, &layouts[&r.array])
-        })
+        .map(|(s, r)| (r.ref_map(&s.ctx), &layouts[&r.array]))
         .collect();
-    let read_pairs: Vec<(&CommRef, &Layout)> = reads.iter().map(|(c, l)| (c, *l)).collect();
+    let read_pairs: Vec<(&Relation, &Layout)> = reads.iter().map(|(m, l)| (m, *l)).collect();
     let sections = synth.time("loop splitting", |_| {
         split_sets(&np.mine[0], &read_pairs, &[])
     })?;

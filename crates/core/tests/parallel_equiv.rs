@@ -299,12 +299,12 @@ end
     probes::comm_duality(&sets, p, &data).unwrap();
 
     let mine = cp.apply(&myid_set(1)).unwrap();
-    let read_pairs: Vec<_> = refs.iter().map(|r| (r, &layouts["b"])).collect();
+    let read_pairs: Vec<_> = refs.iter().map(|r| (&r.ref_map, &layouts["b"])).collect();
     let wref = CommRef {
         cp_map: cp.clone(),
         ref_map: stmt.lhs.as_ref().unwrap().ref_map(&stmt.ctx),
     };
-    let write_pairs = [(&wref, &layouts["a"])];
+    let write_pairs = [(&wref.ref_map, &layouts["a"])];
     let splits = split_sets(&mine, &read_pairs, &write_pairs).unwrap();
     for m in 0..p {
         probes::split_partition(&splits, &mine, m).unwrap();
