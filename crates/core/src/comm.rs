@@ -18,6 +18,13 @@
 //! any layout: the two-sided `LocalCommMap_read ∪ NLCommMap_write` agrees
 //! with the rename only where each element has one owner, and on a
 //! replicated (`*`-aligned) layout it also sends data the partner owns.
+//!
+//! For reads, `DataAccessed` is only ever applied to `{m}`, and
+//! `(CPMap ∘ RefMap)({m}) = RefMap(CPMap({m}))`: the data `m` reads is the
+//! image of its own iterations. So a read's `nlDataSet(m)` is two images
+//! and one subtraction, and the proc → data composition is never built.
+//! Writes still compose it: `LocalCommMap_write` asks which *other*
+//! processor `p` writes data `m` owns, so it needs the writer free.
 
 use crate::cp::myid_set;
 use crate::layout::Layout;
@@ -58,6 +65,12 @@ impl CommSets {
 /// `reads`/`writes` are the potentially non-local references (their unions
 /// implement message coalescing); `layout` is the referenced array's layout.
 ///
+/// A read's non-local data is `(∪_r RefMap_r(CPMap_r({m}))) − Layout({m})`,
+/// the image of `m`'s own iterations less what `m` owns: equal to
+/// `DataAccessed_read({m}) − Layout({m})`, without composing
+/// `CPMap ∘ RefMap`. Only the writes compose it, because
+/// `LocalCommMap_write` ranges over every writer `p`.
+///
 /// The equations build `recv_map = NLCommMap_read ∪ LocalCommMap_write`;
 /// `send_map` is `recv_map` with each partner coordinate `p_d` and `m_d`
 /// exchanged, so `send_map` at `m = a`, partner `b` is exactly `recv_map`
@@ -90,30 +103,34 @@ pub fn comm_sets(
     let owned_by_m = layout.rel.apply(&me)?;
     let others = Set::universe(proc_rank).subtract(&me)?;
 
-    // Step 2: DataAccessed_t = ∪_r CPMap_r ∘ RefMap_r  (proc -> data).
-    let accessed = |refs: &[CommRef]| -> Result<Option<Relation>, OmegaError> {
-        let mut acc: Option<Relation> = None;
-        for r in refs {
-            let term = r.cp_map.then(&r.ref_map)?;
-            acc = Some(match acc {
-                None => term,
-                Some(a) => a.union(&term),
-            });
-        }
-        Ok(acc)
+    // Steps 2-3 for reads (per §5):
+    // nlDataSet_read(m) = (∪_r RefMap_r(CPMap_r({m}))) - Layout({m}).
+    let mut read_data: Option<Set> = None;
+    for r in reads {
+        let term = r.ref_map.apply(&r.cp_map.apply(&me)?)?;
+        read_data = Some(match read_data {
+            None => term,
+            Some(a) => a.union(&term),
+        });
+    }
+    let nl_read_data = match read_data {
+        Some(d) => d.subtract(&owned_by_m)?,
+        None => Set::empty(layout.rel.n_out()),
     };
-    let data_read = accessed(reads)?;
-    let data_write = accessed(writes)?;
-
-    // Step 3 (per §5): nlDataSet_t(m) = DataAccessed_t({m}) - Layout({m}).
-    let nl_of = |d: &Option<Relation>| -> Result<Set, OmegaError> {
-        match d {
-            Some(rel) => rel.apply(&me)?.subtract(&owned_by_m),
-            None => Ok(Set::empty(layout.rel.n_out())),
-        }
+    // Steps 2-3 for writes: DataAccessed_write = ∪_w CPMap_w ∘ RefMap_w
+    // (proc -> data), whole for LocalCommMap_write below.
+    let mut data_write: Option<Relation> = None;
+    for w in writes {
+        let term = w.cp_map.then(&w.ref_map)?;
+        data_write = Some(match data_write {
+            None => term,
+            Some(a) => a.union(&term),
+        });
+    }
+    let nl_write_data = match &data_write {
+        Some(rel) => rel.apply(&me)?.subtract(&owned_by_m)?,
+        None => Set::empty(layout.rel.n_out()),
     };
-    let nl_read_data = nl_of(&data_read)?;
-    let nl_write_data = nl_of(&data_write)?;
 
     // Steps 4-5. NLCommMap_t(m) = Layout ∩range nlDataSet_t(m):
     // the owner q of each non-local element m reads.
@@ -144,7 +161,7 @@ pub fn comm_sets(
 /// `m{d+1}` — the way [`Relation::inverse`] exchanges inputs and outputs.
 /// A rename, not a set operation: the result denotes the same tuples seen
 /// from the other end of each pair, and a cheap cleanup is all it needs.
-fn swap_partner_and_myid(rel: &Relation) -> Relation {
+pub(crate) fn swap_partner_and_myid(rel: &Relation) -> Relation {
     let mut out = rel.clone();
     let names: Vec<String> = (0..rel.n_in()).map(|d| format!("m{}", d + 1)).collect();
     for name in &names {

@@ -7,8 +7,27 @@
 //! reduces to a satisfiability question; whatever cannot be proven at
 //! compile time gets a runtime verdict with its reason. The paper scans
 //! such a message at runtime; here nothing does, so it is sent buffered.
+//!
+//! Most projections `C<d>` are one conjunct with no existentials: for
+//! fixed parameters, the values of `x = C<d>` are the integers satisfying a
+//! few constraints `a·x + f ≥ 0` and `a·x + f = 0`. Three facts are read
+//! off those constraints, with no set operation:
+//!
+//! - **Convex.** Each inequality bounds `x` on one side (or not at all),
+//!   so the solutions are an integer interval: no hole is possible, which
+//!   is what `IsConvex` would prove.
+//! - **Singleton.** An equality with a nonzero coefficient on `x` admits
+//!   at most one `x` for each parameter value — `IsSingleton`'s claim.
+//! - **Does not span.** When `C<d>` is such a singleton and the array's
+//!   extent in dimension `d` is constant with `lo < hi`, `A<d>` has at
+//!   least two elements for every parameter value and `C<d>` at most one,
+//!   so the two are never equal.
+//!
+//! Every other projection goes through the general tests
+//! ([`Set::equal`], [`Set::is_convex_1d`], [`Set::is_singleton_1d`]).
 
-use dhpf_omega::Set;
+use dhpf_omega::num::{ceil_div, floor_div};
+use dhpf_omega::{Conjunct, LinExpr, OmegaError, Set, Var};
 
 /// Verdict of the contiguity analysis.
 #[derive(Clone, Debug, PartialEq)]
@@ -45,16 +64,16 @@ pub fn contiguity(comm: &Set, local: &Set) -> Contiguity {
     }
     // Single scan, leftmost dimension first: find the first dimension k
     // where C<k> != A<k>; then C<k> must be convex and all later dimensions
-    // singletons.
-    let mut k = n;
+    // singletons. Each dimension is projected once.
+    let mut first_short = None;
     for d in 0..n {
         let spans_dim = comm
             .project_onto(&[d])
-            .and_then(|cd| cd.equal(&local.project_onto(&[d])?));
+            .and_then(|cd| Ok((spans(&cd, local, d)?, cd)));
         match spans_dim {
-            Ok(true) => {}
-            Ok(false) => {
-                k = d;
+            Ok((true, _)) => {}
+            Ok((false, cd)) => {
+                first_short = Some((d, cd));
                 break;
             }
             // Comparison hit an exactness limit or a governor refusal:
@@ -64,11 +83,11 @@ pub fn contiguity(comm: &Set, local: &Set) -> Contiguity {
             }
         }
     }
-    if k == n {
+    let Some((k, ck)) = first_short else {
         // Spans the whole array: contiguous.
         return Contiguity::Contiguous;
-    }
-    match comm.project_onto(&[k]).and_then(|ck| ck.is_convex_1d()) {
+    };
+    match is_convex(&ck) {
         Ok(true) => {}
         Ok(false) => {
             // A hole is *provable* (the hole formula is satisfiable); it may
@@ -88,7 +107,7 @@ pub fn contiguity(comm: &Set, local: &Set) -> Contiguity {
         }
     }
     for d in (k + 1)..n {
-        match comm.project_onto(&[d]).and_then(|cd| cd.is_singleton_1d()) {
+        match comm.project_onto(&[d]).and_then(|cd| is_singleton(&cd)) {
             Ok(true) => {}
             Ok(false) => {
                 if comm.as_relation().params().is_empty() {
@@ -106,6 +125,85 @@ pub fn contiguity(comm: &Set, local: &Set) -> Contiguity {
         }
     }
     Contiguity::Contiguous
+}
+
+/// The projection's one conjunct, when it has no existentials: then the
+/// facts in the module doc can be read off its constraints.
+fn interval(cd: &Set) -> Option<&Conjunct> {
+    match cd.as_relation().conjuncts() {
+        [c] if c.n_exist() == 0 => Some(c),
+        _ => None,
+    }
+}
+
+/// An equality with a nonzero coefficient on the projected dimension.
+fn pinned(c: &Conjunct) -> bool {
+    c.eqs().iter().any(|e| e.coeff(Var::In(0)) != 0)
+}
+
+/// `C<d> = A<d>` for every parameter value.
+fn spans(cd: &Set, local: &Set, d: u32) -> Result<bool, OmegaError> {
+    if interval(cd).is_some_and(pinned) && constant_extent(local, d).is_some_and(|(lo, hi)| lo < hi)
+    {
+        return Ok(false);
+    }
+    cd.equal(&local.project_onto(&[d])?)
+}
+
+/// `IsConvex(C<d>)`.
+fn is_convex(cd: &Set) -> Result<bool, OmegaError> {
+    if interval(cd).is_some() {
+        return Ok(true);
+    }
+    cd.is_convex_1d()
+}
+
+/// `IsSingleton(C<d>)`.
+fn is_singleton(cd: &Set) -> Result<bool, OmegaError> {
+    if interval(cd).is_some_and(pinned) {
+        return Ok(true);
+    }
+    cd.is_singleton_1d()
+}
+
+/// The extent `lo..=hi` of dimension `d` of `local`, when `local` is a
+/// non-empty constant box: one conjunct, no existentials, and every
+/// constraint bounds a single dimension by a constant. Its projection onto
+/// `d` is then exactly `lo..=hi` for every parameter value.
+fn constant_extent(local: &Set, d: u32) -> Option<(i64, i64)> {
+    let [c] = local.as_relation().conjuncts() else {
+        return None;
+    };
+    if c.n_exist() != 0 {
+        return None;
+    }
+    let n = local.arity() as usize;
+    let mut lo = vec![i64::MIN; n];
+    let mut hi = vec![i64::MAX; n];
+    // `a·x - b` with `x` one dimension: `= 0` pins `x`, `>= 0` bounds it
+    // on one side.
+    let one_dim = |e: &LinExpr| match (e.n_terms(), e.terms().next()) {
+        (1, Some((Var::In(v), a))) => Some((v as usize, a, e.constant_term().checked_neg()?)),
+        _ => None,
+    };
+    for e in c.eqs() {
+        let (v, a, b) = one_dim(e)?;
+        if b.checked_rem(a)? != 0 {
+            return None;
+        }
+        lo[v] = lo[v].max(b / a);
+        hi[v] = hi[v].min(b / a);
+    }
+    for e in c.geqs() {
+        let (v, a, b) = one_dim(e)?;
+        if a > 0 {
+            lo[v] = lo[v].max(ceil_div(b, a));
+        } else {
+            hi[v] = hi[v].min(floor_div(b, a));
+        }
+    }
+    let non_empty = (0..n).all(|v| lo[v] > i64::MIN && hi[v] < i64::MAX && lo[v] <= hi[v]);
+    non_empty.then(|| (lo[d as usize], hi[d as usize]))
 }
 
 #[cfg(test)]
@@ -193,6 +291,78 @@ mod tests {
             Contiguity::Runtime(_) => {}
             other => panic!("expected runtime check, got {other:?}"),
         }
+    }
+
+    /// Set operations (memo hits and misses) run on this thread while `f` runs.
+    fn ops_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
+        let ctx = dhpf_omega::Context::new();
+        let _c = ctx.arm_on_thread();
+        let count = || {
+            let s = ctx.stats();
+            s.total_hits() + s.total_misses()
+        };
+        let before = count();
+        let out = f();
+        (out, count() - before)
+    }
+
+    #[test]
+    fn pinned_dimension_under_parameters_is_a_singleton_by_its_equality() {
+        // Column j = c of a 10 x 10 array, rows 1..N: dimension 1 is pinned
+        // by `j = c` whatever N and c are.
+        let local = set("{[i,j] : 1 <= i <= 10 && 1 <= j <= 10}");
+        let comm = set("{[i,j] : 1 <= i <= N && j = c && 1 <= c <= 10}");
+        let cj = comm.project_onto(&[1]).unwrap();
+        assert!(interval(&cj).is_some_and(pinned));
+        let (single, ops) = ops_during(|| is_singleton(&cj));
+        assert_eq!((single.unwrap(), ops), (true, 0));
+        assert!(cj.is_singleton_1d().unwrap());
+        // Rows 1..N are an interval: convex without a set operation.
+        let ci = comm.project_onto(&[0]).unwrap();
+        let (convex, ops) = ops_during(|| is_convex(&ci));
+        assert_eq!((convex.unwrap(), ops), (true, 0));
+        assert!(ci.is_convex_1d().unwrap());
+        assert_eq!(contiguity(&comm, &local), Contiguity::Contiguous);
+    }
+
+    #[test]
+    fn singleton_refutes_a_span_over_a_constant_extent() {
+        // Row 3 of a 10 x 10 array: dimension 0 holds one index, the array
+        // ten, so it does not span — decided without the `equal`.
+        let local = set("{[i,j] : 1 <= i <= 10 && 1 <= j <= 10}");
+        let comm = set("{[i,j] : i = 3 && 1 <= j <= 10}");
+        let ci = comm.project_onto(&[0]).unwrap();
+        assert_eq!(constant_extent(&local, 0), Some((1, 10)));
+        let (spanned, ops) = ops_during(|| spans(&ci, &local, 0));
+        assert_eq!((spanned.unwrap(), ops), (false, 0));
+        assert!(!ci.equal(&local.project_onto(&[0]).unwrap()).unwrap());
+        assert_eq!(contiguity(&comm, &local), Contiguity::NotContiguous);
+        // A one-element extent is spanned by a singleton: the fast path
+        // must not refute it.
+        let thin = set("{[i,j] : i = 1 && 1 <= j <= 10}");
+        assert_eq!(constant_extent(&thin, 0), Some((1, 1)));
+        assert!(spans(&ci, &thin, 0).is_ok_and(|s| !s));
+        let c1 = set("{[i,j] : i = 1 && j = 4}").project_onto(&[0]).unwrap();
+        assert!(spans(&c1, &thin, 0).unwrap());
+        // A symbolic extent has no constant bounds.
+        let sym = set("{[i,j] : 1 <= i <= N && 1 <= j <= 10}");
+        assert_eq!(constant_extent(&sym, 0), None);
+    }
+
+    #[test]
+    fn stride_set_takes_the_full_test() {
+        // Odd indices: the projection keeps its existential, so neither
+        // fact is read off the constraints and `is_convex_1d` finds the
+        // holes.
+        let comm = set("{[i] : 1 <= i <= 9 && exists(a : i = 2a + 1)}");
+        let ci = comm.project_onto(&[0]).unwrap();
+        assert!(interval(&ci).is_none());
+        let (convex, ops) = ops_during(|| is_convex(&ci));
+        assert!(!convex.unwrap());
+        assert!(ops > 0, "the stride set must reach the general test");
+        let (single, ops) = ops_during(|| is_singleton(&ci));
+        assert!(!single.unwrap());
+        assert!(ops > 0);
     }
 
     #[test]

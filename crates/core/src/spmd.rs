@@ -9,7 +9,7 @@
 //! degradation ladder) → `assemble_spmd`. The driver schedules the nests;
 //! nothing here depends on the order they are built in.
 
-use crate::comm::{comm_sets, CommRef};
+use crate::comm::{comm_sets, swap_partner_and_myid, CommRef};
 use crate::cp::{cp_map_at_level, myid_set, proc_rank_of, slice_context};
 use crate::dependence::{carried_level, placement_level};
 use crate::inplace::{contiguity, Contiguity};
@@ -1240,12 +1240,9 @@ fn pipelined_events(
     let ctx = &np.stmts[np.groups[plan.group][0]].ctx;
     let array_writes = || np.writes.iter().filter(|(_, w)| w.array == plan.array);
     // `comm_code` wants simplified maps, and a `restrict_range` result is
-    // not: its raw conjuncts can leave a loop level unbounded.
-    let mut push = |synth: &mut Synth, mut send: Relation, mut recv: Relation, level: u32| {
-        synth.time("communication generation", |_| {
-            send.simplify();
-            recv.simplify();
-        });
+    // not: its raw conjuncts can leave a loop level unbounded. Both maps
+    // reach `push` simplified.
+    let mut push = |synth: &mut Synth, send: Relation, recv: Relation, level: u32| {
         if !recv.is_empty() {
             built.push(BuiltEvent {
                 event: push_event(synth, &plan.array, &send, &recv, level)?,
@@ -1278,9 +1275,12 @@ fn pipelined_events(
     let sets0 = synth.time("communication generation", |_| {
         comm_sets(&refs0, &[], layout)
     })?;
-    // Pre-nest exchange of never-written data.
-    let pre_send = sets0.send_map.restrict_range(&unwritten);
-    let pre_recv = sets0.recv_map.restrict_range(&unwritten);
+    // Pre-nest exchange of never-written data. `unwritten` does not
+    // mention `m`, so restricting the range commutes with the partner /
+    // `myid` rename: the send map is the simplified receive map renamed.
+    let mut pre_recv = sets0.recv_map.restrict_range(&unwritten);
+    synth.time("communication generation", |_| pre_recv.simplify());
+    let pre_send = swap_partner_and_myid(&pre_recv);
     push(synth, pre_send, pre_recv, 0)?;
     // In-loop event: receive what this iteration consumes (written data
     // only); send what this iteration just produced and someone else
@@ -1294,8 +1294,14 @@ fn pipelined_events(
         w_cur = w_cur.union(&rm.apply(&my_inner)?);
     }
     w_cur.simplify();
-    let in_send = sets0.send_map.restrict_range(&w_cur);
-    let in_recv = sets.recv_map.restrict_range(&written);
+    // The level-l receive map and the level-0 send map are not a rename
+    // pair, so each is simplified on its own.
+    let mut in_send = sets0.send_map.restrict_range(&w_cur);
+    let mut in_recv = sets.recv_map.restrict_range(&written);
+    synth.time("communication generation", |_| {
+        in_send.simplify();
+        in_recv.simplify();
+    });
     push(synth, in_send, in_recv, plan.level)
 }
 
