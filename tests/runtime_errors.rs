@@ -1,6 +1,7 @@
-//! Run-time errors are typed, and both executors agree on their kind: the
-//! serial reference and the simulator return the same [`SimError`] variant
-//! for each way a program can go wrong while it runs, and neither panics.
+//! Run-time errors are typed, and both executors agree on them: the serial
+//! reference and the simulator return the same [`SimError`] variant, with
+//! the same payload (name, message, or array and index), for each way a
+//! program can go wrong while it runs, and neither panics.
 
 use dhpf::core::spmd::SpmdItem;
 use dhpf::core::{compile, CompileOptions};
@@ -30,19 +31,21 @@ end
     )
 }
 
-fn kind(e: &SimError) -> &'static str {
+/// The variant of `e` and its payload: the name or message, or an
+/// out-of-bounds element as `array[index]`.
+fn kind(e: &SimError) -> (&'static str, String) {
     match e {
-        SimError::Unbound(_) => "Unbound",
-        SimError::Unsupported(_) => "Unsupported",
-        SimError::CommMismatch(_) => "CommMismatch",
-        SimError::OutOfBounds { .. } => "OutOfBounds",
-        _ => "other",
+        SimError::Unbound(n) => ("Unbound", n.clone()),
+        SimError::Unsupported(m) => ("Unsupported", m.clone()),
+        SimError::CommMismatch(m) => ("CommMismatch", m.clone()),
+        SimError::OutOfBounds { array, index } => ("OutOfBounds", format!("{array}{index:?}")),
+        _ => ("other", e.to_string()),
     }
 }
 
 /// Runs `body` on both executors with `inputs` and checks each fails with
-/// a `want` error.
-fn expect(what: &str, body: &str, inputs: &[(&str, i64)], want: &str) {
+/// the `want` variant and payload.
+fn expect(what: &str, body: &str, inputs: &[(&str, i64)], want: (&str, &str)) {
     let inputs: HashMap<String, i64> = inputs.iter().map(|&(k, v)| (k.to_string(), v)).collect();
     let src = program(body);
     let compiled = compile(&src, &CompileOptions::default())
@@ -51,8 +54,11 @@ fn expect(what: &str, body: &str, inputs: &[(&str, i64)], want: &str) {
     let sim = simulate(&compiled, &[2], &inputs, &MachineModel::sp2()).map(|_| ());
     for (executor, out) in [("run_serial", serial), ("simulate", sim)] {
         match out {
-            Err(e) => assert_eq!(kind(&e), want, "{what}: {executor} returned {e}"),
-            Ok(()) => panic!("{what}: {executor} succeeded, want {want}"),
+            Err(e) => {
+                let (variant, payload) = kind(&e);
+                assert_eq!((variant, payload.as_str()), want, "{what}: {executor}");
+            }
+            Ok(()) => panic!("{what}: {executor} succeeded, want {want:?}"),
         }
     }
 }
@@ -63,7 +69,7 @@ fn missing_runtime_input() {
         "missing input",
         "do i = 1, n\n  a(i) = b(i)\nenddo",
         &[],
-        "Unbound",
+        ("Unbound", "runtime input 'n'"),
     );
 }
 
@@ -73,7 +79,7 @@ fn unbound_scalar() {
         "unbound scalar",
         "do i = 1, 16\n  a(i) = b(i) + y\nenddo",
         &[("n", 1)],
-        "Unbound",
+        ("Unbound", "y"),
     );
 }
 
@@ -83,7 +89,7 @@ fn integer_division_by_zero_in_a_subscript() {
         "division by zero",
         "k = 0\ns = r(6 / k)",
         &[("n", 1)],
-        "Unsupported",
+        ("Unsupported", "division by zero"),
     );
 }
 
@@ -93,7 +99,7 @@ fn unknown_intrinsic() {
         "unknown intrinsic",
         "s = frobnicate(1.0, 2.0)",
         &[("n", 1)],
-        "Unsupported",
+        ("Unsupported", "intrinsic 'frobnicate' with 2 arguments"),
     );
 }
 
@@ -103,7 +109,7 @@ fn out_of_bounds_read() {
         "out-of-bounds read",
         "a(3) = b(17)",
         &[("n", 1)],
-        "OutOfBounds",
+        ("OutOfBounds", "b[17]"),
     );
 }
 
@@ -113,7 +119,7 @@ fn out_of_bounds_write() {
         "out-of-bounds write",
         "r(11) = 1.0",
         &[("n", 1)],
-        "OutOfBounds",
+        ("OutOfBounds", "r[11]"),
     );
 }
 
@@ -132,7 +138,13 @@ fn call_statement() {
     let sim = simulate(&compiled, &[2], &inputs, &MachineModel::sp2()).map(|_| ());
     for (executor, out) in [("run_serial", serial), ("simulate", sim)] {
         match out {
-            Err(e) => assert_eq!(kind(&e), "Unsupported", "{executor} returned {e}"),
+            Err(e) => {
+                let (variant, payload) = kind(&e);
+                assert_eq!(
+                    (variant, payload.as_str()),
+                    ("Unsupported", "call 'helper'")
+                );
+            }
             Ok(()) => panic!("{executor} ran a call"),
         }
     }
