@@ -435,12 +435,18 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let ch = rest.chars().next().unwrap();
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the run up to the next quote or backslash. Both
+                    // are ASCII, so the run ends on a character boundary
+                    // and each byte is validated once.
+                    let rest = &self.bytes[self.pos..];
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run =
+                        std::str::from_utf8(&rest[..len]).map_err(|_| self.err("invalid UTF-8"))?;
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -549,5 +555,18 @@ mod tests {
         let s = "a\"b\\c\nd\te\u{1}";
         let v = parse(&escape(s)).unwrap();
         assert_eq!(v.as_str(), Some(s));
+    }
+
+    #[test]
+    fn multibyte_runs_between_escapes_round_trip() {
+        let s = "λx → \"ü\"\\n日本語\t🦀\u{7}é\n";
+        let v = parse(&escape(s)).unwrap();
+        assert_eq!(v.as_str(), Some(s));
+        let doc = format!("{{\"k\":{},\"n\":1}}", escape(s));
+        let v = parse(&doc).unwrap();
+        assert_eq!(v.get("k").and_then(Value::as_str), Some(s));
+        let v = parse("\"a\\u00e9λ\\\\b\"").unwrap();
+        assert_eq!(v.as_str(), Some("aéλ\\b"));
+        assert!(parse("\"unterminated λ").is_err());
     }
 }

@@ -442,6 +442,24 @@ mod tests {
     }
 
     #[test]
+    fn parses_a_64k_source() {
+        let mut source = String::new();
+        let mut k = 0;
+        while source.len() < 64 * 1024 {
+            source.push_str(&format!("  a({k}) = \"ü\" \\ b({k}) ! λ\n"));
+            k += 1;
+        }
+        let line = Obj::new().str("id", "big").str("source", &source).finish();
+        match parse_request(&line).unwrap() {
+            Request::Compile(j) => {
+                assert_eq!(j.id, "big");
+                assert_eq!(j.source, source);
+            }
+            other => panic!("expected compile, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn rejects_garbage_with_protocol_code() {
         let (_, e) = parse_request("not json").unwrap_err();
         assert_eq!(e.code, ErrorCode::Protocol);
