@@ -1,8 +1,6 @@
 //! The loop-nest AST produced by code generation.
 
-use crate::expr::{Cond, Env, Expr, UnboundVar};
-use crate::slots::{Halt, Slot};
-use std::collections::HashMap;
+use crate::expr::{Cond, Expr};
 use std::fmt;
 
 /// Opaque handle identifying a statement to the code-generation client.
@@ -63,57 +61,6 @@ impl Code {
             Code::Stmt(_) => false,
             Code::Comment(_) => true,
         }
-    }
-
-    /// Runs the code by name: lowers it (see [`Code::lower`]) and invokes
-    /// `on_stmt` for every executed statement instance with `env` holding
-    /// the parameters and the enclosing loop indices. Loop indices are
-    /// unbound (or restored) again when the run returns.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnboundVar`] if a bound or guard mentions a variable that is
-    /// neither a parameter in `env` nor an enclosing loop index.
-    pub fn execute<F: FnMut(StmtId, &Env)>(
-        &self,
-        env: &mut Env,
-        on_stmt: &mut F,
-    ) -> Result<(), UnboundVar> {
-        let mut names: Vec<String> = Vec::new();
-        let mut index: HashMap<String, Slot> = HashMap::new();
-        let code = self.lower(
-            &mut |name| {
-                *index.entry(name.to_string()).or_insert_with(|| {
-                    names.push(name.to_string());
-                    names.len() - 1
-                })
-            },
-            &|_| None,
-        );
-        let mut slots: Vec<Option<i64>> = names.iter().map(|n| env.get(n).copied()).collect();
-        // Mirrors the slots into `env`, where the callback reads them.
-        let sync = |env: &mut Env, slots: &[Option<i64>]| {
-            for (name, v) in names.iter().zip(slots) {
-                match v {
-                    Some(v) => {
-                        env.insert(name.clone(), *v);
-                    }
-                    None => {
-                        env.remove(name);
-                    }
-                }
-            }
-        };
-        let out = code.run(&mut slots, &mut |id, slots: &mut Vec<Option<i64>>| {
-            sync(env, slots);
-            on_stmt(id, env);
-            Ok::<(), std::convert::Infallible>(())
-        });
-        sync(env, &slots);
-        out.map_err(|h| match h {
-            Halt::Unbound(s) => UnboundVar(names[s].clone()),
-            Halt::Stmt(never) => match never {},
-        })
     }
 
     /// Simplifies bounds/conditions and drops dead branches.
@@ -275,6 +222,39 @@ mod tests {
         Expr::Var(name.into())
     }
 
+    /// Each executed statement instance with the values of the named
+    /// variables.
+    type Visits = Vec<(StmtId, Vec<i64>)>;
+
+    /// Lowers `code` with `names` numbered first, runs it with `params`
+    /// bound, and records each statement instance with the values of
+    /// `names`. Also returns the frame as the run left it.
+    fn run(code: &Code, names: &[&str], params: &[(&str, i64)]) -> (Visits, Vec<Option<i64>>) {
+        let mut all: Vec<String> = names.iter().map(|n| n.to_string()).collect();
+        let lowered = code.lower(
+            &mut |n| match all.iter().position(|m| m == n) {
+                Some(s) => s,
+                None => {
+                    all.push(n.to_string());
+                    all.len() - 1
+                }
+            },
+            &|_| None,
+        );
+        let mut frame: Vec<Option<i64>> = all
+            .iter()
+            .map(|n| params.iter().find(|p| p.0 == n).map(|p| p.1))
+            .collect();
+        let mut got = Vec::new();
+        lowered
+            .run(&mut frame, &mut |id, f: &mut Vec<Option<i64>>| {
+                got.push((id, f[..names.len()].iter().flatten().copied().collect()));
+                Ok::<(), ()>(())
+            })
+            .unwrap();
+        (got, frame)
+    }
+
     #[test]
     fn execute_collects_tuples() {
         // do i = 1,3 { do j = i,3 { S0 } }
@@ -291,14 +271,16 @@ mod tests {
                 body: Box::new(Code::Stmt(StmtId(0))),
             }),
         };
-        let mut env = Env::new();
-        let mut got = Vec::new();
-        code.execute(&mut env, &mut |_, e| {
-            got.push((e["i"], e["j"]));
-        })
-        .unwrap();
-        assert_eq!(got, vec![(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]);
-        assert!(env.is_empty(), "loop vars must be unbound after the loop");
+        let (got, frame) = run(&code, &["i", "j"], &[]);
+        let got: Vec<Vec<i64>> = got.into_iter().map(|(_, t)| t).collect();
+        assert_eq!(
+            got,
+            [[1, 1], [1, 2], [1, 3], [2, 2], [2, 3], [3, 3]].map(Vec::from)
+        );
+        assert!(
+            frame.iter().all(Option::is_none),
+            "loop vars must be unbound after the loop"
+        );
     }
 
     #[test]
@@ -313,10 +295,8 @@ mod tests {
                 body: Box::new(Code::Stmt(StmtId(7))),
             }),
         };
-        let mut got = Vec::new();
-        code.execute(&mut Env::new(), &mut |id, e| got.push((id, e["i"])))
-            .unwrap();
-        assert_eq!(got, vec![(StmtId(7), 6), (StmtId(7), 9)]);
+        let (got, _) = run(&code, &["i"], &[]);
+        assert_eq!(got, vec![(StmtId(7), vec![6]), (StmtId(7), vec![9])]);
     }
 
     #[test]
@@ -356,14 +336,9 @@ mod tests {
             other => panic!("expected hoisted guard, got {other:?}"),
         }
         // Semantics preserved.
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        let mut env: Env = [("n".to_string(), 5i64)].into_iter().collect();
-        code.execute(&mut env.clone(), &mut |_, e| a.push(e["i"]))
-            .unwrap();
-        lifted
-            .execute(&mut env, &mut |_, e| b.push(e["i"]))
-            .unwrap();
+        let (a, _) = run(&code, &["i"], &[("n", 5)]);
+        let (b, _) = run(&lifted, &["i"], &[("n", 5)]);
+        assert_eq!(a.len(), 4);
         assert_eq!(a, b);
     }
 }

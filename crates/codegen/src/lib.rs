@@ -9,8 +9,7 @@
 //! The generated [`Code`] can be pretty-printed as pseudo-Fortran with
 //! [`emit_fortran`], or lowered onto numbered integer slots with
 //! [`Code::lower`] and run as a [`SlotCode`] (the SPMD simulator runs every
-//! generated nest and communication map that way). [`Code::execute`] is
-//! lowering plus a run, for callers that bind variables by name.
+//! generated nest and communication map that way).
 //!
 //! ```
 //! use dhpf_codegen::{codegen_set, CodegenOptions, StmtId};
@@ -18,9 +17,16 @@
 //!
 //! let space: Set = "{[i,j] : 1 <= i <= N && i <= j <= N}".parse().unwrap();
 //! let code = codegen_set(&space, StmtId(0), &["i", "j"], &CodegenOptions::default()).unwrap();
+//! // Slots 0, 1, 2 hold i, j, N.
+//! let names = ["i", "j", "N"];
+//! let code = code.lower(&mut |n| names.iter().position(|m| *m == n).unwrap(), &|_| None);
+//! let mut slots = vec![None, None, Some(3)];
 //! let mut tuples = Vec::new();
-//! let mut env = [("N".to_string(), 3i64)].into_iter().collect();
-//! code.execute(&mut env, &mut |_, e| tuples.push((e["i"], e["j"]))).unwrap();
+//! code.run(&mut slots, &mut |_, s: &mut Vec<Option<i64>>| {
+//!     tuples.push((s[0].unwrap(), s[1].unwrap()));
+//!     Ok::<(), ()>(())
+//! })
+//! .unwrap();
 //! assert_eq!(tuples, vec![(1,1), (1,2), (1,3), (2,2), (2,3), (3,3)]);
 //! ```
 

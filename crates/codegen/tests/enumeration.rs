@@ -5,7 +5,7 @@
 //! `codegen_cover` pins less again: every tuple at least once, and every
 //! visit a member of the set.
 
-use dhpf_codegen::{codegen, codegen_cover, codegen_set, CodegenOptions, Env, Mapping, StmtId};
+use dhpf_codegen::{codegen, codegen_cover, codegen_set, CodegenOptions, Mapping, StmtId};
 use dhpf_omega::testing::Rng;
 use dhpf_omega::Set;
 
@@ -13,22 +13,36 @@ fn run(code: &dhpf_codegen::Code, params: &[(&str, i64)]) -> Vec<(usize, Vec<i64
     run_named(code, params, &["i", "j"])
 }
 
+/// Lowers `code` with `names` numbered first, runs it with `params` bound,
+/// and records each statement instance with the bound values of `names`.
 fn run_named(
     code: &dhpf_codegen::Code,
     params: &[(&str, i64)],
     names: &[&str],
 ) -> Vec<(usize, Vec<i64>)> {
-    let mut env: Env = params.iter().map(|&(k, v)| (k.to_string(), v)).collect();
+    let mut all: Vec<String> = names.iter().map(|n| n.to_string()).collect();
+    let lowered = code.lower(
+        &mut |n| match all.iter().position(|m| m == n) {
+            Some(s) => s,
+            None => {
+                all.push(n.to_string());
+                all.len() - 1
+            }
+        },
+        &|_| None,
+    );
+    let mut slots: Vec<Option<i64>> = all
+        .iter()
+        .map(|n| params.iter().find(|p| p.0 == n).map(|p| p.1))
+        .collect();
     let mut out = Vec::new();
-    code.execute(&mut env, &mut |id, e| {
-        let tuple: Vec<i64> = names
-            .iter()
-            .filter(|n| e.contains_key(**n))
-            .map(|n| e[*n])
-            .collect();
-        out.push((id.0, tuple));
-    })
-    .unwrap();
+    lowered
+        .run(&mut slots, &mut |id, s: &mut Vec<Option<i64>>| {
+            let tuple: Vec<i64> = s[..names.len()].iter().flatten().copied().collect();
+            out.push((id.0, tuple));
+            Ok::<(), ()>(())
+        })
+        .unwrap();
     out
 }
 
