@@ -6,13 +6,11 @@
 //! FIFO channels. Simulated time uses an α/β model: a receive completes at
 //! `max(t_local, t_send + α + bytes·β)`.
 
-use crate::interp::{do_range, Fault, Frame, SimError};
-use crate::lower::{
-    lower_assign, lower_f64, lower_int, lower_stmt, ArrayId, Assign, FExpr, IExpr, LStmt, Symbols,
-};
+use crate::interp::{Fault, Frame, SimError};
+use crate::lower::{At, Exec, Lower, Range, Symbols};
 use crate::machine::MachineModel;
 use crate::store::Array;
-use dhpf_codegen::{Slot, SlotCode, Slots, Stride};
+use dhpf_codegen::{Code, Slot, SlotCode, Slots, Stride};
 use dhpf_core::driver::Compiled;
 use dhpf_core::ir::ReduceOp;
 use dhpf_core::spmd::{NestOp, SpmdItem, SpmdProgram};
@@ -223,11 +221,11 @@ fn simulate_inner(
     let mut arrays = std::mem::take(&mut outs[0].frame.arrays);
     for out in &mut outs[1..] {
         for owned in &plan.owned {
-            let (src, dst) = (owned.array, &mut arrays[owned.array].data);
+            let (src, dst) = (owned.elem.array, &mut arrays[owned.elem.array].data);
             owned
                 .code
                 .run(&mut out.frame, &mut |_, f: &mut Frame| {
-                    let (off, _) = f.slot_offset(src, &owned.subs)?;
+                    let off = owned.elem.offset(f)?;
                     dst[off] = f.arrays[src].data[off];
                     Ok(())
                 })
@@ -247,8 +245,9 @@ fn simulate_inner(
     })
 }
 
-/// The program every rank runs, lowered once per [`simulate`] call: names
-/// are slots, arrays are handles, and each event's maps are lowered code.
+/// The program every rank runs, compiled once per [`simulate`] call: names
+/// are slots, arrays are handles, statements are closures over the array
+/// bounds, and each event's maps are lowered code.
 struct Plan {
     items: Vec<Item>,
     events: Vec<Event>,
@@ -266,13 +265,11 @@ struct Plan {
 
 enum Item {
     /// A statement replicated on every rank.
-    Serial(LStmt),
+    Serial(Exec),
     /// A replicated loop.
     SerialLoop {
         var: Slot,
-        lo: IExpr,
-        hi: IExpr,
-        step: Option<IExpr>,
+        range: Range,
         body: Vec<Item>,
     },
     Nest(Nest),
@@ -288,10 +285,7 @@ struct Nest {
 
 enum Op {
     /// A guarded assignment instance.
-    Assign {
-        guards: Vec<FExpr>,
-        assign: Assign,
-    },
+    Assign(Exec),
     Send(usize),
     Recv(usize),
 }
@@ -299,13 +293,12 @@ enum Op {
 /// A communication event with its maps lowered over `[q1..qr, d1..dk]`.
 struct Event {
     id: usize,
-    array: ArrayId,
     send: SlotCode,
     recv: SlotCode,
     /// One entry per processor dimension of the maps.
     partner: Vec<PartnerDim>,
-    /// The `d<k>` slots: the element's subscripts.
-    subs: Vec<Slot>,
+    /// The element the `d<k>` slots name.
+    elem: At,
     contiguous: bool,
 }
 
@@ -319,13 +312,57 @@ struct PartnerDim {
 }
 
 struct Owned {
-    array: ArrayId,
     code: SlotCode,
-    subs: Vec<Slot>,
+    /// The element the `d<k>` slots name.
+    elem: At,
 }
 
-fn subscript_slots(rank: u32, syms: &mut Symbols) -> Vec<Slot> {
-    (1..=rank).map(|d| syms.slot(&format!("d{d}"))).collect()
+/// `code` with each perfect loop nest whose bounds mention none of the
+/// nest's own variables reversed. An owned-region nest is generated with
+/// `d1` outermost, so reversed, the first subscript's loop runs innermost:
+/// the column-major order arrays are stored in. It visits the same
+/// elements either way.
+fn column_major(code: &Code) -> Code {
+    match code {
+        Code::Seq(cs) => Code::Seq(cs.iter().map(column_major).collect()),
+        Code::If { cond, body } => Code::If {
+            cond: cond.clone(),
+            body: Box::new(column_major(body)),
+        },
+        Code::Loop { .. } => {
+            let mut loops = Vec::new();
+            let mut inner = code;
+            while let Code::Loop {
+                var,
+                lo,
+                hi,
+                step,
+                body,
+            } = inner
+            {
+                loops.push((var, lo, hi, *step));
+                inner = body;
+            }
+            let free = loops.iter().all(|(_, lo, hi, _)| {
+                loops
+                    .iter()
+                    .all(|(v, ..)| !lo.mentions(v) && !hi.mentions(v))
+            });
+            if !free || !matches!(inner, Code::Stmt(_)) {
+                return code.clone();
+            }
+            loops
+                .into_iter()
+                .fold(inner.clone(), |body, (var, lo, hi, step)| Code::Loop {
+                    var: var.clone(),
+                    lo: lo.clone(),
+                    hi: hi.clone(),
+                    step,
+                    body: Box::new(body),
+                })
+        }
+        Code::Stmt(_) | Code::Comment(_) => code.clone(),
+    }
 }
 
 impl Plan {
@@ -335,10 +372,8 @@ impl Plan {
         counts: &[i64],
         inputs: &HashMap<String, i64>,
     ) -> Result<Plan, SimError> {
-        let mut syms = Symbols::new(analysis);
-        for k in inputs.keys() {
-            syms.slot(k);
-        }
+        let mut lower = Lower::new(analysis, inputs)?;
+        let syms = &mut lower.syms;
         let nprocs = syms.slot("number_of_processors");
         // Grid parameters: `np<d>`, `m<d>`, and a VP dimension's block size
         // and processor count.
@@ -353,7 +388,7 @@ impl Plan {
             };
             grid.push((np, m, vp));
         }
-        let items = lower_items(&program.items, &mut syms);
+        let items = lower_items(&program.items, &mut lower);
         // The §4.2/Figure 6 loop rewrite: a partner loop over a VP
         // dimension steps by the block size from the first real VP.
         let vp_strides: HashMap<String, Stride> = grid
@@ -371,40 +406,39 @@ impl Plan {
             .collect();
         let mut events = Vec::with_capacity(program.events.len());
         for ev in &program.events {
-            let array = syms
+            let array = lower
+                .syms
                 .array(&ev.array)
                 .ok_or_else(|| SimError::Unbound(ev.array.clone()))?;
-            let lower = |code: &dhpf_codegen::Code, syms: &mut Symbols| {
+            let lower_map = |code: &Code, syms: &mut Symbols| {
                 code.lower(&mut |n| syms.slot(n), &|v| vp_strides.get(v).copied())
             };
             events.push(Event {
                 id: ev.id,
-                array,
-                send: lower(&ev.send_code, &mut syms),
-                recv: lower(&ev.recv_code, &mut syms),
+                send: lower_map(&ev.send_code, &mut lower.syms),
+                recv: lower_map(&ev.recv_code, &mut lower.syms),
                 partner: (0..ev.proc_rank as usize)
                     .map(|d| PartnerDim {
-                        q: syms.slot(&format!("q{}", d + 1)),
+                        q: lower.syms.slot(&format!("q{}", d + 1)),
                         block: grid[d].2.map(|(bsize, _)| bsize),
                         count: counts[d],
                     })
                     .collect(),
-                subs: subscript_slots(ev.data_rank, &mut syms),
+                elem: lower.slot_element(array, ev.data_rank),
                 contiguous: ev.contiguous,
             });
         }
         let mut owned = Vec::new();
         for (name, spec) in &program.arrays {
-            if let (Some(code), Some(array)) = (&spec.owned_code, syms.array(name)) {
+            if let (Some(code), Some(array)) = (&spec.owned_code, lower.syms.array(name)) {
                 owned.push(Owned {
-                    array,
-                    code: code.lower(&mut |n| syms.slot(n), &|_| None),
-                    subs: subscript_slots(spec.dims.len() as u32, &mut syms),
+                    code: column_major(code).lower(&mut |n| lower.syms.slot(n), &|_| None),
+                    elem: lower.slot_element(array, spec.dims.len() as u32),
                 });
             }
         }
+        let Lower { syms, dims } = lower;
         let mut base = Frame::new(Arc::new(syms), analysis, inputs);
-        let dims = base.array_dims(analysis)?;
         base.ints[nprocs] = Some(counts.iter().product());
         let mut position = Vec::new();
         for (d, (spec, &(np, m, vp))) in program.proc_dims.iter().zip(&grid).enumerate() {
@@ -436,11 +470,11 @@ impl Plan {
     }
 }
 
-fn lower_items(items: &[SpmdItem], syms: &mut Symbols) -> Vec<Item> {
+fn lower_items(items: &[SpmdItem], lower: &mut Lower) -> Vec<Item> {
     items
         .iter()
         .map(|item| match item {
-            SpmdItem::Serial(stmt) => Item::Serial(lower_stmt(stmt, syms)),
+            SpmdItem::Serial(stmt) => Item::Serial(lower.stmt(stmt)),
             SpmdItem::SerialLoop {
                 var,
                 lo,
@@ -448,22 +482,20 @@ fn lower_items(items: &[SpmdItem], syms: &mut Symbols) -> Vec<Item> {
                 step,
                 body,
             } => Item::SerialLoop {
-                var: syms.slot(var),
-                lo: lower_int(lo, syms),
-                hi: lower_int(hi, syms),
-                step: step.as_ref().map(|e| lower_int(e, syms)),
-                body: lower_items(body, syms),
+                var: lower.syms.slot(var),
+                range: lower.range(lo, hi, step.as_ref()),
+                body: lower_items(body, lower),
             },
             SpmdItem::Nest(nest) => Item::Nest(Nest {
-                code: nest.code.lower(&mut |n| syms.slot(n), &|_| None),
+                code: nest.code.lower(&mut |n| lower.syms.slot(n), &|_| None),
                 ops: nest
                     .ops
                     .iter()
                     .map(|op| match op {
-                        NestOp::Assign(cs) => Op::Assign {
-                            guards: cs.guards.iter().map(|g| lower_f64(g, syms)).collect(),
-                            assign: lower_assign(&cs.lhs, &cs.subs, &cs.rhs, cs.cost, syms),
-                        },
+                        NestOp::Assign(cs) => {
+                            let assign = lower.assign(&cs.lhs, &cs.subs, &cs.rhs, cs.cost);
+                            Op::Assign(lower.guarded(&cs.guards, assign))
+                        }
                         NestOp::CommSend(ev) => Op::Send(*ev),
                         NestOp::CommRecv(ev) => Op::Recv(*ev),
                     })
@@ -471,7 +503,7 @@ fn lower_items(items: &[SpmdItem], syms: &mut Symbols) -> Vec<Item> {
                 reductions: nest
                     .reductions
                     .iter()
-                    .map(|r| (syms.slot(&r.scalar), r.op))
+                    .map(|r| (lower.syms.slot(&r.scalar), r.op))
                     .collect(),
             }),
         })
@@ -493,9 +525,9 @@ struct Rank<'a> {
     frame: Frame,
     clock: f64,
     comm: RankComm,
-    /// Per partner rank: `(row-major key, column-major offset)` of each
-    /// element the current comm map enumerated for it.
-    buckets: Vec<Vec<(usize, usize)>>,
+    /// Per partner rank: the column-major offset of each element the
+    /// current comm map enumerated for it.
+    buckets: Vec<Vec<usize>>,
 }
 
 impl Slots for Rank<'_> {
@@ -552,25 +584,9 @@ impl<'a> Rank<'a> {
     fn run_items(&mut self, items: &'a [Item]) -> Result<(), Fault> {
         for item in items {
             match item {
-                Item::Serial(stmt) => {
-                    let mut flops = 0u64;
-                    self.frame.exec(std::slice::from_ref(stmt), &mut flops)?;
-                    self.clock += flops as f64 * self.machine.flop;
-                }
-                Item::SerialLoop {
-                    var,
-                    lo,
-                    hi,
-                    step,
-                    body,
-                } => {
-                    let lo = lo.eval(&self.frame)?;
-                    let hi = hi.eval(&self.frame)?;
-                    let step = match step {
-                        Some(e) => e.eval(&self.frame)?,
-                        None => 1,
-                    };
-                    for x in do_range(lo, hi, step) {
+                Item::Serial(stmt) => self.exec(stmt)?,
+                Item::SerialLoop { var, range, body } => {
+                    for x in range.eval(&self.frame)? {
                         self.frame.ints[*var] = Some(x);
                         self.run_items(body)?;
                     }
@@ -596,19 +612,18 @@ impl<'a> Rank<'a> {
         Ok(())
     }
 
+    /// Runs a compiled statement, advancing the clock by its flops.
+    fn exec(&mut self, stmt: &Exec) -> Result<(), Fault> {
+        let mut flops = 0u64;
+        stmt(&mut self.frame, &mut flops)?;
+        self.clock += flops as f64 * self.machine.flop;
+        Ok(())
+    }
+
     /// Executes one nest operation at the current loop indices.
     fn run_op(&mut self, op: &Op) -> Result<(), Fault> {
         match op {
-            Op::Assign { guards, assign } => {
-                for g in guards {
-                    if g.eval(&self.frame)? == 0.0 {
-                        return Ok(());
-                    }
-                }
-                let v = assign.rhs.eval(&self.frame)?;
-                self.clock += assign.cost as f64 * self.machine.flop;
-                self.frame.store(&assign.target, v)
-            }
+            Op::Assign(assign) => self.exec(assign),
             Op::Send(ev) => self.comm_send(&self.plan.events[*ev]),
             Op::Recv(ev) => self.comm_recv(&self.plan.events[*ev]),
         }
@@ -618,9 +633,9 @@ impl<'a> Rank<'a> {
     /// partner rank. The map's code is a cover: it may visit an element
     /// more than once (once per overlapping piece). [`into_element_set`]
     /// turns a bucket into the sorted, deduplicated set of elements, in
-    /// array-index (lexicographic) order: the payload both sides of a
-    /// message agree on, independent of how the map's code is split into
-    /// loop nests.
+    /// memory (column-major) order: the payload both sides of a message
+    /// agree on, since every rank lays its arrays out alike, independent
+    /// of how the map's code is split into loop nests.
     ///
     /// Partner (`q*`) loops over virtual-processor dimensions were lowered
     /// with the block size as their stride, so only *real* VPs are
@@ -654,8 +669,8 @@ impl<'a> Rank<'a> {
             }
             partner = partner * p.count + c;
         }
-        let (off, key) = f.slot_offset(ev.array, &ev.subs)?;
-        self.buckets[partner as usize].push((key, off));
+        let off = ev.elem.offset(f)?;
+        self.buckets[partner as usize].push(off);
         Ok(())
     }
 
@@ -667,8 +682,8 @@ impl<'a> Rank<'a> {
             }
             let bucket = &mut self.buckets[partner];
             into_element_set(bucket);
-            let data = &self.frame.arrays[ev.array].data;
-            let values: Vec<f64> = bucket.iter().map(|&(_, off)| data[off]).collect();
+            let data = &self.frame.arrays[ev.elem.array].data;
+            let values: Vec<f64> = bucket.iter().map(|&off| data[off]).collect();
             let nbytes = (values.len() * 8) as u64;
             if ev.contiguous {
                 self.comm.inplace_sends += 1;
@@ -724,8 +739,8 @@ impl<'a> Rank<'a> {
             }
             self.comm.recv_messages += 1;
             self.comm.recv_bytes += nbytes;
-            let data = &mut self.frame.arrays[ev.array].data;
-            for (&(_, off), v) in bucket.iter().zip(&msg.values) {
+            let data = &mut self.frame.arrays[ev.elem.array].data;
+            for (&off, v) in bucket.iter().zip(&msg.values) {
                 data[off] = *v;
             }
         }
@@ -789,9 +804,71 @@ impl<'a> Rank<'a> {
     }
 }
 
-/// Sorts a partner's `(key, offset)` bucket by key and drops repeated
-/// elements, leaving the message payload as a set in array-index order.
-fn into_element_set(bucket: &mut Vec<(usize, usize)>) {
-    bucket.sort_unstable_by_key(|&(key, _)| key);
-    bucket.dedup_by_key(|&mut (key, _)| key);
+/// Sorts a partner's bucket of offsets and drops repeated elements,
+/// leaving the message payload as a set in memory order.
+fn into_element_set(bucket: &mut Vec<usize>) {
+    bucket.sort_unstable();
+    bucket.dedup();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dhpf_codegen::{Cond, Expr, StmtId};
+
+    fn var(name: &str) -> Expr {
+        Expr::Var(name.into())
+    }
+
+    fn nest(var: &str, lo: Expr, hi: Expr, body: Code) -> Code {
+        Code::Loop {
+            var: var.into(),
+            lo,
+            hi,
+            step: 1,
+            body: Box::new(body),
+        }
+    }
+
+    #[test]
+    fn column_major_reverses_parameter_bounded_nests_only() {
+        let s = Code::Stmt(StmtId(0));
+        let inner = |v: &str, lo: Expr| nest(v, lo, var("n"), s.clone());
+        // A box whose bounds name only parameters: d2 goes outermost.
+        let boxed = nest("d1", Expr::Const(1), Expr::Const(5), inner("d2", var("m")));
+        let reversed = nest("d2", var("m"), var("n"), {
+            nest("d1", Expr::Const(1), Expr::Const(5), s.clone())
+        });
+        assert_eq!(column_major(&boxed), reversed);
+        // Under a guard and in a sequence, each nest on its own.
+        let guarded = Code::Seq(vec![
+            Code::If {
+                cond: Cond::Geq(var("m"), Expr::Const(0)),
+                body: Box::new(boxed.clone()),
+            },
+            boxed,
+        ]);
+        let want = Code::Seq(vec![
+            Code::If {
+                cond: Cond::Geq(var("m"), Expr::Const(0)),
+                body: Box::new(reversed.clone()),
+            },
+            reversed,
+        ]);
+        assert_eq!(column_major(&guarded), want);
+        // An inner bound on an outer index, or a guard inside the nest,
+        // keeps the order.
+        let triangle = nest("d1", Expr::Const(1), Expr::Const(5), inner("d2", var("d1")));
+        assert_eq!(column_major(&triangle), triangle);
+        let inner_guard = nest(
+            "d1",
+            Expr::Const(1),
+            Expr::Const(5),
+            Code::If {
+                cond: Cond::Geq(var("d1"), Expr::Const(2)),
+                body: Box::new(inner("d2", var("m"))),
+            },
+        );
+        assert_eq!(column_major(&inner_guard), inner_guard);
+    }
 }

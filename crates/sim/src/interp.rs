@@ -1,15 +1,15 @@
-//! The slot interpreter both executors share, and the serial reference.
+//! The frame both executors run on, and the serial reference.
 //!
 //! A [`Frame`] holds one program instance's state by number: integer and
-//! `f64` scalar slots and the array table. The lowered expressions and
-//! statements of [`crate::lower`] evaluate against it. [`run_serial`]
-//! executes the original (unpartitioned) program on one frame; the SPMD
-//! executor's results are validated against it in the integration tests.
+//! `f64` scalar slots and the array table. The closures [`crate::lower`]
+//! compiles run against it. [`run_serial`] executes the original
+//! (unpartitioned) program on one frame; the SPMD executor's results are
+//! validated against it in the integration tests.
 
-use crate::lower::{lower_block, ArrayId, Assign, FExpr, IExpr, Intrinsic, LStmt, Symbols, Target};
+use crate::lower::{ArrayId, Lower, Symbols};
 use crate::store::{Array, Store};
 use dhpf_codegen::{Halt, Slot, Slots};
-use dhpf_hpf::{Analysis, BinOp, ScalarKind, TypeName};
+use dhpf_hpf::{Analysis, ScalarKind, TypeName};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -74,11 +74,20 @@ impl Slots for Frame {
     }
 }
 
-fn bool_val(b: bool) -> f64 {
-    if b {
-        1.0
-    } else {
-        0.0
+/// The integer value scalar `name` starts with: a `parameter` constant,
+/// else its runtime input, else zero for a declared integer local.
+pub(crate) fn start_int(
+    analysis: &Analysis,
+    inputs: &HashMap<String, i64>,
+    name: &str,
+) -> Option<i64> {
+    let info = analysis.scalars.get(name);
+    match info.map(|i| (&i.kind, i.ty)) {
+        Some((ScalarKind::Constant(v), _)) => Some(*v),
+        kind => inputs.get(name).copied().or(match kind {
+            Some((ScalarKind::Local, TypeName::Integer)) => Some(0),
+            _ => None,
+        }),
     }
 }
 
@@ -88,49 +97,29 @@ impl Frame {
     /// win), declared locals as zero. Runtime inputs missing from `inputs`
     /// stay unbound, so a missing input is a loud error at its first use.
     pub fn new(syms: Arc<Symbols>, analysis: &Analysis, inputs: &HashMap<String, i64>) -> Frame {
-        let n = syms.scalars.len();
-        let mut f = Frame {
-            syms,
-            ints: vec![None; n],
-            floats: vec![None; n],
-            arrays: Vec::new(),
-        };
-        for (k, v) in inputs {
-            let s = f.syms.lookup(k).expect("inputs are interned");
-            f.ints[s] = Some(*v);
-        }
-        for (name, info) in &analysis.scalars {
-            let s = f.syms.lookup(name).expect("scalars are interned");
-            match info.kind {
-                ScalarKind::Constant(v) => f.ints[s] = Some(v),
-                ScalarKind::Symbolic => {}
-                ScalarKind::Local => match info.ty {
-                    TypeName::Integer => {
-                        f.ints[s].get_or_insert(0);
-                    }
-                    TypeName::Real => {
-                        f.floats[s].get_or_insert(0.0);
-                    }
-                },
-            }
-        }
-        f
-    }
-
-    /// The declared bounds of every array, by handle, evaluated over the
-    /// integer slots.
-    pub fn array_dims(&self, analysis: &Analysis) -> Result<Vec<Vec<(i64, i64)>>, SimError> {
-        self.syms
-            .arrays
+        let ints = syms
+            .scalars
             .iter()
-            .map(|name| {
-                analysis.arrays[name]
-                    .dims
-                    .iter()
-                    .map(|(lo, hi)| Ok((self.affine(lo)?, self.affine(hi)?)))
-                    .collect()
+            .map(|name| start_int(analysis, inputs, name))
+            .collect();
+        let floats = syms
+            .scalars
+            .iter()
+            .map(|name| match analysis.scalars.get(name) {
+                Some(info)
+                    if matches!((&info.kind, info.ty), (ScalarKind::Local, TypeName::Real)) =>
+                {
+                    Some(0.0)
+                }
+                _ => None,
             })
-            .collect()
+            .collect();
+        Frame {
+            syms,
+            ints,
+            floats,
+            arrays: Vec::new(),
+        }
     }
 
     /// Evaluates a frontend affine expression over the integer slots.
@@ -182,144 +171,33 @@ impl Frame {
         }
     }
 
-    fn out_of_bounds(&self, h: ArrayId, index: Vec<i64>) -> Fault {
+    /// The error for the element of array `h` at `index`.
+    pub fn out_of_bounds(&self, h: ArrayId, index: Vec<i64>) -> Fault {
         Box::new(SimError::OutOfBounds {
             array: self.syms.arrays[h].clone(),
             index,
         })
     }
 
-    /// Column-major offset and row-major key of the element of array `h`
-    /// at subscripts `xs`, every one of which is evaluated first; `None`
-    /// when one is out of bounds or their count is not the array's rank.
-    /// Keys order in-bounds elements lexicographically by subscript.
-    fn locate(
-        &self,
-        h: ArrayId,
-        xs: impl ExactSizeIterator<Item = Result<i64, Fault>>,
-    ) -> Result<Option<(usize, usize)>, Fault> {
-        let dims = &self.arrays[h].dims;
-        let (mut off, mut stride, mut key) = (0usize, 1usize, 0usize);
-        let mut inside = xs.len() == dims.len();
-        for (d, x) in xs.enumerate() {
-            let x = x?;
-            match dims.get(d) {
-                Some(&(lb, ub)) if (lb..=ub).contains(&x) => {
-                    let extent = (ub - lb + 1) as usize;
-                    off += (x - lb) as usize * stride;
-                    stride *= extent;
-                    key = key * extent + (x - lb) as usize;
-                }
-                _ => inside = false,
-            }
-        }
-        Ok(inside.then_some((off, key)))
-    }
-
-    /// Column-major offset of the element `subs` names in array `h`.
-    fn offset(&self, h: ArrayId, subs: &[IExpr]) -> Result<usize, Fault> {
-        match self.locate(h, subs.iter().map(|e| e.eval(self)))? {
-            Some((off, _)) => Ok(off),
-            None => {
-                let index = subs
-                    .iter()
-                    .map(|e| e.eval(self))
-                    .collect::<Result<_, _>>()?;
-                Err(self.out_of_bounds(h, index))
-            }
+    /// Scalar slot `s` in `f64`: its `f64` value, else its integer one.
+    #[inline]
+    pub fn float(&self, s: Slot) -> Result<f64, Fault> {
+        match (self.floats[s], self.ints[s]) {
+            (Some(v), _) => Ok(v),
+            (None, Some(v)) => Ok(v as f64),
+            (None, None) => Err(self.unbound(s)),
         }
     }
 
-    /// [`Frame::locate`] of the element whose subscripts are the values of
-    /// the integer slots `subs`.
-    pub fn slot_offset(&self, h: ArrayId, subs: &[Slot]) -> Result<(usize, usize), Fault> {
-        let xs = subs
-            .iter()
-            .map(|&s| self.ints[s].ok_or_else(|| self.unbound(s)));
-        self.locate(h, xs)?.ok_or_else(|| {
-            self.out_of_bounds(h, subs.iter().filter_map(|&s| self.ints[s]).collect())
-        })
-    }
-
-    /// Stores `v` into `target`.
-    pub fn store(&mut self, target: &Target, v: f64) -> Result<(), Fault> {
-        match target {
-            Target::Elem(h, subs) => {
-                let off = self.offset(*h, subs)?;
-                self.arrays[*h].data[off] = v;
-            }
-            &Target::Scalar { slot, implicit_int } => {
-                if self.ints[slot].is_some() || (self.floats[slot].is_none() && implicit_int) {
-                    self.ints[slot] = Some(v as i64);
-                } else {
-                    self.floats[slot] = Some(v);
-                }
-            }
+    /// Scalar slot `s` in `i64`: its integer value, else its `f64` one
+    /// truncated.
+    #[inline]
+    pub fn int(&self, s: Slot) -> Result<i64, Fault> {
+        match (self.ints[s], self.floats[s]) {
+            (Some(v), _) => Ok(v),
+            (None, Some(v)) => Ok(v as i64),
+            (None, None) => Err(self.unbound(s)),
         }
-        Ok(())
-    }
-
-    /// Executes one assignment.
-    pub fn assign(&mut self, a: &Assign) -> Result<(), Fault> {
-        let v = a.rhs.eval(self)?;
-        self.store(&a.target, v)
-    }
-
-    /// Executes a block of statements, counting the flops of the
-    /// assignments it runs.
-    pub fn exec(&mut self, body: &[LStmt], flops: &mut u64) -> Result<(), Fault> {
-        for s in body {
-            match s {
-                LStmt::Assign(a) => {
-                    self.assign(a)?;
-                    *flops += a.cost;
-                }
-                LStmt::Do {
-                    var,
-                    lo,
-                    hi,
-                    step,
-                    body,
-                } => {
-                    let lo = lo.eval(self)?;
-                    let hi = hi.eval(self)?;
-                    let step = match step {
-                        Some(e) => e.eval(self)?,
-                        None => 1,
-                    };
-                    for x in do_range(lo, hi, step) {
-                        self.ints[*var] = Some(x);
-                        self.exec(body, flops)?;
-                    }
-                }
-                LStmt::If {
-                    cond,
-                    then_body,
-                    else_body,
-                } => {
-                    if cond.eval(self)? != 0.0 {
-                        self.exec(then_body, flops)?;
-                    } else {
-                        self.exec(else_body, flops)?;
-                    }
-                }
-                LStmt::Read(slots) => {
-                    for &s in slots {
-                        if self.ints[s].is_none() && self.floats[s].is_none() {
-                            return Err(Box::new(SimError::Unbound(format!(
-                                "runtime input '{}'",
-                                self.syms.scalars[s]
-                            ))));
-                        }
-                    }
-                }
-                LStmt::Print => {}
-                LStmt::Call(name) => {
-                    return Err(Box::new(SimError::Unsupported(format!("call '{name}'"))));
-                }
-            }
-        }
-        Ok(())
     }
 }
 
@@ -328,116 +206,6 @@ impl Frame {
 pub(crate) fn do_range(lo: i64, hi: i64, step: i64) -> impl Iterator<Item = i64> {
     std::iter::successors(Some(lo), move |x| Some(x + step))
         .take_while(move |&x| (step > 0 && x <= hi) || (step < 0 && x >= hi))
-}
-
-impl FExpr {
-    /// Evaluates in `f64`. A scalar reads its `f64` slot first, then its
-    /// integer slot.
-    pub(crate) fn eval(&self, f: &Frame) -> Result<f64, Fault> {
-        Ok(match self {
-            FExpr::Const(v) => *v,
-            FExpr::Var(s) => match (f.floats[*s], f.ints[*s]) {
-                (Some(v), _) => v,
-                (None, Some(v)) => v as f64,
-                (None, None) => return Err(f.unbound(*s)),
-            },
-            FExpr::Elem(h, subs) => f.arrays[*h].data[f.offset(*h, subs)?],
-            FExpr::Bin(op, a, b) => {
-                let (x, y) = (a.eval(f)?, b.eval(f)?);
-                match op {
-                    BinOp::Add => x + y,
-                    BinOp::Sub => x - y,
-                    BinOp::Mul => x * y,
-                    BinOp::Div => x / y,
-                    BinOp::Pow => x.powf(y),
-                    BinOp::Lt => bool_val(x < y),
-                    BinOp::Le => bool_val(x <= y),
-                    BinOp::Gt => bool_val(x > y),
-                    BinOp::Ge => bool_val(x >= y),
-                    BinOp::Eq => bool_val(x == y),
-                    BinOp::Ne => bool_val(x != y),
-                    BinOp::And => bool_val(x != 0.0 && y != 0.0),
-                    BinOp::Or => bool_val(x != 0.0 || y != 0.0),
-                }
-            }
-            FExpr::Neg(a) => -a.eval(f)?,
-            FExpr::Not(a) => bool_val(a.eval(f)? == 0.0),
-            FExpr::Call(i, args) => call(i, args, f)?,
-        })
-    }
-}
-
-fn call(i: &Intrinsic, args: &[FExpr], f: &Frame) -> Result<f64, Fault> {
-    let arg = |k: usize| args[k].eval(f);
-    Ok(match i {
-        Intrinsic::Abs => arg(0)?.abs(),
-        Intrinsic::Sqrt => arg(0)?.sqrt(),
-        Intrinsic::Exp => arg(0)?.exp(),
-        Intrinsic::Log => arg(0)?.ln(),
-        Intrinsic::Max => {
-            let mut acc = f64::NEG_INFINITY;
-            for a in args {
-                acc = acc.max(a.eval(f)?);
-            }
-            acc
-        }
-        Intrinsic::Min => {
-            let mut acc = f64::INFINITY;
-            for a in args {
-                acc = acc.min(a.eval(f)?);
-            }
-            acc
-        }
-        Intrinsic::Mod => {
-            let (x, y) = (arg(0)?, arg(1)?);
-            x - (x / y).floor() * y
-        }
-        Intrinsic::Sign => {
-            let (x, y) = (arg(0)?, arg(1)?);
-            x.abs() * y.signum()
-        }
-        Intrinsic::Same => arg(0)?,
-        Intrinsic::Int => arg(0)?.trunc(),
-        Intrinsic::NumProcs(s) => {
-            f.ints[*s].ok_or_else(|| SimError::Unbound("number_of_processors".into()))? as f64
-        }
-        Intrinsic::Unknown(name) => {
-            for a in args {
-                a.eval(f)?;
-            }
-            return Err(Box::new(SimError::Unsupported(format!(
-                "intrinsic '{name}' with {} arguments",
-                args.len()
-            ))));
-        }
-    })
-}
-
-impl IExpr {
-    /// Evaluates in `i64`. A scalar reads its integer slot first, then its
-    /// `f64` slot (truncated).
-    pub(crate) fn eval(&self, f: &Frame) -> Result<i64, Fault> {
-        Ok(match self {
-            IExpr::Const(v) => *v,
-            IExpr::Offset(s, c) => match (f.ints[*s], f.floats[*s]) {
-                (Some(v), _) => v + c,
-                (None, Some(v)) => v as i64 + c,
-                (None, None) => return Err(f.unbound(*s)),
-            },
-            IExpr::Add(a, b) => a.eval(f)? + b.eval(f)?,
-            IExpr::Sub(a, b) => a.eval(f)? - b.eval(f)?,
-            IExpr::Mul(a, b) => a.eval(f)? * b.eval(f)?,
-            IExpr::Div(a, b) => {
-                let (x, y) = (a.eval(f)?, b.eval(f)?);
-                if y == 0 {
-                    return Err(Box::new(SimError::Unsupported("division by zero".into())));
-                }
-                x / y
-            }
-            IExpr::Neg(a) => -a.eval(f)?,
-            IExpr::Real(e) => e.eval(f)? as i64,
-        })
-    }
 }
 
 /// Runs the original program serially (the validation oracle), returning
@@ -451,19 +219,13 @@ pub fn run_serial(
     analysis: &Analysis,
     inputs: &HashMap<String, i64>,
 ) -> Result<(Store, u64), SimError> {
-    let mut syms = Symbols::new(analysis);
-    for k in inputs.keys() {
-        syms.slot(k);
-    }
-    let body = lower_block(&analysis.unit.body, &mut syms);
+    let mut lower = Lower::new(analysis, inputs)?;
+    let body = lower.block(&analysis.unit.body);
+    let Lower { syms, dims } = lower;
     let mut frame = Frame::new(Arc::new(syms), analysis, inputs);
-    frame.arrays = frame
-        .array_dims(analysis)?
-        .into_iter()
-        .map(Array::new)
-        .collect();
+    frame.arrays = dims.into_iter().map(Array::new).collect();
     let mut flops = 0u64;
-    frame.exec(&body, &mut flops).map_err(|e| *e)?;
+    body(&mut frame, &mut flops).map_err(|e| *e)?;
     Ok((frame.into_store(), flops))
 }
 
@@ -546,6 +308,48 @@ end
         assert_eq!(store.arrays["a"].get(&[8]), 0.0);
         // Missing input is a positioned runtime error.
         assert!(run_serial(&analysis, &HashMap::new()).is_err());
+    }
+
+    /// Runs `body` after declarations of `a(0:4, 2)` and `x`, returning the
+    /// error or `a(2, 2)`.
+    fn run_subscripts(body: &str) -> Result<f64, SimError> {
+        let src = format!("program s\nreal a(0:4, 2)\nreal x\n{body}\nend\n");
+        let prog = parse(&src).unwrap();
+        let analysis = analyze(&prog.units[0]).unwrap();
+        let (store, _) = run_serial(&analysis, &HashMap::new())?;
+        Ok(store.arrays["a"].get(&[2, 2]))
+    }
+
+    #[test]
+    fn compiled_subscripts_fail_with_the_element_or_the_name() {
+        // `var ± c` and general subscripts, in and out of bounds.
+        let ok = run_subscripts("do i = 0, 3\n  a(i+1, 2) = i\n  a(4-i, 1) = i\nenddo");
+        assert_eq!(ok.unwrap(), 1.0);
+        let oob = |body| match run_subscripts(body) {
+            Err(SimError::OutOfBounds { array, index }) => (array, index),
+            other => panic!("{body}: {other:?}"),
+        };
+        assert_eq!(
+            oob("do i = 0, 4\n  a(i+1, 2) = i\nenddo"),
+            ("a".into(), vec![5, 2])
+        );
+        assert_eq!(
+            oob("do i = 0, 4\n  a(2*i, 1) = i\nenddo"),
+            ("a".into(), vec![6, 1])
+        );
+        assert_eq!(
+            oob("do i = 1, 2\n  a(1, i+1) = i\nenddo"),
+            ("a".into(), vec![1, 3])
+        );
+        assert_eq!(oob("x = a(1, 3)"), ("a".into(), vec![1, 3]));
+        assert_eq!(oob("x = a(1)"), ("a".into(), vec![1]));
+        // A later subscript's error wins over an earlier one out of bounds.
+        match run_subscripts("x = a(9, k)") {
+            Err(SimError::Unbound(name)) => assert_eq!(name, "k"),
+            other => panic!("{other:?}"),
+        }
+        // A subscript slot holding only an `f64` is read truncated.
+        assert_eq!(run_subscripts("x = 2.5\na(x, 2) = 7.0").unwrap(), 7.0);
     }
 
     #[test]
