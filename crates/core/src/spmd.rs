@@ -1192,12 +1192,15 @@ fn materialize_events(
         // data too (`LocalCommMap_write`), and the send map, the recv map
         // renamed, follows. So emptiness is judged on the non-local data
         // sets: `m` is symbolic, so emptiness here means "empty for every
-        // processor".
+        // processor". Non-local data that no processor owns moves nowhere:
+        // SP reads `u(i+1)` up to `i = n - 1` with `n` read at run time, so
+        // index 35 of a 34-element dimension is non-local, yet its receive
+        // map simplifies to no conjuncts. Such an event is dead too.
         let needed = if plan.is_write {
             !sets.nl_write_data.is_empty()
         } else {
             !sets.nl_read_data.is_empty()
-        };
+        } && !sets.recv_map.conjuncts().is_empty();
         if !needed {
             continue;
         }

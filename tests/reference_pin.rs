@@ -5,6 +5,12 @@
 //! The expected hashes were recorded from the name-resolving interpreters
 //! that preceded the slot-lowered executor, so a change to evaluation order,
 //! clock accumulation or payload order shows up here as a changed hash.
+//! SP's two simulated hashes were recorded again when the compiler stopped
+//! emitting SP's two dead exchanges (events whose receive map has no
+//! conjuncts): the nest they split is one nest again, so each rank's clock
+//! sums the same flop and message costs in another order and moves in the
+//! 13th digit. The gathered arrays, the traffic and the serial hashes did
+//! not move.
 
 use dhpf::core::{compile, CompileOptions};
 use dhpf::sim::{run_serial, simulate, MachineModel, SimResult, Store};
@@ -159,7 +165,7 @@ fn sp4_is_pinned() {
     pin(
         "sp4",
         hashes(SP, &[2, 2], &[("n", 34), ("niter", 1)]),
-        (0xc3d7_cdf9_a6a9_f18d, 0x2912_9582_acd3_ee44),
+        (0xc3d7_cdf9_a6a9_f18d, 0x694e_41e6_5707_3768),
     );
 }
 
@@ -173,6 +179,6 @@ fn spsym_is_pinned() {
     pin(
         "spsym",
         hashes(&src, &[2, 1], &[("n", 34), ("niter", 1)]),
-        (0xc3d7_cdf9_a6a9_f18d, 0xa029_ae64_aa5a_4a62),
+        (0xc3d7_cdf9_a6a9_f18d, 0xc7e0_7e19_7958_4055),
     );
 }
