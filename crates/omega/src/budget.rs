@@ -10,7 +10,7 @@
 //! entry. It is the only budget, cancellation and limits carrier: a
 //! context holds none of this state. A [`CancelToken`] is the sharper
 //! tool: tripping it makes the next fallible operation return
-//! [`OmegaError::Cancelled`](crate::OmegaError::Cancelled) so the whole
+//! [`OmegaError::Cancelled`] so the whole
 //! compilation aborts with a typed error.
 //!
 //! The distinction matters downstream: budget exhaustion means "stop

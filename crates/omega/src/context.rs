@@ -17,7 +17,7 @@
 //! So every operation is memoized, charged and sampled; there is no
 //! context-less path. The compiler driver arms the request's context on
 //! the thread that compiles and re-arms it on every worker task, beside
-//! the request's [`RequestGovernor`](crate::RequestGovernor) and trace
+//! the request's [`RequestGovernor`] and trace
 //! collector. Budgets, cancellation and exactness limits are not context
 //! state; they belong to that governor, which every operation here charges.
 //!
@@ -646,7 +646,7 @@ impl Context {
     /// [`governor_grace`] scope so the degraded rebuild that follows an
     /// injected fault cannot be re-injected into an escalation loop.
     /// The memoized Omega
-    /// operations pass through here via [`Context::charge`]; the host
+    /// operations pass through here via `Context::charge`; the host
     /// compiler calls it directly at its own sites (`"comm_sets"`,
     /// `"nest"`). No locks are held when an injected panic unwinds.
     pub fn inject_check(&self, site: &'static str) -> Result<(), OmegaError> {

@@ -95,7 +95,7 @@ pub fn modulo(a: i64, b: i64) -> i64 {
     a - floor_div(a, b) * b
 }
 
-/// Checked multiplication returning [`OmegaError::Overflow`] on overflow.
+/// Checked multiplication returning [`OmegaError::Overflow`](crate::OmegaError::Overflow) on overflow.
 ///
 /// This is the fallible path used by the parser and the builder API so
 /// malformed or adversarial inputs surface as errors, never panics.
@@ -104,13 +104,13 @@ pub fn try_mul(a: i64, b: i64) -> Result<i64, crate::OmegaError> {
         .ok_or(crate::OmegaError::Overflow("multiplication"))
 }
 
-/// Checked addition returning [`OmegaError::Overflow`] on overflow.
+/// Checked addition returning [`OmegaError::Overflow`](crate::OmegaError::Overflow) on overflow.
 pub fn try_add(a: i64, b: i64) -> Result<i64, crate::OmegaError> {
     a.checked_add(b)
         .ok_or(crate::OmegaError::Overflow("addition"))
 }
 
-/// Checked subtraction returning [`OmegaError::Overflow`] on overflow.
+/// Checked subtraction returning [`OmegaError::Overflow`](crate::OmegaError::Overflow) on overflow.
 pub fn try_sub(a: i64, b: i64) -> Result<i64, crate::OmegaError> {
     a.checked_sub(b)
         .ok_or(crate::OmegaError::Overflow("subtraction"))

@@ -26,7 +26,7 @@
 //!    inside the driver, so one client's expired deadline never trips a
 //!    neighbour's compilation. `deadline_ms: 0` is rejected at admission
 //!    with `E_BUDGET` before any work happens.
-//! 4. **Observability** — a [`ServeMetrics`](metrics::ServeMetrics)
+//! 4. **Observability** — a [`ServeMetrics`]
 //!    registry counts every request, error, coalesce role, degradation,
 //!    and governor trip, and samples warm/cold request latencies into
 //!    histograms; scrape it with the `metrics` op. A structured JSON-lines
