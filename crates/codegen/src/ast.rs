@@ -43,8 +43,6 @@ pub enum Code {
     },
     /// One statement instance at the current loop indices.
     Stmt(StmtId),
-    /// A comment for readable emission; no runtime effect.
-    Comment(String),
 }
 
 impl Code {
@@ -59,7 +57,6 @@ impl Code {
             Code::Seq(cs) => cs.iter().all(Code::is_empty),
             Code::Loop { body, .. } | Code::If { body, .. } => body.is_empty(),
             Code::Stmt(_) => false,
-            Code::Comment(_) => true,
         }
     }
 
@@ -121,38 +118,60 @@ impl Code {
                 }
             }
             Code::Stmt(id) => Code::Stmt(*id),
-            Code::Comment(c) => Code::Comment(c.clone()),
         }
     }
 
-    /// Hoists guards that do not mention the surrounding loop variable out
-    /// of that loop, up to `levels` times (the paper's guard lifting).
-    pub fn lift_guards(&self, levels: u32) -> Code {
-        if levels == 0 {
-            return self.clone();
+    /// The paper's guard lifting, to a fixed point: merges adjacent guards
+    /// with equal conditions and hoists each guard, or the conjuncts of it
+    /// that do not mention a loop's variable, out of that loop.
+    ///
+    /// Exact only if no statement assigns a variable a guard reads: a
+    /// merged or hoisted guard is evaluated once for statements it used to
+    /// be re-evaluated between. Clients that assign scalars check this with
+    /// [`Code::mentions`].
+    pub fn lift_guards(&self) -> Code {
+        let mut code = self.simplified();
+        loop {
+            let next = lift_once(&code).simplified();
+            if next == code {
+                return code;
+            }
+            code = next;
         }
-        let mut code = self.clone();
-        for _ in 0..levels {
-            code = lift_once(&code);
-        }
-        code.simplified()
     }
 
-    /// Counts statement instances syntactically (not dynamically).
-    pub fn count_stmts(&self) -> usize {
+    /// True if a loop variable, bound or guard mentions variable `name`.
+    pub fn mentions(&self, name: &str) -> bool {
         match self {
-            Code::Seq(cs) => cs.iter().map(Code::count_stmts).sum(),
-            Code::Loop { body, .. } | Code::If { body, .. } => body.count_stmts(),
-            Code::Stmt(_) => 1,
-            Code::Comment(_) => 0,
+            Code::Seq(cs) => cs.iter().any(|c| c.mentions(name)),
+            Code::Loop {
+                var, lo, hi, body, ..
+            } => var == name || lo.mentions(name) || hi.mentions(name) || body.mentions(name),
+            Code::If { cond, body } => cond.mentions(name) || body.mentions(name),
+            Code::Stmt(_) => false,
         }
     }
 }
 
-/// One pass of guard hoisting.
+/// One pass of guard merging and hoisting.
 fn lift_once(code: &Code) -> Code {
     match code {
-        Code::Seq(cs) => Code::Seq(cs.iter().map(lift_once).collect()),
+        Code::Seq(cs) => {
+            // `if (c) x; if (c) y` is `if (c) { x; y }`.
+            let mut out: Vec<Code> = Vec::with_capacity(cs.len());
+            for c in cs.iter().map(lift_once) {
+                match (out.pop(), c) {
+                    (Some(Code::If { cond: a, body: x }), Code::If { cond: b, body: y })
+                        if a == b =>
+                    {
+                        let body = Box::new(Code::Seq(vec![*x, *y]));
+                        out.push(Code::If { cond: a, body });
+                    }
+                    (prev, c) => out.extend(prev.into_iter().chain(Some(c))),
+                }
+            }
+            Code::Seq(out)
+        }
         Code::Loop {
             var,
             lo,
@@ -161,49 +180,38 @@ fn lift_once(code: &Code) -> Code {
             body,
         } => {
             let body = lift_once(body);
-            // If the loop body is a single If whose condition does not
-            // mention the loop variable, swap them.
-            if let Code::If { cond, body: inner } = &body {
-                if !cond.mentions(var) {
-                    return Code::If {
-                        cond: cond.clone(),
-                        body: Box::new(Code::Loop {
-                            var: var.clone(),
-                            lo: lo.clone(),
-                            hi: hi.clone(),
-                            step: *step,
-                            body: inner.clone(),
-                        }),
-                    };
-                }
-                // Split a conjunction into invariant and variant parts.
-                if let Cond::And(cs) = cond {
-                    let (inv, var_part): (Vec<_>, Vec<_>) =
-                        cs.iter().cloned().partition(|c| !c.mentions(var));
-                    if !inv.is_empty() && !var_part.is_empty() {
-                        return Code::If {
-                            cond: Cond::And(inv).simplified(),
-                            body: Box::new(Code::Loop {
-                                var: var.clone(),
-                                lo: lo.clone(),
-                                hi: hi.clone(),
-                                step: *step,
-                                body: Box::new(Code::If {
-                                    cond: Cond::And(var_part).simplified(),
-                                    body: inner.clone(),
-                                }),
-                            }),
-                        };
-                    }
-                }
-            }
-            Code::Loop {
+            let around = |body| Code::Loop {
                 var: var.clone(),
                 lo: lo.clone(),
                 hi: hi.clone(),
                 step: *step,
                 body: Box::new(body),
+            };
+            // A guarded body: the conjuncts that do not mention the loop
+            // variable move out of the loop, the others stay inside.
+            if let Code::If { cond, body: inner } = &body {
+                let conjuncts = match cond {
+                    Cond::And(cs) => cs.clone(),
+                    c => vec![c.clone()],
+                };
+                let (inv, var_part): (Vec<_>, Vec<_>) =
+                    conjuncts.into_iter().partition(|c| !c.mentions(var));
+                if !inv.is_empty() {
+                    let inner = if var_part.is_empty() {
+                        (**inner).clone()
+                    } else {
+                        Code::If {
+                            cond: Cond::And(var_part).simplified(),
+                            body: inner.clone(),
+                        }
+                    };
+                    return Code::If {
+                        cond: Cond::And(inv).simplified(),
+                        body: Box::new(around(inner)),
+                    };
+                }
             }
+            around(body)
         }
         Code::If { cond, body } => Code::If {
             cond: cond.clone(),
@@ -216,7 +224,7 @@ fn lift_once(code: &Code) -> Code {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::{Cond, Expr};
+    use crate::expr::{Cond, Env, Expr};
 
     fn v(name: &str) -> Expr {
         Expr::Var(name.into())
@@ -226,33 +234,42 @@ mod tests {
     /// variables.
     type Visits = Vec<(StmtId, Vec<i64>)>;
 
-    /// Lowers `code` with `names` numbered first, runs it with `params`
-    /// bound, and records each statement instance with the values of
-    /// `names`. Also returns the frame as the run left it.
-    fn run(code: &Code, names: &[&str], params: &[(&str, i64)]) -> (Visits, Vec<Option<i64>>) {
-        let mut all: Vec<String> = names.iter().map(|n| n.to_string()).collect();
-        let lowered = code.lower(
-            &mut |n| match all.iter().position(|m| m == n) {
-                Some(s) => s,
-                None => {
-                    all.push(n.to_string());
-                    all.len() - 1
+    /// Runs `code` by name with `params` bound, and records each statement
+    /// instance with the bound values of `names`. Also returns the
+    /// bindings as the run left them.
+    fn run(code: &Code, names: &[&str], params: &[(&str, i64)]) -> (Visits, Env) {
+        fn walk(code: &Code, env: &mut Env, names: &[&str], got: &mut Visits) {
+            match code {
+                Code::Seq(cs) => cs.iter().for_each(|c| walk(c, env, names, got)),
+                Code::Loop {
+                    var,
+                    lo,
+                    hi,
+                    step,
+                    body,
+                } => {
+                    let (lo, hi) = (lo.eval(env).unwrap(), hi.eval(env).unwrap());
+                    for x in (lo..=hi).step_by(*step as usize) {
+                        env.insert(var.clone(), x);
+                        walk(body, env, names, got);
+                    }
+                    env.remove(var);
                 }
-            },
-            &|_| None,
-        );
-        let mut frame: Vec<Option<i64>> = all
-            .iter()
-            .map(|n| params.iter().find(|p| p.0 == n).map(|p| p.1))
-            .collect();
+                Code::If { cond, body } => {
+                    if cond.eval(env).unwrap() {
+                        walk(body, env, names, got);
+                    }
+                }
+                Code::Stmt(id) => {
+                    let values = names.iter().filter_map(|n| env.get(*n).copied());
+                    got.push((*id, values.collect()));
+                }
+            }
+        }
+        let mut env: Env = params.iter().map(|&(n, v)| (n.to_string(), v)).collect();
         let mut got = Vec::new();
-        lowered
-            .run(&mut frame, &mut |id, f: &mut Vec<Option<i64>>| {
-                got.push((id, f[..names.len()].iter().flatten().copied().collect()));
-                Ok::<(), ()>(())
-            })
-            .unwrap();
-        (got, frame)
+        walk(code, &mut env, names, &mut got);
+        (got, env)
     }
 
     #[test]
@@ -271,16 +288,13 @@ mod tests {
                 body: Box::new(Code::Stmt(StmtId(0))),
             }),
         };
-        let (got, frame) = run(&code, &["i", "j"], &[]);
+        let (got, env) = run(&code, &["i", "j"], &[]);
         let got: Vec<Vec<i64>> = got.into_iter().map(|(_, t)| t).collect();
         assert_eq!(
             got,
             [[1, 1], [1, 2], [1, 3], [2, 2], [2, 3], [3, 3]].map(Vec::from)
         );
-        assert!(
-            frame.iter().all(Option::is_none),
-            "loop vars must be unbound after the loop"
-        );
+        assert!(env.is_empty(), "loop vars must be unbound after the loop");
     }
 
     #[test]
@@ -327,7 +341,7 @@ mod tests {
                 body: Box::new(Code::Stmt(StmtId(0))),
             }),
         };
-        let lifted = code.lift_guards(1);
+        let lifted = code.lift_guards();
         match &lifted {
             Code::If { cond, body } => {
                 assert!(!cond.mentions("i"));
@@ -340,5 +354,43 @@ mod tests {
         let (b, _) = run(&lifted, &["i"], &[("n", 5)]);
         assert_eq!(a.len(), 4);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn equal_guards_merge_and_lift_out_of_every_loop() {
+        let m = || Cond::Geq(v("m"), Expr::Const(1));
+        let guard = |cond: Cond, body: Code| Code::If {
+            cond,
+            body: Box::new(body),
+        };
+        let s = |id| Code::Stmt(StmtId(id));
+        let both = || Code::Seq(vec![s(0), s(1)]);
+        let loop_over = |var: &str, hi: Expr, body: Code| Code::Loop {
+            var: var.into(),
+            lo: Expr::Const(1),
+            hi,
+            step: 1,
+            body: Box::new(body),
+        };
+        let nest = |body| loop_over("i", Expr::Const(3), loop_over("j", v("n"), body));
+        // Equal guards merge; a guard on `j` stays apart, inside the loop.
+        let j2 = guard(Cond::Geq(v("j"), Expr::Const(2)), s(2));
+        let body = Code::Seq(vec![guard(m(), s(0)), guard(m(), s(1)), j2.clone()]);
+        let lifted = nest(body.clone()).lift_guards();
+        assert_eq!(lifted, nest(Code::Seq(vec![guard(m(), both()), j2])));
+        // Alone in the loop body, the merged guard leaves both loops.
+        let alone = nest(Code::Seq(vec![guard(m(), s(0)), guard(m(), s(1))]));
+        assert_eq!(alone.lift_guards(), guard(m(), nest(both())));
+        for (code, lifted) in [(nest(body), lifted), (alone.clone(), alone.lift_guards())] {
+            for (m, n) in [(0, 3), (1, 3), (1, 0)] {
+                let params = [("m", m), ("n", n)];
+                let want = run(&code, &["i", "j"], &params).0;
+                assert_eq!(
+                    run(&lifted, &["i", "j"], &params).0,
+                    want,
+                    "m = {m}, n = {n}"
+                );
+            }
+        }
     }
 }

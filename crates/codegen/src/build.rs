@@ -29,9 +29,6 @@ pub struct Mapping {
     pub space: Set,
 }
 
-/// How many loop levels guards may be hoisted out of (the paper lifts one).
-const LIFT_LEVELS: u32 = 1;
-
 /// Options controlling code generation.
 #[derive(Clone, Debug, Default)]
 pub struct CodegenOptions {
@@ -160,7 +157,7 @@ pub fn codegen(
     } else {
         gen_level(&mut pieces, 0, arity, names)?
     };
-    Ok(code.simplified().lift_guards(LIFT_LEVELS + arity))
+    Ok(code.lift_guards())
 }
 
 /// Generates code that visits every tuple of `space` *at least* once,
@@ -190,7 +187,7 @@ pub fn codegen_cover(space: &Set, stmt: StmtId, names: &[&str]) -> Result<Code, 
         }
     }
     let code = one_nest_per_piece(pieces, arity, names)?;
-    Ok(code.simplified().lift_guards(LIFT_LEVELS + arity))
+    Ok(code.lift_guards())
 }
 
 /// One independent loop nest per piece, in piece order.

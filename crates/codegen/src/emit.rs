@@ -65,10 +65,6 @@ fn emit(code: &Code, stmt_text: &dyn Fn(StmtId) -> String, depth: usize, out: &m
             indent(out, depth);
             let _ = writeln!(out, "{}", stmt_text(*id));
         }
-        Code::Comment(c) => {
-            indent(out, depth);
-            let _ = writeln!(out, "! {c}");
-        }
     }
 }
 
@@ -88,14 +84,14 @@ mod tests {
             body: Box::new(Code::If {
                 cond: Cond::Geq(Expr::Var("i".into()), Expr::Const(3)),
                 body: Box::new(Code::Seq(vec![
-                    Code::Comment("pack".into()),
+                    Code::Stmt(StmtId(0)),
                     Code::Stmt(StmtId(1)),
                 ])),
             }),
         };
         let txt = emit_fortran(&code, &|id| format!("call work({})", id.0));
         let expect =
-            "do i = 1, N, 2\n  if (i >= 3) then\n    ! pack\n    call work(1)\n  end if\nend do\n";
+            "do i = 1, N, 2\n  if (i >= 3) then\n    call work(0)\n    call work(1)\n  end if\nend do\n";
         assert_eq!(txt, expect);
     }
 }

@@ -70,15 +70,6 @@ impl fmt::Display for UnboundVar {
 
 impl std::error::Error for UnboundVar {}
 
-pub(crate) fn floor_div(a: i64, b: i64) -> i64 {
-    let q = a / b;
-    if (a % b != 0) && ((a < 0) != (b < 0)) {
-        q - 1
-    } else {
-        q
-    }
-}
-
 impl Expr {
     /// Evaluates under `env`.
     ///
@@ -97,8 +88,8 @@ impl Expr {
                 acc
             }
             Expr::Mul(k, e) => k * e.eval(env)?,
-            Expr::FloorDiv(e, k) => floor_div(e.eval(env)?, *k),
-            Expr::CeilDiv(e, k) => -floor_div(-e.eval(env)?, *k),
+            Expr::FloorDiv(e, k) => e.eval(env)?.div_euclid(*k),
+            Expr::CeilDiv(e, k) => -(-e.eval(env)?).div_euclid(*k),
             Expr::Mod(e, k) => e.eval(env)?.rem_euclid(*k),
             Expr::Max(es) => {
                 let mut it = es.iter();
@@ -159,12 +150,12 @@ impl Expr {
             },
             Expr::FloorDiv(e, k) => match (e.simplified(), k) {
                 (x, 1) => x,
-                (Expr::Const(c), k) => Expr::Const(floor_div(c, *k)),
+                (Expr::Const(c), k) => Expr::Const(c.div_euclid(*k)),
                 (x, k) => Expr::FloorDiv(Box::new(x), *k),
             },
             Expr::CeilDiv(e, k) => match (e.simplified(), k) {
                 (x, 1) => x,
-                (Expr::Const(c), k) => Expr::Const(-floor_div(-c, *k)),
+                (Expr::Const(c), k) => Expr::Const(-(-c).div_euclid(*k)),
                 (x, k) => Expr::CeilDiv(Box::new(x), *k),
             },
             Expr::Mod(e, k) => match (e.simplified(), k) {

@@ -5,44 +5,50 @@
 //! `codegen_cover` pins less again: every tuple at least once, and every
 //! visit a member of the set.
 
-use dhpf_codegen::{codegen, codegen_cover, codegen_set, CodegenOptions, Mapping, StmtId};
+use dhpf_codegen::{
+    codegen, codegen_cover, codegen_set, Code, CodegenOptions, Env, Mapping, StmtId,
+};
 use dhpf_omega::testing::Rng;
 use dhpf_omega::Set;
 
-fn run(code: &dhpf_codegen::Code, params: &[(&str, i64)]) -> Vec<(usize, Vec<i64>)> {
+fn run(code: &Code, params: &[(&str, i64)]) -> Vec<(usize, Vec<i64>)> {
     run_named(code, params, &["i", "j"])
 }
 
-/// Lowers `code` with `names` numbered first, runs it with `params` bound,
-/// and records each statement instance with the bound values of `names`.
-fn run_named(
-    code: &dhpf_codegen::Code,
-    params: &[(&str, i64)],
-    names: &[&str],
-) -> Vec<(usize, Vec<i64>)> {
-    let mut all: Vec<String> = names.iter().map(|n| n.to_string()).collect();
-    let lowered = code.lower(
-        &mut |n| match all.iter().position(|m| m == n) {
-            Some(s) => s,
-            None => {
-                all.push(n.to_string());
-                all.len() - 1
+/// Runs `code` by name with `params` bound, and records each statement
+/// instance with the bound values of `names`.
+fn run_named(code: &Code, params: &[(&str, i64)], names: &[&str]) -> Vec<(usize, Vec<i64>)> {
+    fn walk(code: &Code, env: &mut Env, names: &[&str], out: &mut Vec<(usize, Vec<i64>)>) {
+        match code {
+            Code::Seq(cs) => cs.iter().for_each(|c| walk(c, env, names, out)),
+            Code::Loop {
+                var,
+                lo,
+                hi,
+                step,
+                body,
+            } => {
+                let (lo, hi) = (lo.eval(env).unwrap(), hi.eval(env).unwrap());
+                for x in (lo..=hi).step_by(*step as usize) {
+                    env.insert(var.clone(), x);
+                    walk(body, env, names, out);
+                }
+                env.remove(var);
             }
-        },
-        &|_| None,
-    );
-    let mut slots: Vec<Option<i64>> = all
-        .iter()
-        .map(|n| params.iter().find(|p| p.0 == n).map(|p| p.1))
-        .collect();
+            Code::If { cond, body } => {
+                if cond.eval(env).unwrap() {
+                    walk(body, env, names, out);
+                }
+            }
+            Code::Stmt(id) => {
+                let tuple = names.iter().filter_map(|n| env.get(*n).copied());
+                out.push((id.0, tuple.collect()));
+            }
+        }
+    }
+    let mut env: Env = params.iter().map(|&(n, v)| (n.to_string(), v)).collect();
     let mut out = Vec::new();
-    lowered
-        .run(&mut slots, &mut |id, s: &mut Vec<Option<i64>>| {
-            let tuple: Vec<i64> = s[..names.len()].iter().flatten().copied().collect();
-            out.push((id.0, tuple));
-            Ok::<(), ()>(())
-        })
-        .unwrap();
+    walk(code, &mut env, names, &mut out);
     out
 }
 

@@ -680,6 +680,48 @@ end
         assert!(c.report.timers.total().as_nanos() > 0);
     }
 
+    /// Guard lifting merges `if (m1 - 1 >= 0)` over the two array
+    /// statements; were `m1` assigned between them, the merged guard would
+    /// read a stale value. A nest that assigns a name its bounds or guards
+    /// read is refused instead.
+    #[test]
+    fn nest_assigning_a_name_its_guard_reads_is_refused() {
+        let src = |assign: &str| {
+            format!(
+                "
+program p
+integer m1
+real a(16), b(16)
+!HPF$ processors pr(number_of_processors())
+!HPF$ template t(16)
+!HPF$ align a(i) with t(i)
+!HPF$ align b(i) with t(i)
+!HPF$ distribute t(block) onto pr
+do i = 1, 16
+  a(i) = b(i)
+  {assign}
+  b(i) = 2.0
+enddo
+end
+"
+            )
+        };
+        let ok = compile(&src("a(i) = 1.0"), &CompileOptions::default()).unwrap();
+        let guards = crate::render_program(&ok.program)
+            .matches("if (m1 - 1 >= 0)")
+            .count();
+        assert_eq!(guards, 1, "the statements share one guard");
+        for assign in ["m1 = 3", "i = 3"] {
+            match compile(&src(assign), &CompileOptions::default()) {
+                Err(CompileError::Unsupported(m)) => {
+                    let name = &assign[..assign.find(' ').unwrap()];
+                    assert!(m.contains(&format!("'{name}'")), "{assign}: {m}");
+                }
+                other => panic!("{assign}: want Unsupported, got {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn phase_rows_present() {
         let c = compile(JACOBI, &CompileOptions::default()).unwrap();

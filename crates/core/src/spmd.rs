@@ -621,6 +621,11 @@ pub(crate) struct NestOut {
 /// progress) and is never absorbed by the ladder. The nest's phases are
 /// spans in `obs`, under whatever span the calling thread has open (the
 /// driver's task span for this nest).
+///
+/// A nest that assigns a scalar its generated code mentions is refused
+/// with [`CompileError::Unsupported`]: guard lifting evaluates a merged or
+/// hoisted guard once for statements it was re-evaluated between, which is
+/// exact only when no statement assigns what the guard reads.
 pub(crate) fn build_nest(
     analysis: &Analysis,
     layouts: &BTreeMap<String, Layout>,
@@ -637,6 +642,16 @@ pub(crate) fn build_nest(
         obs,
     };
     let item = nest_ladder(&mut synth, body)?;
+    for op in &item.ops {
+        if let NestOp::Assign(cs) = op {
+            if item.code.mentions(&cs.lhs) {
+                return Err(CompileError::Unsupported(format!(
+                    "a nest assigns '{}', which its loop bounds or guards read",
+                    cs.lhs
+                )));
+            }
+        }
+    }
     Ok(NestOut {
         item,
         events: synth.events,

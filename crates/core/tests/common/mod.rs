@@ -120,7 +120,6 @@ impl Walker<'_> {
                 };
             }
             Code::Stmt(_) => self.leaf(env),
-            Code::Comment(_) => {}
         }
     }
 

@@ -7,10 +7,10 @@
 //! `max(t_local, t_send + α + bytes·β)`.
 
 use crate::interp::{Fault, Frame, SimError};
-use crate::lower::{At, Exec, Lower, Range, Symbols};
+use crate::lower::{ArrayId, At, Exec, Lower, Range, Slot};
 use crate::machine::MachineModel;
 use crate::store::Array;
-use dhpf_codegen::{Code, Slot, SlotCode, Slots, Stride};
+use dhpf_codegen::{Code, StmtId};
 use dhpf_core::driver::Compiled;
 use dhpf_core::ir::ReduceOp;
 use dhpf_core::spmd::{NestOp, SpmdItem, SpmdProgram};
@@ -77,13 +77,11 @@ pub struct SimResult {
 ///
 /// # Errors
 ///
-/// Returns [`SimError`] for unsupported grid kinds (fully cyclic virtual
-/// processors), missing inputs, or internal communication mismatches.
-///
-/// # Panics
-///
-/// Panics if `counts.len()` does not match the program's processor rank, or
-/// if a fixed dimension's count disagrees with the program.
+/// Returns [`SimError::Unsupported`] for a grid the program cannot run on
+/// (the wrong number of dimensions, a count below one, a count other than
+/// a fixed dimension's, or fully cyclic virtual processors), before any
+/// rank starts; otherwise [`SimError`] for missing inputs, run-time faults
+/// or internal communication mismatches.
 pub fn simulate(
     compiled: &Compiled,
     counts: &[i64],
@@ -99,10 +97,6 @@ pub fn simulate(
 /// on the calling thread, so tracing cannot perturb message timing.
 ///
 /// # Errors
-///
-/// Same as [`simulate`].
-///
-/// # Panics
 ///
 /// Same as [`simulate`].
 pub fn simulate_with(
@@ -139,17 +133,25 @@ fn simulate_inner(
     machine: &MachineModel,
 ) -> Result<SimResult, SimError> {
     let program = &compiled.program;
-    assert_eq!(
-        counts.len(),
-        program.proc_dims.len(),
-        "processor grid rank mismatch"
-    );
+    let bad_grid = |m: String| Err(SimError::Unsupported(m));
+    if counts.len() != program.proc_dims.len() {
+        return bad_grid(format!(
+            "{} processor counts for a {}-dimensional grid",
+            counts.len(),
+            program.proc_dims.len()
+        ));
+    }
     for (d, spec) in program.proc_dims.iter().enumerate() {
-        if let ProcCoord::Physical { count } = &spec.coord {
-            assert_eq!(
-                *count, counts[d],
-                "dimension {d} is fixed at {count} processors"
-            );
+        if counts[d] < 1 {
+            return bad_grid(format!("{} processors in dimension {d}", counts[d]));
+        }
+        if let ProcCoord::Physical { count } = spec.coord {
+            if count != counts[d] {
+                return bad_grid(format!(
+                    "dimension {d} is fixed at {count} processors, not {}",
+                    counts[d]
+                ));
+            }
         }
         if matches!(
             spec.coord,
@@ -162,6 +164,7 @@ fn simulate_inner(
     }
     let nranks: usize = counts.iter().product::<i64>() as usize;
     let plan = Arc::new(Plan::new(program, &compiled.analysis, counts, inputs)?);
+    let machine = *machine;
     // Mailboxes: one FIFO channel per (src, dst) pair; sends[src][dst],
     // receivers[dst][src].
     let mut sends: Vec<Vec<Sender<Message>>> = (0..nranks).map(|_| Vec::new()).collect();
@@ -176,18 +179,24 @@ fn simulate_inner(
         }
     }
 
-    let machine = *machine;
     let mut handles = Vec::new();
     for rank in 0..nranks {
         let plan = Arc::clone(&plan);
         let counts = counts.to_vec();
-        let to_others: Vec<Sender<Message>> = sends[rank].clone();
-        let from_others: Vec<Receiver<Message>> = receivers[rank]
-            .iter_mut()
-            .map(|r| r.take().expect("receiver"))
-            .collect();
+        let r = Rank {
+            rank,
+            machine,
+            to: sends[rank].clone(),
+            from: receivers[rank]
+                .iter_mut()
+                .map(|r| r.take().expect("receiver"))
+                .collect(),
+            clock: 0.0,
+            comm: RankComm::default(),
+            buckets: vec![Vec::new(); nranks],
+        };
         handles.push(std::thread::spawn(move || {
-            run_rank(rank, &counts, &plan, &machine, &to_others, &from_others).map_err(|e| *e)
+            run_rank(r, &counts, &plan).map_err(|e| *e)
         }));
     }
     // Join all ranks first: a rank failing early closes its channels and
@@ -221,15 +230,7 @@ fn simulate_inner(
     let mut arrays = std::mem::take(&mut outs[0].frame.arrays);
     for out in &mut outs[1..] {
         for owned in &plan.owned {
-            let (src, dst) = (owned.elem.array, &mut arrays[owned.elem.array].data);
-            owned
-                .code
-                .run(&mut out.frame, &mut |_, f: &mut Frame| {
-                    let off = owned.elem.offset(f)?;
-                    dst[off] = f.arrays[src].data[off];
-                    Ok(())
-                })
-                .map_err(|h| *out.frame.halted(h))?;
+            owned(&mut out.frame, &mut arrays).map_err(|e| *e)?;
         }
     }
     let time = rank_times.iter().cloned().fold(0.0, f64::max);
@@ -246,13 +247,13 @@ fn simulate_inner(
 }
 
 /// The program every rank runs, compiled once per [`simulate`] call: names
-/// are slots, arrays are handles, statements are closures over the array
-/// bounds, and each event's maps are lowered code.
+/// are slots, arrays are handles, and statements, nests and comm maps are
+/// closures over the array bounds.
 struct Plan {
     items: Vec<Item>,
-    events: Vec<Event>,
-    /// Owned-region enumeration of each distributed array.
-    owned: Vec<Owned>,
+    /// Per distributed array, its owned region's copy from a rank's frame
+    /// into the global arrays.
+    owned: Vec<Exec<Vec<Array>>>,
     /// The frame every rank starts from: every scalar and grid parameter
     /// bound except the rank's own position, and no arrays.
     base: Frame,
@@ -272,33 +273,23 @@ enum Item {
         range: Range,
         body: Vec<Item>,
     },
-    Nest(Nest),
+    Nest {
+        code: Exec<Rank>,
+        /// Accumulator slot and combining operation of each reduction.
+        reductions: Vec<(Slot, ReduceOp)>,
+    },
 }
 
-struct Nest {
-    /// `Stmt(id)` indexes `ops`.
-    code: SlotCode,
-    ops: Vec<Op>,
-    /// Accumulator slot and combining operation of each reduction.
-    reductions: Vec<(Slot, ReduceOp)>,
-}
+/// Per partner rank: the column-major offset of each element a comm map
+/// enumerated for it.
+type Buckets = Vec<Vec<usize>>;
 
-enum Op {
-    /// A guarded assignment instance.
-    Assign(Exec),
-    Send(usize),
-    Recv(usize),
-}
-
-/// A communication event with its maps lowered over `[q1..qr, d1..dk]`.
+/// A communication event with its maps compiled over `[q1..qr, d1..dk]`.
 struct Event {
     id: usize,
-    send: SlotCode,
-    recv: SlotCode,
-    /// One entry per processor dimension of the maps.
-    partner: Vec<PartnerDim>,
-    /// The element the `d<k>` slots name.
-    elem: At,
+    send: Exec<Buckets>,
+    recv: Exec<Buckets>,
+    array: ArrayId,
     contiguous: bool,
 }
 
@@ -309,12 +300,6 @@ struct PartnerDim {
     /// processor `(v - 1) / B`, and only `v ≡ 1 (mod B)` is a real one.
     block: Option<Slot>,
     count: i64,
-}
-
-struct Owned {
-    code: SlotCode,
-    /// The element the `d<k>` slots name.
-    elem: At,
 }
 
 /// `code` with each perfect loop nest whose bounds mention none of the
@@ -361,7 +346,7 @@ fn column_major(code: &Code) -> Code {
                     body: Box::new(body),
                 })
         }
-        Code::Stmt(_) | Code::Comment(_) => code.clone(),
+        Code::Stmt(_) => code.clone(),
     }
 }
 
@@ -388,53 +373,53 @@ impl Plan {
             };
             grid.push((np, m, vp));
         }
-        let items = lower_items(&program.items, &mut lower);
         // The §4.2/Figure 6 loop rewrite: a partner loop over a VP
         // dimension steps by the block size from the first real VP.
-        let vp_strides: HashMap<String, Stride> = grid
+        let vp_blocks: HashMap<String, Slot> = grid
             .iter()
             .enumerate()
-            .filter_map(|(d, &(_, _, vp))| {
-                vp.map(|(bsize, _)| {
-                    let stride = Stride {
-                        step: bsize,
-                        residue: 1,
-                    };
-                    (format!("q{}", d + 1), stride)
-                })
-            })
+            .filter_map(|(d, &(_, _, vp))| vp.map(|(bsize, _)| (format!("q{}", d + 1), bsize)))
             .collect();
+        let vp = |v: &str| vp_blocks.get(v).copied();
         let mut events = Vec::with_capacity(program.events.len());
         for ev in &program.events {
             let array = lower
                 .syms
                 .array(&ev.array)
                 .ok_or_else(|| SimError::Unbound(ev.array.clone()))?;
-            let lower_map = |code: &Code, syms: &mut Symbols| {
-                code.lower(&mut |n| syms.slot(n), &|v| vp_strides.get(v).copied())
+            let partner: Arc<[PartnerDim]> = (0..ev.proc_rank as usize)
+                .map(|d| PartnerDim {
+                    q: lower.syms.slot(&format!("q{}", d + 1)),
+                    block: grid[d].2.map(|(bsize, _)| bsize),
+                    count: counts[d],
+                })
+                .collect();
+            let mut leaf = |lower: &mut Lower, _| -> Exec<Buckets> {
+                let (partner, elem) = (partner.clone(), lower.slot_element(array, ev.data_rank));
+                Box::new(move |f, buckets| comm_leaf(f, buckets, &partner, &elem))
             };
-            events.push(Event {
+            events.push(Arc::new(Event {
                 id: ev.id,
-                send: lower_map(&ev.send_code, &mut lower.syms),
-                recv: lower_map(&ev.recv_code, &mut lower.syms),
-                partner: (0..ev.proc_rank as usize)
-                    .map(|d| PartnerDim {
-                        q: lower.syms.slot(&format!("q{}", d + 1)),
-                        block: grid[d].2.map(|(bsize, _)| bsize),
-                        count: counts[d],
-                    })
-                    .collect(),
-                elem: lower.slot_element(array, ev.data_rank),
+                send: lower.code(&ev.send_code, &vp, &mut leaf),
+                recv: lower.code(&ev.recv_code, &vp, &mut leaf),
+                array,
                 contiguous: ev.contiguous,
-            });
+            }));
         }
+        let items = lower_items(&program.items, &events, &mut lower);
         let mut owned = Vec::new();
         for (name, spec) in &program.arrays {
             if let (Some(code), Some(array)) = (&spec.owned_code, lower.syms.array(name)) {
-                owned.push(Owned {
-                    code: column_major(code).lower(&mut |n| lower.syms.slot(n), &|_| None),
-                    elem: lower.slot_element(array, spec.dims.len() as u32),
-                });
+                let rank = spec.dims.len() as u32;
+                let mut leaf = |lower: &mut Lower, _| -> Exec<Vec<Array>> {
+                    let elem = lower.slot_element(array, rank);
+                    Box::new(move |f, global| {
+                        let off = elem.offset(f)?;
+                        global[array].data[off] = f.arrays[array].data[off];
+                        Ok(())
+                    })
+                };
+                owned.push(lower.code(&column_major(code), &|_| None, &mut leaf));
             }
         }
         let Lower { syms, dims } = lower;
@@ -461,7 +446,6 @@ impl Plan {
         }
         Ok(Plan {
             items,
-            events,
             owned,
             base,
             dims,
@@ -470,7 +454,7 @@ impl Plan {
     }
 }
 
-fn lower_items(items: &[SpmdItem], lower: &mut Lower) -> Vec<Item> {
+fn lower_items(items: &[SpmdItem], events: &[Arc<Event>], lower: &mut Lower) -> Vec<Item> {
     items
         .iter()
         .map(|item| match item {
@@ -484,30 +468,72 @@ fn lower_items(items: &[SpmdItem], lower: &mut Lower) -> Vec<Item> {
             } => Item::SerialLoop {
                 var: lower.syms.slot(var),
                 range: lower.range(lo, hi, step.as_ref()),
-                body: lower_items(body, lower),
+                body: lower_items(body, events, lower),
             },
-            SpmdItem::Nest(nest) => Item::Nest(Nest {
-                code: nest.code.lower(&mut |n| lower.syms.slot(n), &|_| None),
-                ops: nest
-                    .ops
-                    .iter()
-                    .map(|op| match op {
+            SpmdItem::Nest(nest) => {
+                // Each statement instance is its operation's closure.
+                let mut leaf = |lower: &mut Lower, id: StmtId| -> Exec<Rank> {
+                    match &nest.ops[id.0] {
                         NestOp::Assign(cs) => {
                             let assign = lower.assign(&cs.lhs, &cs.subs, &cs.rhs, cs.cost);
-                            Op::Assign(lower.guarded(&cs.guards, assign))
+                            let assign = lower.guarded(&cs.guards, assign);
+                            Box::new(move |f, r| r.exec(f, &assign))
                         }
-                        NestOp::CommSend(ev) => Op::Send(*ev),
-                        NestOp::CommRecv(ev) => Op::Recv(*ev),
-                    })
-                    .collect(),
-                reductions: nest
-                    .reductions
-                    .iter()
-                    .map(|r| (lower.syms.slot(&r.scalar), r.op))
-                    .collect(),
-            }),
+                        NestOp::CommSend(ev) => {
+                            let ev = Arc::clone(&events[*ev]);
+                            Box::new(move |f, r| r.comm_send(f, &ev))
+                        }
+                        NestOp::CommRecv(ev) => {
+                            let ev = Arc::clone(&events[*ev]);
+                            Box::new(move |f, r| r.comm_recv(f, &ev))
+                        }
+                    }
+                };
+                Item::Nest {
+                    code: lower.code(&nest.code, &|_| None, &mut leaf),
+                    reductions: nest
+                        .reductions
+                        .iter()
+                        .map(|r| (lower.syms.slot(&r.scalar), r.op))
+                        .collect(),
+                }
+            }
         })
         .collect()
+}
+
+/// A comm map's leaf: buckets the element the `d<k>` slots name under the
+/// partner rank the `q<d>` slots name. Partner loops over
+/// virtual-processor dimensions were compiled with the block size as their
+/// stride, so only *real* VPs are visited; a safety filter still skips any
+/// fictitious VP that would slip through.
+fn comm_leaf(
+    f: &mut Frame,
+    buckets: &mut Buckets,
+    partner: &[PartnerDim],
+    elem: &At,
+) -> Result<(), Fault> {
+    let mut rank = 0i64;
+    for p in partner {
+        let q = f.ints[p.q].ok_or_else(|| f.unbound(p.q))?;
+        let c = match p.block {
+            None => q,
+            Some(b) => {
+                let bs = f.ints[b].ok_or_else(|| f.unbound(b))?;
+                if (q - 1).rem_euclid(bs) != 0 {
+                    return Ok(()); // fictitious VP
+                }
+                (q - 1) / bs
+            }
+        };
+        if c < 0 || c >= p.count {
+            return Ok(()); // outside the physical grid
+        }
+        rank = rank * p.count + c;
+    }
+    let off = elem.offset(f)?;
+    buckets[rank as usize].push(off);
+    Ok(())
 }
 
 struct RankOut {
@@ -516,42 +542,22 @@ struct RankOut {
     frame: Frame,
 }
 
-struct Rank<'a> {
+/// A rank's state besides its frame: its mailboxes, clock and counters.
+struct Rank {
     rank: usize,
-    plan: &'a Plan,
-    machine: &'a MachineModel,
-    to: &'a [Sender<Message>],
-    from: &'a [Receiver<Message>],
-    frame: Frame,
+    machine: MachineModel,
+    to: Vec<Sender<Message>>,
+    from: Vec<Receiver<Message>>,
     clock: f64,
     comm: RankComm,
-    /// Per partner rank: the column-major offset of each element the
-    /// current comm map enumerated for it.
-    buckets: Vec<Vec<usize>>,
+    buckets: Buckets,
 }
 
-impl Slots for Rank<'_> {
-    fn slots(&self) -> &[Option<i64>] {
-        &self.frame.ints
-    }
-
-    fn slots_mut(&mut self) -> &mut [Option<i64>] {
-        &mut self.frame.ints
-    }
-}
-
-fn run_rank(
-    rank: usize,
-    counts: &[i64],
-    plan: &Plan,
-    machine: &MachineModel,
-    to: &[Sender<Message>],
-    from: &[Receiver<Message>],
-) -> Result<RankOut, Fault> {
+fn run_rank(mut r: Rank, counts: &[i64], plan: &Plan) -> Result<RankOut, Fault> {
     let mut frame = plan.base.clone();
     frame.arrays = plan.dims.iter().cloned().map(Array::new).collect();
     // Coordinates are row-major, last dimension fastest.
-    let mut rem = rank as i64;
+    let mut rem = r.rank as i64;
     for d in (0..counts.len()).rev() {
         let (m, block) = plan.position[d];
         let c = rem % counts[d];
@@ -561,50 +567,36 @@ fn run_rank(
             Some(bs) => bs * c + 1,
         });
     }
-    let mut r = Rank {
-        rank,
-        plan,
-        machine,
-        to,
-        from,
-        frame,
-        clock: 0.0,
-        comm: RankComm::default(),
-        buckets: vec![Vec::new(); to.len()],
-    };
-    r.run_items(&plan.items)?;
+    r.run_items(&mut frame, &plan.items)?;
     Ok(RankOut {
         time: r.clock,
         comm: r.comm,
-        frame: r.frame,
+        frame,
     })
 }
 
-impl<'a> Rank<'a> {
-    fn run_items(&mut self, items: &'a [Item]) -> Result<(), Fault> {
+impl Rank {
+    fn run_items(&mut self, frame: &mut Frame, items: &[Item]) -> Result<(), Fault> {
         for item in items {
             match item {
-                Item::Serial(stmt) => self.exec(stmt)?,
+                Item::Serial(stmt) => self.exec(frame, stmt)?,
                 Item::SerialLoop { var, range, body } => {
-                    for x in range.eval(&self.frame)? {
-                        self.frame.ints[*var] = Some(x);
-                        self.run_items(body)?;
+                    for x in range.eval(frame)? {
+                        frame.ints[*var] = Some(x);
+                        self.run_items(frame, body)?;
                     }
                 }
-                Item::Nest(nest) => {
+                Item::Nest { code, reductions } => {
                     // Snapshot reduction accumulators.
-                    let snaps: Vec<f64> = nest
-                        .reductions
+                    let snaps: Vec<f64> = reductions
                         .iter()
-                        .map(|&(s, _)| self.frame.floats[s].unwrap_or(0.0))
+                        .map(|&(s, _)| frame.floats[s].unwrap_or(0.0))
                         .collect();
-                    nest.code
-                        .run(self, &mut |id, r: &mut Rank<'a>| r.run_op(&nest.ops[id.0]))
-                        .map_err(|h| self.frame.halted(h))?;
-                    for (&(s, op), baseline) in nest.reductions.iter().zip(snaps) {
-                        let mine = self.frame.floats[s].unwrap_or(0.0);
+                    code(frame, self)?;
+                    for (&(s, op), baseline) in reductions.iter().zip(snaps) {
+                        let mine = frame.floats[s].unwrap_or(0.0);
                         let combined = self.allreduce(op, mine, baseline)?;
-                        self.frame.floats[s] = Some(combined);
+                        frame.floats[s] = Some(combined);
                     }
                 }
             }
@@ -613,76 +605,36 @@ impl<'a> Rank<'a> {
     }
 
     /// Runs a compiled statement, advancing the clock by its flops.
-    fn exec(&mut self, stmt: &Exec) -> Result<(), Fault> {
+    fn exec(&mut self, frame: &mut Frame, stmt: &Exec) -> Result<(), Fault> {
         let mut flops = 0u64;
-        stmt(&mut self.frame, &mut flops)?;
+        stmt(frame, &mut flops)?;
         self.clock += flops as f64 * self.machine.flop;
         Ok(())
     }
 
-    /// Executes one nest operation at the current loop indices.
-    fn run_op(&mut self, op: &Op) -> Result<(), Fault> {
-        match op {
-            Op::Assign(assign) => self.exec(assign),
-            Op::Send(ev) => self.comm_send(&self.plan.events[*ev]),
-            Op::Recv(ev) => self.comm_recv(&self.plan.events[*ev]),
-        }
-    }
-
-    /// Runs a comm map's code, bucketing each enumerated element by
-    /// partner rank. The map's code is a cover: it may visit an element
-    /// more than once (once per overlapping piece). [`into_element_set`]
-    /// turns a bucket into the sorted, deduplicated set of elements, in
-    /// memory (column-major) order: the payload both sides of a message
-    /// agree on, since every rank lays its arrays out alike, independent
-    /// of how the map's code is split into loop nests.
-    ///
-    /// Partner (`q*`) loops over virtual-processor dimensions were lowered
-    /// with the block size as their stride, so only *real* VPs are
-    /// visited; a safety filter still skips any fictitious VP that would
-    /// slip through.
-    fn enumerate_comm(&mut self, ev: &'a Event, code: &'a SlotCode) -> Result<(), Fault> {
+    /// Runs a comm map, bucketing each enumerated element by partner rank.
+    /// The map's code is a cover: it may visit an element more than once
+    /// (once per overlapping piece). [`into_element_set`] turns a bucket
+    /// into the sorted, deduplicated set of elements, in memory
+    /// (column-major) order: the payload both sides of a message agree on,
+    /// since every rank lays its arrays out alike, independent of how the
+    /// map's code is split into loop nests.
+    fn enumerate_comm(&mut self, frame: &mut Frame, map: &Exec<Buckets>) -> Result<(), Fault> {
         for b in &mut self.buckets {
             b.clear();
         }
-        code.run(self, &mut |_, r: &mut Rank<'a>| r.comm_leaf(ev))
-            .map_err(|h| self.frame.halted(h))
+        map(frame, &mut self.buckets)
     }
 
-    fn comm_leaf(&mut self, ev: &Event) -> Result<(), Fault> {
-        let f = &self.frame;
-        let mut partner = 0i64;
-        for p in &ev.partner {
-            let q = f.ints[p.q].ok_or_else(|| f.unbound(p.q))?;
-            let c = match p.block {
-                None => q,
-                Some(b) => {
-                    let bs = f.ints[b].ok_or_else(|| f.unbound(b))?;
-                    if (q - 1).rem_euclid(bs) != 0 {
-                        return Ok(()); // fictitious VP
-                    }
-                    (q - 1) / bs
-                }
-            };
-            if c < 0 || c >= p.count {
-                return Ok(()); // outside the physical grid
-            }
-            partner = partner * p.count + c;
-        }
-        let off = ev.elem.offset(f)?;
-        self.buckets[partner as usize].push(off);
-        Ok(())
-    }
-
-    fn comm_send(&mut self, ev: &'a Event) -> Result<(), Fault> {
-        self.enumerate_comm(ev, &ev.send)?;
+    fn comm_send(&mut self, frame: &mut Frame, ev: &Event) -> Result<(), Fault> {
+        self.enumerate_comm(frame, &ev.send)?;
         for partner in 0..self.buckets.len() {
             if partner == self.rank || self.buckets[partner].is_empty() {
                 continue;
             }
             let bucket = &mut self.buckets[partner];
             into_element_set(bucket);
-            let data = &self.frame.arrays[ev.elem.array].data;
+            let data = &frame.arrays[ev.array].data;
             let values: Vec<f64> = bucket.iter().map(|&off| data[off]).collect();
             let nbytes = (values.len() * 8) as u64;
             if ev.contiguous {
@@ -705,8 +657,8 @@ impl<'a> Rank<'a> {
         Ok(())
     }
 
-    fn comm_recv(&mut self, ev: &'a Event) -> Result<(), Fault> {
-        self.enumerate_comm(ev, &ev.recv)?;
+    fn comm_recv(&mut self, frame: &mut Frame, ev: &Event) -> Result<(), Fault> {
+        self.enumerate_comm(frame, &ev.recv)?;
         for partner in 0..self.buckets.len() {
             if partner == self.rank || self.buckets[partner].is_empty() {
                 continue;
@@ -739,7 +691,7 @@ impl<'a> Rank<'a> {
             }
             self.comm.recv_messages += 1;
             self.comm.recv_bytes += nbytes;
-            let data = &mut self.frame.arrays[ev.elem.array].data;
+            let data = &mut frame.arrays[ev.array].data;
             for (&off, v) in bucket.iter().zip(&msg.values) {
                 data[off] = *v;
             }

@@ -1,14 +1,14 @@
 //! The frame both executors run on, and the serial reference.
 //!
-//! A [`Frame`] holds one program instance's state by number: integer and
-//! `f64` scalar slots and the array table. The closures [`crate::lower`]
-//! compiles run against it. [`run_serial`] executes the original
+//! A `Frame` holds one program instance's state by number: integer and
+//! `f64` scalar slots and the array table. The closures the `lower` module
+//! compiles, from source statements and from generated code alike, run
+//! against it. [`run_serial`] executes the original
 //! (unpartitioned) program on one frame; the SPMD executor's results are
 //! validated against it in the integration tests.
 
-use crate::lower::{ArrayId, Lower, Symbols};
+use crate::lower::{ArrayId, Lower, Slot, Symbols};
 use crate::store::{Array, Store};
-use dhpf_codegen::{Halt, Slot, Slots};
 use dhpf_hpf::{Analysis, ScalarKind, TypeName};
 use std::collections::HashMap;
 use std::fmt;
@@ -62,16 +62,6 @@ pub(crate) struct Frame {
     pub floats: Vec<Option<f64>>,
     /// Arrays by handle.
     pub arrays: Vec<Array>,
-}
-
-impl Slots for Frame {
-    fn slots(&self) -> &[Option<i64>] {
-        &self.ints
-    }
-
-    fn slots_mut(&mut self) -> &mut [Option<i64>] {
-        &mut self.ints
-    }
 }
 
 /// The integer value scalar `name` starts with: a `parameter` constant,
@@ -161,14 +151,6 @@ impl Frame {
     /// The error for reading the unbound slot `s`.
     pub fn unbound(&self, s: Slot) -> Fault {
         Box::new(SimError::Unbound(self.syms.scalars[s].clone()))
-    }
-
-    /// Maps a stopped [`dhpf_codegen::SlotCode`] run to its error.
-    pub fn halted(&self, h: Halt<Fault>) -> Fault {
-        match h {
-            Halt::Unbound(s) => self.unbound(s),
-            Halt::Stmt(e) => e,
-        }
     }
 
     /// The error for the element of array `h` at `index`.

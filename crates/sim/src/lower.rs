@@ -1,4 +1,4 @@
-//! Compilation of source expressions and statements into closures.
+//! Compilation of source statements and generated code into closures.
 //!
 //! Both executors run the same compiled form. A [`Lower`] numbers every
 //! scalar name as a [`Slot`] (shared with the generated code's integer
@@ -10,15 +10,23 @@
 //! the extents, lower bounds, column-major strides and constant shifts are
 //! folded into a base offset and a range check per subscript.
 //!
+//! Generated [`Code`] compiles the same way ([`Lower::code`]): its bounds
+//! and guards become integer and boolean closures, its loops, guards and
+//! sequences statement closures, and each `Stmt(id)` leaf is whatever
+//! closure the caller compiles for that statement.
+//!
 //! Compiling decides nothing that depends on run-time values: an unbound
 //! name, an unknown intrinsic or a bad subscript still fails only when it
 //! is executed, as the same [`SimError`] with the same payload.
 
 use crate::interp::{do_range, start_int, Fault, Frame, SimError};
 use crate::store::Store;
-use dhpf_codegen::Slot;
+use dhpf_codegen::{Code, StmtId};
 use dhpf_hpf::{Analysis, BinOp, Expr, Stmt, StmtKind, UnOp};
 use std::collections::HashMap;
+
+/// Index of a scalar in a frame's slot tables.
+pub(crate) type Slot = usize;
 
 /// Index of an array in a frame's array table.
 pub(crate) type ArrayId = usize;
@@ -28,12 +36,31 @@ pub(crate) type ArrayId = usize;
 pub(crate) type FFn = Box<dyn Fn(&Frame) -> Result<f64, Fault> + Send + Sync>;
 
 /// A compiled `i64`-valued expression (subscripts and loop bounds). A
-/// scalar reads its integer slot first, then its `f64` slot (truncated).
+/// source scalar reads its integer slot first, then its `f64` slot
+/// (truncated); a generated-code variable reads its integer slot only.
 pub(crate) type IFn = Box<dyn Fn(&Frame) -> Result<i64, Fault> + Send + Sync>;
 
-/// A compiled statement: runs against a frame and adds the flops of the
-/// assignments it executes to the counter.
-pub(crate) type Exec = Box<dyn Fn(&mut Frame, &mut u64) -> Result<(), Fault> + Send + Sync>;
+/// A compiled generated-code condition.
+type BFn = Box<dyn Fn(&Frame) -> Result<bool, Fault> + Send + Sync>;
+
+/// A compiled statement: runs against a frame and the state `X` its leaves
+/// update besides the frame. A source statement's `X` is the flop counter,
+/// to which it adds the flops of the assignments it executes.
+pub(crate) type Exec<X = u64> = Box<dyn Fn(&mut Frame, &mut X) -> Result<(), Fault> + Send + Sync>;
+
+/// Runs `stmts` in order, as one statement.
+fn seq<X: 'static>(mut stmts: Vec<Exec<X>>) -> Exec<X> {
+    if stmts.len() == 1 {
+        return stmts.pop().expect("one statement");
+    }
+    let stmts = stmts.into_boxed_slice();
+    Box::new(move |f, x| {
+        for s in stmts.iter() {
+            s(f, x)?;
+        }
+        Ok(())
+    })
+}
 
 /// The names behind slots and array handles.
 #[derive(Debug, Default)]
@@ -555,17 +582,7 @@ impl Lower {
 
     /// Compiles a block of source statements.
     pub fn block(&mut self, body: &[Stmt]) -> Exec {
-        let mut stmts: Vec<Exec> = body.iter().map(|s| self.stmt(s)).collect();
-        if stmts.len() == 1 {
-            return stmts.pop().expect("one statement");
-        }
-        let stmts = stmts.into_boxed_slice();
-        Box::new(move |f, flops| {
-            for s in stmts.iter() {
-                s(f, flops)?;
-            }
-            Ok(())
-        })
+        seq(body.iter().map(|s| self.stmt(s)).collect())
     }
 
     /// Compiles one source statement.
@@ -632,6 +649,146 @@ impl Lower {
     }
 }
 
+/// Compilation of generated code. Its bounds and guards read integer slots
+/// only: a variable with no integer value is [`SimError::Unbound`], even if
+/// it holds an `f64`.
+impl Lower {
+    /// Compiles a generated-code expression.
+    fn bound(&mut self, e: &dhpf_codegen::Expr) -> IFn {
+        use dhpf_codegen::Expr as E;
+        macro_rules! unary {
+            ($e:expr, $k:expr, |$x:ident, $y:ident| $v:expr) => {{
+                let (e, $y) = (self.bound($e), *$k);
+                Box::new(move |f: &Frame| {
+                    let $x = e(f)?;
+                    Ok($v)
+                })
+            }};
+        }
+        macro_rules! fold {
+            ($es:expr, |$a:ident, $b:ident| $v:expr) => {{
+                let es: Box<[IFn]> = $es.iter().map(|e| self.bound(e)).collect();
+                Box::new(move |f: &Frame| {
+                    let mut $a = es[0](f)?;
+                    for e in &es[1..] {
+                        let $b = e(f)?;
+                        $a = $v;
+                    }
+                    Ok($a)
+                })
+            }};
+        }
+        match e {
+            &E::Const(c) => Box::new(move |_| Ok(c)),
+            E::Var(name) => {
+                let s = self.syms.slot(name);
+                Box::new(move |f| f.ints[s].ok_or_else(|| f.unbound(s)))
+            }
+            E::Add(es) => fold!(es, |acc, x| acc + x),
+            E::Mul(k, e) => unary!(e, k, |x, k| k * x),
+            E::FloorDiv(e, k) => unary!(e, k, |x, k| x.div_euclid(k)),
+            E::CeilDiv(e, k) => unary!(e, k, |x, k| -(-x).div_euclid(k)),
+            E::Mod(e, k) => unary!(e, k, |x, k| x.rem_euclid(k)),
+            E::Max(es) => fold!(es, |acc, x| acc.max(x)),
+            E::Min(es) => fold!(es, |acc, x| acc.min(x)),
+        }
+    }
+
+    /// Compiles a generated-code condition; `And` and `Or` stop at the
+    /// first operand that decides them.
+    fn cond(&mut self, c: &dhpf_codegen::Cond) -> BFn {
+        use dhpf_codegen::Cond as C;
+        match c {
+            C::Geq(a, b) | C::Eq(a, b) => {
+                let (a, b) = (self.bound(a), self.bound(b));
+                if matches!(c, C::Geq(..)) {
+                    Box::new(move |f| Ok(a(f)? >= b(f)?))
+                } else {
+                    Box::new(move |f| Ok(a(f)? == b(f)?))
+                }
+            }
+            C::Stride {
+                expr,
+                modulus,
+                residue,
+            } => {
+                let (e, m, r) = (self.bound(expr), *modulus, *residue);
+                Box::new(move |f| Ok(e(f)?.rem_euclid(m) == r))
+            }
+            C::And(cs) | C::Or(cs) => {
+                let any = matches!(c, C::Or(_));
+                let cs: Box<[BFn]> = cs.iter().map(|c| self.cond(c)).collect();
+                Box::new(move |f| {
+                    for c in cs.iter() {
+                        if c(f)? == any {
+                            return Ok(any);
+                        }
+                    }
+                    Ok(!any)
+                })
+            }
+            &C::Bool(b) => Box::new(move |_| Ok(b)),
+        }
+    }
+
+    /// Compiles generated code, with `leaf` compiling each statement
+    /// instance (once per occurrence). Each loop restores its index slot
+    /// when it finishes.
+    ///
+    /// `vp` names the block-size slot of a loop variable that runs over a
+    /// virtual-processor dimension. A unit-step loop over such a variable
+    /// is the §4.2/Figure 6 partner loop: when it starts and the block
+    /// size `B` is above one, it visits only the real VPs `v ≡ 1 (mod B)`,
+    /// from the first one at or above its lower bound.
+    pub fn code<X: 'static>(
+        &mut self,
+        code: &Code,
+        vp: &dyn Fn(&str) -> Option<Slot>,
+        leaf: &mut dyn FnMut(&mut Lower, StmtId) -> Exec<X>,
+    ) -> Exec<X> {
+        match code {
+            Code::Seq(cs) => seq(cs.iter().map(|c| self.code(c, vp, leaf)).collect()),
+            Code::Loop {
+                var,
+                lo,
+                hi,
+                step,
+                body,
+            } => {
+                let block = vp(var).filter(|_| *step == 1);
+                let (var, step) = (self.syms.slot(var), *step);
+                let (lo, hi) = (self.bound(lo), self.bound(hi));
+                let body = self.code(body, vp, leaf);
+                Box::new(move |f, x| {
+                    let mut i = lo(f)?;
+                    let hi = hi(f)?;
+                    let mut step = step;
+                    if let Some(b) = block {
+                        let b = f.ints[b].ok_or_else(|| f.unbound(b))?;
+                        if b > 1 {
+                            i += (1 - i).rem_euclid(b);
+                            step = b;
+                        }
+                    }
+                    let saved = f.ints[var];
+                    while i <= hi {
+                        f.ints[var] = Some(i);
+                        body(f, x)?;
+                        i += step;
+                    }
+                    f.ints[var] = saved;
+                    Ok(())
+                })
+            }
+            Code::If { cond, body } => {
+                let (cond, body) = (self.cond(cond), self.code(body, vp, leaf));
+                Box::new(move |f, x| if cond(f)? { body(f, x) } else { Ok(()) })
+            }
+            Code::Stmt(id) => leaf(self, *id),
+        }
+    }
+}
+
 /// Floating-point operation count of an expression (the cost model).
 pub fn cost_of(e: &Expr) -> u64 {
     match e {
@@ -639,5 +796,83 @@ pub fn cost_of(e: &Expr) -> u64 {
         Expr::Un(_, a) => cost_of(a),
         Expr::Ref(_, args) => args.iter().map(cost_of).sum::<u64>() + 1,
         _ => 0,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dhpf_codegen::Expr as E;
+    use std::sync::Arc;
+
+    /// Compiles `do q = 0, n, step { leaf }`, with `q` a loop over a VP
+    /// dimension whose block size is `b`, and runs it with `ints` and
+    /// `floats` bound. Returns the values of `q` the leaf saw, or the
+    /// error, and whether `q` is unbound again after the run.
+    fn run(
+        step: i64,
+        ints: &[(&str, i64)],
+        floats: &[(&str, f64)],
+    ) -> (Result<Vec<i64>, SimError>, bool) {
+        let code = Code::Loop {
+            var: "q".into(),
+            lo: E::Const(0),
+            hi: E::Var("n".into()),
+            step,
+            body: Box::new(Code::Stmt(StmtId(0))),
+        };
+        let mut lower = Lower {
+            syms: Symbols::default(),
+            dims: Vec::new(),
+        };
+        let (b, q) = (lower.syms.slot("b"), lower.syms.slot("q"));
+        let exec = lower.code(&code, &|v| (v == "q").then_some(b), &mut |_, _| {
+            Box::new(move |f, seen: &mut Vec<i64>| {
+                seen.push(f.ints[q].expect("q is bound"));
+                Ok(())
+            })
+        });
+        let n = lower.syms.scalars.len();
+        let syms = Arc::new(lower.syms);
+        let slot = |name| syms.lookup(name).expect("a slot");
+        let (mut ints_of, mut floats_of) = (vec![None; n], vec![None; n]);
+        ints.iter()
+            .for_each(|&(name, v)| ints_of[slot(name)] = Some(v));
+        floats
+            .iter()
+            .for_each(|&(name, v)| floats_of[slot(name)] = Some(v));
+        let mut frame = Frame {
+            syms: Arc::clone(&syms),
+            ints: ints_of,
+            floats: floats_of,
+            arrays: Vec::new(),
+        };
+        let mut seen = Vec::new();
+        let out = exec(&mut frame, &mut seen).map(|()| seen);
+        (out.map_err(|e| *e), frame.ints[q].is_none())
+    }
+
+    #[test]
+    fn vp_stride_aligns_unit_step_loops_only() {
+        let (seen, unbound_after) = run(1, &[("n", 10), ("b", 4)], &[]);
+        assert_eq!(seen.unwrap(), [1, 5, 9], "the real VPs v ≡ 1 (mod 4)");
+        assert!(unbound_after, "the index is unbound again");
+        // A block of one visits every index.
+        let every: Vec<i64> = (0..=10).collect();
+        assert_eq!(run(1, &[("n", 10), ("b", 1)], &[]).0.unwrap(), every);
+        // A loop that already strides keeps its own step.
+        assert_eq!(run(3, &[("n", 10), ("b", 4)], &[]).0.unwrap(), [0, 3, 6, 9]);
+    }
+
+    #[test]
+    fn unbound_bound_fails_with_its_name() {
+        let unbound = |(out, _): (Result<Vec<i64>, SimError>, bool)| match out {
+            Err(SimError::Unbound(name)) => name,
+            other => panic!("want Unbound, got {other:?}"),
+        };
+        assert_eq!(unbound(run(1, &[("b", 4)], &[])), "n");
+        assert_eq!(unbound(run(1, &[("n", 10)], &[])), "b");
+        // Generated code reads integer slots only: an `f64` is no value.
+        assert_eq!(unbound(run(1, &[("b", 4)], &[("n", 10.0)])), "n");
     }
 }

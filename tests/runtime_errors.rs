@@ -149,3 +149,23 @@ fn call_statement() {
         }
     }
 }
+
+/// JACOBI runs on a `2 × P` grid. A grid of another rank, a count other
+/// than the fixed dimension's, or a count below one is refused before any
+/// rank starts.
+#[test]
+fn bad_processor_grids() {
+    let jacobi = include_str!("../benchmarks/jacobi.hpf");
+    let compiled = compile(jacobi, &CompileOptions::default()).expect("compile");
+    let inputs: HashMap<String, i64> = [("niter".to_string(), 1)].into_iter().collect();
+    for (grid, want) in [
+        (&[2, 0][..], "0 processors in dimension 1"),
+        (&[3, 1][..], "dimension 0 is fixed at 2 processors, not 3"),
+        (&[2][..], "1 processor counts for a 2-dimensional grid"),
+    ] {
+        match simulate(&compiled, grid, &inputs, &MachineModel::sp2()) {
+            Err(e) => assert_eq!(kind(&e), ("Unsupported", want.to_string()), "{grid:?}"),
+            Ok(_) => panic!("{grid:?} ran"),
+        }
+    }
+}
