@@ -116,6 +116,12 @@ pub fn render(cols: &[Column]) -> String {
             c.name, s.comm_events, s.fully_vectorized, s.coalesced_groups, s.contiguous_events, s.split_nests
         ));
     }
+    for c in cols {
+        out.push_str(&format!(
+            "  {:<8} reads dropped as local {:>3}\n",
+            c.name, c.compiled.report.stats.local_reads
+        ));
+    }
     out.push('\n');
     out.push_str("omega context cache:\n");
     for c in cols {

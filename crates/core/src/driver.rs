@@ -722,6 +722,39 @@ end
         }
     }
 
+    /// A source scalar named like a variable the generated code binds on
+    /// every rank would share that variable's slot: `m1 = 1` outside any
+    /// nest moved every rank to grid position 1, and the simulator left
+    /// `a(9..16)` unwritten at two ranks without an error. Each such name
+    /// is refused at compile time.
+    #[test]
+    fn scalar_named_like_a_generated_variable_is_refused() {
+        for name in ["m1", "np1", "bs1", "q1", "d1"] {
+            let src = format!(
+                "
+program p
+integer {name}
+real a(16)
+!HPF$ processors pr(number_of_processors())
+!HPF$ template t(16)
+!HPF$ align a(i) with t(i)
+!HPF$ distribute t(block) onto pr
+{name} = 1
+do i = 1, 16
+  a(i) = i * 1.0
+enddo
+end
+"
+            );
+            match compile(&src, &CompileOptions::default()) {
+                Err(CompileError::Unsupported(m)) => {
+                    assert!(m.contains(&format!("'{name}'")), "{name}: {m}");
+                }
+                other => panic!("{name}: want Unsupported, got {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn phase_rows_present() {
         let c = compile(JACOBI, &CompileOptions::default()).unwrap();

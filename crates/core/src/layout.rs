@@ -2,8 +2,8 @@
 //! directives, including the optimized virtual-processor model for symbolic
 //! distribution parameters (paper §4.1).
 
-use crate::ir::affine_to_lin;
-use dhpf_hpf::{AlignMap, Analysis, DistFormat, ProcDim};
+use crate::ir::{affine_to_lin, ArrayRef};
+use dhpf_hpf::{Affine, AlignMap, Analysis, DistFormat, ProcDim};
 use dhpf_omega::{Conjunct, LinExpr, Relation, Var};
 
 /// How one processor dimension is realized.
@@ -239,6 +239,52 @@ fn build_layout(a: &Analysis, _name: &str, info: &dhpf_hpf::ArrayInfo) -> Layout
         rel,
         replicated: false,
     }
+}
+
+/// The template cells a reference touches, read off its array's `ALIGN`:
+/// the template, and on each *distributed* template dimension, in order,
+/// the cell `constant + Σ coeffs[d]·subs[d]` as an affine form of the
+/// reference's loop variables and symbols. `None` when the array is not
+/// aligned to a distributed template or is `*`-aligned on a distributed
+/// dimension (it then has no single cell there).
+fn home_cells<'a>(a: &'a Analysis, r: &ArrayRef) -> Option<(&'a str, Vec<Affine>)> {
+    let align = a.arrays.get(&r.array)?.align.as_ref()?;
+    let dist = a.templates.get(&align.template)?.dist.as_ref()?;
+    let cells = dist
+        .formats
+        .iter()
+        .zip(&align.subs)
+        .filter(|(fmt, _)| !matches!(fmt, DistFormat::Star))
+        .map(|(_, map)| match map {
+            AlignMap::Affine { coeffs, constant } => Some(
+                coeffs
+                    .iter()
+                    .zip(&r.subs)
+                    .fold(Affine::constant(*constant), |cell, (k, s)| {
+                        cell.add_scaled(s, *k)
+                    }),
+            ),
+            AlignMap::Star => None,
+        })
+        .collect::<Option<Vec<_>>>()?;
+    Some((&align.template, cells))
+}
+
+/// The syntactic locality test run before the Figure 3 equations: `read`
+/// is local to every processor that executes its statement when the
+/// statement has an effective ON_HOME term (`homes`, see
+/// [`crate::cp::effective_on_home`]) and the read and every term touch the
+/// same cells of the same template. A template cell has one set of
+/// owners, so the element read lives where the statement runs.
+/// `false` means undecided, not non-local: the equations decide those.
+pub fn is_local_read(a: &Analysis, read: &ArrayRef, homes: &[ArrayRef]) -> bool {
+    let Some(cells) = home_cells(a, read) else {
+        return false;
+    };
+    !homes.is_empty()
+        && homes
+            .iter()
+            .all(|h| home_cells(a, h).is_some_and(|c| c == cells))
 }
 
 /// Rank of the (single) processor arrangement of the unit, defaulting to 1.

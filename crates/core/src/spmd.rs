@@ -10,17 +10,17 @@
 //! nothing here depends on the order they are built in.
 
 use crate::comm::{comm_sets, swap_partner_and_myid, CommRef};
-use crate::cp::{cp_map_at_level, myid_set, proc_rank_of, slice_context};
+use crate::cp::{cp_map_at_level, effective_on_home, myid_set, proc_rank_of, slice_context};
 use crate::dependence::{carried_level, placement_level};
 use crate::inplace::{contiguity, Contiguity};
 use crate::ir::{collect_in, ArrayRef, Reduction, StmtInfo};
-use crate::layout::{Layout, ProcCoord};
+use crate::layout::{is_local_read, Layout, ProcCoord};
 use crate::split::{split_sets, SplitSets};
 use dhpf_codegen::{codegen, Code, CodegenOptions, Mapping, StmtId};
 use dhpf_hpf::{Affine, Analysis, Expr, Stmt, StmtKind, TypeName};
 use dhpf_obs::Collector;
 use dhpf_omega::{Relation, Set, Var};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// Errors from SPMD synthesis.
@@ -281,6 +281,10 @@ pub struct SpmdStats {
     pub split_nests: usize,
     /// Coalesced reference groups (more than one reference per event).
     pub coalesced_groups: usize,
+    /// Reads dropped as local before the Figure 3 equations: their
+    /// template cells equal their statement's ON_HOME cells
+    /// ([`crate::layout::is_local_read`]).
+    pub local_reads: usize,
     /// Graceful degradations taken, in serial nest order. Empty means the
     /// whole program compiled exactly.
     pub degradations: Vec<Degradation>,
@@ -501,14 +505,103 @@ pub(crate) struct UnitPlan {
 /// # Errors
 ///
 /// Returns [`CompileError::Unsupported`] for constructs outside the SPMD
-/// subset (subroutine calls), before any nest of the unit is built.
+/// subset (subroutine calls) and for a scalar named like a variable the
+/// generated code binds (`m1`, `np1`, `q1`, `d1`, …), before any nest of
+/// the unit is built.
 pub(crate) fn plan_items(
     analysis: &Analysis,
     layouts: &BTreeMap<String, Layout>,
 ) -> Result<UnitPlan, CompileError> {
+    let generated = generated_names(analysis, layouts);
+    let mut used = BTreeSet::new();
+    scalar_names(analysis, &analysis.unit.body, &mut used);
+    if let Some(name) = used.intersection(&generated).next() {
+        return Err(CompileError::Unsupported(format!(
+            "scalar '{name}' has the name of a variable the generated code binds on every rank"
+        )));
+    }
     let mut nests = Vec::new();
     let skel = plan_body(analysis, layouts, &analysis.unit.body, &mut nests)?;
     Ok(UnitPlan { skel, nests })
+}
+
+/// The names the generated code binds on every rank besides the source's
+/// own: the grid position `m<d>` and count `np<d>`, a VP dimension's block
+/// size, the partner `q<d>` of the communication maps, and the element
+/// index `d<d>` of the communication maps and the owned-region gather. A
+/// source scalar with one of these names would share its slot.
+fn generated_names(analysis: &Analysis, layouts: &BTreeMap<String, Layout>) -> BTreeSet<String> {
+    let mut names = BTreeSet::new();
+    for (d, spec) in grid_of(analysis, layouts).iter().enumerate() {
+        names.extend(["m", "np", "q"].map(|v| format!("{v}{}", d + 1)));
+        if let ProcCoord::BlockVp { bsize, .. } = &spec.coord {
+            names.insert(bsize.clone());
+        }
+    }
+    let rank = analysis.arrays.values().map(|i| i.dims.len()).max();
+    names.extend((1..=rank.unwrap_or(0)).map(|d| format!("d{d}")));
+    names
+}
+
+/// Every scalar name `body` reads, assigns, reads in or loops over.
+fn scalar_names(analysis: &Analysis, body: &[Stmt], out: &mut BTreeSet<String>) {
+    fn expr(e: &Expr, out: &mut BTreeSet<String>) {
+        match e {
+            Expr::Var(v) => {
+                out.insert(v.clone());
+            }
+            Expr::Ref(_, args) => args.iter().for_each(|a| expr(a, out)),
+            Expr::Bin(_, a, b) => {
+                expr(a, out);
+                expr(b, out);
+            }
+            Expr::Un(_, a) => expr(a, out),
+            Expr::Int(_) | Expr::Real(_) => {}
+        }
+    }
+    for s in body {
+        match &s.kind {
+            StmtKind::Assign {
+                name,
+                subs,
+                rhs,
+                on_home,
+            } => {
+                if !analysis.is_array(name) {
+                    out.insert(name.clone());
+                }
+                let homes = on_home.iter().flatten().flat_map(|(_, subs)| subs);
+                subs.iter()
+                    .chain([rhs])
+                    .chain(homes)
+                    .for_each(|e| expr(e, out));
+            }
+            StmtKind::Do {
+                var,
+                lo,
+                hi,
+                step,
+                body,
+            } => {
+                out.insert(var.clone());
+                [lo, hi].into_iter().chain(step).for_each(|e| expr(e, out));
+                scalar_names(analysis, body, out);
+            }
+            StmtKind::If {
+                cond,
+                then_body,
+                else_body,
+            } => {
+                expr(cond, out);
+                scalar_names(analysis, then_body, out);
+                scalar_names(analysis, else_body, out);
+            }
+            StmtKind::Call { args, .. } | StmtKind::Print { args } => {
+                args.iter().for_each(|e| expr(e, out));
+            }
+            StmtKind::Read { vars } => out.extend(vars.iter().cloned()),
+        }
+    }
 }
 
 fn plan_body(
@@ -719,6 +812,7 @@ pub(crate) fn assemble_spmd(
         stats.contiguous_events += out.stats.contiguous_events;
         stats.split_nests += out.stats.split_nests;
         stats.coalesced_groups += out.stats.coalesced_groups;
+        stats.local_reads += out.stats.local_reads;
         // Degradations concatenate in plan order, so the list (and thus
         // the whole stats value) is independent of the build schedule.
         stats.degradations.extend(out.stats.degradations);
@@ -1103,15 +1197,16 @@ fn plan_events(synth: &mut Synth, np: &NestPlan) -> Result<Vec<EventPlan>, Compi
     }
     let mut plans = Plans::new();
     for (k, s) in np.stmts.iter().enumerate() {
+        let homes = effective_on_home(s, synth.layouts);
         for (ri, r) in s.reads.iter().enumerate() {
             if synth.layouts.get(&r.array).is_none_or(|l| l.replicated) {
                 continue;
             }
-            // Owner-computes self-reference: a read identical to the sole
-            // ON_HOME term is local by definition (the paper's "early
-            // phases identify potentially non-local references").
-            if s.on_home.len() == 1 && s.on_home[0].array == r.array && s.on_home[0].subs == r.subs
-            {
+            // The paper's "early phases identify potentially non-local
+            // references": a read on its statement's home cells never
+            // reaches the equations.
+            if is_local_read(synth.analysis, r, &homes) {
+                synth.stats.local_reads += 1;
                 continue;
             }
             let same_array = |w: &(usize, ArrayRef)| w.1.array == r.array;
