@@ -229,8 +229,10 @@ fn others_set(proc_rank: u32, layout: &Layout) -> Result<Set, OmegaError> {
 ///
 /// # Errors
 ///
-/// [`OmegaError::Cancelled`] — the one refusal a grace scope never
-/// suspends.
+/// [`OmegaError::Overflow`] if composing the layout overflows `i64`
+/// coefficients. The grace scope suspends every governor refusal and no
+/// set difference is formed, so neither a budget nor an exactness error
+/// can arise.
 pub fn conservative_comm_sets(layout: &Layout) -> Result<CommSets, OmegaError> {
     // Self-contained grace scope: the compositions below go through the
     // governed memoized operations, and this function is called precisely

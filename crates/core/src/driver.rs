@@ -23,7 +23,7 @@ use crate::spmd::{
 use dhpf_hpf::{analyze, parse, Analysis};
 use dhpf_obs::{Collector, SpanId};
 use dhpf_omega::{
-    Budget, CacheStats, CancelToken, Context, ErrorCode, GovernorStats, InjectPlan, RequestGovernor,
+    Budget, CacheStats, Context, ErrorCode, GovernorStats, InjectPlan, RequestGovernor,
 };
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -54,21 +54,17 @@ pub struct CompileOptions {
     /// nests concurrently on a scoped pool. The compiled program is
     /// bit-identical at every thread count.
     pub threads: usize,
-    /// Resource budget for the compilation: wall-clock deadline, Omega-op
-    /// fuel, and set-algebra piece caps. When a deadline or fuel limit
-    /// trips mid-compile, the driver *degrades* per nest (conservative
-    /// communication, replicated nests — see
+    /// Resource budget for the compilation: wall-clock deadline and
+    /// Omega-op fuel. When a deadline or fuel limit trips mid-compile, the
+    /// driver *degrades* per nest (conservative communication, replicated
+    /// nests — see
     /// [`SpmdStats::degradations`](crate::SpmdStats)) instead of hanging
     /// or crashing; only constructs with no sound fallback surface
     /// [`CompileError::Budget`]. The default is unlimited.
     pub budget: Budget,
-    /// Cooperative cancellation token. Once
-    /// [cancelled](CancelToken::cancel), the compilation aborts at the
-    /// next checkpoint with [`CompileError::Cancelled`] — cancellation is
-    /// never degraded around.
-    pub cancel: Option<CancelToken>,
     /// Deterministic fault-injection plan (test/chaos harnesses only):
-    /// forces errors, panics, or budget exhaustion at named sites.
+    /// forces errors, panics, or budget exhaustion at named sites of this
+    /// compilation alone.
     pub inject: Option<InjectPlan>,
 }
 
@@ -79,7 +75,6 @@ impl Default for CompileOptions {
             trace: None,
             threads: 1,
             budget: Budget::default(),
-            cancel: None,
             inject: None,
         }
     }
@@ -126,12 +121,6 @@ impl CompileOptions {
     /// Caps the number of governed Omega operations.
     pub fn op_fuel(mut self, ops: u64) -> Self {
         self.budget.op_fuel = Some(ops);
-        self
-    }
-
-    /// Attaches a cooperative cancellation token.
-    pub fn cancel_token(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
         self
     }
 
@@ -223,7 +212,7 @@ pub struct Artifacts {
 pub struct CompileRequest {
     /// The HPF source text to compile.
     pub source: String,
-    /// Compilation options (threads, budget, cancellation, tracing, …).
+    /// Compilation options (threads, budget, tracing, …).
     pub options: CompileOptions,
     /// Which optional artifacts to materialize in the response.
     pub artifacts: Artifacts,
@@ -423,33 +412,22 @@ fn compile_impl(ctx: &Context, src: &str, opts: &CompileOptions) -> Result<Compi
     // Set-op samples go to the collector armed on this thread (and re-armed
     // on workers): a traced request records its own, on any context.
     let _sampling = opts.trace.as_ref().map(Collector::arm_on_thread);
-    // Budget, cancellation and limits are enforced by a *request-scoped*
+    // The budget and the fault plan are enforced by a *request-scoped*
     // governor armed on this thread (and re-armed on every worker thread):
     // a long-lived serving context compiles many concurrent requests, and
-    // none of them may trip another. An injection plan arms one too, so an
-    // injected exhaustion has a budget to trip. The plan itself is
-    // context state — chaos harnesses own their context.
-    let governed =
-        opts.budget != Budget::default() || opts.cancel.is_some() || opts.inject.is_some();
-    let scoped = governed.then(|| RequestGovernor::new(&opts.budget, opts.cancel.clone()));
+    // none of them may trip or fault another.
+    let governed = opts.budget != Budget::default() || opts.inject.is_some();
+    let scoped = governed.then(|| RequestGovernor::new(&opts.budget, opts.inject.clone()));
     let _armed = scoped.as_ref().map(RequestGovernor::arm_on_thread);
-    if opts.inject.is_some() {
-        ctx.set_inject(opts.inject.clone());
-    }
     // The isolation boundary: a panic anywhere in the pipeline (organic or
     // injected) becomes a typed `CompileError::Internal` instead of
     // unwinding into the caller. Nest and assembly tasks are additionally
     // caught one by one (`Tasks::run`), so one bad nest cannot take down
     // siblings; this outer catch covers the orchestration code itself.
-    let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         compile_inner(ctx, src, opts)
-    }));
-    // Disarm: the scoped governor dies with its guard; injection is the
-    // one context-global knob this function arms.
-    if opts.inject.is_some() {
-        ctx.set_inject(None);
-    }
-    out.unwrap_or_else(|payload| Err(CompileError::Internal(panic_message(payload))))
+    }))
+    .unwrap_or_else(|payload| Err(CompileError::Internal(panic_message(payload))))
 }
 
 fn compile_inner(
@@ -462,10 +440,6 @@ fn compile_inner(
     // subtree, and set-op samples land on the innermost phase span.
     let obs = opts.trace.clone().unwrap_or_default();
     let root = obs.guard("compile", "compile");
-    // Cancellation checkpoints between phases keep aborts prompt even when
-    // the set operations in flight are the infallible ones; the per-nest
-    // checkpoint in synthesis covers the long tail.
-    ctx.check_cancelled()?;
     let prog = obs.span("parsing", "phase", || parse(src))?;
     if prog.units.is_empty() {
         return Err(CompileError::Unsupported("no program units".to_string()));
@@ -478,7 +452,6 @@ fn compile_inner(
             .collect::<Result<Vec<_>, _>>()
     })?;
     let units = analyses.len();
-    ctx.check_cancelled()?;
     let main_idx = prog.units.iter().position(|u| u.is_program).unwrap_or(0);
     let (program, stats) = {
         let phase = obs.guard("module compilation", "phase");
@@ -490,7 +463,7 @@ fn compile_inner(
     let cache = ctx.stats();
     // Read while still armed: `compile_impl` disarms after we return.
     let governor = ctx.governor_stats();
-    let injected_faults = ctx.inject_fired();
+    let injected_faults = RequestGovernor::current().map_or(0, |g| g.injected_faults());
     let id = root.id();
     obs.counter_on(id, "units", units as i64);
     obs.counter_on(id, "comm events", stats.comm_events as i64);
@@ -529,7 +502,8 @@ struct Tasks<'a> {
     /// The caller's request governor and sampling collector, re-armed with
     /// the request's context on whichever thread runs a task: workers
     /// memoize into the same arena, spend from the same fuel pool, observe
-    /// the same deadline/cancellation and sample into the same trace.
+    /// the same deadline, advance the same fault plan and sample into the
+    /// same trace.
     governor: Option<RequestGovernor>,
     sampling: Option<Collector>,
     obs: &'a Collector,

@@ -81,5 +81,5 @@ pub mod prelude {
     };
     pub use crate::render::render_program;
     pub use crate::spmd::{CompileError, Degradation, SpmdProgram, SpmdStats};
-    pub use dhpf_omega::{Budget, CancelToken, Context, ErrorCode, GovernorStats};
+    pub use dhpf_omega::{Budget, Context, ErrorCode, GovernorStats};
 }

@@ -40,10 +40,6 @@ pub enum CompileError {
     /// failing construct had no sound conservative fallback. The payload
     /// names the exhausted resource.
     Budget(&'static str),
-    /// The compilation was cancelled through its
-    /// [`CancelToken`](dhpf_omega::CancelToken). Cancellation never
-    /// degrades: it is always surfaced as this error.
-    Cancelled,
     /// A compiler task panicked; the payload is the panic message. The
     /// panic was contained by the driver's isolation boundary — sibling
     /// tasks ran to completion and no lock was poisoned.
@@ -58,7 +54,6 @@ impl fmt::Display for CompileError {
             CompileError::Codegen(e) => write!(f, "code generation failed: {e}"),
             CompileError::SetAlgebra(e) => write!(f, "set algebra failed: {e}"),
             CompileError::Budget(what) => write!(f, "compile budget exceeded: {what}"),
-            CompileError::Cancelled => write!(f, "compilation cancelled"),
             CompileError::Internal(m) => write!(f, "internal compiler error: {m}"),
         }
     }
@@ -75,7 +70,6 @@ impl CompileError {
             CompileError::Codegen(_) => dhpf_omega::ErrorCode::Codegen,
             CompileError::SetAlgebra(e) => e.code(),
             CompileError::Budget(_) => dhpf_omega::ErrorCode::Budget,
-            CompileError::Cancelled => dhpf_omega::ErrorCode::Cancelled,
             CompileError::Internal(_) => dhpf_omega::ErrorCode::Internal,
         }
     }
@@ -98,7 +92,6 @@ impl From<dhpf_codegen::CodegenError> for CompileError {
 impl From<dhpf_omega::OmegaError> for CompileError {
     fn from(e: dhpf_omega::OmegaError) -> Self {
         match e {
-            dhpf_omega::OmegaError::Cancelled => CompileError::Cancelled,
             dhpf_omega::OmegaError::BudgetExceeded(what) => CompileError::Budget(what),
             e => CompileError::SetAlgebra(e),
         }
@@ -106,8 +99,8 @@ impl From<dhpf_omega::OmegaError> for CompileError {
 }
 
 /// True for errors the driver may absorb by falling back to a sound
-/// conservative construct: exactness failures and budget exhaustion.
-/// Cancellation and structural errors (unsupported constructs, panics)
+/// conservative construct: exactness failures, budget exhaustion and
+/// injected faults. Structural errors (unsupported constructs, panics)
 /// always abort.
 pub(crate) fn degradable(e: &CompileError) -> bool {
     matches!(
@@ -357,7 +350,7 @@ fn finish_program(
     // allocation code is not a program). The budget governs analysis and
     // per-nest synthesis, not this epilogue, so it runs in a governor
     // grace scope: a tripped budget cannot fail it, and injection skips
-    // it (cancellation stays live).
+    // it.
     let _grace = dhpf_omega::governor_grace();
     // Processor grid: from the distributed layouts (all share one arrangement).
     let proc_dims = grid_of(analysis, layouts);
@@ -710,10 +703,10 @@ pub(crate) struct NestOut {
 ///   exact attempt accumulated and rebuild the nest *replicated*, with
 ///   conservative pre-refresh events.
 ///
-/// Cancellation is checked at entry (nests are the driver's unit of
-/// progress) and is never absorbed by the ladder. The nest's phases are
-/// spans in `obs`, under whatever span the calling thread has open (the
-/// driver's task span for this nest).
+/// The `nest` injection site is checked at entry (nests are the driver's
+/// unit of progress); a fault there counts as the exact attempt failing.
+/// The nest's phases are spans in `obs`, under whatever span the calling
+/// thread has open (the driver's task span for this nest).
 ///
 /// A nest that assigns a scalar its generated code mentions is refused
 /// with [`CompileError::Unsupported`]: guard lifting evaluates a merged or
@@ -753,11 +746,8 @@ pub(crate) fn build_nest(
 }
 
 fn nest_ladder(synth: &mut Synth, body: &[Stmt]) -> Result<NestItem, CompileError> {
-    // Cancellation aborts (it is not degradable); an injected nest fault
-    // counts as the exact attempt failing.
-    let cx = dhpf_omega::Context::current();
-    let gate = cx.check_cancelled().and_then(|()| cx.inject_check("nest"));
-    let attempt = match gate {
+    // An injected nest fault counts as the exact attempt failing.
+    let attempt = match dhpf_omega::Context::current().inject_check("nest") {
         Ok(()) => build_nest_exact(synth, body),
         Err(e) => Err(e.into()),
     };
@@ -1030,8 +1020,7 @@ impl NestCode {
 fn build_nest_replicated(synth: &mut Synth, body: &[Stmt]) -> Result<NestItem, CompileError> {
     // The rebuild runs in a governor grace scope: it executes precisely
     // when the budget has tripped or a fault fired, and its own (cheap,
-    // bounded) set algebra and codegen must not re-fail. Cancellation
-    // stays live inside the scope.
+    // bounded) set algebra and codegen must not re-fail.
     let _grace = dhpf_omega::governor_grace();
     let stmts = collect_in(synth.analysis, body);
     let layouts = synth.layouts;
@@ -1278,13 +1267,8 @@ fn materialize_events(
             // placements have no such event-local fallback (a full
             // exchange would push stale copies over owner data or break
             // the send/recv pairing inside the loop), so they escalate
-            // to the nest-level rung in `nest_ladder`. Cancellation is
-            // never absorbed.
-            Err(e)
-                if !plan.is_write
-                    && plan.level == 0
-                    && !matches!(e, dhpf_omega::OmegaError::Cancelled) =>
-            {
+            // to the nest-level rung in `nest_ladder`.
+            Err(e) if !plan.is_write && plan.level == 0 => {
                 synth.degrade(
                     "comm_sets",
                     Some(&plan.array),

@@ -17,8 +17,8 @@
 mod common;
 
 use common::{comm_plans, RankPlan};
-use dhpf_core::{compile, CompileError, CompileOptions, Compiled};
-use dhpf_omega::{Budget, CancelToken, FaultAction, InjectPlan};
+use dhpf_core::{compile, compile_request, CompileError, CompileOptions, CompileRequest, Compiled};
+use dhpf_omega::{Budget, Context, FaultAction, InjectPlan};
 use dhpf_sim::{simulate, MachineModel, SimResult};
 use std::collections::HashMap;
 
@@ -369,48 +369,48 @@ fn zero_deadline_terminates_with_typed_outcome() {
 }
 
 #[test]
-fn precancelled_token_is_refused_up_front() {
-    let token = CancelToken::new();
-    token.cancel();
-    for threads in [1usize, 4] {
-        let opts = CompileOptions::new()
-            .threads(threads)
-            .cancel_token(token.clone());
-        match compile(&jacobi_small(), &opts) {
-            Err(CompileError::Cancelled) => {}
-            other => panic!("threads={threads}: expected Cancelled, got {other:?}"),
-        }
-    }
-}
-
-#[test]
-fn cancellation_mid_flight_never_degrades() {
-    // Cancel from another thread while the compile runs. Whatever the
-    // race outcome, cancellation must never be *absorbed* by the
-    // degradation ladder: the result is either a complete exact program
-    // (compile won the race) or `Cancelled` — nothing in between.
+fn a_fault_plan_fires_only_in_its_own_request() {
+    // Two requests compile side by side on one shared context: A under a
+    // plan that fires at every site, B under none. B must compile exactly,
+    // as if A did not exist, in every round. Each thread only records its
+    // outcomes, so a failure cannot strand the other at the barrier.
     let src = jacobi_small();
-    for delay_us in [0u64, 50, 200, 1000] {
-        let token = CancelToken::new();
-        let opts = CompileOptions::new().threads(4).cancel_token(token.clone());
-        let canceller = {
-            let token = token.clone();
-            std::thread::spawn(move || {
-                std::thread::sleep(std::time::Duration::from_micros(delay_us));
-                token.cancel();
-            })
-        };
-        let out = compile(&src, &opts);
-        canceller.join().unwrap();
-        match out {
-            Ok(c) => assert!(
-                c.report.degradations().is_empty(),
-                "delay={delay_us}us: cancellation leaked into the degradation ladder: {:?}",
-                c.report.degradations()
-            ),
-            Err(CompileError::Cancelled) => {}
-            Err(e) => panic!("delay={delay_us}us: unexpected error {e}"),
+    let ctx = Context::new();
+    let barrier = std::sync::Barrier::new(2);
+    let (a, b) = std::thread::scope(|sc| {
+        let a = sc.spawn(|| {
+            (0..20)
+                .map(|round| {
+                    let plan = InjectPlan::new(round, 1, FaultAction::Error);
+                    let opts = CompileOptions::new().inject(plan);
+                    let req = CompileRequest::new(src.as_str()).options(opts);
+                    barrier.wait();
+                    compile_request(&ctx, &req).map(|c| c.report.injected_faults)
+                })
+                .collect::<Vec<_>>()
+        });
+        let b = sc.spawn(|| {
+            (0..20)
+                .map(|_| {
+                    let req = CompileRequest::new(src.as_str());
+                    barrier.wait();
+                    compile_request(&ctx, &req).map(|c| c.report)
+                })
+                .collect::<Vec<_>>()
+        });
+        (a.join().unwrap(), b.join().unwrap())
+    });
+    for (round, (a, b)) in a.into_iter().zip(b).enumerate() {
+        if let Ok(fired) = a {
+            assert!(fired > 0, "round {round}: A's plan never fired");
         }
+        let b = b.unwrap_or_else(|e| panic!("round {round}: B failed: {e}"));
+        assert!(
+            b.degradations().is_empty(),
+            "round {round}: B degraded: {:?}",
+            b.degradations()
+        );
+        assert_eq!(b.injected_faults, 0, "round {round}: B saw A's faults");
     }
 }
 

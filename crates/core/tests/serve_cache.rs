@@ -86,7 +86,6 @@ fn warm_process_request_reports_the_delta() {
 fn tight_capacity_eviction_preserves_output() {
     let roomy = Context::new();
     let tight = Context::with_capacity(64); // 4 entries per shard, per table
-    assert_eq!(tight.cache_capacity(), 64);
     let opts = CompileOptions::default();
 
     let a = compile_request(&roomy, &CompileRequest::new(JACOBI).options(opts.clone())).unwrap();
@@ -113,25 +112,5 @@ fn tight_capacity_eviction_preserves_output() {
         tight.memo_entries() <= 5 * 64,
         "memo tables exceed their bound: {} entries",
         tight.memo_entries()
-    );
-}
-
-/// Re-tightening a live context applies to subsequent inserts.
-#[test]
-fn capacity_knob_is_dynamic() {
-    let ctx = Context::new();
-    compile_request(&ctx, &CompileRequest::new(JACOBI)).unwrap();
-    let before = ctx.memo_entries();
-    assert!(before > 0);
-    ctx.set_cache_capacity(16);
-    assert_eq!(ctx.cache_capacity(), 16);
-    // New inserts now evict down toward the tighter bound; a variant with
-    // different extents produces fresh integer sets (a new RHS constant
-    // would not — the set algebra never sees it) and so fresh memo keys.
-    let variant = JACOBI.replace("64", "48").replace("63", "47");
-    compile_request(&ctx, &CompileRequest::new(variant)).unwrap();
-    assert!(
-        ctx.stats().total_evictions() > 0,
-        "tightened capacity never evicted"
     );
 }

@@ -1,32 +1,30 @@
-//! Resource governance: compile budgets and cooperative cancellation.
+//! Resource governance: compile budgets and request-scoped fault plans.
 //!
 //! A [`Budget`] bounds what one compilation may spend inside the Omega
-//! substrate — wall-clock time, a fuel count of memoized set operations,
-//! and the piece/fuel limits that keep exact negation and FME from
-//! exploding combinatorially. A [`RequestGovernor`] carries it, together
-//! with an optional [`CancelToken`], and is armed on the threads working
-//! for one request; every memoized operation of every
-//! [`Context`](crate::Context) those threads touch then checks it at
-//! entry. It is the only budget, cancellation and limits carrier: a
-//! context holds none of this state. A [`CancelToken`] is the sharper
-//! tool: tripping it makes the next fallible operation return
-//! [`OmegaError::Cancelled`] so the whole
-//! compilation aborts with a typed error.
+//! substrate: wall-clock time and a fuel count of memoized set operations.
+//! A [`RequestGovernor`] carries it, together with an optional
+//! [`InjectPlan`], and is armed on the threads working for one request;
+//! every memoized operation of every [`Context`](crate::Context) those
+//! threads touch then charges it at entry. It is the only carrier of
+//! request state: a context holds none of it, so one request's budget or
+//! fault plan never reaches another request sharing the context.
 //!
-//! The distinction matters downstream: budget exhaustion means "stop
-//! spending, a conservative answer is fine" (the driver degrades to
-//! conservative communication), while cancellation means "the caller no
-//! longer wants any answer" (the driver aborts).
+//! Every refusal is degradable: a spent budget or an injected fault means
+//! "stop spending, a conservative answer is fine", and the driver degrades
+//! to conservative communication. The exactness limits of negation and
+//! subsumption are constants at their one use each (`ops.rs` and
+//! `Relation::semantic_subsume`), not request state.
 
+use crate::inject::{FaultAction, InjectPlan};
 use crate::OmegaError;
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Resource limits for one compilation. All fields default to the
-/// historical hard-coded behaviour: no deadline, no fuel cap, and the
-/// negation/FME limits that previously lived as constants in `ops.rs`.
+/// Resource limits for one compilation: no deadline and no fuel cap by
+/// default.
 ///
 /// Construct fluently:
 ///
@@ -34,7 +32,7 @@ use std::time::{Duration, Instant};
 /// use dhpf_omega::Budget;
 /// let b = Budget::new().deadline_ms(5_000).op_fuel(2_000_000);
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Budget {
     /// Wall-clock deadline in milliseconds, measured from the moment a
     /// [`RequestGovernor`] is built from the budget. `None` = no deadline.
@@ -42,31 +40,10 @@ pub struct Budget {
     /// Total memoized Omega operations (sat, FME, negation, gist,
     /// simplify) the compilation may charge. `None` = unlimited.
     pub op_fuel: Option<u64>,
-    /// Hard cap on the conjunct pieces an exact negation may produce
-    /// before it is declared inexact (default 10 000 — the PR-5 value).
-    pub max_negation_pieces: usize,
-    /// Negation-piece cap above which semantic subsumption skips a pair
-    /// (purely an optimization limit; default 64).
-    pub subsume_negation_pieces: usize,
-    /// Iteration fuel for the stride-form rewrite inside exact negation
-    /// (default 500).
-    pub stride_fuel: u32,
-}
-
-impl Default for Budget {
-    fn default() -> Self {
-        Budget {
-            deadline_ms: None,
-            op_fuel: None,
-            max_negation_pieces: 10_000,
-            subsume_negation_pieces: 64,
-            stride_fuel: 500,
-        }
-    }
 }
 
 impl Budget {
-    /// An unlimited budget with the default exactness limits.
+    /// An unlimited budget.
     pub fn new() -> Self {
         Self::default()
     }
@@ -84,53 +61,16 @@ impl Budget {
         self.op_fuel = Some(fuel);
         self
     }
-
-    /// Sets the exact-negation piece cap.
-    #[must_use]
-    pub fn max_negation_pieces(mut self, n: usize) -> Self {
-        self.max_negation_pieces = n;
-        self
-    }
-
-    /// Sets the subsumption-check piece cap.
-    #[must_use]
-    pub fn subsume_negation_pieces(mut self, n: usize) -> Self {
-        self.subsume_negation_pieces = n;
-        self
-    }
-
-    /// Sets the stride-form rewrite fuel.
-    #[must_use]
-    pub fn stride_fuel(mut self, fuel: u32) -> Self {
-        self.stride_fuel = fuel;
-        self
-    }
 }
 
-/// A shared cancellation flag. Clones observe the same flag, so the token
-/// can be handed to another thread (or a request handler) and tripped
-/// while a compilation is in flight; the compilation aborts at its next
-/// cancellation point with a typed error.
-#[derive(Clone, Debug, Default)]
-pub struct CancelToken {
-    flag: Arc<AtomicBool>,
-}
-
-impl CancelToken {
-    /// A fresh, untripped token.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Requests cancellation. Idempotent; never blocks.
-    pub fn cancel(&self) {
-        self.flag.store(true, Ordering::Release);
-    }
-
-    /// True once [`cancel`](Self::cancel) has been called.
-    pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Acquire)
-    }
+/// A request's fault plan and its bookkeeping. Per-site hit counters make
+/// decisions a pure function of `(seed, site, count)` regardless of thread
+/// interleaving *per site*.
+#[derive(Debug)]
+struct Injection {
+    plan: InjectPlan,
+    counts: Mutex<HashMap<&'static str, u64>>,
+    fired: AtomicU64,
 }
 
 #[derive(Debug)]
@@ -139,29 +79,28 @@ struct GovernorInner {
     /// parallel driver's worker threads spend from one pool.
     fuel: AtomicU64,
     deadline: Option<Instant>,
-    cancel: Option<CancelToken>,
     /// Why the budget tripped, once it has. Sticky: the first tripper wins
     /// the reason.
     tripped: OnceLock<&'static str>,
     charged: AtomicU64,
     degraded: AtomicU64,
-    /// The request's [`Budget`], read for its exactness limits.
-    budget: Budget,
+    inject: Option<Injection>,
 }
 
-/// The governor: deadline, op fuel, cancellation and exactness limits for
-/// one request, scoped to the requesting thread (and any worker threads
-/// that re-arm it) rather than to a context.
+/// The governor: deadline, op fuel and fault plan for one request, scoped
+/// to the requesting thread (and any worker threads that re-arm it) rather
+/// than to a context.
 ///
 /// This is what lets a long-lived serving context compile many concurrent
-/// requests, each under its *own* budget: a budget held by the context
-/// would let one slow client's deadline trip every in-flight compilation.
-/// The governor is `Arc`-shared — clone it into worker tasks and call
-/// [`arm_on_thread`](Self::arm_on_thread) there so every thread working on
-/// the request spends from one fuel pool and observes one deadline.
+/// requests, each under its *own* budget and plan: state held by the
+/// context would let one client's deadline or injected fault reach every
+/// in-flight compilation. The governor is `Arc`-shared — clone it into
+/// worker tasks and call [`arm_on_thread`](Self::arm_on_thread) there so
+/// every thread working on the request spends from one fuel pool, observes
+/// one deadline and advances one set of injection counters.
 ///
 /// The `dhpf-core` driver arms one whenever `CompileOptions` carries a
-/// budget, a cancel token or a fault-injection plan.
+/// budget or a fault-injection plan.
 #[derive(Clone, Debug)]
 pub struct RequestGovernor {
     inner: Arc<GovernorInner>,
@@ -182,8 +121,9 @@ pub(crate) fn request_governor_armed() -> bool {
 
 impl RequestGovernor {
     /// A governor enforcing `budget` (deadline measured from now) and, if
-    /// given, `cancel`.
-    pub fn new(budget: &Budget, cancel: Option<CancelToken>) -> Self {
+    /// given, firing the faults of `inject`, with per-site counters that
+    /// start at zero.
+    pub fn new(budget: &Budget, inject: Option<InjectPlan>) -> Self {
         let deadline = budget
             .deadline_ms
             .and_then(|ms| Instant::now().checked_add(Duration::from_millis(ms)));
@@ -191,11 +131,14 @@ impl RequestGovernor {
             inner: Arc::new(GovernorInner {
                 fuel: AtomicU64::new(budget.op_fuel.unwrap_or(u64::MAX)),
                 deadline,
-                cancel,
                 tripped: OnceLock::new(),
                 charged: AtomicU64::new(0),
                 degraded: AtomicU64::new(0),
-                budget: budget.clone(),
+                inject: inject.map(|plan| Injection {
+                    plan,
+                    counts: Mutex::new(HashMap::new()),
+                    fired: AtomicU64::new(0),
+                }),
             }),
         }
     }
@@ -214,7 +157,7 @@ impl RequestGovernor {
     /// Arms this governor on the current thread until the guard drops.
     /// Nested arming restores the previous governor on drop, so scopes
     /// compose; the same governor may be armed on many threads at once
-    /// (they share fuel, deadline, and counters).
+    /// (they share fuel, deadline, injection counters and statistics).
     #[must_use = "enforcement stops when the guard drops"]
     pub fn arm_on_thread(&self) -> RequestGovernorGuard {
         let prev = REQ_GOV.with(|g| g.borrow_mut().replace(self.clone()));
@@ -224,8 +167,8 @@ impl RequestGovernor {
 
     /// Charges one governed operation: spends fuel and checks the
     /// deadline, and once tripped refuses every further charge with the
-    /// trip reason. The caller has already handled cancellation and the
-    /// grace scope (see [`governor_grace`](crate::governor_grace)).
+    /// trip reason. The caller has already handled the grace scope (see
+    /// [`governor_grace`](crate::governor_grace)).
     pub(crate) fn charge(&self) -> Result<(), OmegaError> {
         let i = &self.inner;
         i.charged.fetch_add(1, Ordering::Relaxed);
@@ -249,11 +192,36 @@ impl RequestGovernor {
         Ok(())
     }
 
-    /// Trips the budget on behalf of an injected `ExhaustBudget` fault and
-    /// returns the refusal for the operation that hit it.
-    pub(crate) fn exhaust_injected(&self) -> OmegaError {
-        self.trip("injected");
-        self.refuse()
+    /// Fault-injection checkpoint for a named site: counts the arrival and
+    /// applies the plan's action if it fires there. No lock is held when an
+    /// injected panic unwinds. An `ExhaustBudget` fault trips this
+    /// governor, so the exhaustion is sticky for the request exactly like
+    /// a spent budget.
+    pub(crate) fn inject_check(&self, site: &'static str) -> Result<(), OmegaError> {
+        let Some(inj) = &self.inner.inject else {
+            return Ok(());
+        };
+        let n = {
+            let mut counts = inj
+                .counts
+                .lock()
+                .expect("no panic is raised while the injection counters are locked");
+            let count = counts.entry(site).or_insert(0);
+            *count += 1;
+            *count - 1
+        };
+        if !inj.plan.should_fire(site, n) {
+            return Ok(());
+        }
+        inj.fired.fetch_add(1, Ordering::Relaxed);
+        match inj.plan.action {
+            FaultAction::Error => Err(OmegaError::InexactNegation),
+            FaultAction::Panic => panic!("injected panic at site {site}"),
+            FaultAction::ExhaustBudget => {
+                self.trip("injected");
+                Err(self.refuse())
+            }
+        }
     }
 
     fn trip(&self, reason: &'static str) {
@@ -266,18 +234,19 @@ impl RequestGovernor {
         OmegaError::BudgetExceeded(self.inner.tripped.get().copied().unwrap_or("budget"))
     }
 
-    /// `Err(Cancelled)` once the armed token, if any, has been tripped.
-    pub(crate) fn check_cancelled(&self) -> Result<(), OmegaError> {
-        match &self.inner.cancel {
-            Some(t) if t.is_cancelled() => Err(OmegaError::Cancelled),
-            _ => Ok(()),
-        }
-    }
-
     /// True once the deadline passed, the fuel ran out, or an injected
     /// exhaustion fired.
     pub fn tripped(&self) -> bool {
         self.inner.tripped.get().is_some()
+    }
+
+    /// How many times this governor's fault plan has fired (0 without a
+    /// plan).
+    pub fn injected_faults(&self) -> u64 {
+        self.inner
+            .inject
+            .as_ref()
+            .map_or(0, |i| i.fired.load(Ordering::Relaxed))
     }
 
     /// This governor's counters and trip reason.
@@ -287,22 +256,6 @@ impl RequestGovernor {
             ops_degraded: self.inner.degraded.load(Ordering::Relaxed),
             tripped: self.inner.tripped.get().copied(),
         }
-    }
-
-    /// The budget this governor enforces (read for its exactness limits).
-    pub(crate) fn budget(&self) -> &Budget {
-        &self.inner.budget
-    }
-
-    /// True when the exactness limits differ from [`Budget::default`]:
-    /// memoized results then bypass the shared cache entirely, because an
-    /// entry computed under tighter (or looser) limits is not
-    /// interchangeable with one computed under the defaults.
-    pub(crate) fn non_default_limits(&self) -> bool {
-        let (b, d) = (&self.inner.budget, Budget::default());
-        b.max_negation_pieces != d.max_negation_pieces
-            || b.subsume_negation_pieces != d.subsume_negation_pieces
-            || b.stride_fuel != d.stride_fuel
     }
 }
 
@@ -340,25 +293,8 @@ mod tests {
 
     #[test]
     fn budget_builder_round_trips() {
-        let b = Budget::new()
-            .deadline_ms(100)
-            .op_fuel(42)
-            .max_negation_pieces(9)
-            .subsume_negation_pieces(3)
-            .stride_fuel(7);
+        let b = Budget::new().deadline_ms(100).op_fuel(42);
         assert_eq!(b.deadline_ms, Some(100));
         assert_eq!(b.op_fuel, Some(42));
-        assert_eq!(b.max_negation_pieces, 9);
-        assert_eq!(b.subsume_negation_pieces, 3);
-        assert_eq!(b.stride_fuel, 7);
-    }
-
-    #[test]
-    fn cancel_token_is_shared() {
-        let t = CancelToken::new();
-        let u = t.clone();
-        assert!(!u.is_cancelled());
-        t.cancel();
-        assert!(u.is_cancelled());
     }
 }

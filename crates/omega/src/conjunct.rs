@@ -444,8 +444,9 @@ impl Conjunct {
     ///
     /// # Errors
     ///
-    /// Returns the budget/cancellation error when the thread's governor
-    /// refuses the operation or any operation inside the decision.
+    /// Returns the governor's refusal (a spent budget or an injected fault)
+    /// when the thread's governor refuses the operation or any operation
+    /// inside the decision.
     pub fn try_is_satisfiable(&self) -> Result<bool, OmegaError> {
         Context::current().cached_sat_strict(self, || self.sat_uncached())
     }
@@ -455,7 +456,7 @@ impl Conjunct {
     /// Fourier–Motzkin steps project, and an inexact step asks its dark
     /// and real shadows first and splinters only when they disagree.
     ///
-    /// `Err` is a governor refusal (budget, cancellation, injected fault)
+    /// `Err` is a governor refusal (spent budget or injected fault)
     /// somewhere inside the decision: no verdict was reached, and the
     /// caller must not memoize one. Coefficient overflow and the fuel cap
     /// are properties of the conjunct and answer a conservative
@@ -630,9 +631,9 @@ impl Conjunct {
     ///
     /// Returns [`OmegaError::Overflow`] if a Fourier–Motzkin combination,
     /// dark-shadow gap, or splinter bound overflows `i64` (memoized like a
-    /// success, so a retried elimination stays cheap), and the
-    /// budget/cancellation error when the thread's governor refuses the
-    /// operation: a projection has no conservative answer to fall back on.
+    /// success, so a retried elimination stays cheap), and the governor's
+    /// refusal when the thread's governor refuses the operation: a
+    /// projection has no conservative answer to fall back on.
     pub fn eliminate_exact(&self, v: Var) -> Result<Vec<Conjunct>, OmegaError> {
         Context::current().cached_eliminate(self, v, || self.eliminate_uncached(v))
     }

@@ -1,7 +1,10 @@
 //! Deterministic, seeded fault injection for chaos testing.
 //!
-//! An [`InjectPlan`] armed on a [`Context`](crate::Context) via
-//! [`Context::set_inject`](crate::Context::set_inject) fires a configured
+//! An [`InjectPlan`] belongs to one request: it rides on that request's
+//! [`RequestGovernor`](crate::RequestGovernor) (see
+//! [`RequestGovernor::new`](crate::RequestGovernor::new)), so it fires
+//! only on the threads armed with that governor, never in another request
+//! that shares the [`Context`](crate::Context). It fires a configured
 //! [`FaultAction`] at named sites: the five memoized Omega operations
 //! (`"sat"`, `"eliminate"`, `"negate"`, `"gist"`, `"simplify"`) plus any
 //! site the host compiler registers through
@@ -58,7 +61,7 @@ impl InjectPlan {
     }
 
     /// Pure decision function: should the `count`-th arrival at `site`
-    /// fire? (`count` is 0-based and tracked per site by the context.)
+    /// fire? (`count` is 0-based and tracked per site by the governor.)
     pub fn should_fire(&self, site: &str, count: u64) -> bool {
         if let Some(only) = self.site {
             if only != site {

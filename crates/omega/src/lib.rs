@@ -39,7 +39,6 @@
 #![warn(missing_docs)]
 
 pub mod budget;
-pub mod builder;
 pub mod conjunct;
 pub mod context;
 pub mod display;
@@ -54,8 +53,7 @@ pub mod set;
 pub mod testing;
 pub mod var;
 
-pub use budget::{Budget, CancelToken, GovernorStats, RequestGovernor, RequestGovernorGuard};
-pub use builder::{RelationBuilder, SetBuilder};
+pub use budget::{Budget, GovernorStats, RequestGovernor, RequestGovernorGuard};
 pub use conjunct::{Conjunct, Normalized};
 pub use context::{
     governor_grace, CacheStats, Context, ContextGuard, GraceGuard, OpCounts, DEFAULT_CACHE_CAP,
@@ -73,7 +71,7 @@ use std::fmt;
 /// Errors reported by set operations and fallible constructors.
 ///
 /// Every fallible public entry point of this crate — parsing, enumeration,
-/// exact negation, builder construction — reports through this one enum,
+/// exact negation, projection — reports through this one enum,
 /// so malformed input surfaces as an `Err`, never a panic.
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
@@ -97,9 +95,6 @@ pub enum OmegaError {
     /// (deadline passed or op fuel spent); the payload names the resource.
     /// The driver treats this like inexactness: degrade, don't die.
     BudgetExceeded(&'static str),
-    /// The [`CancelToken`] of the armed governor was tripped. Unlike budget
-    /// exhaustion this is never degraded — the compilation aborts.
-    Cancelled,
 }
 
 /// Stable, machine-readable error codes shared by every error surface in
@@ -109,8 +104,9 @@ pub enum OmegaError {
 ///
 /// The string form ([`ErrorCode::as_str`]) is the wire contract: it is
 /// what `dhpf-serve` serializes in error responses and what tests assert
-/// on, replacing fragile string-matching against `Display` output. Codes
-/// are append-only; an existing code never changes meaning or spelling.
+/// on, replacing fragile string-matching against `Display` output. An
+/// existing code never changes meaning or spelling; a code that nothing
+/// can produce any more is removed, not kept as a dead spelling.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum ErrorCode {
@@ -132,8 +128,6 @@ pub enum ErrorCode {
     Arity,
     /// The compile budget (deadline/fuel) was exhausted (`E_BUDGET`).
     Budget,
-    /// The compilation was cancelled (`E_CANCELLED`).
-    Cancelled,
     /// A contained panic / internal invariant failure (`E_INTERNAL`).
     Internal,
     /// A malformed request at the wire-protocol layer (`E_PROTOCOL`).
@@ -154,7 +148,6 @@ impl ErrorCode {
         ErrorCode::Unbounded,
         ErrorCode::Arity,
         ErrorCode::Budget,
-        ErrorCode::Cancelled,
         ErrorCode::Internal,
         ErrorCode::Protocol,
     ];
@@ -171,7 +164,6 @@ impl ErrorCode {
             ErrorCode::Unbounded => "E_UNBOUNDED",
             ErrorCode::Arity => "E_ARITY",
             ErrorCode::Budget => "E_BUDGET",
-            ErrorCode::Cancelled => "E_CANCELLED",
             ErrorCode::Internal => "E_INTERNAL",
             ErrorCode::Protocol => "E_PROTOCOL",
         }
@@ -190,7 +182,6 @@ impl ErrorCode {
             "E_UNBOUNDED" => ErrorCode::Unbounded,
             "E_ARITY" => ErrorCode::Arity,
             "E_BUDGET" => ErrorCode::Budget,
-            "E_CANCELLED" => ErrorCode::Cancelled,
             "E_INTERNAL" => ErrorCode::Internal,
             "E_PROTOCOL" => ErrorCode::Protocol,
             _ => return None,
@@ -214,7 +205,6 @@ impl OmegaError {
             OmegaError::Overflow(_) => ErrorCode::Overflow,
             OmegaError::Arity(_) => ErrorCode::Arity,
             OmegaError::BudgetExceeded(_) => ErrorCode::Budget,
-            OmegaError::Cancelled => ErrorCode::Cancelled,
         }
     }
 }
@@ -230,7 +220,6 @@ impl fmt::Display for OmegaError {
             OmegaError::Overflow(op) => write!(f, "integer overflow in {op}"),
             OmegaError::Arity(op) => write!(f, "{op} requires a 1-D set"),
             OmegaError::BudgetExceeded(what) => write!(f, "compile budget exceeded: {what}"),
-            OmegaError::Cancelled => write!(f, "compilation cancelled"),
         }
     }
 }

@@ -8,6 +8,13 @@ use crate::var::Var;
 use crate::OmegaError;
 use std::collections::BTreeMap;
 
+/// Conjunct pieces an exact negation may produce before it is declared
+/// inexact.
+const MAX_NEGATION_PIECES: usize = 10_000;
+
+/// Iterations of the stride-form rewrite inside exact negation.
+const STRIDE_FUEL: u32 = 500;
+
 /// Negates a conjunct exactly, returning the disjunction of conjuncts whose
 /// union is the complement.
 ///
@@ -50,13 +57,10 @@ fn negate_uncached(c: &Conjunct) -> Result<Vec<Conjunct>, OmegaError> {
     // pieces with ~17 negation atoms each yield up to 17^k conjuncts), so
     // the accumulator carries a hard budget; blowing it means the exact
     // complement is too large to represent and the negation is inexact.
-    // The cap is per-request configurable via `Budget::max_negation_pieces`
-    // (default 10 000, the historical constant).
-    let limits = Context::current().limits();
     let mut acc: Vec<Conjunct> = vec![Conjunct::new()];
     for p in &stride_form {
         let negs = negate_stride_conjunct(p);
-        if acc.len().saturating_mul(negs.len()) > limits.max_negation_pieces {
+        if acc.len().saturating_mul(negs.len()) > MAX_NEGATION_PIECES {
             return Err(OmegaError::InexactNegation);
         }
         let mut next = Vec::new();
@@ -90,8 +94,7 @@ fn negate_uncached(c: &Conjunct) -> Result<Vec<Conjunct>, OmegaError> {
 pub fn to_stride_form(c: Conjunct) -> Result<Vec<Conjunct>, OmegaError> {
     let mut done = Vec::new();
     let mut work = vec![c];
-    // Per-request configurable via `Budget::stride_fuel` (default 500).
-    let mut fuel = Context::current().limits().stride_fuel;
+    let mut fuel = STRIDE_FUEL;
     while let Some(mut c) = work.pop() {
         if fuel == 0 {
             return Err(OmegaError::InexactNegation);

@@ -229,9 +229,8 @@ impl Relation {
     /// Returns [`OmegaError::InexactNegation`] when a conjunct of `other`
     /// has an existential that cannot be eliminated or expressed as a
     /// stride (see [`negate_conjunct`]; the constraint classes produced
-    /// by the dHPF analyses never trigger this), and the
-    /// budget/cancellation error when the thread's governor refuses a
-    /// negation.
+    /// by the dHPF analyses never trigger this), and the governor's
+    /// refusal when the thread's governor refuses a negation.
     ///
     /// # Panics
     ///
@@ -278,7 +277,8 @@ impl Relation {
     ///
     /// Eliminating the mid tuple is a projection, which has no conservative
     /// answer: returns what [`Conjunct::eliminate_exact`] returns — a
-    /// governor refusal (budget, cancellation) or a coefficient overflow.
+    /// governor refusal (spent budget or injected fault) or a coefficient
+    /// overflow.
     ///
     /// # Panics
     ///
@@ -584,10 +584,8 @@ impl Relation {
         // Subsumption is only an optimization: when the negation
         // shatters into too many pieces (stride-heavy conjuncts can
         // produce thousands), checking them all costs far more than
-        // keeping the extra conjunct. Skip those pairs. The cap is
-        // per-request configurable via
-        // `Budget::subsume_negation_pieces` (default 64).
-        let max_neg_pieces = Context::current().limits().subsume_negation_pieces;
+        // keeping the extra conjunct. Skip those pairs.
+        const MAX_NEG_PIECES: usize = 64;
         for i in 0..self.conjuncts.len() {
             if !keep[i] {
                 continue;
@@ -597,7 +595,7 @@ impl Relation {
                     continue;
                 }
                 if let Ok(negs) = negate_conjunct(&self.conjuncts[j]) {
-                    if negs.len() > max_neg_pieces {
+                    if negs.len() > MAX_NEG_PIECES {
                         continue;
                     }
                     let ci = &self.conjuncts[i];

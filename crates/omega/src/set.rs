@@ -328,8 +328,8 @@ impl Set {
     /// # Errors
     ///
     /// Returns [`OmegaError::Arity`] if the arity is not 1, and the
-    /// budget/cancellation error when the thread's governor refuses the
-    /// emptiness test: a refused test proves nothing either way.
+    /// governor's refusal when the thread's governor refuses the emptiness
+    /// test: a refused test proves nothing either way.
     pub fn is_singleton_1d(&self) -> Result<bool, OmegaError> {
         if self.arity() != 1 {
             return Err(OmegaError::Arity("is_singleton_1d"));

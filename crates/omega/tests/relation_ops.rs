@@ -2,7 +2,7 @@
 //! parameter unification, restriction properties, gist laws, and the
 //! specific set shapes produced by HPF distributions.
 
-use dhpf_omega::{Budget, CancelToken, OmegaError, Relation, RequestGovernor, Set};
+use dhpf_omega::{Budget, OmegaError, Relation, RequestGovernor, Set};
 
 fn rel(s: &str) -> Relation {
     s.parse().unwrap()
@@ -151,7 +151,7 @@ fn symbolic_subset_depends_on_all_params() {
 }
 
 /// The refusal rule: while the thread's governor refuses — its op fuel
-/// already spent, or its token cancelled — every operation that reaches a
+/// already spent — every operation that reaches a
 /// projection or a negation returns the refusal as `Err`, and every
 /// operation with a sound fallback absorbs it into its conservative answer.
 #[test]
@@ -200,30 +200,19 @@ fn a_refused_operation_is_an_err_or_a_conservative_answer() {
     assert_eq!(simplified(&nested), 1);
     assert_eq!(gist(&bounded, &known), 1);
 
-    let cancelled = CancelToken::new();
-    cancelled.cancel();
-    let refusing = [
-        RequestGovernor::new(&Budget::new().op_fuel(0), None),
-        RequestGovernor::new(&Budget::new(), Some(cancelled)),
-    ];
-    for (governor, is_budget) in refusing.iter().zip([true, false]) {
-        let _armed = governor.arm_on_thread();
-        for (name, op) in &fallible {
-            let err = op().expect_err(name);
-            match is_budget {
-                true => assert!(
-                    matches!(err, OmegaError::BudgetExceeded(_)),
-                    "{name}: {err}"
-                ),
-                false => assert_eq!(err, OmegaError::Cancelled, "{name}"),
-            }
-        }
-        assert!(!even_and_odd.is_empty(), "emptiness degrades to maybe");
-        assert_eq!(simplified(&nested), 2, "simplify degrades to identity");
-        assert_eq!(
-            gist(&bounded, &known),
-            constraints(bounded.as_relation()),
-            "gist degrades to identity"
+    let _armed = RequestGovernor::new(&Budget::new().op_fuel(0), None).arm_on_thread();
+    for (name, op) in &fallible {
+        let err = op().expect_err(name);
+        assert!(
+            matches!(err, OmegaError::BudgetExceeded(_)),
+            "{name}: {err}"
         );
     }
+    assert!(!even_and_odd.is_empty(), "emptiness degrades to maybe");
+    assert_eq!(simplified(&nested), 2, "simplify degrades to identity");
+    assert_eq!(
+        gist(&bounded, &known),
+        constraints(bounded.as_relation()),
+        "gist degrades to identity"
+    );
 }

@@ -6,7 +6,7 @@
 
 use dhpf::core::{build_layouts, collect_statements, cp_map};
 use dhpf::hpf::{analyze, parse};
-use dhpf_omega::{Context, SetBuilder};
+use dhpf_omega::{Context, Set};
 
 const SRC: &str = "
 program fig2
@@ -40,11 +40,8 @@ fn main() -> Result<(), dhpf::omega::OmegaError> {
 
     println!("== Figure 2: primitive sets and mappings ==\n");
 
-    // proc, built with the fluent API (equivalently: "{[p] : ...}".parse()).
-    let proc = SetBuilder::new(1)
-        .names(["p"])
-        .constrain(|c| c.bounds(&c.dim(0), 0, 3))
-        .build();
+    // proc, 0-based.
+    let proc: Set = "{[p] : 0 <= p <= 3}".parse()?;
     println!("proc  = {proc}  (0-based in this implementation)\n");
     assert!(proc.contains(&[3], &[]) && !proc.contains(&[4], &[]));
 

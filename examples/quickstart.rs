@@ -10,7 +10,7 @@ use dhpf::core::{compile, CompileOptions};
 use dhpf::hpf::{analyze, parse};
 use dhpf::sim::{run_serial, simulate, MachineModel};
 use dhpf_codegen::emit_fortran;
-use dhpf_omega::{Context, Set, SetBuilder};
+use dhpf_omega::{Context, Set};
 use std::collections::HashMap;
 
 const SRC: &str = "
@@ -43,15 +43,9 @@ fn main() -> Result<(), dhpf::omega::OmegaError> {
     let ctx = Context::new();
     let armed = ctx.arm_on_thread();
 
-    // Sets can be parsed (with real errors, not panics) ...
-    let halo: Set = "{[i] : 1 <= i <= 2 || 99 <= i <= 100}"
-        .parse()
-        .expect("valid set syntax");
-    // ... or assembled with the fluent builder.
-    let interior = SetBuilder::new(1)
-        .names(["i"])
-        .constrain(|c| c.bounds(&c.dim(0), 3, 98))
-        .build();
+    // Sets are parsed from Omega syntax, with real errors, not panics.
+    let halo: Set = "{[i] : 1 <= i <= 2 || 99 <= i <= 100}".parse()?;
+    let interior: Set = "{[i] : 3 <= i <= 98}".parse()?;
     assert!(halo.intersection(&interior).is_empty());
 
     let layouts = build_layouts(&analysis);
