@@ -1,7 +1,7 @@
 //! Shared CLI flag parsing for the benchmark binaries.
 //!
-//! Every harness (`table1`, `figure7`, `oracle_fuzz`, `chaos`,
-//! `serve_bench`, …) accepts the same core flags with the same spelling
+//! The harnesses (`table1`, `figure7`, `oracle_fuzz`) accept the same
+//! core flags with the same spelling
 //! and semantics, parsed by [`common`]:
 //!
 //! - `--threads N` — compile on the parallel driver (default 1, the

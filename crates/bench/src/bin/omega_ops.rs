@@ -19,7 +19,7 @@ use dhpf_bench::args;
 use dhpf_obs::json::{Arr, Obj};
 use dhpf_omega::oracle::{gen_set, OracleConfig};
 use dhpf_omega::testing::Rng;
-use dhpf_omega::{ops, Conjunct, Context, Relation, Var};
+use dhpf_omega::{ops, Conjunct, Context, Relation, Request, Var};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -103,7 +103,7 @@ fn main() {
     let mut samples = Vec::new();
 
     samples.push(measure("negate", iters, || {
-        let _cold = Context::new().arm_on_thread();
+        let _cold = Request::new(&Context::new(), None, None).arm();
         let mut n = 0usize;
         for c in &conjuncts {
             if let Ok(pieces) = ops::negate_conjunct(c) {
@@ -114,7 +114,7 @@ fn main() {
     }));
 
     samples.push(measure("fme_eliminate", iters, || {
-        let _cold = Context::new().arm_on_thread();
+        let _cold = Request::new(&Context::new(), None, None).arm();
         let mut n = 0usize;
         for c in &conjuncts {
             if c.mentions(Var::In(0)) {
@@ -128,7 +128,7 @@ fn main() {
     }));
 
     samples.push(measure("gist", iters, || {
-        let _cold = Context::new().arm_on_thread();
+        let _cold = Request::new(&Context::new(), None, None).arm();
         let mut n = 0usize;
         for pair in conjuncts.chunks_exact(2) {
             let g = pair[0].gist_given(&pair[1]);
@@ -138,7 +138,7 @@ fn main() {
     }));
 
     samples.push(measure("semantic_subsume", iters, || {
-        let _cold = Context::new().arm_on_thread();
+        let _cold = Request::new(&Context::new(), None, None).arm();
         let mut n = 0usize;
         for u in &unions {
             let mut r = u.clone();
@@ -161,11 +161,11 @@ fn main() {
     // Satisfiability: cold pays canonicalize+intern+compute per conjunct,
     // warm pays canonicalize+lookup only.
     samples.push(measure("sat_cached_cold", iters, || {
-        let _cold = Context::new().arm_on_thread();
+        let _cold = Request::new(&Context::new(), None, None).arm();
         conjuncts.iter().filter(|c| c.is_satisfiable()).count()
     }));
 
-    let _warm = Context::new().arm_on_thread();
+    let _warm = Request::new(&Context::new(), None, None).arm();
     for c in &conjuncts {
         c.is_satisfiable();
     }

@@ -28,7 +28,7 @@
 
 use crate::cp::myid_set;
 use crate::layout::Layout;
-use dhpf_omega::{Conjunct, Context, LinExpr, OmegaError, Relation, Set, Var};
+use dhpf_omega::{Conjunct, LinExpr, OmegaError, Relation, Set, Var};
 
 /// One reference participating in a communication event: its `CPMap`
 /// (proc → loop) and `RefMap` (loop → data), both at the event's level.
@@ -97,7 +97,7 @@ pub fn comm_sets(
     writes: &[CommRef],
     layout: &Layout,
 ) -> Result<CommSets, OmegaError> {
-    Context::current().inject_check("comm_sets")?;
+    dhpf_omega::inject_check("comm_sets")?;
     let proc_rank = layout.proc_rank();
     let me = myid_set(proc_rank);
     let owned_by_m = layout.rel.apply(&me)?;
@@ -361,15 +361,16 @@ end
     fn conservative_sets_survive_a_tripped_budget() {
         let prog = parse(SHIFT).unwrap();
         let a = analyze(&prog.units[0]).unwrap();
-        let ctx = Context::new();
         let layouts = build_layouts(&a);
         let budget = dhpf_omega::Budget::new().op_fuel(0);
-        let armed = dhpf_omega::RequestGovernor::new(&budget, None).arm_on_thread();
+        let gov = dhpf_omega::RequestGovernor::new(&budget, None);
+        let ctx = dhpf_omega::Context::new();
+        let armed = dhpf_omega::Request::new(&ctx, Some(&gov), None).arm();
         // Trip the governor, then demand the fallback: it must still be
         // exact (grace scope), not merely non-panicking.
         let probe: Set = "{[i] : 1 <= i <= 2}".parse().unwrap();
         assert!(probe.subtract(&probe).is_err());
-        assert!(ctx.budget_tripped());
+        assert!(gov.tripped());
         let sets = conservative_comm_sets(&layouts["b"]).unwrap();
         // Membership checks go through governed satisfiability, which
         // degrades to "maybe" while tripped — drop the governor so the

@@ -23,7 +23,7 @@ use crate::spmd::{
 use dhpf_hpf::{analyze, parse, Analysis};
 use dhpf_obs::{Collector, SpanId};
 use dhpf_omega::{
-    Budget, CacheStats, Context, ErrorCode, GovernorStats, InjectPlan, RequestGovernor,
+    Budget, CacheStats, Context, ErrorCode, GovernorStats, InjectPlan, Request, RequestGovernor,
 };
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -405,33 +405,35 @@ pub fn compile(src: &str, opts: &CompileOptions) -> Result<Compiled, CompileErro
 }
 
 fn compile_impl(ctx: &Context, src: &str, opts: &CompileOptions) -> Result<Compiled, CompileError> {
-    // Every set operation of the request runs in its context, armed on
-    // this thread (and re-armed on workers) like the governor and the
-    // collector below.
-    let _context = ctx.arm_on_thread();
-    // Set-op samples go to the collector armed on this thread (and re-armed
-    // on workers): a traced request records its own, on any context.
-    let _sampling = opts.trace.as_ref().map(Collector::arm_on_thread);
     // The budget and the fault plan are enforced by a *request-scoped*
-    // governor armed on this thread (and re-armed on every worker thread):
-    // a long-lived serving context compiles many concurrent requests, and
-    // none of them may trip or fault another.
+    // governor, not by the context: a long-lived serving context compiles
+    // many concurrent requests, and none of them may trip or fault another.
     let governed = opts.budget != Budget::default() || opts.inject.is_some();
     let scoped = governed.then(|| RequestGovernor::new(&opts.budget, opts.inject.clone()));
-    let _armed = scoped.as_ref().map(RequestGovernor::arm_on_thread);
+    // Every set operation of the request runs in its context, charges its
+    // governor and samples into its collector: all three are armed on this
+    // thread here, and re-armed together on every task (`Tasks::run`).
+    let request = Request::new(ctx, scoped.as_ref(), opts.trace.as_ref());
+    let _armed = request.arm();
     // The isolation boundary: a panic anywhere in the pipeline (organic or
     // injected) becomes a typed `CompileError::Internal` instead of
     // unwinding into the caller. Nest and assembly tasks are additionally
     // caught one by one (`Tasks::run`), so one bad nest cannot take down
     // siblings; this outer catch covers the orchestration code itself.
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        compile_inner(ctx, src, opts)
+    let mut compiled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        compile_inner(ctx, &request, src, opts)
     }))
-    .unwrap_or_else(|payload| Err(CompileError::Internal(panic_message(payload))))
+    .unwrap_or_else(|payload| Err(CompileError::Internal(panic_message(payload))))?;
+    if let Some(g) = &scoped {
+        compiled.report.governor = g.stats();
+        compiled.report.injected_faults = g.injected_faults();
+    }
+    Ok(compiled)
 }
 
 fn compile_inner(
     ctx: &Context,
+    request: &Request,
     src: &str,
     opts: &CompileOptions,
 ) -> Result<Compiled, CompileError> {
@@ -455,15 +457,12 @@ fn compile_inner(
     let main_idx = prog.units.iter().position(|u| u.is_program).unwrap_or(0);
     let (program, stats) = {
         let phase = obs.guard("module compilation", "phase");
-        compile_units(ctx, &analyses, main_idx, opts, &obs, phase.id())
+        compile_units(request, &analyses, main_idx, opts, &obs, phase.id())
     }?;
     // Generated code is simplified during synthesis; this phase is kept as
     // a named row for Table 1 parity.
     obs.span("opt of generated code", "phase", || {});
     let cache = ctx.stats();
-    // Read while still armed: `compile_impl` disarms after we return.
-    let governor = ctx.governor_stats();
-    let injected_faults = RequestGovernor::current().map_or(0, |g| g.injected_faults());
     let id = root.id();
     obs.counter_on(id, "units", units as i64);
     obs.counter_on(id, "comm events", stats.comm_events as i64);
@@ -481,8 +480,8 @@ fn compile_inner(
             stats,
             units,
             cache,
-            governor,
-            injected_faults,
+            governor: GovernorStats::default(),
+            injected_faults: 0,
         },
     })
 }
@@ -498,14 +497,11 @@ struct PlannedUnit<'a> {
 
 /// What every task of the "module compilation" phase runs under.
 struct Tasks<'a> {
-    ctx: &'a Context,
-    /// The caller's request governor and sampling collector, re-armed with
-    /// the request's context on whichever thread runs a task: workers
+    /// The request, re-armed on whichever thread runs a task: workers
     /// memoize into the same arena, spend from the same fuel pool, observe
     /// the same deadline, advance the same fault plan and sample into the
     /// same trace.
-    governor: Option<RequestGovernor>,
-    sampling: Option<Collector>,
+    request: &'a Request,
     obs: &'a Collector,
     module: SpanId,
 }
@@ -520,9 +516,7 @@ impl Tasks<'_> {
         name: &str,
         body: impl FnOnce() -> Result<T, CompileError>,
     ) -> Result<T, CompileError> {
-        let _context = self.ctx.arm_on_thread();
-        let _gov = self.governor.as_ref().map(RequestGovernor::arm_on_thread);
-        let _sampling = self.sampling.as_ref().map(Collector::arm_on_thread);
+        let _armed = self.request.arm();
         let span = self.obs.guard_child_of(self.module, name, "task");
         self.obs.counter_on(span.id(), "task", id as i64);
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(body))
@@ -541,7 +535,7 @@ impl Tasks<'_> {
 /// on the schedule. Only the main unit's program is retained, matching
 /// how the paper reports whole-module times.
 fn compile_units(
-    ctx: &Context,
+    request: &Request,
     analyses: &[Analysis],
     main_idx: usize,
     opts: &CompileOptions,
@@ -567,9 +561,7 @@ fn compile_units(
         .flat_map(|u| (0..u.plan.nests.len()).map(move |nest| (u, nest)))
         .collect();
     let tasks = Tasks {
-        ctx,
-        governor: RequestGovernor::current(),
-        sampling: Collector::current(),
+        request,
         obs,
         module,
     };

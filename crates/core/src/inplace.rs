@@ -296,7 +296,7 @@ mod tests {
     /// Set operations (memo hits and misses) run on this thread while `f` runs.
     fn ops_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
         let ctx = dhpf_omega::Context::new();
-        let _c = ctx.arm_on_thread();
+        let _c = dhpf_omega::Request::new(&ctx, None, None).arm();
         let count = || {
             let s = ctx.stats();
             s.total_hits() + s.total_misses()

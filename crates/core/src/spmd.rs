@@ -747,7 +747,7 @@ pub(crate) fn build_nest(
 
 fn nest_ladder(synth: &mut Synth, body: &[Stmt]) -> Result<NestItem, CompileError> {
     // An injected nest fault counts as the exact attempt failing.
-    let attempt = match dhpf_omega::Context::current().inject_check("nest") {
+    let attempt = match dhpf_omega::inject_check("nest") {
         Ok(()) => build_nest_exact(synth, body),
         Err(e) => Err(e.into()),
     };

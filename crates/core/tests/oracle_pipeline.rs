@@ -16,7 +16,7 @@ use dhpf_core::{
 };
 use dhpf_hpf::{analyze, parse};
 use dhpf_omega::testing::Rng;
-use dhpf_omega::Context;
+use dhpf_omega::{Context, Request};
 
 /// One random 1-D block-distributed program: `a(i) = b(i + off)` over a
 /// loop range chosen so all accesses stay in bounds.
@@ -113,7 +113,7 @@ fn check_case(case: &Case, seed: u64) {
 
     // Invariant 4: the memo tables change nothing. Everything above ran on
     // the thread's context, warm from earlier cases; rerun on a fresh one.
-    let _fresh = Context::new().arm_on_thread();
+    let _fresh = Request::new(&Context::new(), None, None).arm();
     let cp_c = cp_map(stmt, &layouts).unwrap();
     let refs_c: Vec<CommRef> = stmt
         .reads

@@ -15,7 +15,7 @@ use dhpf_core::{
     split_sets, CommRef, CompileOptions, CompileRequest,
 };
 use dhpf_hpf::{analyze, parse};
-use dhpf_omega::Context;
+use dhpf_omega::{Context, Request};
 
 /// Several independent top-level nests plus a serial time loop with two
 /// nests inside — enough parallel structure for the nest tasks to run out
@@ -281,7 +281,7 @@ end
     let layouts = build_layouts(&a);
     let stmts = collect_statements(&a);
     let stmt = &stmts[0];
-    let warmed = ctx.arm_on_thread();
+    let warmed = Request::new(&ctx, None, None).arm();
 
     let cp = cp_map(stmt, &layouts).unwrap();
     probes::cp_partition(&cp, &stmt.ctx.iteration_set(), p).unwrap();
@@ -311,7 +311,7 @@ end
     }
     drop(warmed);
 
-    let _fresh = Context::new().arm_on_thread();
+    let _fresh = Request::new(&Context::new(), None, None).arm();
     let cp_f = cp_map(stmt, &layouts).unwrap();
     let refs_f: Vec<CommRef> = stmt
         .reads

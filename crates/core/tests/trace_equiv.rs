@@ -9,7 +9,7 @@
 
 use dhpf_core::{compile, compile_request, CompileOptions, CompileRequest};
 use dhpf_obs::{Collector, Trace};
-use dhpf_omega::{Context, Set};
+use dhpf_omega::{Context, Request, Set};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 
@@ -199,7 +199,7 @@ fn contiguity_tests_are_sampled() {
 
     // The same on a set parsed outside any compile.
     let collector = Collector::new();
-    let _armed = collector.arm_on_thread();
+    let _armed = Request::new(&Context::new(), None, Some(&collector)).arm();
     let span = collector.begin(CONTIGUITY, "phase");
     let column: Set = "{[i] : 3 <= i <= 7}".parse().unwrap();
     assert!(column.is_convex_1d().unwrap());

@@ -27,10 +27,11 @@
 //! - **Observation equivalence**: recording never feeds back into any
 //!   computation; a compile with a collector attached must produce output
 //!   bit-identical to one without.
-//! - **Disabled-path cost**: producers gate on `Option<&Collector>` (or on
-//!   the collector armed on their thread, [`Collector::current`]), so a
-//!   pipeline without tracing pays at most one thread-local read per
-//!   candidate event.
+//! - **Disabled-path cost**: producers gate on `Option<&Collector>`, so a
+//!   pipeline without tracing pays one branch per candidate event. The
+//!   Omega set operations are handed no collector: they sample into the
+//!   one armed with their request (`dhpf_omega::Request`), and this crate
+//!   keeps no thread-local state of its own.
 //! - **Self-time vs cumulative time**: a span's duration includes its
 //!   children (like the paper's Table 1, where indented rows refine their
 //!   parents); [`Trace::self_ns`] subtracts the children explicitly so no
@@ -60,7 +61,6 @@ pub mod export;
 pub mod json;
 pub mod metrics;
 
-use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -263,12 +263,6 @@ struct Inner {
     state: Mutex<State>,
 }
 
-thread_local! {
-    /// The collector armed on the current thread (see
-    /// [`Collector::arm_on_thread`]).
-    static ARMED: RefCell<Option<Collector>> = const { RefCell::new(None) };
-}
-
 /// A shared handle to one span tree; clone freely (all clones record into
 /// the same tree). See the [module documentation](self).
 #[derive(Clone)]
@@ -306,29 +300,6 @@ impl Collector {
 
     fn now_ns(&self) -> u64 {
         self.inner.epoch.elapsed().as_nanos() as u64
-    }
-
-    /// True if `self` and `other` record into one tree.
-    pub fn same_as(&self, other: &Collector) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
-    }
-
-    /// Arms this collector on the calling thread until the guard drops.
-    /// Producers that are not handed a collector (the Omega set
-    /// operations) record into [`Collector::current`], so their samples
-    /// follow the request running on the thread. Nested arming restores
-    /// the previous collector on drop.
-    #[must_use = "the collector is disarmed when the guard drops"]
-    pub fn arm_on_thread(&self) -> ArmedGuard {
-        ArmedGuard {
-            prev: ARMED.with(|a| a.borrow_mut().replace(self.clone())),
-        }
-    }
-
-    /// The collector armed on the calling thread, if any: one
-    /// thread-local read when none is.
-    pub fn current() -> Option<Collector> {
-        ARMED.with(|a| a.borrow().clone())
     }
 
     /// Opens a span as a child of the calling thread's innermost open span
@@ -572,18 +543,6 @@ impl SpanGuard {
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         self.collector.end(self.id);
-    }
-}
-
-/// RAII scope of [`Collector::arm_on_thread`]: restores the previously
-/// armed collector (or none) on drop.
-pub struct ArmedGuard {
-    prev: Option<Collector>,
-}
-
-impl Drop for ArmedGuard {
-    fn drop(&mut self) {
-        ARMED.with(|a| *a.borrow_mut() = self.prev.take());
     }
 }
 

@@ -3,11 +3,11 @@
 //! A [`Budget`] bounds what one compilation may spend inside the Omega
 //! substrate: wall-clock time and a fuel count of memoized set operations.
 //! A [`RequestGovernor`] carries it, together with an optional
-//! [`InjectPlan`], and is armed on the threads working for one request;
-//! every memoized operation of every [`Context`](crate::Context) those
-//! threads touch then charges it at entry. It is the only carrier of
-//! request state: a context holds none of it, so one request's budget or
-//! fault plan never reaches another request sharing the context.
+//! [`InjectPlan`]. It is armed as part of a [`Request`](crate::Request),
+//! in the one slot of each thread working for that request; every
+//! memoized operation those threads run then charges it at entry. A
+//! context holds no budget or plan, so one request's never reaches
+//! another request sharing the context.
 //!
 //! Every refusal is degradable: a spent budget or an injected fault means
 //! "stop spending, a conservative answer is fine", and the driver degrades
@@ -17,7 +17,6 @@
 
 use crate::inject::{FaultAction, InjectPlan};
 use crate::OmegaError;
-use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -87,36 +86,23 @@ struct GovernorInner {
     inject: Option<Injection>,
 }
 
-/// The governor: deadline, op fuel and fault plan for one request, scoped
-/// to the requesting thread (and any worker threads that re-arm it) rather
-/// than to a context.
+/// The governor: deadline, op fuel and fault plan for one request, armed
+/// with the request (see [`Request`](crate::Request)) rather than held by
+/// a context.
 ///
 /// This is what lets a long-lived serving context compile many concurrent
 /// requests, each under its *own* budget and plan: state held by the
 /// context would let one client's deadline or injected fault reach every
-/// in-flight compilation. The governor is `Arc`-shared — clone it into
-/// worker tasks and call [`arm_on_thread`](Self::arm_on_thread) there so
-/// every thread working on the request spends from one fuel pool, observes
-/// one deadline and advances one set of injection counters.
+/// in-flight compilation. The governor is `Arc`-shared: every thread that
+/// arms the request spends from one fuel pool, observes one deadline and
+/// advances one set of injection counters.
 ///
-/// The `dhpf-core` driver arms one whenever `CompileOptions` carries a
-/// budget or a fault-injection plan.
+/// The `dhpf-core` driver builds one whenever `CompileOptions` carries a
+/// budget or a fault-injection plan, and reads its [`stats`](Self::stats)
+/// and [`injected_faults`](Self::injected_faults) into the report.
 #[derive(Clone, Debug)]
 pub struct RequestGovernor {
     inner: Arc<GovernorInner>,
-}
-
-thread_local! {
-    /// The request governor armed on the current thread, if any. A fast
-    /// boolean gate keeps the unarmed `charge` path to one thread-local
-    /// read.
-    static REQ_GOV: RefCell<Option<RequestGovernor>> = const { RefCell::new(None) };
-    static REQ_GOV_ARMED: Cell<bool> = const { Cell::new(false) };
-}
-
-/// True if a request governor is armed on the current thread.
-pub(crate) fn request_governor_armed() -> bool {
-    REQ_GOV_ARMED.with(Cell::get)
 }
 
 impl RequestGovernor {
@@ -141,28 +127,6 @@ impl RequestGovernor {
                 }),
             }),
         }
-    }
-
-    /// The governor armed on the calling thread, if any. A worker pool
-    /// captures this on the submitting thread and re-arms it (via
-    /// [`arm_on_thread`](Self::arm_on_thread)) on each pool thread, so
-    /// every task of a request runs under that request's budget.
-    pub fn current() -> Option<RequestGovernor> {
-        if !request_governor_armed() {
-            return None;
-        }
-        REQ_GOV.with(|g| g.borrow().clone())
-    }
-
-    /// Arms this governor on the current thread until the guard drops.
-    /// Nested arming restores the previous governor on drop, so scopes
-    /// compose; the same governor may be armed on many threads at once
-    /// (they share fuel, deadline, injection counters and statistics).
-    #[must_use = "enforcement stops when the guard drops"]
-    pub fn arm_on_thread(&self) -> RequestGovernorGuard {
-        let prev = REQ_GOV.with(|g| g.borrow_mut().replace(self.clone()));
-        REQ_GOV_ARMED.with(|a| a.set(true));
-        RequestGovernorGuard { prev }
     }
 
     /// Charges one governed operation: spends fuel and checks the
@@ -259,22 +223,8 @@ impl RequestGovernor {
     }
 }
 
-/// RAII scope of [`RequestGovernor::arm_on_thread`]: restores the
-/// previously armed governor (or none) on drop.
-pub struct RequestGovernorGuard {
-    prev: Option<RequestGovernor>,
-}
-
-impl Drop for RequestGovernorGuard {
-    fn drop(&mut self) {
-        let prev = self.prev.take();
-        REQ_GOV_ARMED.with(|a| a.set(prev.is_some()));
-        REQ_GOV.with(|g| *g.borrow_mut() = prev);
-    }
-}
-
-/// Counters reported by [`Context::governor_stats`](crate::Context::governor_stats):
-/// how much work the governor saw and whether it tripped.
+/// Counters reported by [`RequestGovernor::stats`]: how much work the
+/// governor saw and whether it tripped.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GovernorStats {
     /// Memoized operations charged against the budget.

@@ -10,7 +10,7 @@
 //! inequality elimination via Fourier–Motzkin with the Omega test's dark
 //! shadow and splinter sets, so that projections remain exact over Z.
 
-use crate::context::Context;
+use crate::context::{self, with_request, Request};
 use crate::linexpr::LinExpr;
 use crate::num::{floor_div, modulo, try_mul, try_sub};
 use crate::var::Var;
@@ -422,8 +422,9 @@ impl Conjunct {
     ///
     /// This is the Omega test: equality elimination with coefficient
     /// reduction, then Fourier–Motzkin with dark shadow and splinters. The
-    /// result is memoized per distinct conjunct structure in
-    /// [`Context::current`], and the eliminations performed along the way
+    /// result is memoized per distinct conjunct structure in the context
+    /// armed on the calling thread (see [`Request`]), and the eliminations
+    /// performed along the way
     /// share its projection cache.
     ///
     /// This is the form for *analysis* callers, where "satisfiable" is the
@@ -448,7 +449,7 @@ impl Conjunct {
     /// when the thread's governor refuses the operation or any operation
     /// inside the decision.
     pub fn try_is_satisfiable(&self) -> Result<bool, OmegaError> {
-        Context::current().cached_sat_strict(self, || self.sat_uncached())
+        context::cached_sat_strict(self, || self.sat_uncached())
     }
 
     /// The Omega test as a *decision*: equalities are substituted away,
@@ -462,7 +463,7 @@ impl Conjunct {
     /// are properties of the conjunct and answer a conservative
     /// `Ok(true)` (sound for emptiness tests, which only trust `false`).
     fn sat_uncached(&self) -> Result<bool, OmegaError> {
-        match self.decide_sat() {
+        match with_request(|cx| self.decide_sat(cx)) {
             Err(OmegaError::Overflow(_)) => Ok(true),
             verdict => verdict,
         }
@@ -470,8 +471,7 @@ impl Conjunct {
 
     /// The work-list loop behind [`sat_uncached`](Self::sat_uncached);
     /// every error, overflow included, propagates.
-    fn decide_sat(&self) -> Result<bool, OmegaError> {
-        let cx = Context::current();
+    fn decide_sat(&self, cx: &Request) -> Result<bool, OmegaError> {
         let mut work = vec![self.clone()];
         let mut fuel: u64 = 200_000;
         while let Some(mut c) = work.pop() {
@@ -499,12 +499,12 @@ impl Conjunct {
                     work.push(c);
                 }
                 SatStep::DropOneSided(v) => {
-                    c.drop_one_sided(v, &cx)?;
+                    c.drop_one_sided(v, cx)?;
                     work.push(c);
                 }
                 SatStep::Project(v) => work.extend(c.eliminate_exact(v)?),
                 SatStep::Shadows(v) => {
-                    let (bounds, real, dark) = c.shadows_on(v, &cx)?;
+                    let (bounds, real, dark) = c.shadows_on(v, cx)?;
                     // A point of the dark shadow extends to an integer
                     // `v`; no point of the real shadow extends to any.
                     // Only between the two do the splinters decide, and
@@ -563,7 +563,7 @@ impl Conjunct {
     /// side only: projecting it away deletes its inequalities and forms no
     /// combination, so nothing is interned or memoized — the step is only
     /// charged and sampled.
-    fn drop_one_sided(&mut self, v: Var, cx: &Context) -> Result<(), OmegaError> {
+    fn drop_one_sided(&mut self, v: Var, cx: &Request) -> Result<(), OmegaError> {
         let _op = cx.one_sided_drop(self)?;
         self.norm = false; // removal can orphan the trailing-exist trim
         self.geqs.retain(|e| e.coeff(v) == 0);
@@ -576,7 +576,7 @@ impl Conjunct {
     fn shadows_on(
         self,
         v: Var,
-        cx: &Context,
+        cx: &Request,
     ) -> Result<(BoundsOn, Conjunct, Conjunct), OmegaError> {
         let _op = cx.shadow_step(&self)?;
         let bounds = self.split_bounds(v);
@@ -625,7 +625,7 @@ impl Conjunct {
     /// integer solutions project precisely onto the solutions of `self`
     /// with `v` removed. Tuple/parameter variables eliminated through
     /// congruences are replaced by fresh existentials. The projection is
-    /// memoized per `(conjunct, var)` pair in [`Context::current`].
+    /// memoized per `(conjunct, var)` pair in the armed context.
     ///
     /// # Errors
     ///
@@ -635,7 +635,7 @@ impl Conjunct {
     /// refusal when the thread's governor refuses the operation: a
     /// projection has no conservative answer to fall back on.
     pub fn eliminate_exact(&self, v: Var) -> Result<Vec<Conjunct>, OmegaError> {
-        Context::current().cached_eliminate(self, v, || self.eliminate_uncached(v))
+        context::cached_eliminate(self, v, || self.eliminate_uncached(v))
     }
 
     fn eliminate_uncached(&self, v: Var) -> Result<Vec<Conjunct>, OmegaError> {
@@ -787,10 +787,10 @@ impl Conjunct {
 
     /// Removes constraints that are implied by `context` (the *gist*
     /// operation): the result, conjoined with `context`, equals
-    /// `self ∧ context`. Memoized per `(self, context)` pair in
-    /// [`Context::current`].
+    /// `self ∧ context`. Memoized per `(self, context)` pair in the armed
+    /// context.
     pub fn gist_given(&self, context: &Conjunct) -> Conjunct {
-        Context::current().cached_gist(self, context, || self.gist_uncached(context))
+        context::cached_gist(self, context, || self.gist_uncached(context))
     }
 
     fn gist_uncached(&self, context: &Conjunct) -> Conjunct {

@@ -3,12 +3,12 @@
 //! An [`InjectPlan`] belongs to one request: it rides on that request's
 //! [`RequestGovernor`](crate::RequestGovernor) (see
 //! [`RequestGovernor::new`](crate::RequestGovernor::new)), so it fires
-//! only on the threads armed with that governor, never in another request
+//! only on the threads that armed that request, never in another request
 //! that shares the [`Context`](crate::Context). It fires a configured
 //! [`FaultAction`] at named sites: the five memoized Omega operations
 //! (`"sat"`, `"eliminate"`, `"negate"`, `"gist"`, `"simplify"`) plus any
 //! site the host compiler registers through
-//! [`Context::inject_check`](crate::Context::inject_check) (the dHPF
+//! [`inject_check`](crate::inject_check) (the dHPF
 //! driver registers `"comm_sets"` and `"nest"`).
 //!
 //! Decisions are a pure function of `(seed, site, per-site hit count)`, so

@@ -53,10 +53,11 @@ pub mod set;
 pub mod testing;
 pub mod var;
 
-pub use budget::{Budget, GovernorStats, RequestGovernor, RequestGovernorGuard};
+pub use budget::{Budget, GovernorStats, RequestGovernor};
 pub use conjunct::{Conjunct, Normalized};
 pub use context::{
-    governor_grace, CacheStats, Context, ContextGuard, GraceGuard, OpCounts, DEFAULT_CACHE_CAP,
+    governor_grace, inject_check, CacheStats, Context, GraceGuard, OpCounts, Request, RequestGuard,
+    DEFAULT_CACHE_CAP,
 };
 pub use inject::{FaultAction, InjectPlan};
 pub use linexpr::LinExpr;

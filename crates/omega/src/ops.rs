@@ -1,7 +1,7 @@
 //! Exact negation of conjuncts — the engine behind set difference.
 
 use crate::conjunct::{Conjunct, Normalized};
-use crate::context::Context;
+use crate::context;
 use crate::linexpr::LinExpr;
 use crate::num::gcd;
 use crate::var::Var;
@@ -31,9 +31,9 @@ const STRIDE_FUEL: u32 = 500;
 /// cannot be reduced to congruences.
 ///
 /// The negation is memoized per distinct conjunct structure in
-/// [`Context::current`].
+/// context armed on the calling thread (see [`Request`](crate::Request)).
 pub fn negate_conjunct(c: &Conjunct) -> Result<Vec<Conjunct>, OmegaError> {
-    Context::current().cached_negate(c, || negate_uncached(c))
+    context::cached_negate(c, || negate_uncached(c))
 }
 
 fn negate_uncached(c: &Conjunct) -> Result<Vec<Conjunct>, OmegaError> {

@@ -27,7 +27,7 @@ use crate::relation::Relation;
 use crate::set::Set;
 use crate::testing::Rng;
 use crate::var::Var;
-use crate::{Budget, Context, OmegaError, RequestGovernor};
+use crate::{Budget, Context, OmegaError, Request, RequestGovernor};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -1176,8 +1176,8 @@ fn check_inner(case: &Case, cfg: &OracleConfig) -> Result<Verdict, String> {
             let binds = a.bindings();
             let last = Var::In(a.dims() as u32 - 1);
             let (sa, sb) = (a.to_set()?, b.to_set()?);
-            let pipeline = |ctx: &Context| {
-                let _armed = ctx.arm_on_thread();
+            let pipeline = |ctx: &Context, governor: Option<&RequestGovernor>| {
+                let _armed = Request::new(ctx, governor, None).arm();
                 symmetric_difference(&sa, &sb).and_then(|d| {
                     let mut projected = Vec::new();
                     for c in d.as_relation().conjuncts() {
@@ -1187,15 +1187,12 @@ fn check_inner(case: &Case, cfg: &OracleConfig) -> Result<Verdict, String> {
                 })
             };
             let member = |ctx: &Context, d: &Set, w: &[i64]| {
-                let _armed = ctx.arm_on_thread();
+                let _armed = Request::new(ctx, None, None).arm();
                 d.contains(w, &binds)
             };
             let counted = RequestGovernor::new(&Budget::new(), None);
             let fresh_ctx = Context::new();
-            let fresh = {
-                let _armed = counted.arm_on_thread();
-                pipeline(&fresh_ctx)
-            };
+            let fresh = pipeline(&fresh_ctx, Some(&counted));
             let (fresh, fresh_projected) = match fresh {
                 Err(OmegaError::InexactNegation) => return Ok(Verdict::Skip("inexact negation")),
                 Err(OmegaError::Overflow(_)) => return Ok(Verdict::Skip("overflow")),
@@ -1205,13 +1202,10 @@ fn check_inner(case: &Case, cfg: &OracleConfig) -> Result<Verdict, String> {
             let ops = counted.stats().ops_charged;
             for fuel in (0..ops).step_by((ops / 16).max(1) as usize) {
                 let ctx = Context::new();
-                {
-                    let governor = RequestGovernor::new(&Budget::new().op_fuel(fuel), None);
-                    let _armed = governor.arm_on_thread();
-                    // Refused or degraded: either way it is not compared.
-                    let _ = pipeline(&ctx);
-                }
-                let (after, after_projected) = pipeline(&ctx)
+                let governor = RequestGovernor::new(&Budget::new().op_fuel(fuel), None);
+                // Refused or degraded: either way it is not compared.
+                let _ = pipeline(&ctx, Some(&governor));
+                let (after, after_projected) = pipeline(&ctx, None)
                     .map_err(|e| format!("fuel {fuel}: the rerun after the refusal failed: {e}"))?;
                 if after_projected != fresh_projected {
                     return Err(format!(
@@ -1272,7 +1266,7 @@ fn nonempty_by_projection(c: &Conjunct) -> Result<Option<bool>, OmegaError> {
 /// Runs `f` with a fresh context armed on the thread: what an operation
 /// computes with no memo entry to draw on.
 fn cold<T>(f: impl FnOnce() -> T) -> T {
-    let _armed = Context::new().arm_on_thread();
+    let _armed = Request::new(&Context::new(), None, None).arm();
     f()
 }
 

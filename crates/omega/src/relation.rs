@@ -1,7 +1,7 @@
 //! Relations: unions of [`Conjunct`]s mapping input tuples to output tuples.
 
 use crate::conjunct::{Conjunct, Normalized};
-use crate::context::Context;
+use crate::context;
 use crate::linexpr::LinExpr;
 use crate::ops::negate_conjunct;
 use crate::var::Var;
@@ -555,7 +555,7 @@ impl Relation {
     /// ~3x slower — smaller intermediate sets pay for the per-operation
     /// cost everywhere.
     pub fn simplify(&mut self) {
-        self.conjuncts = Context::current().cached_simplify(&self.conjuncts, || {
+        self.conjuncts = context::cached_simplify(&self.conjuncts, || {
             let mut scratch = self.clone();
             scratch.simplify_uncached();
             scratch.conjuncts

@@ -11,7 +11,7 @@
 
 use dhpf_omega::num::gcd;
 use dhpf_omega::testing::Rng;
-use dhpf_omega::{Conjunct, Context, LinExpr, Set, Var};
+use dhpf_omega::{Conjunct, Context, LinExpr, Request, Set, Var};
 
 const LO: i64 = -4;
 const HI: i64 = 8;
@@ -129,7 +129,7 @@ impl Memo<'_> {
             }
             Memo::Shared(ctx) => ctx,
         };
-        let _armed = ctx.arm_on_thread();
+        let _armed = Request::new(ctx, None, None).arm();
         op()
     }
 

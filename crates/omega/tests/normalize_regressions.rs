@@ -8,7 +8,7 @@
 //! copy, normalization is idempotent, and every trivially-false conjunct
 //! takes one structural shape.
 
-use dhpf_omega::{Conjunct, Context, LinExpr, Normalized, Var};
+use dhpf_omega::{Conjunct, Context, LinExpr, Normalized, Request, Var};
 
 fn iv(n: u32) -> Var {
     Var::In(n)
@@ -240,7 +240,7 @@ fn trailing_unused_existentials_are_trimmed() {
 /// cached answers must be the ones the fresh computation would give.
 #[test]
 fn memo_hits_across_spellings_stay_correct() {
-    let _armed = Context::new().arm_on_thread();
+    let _armed = Request::new(&Context::new(), None, None).arm();
 
     let mut scaled = Conjunct::new();
     scaled.add_geq(e(&[(iv(0), 3)], -6)); // 3x >= 6

@@ -2,7 +2,7 @@
 //! parameter unification, restriction properties, gist laws, and the
 //! specific set shapes produced by HPF distributions.
 
-use dhpf_omega::{Budget, OmegaError, Relation, RequestGovernor, Set};
+use dhpf_omega::{Budget, Context, OmegaError, Relation, Request, RequestGovernor, Set};
 
 fn rel(s: &str) -> Relation {
     s.parse().unwrap()
@@ -200,7 +200,8 @@ fn a_refused_operation_is_an_err_or_a_conservative_answer() {
     assert_eq!(simplified(&nested), 1);
     assert_eq!(gist(&bounded, &known), 1);
 
-    let _armed = RequestGovernor::new(&Budget::new().op_fuel(0), None).arm_on_thread();
+    let governor = RequestGovernor::new(&Budget::new().op_fuel(0), None);
+    let _armed = Request::new(&Context::new(), Some(&governor), None).arm();
     for (name, op) in &fallible {
         let err = op().expect_err(name);
         assert!(

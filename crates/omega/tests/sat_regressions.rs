@@ -9,7 +9,21 @@
 //! is pinned through the context's counters, where a shadow step shows as
 //! one `eliminate` miss and each shadow's sub-question as one `sat` lookup.
 
-use dhpf_omega::{negate_conjunct, Budget, Conjunct, Context, LinExpr, RequestGovernor, Set, Var};
+use dhpf_omega::{
+    negate_conjunct, Budget, Conjunct, Context, LinExpr, Request, RequestGovernor, RequestGuard,
+    Set, Var,
+};
+
+/// `ctx` armed alone on the calling thread.
+fn arm(ctx: &Context) -> RequestGuard {
+    Request::new(ctx, None, None).arm()
+}
+
+/// `ctx` armed under a governor that lets `fuel` operations through.
+fn arm_with_fuel(ctx: &Context, fuel: u64) -> RequestGuard {
+    let governor = RequestGovernor::new(&Budget::new().op_fuel(fuel), None);
+    Request::new(ctx, Some(&governor), None).arm()
+}
 
 const X: Var = Var::In(0);
 const Y: Var = Var::In(1);
@@ -49,7 +63,7 @@ fn decide(c: &Conjunct, expect: bool) -> (u64, u64) {
     assert_eq!(brute_force(c), expect, "brute force on {c:?}");
     assert_eq!(c.is_satisfiable(), expect, "thread's context on {c:?}");
     let ctx = Context::new();
-    let _armed = ctx.arm_on_thread();
+    let _armed = arm(&ctx);
     assert_eq!(c.is_satisfiable(), expect, "fresh context on {c:?}");
     let stats = ctx.stats();
     assert_eq!(c.try_is_satisfiable(), Ok(expect));
@@ -198,7 +212,7 @@ fn sole_bound_in_an_equality_still_gets_its_decision() {
     // Without the equality both are sole bounds, and no decision runs.
     let mut free = conjunct(&[], &[e(&[(X, 1)], 0), e(&[(Y, 1)], -3)]);
     let ctx = Context::new();
-    let _armed = ctx.arm_on_thread();
+    let _armed = arm(&ctx);
     free.remove_redundant();
     assert_eq!(free.geqs().len(), 2);
     assert_eq!(ctx.stats().sat.misses + ctx.stats().sat.hits, 0);
@@ -220,7 +234,7 @@ fn redundancy_tests_are_shared_across_unrelated_components() {
         conjunct(&[], &geqs)
     };
     let ctx = Context::new();
-    let _armed = ctx.arm_on_thread();
+    let _armed = arm(&ctx);
     let mut first = with_y(0, 5);
     first.remove_redundant();
     let before = ctx.stats();
@@ -322,7 +336,7 @@ fn remove_redundant_matches_the_parent_constraint_for_constraint() {
             dropped += c.geqs().len() - expect.len();
             let mut fresh = c.clone();
             {
-                let _armed = Context::new().arm_on_thread();
+                let _armed = arm(&Context::new());
                 fresh.remove_redundant();
             }
             c.remove_redundant();
@@ -340,19 +354,17 @@ fn remove_redundant_matches_the_parent_constraint_for_constraint() {
 fn governor_refusal_inside_a_decision_never_poisons_the_sat_memo() {
     for fuel in [0, 1, 2] {
         let ctx = Context::new();
-        let _cx = ctx.arm_on_thread();
+        let _cx = arm(&ctx);
         let s: Set = "{[i,j,k] : i+j+k >= 10 && 0 <= i <= 3 && 0 <= j <= 3 && 0 <= k <= 3}"
             .parse()
             .unwrap();
-        let armed = RequestGovernor::new(&Budget::new().op_fuel(fuel), None).arm_on_thread();
+        let gov = RequestGovernor::new(&Budget::new().op_fuel(fuel), None);
+        let armed = Request::new(&ctx, Some(&gov), None).arm();
         assert!(
             !s.is_empty(),
             "fuel {fuel}: a refusal degrades to non-empty"
         );
-        assert!(
-            ctx.budget_tripped(),
-            "fuel {fuel} must run out mid-decision"
-        );
+        assert!(gov.tripped(), "fuel {fuel} must run out mid-decision");
         let c = &s.as_relation().conjuncts()[0];
         assert!(c.try_is_satisfiable().is_err());
         drop(armed);
@@ -383,13 +395,14 @@ fn governor_refusal_inside_compute_never_poisons_eliminate_or_negate() {
         ],
     );
     let (eliminated, negated) = {
-        let _fresh = Context::new().arm_on_thread();
+        let _fresh = arm(&Context::new());
         (c.eliminate_exact(a).unwrap(), negate_conjunct(&c).unwrap())
     };
     let (mut inside_eliminate, mut inside_negate) = (0, 0);
     for fuel in 0..12 {
-        let _cx = Context::new().arm_on_thread();
-        let armed = RequestGovernor::new(&Budget::new().op_fuel(fuel), None).arm_on_thread();
+        let ctx = Context::new();
+        let _cx = arm(&ctx);
+        let armed = arm_with_fuel(&ctx, fuel);
         let refused = c.eliminate_exact(a).is_err();
         // Fuel 0 refuses the outer charge; anything later is nested.
         inside_eliminate += u32::from(refused && fuel > 0);
@@ -400,8 +413,9 @@ fn governor_refusal_inside_compute_never_poisons_eliminate_or_negate() {
             "eliminate after a refusal at fuel {fuel}"
         );
 
-        let _cx = Context::new().arm_on_thread();
-        let armed = RequestGovernor::new(&Budget::new().op_fuel(fuel), None).arm_on_thread();
+        let ctx = Context::new();
+        let _cx = arm(&ctx);
+        let armed = arm_with_fuel(&ctx, fuel);
         let refused = negate_conjunct(&c).is_err();
         inside_negate += u32::from(refused && fuel > 0);
         drop(armed);

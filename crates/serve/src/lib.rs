@@ -22,10 +22,10 @@
 //!    compiles, followers block on a condvar and fan out the shared
 //!    response with `coalesced: true`.
 //! 3. **Per-request governance** — each request's `deadline_ms`/`op_fuel`
-//!    arm a thread-scoped [`RequestGovernor`](dhpf_omega::RequestGovernor)
-//!    inside the driver, so one client's expired deadline never trips a
-//!    neighbour's compilation. `deadline_ms: 0` is rejected at admission
-//!    with `E_BUDGET` before any work happens.
+//!    become a [`RequestGovernor`](dhpf_omega::RequestGovernor) that the
+//!    driver arms with that request only, so one client's expired
+//!    deadline never trips a neighbour's compilation. `deadline_ms: 0` is
+//!    rejected at admission with `E_BUDGET` before any work happens.
 //! 4. **Observability** — a [`ServeMetrics`]
 //!    registry counts every request, error, coalesce role, degradation,
 //!    and governor trip, and samples warm/cold request latencies into

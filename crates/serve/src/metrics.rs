@@ -11,9 +11,9 @@
 //!
 //! The hot-path handles (request duration histograms, coalesce
 //! counters) are resolved once at construction; recording through them
-//! is lock-free. The `metrics-overhead` acceptance budget (≤2% on the
-//! warm serve path, measured by `serve_bench`) is the contract this
-//! module is held to.
+//! is lock-free. Their cost is inside every `serve_*` number of the perf
+//! ledger (`benchmarks/perf`, workload `serve_warm_mix`); it is not
+//! measured apart.
 
 use dhpf_core::CompileResponse;
 use dhpf_obs::metrics::{Counter, Gauge, Histogram, MetricsSnapshot, Registry};

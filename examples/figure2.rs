@@ -6,7 +6,7 @@
 
 use dhpf::core::{build_layouts, collect_statements, cp_map};
 use dhpf::hpf::{analyze, parse};
-use dhpf_omega::{Context, Set};
+use dhpf_omega::{Context, Request, Set};
 
 const SRC: &str = "
 program fig2
@@ -33,7 +33,7 @@ fn main() -> Result<(), dhpf::omega::OmegaError> {
     // One Omega context, armed on this thread: every set operation below
     // reuses its hash-consed conjuncts and memoized simplifications.
     let ctx = Context::new();
-    let _armed = ctx.arm_on_thread();
+    let _armed = Request::new(&ctx, None, None).arm();
     let layouts = build_layouts(&analysis);
     let stmts = collect_statements(&analysis);
     let s = &stmts[0];

@@ -10,7 +10,7 @@ use dhpf::core::{compile, CompileOptions};
 use dhpf::hpf::{analyze, parse};
 use dhpf::sim::{run_serial, simulate, MachineModel};
 use dhpf_codegen::emit_fortran;
-use dhpf_omega::{Context, Set};
+use dhpf_omega::{Context, Request, Set};
 use std::collections::HashMap;
 
 const SRC: &str = "
@@ -41,7 +41,7 @@ fn main() -> Result<(), dhpf::omega::OmegaError> {
     // are hash-consed and simplification / satisfiability results are
     // memoized there until the guard drops.
     let ctx = Context::new();
-    let armed = ctx.arm_on_thread();
+    let armed = Request::new(&ctx, None, None).arm();
 
     // Sets are parsed from Omega syntax, with real errors, not panics.
     let halo: Set = "{[i] : 1 <= i <= 2 || 99 <= i <= 100}".parse()?;
