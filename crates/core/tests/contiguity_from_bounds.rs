@@ -15,8 +15,14 @@
 //!
 //! The verdicts agree on `Contiguous` versus not. Where the reference is
 //! `NotContiguous`, or `Runtime` because it proved a fact (a hole or a
-//! second element that depends on parameters, or several conjuncts), the
-//! new verdict is the same variant.
+//! second element that depends on parameters, several conjuncts, or a set
+//! that is not the product of its projections), the new verdict is the
+//! same variant.
+//!
+//! The simulator's run-time test — consecutive column-major offsets — is
+//! in turn the oracle for both: on 1,000 parameter-free oracle sets
+//! clipped to a constant box, `Contiguous` must scan consecutive and
+//! `NotContiguous` must not.
 
 use dhpf_core::cp::slice_context;
 use dhpf_core::{
@@ -25,7 +31,7 @@ use dhpf_core::{
 use dhpf_hpf::{analyze, parse, Analysis};
 use dhpf_omega::oracle::{gen_set, OracleConfig};
 use dhpf_omega::testing::Rng;
-use dhpf_omega::Set;
+use dhpf_omega::{Relation, Set};
 use std::collections::{BTreeMap, HashSet};
 
 const JACOBI: &str = include_str!("../../../benchmarks/jacobi.hpf");
@@ -33,8 +39,30 @@ const TOMCATV: &str = include_str!("../../../benchmarks/tomcatv.hpf");
 const ERLEBACHER: &str = include_str!("../../../benchmarks/erlebacher.hpf");
 const SP: &str = include_str!("../../../benchmarks/sp.hpf");
 
+/// `comm` equals the product of its 1-D projections, by the equations:
+/// the product minus `comm` is empty. Returns the verdict on a set whose
+/// projections passed the per-dimension tests.
+fn equation_product(comm: &Set) -> Contiguity {
+    let n = comm.arity();
+    let names: Vec<String> = (0..n).map(|e| format!("x{e}")).collect();
+    let mut product = Set::universe(n);
+    for d in 0..n {
+        let cd = comm.project_onto(&[d]).unwrap();
+        let lift: Relation = format!("{{[{}] -> [y] : y = x{d}}}", names.join(","))
+            .parse()
+            .unwrap();
+        product = product.intersection(&lift.apply_inverse(&cd).unwrap());
+    }
+    match product.subtract(comm) {
+        Ok(rest) if rest.is_empty() => Contiguity::Contiguous,
+        Ok(_) => Contiguity::Runtime("not the product of its projections".to_string()),
+        Err(e) => Contiguity::Runtime(format!("product test inexact: {e}")),
+    }
+}
+
 /// The §3.3 test by the equations alone: `equal` for each span,
-/// `is_convex_1d` and `is_singleton_1d` for the rest.
+/// `is_convex_1d` and `is_singleton_1d` for the rest, and the set must be
+/// the product of its projections.
 fn equation_contiguity(comm: &Set, local: &Set) -> Contiguity {
     assert_eq!(comm.arity(), local.arity(), "contiguity: arity mismatch");
     let n = comm.arity();
@@ -61,7 +89,7 @@ fn equation_contiguity(comm: &Set, local: &Set) -> Contiguity {
         }
     }
     if k == n {
-        return Contiguity::Contiguous;
+        return equation_product(comm);
     }
     match comm.project_onto(&[k]).and_then(|ck| ck.is_convex_1d()) {
         Ok(true) => {}
@@ -95,7 +123,7 @@ fn equation_contiguity(comm: &Set, local: &Set) -> Contiguity {
             }
         }
     }
-    Contiguity::Contiguous
+    equation_product(comm)
 }
 
 /// True for a reference verdict that a set operation failed to reach.
@@ -282,5 +310,85 @@ fn oracle_sets_agree_with_the_equations() {
     assert!(
         contiguous > 100 && not > 100,
         "{contiguous} contiguous and {not} proven not of 600 oracle cases"
+    );
+}
+
+/// The box's points in column-major order: the first dimension varies
+/// fastest, so a point's index in this list is its memory offset.
+fn column_major_points(bounds: &[(i64, i64)]) -> Vec<Vec<i64>> {
+    let mut points = vec![Vec::new()];
+    for &(lo, hi) in bounds {
+        points = (lo..=hi)
+            .flat_map(|x| {
+                points.iter().map(move |p| {
+                    let mut q = p.clone();
+                    q.push(x);
+                    q
+                })
+            })
+            .collect();
+    }
+    points
+}
+
+/// The run-time test is the oracle for the compile-time one: on every
+/// parameter-free oracle set, clipped to a constant box as a message is to
+/// its array, `Contiguous` must give consecutive column-major offsets and
+/// `NotContiguous` on a non-empty set must not. The points are enumerated
+/// by the oracle's own evaluator, with no Omega machinery.
+#[test]
+fn oracle_sets_scan_like_their_verdicts() {
+    let mut rng = Rng::new(0x33_c1);
+    let single = OracleConfig {
+        max_conjuncts: 1,
+        max_params: 0,
+        ..OracleConfig::default()
+    };
+    let (mut contiguous, mut not) = (0usize, 0usize);
+    for case in 0..1000 {
+        let arity = 1 + (case % 3) as u32;
+        let form = gen_set(&mut rng, &single, arity);
+        let bounds: Vec<(i64, i64)> = (0..arity)
+            .map(|_| {
+                let lo = rng.range(-2, 4);
+                (lo, lo + rng.range(0, 4))
+            })
+            .collect();
+        let dims: Vec<String> = (0..arity).map(|d| format!("x{d}")).collect();
+        let cons: Vec<String> = bounds
+            .iter()
+            .zip(&dims)
+            .map(|((lo, hi), x)| format!("{lo} <= {x} <= {hi}"))
+            .collect();
+        let local: Set = format!("{{[{}] : {}}}", dims.join(","), cons.join(" && "))
+            .parse()
+            .unwrap();
+        let message = form.to_set().unwrap().intersection(&local);
+        let offsets: Vec<usize> = column_major_points(&bounds)
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| form.eval(p))
+            .map(|(off, _)| off)
+            .collect();
+        let consecutive = offsets
+            .first()
+            .zip(offsets.last())
+            .is_none_or(|(first, last)| last - first + 1 == offsets.len());
+        let what = format!("case {case}: {message} in {local}, offsets {offsets:?}");
+        match contiguity(&message, &local) {
+            Contiguity::Contiguous => {
+                assert!(consecutive, "{what}: proven contiguous");
+                contiguous += usize::from(!offsets.is_empty());
+            }
+            Contiguity::NotContiguous if !offsets.is_empty() => {
+                assert!(!consecutive, "{what}: proven not contiguous");
+                not += 1;
+            }
+            _ => {}
+        }
+    }
+    assert!(
+        contiguous >= 50 && not >= 50,
+        "{contiguous} contiguous and {not} proven not of 1000 oracle sets"
     );
 }

@@ -10,7 +10,9 @@
 ///   `t_send + alpha + b * beta`;
 /// - packing/unpacking a non-contiguous message costs
 ///   [`copy`](MachineModel::copy) per element on each side (in-place
-///   communication skips this);
+///   communication skips this). The §3.3 run-time test that decides it —
+///   the first and last of a message's sorted offsets — is integer work,
+///   like loop bounds, guards and partner loops, and is not charged;
 /// - an allreduce costs `2 * alpha * ceil(log2 P)` beyond synchronization.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MachineModel {
