@@ -1,22 +1,15 @@
-//! CI gate for the observability pipeline. Three modes:
+//! CI gate for the observability pipeline. Two modes:
 //!
 //! - **Trace** (default): compiles an HPF source with tracing enabled,
 //!   writes the trace in the format the extension implies, re-reads the
 //!   file, and validates it against the schema; then compiles it again at
 //!   `threads = 4` into a second collector and validates that stitched
 //!   parallel trace's Chrome export too.
-//! - **Metrics** (`--metrics FILE`): validates a Prometheus text
-//!   exposition (as scraped from `dhpf-serve`'s `metrics` op) — TYPE
-//!   declarations, counter non-negativity, bucket monotonicity — and
-//!   additionally asserts every `code` label on an error-counter family
-//!   is a known `E_*` spelling and every `op` label is in the serve
-//!   vocabulary.
 //! - **Access log** (`--access-log FILE`): validates a JSON-lines access
 //!   log written by `dhpf-serve --access-log`, including any embedded
 //!   span trees.
 //!
-//! Usage: `trace_lint [<file.hpf>] [--trace-out <path>]
-//!                    [--metrics <file>] [--access-log <file>]`
+//! Usage: `trace_lint [<file.hpf>] [--trace-out <path>] [--access-log <file>]`
 //!
 //! Defaults to `benchmarks/jacobi.hpf` (falling back to the embedded copy
 //! when run outside the repo) and a `trace_lint.json` file in the system
@@ -28,8 +21,7 @@
 use dhpf_bench::traceopt::TraceOut;
 use dhpf_core::{compile, CompileOptions, Compiled};
 use dhpf_obs::export::{
-    parse_series_key, to_chrome_trace, validate_access_log, validate_chrome_trace,
-    validate_json_lines, validate_metrics_text,
+    to_chrome_trace, validate_access_log, validate_chrome_trace, validate_json_lines,
 };
 use dhpf_obs::{Collector, Trace};
 use dhpf_omega::ErrorCode;
@@ -45,46 +37,6 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
         .position(|a| a == flag)
         .and_then(|i| args.get(i + 1))
         .cloned()
-}
-
-/// The `--metrics` mode: schema validation plus label-vocabulary checks
-/// the generic validator cannot know about.
-fn lint_metrics(path: &str) -> ! {
-    let text =
-        std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
-    let sum = validate_metrics_text(&text).unwrap_or_else(|e| fail(&format!("metrics: {e}")));
-    if sum.samples == 0 {
-        fail("metrics exposition has no samples");
-    }
-    for key in sum.counters.keys() {
-        let (name, labels) = parse_series_key(key);
-        for (k, v) in &labels {
-            if k == "code" && ErrorCode::parse(v).is_none() {
-                fail(&format!("{key}: unknown error code label {v:?}"));
-            }
-            if name == "dhpf_serve_requests_total"
-                && k == "op"
-                && !dhpf_serve::metrics::OPS.contains(&v.as_str())
-            {
-                fail(&format!("{key}: unknown op label {v:?}"));
-            }
-        }
-    }
-    // The full error vocabulary must be present (pre-registered at zero),
-    // so a dashboard can alert on any code without waiting for it.
-    for &code in ErrorCode::ALL {
-        let key = format!("dhpf_serve_errors_total{{code=\"{code}\"}}");
-        if !sum.counters.contains_key(&key) {
-            fail(&format!("error counter family missing {key}"));
-        }
-    }
-    println!(
-        "trace_lint: OK: metrics exposition valid ({} samples, {} counters, {} histograms)",
-        sum.samples,
-        sum.counters.len(),
-        sum.hist_counts.len()
-    );
-    std::process::exit(0);
 }
 
 /// The `--access-log` mode.
@@ -137,9 +89,6 @@ fn reconcile(what: &str, trace: &Trace, compiled: &Compiled) {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    if let Some(path) = flag_value(&args, "--metrics") {
-        lint_metrics(&path);
-    }
     if let Some(path) = flag_value(&args, "--access-log") {
         lint_access_log(&path);
     }

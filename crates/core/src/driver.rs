@@ -289,11 +289,10 @@ pub struct CompileResponse {
     pub comm_events: usize,
     /// Graceful degradations taken, in serial nest order (empty = exact).
     pub degradations: Vec<crate::spmd::Degradation>,
-    /// *Cumulative* cache counters of the serving context after this
-    /// request (a long-lived context accumulates across requests).
-    pub cache: CacheStats,
     /// Memo-cache hits gained during this request alone — nonzero on a
-    /// warm repeat even when the cumulative totals dwarf it.
+    /// warm repeat. The serving context's cumulative counters are not
+    /// part of a response: they describe the context, not the request
+    /// (read them off [`Context::stats`]).
     pub cache_hits_delta: u64,
     /// Governor counters observed by this request (zeros when ungoverned
     /// or failed before synthesis).
@@ -344,8 +343,7 @@ pub fn process_request(ctx: &Context, req: &CompileRequest) -> CompileResponse {
     let collector = opts.trace.clone().filter(|_| req.artifacts.trace);
     let result = compile_impl(ctx, &req.source, &opts);
     let compile_ms = u64::try_from(t0.elapsed().as_millis()).unwrap_or(u64::MAX);
-    let cache = ctx.stats();
-    let cache_hits_delta = cache.total_hits().saturating_sub(before_hits);
+    let cache_hits_delta = ctx.stats().total_hits().saturating_sub(before_hits);
     let trace = collector.map(|c| dhpf_obs::export::span_tree_json(&c.trace()));
     match result {
         Ok(c) => CompileResponse {
@@ -353,7 +351,6 @@ pub fn process_request(ctx: &Context, req: &CompileRequest) -> CompileResponse {
             units: c.report.units,
             comm_events: c.report.stats.comm_events,
             degradations: c.report.stats.degradations.clone(),
-            cache,
             cache_hits_delta,
             governor: c.report.governor,
             compile_ms,
@@ -379,7 +376,6 @@ pub fn process_request(ctx: &Context, req: &CompileRequest) -> CompileResponse {
             units: 0,
             comm_events: 0,
             degradations: Vec::new(),
-            cache,
             cache_hits_delta,
             governor: GovernorStats::default(),
             compile_ms,

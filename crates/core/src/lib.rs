@@ -38,7 +38,6 @@ pub mod ir;
 pub mod layout;
 mod parallel;
 pub mod phases;
-pub mod probes;
 pub mod render;
 pub mod split;
 pub mod spmd;

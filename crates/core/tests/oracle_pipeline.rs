@@ -3,14 +3,16 @@
 //! Generates small 1-D block-distributed HPF programs from a template,
 //! runs the real analysis pipeline (layouts → CP maps → communication
 //! sets → loop splitting), and checks paper-level invariants against
-//! exhaustive enumeration via the probes in `dhpf_core::probes`:
+//! exhaustive enumeration via the probes in `common/probes.rs`:
 //!
 //! - CP maps partition the loop range across processors,
 //! - Send/Recv communication maps are dual,
 //! - the Figure 4 sections partition each processor's iterations,
 //! - analyses on the thread's warm `Context` and on a fresh one agree.
 
-use dhpf_core::probes;
+#[path = "common/probes.rs"]
+mod probes;
+
 use dhpf_core::{
     build_layouts, collect_statements, comm_sets, cp_map, myid_set, split_sets, CommRef,
 };

@@ -5,11 +5,13 @@
 //! runs on the calling thread in source order), for single- and
 //! multi-unit files in any unit order; merged reports must reconcile;
 //! and the paper-level pipeline invariants (checked by
-//! `dhpf_core::probes`) must keep holding when the analyses run on a
+//! `common/probes.rs`) must keep holding when the analyses run on a
 //! shared sharded `Context` that worker threads are exercising
 //! concurrently.
 
-use dhpf_core::probes;
+#[path = "common/probes.rs"]
+mod probes;
+
 use dhpf_core::{
     build_layouts, collect_statements, comm_sets, compile, compile_request, cp_map, myid_set,
     split_sets, CommRef, CompileOptions, CompileRequest,

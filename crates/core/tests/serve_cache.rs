@@ -74,7 +74,7 @@ fn warm_process_request_reports_the_delta() {
         "warm request reported no per-request hit delta"
     );
     assert!(
-        warm.cache_hits_delta <= warm.cache.total_hits(),
+        warm.cache_hits_delta <= ctx.stats().total_hits(),
         "per-request delta exceeds the cumulative counter"
     );
 }

@@ -1,13 +1,13 @@
 //! Exporters: human-readable tree dump, JSON lines, Chrome `trace_event`
-//! JSON, single-line span trees for wire responses, and Prometheus-style
-//! metrics exposition — plus schema validators used by `trace_lint` and CI.
+//! JSON and single-line span trees for wire responses — plus schema
+//! validators for them and for the serve access log, used by `trace_lint`
+//! and CI.
 //!
 //! All emitters build their output by hand with a **fixed field order**, so
 //! golden-file tests can compare bytes (after redacting wall-clock values
 //! with [`chrome_trace_redacted`]).
 
 use crate::json::{self, Arr, Obj, Value};
-use crate::metrics::MetricsSnapshot;
 use crate::{OpStat, Trace};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -496,229 +496,6 @@ pub fn validate_span_tree(text: &str) -> Result<u64, String> {
     validate_span_tree_value(&v)
 }
 
-/// Renders a [`MetricsSnapshot`] in the Prometheus text exposition
-/// format: `# TYPE` comments, `name{labels} value` samples, histograms as
-/// cumulative `_bucket{le="…"}` series plus `_sum` and `_count`. Bucket
-/// `le` bounds are the histogram's **inclusive upper bucket edges**;
-/// series appear sorted by name then labels.
-pub fn render_metrics_text(snap: &MetricsSnapshot) -> String {
-    let mut out = String::new();
-    let mut last_type: Option<String> = None;
-    let mut type_line = |out: &mut String, name: &str, kind: &'static str| {
-        if last_type.as_deref() != Some(name) {
-            let _ = writeln!(out, "# TYPE {name} {kind}");
-            last_type = Some(name.to_string());
-        }
-    };
-    for s in &snap.counters {
-        type_line(&mut out, &s.id.name, "counter");
-        let _ = writeln!(out, "{} {}", s.id.render(), s.value);
-    }
-    for s in &snap.gauges {
-        type_line(&mut out, &s.id.name, "gauge");
-        let _ = writeln!(out, "{} {}", s.id.render(), s.value);
-    }
-    for (id, h) in &snap.histograms {
-        type_line(&mut out, &id.name, "histogram");
-        let with_label = |extra: &str| -> String {
-            let mut labels = String::new();
-            for (k, v) in &id.labels {
-                let _ = write!(labels, "{k}=\"{v}\",");
-            }
-            format!("{}_bucket{{{labels}{extra}}}", id.name)
-        };
-        for b in &h.buckets {
-            let _ = writeln!(out, "{} {}", with_label(&format!("le=\"{}\"", b.hi)), b.cum);
-        }
-        let _ = writeln!(out, "{} {}", with_label("le=\"+Inf\""), h.count);
-        let suffix = |s: &str| {
-            let mut id2 = id.clone();
-            id2.name.push_str(s);
-            id2.render()
-        };
-        let _ = writeln!(out, "{} {}", suffix("_sum"), h.sum);
-        let _ = writeln!(out, "{} {}", suffix("_count"), h.count);
-    }
-    out
-}
-
-/// What [`validate_metrics_text`] extracted: scalar samples keyed by
-/// their rendered series (`name{labels}`), histogram counts keyed the
-/// same way, and the total number of sample lines.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct MetricsSummary {
-    /// Counter samples by rendered series id.
-    pub counters: BTreeMap<String, f64>,
-    /// Gauge samples by rendered series id.
-    pub gauges: BTreeMap<String, f64>,
-    /// Histogram total counts (`+Inf` bucket) by rendered series id.
-    pub hist_counts: BTreeMap<String, u64>,
-    /// Total sample lines seen.
-    pub samples: u64,
-}
-
-/// Splits a `name{k="v",…}` sample key into the metric name and label
-/// pairs. Used by lint tools to inspect label values (e.g. asserting
-/// every `code` label is a known `E_*` error code).
-pub fn parse_series_key(key: &str) -> (String, Vec<(String, String)>) {
-    match key.split_once('{') {
-        None => (key.to_string(), Vec::new()),
-        Some((name, rest)) => {
-            let rest = rest.trim_end_matches('}');
-            let mut labels = Vec::new();
-            for pair in rest.split(',').filter(|p| !p.is_empty()) {
-                if let Some((k, v)) = pair.split_once('=') {
-                    labels.push((k.to_string(), v.trim_matches('"').to_string()));
-                }
-            }
-            (name.to_string(), labels)
-        }
-    }
-}
-
-fn parse_sample_line(line: &str) -> Result<(String, f64), String> {
-    let (key, value) = line
-        .rsplit_once(' ')
-        .ok_or_else(|| format!("malformed sample line {line:?}"))?;
-    let value: f64 = value
-        .parse()
-        .map_err(|_| format!("bad sample value in {line:?}"))?;
-    Ok((key.to_string(), value))
-}
-
-/// Validates a Prometheus text exposition produced by
-/// [`render_metrics_text`]: every sample's metric must be declared in a
-/// `# TYPE` comment; counter and histogram samples must be non-negative
-/// and finite; each histogram series' bucket `le` bounds must be
-/// strictly increasing with non-decreasing cumulative counts, ending in
-/// `+Inf` whose count equals the series' `_count` sample.
-///
-/// # Errors
-///
-/// Returns a description of the first schema violation.
-pub fn validate_metrics_text(text: &str) -> Result<MetricsSummary, String> {
-    let mut types: BTreeMap<String, String> = BTreeMap::new();
-    let mut sum = MetricsSummary::default();
-    // Per histogram series (name + labels sans `le`): buckets seen, in
-    // order, plus the `_count` sample for reconciliation.
-    let mut hist_buckets: BTreeMap<String, Vec<(f64, f64)>> = BTreeMap::new();
-    let mut hist_count_samples: BTreeMap<String, f64> = BTreeMap::new();
-
-    for (lineno, line) in text.lines().enumerate() {
-        let fail = |msg: String| format!("line {}: {msg}", lineno + 1);
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix('#') {
-            let mut parts = rest.split_whitespace();
-            if parts.next() == Some("TYPE") {
-                let name = parts
-                    .next()
-                    .ok_or_else(|| fail("TYPE comment missing metric name".into()))?;
-                let kind = parts
-                    .next()
-                    .ok_or_else(|| fail("TYPE comment missing kind".into()))?;
-                if !matches!(kind, "counter" | "gauge" | "histogram") {
-                    return Err(fail(format!("unknown metric kind {kind:?}")));
-                }
-                types.insert(name.to_string(), kind.to_string());
-            }
-            continue;
-        }
-        let (key, value) = parse_sample_line(line).map_err(&fail)?;
-        if !value.is_finite() {
-            return Err(fail(format!("non-finite sample value in {line:?}")));
-        }
-        sum.samples += 1;
-        let (name, labels) = parse_series_key(&key);
-        let base = name
-            .strip_suffix("_bucket")
-            .or_else(|| name.strip_suffix("_sum"))
-            .or_else(|| name.strip_suffix("_count"))
-            .filter(|b| types.get(*b).map(String::as_str) == Some("histogram"));
-        let declared = base.unwrap_or(&name);
-        let kind = types
-            .get(declared)
-            .ok_or_else(|| fail(format!("sample {key:?} has no preceding TYPE comment")))?
-            .clone();
-        match kind.as_str() {
-            "counter" => {
-                if value < 0.0 {
-                    return Err(fail(format!("counter {key:?} is negative ({value})")));
-                }
-                sum.counters.insert(key, value);
-            }
-            "gauge" => {
-                sum.gauges.insert(key, value);
-            }
-            "histogram" => {
-                if value < 0.0 {
-                    return Err(fail(format!("histogram sample {key:?} is negative")));
-                }
-                let series_labels: Vec<String> = labels
-                    .iter()
-                    .filter(|(k, _)| k != "le")
-                    .map(|(k, v)| format!("{k}=\"{v}\""))
-                    .collect();
-                let series = format!("{declared}{{{}}}", series_labels.join(","));
-                if name.ends_with("_bucket") {
-                    let le = labels
-                        .iter()
-                        .find(|(k, _)| k == "le")
-                        .map(|(_, v)| v.as_str())
-                        .ok_or_else(|| fail(format!("bucket {key:?} missing 'le' label")))?;
-                    let le = if le == "+Inf" {
-                        f64::INFINITY
-                    } else {
-                        le.parse()
-                            .map_err(|_| fail(format!("bad le bound {le:?}")))?
-                    };
-                    hist_buckets.entry(series).or_default().push((le, value));
-                } else if name.ends_with("_count") {
-                    hist_count_samples.insert(series, value);
-                }
-            }
-            other => return Err(fail(format!("unknown kind {other:?}"))),
-        }
-    }
-
-    for (series, buckets) in &hist_buckets {
-        let mut prev_le = f64::NEG_INFINITY;
-        let mut prev_cum = -1.0;
-        for &(le, cum) in buckets {
-            if le <= prev_le {
-                return Err(format!(
-                    "histogram {series}: bucket bounds not strictly increasing at le={le}"
-                ));
-            }
-            if cum < prev_cum {
-                return Err(format!(
-                    "histogram {series}: cumulative counts decrease at le={le}"
-                ));
-            }
-            prev_le = le;
-            prev_cum = cum;
-        }
-        let (last_le, last_cum) = *buckets.last().expect("non-empty by construction");
-        if last_le != f64::INFINITY {
-            return Err(format!("histogram {series}: missing le=\"+Inf\" bucket"));
-        }
-        match hist_count_samples.get(series) {
-            Some(&count) if count == last_cum => {
-                sum.hist_counts.insert(series.clone(), count as u64);
-            }
-            Some(&count) => {
-                return Err(format!(
-                    "histogram {series}: _count {count} != +Inf bucket {last_cum}"
-                ));
-            }
-            None => return Err(format!("histogram {series}: missing _count sample")),
-        }
-    }
-    Ok(sum)
-}
-
 /// What [`validate_access_log`] extracted from a structured access log.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct AccessLogSummary {
@@ -857,54 +634,6 @@ mod tests {
         let bad = "{\"spans\":[{\"id\":0,\"parent\":1,\"name\":\"a\",\"cat\":\"x\",\
                    \"start_ns\":0,\"dur_ns\":0,\"self_ns\":0,\"thread\":0}]}";
         assert!(validate_span_tree(bad).is_err());
-    }
-
-    #[test]
-    fn metrics_exposition_round_trips_through_validator() {
-        let reg = crate::metrics::Registry::new();
-        reg.counter("dhpf_requests_total", &[("op", "compile")])
-            .add(5);
-        reg.counter("dhpf_errors_total", &[("code", "E_BUDGET")])
-            .inc();
-        reg.gauge("dhpf_memo_entries", &[("table", "sat")]).set(123);
-        let h = reg.histogram("dhpf_duration_us", &[("kind", "warm")]);
-        for v in [10u64, 20, 500, 9000] {
-            h.observe(v);
-        }
-        let text = render_metrics_text(&reg.snapshot());
-        let sum = validate_metrics_text(&text).expect("valid exposition");
-        assert_eq!(sum.counters["dhpf_requests_total{op=\"compile\"}"], 5.0);
-        assert_eq!(sum.counters["dhpf_errors_total{code=\"E_BUDGET\"}"], 1.0);
-        assert_eq!(sum.gauges["dhpf_memo_entries{table=\"sat\"}"], 123.0);
-        assert_eq!(sum.hist_counts["dhpf_duration_us{kind=\"warm\"}"], 4);
-        let (name, labels) = parse_series_key("dhpf_errors_total{code=\"E_BUDGET\"}");
-        assert_eq!(name, "dhpf_errors_total");
-        assert_eq!(labels, vec![("code".to_string(), "E_BUDGET".to_string())]);
-    }
-
-    #[test]
-    fn metrics_validator_rejects_violations() {
-        // Sample without a TYPE comment.
-        assert!(validate_metrics_text("x_total 1\n").is_err());
-        // Negative counter.
-        assert!(validate_metrics_text("# TYPE x_total counter\nx_total -1\n").is_err());
-        // Decreasing cumulative bucket counts.
-        let bad = "# TYPE h histogram\n\
-                   h_bucket{le=\"1\"} 5\nh_bucket{le=\"2\"} 3\nh_bucket{le=\"+Inf\"} 5\n\
-                   h_sum 9\nh_count 5\n";
-        assert!(validate_metrics_text(bad).unwrap_err().contains("decrease"));
-        // Non-increasing le bounds.
-        let bad = "# TYPE h histogram\n\
-                   h_bucket{le=\"2\"} 1\nh_bucket{le=\"2\"} 2\nh_bucket{le=\"+Inf\"} 2\n\
-                   h_sum 4\nh_count 2\n";
-        assert!(validate_metrics_text(bad).is_err());
-        // _count disagreeing with the +Inf bucket.
-        let bad = "# TYPE h histogram\n\
-                   h_bucket{le=\"+Inf\"} 2\nh_sum 4\nh_count 3\n";
-        assert!(validate_metrics_text(bad).is_err());
-        // Missing +Inf bucket.
-        let bad = "# TYPE h histogram\nh_bucket{le=\"2\"} 1\nh_sum 2\nh_count 1\n";
-        assert!(validate_metrics_text(bad).is_err());
     }
 
     #[test]

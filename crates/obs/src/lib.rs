@@ -19,8 +19,8 @@
 //! Alongside the per-compilation span machinery, the [`metrics`] module
 //! provides the *fleet-level* substrate: a lock-free [`metrics::Registry`]
 //! of counters, gauges, and log-linear latency histograms with quantile
-//! extraction, rendered by [`export::render_metrics_text`] in the
-//! Prometheus text exposition format.
+//! extraction, read out as a [`metrics::MetricsSnapshot`] (`dhpf-serve`
+//! renders it as JSON for its `metrics` op).
 //!
 //! Design constraints, per the reproduction's Table-1 requirements:
 //!

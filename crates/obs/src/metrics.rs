@@ -272,8 +272,8 @@ impl SeriesId {
         }
     }
 
-    /// Renders `name{k="v",…}` (bare `name` when unlabeled), the exact
-    /// spelling the Prometheus exposition and the JSON snapshot use.
+    /// Renders `name{k="v",…}` (bare `name` when unlabeled), the key
+    /// spelling of the JSON snapshot.
     pub fn render(&self) -> String {
         let mut out = self.name.clone();
         if !self.labels.is_empty() {

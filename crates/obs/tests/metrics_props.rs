@@ -147,28 +147,3 @@ fn concurrent_histogram_observations_are_exact() {
         Some(THREADS * PER_THREAD)
     );
 }
-
-#[test]
-fn randomized_registry_exposition_always_validates() {
-    let mut rng = Rng::new(42);
-    for _ in 0..20 {
-        let reg = Registry::new();
-        for i in 0..rng.below(8) {
-            reg.counter("c_total", &[("i", &i.to_string())])
-                .add(rng.below(1000));
-        }
-        for i in 0..rng.below(4) {
-            reg.gauge("g", &[("i", &i.to_string())])
-                .set(rng.below(1000) as i64 - 500);
-        }
-        for i in 0..rng.below(4) {
-            let h = reg.histogram("h_us", &[("i", &i.to_string())]);
-            for _ in 0..rng.below(200) {
-                h.observe(rng.below(1 << 34));
-            }
-        }
-        let text = dhpf_obs::export::render_metrics_text(&reg.snapshot());
-        dhpf_obs::export::validate_metrics_text(&text)
-            .unwrap_or_else(|e| panic!("exposition failed validation: {e}\n{text}"));
-    }
-}

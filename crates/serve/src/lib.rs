@@ -11,7 +11,7 @@
 //! insert into a full table evicts an entry) so a week of traffic cannot
 //! grow it without limit.
 //!
-//! The serving tier adds three things the batch driver does not have:
+//! The serving tier adds four things the batch driver does not have:
 //!
 //! 1. **Cache reuse** — every request compiles via
 //!    [`process_request`](dhpf_core::process_request) on the shared
@@ -29,11 +29,12 @@
 //! 4. **Observability** — a [`ServeMetrics`]
 //!    registry counts every request, error, coalesce role, degradation,
 //!    and governor trip, and samples warm/cold request latencies into
-//!    histograms; scrape it with the `metrics` op. A structured JSON-lines
-//!    access log ([`ServeConfig::access_log`]) records one line per
-//!    request, and a slow-request sampler
-//!    ([`ServeConfig::trace_slow_ms`]) embeds the span tree of any
-//!    compilation at or over the threshold.
+//!    histograms; scrape it with the `metrics` op, the one read-out of
+//!    server-wide state (a compile reply says only what that request
+//!    did). A structured JSON-lines access log
+//!    ([`ServeConfig::access_log`]) records one line per request, and a
+//!    slow-request sampler ([`ServeConfig::trace_slow_ms`]) embeds the
+//!    span tree of any compilation at or over the threshold.
 //!
 //! See [`proto`] for the JSON-lines wire format.
 
@@ -51,7 +52,7 @@ use std::collections::{HashMap, HashSet};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
@@ -118,8 +119,6 @@ struct State {
     inflight: Mutex<HashMap<u64, Arc<InFlight>>>,
     /// Units compiled at least once (warm-cache detection).
     completed: Mutex<HashSet<u64>>,
-    requests: AtomicU64,
-    dedup_hits: AtomicU64,
     shutdown: AtomicBool,
     started: Instant,
     metrics: ServeMetrics,
@@ -217,8 +216,6 @@ impl Server {
                 ctx: Context::with_capacity(config.cache_cap),
                 inflight: Mutex::new(HashMap::new()),
                 completed: Mutex::new(HashSet::new()),
-                requests: AtomicU64::new(0),
-                dedup_hits: AtomicU64::new(0),
                 shutdown: AtomicBool::new(false),
                 started: Instant::now(),
                 metrics: ServeMetrics::new(),
@@ -315,7 +312,6 @@ fn dispatch(line: &str, state: &Arc<State>) -> (String, bool) {
     let op = match &parsed {
         Err(_) => "invalid",
         Ok(Request::Ping { .. }) => "ping",
-        Ok(Request::Stats { .. }) => "stats",
         Ok(Request::Metrics { .. }) => "metrics",
         Ok(Request::Shutdown { .. }) => "shutdown",
         Ok(Request::Compile(_)) => "compile",
@@ -338,19 +334,11 @@ fn dispatch(line: &str, state: &Arc<State>) -> (String, bool) {
                 false,
             )
         }
-        Ok(Request::Stats { id }) => {
-            let reply = render_stats(&id, state);
-            log_op_access(state, &id, op, "ok", t0);
-            (reply, false)
-        }
-        Ok(Request::Metrics { id, prometheus }) => {
-            state.metrics.update_context_gauges(&state.ctx);
-            let snap = state.metrics.snapshot();
-            let reply = if prometheus {
-                proto::render_metrics_prometheus(&id, &snap)
-            } else {
-                proto::render_metrics_json(&id, &snap)
-            };
+        Ok(Request::Metrics { id }) => {
+            state
+                .metrics
+                .update_context_gauges(&state.ctx, state.started);
+            let reply = proto::render_metrics_json(&id, &state.metrics.snapshot());
             log_op_access(state, &id, op, "ok", t0);
             (reply, false)
         }
@@ -384,31 +372,7 @@ fn log_op_access(state: &Arc<State>, id: &str, op: &str, outcome: &str, t0: Inst
     state.log_access(&record, false);
 }
 
-fn render_stats(id: &str, state: &Arc<State>) -> String {
-    let c = state.ctx.stats();
-    Obj::new()
-        .str("id", id)
-        .bool("ok", true)
-        .u64("requests", state.requests.load(Ordering::Relaxed))
-        .u64("dedup_hits", state.dedup_hits.load(Ordering::Relaxed))
-        .u64("memo_entries", state.ctx.memo_entries())
-        .obj(
-            "cache",
-            Obj::new()
-                .u64("hits", c.total_hits())
-                .u64("misses", c.total_misses())
-                .u64("evictions", c.total_evictions()),
-        )
-        .u64(
-            "uptime_ms",
-            u64::try_from(state.started.elapsed().as_millis()).unwrap_or(u64::MAX),
-        )
-        .finish()
-}
-
 fn handle_compile(job: &CompileJob, state: &Arc<State>, t0: Instant) -> String {
-    state.requests.fetch_add(1, Ordering::Relaxed);
-
     // Admission control: a zero deadline can never finish; reject it with
     // the same typed code a mid-flight expiry produces, before any set
     // algebra runs or an in-flight slot is claimed.
@@ -461,7 +425,6 @@ fn handle_compile(job: &CompileJob, state: &Arc<State>, t0: Instant) -> String {
         }
         (resp, false)
     } else {
-        state.dedup_hits.fetch_add(1, Ordering::Relaxed);
         (flight.wait(), true)
     };
 
@@ -490,8 +453,6 @@ fn handle_compile(job: &CompileJob, state: &Arc<State>, t0: Instant) -> String {
     let meta = ServeMeta {
         warm,
         coalesced,
-        dedup_hits: state.dedup_hits.load(Ordering::Relaxed),
-        memo_entries: state.ctx.memo_entries(),
         trace: job.want_trace,
     };
     render_response(&job.id, &resp, &meta)

@@ -13,9 +13,7 @@
 //!  "options":{"threads":2,"deadline_ms":5000,"op_fuel":1000000,"loop_splitting":true},
 //!  "want":["code","timing","trace"]}
 //! {"op":"ping","id":"p1"}
-//! {"op":"stats","id":"s1"}
 //! {"op":"metrics","id":"m1"}
-//! {"op":"metrics","id":"m2","format":"prometheus"}
 //! {"op":"shutdown","id":"q1"}
 //! ```
 //!
@@ -27,17 +25,18 @@
 //! ## Responses
 //!
 //! Success: `{"id":…,"ok":true,"units":…,"comm_events":…,"degradations":[…],
-//! "cache":{…},"cache_hits_delta":…,"warm":…,"coalesced":…,"dedup_hits":…,
-//! "governor":{…},"compile_ms":…,"code":…,"timing":…,"trace":…}`.
+//! "cache_hits_delta":…,"warm":…,"coalesced":…,"governor":{…},
+//! "compile_ms":…,"code":…,"timing":…,"trace":…}`.
 //! Failure: `{"id":…,"ok":false,"error":{"code":"E_…","message":…},…}` —
 //! `error.code` is the stable machine contract; `message` is for humans.
+//! A compile reply says only what that request did; server-wide state
+//! (request and error counts, memo occupancy, hits, misses, evictions,
+//! uptime, latency histograms) has one read-out, the `metrics` op.
 //!
 //! `want:["trace"]` adds a `trace` field: the single-line span tree of
 //! this compilation (`dhpf_obs::export::span_tree_json` schema). The
-//! `metrics` op returns the daemon's metric registry — structured JSON by
-//! default, or the full Prometheus text exposition as one escaped string
-//! field with `"format":"prometheus"` (scrape with netcat, unwrap, and
-//! feed to any Prometheus ingester).
+//! `metrics` op returns the daemon's metric registry as JSON (see
+//! [`render_metrics_json`]).
 
 use dhpf_core::{CompileOptions, CompileRequest, CompileResponse, WireError};
 use dhpf_obs::json::{escape, parse, Arr, Obj, Value};
@@ -60,18 +59,10 @@ pub enum Request {
         /// Echoed request id.
         id: String,
     },
-    /// Server-wide statistics snapshot.
-    Stats {
-        /// Echoed request id.
-        id: String,
-    },
     /// Metrics scrape: the daemon's whole metric registry.
     Metrics {
         /// Echoed request id.
         id: String,
-        /// `true` for the Prometheus text exposition (as one escaped
-        /// string field); `false` for structured JSON.
-        prometheus: bool,
     },
     /// Stop accepting connections and exit the serve loop.
     Shutdown {
@@ -183,17 +174,7 @@ pub fn parse_request(line: &str) -> Result<Request, (String, WireError)> {
     };
     match op.as_str() {
         "ping" => Ok(Request::Ping { id }),
-        "stats" => Ok(Request::Stats { id }),
-        "metrics" => {
-            let prometheus = match v.get("format").and_then(Value::as_str) {
-                None | Some("json") => false,
-                Some("prometheus") => true,
-                Some(other) => {
-                    return Err(proto_err(&id, format!("unknown metrics format {other:?}")))
-                }
-            };
-            Ok(Request::Metrics { id, prometheus })
-        }
+        "metrics" => Ok(Request::Metrics { id }),
         "shutdown" => Ok(Request::Shutdown { id }),
         "compile" => {
             let source = v
@@ -245,8 +226,8 @@ pub fn parse_request(line: &str) -> Result<Request, (String, WireError)> {
     }
 }
 
-/// Serving context of one response: the cache-tier fields that live in the
-/// server rather than in `dhpf_core`'s [`CompileResponse`].
+/// Serving context of one response: what the server knows about this
+/// request that `dhpf_core`'s [`CompileResponse`] does not.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ServeMeta {
     /// This unit was compiled before on this server (memo tables warm).
@@ -254,31 +235,9 @@ pub struct ServeMeta {
     /// This response was fanned out from a concurrent identical request's
     /// compilation rather than compiled independently.
     pub coalesced: bool,
-    /// Server-wide count of coalesced requests so far.
-    pub dedup_hits: u64,
-    /// Resident memo entries after the request.
-    pub memo_entries: u64,
     /// Include the captured span tree in the response (the client sent
     /// `want:["trace"]`).
     pub trace: bool,
-}
-
-fn cache_obj(resp: &CompileResponse, meta: &ServeMeta) -> Obj {
-    let c = &resp.cache;
-    let hits = c.total_hits();
-    let misses = c.total_misses();
-    let total = hits + misses;
-    let rate = if total == 0 {
-        0.0
-    } else {
-        hits as f64 / total as f64
-    };
-    Obj::new()
-        .u64("hits", hits)
-        .u64("misses", misses)
-        .u64("evictions", c.total_evictions())
-        .f64("hit_rate", rate, 4)
-        .u64("entries", meta.memo_entries)
 }
 
 fn error_obj(code: ErrorCode, message: &str) -> Obj {
@@ -315,11 +274,9 @@ pub fn render_response(id: &str, resp: &CompileResponse, meta: &ServeMeta) -> St
         }
     }
     o = o
-        .obj("cache", cache_obj(resp, meta))
         .u64("cache_hits_delta", resp.cache_hits_delta)
         .bool("warm", meta.warm)
-        .bool("coalesced", meta.coalesced)
-        .u64("dedup_hits", meta.dedup_hits);
+        .bool("coalesced", meta.coalesced);
     let g = &resp.governor;
     o = o
         .obj(
@@ -358,9 +315,11 @@ pub fn render_error(id: &str, err: &WireError) -> String {
         .finish()
 }
 
-/// Serializes the structured-JSON `metrics` response: counters and gauges
-/// keyed by their rendered series (`name{labels}`), histograms as
-/// count/sum/mean plus p50/p90/p99 upper bounds in the native unit.
+/// Serializes the `metrics` response: counters and gauges keyed by their
+/// rendered series (`name{labels}`), histograms as count/sum/mean,
+/// p50/p90/p99 upper bounds in the native unit, and the cumulative
+/// buckets as `[[hi, cum], …]` (`hi` an inclusive upper edge; the last
+/// `cum` equals `count`).
 pub fn render_metrics_json(id: &str, snap: &MetricsSnapshot) -> String {
     let mut counters = Obj::new();
     for s in &snap.counters {
@@ -372,6 +331,10 @@ pub fn render_metrics_json(id: &str, snap: &MetricsSnapshot) -> String {
     }
     let mut hists = Obj::new();
     for (sid, h) in &snap.histograms {
+        let mut buckets = Arr::new();
+        for b in &h.buckets {
+            buckets = buckets.raw(&format!("[{},{}]", b.hi, b.cum));
+        }
         hists = hists.obj(
             &sid.render(),
             Obj::new()
@@ -380,7 +343,8 @@ pub fn render_metrics_json(id: &str, snap: &MetricsSnapshot) -> String {
                 .f64("mean", h.mean(), 1)
                 .u64("p50", h.quantile(0.5))
                 .u64("p90", h.quantile(0.9))
-                .u64("p99", h.quantile(0.99)),
+                .u64("p99", h.quantile(0.99))
+                .arr("buckets", buckets),
         );
     }
     Obj::new()
@@ -389,17 +353,6 @@ pub fn render_metrics_json(id: &str, snap: &MetricsSnapshot) -> String {
         .obj("counters", counters)
         .obj("gauges", gauges)
         .obj("histograms", hists)
-        .finish()
-}
-
-/// Serializes the Prometheus-format `metrics` response: the full text
-/// exposition as one escaped string field, ready to unwrap and feed to a
-/// Prometheus ingester.
-pub fn render_metrics_prometheus(id: &str, snap: &MetricsSnapshot) -> String {
-    Obj::new()
-        .str("id", id)
-        .bool("ok", true)
-        .str("prometheus", &dhpf_obs::export::render_metrics_text(snap))
         .finish()
 }
 

@@ -3,9 +3,10 @@
 //! returns a schema-valid span tree, and the structured access log (with
 //! slow-trace sampling) validates against the exporter's schema.
 
-use dhpf_obs::export::{validate_access_log, validate_metrics_text, validate_span_tree_value};
+use dhpf_obs::export::{validate_access_log, validate_span_tree_value};
 use dhpf_obs::json::{parse, Value};
-use dhpf_serve::{send_lines, ServeConfig, Server, ShutdownHandle};
+use dhpf_omega::ErrorCode;
+use dhpf_serve::{metrics::OPS, send_lines, ServeConfig, Server, ShutdownHandle};
 use std::net::SocketAddr;
 use std::sync::{Arc, Barrier};
 
@@ -57,6 +58,65 @@ fn counter(v: &Value, key: &str) -> u64 {
         .and_then(|c| c.get(key))
         .and_then(Value::as_f64)
         .unwrap_or_else(|| panic!("missing counter {key:?} in {v:?}")) as u64
+}
+
+fn gauge(v: &Value, key: &str) -> i64 {
+    v.get("gauges")
+        .and_then(|c| c.get(key))
+        .and_then(Value::as_f64)
+        .unwrap_or_else(|| panic!("missing gauge {key:?} in {v:?}")) as i64
+}
+
+/// Splits a rendered series key `name{k="v",…}` into its name and labels.
+fn series_labels(key: &str) -> (&str, Vec<(&str, &str)>) {
+    let Some((name, rest)) = key.split_once('{') else {
+        return (key, Vec::new());
+    };
+    let labels = rest
+        .trim_end_matches('}')
+        .split(',')
+        .filter_map(|pair| pair.split_once('='))
+        .map(|(k, v)| (k, v.trim_matches('"')))
+        .collect();
+    (name, labels)
+}
+
+/// The label vocabulary of a scrape, and the shape of its histograms:
+/// every `code` label is a known error code, every request `op` label is
+/// in [`OPS`], the whole error family is present (pre-registered at
+/// zero), and each histogram's cumulative buckets never decrease and end
+/// at its `count`.
+fn check_vocabulary_and_buckets(m: &Value) {
+    let counters = m.get("counters").and_then(Value::as_obj).unwrap();
+    assert!(!counters.is_empty());
+    for (key, _) in counters {
+        let (name, labels) = series_labels(key);
+        for (k, v) in labels {
+            if k == "code" {
+                assert!(ErrorCode::parse(v).is_some(), "{key}: unknown error code");
+            }
+            if name == "dhpf_serve_requests_total" && k == "op" {
+                assert!(OPS.contains(&v), "{key}: unknown op");
+            }
+        }
+    }
+    for &code in ErrorCode::ALL {
+        counter(m, &format!("dhpf_serve_errors_total{{code=\"{code}\"}}"));
+    }
+    let hists = m.get("histograms").and_then(Value::as_obj).unwrap();
+    assert!(!hists.is_empty());
+    for (key, h) in hists {
+        let count = h.get("count").and_then(Value::as_f64).unwrap();
+        let mut prev = (f64::NEG_INFINITY, 0.0);
+        for b in h.get("buckets").and_then(Value::as_arr).unwrap() {
+            let b = b.as_arr().unwrap();
+            let (hi, cum) = (b[0].as_f64().unwrap(), b[1].as_f64().unwrap());
+            assert!(hi > prev.0, "{key}: bucket edges not increasing at {hi}");
+            assert!(cum >= prev.1, "{key}: cumulative count decreases at {hi}");
+            prev = (hi, cum);
+        }
+        assert_eq!(prev.1, count, "{key}: last bucket is not the count");
+    }
 }
 
 #[test]
@@ -125,34 +185,13 @@ fn metrics_reconcile_with_driven_request_mix() {
     assert_eq!(warm_count, 1, "{}", replies[5]);
     assert_eq!(cold_count, 2, "{}", replies[5]);
 
-    // The Prometheus exposition of the same registry passes the schema
-    // validator and carries the same counters.
-    let prom = send_lines(
-        addr,
-        &["{\"op\":\"metrics\",\"id\":\"m2\",\"format\":\"prometheus\"}".to_string()],
-    )
-    .unwrap();
-    let p = parse(&prom[0]).unwrap();
-    let text = p.get("prometheus").and_then(Value::as_str).unwrap();
-    let sum = validate_metrics_text(text).expect("valid exposition");
-    assert_eq!(
-        sum.counters
-            .get("dhpf_serve_requests_total{op=\"compile\"}"),
-        Some(&4.0)
-    );
-    assert_eq!(
-        sum.hist_counts
-            .get("dhpf_serve_request_duration_us{kind=\"warm\"}"),
-        Some(&1)
-    );
     // Context gauges were refreshed at scrape time: memo tables are
-    // occupied after two successful compiles.
-    assert!(
-        sum.gauges
-            .get("dhpf_serve_memo_resident")
-            .is_some_and(|&g| g > 0.0),
-        "memo_resident gauge missing or zero"
-    );
+    // occupied and have been hit after two successful compiles.
+    assert!(gauge(&m, "dhpf_serve_memo_resident") > 0, "{}", replies[5]);
+    assert!(gauge(&m, "dhpf_serve_memo_hits") > 0, "{}", replies[5]);
+    assert!(gauge(&m, "dhpf_serve_memo_misses") > 0, "{}", replies[5]);
+    assert!(gauge(&m, "dhpf_serve_uptime_ms") >= 0, "{}", replies[5]);
+    check_vocabulary_and_buckets(&m);
 
     handle.shutdown();
     join.join().unwrap();

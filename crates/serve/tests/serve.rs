@@ -63,7 +63,7 @@ fn round_trip_and_warm_cache_reuse() {
             "{\"op\":\"ping\",\"id\":\"p\"}".to_string(),
             compile_req("cold", ",\"want\":[\"code\",\"timing\"]"),
             compile_req("warm", ""),
-            "{\"op\":\"stats\",\"id\":\"s\"}".to_string(),
+            "{\"op\":\"metrics\",\"id\":\"m\"}".to_string(),
         ],
     )
     .unwrap();
@@ -80,6 +80,11 @@ fn round_trip_and_warm_cache_reuse() {
     let code = cold.get("code").and_then(Value::as_str).unwrap();
     assert!(code.contains("call comm_send(0)"), "{code}");
     assert!(cold.get("timing").and_then(Value::as_arr).is_some());
+    // A reply says what this request did; server-wide counters live in
+    // the `metrics` op only.
+    for key in ["cache", "dedup_hits"] {
+        assert!(cold.get(key).is_none(), "{key:?} in {}", replies[1]);
+    }
 
     // The second identical request must find the memo tables warm: the
     // warm flag flips, and hits gained during the request are nonzero.
@@ -92,9 +97,13 @@ fn round_trip_and_warm_cache_reuse() {
         replies[2]
     );
 
-    let stats = parse(&replies[3]).unwrap();
-    assert_eq!(get_u64(&stats, "requests"), 2);
-    assert!(get_u64(&stats, "memo_entries") > 0);
+    let m = parse(&replies[3]).unwrap();
+    let counters = m.get("counters").unwrap();
+    assert_eq!(
+        get_u64(counters, "dhpf_serve_requests_total{op=\"compile\"}"),
+        2
+    );
+    assert!(get_u64(m.get("gauges").unwrap(), "dhpf_serve_memo_resident") > 0);
 
     handle.shutdown();
     join.join().unwrap();
@@ -121,22 +130,27 @@ fn concurrent_duplicates_coalesce() {
     let replies: Vec<Value> = workers.into_iter().map(|w| w.join().unwrap()).collect();
 
     let mut coalesced = 0u64;
-    let mut max_dedup = 0u64;
     for r in &replies {
         assert!(get_bool(r, "ok"), "{r:?}");
         assert_eq!(get_u64(r, "units"), 1);
         if get_bool(r, "coalesced") {
             coalesced += 1;
         }
-        max_dedup = max_dedup.max(get_u64(r, "dedup_hits"));
     }
     assert!(
         coalesced > 0,
         "no request coalesced across {CLIENTS} simultaneous duplicates"
     );
+    let m =
+        parse(&send_lines(addr, &["{\"op\":\"metrics\",\"id\":\"m\"}".to_string()]).unwrap()[0])
+            .unwrap();
     assert_eq!(
-        max_dedup, coalesced,
-        "server dedup counter disagrees with coalesced responses"
+        get_u64(
+            m.get("counters").unwrap(),
+            "dhpf_serve_coalesce_total{role=\"follower\"}"
+        ),
+        coalesced,
+        "server follower counter disagrees with coalesced responses"
     );
 
     handle.shutdown();
@@ -205,7 +219,7 @@ fn protocol_errors_are_typed_and_non_fatal() {
     let good = parse(&replies[2]).unwrap();
     assert!(get_bool(&good, "ok"), "{}", replies[2]);
 
-    // A frontend error is typed too, and still carries cache counters.
+    // A frontend error is typed too.
     let failed = send_lines(
         addr,
         &["{\"op\":\"compile\",\"id\":\"bad\",\"source\":\"program p\\nsyntax? error!\\nend\\n\"}"
